@@ -29,7 +29,7 @@ from .embedder import (
     attach_path_trees,
     embed_core_with_leaf_sets,
 )
-from .embedding import Embedding
+from .embedding import Embedding, PipelineError
 from .guides import GuideEntry, GuideSystem, XYLabeling, build_guide, build_xy_labeling, restrict_guides
 from .matching import (
     BipartitePattern,

@@ -11,15 +11,25 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import io as tio
+from .decompose import decompose
 from .digraph import Digraph, debug_audits_enabled, gen_semidegree_digraph, min_semidegree
-from .embedder import AbsorptionError, PhaseFailure, embed_almost_spanning, embed_spanning
-from .embedding import Embedding
+from .embedder import (
+    absorb_at_random,
+    attach_path_trees,
+    embed_almost_spanning,
+    embed_spanning,
+    embed_stars,
+    path_piece_inputs,
+    stars_from_decomposition,
+)
+from .embedding import Embedding, PipelineError
 from .oracle import TrialConfig, reports_to_csv, run_trials, verify_embedding
 from .params import ParamSchedule, almost_defaults, spanning_defaults
 from .trees import gen_random_tree, max_semidegree
@@ -96,7 +106,7 @@ def cmd_embed(args) -> int:
             emb, telemetry = embed_almost_spanning(d, tree.with_t(t), t, v, params, rng)
         else:
             emb, telemetry = embed_spanning(d, tree, params, rng)
-    except (PhaseFailure, AbsorptionError) as exc:
+    except PipelineError as exc:
         return _emit_failure(args, exc)
 
     assert verify_embedding(d, tree, emb)
@@ -114,10 +124,10 @@ def _emit_embedding(args, emb, telemetry) -> int:
     return 0
 
 
-def _emit_failure(args, exc) -> int:
+def _emit_failure(args, exc: PipelineError) -> int:
     doc = {
         "success": False,
-        "cause": getattr(exc, "cause", "S-fail"),
+        "cause": exc.cause,
         "detail": str(exc),
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -130,12 +140,6 @@ def _emit_failure(args, exc) -> int:
 
 def _run_isolated_phase(args, d, tree, rng) -> int:
     """Run one embedding phase on inputs derived from the tree, and verify it."""
-    from .decompose import DecompositionError, decompose
-    from .embedder import attach_path_trees, build_absorber, complete_absorption, embed_stars
-    from .embedder import stars_from_decomposition
-    from .trees import induced_subtree
-    import numpy as _np
-
     t = tree.t if tree.t is not None else 0
     base = almost_defaults(d.n, args.alpha_hint(d), args.eps)
     params = _schedule_overrides(args, base)
@@ -154,15 +158,9 @@ def _run_isolated_phase(args, d, tree, rng) -> int:
             if not td.pieces:
                 print("error: decomposition yields no path pieces", file=sys.stderr)
                 return 1
-            piece_inputs, anchor_pairs = [], []
+            piece_inputs = path_piece_inputs(tree, td)
             perm = rng.permutation(d.n)
-            cursor = 0
-            for p in td.pieces:
-                piece = induced_subtree(tree, [p.x, p.y, p.mid_x, p.mid_y, *p.body])
-                pos = {int(h): i for i, h in enumerate(piece.labels)}
-                piece_inputs.append((piece, pos[p.x], pos[p.y]))
-                anchor_pairs.append((int(perm[cursor]), int(perm[cursor + 1])))
-                cursor += 2
+            anchor_pairs = [(int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(len(piece_inputs))]
             maps = attach_path_trees(d, piece_inputs, anchor_pairs, params, rng)
             emb = Embedding()
             for (piece, _r, _s), pmap in zip(piece_inputs, maps):
@@ -176,17 +174,13 @@ def _run_isolated_phase(args, d, tree, rng) -> int:
             print("error: absorber phase needs |T| <= n/3", file=sys.stderr)
             return 1
         sched = _schedule_overrides(args, spanning_defaults(d.n, args.alpha_hint(d)))
-        state = build_absorber(d, tree.with_t(t), t, sched, rng)
-        free = _np.array(sorted(set(range(d.n)) - set(state.a_set.tolist())))
-        extra = rng.choice(free, size=tree.n - len(state.a_set), replace=False)
-        b = _np.array(sorted(set(state.a_set.tolist()) | {int(x) for x in extra}))
-        emb = complete_absorption(state, b)
+        state, emb = absorb_at_random(d, tree.with_t(t), t, sched, rng)
         assert verify_embedding(d, tree, emb)
         return _emit_embedding(
             args, emb,
             {"phase": "absorber", "threshold": state.threshold, "swaps": state.swap_count},
         )
-    except (PhaseFailure, AbsorptionError, DecompositionError) as exc:
+    except PipelineError as exc:
         return _emit_failure(args, exc)
 
 
@@ -233,8 +227,12 @@ def parse_experiment_config(text: str) -> tuple[list[TrialConfig], int]:
     max_semideg = int(grid.get("max_semideg", 3))
 
     overrides = {}
+    # configparser lowercases keys, so the size cap K is spelled "bigk".
+    known = {f.name for f in dataclasses.fields(ParamSchedule)} - {"K"} | {"bigk"}
     if cp.has_section("schedule"):
         for key, val in cp["schedule"].items():
+            if key not in known:
+                raise ValueError(f"unknown [schedule] key {key!r}")
             if key in ("k", "retries", "pop_min", "part_pad", "switch_margin"):
                 overrides[key] = int(val)
             elif key == "bigk":

@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import PipelineError
 from .params import ParamSchedule
 from .trees import OrientedTree, induced_subtree, maximal_bare_paths
 
 
-class DecompositionError(RuntimeError):
+class DecompositionError(PipelineError):
     """The schedule is too tight for this tree; lists the failed properties."""
+
+    cause = "decompose"
 
     def __init__(self, message: str, failed: list[str]):
         super().__init__(message)
@@ -59,10 +62,6 @@ class TreeDecomposition:
     eta: float
     k: int
     K: int
-
-    @property
-    def t3(self) -> np.ndarray:
-        return np.arange(self.tree.n, dtype=np.int64)
 
     def to_json(self) -> str:
         doc = {

@@ -27,14 +27,6 @@ class Sign(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    @staticmethod
-    def from_str(s: str) -> "Sign":
-        if s in ("+", "plus", "out"):
-            return Sign.PLUS
-        if s in ("-", "minus", "in"):
-            return Sign.MINUS
-        raise ValueError(f"not a sign: {s!r}")
-
 
 SIGNS = (Sign.PLUS, Sign.MINUS)
 

@@ -8,6 +8,7 @@ Returned embeddings are always verified.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -22,8 +23,8 @@ from .digraph import (
     min_semidegree,
     sample_disjoint_subsets,
 )
-from .embedding import Embedding, is_valid_embedding
-from .guides import GuideBuildError, GuideRestrictError, GuideSystem
+from .embedding import Embedding, PipelineError, greedy_walk, is_valid_embedding
+from .guides import GuideBuildError, GuideSystem
 from .matching import (
     BipartitePattern,
     ForestEmbedError,
@@ -31,6 +32,7 @@ from .matching import (
     covering_matching,
     embed_small_forest,
     embed_tree_copies,
+    match_leaves,
 )
 from .params import ParamSchedule
 from .trees import (
@@ -39,25 +41,35 @@ from .trees import (
     canonical_order,
     canonical_rooted_form,
     induced_subtree,
+    max_semidegree,
     prefix_order,
     split_tree,
 )
 
 
-class PhaseFailure(RuntimeError):
+class PhaseFailure(PipelineError):
     """A pipeline phase exhausted its retry budget."""
 
     def __init__(self, phase: str, cause: str, message: str, attempts: int = 0):
-        super().__init__(f"{phase} failed after {attempts} attempt(s) [{cause}]: {message}")
+        super().__init__(f"{phase} failed after {attempts} attempt(s) [{cause}]: {message}", cause)
         self.phase = phase
-        self.cause = cause
         self.attempts = attempts
 
 
-class SizingError(RuntimeError):
-    """Requested part sizes do not fit the host (retryable at a higher level)."""
+def _retry(phase: str, attempts: int, once):
+    """Return the first result of `once()` within `attempts` tries.
 
-    cause = "guide-build"
+    A try that raises a PipelineError is resampled; the last one's cause is
+    reported as a PhaseFailure of `phase` once the budget is spent.
+    """
+    if attempts < 1:
+        raise ValueError(f"{phase}: retry budget must be at least 1, got {attempts}")
+    for _attempt in range(attempts):
+        try:
+            return once()
+        except PipelineError as exc:
+            last = exc
+    raise PhaseFailure(phase, last.cause, str(last), attempts=attempts)
 
 
 @dataclass
@@ -273,20 +285,10 @@ def embed_stars(
     per-class parts plus grafted tree copies; thin classes are walked
     greedily into a shared pool with their leaves batch-matched.
     """
-    n = d.n
-    last: Exception | None = None
-    for attempt in range(params.retries):
-        try:
-            return _embed_stars_once(d, tree, tprime, stars, t, v, params, rng)
-        except (GuideBuildError, GuideRestrictError, MatchingError,
-                ForestEmbedError, SizingError) as exc:
-            last = exc
-    cause = getattr(last, "cause", "hall-fail")
-    if isinstance(last, (GuideBuildError, GuideRestrictError)):
-        cause = last.cause
-    elif isinstance(last, MatchingError):
-        cause = "hall-fail"
-    raise PhaseFailure("stars", cause, str(last), attempts=params.retries)
+    return _retry(
+        "stars", params.retries,
+        lambda: _embed_stars_once(d, tree, tprime, stars, t, v, params, rng),
+    )
 
 
 def _embed_stars_once(
@@ -346,7 +348,7 @@ def _embed_stars_once(
     sized = sum(part_sizes) + sum(rich_v2_sizes) + pool_size
     v0_size = n - sized
     if v0_size < core_size + 3:
-        raise SizingError(
+        raise GuideBuildError(
             f"V0 would hold {v0_size} vertices for a core of {core_size}"
         )
 
@@ -356,7 +358,7 @@ def _embed_stars_once(
         if v in sets[0]:
             break
     else:
-        raise SizingError(f"anchor {v} never landed in V0 across 60 partitions")
+        raise GuideBuildError(f"anchor {v} never landed in V0 across 60 partitions")
     v0 = sets[0]
     part_targets = sets[1 : 1 + len(parts)]
     v2_targets = sets[1 + len(parts) : 1 + len(parts) + len(rich_v2_sizes)]
@@ -369,7 +371,7 @@ def _embed_stars_once(
         int(math.floor(0.8 * (0.5 + max(alpha_hat, 0.0)) * v0_size)),
     )
     if mu_count < core_size + 2:
-        raise SizingError(
+        raise GuideBuildError(
             f"guide budget {mu_count} cannot cover a core of {core_size} in |V0|={v0_size}"
         )
 
@@ -399,9 +401,12 @@ def _embed_stars_once(
                 emb.assign(tv, copy[rv], "graft")
 
     # Lean stars: greedy walk from the attach image, leaves batch-matched.
+    # Candidates are read in the iteration order of the `free` set, which is
+    # not ascending, so greedy_walk would draw different hosts here.
     if lean:
         free = set(int(x) for x in pool)
-        leaf_rows: list[tuple[int, int, Sign]] = []  # (tree leaf, tree parent, sign)
+        leaf_tvs: list[int] = []
+        leaf_rows: list[tuple[int, Sign]] = []  # (parent host, sign)
         for st, piece, local_root in lean:
             order = prefix_order(piece.tree, local_root, "leaves_last_middles_consecutive")
             for i, lv in enumerate(order.order):
@@ -413,7 +418,8 @@ def _embed_stars_once(
                     parent_tv = int(piece.labels[order.order[order.parent_index[i]]])
                     sign = order.sign[i]
                     if piece.tree.degree(lv) == 1:
-                        leaf_rows.append((tv, parent_tv, sign))
+                        leaf_tvs.append(tv)
+                        leaf_rows.append((emb[parent_tv], sign))
                         continue
                     parent_host = emb[parent_tv]
                 row = d.adj_row(parent_host, sign)
@@ -427,13 +433,8 @@ def _embed_stars_once(
                 free.discard(host)
         if leaf_rows:
             cols = np.array(sorted(free), dtype=np.int64)
-            adj = np.zeros((len(leaf_rows), len(cols)), dtype=bool)
-            for r, (_tv, parent_tv, sign) in enumerate(leaf_rows):
-                adj[r] = d.adj_row(emb[parent_tv], sign)[cols]
-            pattern = BipartitePattern.explicit(np.arange(len(leaf_rows)), cols, Sign.PLUS, adj)
-            matching = covering_matching(pattern, what="lean star leaves")
-            for r, host in matching.pairs:
-                emb.assign(leaf_rows[r][0], host, "stars")
+            for r, host in match_leaves(d, leaf_rows, cols, "lean star leaves"):
+                emb.assign(leaf_tvs[r], host, "stars")
 
     return emb
 
@@ -455,16 +456,10 @@ def attach_path_trees(
     """
     if not pieces:
         return []
-    last: Exception | None = None
-    for _attempt in range(params.retries):
-        try:
-            return _attach_path_trees_once(d, pieces, anchors, params, rng)
-        except (ForestEmbedError, MatchingError, SizingError) as exc:
-            last = exc
-    cause = getattr(last, "cause", "connector-exhausted")
-    if isinstance(last, MatchingError):
-        cause = "hall-fail"
-    raise PhaseFailure("paths", cause, str(last), attempts=params.retries)
+    return _retry(
+        "paths", params.retries,
+        lambda: _attach_path_trees_once(d, pieces, anchors, params, rng),
+    )
 
 
 def _attach_path_trees_once(
@@ -500,7 +495,7 @@ def _attach_path_trees_once(
     rest = np.array(sorted(set(range(n)) - anchor_hosts), dtype=np.int64)
     spare = len(rest) - total_body
     if spare < 2 * len(pieces) + 2:
-        raise SizingError(f"no room for a connector buffer of {2 * len(pieces)}")
+        raise GuideBuildError(f"no room for a connector buffer of {2 * len(pieces)}")
     forest_reserve = max(2, min(10, spare // 4))
     b_size = max(2 * len(pieces), int(math.ceil(params.beta * n)))
     b_size = min(b_size, spare - forest_reserve)
@@ -510,7 +505,7 @@ def _attach_path_trees_once(
 
     headroom = 1.0 - total_body / max(1, len(forest_pool))
     if headroom <= 0.0:
-        raise SizingError("piece bodies exceed the forest pool")
+        raise GuideBuildError("piece bodies exceed the forest pool")
     eps_eff = min(0.5, max(0.004, headroom - 0.004))
     body_maps = embed_small_forest(
         d, bodies, eps_eff, rng, pool=forest_pool, pop_min=params.pop_min
@@ -570,7 +565,7 @@ def embed_almost_spanning(
     telemetry: dict = {"phase_retries": {}, "failures": []}
     if tree.n <= max(8, params.k):
         # Far below the decomposition scale: a plain greedy walk suffices.
-        emb = _greedy_anchored(d, tree, t, v, params, rng)
+        emb, _attempts = _greedy_anchored(d, tree, t, v, params, rng)
         assert is_valid_embedding(d, tree, emb)
         return emb, telemetry
     if td is None:
@@ -578,7 +573,7 @@ def embed_almost_spanning(
             td = decompose(tree, t, params)
         except DecompositionError as exc:
             if tree.n <= 64:
-                emb = _greedy_anchored(d, tree, t, v, params, rng)
+                emb, _attempts = _greedy_anchored(d, tree, t, v, params, rng)
                 assert is_valid_embedding(d, tree, emb)
                 return emb, telemetry
             raise PhaseFailure("almost", "decompose", str(exc), 0) from exc
@@ -636,17 +631,15 @@ def embed_almost_spanning(
             telemetry["phase_retries"]["almost"] = attempt
             assert is_valid_embedding(d, tree, emb), "almost-spanning postcondition"
             return emb, telemetry
-        except PhaseFailure as exc:
-            telemetry["failures"].append({"attempt": attempt, "phase": exc.phase, "cause": exc.cause})
+        except PipelineError as exc:
+            telemetry["failures"].append(
+                {"attempt": attempt, "phase": exc.phase or "almost", "cause": exc.cause}
+            )
             last = exc
             if exc.phase == "stars" and exc.cause in ("guide-build", "guide-restrict"):
                 v1_bias += max(4, slack // 6)
             elif exc.phase == "paths":
                 v1_bias -= max(4, slack // 8)
-        except (MatchingError, ForestEmbedError, GuideBuildError, GuideRestrictError, SizingError) as exc:
-            cause = getattr(exc, "cause", "hall-fail")
-            telemetry["failures"].append({"attempt": attempt, "phase": "almost", "cause": cause})
-            last = exc
     raise PhaseFailure(
         "almost",
         telemetry["failures"][-1]["cause"] if telemetry["failures"] else "hall-fail",
@@ -656,8 +649,6 @@ def embed_almost_spanning(
 
 
 def _check_degree_cap(tree: OrientedTree, params: ParamSchedule, n: int) -> None:
-    from .trees import max_semidegree
-
     cap = params.degree_cap(n)
     dplus, dminus = max_semidegree(tree)
     if max(dplus, dminus) > cap:
@@ -671,29 +662,52 @@ def _greedy_anchored(
     d: Digraph,
     tree: OrientedTree,
     t: int,
-    v: int,
+    v: int | None,
     params: ParamSchedule,
     rng: np.random.Generator,
-) -> Embedding:
-    """Greedy prefix embedding with t at v, for trees far below host scale."""
+) -> tuple[Embedding, int]:
+    """Greedy prefix embedding with t at v, for trees far below host scale.
+
+    With v None, each attempt first draws a uniform host for t.  Returns the
+    embedding and the number of attempts it took.
+    """
     order = prefix_order(tree, t)
-    last = None
-    for _attempt in range(params.retries):
-        emb = Embedding()
-        emb.assign(t, v, "greedy")
-        ok = True
-        for i in range(1, tree.n):
-            parent = order.order[order.parent_index[i]]
-            row = d.adj_row(emb[parent], order.sign[i])
-            candidates = [int(w) for w in np.flatnonzero(row) if int(w) not in emb.used]
-            if not candidates:
-                ok = False
-                break
-            emb.assign(order.order[i], candidates[int(rng.integers(len(candidates)))], "greedy")
-        if ok:
-            return emb
-        last = PhaseFailure("almost", "leaf-greedy-fail", "greedy walk stuck", 1)
-    raise last
+    for attempt in range(params.retries):
+        root_host = int(rng.integers(d.n)) if v is None else v
+        hosts = greedy_walk(d, order, np.ones(d.n, dtype=bool), rng, root_host=root_host)
+        if hosts is not None:
+            emb = Embedding()
+            for tv, host in zip(order.order, hosts):
+                emb.assign(tv, host, "greedy")
+            return emb, attempt + 1
+    raise PhaseFailure("almost", "leaf-greedy-fail", "greedy walk stuck", 1)
+
+
+def _greedy_spanning(
+    d: Digraph,
+    tree: OrientedTree,
+    params: ParamSchedule,
+    rng: np.random.Generator,
+    telemetry: dict,
+    route: str,
+) -> tuple[Embedding, dict]:
+    """Spanning fallback: the greedy walk retried from a random anchor image."""
+    emb, attempts = _greedy_anchored(
+        d, tree, tree.t if tree.t is not None else 0, None, params, rng
+    )
+    assert is_valid_embedding(d, tree, emb) and len(emb.used) == d.n
+    telemetry["phases"][route] = attempts
+    return emb, telemetry
+
+
+def path_piece_inputs(tree: OrientedTree, td: TreeDecomposition) -> list[tuple[TreePiece, int, int]]:
+    """attach_path_trees inputs for td.pieces: (piece, local x, local y) each."""
+    out = []
+    for p in td.pieces:
+        piece = induced_subtree(tree, [p.x, p.y, p.mid_x, p.mid_y, *p.body])
+        pos = {int(h): i for i, h in enumerate(piece.labels)}
+        out.append((piece, pos[p.x], pos[p.y]))
+    return out
 
 
 def _assemble_almost(
@@ -729,14 +743,8 @@ def _assemble_almost(
 
     # Path pieces through V2 (anchors cross over from V1).
     if td.pieces:
-        piece_inputs = []
-        anchor_pairs = []
-        for p in td.pieces:
-            verts = [p.x, p.y, p.mid_x, p.mid_y, *p.body]
-            piece = induced_subtree(tree, verts)
-            pos = {int(h): i for i, h in enumerate(piece.labels)}
-            piece_inputs.append((piece, pos[p.x], pos[p.y]))
-            anchor_pairs.append((emb[p.x], emb[p.y]))
+        piece_inputs = path_piece_inputs(tree, td)
+        anchor_pairs = [(emb[p.x], emb[p.y]) for p in td.pieces]
         anchor_hosts = sorted({h for pair in anchor_pairs for h in pair})
         d2_verts = np.array(sorted(set(v2.tolist()) | set(anchor_hosts)), dtype=np.int64)
         d2, labels2 = d.induce(d2_verts)
@@ -751,7 +759,8 @@ def _assemble_almost(
                     continue
                 emb.assign(tv, int(labels2[lh]), "paths")
 
-    # Leftover leaves greedily into V3.
+    # Leftover leaves greedily into V3.  Like the lean-star walk, candidates
+    # follow the `v3_free` set's iteration order, not ascending host order.
     leftovers = sorted({u for s_ in td.leftovers.values() for u in s_})
     if leftovers:
         v3_free = set(int(x) for x in v3)
@@ -866,23 +875,10 @@ def build_absorber(
 
     worst = None
     for attempt in range(params.retries):
-        hosts = np.full(ell, -1, dtype=np.int64)
-        used = np.zeros(n, dtype=bool)
+        free = np.ones(n, dtype=bool)
         anchor_host = int(rng.integers(n))
-        hosts[0] = anchor_host
-        used[anchor_host] = True
-        ok = True
-        for i in range(1, ell):
-            w = hosts[order.parent_index[i]]
-            row = d.adj_row(int(w), order.sign[i])
-            candidates = np.flatnonzero(row & ~used)
-            if len(candidates) == 0:
-                ok = False
-                break
-            h = int(rng.choice(candidates))
-            hosts[i] = h
-            used[h] = True
-        if not ok:
+        hosts = greedy_walk(d, order, free, rng, root_host=anchor_host)
+        if hosts is None:
             continue
 
         counts = _property_s_counts(d, trunk.tree, order, hosts)
@@ -895,8 +891,10 @@ def build_absorber(
         if min_count >= threshold:
             pad = (tree.n - gap) - ell
             assert pad >= 0
-            free = np.flatnonzero(~used)
-            extra = rng.choice(free, size=pad, replace=False) if pad else np.array([], dtype=np.int64)
+            extra = (
+                rng.choice(np.flatnonzero(free), size=pad, replace=False)
+                if pad else np.array([], dtype=np.int64)
+            )
             a_set = np.array(sorted(set(hosts.tolist()) | set(int(x) for x in extra)), dtype=np.int64)
             return AbsorberState(
                 d=d, tree=tree, t=t, trunk=trunk, rest=rest, shared=shared,
@@ -912,7 +910,7 @@ def build_absorber(
     )
 
 
-class AbsorptionError(RuntimeError):
+class AbsorptionError(PipelineError):
     """Completion got stuck although property S was verified; carries diagnostics."""
 
     cause = "S-fail"
@@ -1025,6 +1023,21 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
     return emb
 
 
+def absorb_at_random(
+    d: Digraph,
+    tree: OrientedTree,
+    t: int,
+    params: ParamSchedule,
+    rng: np.random.Generator,
+) -> tuple[AbsorberState, Embedding]:
+    """Build the absorber for `tree`, then complete it on A plus uniform extra hosts."""
+    state = build_absorber(d, tree, t, params, rng)
+    free = np.array(sorted(set(range(d.n)) - set(state.a_set.tolist())), dtype=np.int64)
+    extra = rng.choice(free, size=tree.n - len(state.a_set), replace=False)
+    b_set = np.array(sorted(set(state.a_set.tolist()) | {int(x) for x in extra}), dtype=np.int64)
+    return state, complete_absorption(state, b_set)
+
+
 def embed_spanning(
     d: Digraph,
     tree: OrientedTree,
@@ -1046,18 +1059,10 @@ def embed_spanning(
     if n < 40:
         # Below the structural minimum for the absorber split; on hosts this
         # small a retried greedy walk is the only sensible route.
-        last: Exception | None = None
-        for attempt in range(params.retries):
-            try:
-                v = int(rng.integers(n))
-                emb = _greedy_anchored(d, tree, tree.t if tree.t is not None else 0,
-                                       v, params.with_updates(retries=1), rng)
-                assert is_valid_embedding(d, tree, emb) and len(emb.used) == n
-                telemetry["phases"]["tiny-greedy"] = attempt + 1
-                return emb, telemetry
-            except PhaseFailure as exc:
-                last = exc
-        raise PhaseFailure("spanning", "leaf-greedy-fail", str(last), params.retries)
+        try:
+            return _greedy_spanning(d, tree, params, rng, telemetry, "tiny-greedy")
+        except PhaseFailure as exc:
+            raise PhaseFailure("spanning", "leaf-greedy-fail", str(exc), params.retries) from exc
 
     outer_budget = max(2, params.retries // 3)
     last: Exception | None = None
@@ -1108,9 +1113,8 @@ def embed_spanning(
             assert len(total.map) == n and len(total.used) == n
             telemetry["phases"]["outer_attempts"] = outer + 1
             return total, telemetry
-        except (PhaseFailure, AbsorptionError) as exc:
-            cause = getattr(exc, "cause", "S-fail")
-            telemetry["failures"].append({"outer": outer, "cause": cause, "detail": str(exc)})
+        except PipelineError as exc:
+            telemetry["failures"].append({"outer": outer, "cause": exc.cause, "detail": str(exc)})
             last = exc
 
     # Trees whose degrees dwarf the nominal cap sit outside the guarantee the
@@ -1118,20 +1122,10 @@ def embed_spanning(
     # leaf's copy-neighborhood is the center's image).  For those, and only
     # those, fall back to a retried greedy walk; cap-compliant trees report
     # their pipeline failure honestly.
-    from .trees import max_semidegree as _max_semideg
-
     nominal_cap = params.with_updates(max_tree_semidegree=3).degree_cap(n)
-    if max(_max_semideg(tree)) > nominal_cap:
-        for _attempt in range(params.retries):
-            try:
-                v = int(rng.integers(n))
-                emb = _greedy_anchored(d, tree, tree.t if tree.t is not None else 0,
-                                       v, params.with_updates(retries=1), rng)
-                assert is_valid_embedding(d, tree, emb) and len(emb.used) == n
-                telemetry["phases"]["over-cap-greedy"] = _attempt + 1
-                return emb, telemetry
-            except PhaseFailure:
-                continue
+    if max(max_semidegree(tree)) > nominal_cap:
+        with contextlib.suppress(PhaseFailure):
+            return _greedy_spanning(d, tree, params, rng, telemetry, "over-cap-greedy")
     raise PhaseFailure(
         "spanning",
         telemetry["failures"][-1]["cause"] if telemetry["failures"] else "S-fail",

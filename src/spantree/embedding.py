@@ -1,4 +1,9 @@
-"""Partial injective tree-to-host maps with per-phase provenance."""
+"""Partial injective tree-to-host maps, and the Las Vegas step they share.
+
+Every pipeline phase draws a random partial map, audits it exactly and
+resamples on failure.  `PipelineError` is the one failure type those audits
+raise, and `greedy_walk` is the one random greedy rule they draw with.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,59 @@ import json
 import numpy as np
 
 from .digraph import Digraph
-from .trees import OrientedTree
+from .trees import OrientedTree, PrefixOrdering
+
+
+class PipelineError(RuntimeError):
+    """A Las Vegas step failed its audit; retry loops catch this base.
+
+    `cause` is the failure-taxonomy tag, set per class or per instance.
+    `phase` and `attempts` are filled in when a retry loop gives up.
+    """
+
+    cause = "hall-fail"
+    phase: str | None = None
+    attempts = 0
+
+    def __init__(self, message: str, cause: str | None = None):
+        super().__init__(message)
+        if cause is not None:
+            self.cause = cause
+
+
+def greedy_walk(
+    d: Digraph,
+    order: PrefixOrdering,
+    free: np.ndarray,
+    rng: np.random.Generator,
+    root_host: int | None = None,
+    stop: int | None = None,
+) -> np.ndarray | None:
+    """Random greedy embedding of order.order[:stop] into the hosts marked in `free`.
+
+    The root goes to `root_host`, or to a uniform free host when None; each
+    later vertex goes to a uniform free host in the right neighborhood of
+    its parent's image, candidates read in ascending host order.  Used hosts
+    are cleared in `free`.  Returns hosts[i] = image of order.order[i], or
+    None when some vertex has no candidate.
+    """
+    stop = len(order.order) if stop is None else stop
+    hosts = np.full(stop, -1, dtype=np.int64)
+    for i in range(stop):
+        if i == 0 and root_host is not None:
+            host = int(root_host)
+        else:
+            if i > 0:
+                row = d.adj_row(int(hosts[order.parent_index[i]]), order.sign[i])
+                candidates = np.flatnonzero(row & free)
+            else:
+                candidates = np.flatnonzero(free)
+            if len(candidates) == 0:
+                return None
+            host = int(candidates[rng.integers(len(candidates))])
+        hosts[i] = host
+        free[host] = False
+    return hosts
 
 
 class Embedding:
@@ -31,18 +88,6 @@ class Embedding:
         self.used.add(host_vertex)
         self.phase[tree_vertex] = phase
 
-    def reassign(self, tree_vertex: int, host_vertex: int, phase: str = "") -> None:
-        """Move an embedded tree vertex to a fresh host vertex (absorber swaps)."""
-        host_vertex = int(host_vertex)
-        old = self.map[tree_vertex]
-        if host_vertex in self.used:
-            raise ValueError(f"host vertex {host_vertex} already used")
-        self.used.remove(old)
-        self.used.add(host_vertex)
-        self.map[tree_vertex] = host_vertex
-        if phase:
-            self.phase[tree_vertex] = phase
-
     def __getitem__(self, tree_vertex: int) -> int:
         return self.map[tree_vertex]
 
@@ -51,29 +96,6 @@ class Embedding:
 
     def __len__(self) -> int:
         return len(self.map)
-
-    def image(self) -> set[int]:
-        return set(self.used)
-
-    def inverse(self) -> dict[int, int]:
-        return {h: t for t, h in self.map.items()}
-
-    def merge(self, other: "Embedding", translate=None) -> None:
-        """Absorb another embedding; `translate` maps its tree ids into ours."""
-        for tv, hv in other.map.items():
-            tt = int(translate[tv]) if translate is not None else tv
-            if tt in self.map:
-                if self.map[tt] != hv:
-                    raise ValueError(f"conflicting images for tree vertex {tt}")
-                continue
-            self.assign(tt, hv, other.phase.get(tv, ""))
-
-    def relabel_hosts(self, labels: np.ndarray) -> "Embedding":
-        """Compose with an induced-subgraph labeling (local host -> global host)."""
-        out = Embedding()
-        for tv, hv in self.map.items():
-            out.assign(tv, int(labels[hv]), self.phase.get(tv, ""))
-        return out
 
     def to_json(self, telemetry: dict | None = None) -> str:
         doc = {"map": {str(tv): hv for tv, hv in sorted(self.map.items())}}

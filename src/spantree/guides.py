@@ -19,16 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import Digraph, Sign, SIGNS, min_semidegree
+from .embedding import PipelineError
 from .matching import BipartitePattern, MatchingError, covering_matching, is_skew_bounded
 
 
-class GuideBuildError(RuntimeError):
+class GuideBuildError(PipelineError):
     """Guide construction failed; cause tag 'guide-build'."""
 
     cause = "guide-build"
 
 
-class GuideRestrictError(RuntimeError):
+class GuideRestrictError(PipelineError):
     """Restriction audit failed (retryable by resampling); cause 'guide-restrict'."""
 
     cause = "guide-restrict"

@@ -15,12 +15,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .digraph import Digraph, Sign
-from .embedding import Embedding
+from .embedding import Embedding, PipelineError, greedy_walk
 from .trees import OrientedTree, canonical_order, canonical_rooted_form, prefix_order
 
 
-class MatchingError(RuntimeError):
+class MatchingError(PipelineError):
     """A required matching does not exist; carries the Hall violator."""
+
+    cause = "hall-fail"
 
     def __init__(self, message: str, violator: np.ndarray | None = None):
         super().__init__(message)
@@ -86,12 +88,8 @@ def _raw_matching(adj: np.ndarray) -> np.ndarray:
     nl, nr = adj.shape
     if nl == 0 or nr == 0:
         return np.full(nl, -1, dtype=np.int64)
-    sparse = csr_matrix(adj)
-    col_of_row = np.full(nl, -1, dtype=np.int64)
-    row_of_col = maximum_bipartite_matching(sparse, perm_type="column")
     # scipy returns, for each row, the matched column (or -1).
-    col_of_row = row_of_col.astype(np.int64)
-    return col_of_row
+    return maximum_bipartite_matching(csr_matrix(adj), perm_type="column").astype(np.int64)
 
 
 def max_matching(pattern: BipartitePattern) -> Matching:
@@ -155,6 +153,21 @@ def covering_matching(pattern: BipartitePattern, what: str = "pattern") -> Match
         (int(pattern.left[i]), int(pattern.right[j])) for i, j in enumerate(col_of_row)
     )
     return Matching(pairs, pattern.sign)
+
+
+def match_leaves(
+    d: Digraph, rows: list[tuple[int, Sign]], cols: np.ndarray, what: str
+) -> tuple[tuple[int, int], ...]:
+    """Batch-match leaves into the free hosts `cols`, or raise MatchingError.
+
+    rows[r] = (parent host, sign): leaf r needs a host in N^sign(parent host).
+    Returns (r, host) pairs covering every row.
+    """
+    adj = np.zeros((len(rows), len(cols)), dtype=bool)
+    for r, (parent_host, sign) in enumerate(rows):
+        adj[r] = d.adj_row(parent_host, sign)[cols]
+    pattern = BipartitePattern.explicit(np.arange(len(rows)), cols, Sign.PLUS, adj)
+    return covering_matching(pattern, what=what).pairs
 
 
 def is_skew_bounded(pattern: BipartitePattern, a: float, b: float) -> bool:
@@ -312,10 +325,10 @@ def group_components(components: list[OrientedTree]) -> list[ForestClass]:
     return [classes[key] for key in sorted(classes)]
 
 
-class ForestEmbedError(RuntimeError):
-    def __init__(self, message: str, cause: str):
-        super().__init__(message)
-        self.cause = cause
+class ForestEmbedError(PipelineError):
+    """A small-forest route failed: 'hall-fail', or 'leaf-greedy-fail' when a walk is stuck."""
+
+    cause = "hall-fail"
 
 
 def embed_small_forest(
@@ -404,49 +417,34 @@ def embed_small_forest(
 
     # Greedy interior walk + one leaf matching for the thin classes.
     if lean:
-        leaf_slots: list[tuple[int, int, int, Sign]] = []  # (comp, leaf, parent, sign)
+        leaf_slots: list[tuple[int, int]] = []      # (comp, leaf)
+        leaf_rows: list[tuple[int, Sign]] = []      # (parent host, sign)
         for c in lean:
             for comp_idx, vmap in zip(c.members, c.member_maps):
                 comp = components[comp_idx]
                 order = prefix_order(comp, vmap[c.rep_root], "leaves_last_middles_consecutive")
-                mapping: dict[int, int] = {}
-                for i, tv in enumerate(order.order):
-                    if comp.n > 1 and comp.degree(tv) == 1 and i > 0:
-                        parent = order.order[order.parent_index[i]]
-                        leaf_slots.append((comp_idx, tv, parent, order.sign[i]))
-                        continue
-                    if i == 0:
-                        candidates = np.flatnonzero(free)
-                    else:
-                        parent_host = mapping[order.order[order.parent_index[i]]]
-                        row = d.adj_row(parent_host, order.sign[i])
-                        candidates = np.flatnonzero(row & free)
-                    if len(candidates) == 0:
-                        raise ForestEmbedError(
-                            f"greedy interior stuck on component {comp_idx}",
-                            cause="leaf-greedy-fail",
-                        )
-                    host = int(rng.choice(candidates))
-                    mapping[tv] = host
-                    free[host] = False
+                # Non-root leaves form a suffix of this order: the walk stops there.
+                stop = next((i for i in range(1, comp.n) if comp.degree(order.order[i]) == 1), comp.n)
+                hosts = greedy_walk(d, order, free, rng, stop=stop)
+                if hosts is None:
+                    raise ForestEmbedError(
+                        f"greedy interior stuck on component {comp_idx}",
+                        cause="leaf-greedy-fail",
+                    )
+                mapping = {order.order[i]: int(hosts[i]) for i in range(stop)}
+                for i in range(stop, comp.n):
+                    leaf_slots.append((comp_idx, order.order[i]))
+                    leaf_rows.append((mapping[order.order[order.parent_index[i]]], order.sign[i]))
                 results[comp_idx] = mapping
 
         if leaf_slots:
-            cols = np.flatnonzero(free)
-            adj = np.zeros((len(leaf_slots), len(cols)), dtype=bool)
-            for r, (comp_idx, _tv, parent, sign) in enumerate(leaf_slots):
-                parent_host = results[comp_idx][parent]
-                adj[r] = d.adj_row(parent_host, sign)[cols]
-            pattern = BipartitePattern.explicit(
-                np.arange(len(leaf_slots)), cols, Sign.PLUS, adj
-            )
             try:
-                matching = covering_matching(pattern, what="forest leaf batch")
+                pairs = match_leaves(d, leaf_rows, np.flatnonzero(free), "forest leaf batch")
             except MatchingError as exc:
                 raise ForestEmbedError(f"leaf batch unmatched: {exc}", cause="hall-fail") from exc
-            for r, b in matching.pairs:
-                comp_idx, tv, _parent, _sign = leaf_slots[r]
-                results[comp_idx][tv] = int(b)
+            for r, host in pairs:
+                comp_idx, tv = leaf_slots[r]
+                results[comp_idx][tv] = host
 
     assert all(m is not None and len(m) == components[i].n for i, m in enumerate(results))
     return results  # type: ignore[return-value]

@@ -8,17 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import Digraph, Sign, gen_semidegree_digraph, sample_disjoint_subsets
-from .embedding import Embedding, is_valid_embedding
-from .embedder import (
-    AbsorptionError,
-    PhaseFailure,
-    build_absorber,
-    complete_absorption,
-    embed_almost_spanning,
-    embed_spanning,
-)
-from .guides import GuideBuildError, GuideRestrictError, GuideSystem, restrict_guides
-from .matching import ForestEmbedError, MatchingError, find_perfect_matching, embed_small_forest
+from .embedding import Embedding, PipelineError, is_valid_embedding
+from .embedder import PhaseFailure, absorb_at_random, embed_almost_spanning, embed_spanning
+from .guides import GuideSystem, restrict_guides
+from .matching import MatchingError, find_perfect_matching, embed_small_forest
 from .params import ParamSchedule, almost_defaults, spanning_defaults
 from .trees import OrientedTree, gen_random_tree
 
@@ -187,8 +180,8 @@ def _trial_small_forest(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, s
     comps = [gen_random_tree(comp_size, cfg.max_semideg, "uniform", rng) for _ in range(count)]
     try:
         maps = embed_small_forest(d, comps, cfg.eps / 2, rng)
-    except (ForestEmbedError, MatchingError) as exc:
-        return False, 0, getattr(exc, "cause", "hall-fail")
+    except PipelineError as exc:
+        return False, 0, exc.cause
     used: set[int] = set()
     for comp, m in zip(comps, maps):
         for u, w in comp.edge_list:
@@ -236,7 +229,7 @@ def _trial_guide_restrict(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int,
         try:
             restrict_guides(system, v0, [part], mu_count, probe=probe)
             return True, retries, ""
-        except (GuideBuildError, GuideRestrictError) as exc:
+        except PipelineError as exc:
             retries += 1
             cause = exc.cause
     return False, retries, cause
@@ -272,17 +265,11 @@ def _trial_absorber(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
     size = params.absorber_size(d.n)
     tree = gen_random_tree(size, cfg.max_semideg, cfg.tree_family, rng).with_t(0)
     try:
-        state = build_absorber(d, tree, 0, params, rng)
-    except PhaseFailure as exc:
+        _state, emb = absorb_at_random(d, tree, 0, params, rng)
+    except PipelineError as exc:
+        # A stuck completion after property S was verified is a hard
+        # inconsistency; AbsorptionError reports it as S-fail.
         return False, exc.attempts, exc.cause
-    free = np.array(sorted(set(range(d.n)) - set(state.a_set.tolist())), dtype=np.int64)
-    extra = rng.choice(free, size=tree.n - len(state.a_set), replace=False)
-    b_set = np.array(sorted(set(state.a_set.tolist()) | set(int(x) for x in extra)))
-    try:
-        emb = complete_absorption(state, b_set)
-    except AbsorptionError:
-        # Property S was verified, so a stuck completion is a hard inconsistency.
-        return False, 0, "S-fail"
     return verify_embedding(d, tree, emb), 0, ""
 
 
@@ -291,9 +278,8 @@ def _trial_spanning(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
     tree = gen_random_tree(d.n, cfg.max_semideg, cfg.tree_family, rng)
     try:
         emb, tele = embed_spanning(d, tree, params, rng)
-    except (PhaseFailure, AbsorptionError) as exc:
-        cause = getattr(exc, "cause", "S-fail")
-        return False, getattr(exc, "attempts", 0), cause
+    except PhaseFailure as exc:
+        return False, exc.attempts, exc.cause
     ok = verify_embedding(d, tree, emb) and len(emb.used) == d.n
     return ok, len(tele.get("failures", [])), "" if ok else "verify"
 

@@ -30,8 +30,6 @@ class ParamSchedule:
     lam: float = 0.01         # switchability threshold fraction (property-S reservoir)
     k: int = 20               # minimum size of a path-attached piece
     K: int = 400              # maximum size of small trees (stars and pieces)
-    p: float = 0.03           # per-part padding fraction for leaf-part targets
-    q: float = 0.3            # core-target fraction: |V0| ~ q * n when unconstrained
     retries: int = 10         # per-phase Las Vegas retry budget
 
     # Desk-scale knobs (derived in the source analysis, configurable here).
@@ -41,9 +39,8 @@ class ParamSchedule:
     guide_eta: float = 1.0           # guide-graph back-degree slack
     pop_min: int = 16                # class population below which tree-copy grafting is bypassed
     part_slack: float = 0.10         # multiplicative leaf-part slack: |V_j| = floor((1+part_slack)|U_j|) + pad
-    part_pad: int = 6                # additive leaf-part padding (the p*n of the sizing rule)
+    part_pad: int = 6                # additive leaf-part padding
     switch_margin: int = 4           # property-S threshold exceeds the swap count by this margin
-    anchor_mode: str = "rejection"   # "rejection" resamples partitions until the anchor lands right
 
     def strip_threshold(self) -> float:
         return self.strip_eps if self.strip_eps is not None else 1.0 / (2 * self.k)
@@ -58,7 +55,7 @@ class ParamSchedule:
         warnings = []
         if not (0 < self.alpha < 0.5):
             warnings.append(f"alpha={self.alpha} outside (0, 1/2)")
-        for name in ("c", "eps", "mu", "eta", "beta", "lam", "p", "q"):
+        for name in ("c", "eps", "mu", "eta", "beta", "lam"):
             val = getattr(self, name)
             if not (0 < val <= 1):
                 warnings.append(f"{name}={val} outside (0, 1]")
@@ -131,8 +128,6 @@ def spanning_defaults(n: int, alpha: float) -> ParamSchedule:
         lam=2.0 / n,
         k=12,
         K=max(60, n // 3),
-        p=0.02,
-        q=0.3,
         retries=10,
         strip_eps=0.02,
     )
@@ -149,8 +144,6 @@ def almost_defaults(n: int, alpha: float, eps: float) -> ParamSchedule:
         lam=2.0 / n,
         k=12,
         K=max(60, n // 3),
-        p=0.02,
-        q=0.3,
         retries=10,
         strip_eps=0.02,
     )

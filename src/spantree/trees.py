@@ -118,10 +118,6 @@ class PrefixOrdering:
         return len(self.order)
 
 
-def _component_roots(tree: OrientedTree, roots: list[int]) -> list[int]:
-    return roots
-
-
 def prefix_order(tree: OrientedTree, root: int, policy: str = "any") -> PrefixOrdering:
     """Order the tree so every prefix is connected.
 
@@ -191,10 +187,6 @@ class BarePath:
     """Path whose interior vertices all have underlying degree 2 in the host tree."""
 
     vertices: tuple[int, ...]
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
 
     @property
     def interior(self) -> tuple[int, ...]:

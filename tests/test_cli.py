@@ -207,3 +207,34 @@ class TestSubprocessEntry:
                                    "--seed", "3", "--out", str(out)])
         assert code == 0
         assert "min_semidegree" in stdout
+
+
+class TestFailureCause:
+    def test_isolated_phase_reports_decompose(self, tmp_path, capsys):
+        dpath, tpath = tmp_path / "d.dg", tmp_path / "t.tree"
+        main(["gen", "digraph", "--n", "40", "--alpha", "0.25", "--seed", "1", "--out", str(dpath)])
+        main(["gen", "tree", "--n", "9", "--family", "path", "--seed", "1", "--out", str(tpath)])
+        for phase in ("stars", "paths"):
+            capsys.readouterr()
+            assert main(["embed", str(dpath), str(tpath), "--seed", "1", "--phase", phase]) == 2
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["cause"] == "decompose", phase
+            assert doc["detail"].startswith("decomposition failed: P1")
+
+
+class TestScheduleKeys:
+    @pytest.mark.parametrize("key", ["foo", "p", "q", "anchor_mode"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ValueError, match="unknown \\[schedule\\] key"):
+            parse_experiment_config(f"[schedule]\n{key} = 1\n")
+
+    def test_known_keys_apply(self):
+        configs, _ = parse_experiment_config("[grid]\nn = 200\n[schedule]\neps = 0.08\nbigk = 90\nk = 14\n")
+        sched = configs[0].schedule
+        assert (sched.eps, sched.K, sched.k) == (0.08, 90, 14)
+
+    def test_unknown_key_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[experiment]\ntarget = matching\ntrials = 1\n[schedule]\nfoo = 1\n")
+        assert main(["experiment", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad config: unknown [schedule] key 'foo'")

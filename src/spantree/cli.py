@@ -2,8 +2,9 @@
 
 Exit codes: 0 = success (embedding verified), 1 = usage/format error,
 2 = embedding failed after retries.  All randomness flows from --seed, so
-identical invocations produce identical outputs; wall-clock telemetry is
-zeroed unless --timings is given, keeping default outputs bit-stable.
+identical invocations produce identical outputs; wall-clock telemetry (the
+`*_millis` keys) is dropped unless --timings is given, keeping default outputs
+bit-stable.
 Setting ALG_DEBUG_AUDITS=1 turns on the quadratic consistency audits.
 """
 

@@ -1,9 +1,11 @@
 """Dense digraph representation with fast neighborhood-set queries.
 
-Vertices are dense integers 0..n-1.  Adjacency is kept both as per-vertex
-sorted arrays (canonical, cheap iteration) and as a boolean matrix
-(constant-time edge tests, vectorized triple intersections).  Instances are
-immutable after construction and safe to share across concurrent trials.
+Vertices are dense integers 0..n-1.  The boolean adjacency matrix is the
+only stored form (constant-time edge tests, vectorized triple
+intersections); per-vertex sorted neighbour arrays are computed from it on
+demand.  The mutual-arc matrix mat & mat.T is built on first use and cached,
+so only hosts that build guides pay for it.  Instances are immutable after
+construction and safe to share across concurrent trials.
 """
 
 from __future__ import annotations
@@ -36,9 +38,13 @@ def debug_audits_enabled() -> bool:
 
 
 class Digraph:
-    """Immutable digraph: at most one edge per ordered pair, no loops."""
+    """Immutable digraph: at most one edge per ordered pair, no loops.
 
-    __slots__ = ("n", "mat", "_out", "_in")
+    `out`, `in_` and `adj` compute sorted int32 neighbour arrays from `mat`
+    on each call; `mutual` is the one cached derived field.
+    """
+
+    __slots__ = ("n", "mat", "_mutual")
 
     def __init__(self, n: int, mat: np.ndarray):
         if n < 1:
@@ -50,8 +56,7 @@ class Digraph:
         self.n = n
         self.mat = mat
         self.mat.setflags(write=False)
-        self._out = tuple(np.flatnonzero(mat[v]).astype(np.int32) for v in range(n))
-        self._in = tuple(np.flatnonzero(mat[:, v]).astype(np.int32) for v in range(n))
+        self._mutual: np.ndarray | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Digraph":
@@ -75,14 +80,23 @@ class Digraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.mat[u, v])
 
+    @property
+    def mutual(self) -> np.ndarray:
+        """Read-only mat & mat.T: [u, w] is set iff both u->w and w->u are edges."""
+        if self._mutual is None:
+            mutual = self.mat & self.mat.T
+            mutual.setflags(write=False)
+            self._mutual = mutual
+        return self._mutual
+
     def out(self, v: int) -> np.ndarray:
-        return self._out[v]
+        return np.flatnonzero(self.mat[v]).astype(np.int32)
 
     def in_(self, v: int) -> np.ndarray:
-        return self._in[v]
+        return np.flatnonzero(self.mat[:, v]).astype(np.int32)
 
     def adj(self, v: int, sign: Sign) -> np.ndarray:
-        return self._out[v] if sign is Sign.PLUS else self._in[v]
+        return np.flatnonzero(self.adj_row(v, sign)).astype(np.int32)
 
     def adj_row(self, v: int, sign: Sign) -> np.ndarray:
         """Boolean neighborhood row; N^+(v) reads mat[v], N^-(v) reads mat[:, v]."""
@@ -95,21 +109,25 @@ class Digraph:
         return self.mat.sum(axis=0)
 
     def degree(self, v: int, sign: Sign) -> int:
-        return len(self.adj(v, sign))
+        return int(self.adj_row(v, sign).sum())
 
     def induce(self, vertices: np.ndarray) -> tuple["Digraph", np.ndarray]:
         """Induced subdigraph plus the new-index -> original-vertex labels."""
         labels = np.asarray(sorted(int(v) for v in vertices), dtype=np.int64)
-        sub = self.mat[np.ix_(labels, labels)].copy()
+        # Same matrix as mat[np.ix_(labels, labels)]; gathering whole rows first
+        # and then taking columns avoids the slow 2-D fancy-index path.
+        sub = self.mat[labels].take(labels, axis=1)
         return Digraph(len(labels), sub), labels
 
     def check_consistency(self) -> None:
         """Exhaustive out/in cross-check (debug audit)."""
+        outs = [self.out(v) for v in range(self.n)]
+        ins = [self.in_(v) for v in range(self.n)]
         for v in range(self.n):
-            for u in self._out[v]:
-                assert v in self._in[u], f"edge ({v},{u}) missing from in-adjacency"
-            for u in self._in[v]:
-                assert v in self._out[u], f"edge ({u},{v}) missing from out-adjacency"
+            for u in outs[v]:
+                assert v in ins[u], f"edge ({v},{u}) missing from in-adjacency"
+            for u in ins[v]:
+                assert v in outs[u], f"edge ({u},{v}) missing from out-adjacency"
 
 
 def min_semidegree(d: Digraph) -> int:

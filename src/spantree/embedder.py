@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -1038,6 +1039,11 @@ def absorb_at_random(
     return state, complete_absorption(state, b_set)
 
 
+def _millis_since(start: float) -> float:
+    """Wall milliseconds since a perf_counter reading (telemetry `*_millis` keys)."""
+    return round(1000.0 * (time.perf_counter() - start), 3)
+
+
 def embed_spanning(
     d: Digraph,
     tree: OrientedTree,
@@ -1065,6 +1071,7 @@ def embed_spanning(
             raise PhaseFailure("spanning", "leaf-greedy-fail", str(exc), params.retries) from exc
 
     outer_budget = max(2, params.retries // 3)
+    phases = telemetry["phases"]
     last: Exception | None = None
     for outer in range(outer_budget):
         # A too-small absorber trunk cannot reach its switch threshold when
@@ -1076,8 +1083,10 @@ def embed_spanning(
         local_shared_trunk = int(np.searchsorted(trunk_piece.labels, shared))
         absorber_tree = absorber_piece.tree.with_t(local_shared_abs)
         try:
+            start = time.perf_counter()
             state = build_absorber(d, absorber_tree, local_shared_abs, params, rng)
-            telemetry["phases"]["absorber"] = {
+            phases["absorber_build_millis"] = _millis_since(start)
+            phases["absorber"] = {
                 "size": absorber_tree.n, "threshold": state.threshold,
                 "swaps": state.swap_count,
             }
@@ -1085,6 +1094,7 @@ def embed_spanning(
             keep = sorted((set(range(n)) - set(state.a_set.tolist())) | {state.anchor_host})
             d_rest, labels_rest = d.induce(np.array(keep, dtype=np.int64))
             back = {int(h): i for i, h in enumerate(labels_rest)}
+            start = time.perf_counter()
             emb_almost, tele_almost = embed_almost_spanning(
                 d_rest,
                 trunk_piece.tree.with_t(local_shared_trunk),
@@ -1093,12 +1103,15 @@ def embed_spanning(
                 params,
                 rng,
             )
-            telemetry["phases"]["almost"] = tele_almost
+            phases["almost_millis"] = _millis_since(start)
+            phases["almost"] = tele_almost
 
             used_global = {int(labels_rest[h]) for h in emb_almost.used}
             leftover = set(range(n)) - used_global - set(state.a_set.tolist())
             b_set = np.array(sorted(set(state.a_set.tolist()) | leftover), dtype=np.int64)
+            start = time.perf_counter()
             emb_abs = complete_absorption(state, b_set)
+            phases["absorption_millis"] = _millis_since(start)
 
             total = Embedding()
             for lv, lh in emb_almost.map.items():
@@ -1111,7 +1124,7 @@ def embed_spanning(
                 total.assign(tv, host, "absorber")
             assert is_valid_embedding(d, tree, total), "spanning postcondition"
             assert len(total.map) == n and len(total.used) == n
-            telemetry["phases"]["outer_attempts"] = outer + 1
+            phases["outer_attempts"] = outer + 1
             return total, telemetry
         except PipelineError as exc:
             telemetry["failures"].append({"outer": outer, "cause": exc.cause, "detail": str(exc)})

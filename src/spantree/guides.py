@@ -20,7 +20,7 @@ import numpy as np
 
 from .digraph import Digraph, Sign, SIGNS, min_semidegree
 from .embedding import PipelineError
-from .matching import BipartitePattern, MatchingError, covering_matching, is_skew_bounded
+from .matching import BipartitePattern, MatchingError, covering_matching
 
 
 class GuideBuildError(PipelineError):
@@ -75,7 +75,7 @@ def build_xy_labeling(d: Digraph, v: int, sign: Sign, alpha: float) -> XYLabelin
     base = d.adj_row(v, sign)
 
     # Identity shortcut: in dense hosts x_i = y_i = i almost always works.
-    diag = ((d.mat.T & d.mat) & base[None, :]).sum(axis=1)
+    diag = (d.mutual & base[None, :]).sum(axis=1)
     if diag.min() >= threshold:
         ident = np.arange(n, dtype=np.int64)
         return XYLabeling(v, sign, ident, ident.copy(), threshold)
@@ -159,6 +159,14 @@ def build_guide(
     exactly i*ceil(eps*n) edges and stay skew-bounded at
     (eps*n, (1+eta)*mu*eps*n) read with integer ceilings.
 
+    Coverage is kept incrementally: labeling indices only ever turn heavy,
+    so the per-vertex count over light indices is summed once and the rows
+    of indices whose mirror degree passes the growth bound are subtracted
+    after the round that pushed them over.  A build costs O(n^2 + size*n)
+    rather than a full O(|light|*n) recount per round.  For the identity
+    labeling the triple-intersection matrix is the host's cached mutual-arc
+    matrix masked to the target columns.
+
     With `v0_mask` the guide set is drawn from N^sign(v) inside that mask
     (the restricted construction the embedding phases use); guide rows still
     span the whole host and are audited per target part afterwards.
@@ -192,10 +200,18 @@ def build_guide(
         )
 
     # W[j, w] = 1 iff w lies in the triple intersection of labeling index j.
-    wmat = d.mat[:, labeling.xs].T & base[None, :] & d.mat[labeling.ys, :]
+    ident = np.arange(n)
+    if np.array_equal(labeling.xs, ident) and np.array_equal(labeling.ys, ident):
+        wmat = d.mutual & base[None, :]
+    else:
+        wmat = d.mat[:, labeling.xs].T & base[None, :] & d.mat[labeling.ys, :]
 
     mirror = np.zeros(n, dtype=np.int64)      # d^-_{H+}(x_j) == d^+_{H-}(y_j)
-    in_guide = np.zeros(n, dtype=bool)
+    light = mirror <= grow_bound              # all True unless eta < -2 makes the bound negative
+    n_light = int(light.sum())
+    # Per-vertex coverage by the light labeling indices, kept current below.
+    coverage = wmat.sum(axis=0) if n_light == n else wmat[light].sum(axis=0)
+    open_cols = base.copy()                   # N^sign(v) (cap V0) minus the guide so far
     guide: list[int] = []
     hplus = np.zeros((size, n), dtype=bool)
     hminus = np.zeros((size, n), dtype=bool)
@@ -208,22 +224,19 @@ def build_guide(
     )
 
     for i in range(size):
-        light = np.flatnonzero(mirror <= grow_bound)
-        if len(light) < eta * n / 4:
+        if n_light < eta * n / 4:
             raise GuideBuildError(
-                f"round {i}: only {len(light)} light labeling indices "
+                f"round {i}: only {n_light} light labeling indices "
                 f"(need {eta * n / 4:.1f}); schedule too aggressive"
             )
-        coverage = wmat[light].sum(axis=0)
-        coverage[in_guide] = -1
-        coverage[~base] = -1
-        w = int(np.argmax(coverage))
-        if coverage[w] < per_row:
+        score = np.where(open_cols, coverage, -1)
+        w = int(np.argmax(score))
+        if score[w] < per_row:
             raise GuideBuildError(
-                f"round {i}: best coverage {int(coverage[w])} below {per_row}; "
+                f"round {i}: best coverage {int(score[w])} below {per_row}; "
                 "schedule too aggressive for this host"
             )
-        covered = light[wmat[light, w]]
+        covered = np.flatnonzero(light & wmat[:, w])
         # Spread the new edges over the lightest labeling indices, tie-broken
         # by the scrambled rank: this balances back-degrees and keeps every
         # row spread across the vertex space.
@@ -231,7 +244,12 @@ def build_guide(
         hplus[i, labeling.xs[chosen]] = True
         hminus[i, labeling.ys[chosen]] = True
         mirror[chosen] += 1
-        in_guide[w] = True
+        heavy = chosen[mirror[chosen] > grow_bound]
+        if len(heavy):
+            coverage -= wmat[heavy].sum(axis=0)
+            light[heavy] = False
+            n_light -= len(heavy)
+        open_cols[w] = False
         guide.append(w)
 
     entry = GuideEntry(
@@ -257,15 +275,16 @@ def _audit_entry(d: Digraph, entry: GuideEntry, labeling: XYLabeling) -> None:
     wminus, ys = np.nonzero(entry.hminus)
     assert d.mat[ys, entry.guide[wminus]].all(), "H^- contains a non-edge"
     per = entry.edges_per_row
-    assert (entry.hplus.sum(axis=1) == per).all(), "H^+ row degree not exact"
-    assert (entry.hminus.sum(axis=1) == per).all(), "H^- row degree not exact"
     bound = math.ceil(entry.back_bound)
-    for circ in SIGNS:
-        pat = entry.pattern(circ)
-        assert is_skew_bounded(pat, per, bound), f"H^{circ} violates its skew bound"
+    plus_rows, minus_rows = entry.hplus.sum(axis=1), entry.hminus.sum(axis=1)
+    plus_back, minus_back = entry.hplus.sum(axis=0), entry.hminus.sum(axis=0)
+    assert (plus_rows == per).all(), "H^+ row degree not exact"
+    assert (minus_rows == per).all(), "H^- row degree not exact"
+    # Skew bound (per, bound) on each graph, as matching.is_skew_bounded reads it.
+    for circ, rows, back in zip(SIGNS, (plus_rows, minus_rows), (plus_back, minus_back)):
+        skewed = len(rows) == 0 or (rows.min() >= per and back.max() <= bound)
+        assert skewed, f"H^{circ} violates its skew bound"
     # Mirror invariant: d^-_{H+}(x_j) == d^+_{H-}(y_j) for every labeling index j.
-    plus_back = entry.hplus.sum(axis=0)
-    minus_back = entry.hminus.sum(axis=0)
     assert (plus_back[labeling.xs] == minus_back[labeling.ys]).all(), "mirror degrees diverge"
 
 

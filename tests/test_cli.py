@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -143,6 +144,21 @@ class TestEmbed:
         assert main(["embed", str(dpath), str(small), "--seed", "6",
                      "--phase", "absorber", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["telemetry"]["phase"] == "absorber"
+
+    def test_timings_only_on_request(self, tmp_path):
+        dpath, tpath = self.make_instance(tmp_path, n=150, alpha=0.24)
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        assert main(["embed", str(dpath), str(tpath), "--seed", "9", "--out", str(plain)]) == 0
+        assert main(["embed", str(dpath), str(tpath), "--seed", "9", "--timings",
+                     "--out", str(timed)]) == 0
+        # Default output is pinned byte for byte: wall-clock keys never reach it.
+        digest = "a5c32eb07b04df3130d1f4ac3b81ddbefbe6f9782fc2ae92fe95065261f2df8a"
+        assert hashlib.sha256(plain.read_bytes()).hexdigest() == digest
+        doc = json.loads(timed.read_text())
+        assert doc["map"] == json.loads(plain.read_text())["map"]
+        phases = doc["telemetry"]["phases"]
+        for key in ("absorber_build_millis", "almost_millis", "absorption_millis"):
+            assert phases[key] >= 0
 
     def test_verify_rejects_corrupted(self, tmp_path):
         dpath, tpath = self.make_instance(tmp_path, n=120)

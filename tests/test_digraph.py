@@ -135,3 +135,45 @@ class TestInheritedDegree:
             (a,) = sample_disjoint_subsets(d, [100], rng)
             good += check_inherited_degree(d, a, 0.2)
         assert good >= 95
+
+
+class TestDerivedAdjacency:
+    """Neighbour lists come from the matrix on demand; `mutual` is the one cache."""
+
+    @pytest.fixture(params=["host", "induced"])
+    def digraph(self, request):
+        d = gen_semidegree_digraph(90, 0.1, np.random.default_rng(13))
+        if request.param == "induced":
+            d, _labels = d.induce(np.random.default_rng(14).permutation(90)[:50])
+        return d
+
+    def test_lists_match_matrix(self, digraph):
+        d = digraph
+        for v in range(d.n):
+            out, in_ = np.flatnonzero(d.mat[v]), np.flatnonzero(d.mat[:, v])
+            for got, want in ((d.out(v), out), (d.in_(v), in_),
+                              (d.adj(v, Sign.PLUS), out), (d.adj(v, Sign.MINUS), in_)):
+                assert got.dtype == np.int32
+                assert got.tolist() == want.tolist()
+            assert d.degree(v, Sign.PLUS) == len(out)
+            assert d.degree(v, Sign.MINUS) == len(in_)
+
+    def test_mutual_cached_and_read_only(self, digraph):
+        d = digraph
+        mutual = d.mutual
+        assert (mutual == (d.mat & d.mat.T)).all()
+        assert 0 < mutual.sum() < d.n * (d.n - 1)
+        assert not mutual.flags.writeable
+        assert d.mutual is mutual
+
+    def test_consistency_audit_passes(self, digraph):
+        digraph.check_consistency()
+
+    def test_induce_is_the_sorted_submatrix(self):
+        d = gen_semidegree_digraph(90, 0.1, np.random.default_rng(13))
+        picked = np.random.default_rng(14).permutation(90)[:50]
+        sub, labels = d.induce(picked)
+        assert labels.tolist() == sorted(picked.tolist())
+        assert (sub.mat == d.mat[np.ix_(labels, labels)]).all()
+        assert sub.mat.flags.c_contiguous and not sub.mat.flags.writeable
+        assert not np.shares_memory(sub.mat, d.mat)

@@ -9,6 +9,7 @@ from spantree.guides import (
     GuideBuildError,
     GuideRestrictError,
     GuideSystem,
+    XYLabeling,
     build_guide,
     build_xy_labeling,
     restrict_guides,
@@ -184,3 +185,122 @@ class TestGuideSystemCaching:
         in_v0b[v0b] = True
         assert in_v0b[second.guide].all()
         assert first is not second
+
+
+def _reference_build_guide(d, v, sign, eps, eta, mu, alpha, labeling=None, v0_mask=None, size=None):
+    """The full-recount guide loop, kept as the oracle for build_guide.
+
+    Every round recounts the coverage over all light labeling indices and
+    gathers the triple-intersection matrix from the labeling; returns
+    (guide, hplus, hminus) without the postcondition audit.
+    """
+    n = d.n
+    if size is None:
+        size = max(1, math.ceil(mu * n))
+    per_row = max(1, math.ceil(eps * n))
+    mean_back = size * per_row / n
+    grow_bound = (1 + eta / 2) * mean_back
+    if labeling is None:
+        labeling = build_xy_labeling(d, v, sign, alpha)
+    base = d.adj_row(v, sign)
+    if v0_mask is not None:
+        base = base & v0_mask
+    wmat = d.mat[:, labeling.xs].T & base[None, :] & d.mat[labeling.ys, :]
+    mirror = np.zeros(n, dtype=np.int64)
+    in_guide = np.zeros(n, dtype=bool)
+    guide = []
+    hplus = np.zeros((size, n), dtype=bool)
+    hminus = np.zeros((size, n), dtype=bool)
+    sign_bit = 1 if sign is Sign.PLUS else 2
+    spread_rank = np.argsort(np.random.default_rng((0x5EED, n, v, sign_bit)).permutation(n))
+    for i in range(size):
+        light = np.flatnonzero(mirror <= grow_bound)
+        if len(light) < eta * n / 4:
+            raise GuideBuildError(
+                f"round {i}: only {len(light)} light labeling indices "
+                f"(need {eta * n / 4:.1f}); schedule too aggressive"
+            )
+        coverage = wmat[light].sum(axis=0)
+        coverage[in_guide] = -1
+        coverage[~base] = -1
+        w = int(np.argmax(coverage))
+        if coverage[w] < per_row:
+            raise GuideBuildError(
+                f"round {i}: best coverage {int(coverage[w])} below {per_row}; "
+                "schedule too aggressive for this host"
+            )
+        covered = light[wmat[light, w]]
+        chosen = covered[np.lexsort((spread_rank[covered], mirror[covered]))[:per_row]]
+        hplus[i, labeling.xs[chosen]] = True
+        hminus[i, labeling.ys[chosen]] = True
+        mirror[chosen] += 1
+        in_guide[w] = True
+        guide.append(w)
+    return np.array(guide, dtype=np.int64), hplus, hminus
+
+
+def _few_mutual_rows_host(n=40, rows=8):
+    """A random tournament, except that pairs touching 0..rows-1 carry both arcs.
+
+    Only those rows have 2-cycles into most columns, so guide rounds pile
+    their edges on them and labeling indices turn heavy early.
+    """
+    upper = np.triu(np.random.default_rng(1).random((n, n)) < 0.5, 1)
+    mat = upper | np.triu(~upper, 1).T
+    mat[:rows, :] = True
+    mat[:, :rows] = True
+    np.fill_diagonal(mat, False)
+    return Digraph(n, mat)
+
+
+class TestBuildGuideMatchesReference:
+    """The incremental coverage loop draws exactly what the full recount draws."""
+
+    def assert_same(self, d, v, sign, eps, eta, mu, alpha, **kw):
+        entry = build_guide(d, v, sign, eps, eta, mu, alpha=alpha, **kw)
+        guide, hplus, hminus = _reference_build_guide(d, v, sign, eps, eta, mu, alpha, **kw)
+        assert entry.guide.tolist() == guide.tolist()
+        assert (entry.hplus == hplus).all() and (entry.hminus == hminus).all()
+        return entry
+
+    def test_identity_labeling(self):
+        d = gen_semidegree_digraph(200, 0.24, np.random.default_rng(5))
+        lab = build_xy_labeling(d, 3, Sign.MINUS, 0.24)
+        assert (lab.xs == np.arange(200)).all() and (lab.ys == np.arange(200)).all()
+        entry = self.assert_same(d, 3, Sign.MINUS, 0.05, 0.1, 0.2, 0.24)
+        # Some labeling indices passed the growth bound, so coverage rows were subtracted.
+        grow_bound = (1 + 0.1 / 2) * len(entry.guide) * entry.edges_per_row / 200
+        assert (entry.hplus.sum(axis=0) > grow_bound).any()
+
+    def test_shuffled_labeling_takes_the_general_gather(self):
+        d = gen_semidegree_digraph(150, 0.24, np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        lab = XYLabeling(9, Sign.PLUS, rng.permutation(150), rng.permutation(150), 1)
+        self.assert_same(d, 9, Sign.PLUS, 0.05, 0.1, 0.2, 0.24, labeling=lab)
+
+    def test_direct_mode_v0_mask(self):
+        d = gen_semidegree_digraph(160, 0.24, np.random.default_rng(8))
+        mask = np.zeros(160, dtype=bool)
+        mask[np.random.default_rng(9).permutation(160)[:60]] = True
+        entry = self.assert_same(d, 4, Sign.PLUS, 0.05, 0.1, 0.2, 0.24, v0_mask=mask, size=15)
+        assert mask[entry.guide].all()
+
+    def test_heavy_rows_on_a_skewed_host(self):
+        self.assert_same(_few_mutual_rows_host(), 0, Sign.PLUS, 0.1, 3.0, 0.3, 0.01)
+
+    @pytest.mark.parametrize(
+        "eps, eta, mu, message",
+        [
+            (0.05, 3.9, 0.5, "round 16: only 37 light labeling indices (need 39.0)"),
+            (0.1, 2.0, 0.5, "round 15: best coverage 1 below 4"),
+            (0.3, 8.0, 0.3, "round 0: only 40 light labeling indices (need 80.0)"),
+        ],
+    )
+    def test_same_failure_in_the_same_round(self, eps, eta, mu, message):
+        d = _few_mutual_rows_host()
+        with pytest.raises(GuideBuildError) as new:
+            build_guide(d, 0, Sign.PLUS, eps, eta, mu, alpha=0.01)
+        with pytest.raises(GuideBuildError) as ref:
+            _reference_build_guide(d, 0, Sign.PLUS, eps, eta, mu, 0.01)
+        assert str(new.value) == str(ref.value)
+        assert str(new.value).startswith(message)

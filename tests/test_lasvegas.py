@@ -142,3 +142,15 @@ class TestRngContract:
         emb, _telemetry = embed_spanning(d, tree, spanning_defaults(n, 0.25), rng)
         text = json.dumps(sorted(emb.map.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_embedding_digest_on_a_non_complete_host(self):
+        # At alpha = 0.24 the arc probability is 0.98, so some 2-cycles are
+        # missing: the mutual-arc matrix and the arc checks have content.
+        rng = np.random.default_rng(7)
+        d = gen_semidegree_digraph(300, 0.24, rng)
+        assert d.num_edges() < 300 * 299
+        tree = gen_random_tree(300, 3, "uniform", rng)
+        emb, _telemetry = embed_spanning(d, tree, spanning_defaults(300, 0.24), rng)
+        text = json.dumps(sorted(emb.map.items()))
+        digest = "55dea6bc2b1567d2afa4c68daebf7fa3b716da671cfbf2a2f4c3fa13438ac12d"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

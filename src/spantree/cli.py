@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import json
 import sys
+import typing
 
 import numpy as np
 
@@ -110,7 +110,8 @@ def cmd_embed(args) -> int:
     except PipelineError as exc:
         return _emit_failure(args, exc)
 
-    assert verify_embedding(d, tree, emb)
+    if not verify_embedding(d, tree, emb):
+        return _emit_unverified(args, "embedding")
     if not args.timings:
         telemetry = _strip_timings(telemetry)
     return _emit_embedding(args, emb, telemetry)
@@ -139,6 +140,11 @@ def _emit_failure(args, exc: PipelineError) -> int:
     return 2
 
 
+def _emit_unverified(args, what: str) -> int:
+    """Report a returned map that fails its check as a `verify` failure."""
+    return _emit_failure(args, PipelineError(f"{what} failed verification", cause="verify"))
+
+
 def _run_isolated_phase(args, d, tree, rng) -> int:
     """Run one embedding phase on inputs derived from the tree, and verify it."""
     t = tree.t if tree.t is not None else 0
@@ -150,9 +156,8 @@ def _run_isolated_phase(args, d, tree, rng) -> int:
             stars = stars_from_decomposition(td)
             v = args.anchor if args.anchor is not None else int(rng.integers(d.n))
             emb = embed_stars(d, tree, {int(x) for x in td.t0}, stars, t, v, params, rng)
-            for u, w in tree.edge_list:
-                if u in emb and w in emb:
-                    assert d.has_edge(emb[u], emb[w])
+            if not all(d.has_edge(emb[u], emb[w]) for u, w in tree.edge_list if u in emb and w in emb):
+                return _emit_unverified(args, "stars phase embedding")
             return _emit_embedding(args, emb, {"phase": "stars", "embedded": len(emb)})
         if args.phase == "paths":
             td = decompose(tree, t, params)
@@ -176,7 +181,8 @@ def _run_isolated_phase(args, d, tree, rng) -> int:
             return 1
         sched = _schedule_overrides(args, spanning_defaults(d.n, args.alpha_hint(d)))
         state, emb = absorb_at_random(d, tree.with_t(t), t, sched, rng)
-        assert verify_embedding(d, tree, emb)
+        if not verify_embedding(d, tree, emb):
+            return _emit_unverified(args, "absorber embedding")
         return _emit_embedding(
             args, emb,
             {"phase": "absorber", "threshold": state.threshold, "swaps": state.swap_count},
@@ -229,17 +235,15 @@ def parse_experiment_config(text: str) -> tuple[list[TrialConfig], int]:
 
     overrides = {}
     # configparser lowercases keys, so the size cap K is spelled "bigk".
-    known = {f.name for f in dataclasses.fields(ParamSchedule)} - {"K"} | {"bigk"}
+    # Each value parses by its field's declared type (int, or float for
+    # float and float | None).
+    types = typing.get_type_hints(ParamSchedule)
     if cp.has_section("schedule"):
         for key, val in cp["schedule"].items():
-            if key not in known:
+            field = "K" if key == "bigk" else key
+            if field not in types:
                 raise ValueError(f"unknown [schedule] key {key!r}")
-            if key in ("k", "retries", "pop_min", "part_pad", "switch_margin"):
-                overrides[key] = int(val)
-            elif key == "bigk":
-                overrides["K"] = int(val)
-            else:
-                overrides[key] = float(val)
+            overrides[field] = int(val) if types[field] is int else float(val)
 
     configs = []
     for n in ns:

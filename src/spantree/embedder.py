@@ -24,7 +24,7 @@ from .digraph import (
     min_semidegree,
     sample_disjoint_subsets,
 )
-from .embedding import Embedding, PipelineError, greedy_walk, is_valid_embedding
+from .embedding import Embedding, PipelineError, draw_host, greedy_walk, is_valid_embedding
 from .guides import GuideBuildError, GuideSystem
 from .matching import (
     BipartitePattern,
@@ -33,7 +33,7 @@ from .matching import (
     covering_matching,
     embed_small_forest,
     embed_tree_copies,
-    match_leaves,
+    walk_lean_pieces,
 )
 from .params import ParamSchedule
 from .trees import (
@@ -136,33 +136,32 @@ def embed_core_with_leaf_sets(
     """
     v0 = targets[0]
     anchor = tree.t
+    v0_free = np.zeros(d.n, dtype=bool)
+    v0_free[v0] = True
     assert anchor is not None and anchor in core
-    assert int(s) in set(int(x) for x in v0), "anchor target must lie in V0"
+    assert v0_free[int(s)], "anchor target must lie in V0"
 
     emb = Embedding()
     provenance: dict[int, tuple] = {}
-    v0_free = set(int(x) for x in v0)
 
     for vertex, parent, sign in _forest_order(tree, core, anchor):
-        if parent is None:
-            host = int(s) if vertex == anchor else None
+        if vertex == anchor:
+            host = int(s)
+        elif parent is None:
+            host = draw_host(v0_free, rng)
             if host is None:
-                pool = sorted(v0_free)
-                if not pool:
-                    raise GuideBuildError("V0 exhausted while placing component roots")
-                host = int(pool[int(rng.integers(len(pool)))])
+                raise GuideBuildError("V0 exhausted while placing component roots")
         else:
             entry = guides.get(emb[parent], sign)
-            candidates = [int(w) for w in entry.guide if int(w) in v0_free]
-            if not candidates:
+            host = draw_host(v0_free, rng, order=entry.guide)
+            if host is None:
                 raise GuideBuildError(
                     f"guide set exhausted at (v={emb[parent]}, {sign}) "
                     f"after {len(emb)} core draws"
                 )
-            host = int(candidates[int(rng.integers(len(candidates)))])
             provenance[vertex] = (entry, host)
         emb.assign(vertex, host, "core")
-        v0_free.discard(host)
+        v0_free[host] = False
 
     audits: list[PartAudit] = []
     for j, (part_vertices, circ) in enumerate(leaf_parts):
@@ -346,8 +345,8 @@ def _embed_stars_once(
     )
 
     core_size = len(tprime)
-    sized = sum(part_sizes) + sum(rich_v2_sizes) + pool_size
-    v0_size = n - sized
+    reserved = sum(part_sizes) + sum(rich_v2_sizes) + pool_size
+    v0_size = n - reserved
     if v0_size < core_size + 3:
         raise GuideBuildError(
             f"V0 would hold {v0_size} vertices for a core of {core_size}"
@@ -402,40 +401,20 @@ def _embed_stars_once(
                 emb.assign(tv, copy[rv], "graft")
 
     # Lean stars: greedy walk from the attach image, leaves batch-matched.
-    # Candidates are read in the iteration order of the `free` set, which is
-    # not ascending, so greedy_walk would draw different hosts here.
+    # Candidates are read in the iteration order of a set of the pool's
+    # hosts, which fixes the RNG stream of these draws.
     if lean:
-        free = set(int(x) for x in pool)
-        leaf_tvs: list[int] = []
-        leaf_rows: list[tuple[int, Sign]] = []  # (parent host, sign)
-        for st, piece, local_root in lean:
-            order = prefix_order(piece.tree, local_root, "leaves_last_middles_consecutive")
-            for i, lv in enumerate(order.order):
-                tv = int(piece.labels[lv])
-                if i == 0:
-                    parent_host = emb[st.attach]
-                    sign = st.sign
-                else:
-                    parent_tv = int(piece.labels[order.order[order.parent_index[i]]])
-                    sign = order.sign[i]
-                    if piece.tree.degree(lv) == 1:
-                        leaf_tvs.append(tv)
-                        leaf_rows.append((emb[parent_tv], sign))
-                        continue
-                    parent_host = emb[parent_tv]
-                row = d.adj_row(parent_host, sign)
-                candidates = [w for w in free if row[w]]
-                if not candidates:
-                    raise ForestEmbedError(
-                        f"lean star walk stuck at tree vertex {tv}", cause="leaf-greedy-fail"
-                    )
-                host = int(candidates[int(rng.integers(len(candidates)))])
-                emb.assign(tv, host, "stars")
-                free.discard(host)
-        if leaf_rows:
-            cols = np.array(sorted(free), dtype=np.int64)
-            for r, host in match_leaves(d, leaf_rows, cols, "lean star leaves"):
-                emb.assign(leaf_tvs[r], host, "stars")
+        free = np.zeros(n, dtype=bool)
+        free[pool] = True
+        maps = walk_lean_pieces(
+            d,
+            [(piece.tree, local_root, (emb[st.attach], st.sign)) for st, piece, local_root in lean],
+            free, rng, "lean star leaves",
+            host_order=np.fromiter(set(int(x) for x in pool), dtype=np.int64),
+        )
+        for (_st, piece, _root), mapping in zip(lean, maps):
+            for lv, host in mapping.items():
+                emb.assign(int(piece.labels[lv]), host, "stars")
 
     return emb
 
@@ -502,6 +481,12 @@ def _attach_path_trees_once(
     b_size = min(b_size, spare - forest_reserve)
     perm = rng.permutation(len(rest))
     buffer = set(int(x) for x in rest[perm[:b_size]])
+    # Connector candidates are read in the iteration order of a copy of the
+    # buffer set (which can differ from the source set's); that order fixes
+    # the RNG stream of the connector draws.
+    buffer_order = np.fromiter(set(buffer), dtype=np.int64)
+    free_buffer = np.zeros(n, dtype=bool)
+    free_buffer[buffer_order] = True
     forest_pool = rest[perm[b_size:]]
 
     headroom = 1.0 - total_body / max(1, len(forest_pool))
@@ -513,7 +498,6 @@ def _attach_path_trees_once(
     )
 
     out: list[dict[int, int]] = []
-    free_buffer = set(buffer)
     for (piece, r_local, r_mid, r_inner, s_local, s_mid, s_inner, body), (a, b), bmap in zip(
         meta, anchors, body_maps
     ):
@@ -530,15 +514,14 @@ def _attach_path_trees_once(
             sign_out = tr.edge_sign(outer, mid)     # mid as seen from the anchor leaf
             sign_in = tr.edge_sign(inner, mid)      # mid as seen from the body
             row = d.adj_row(outer_host, sign_out) & d.adj_row(full[inner], sign_in)
-            candidates = [w for w in free_buffer if row[w]]
-            if not candidates:
+            host = draw_host(row & free_buffer, rng, buffer_order)
+            if host is None:
                 raise ForestEmbedError(
                     f"connector intersection empty at anchor {outer_host}",
                     cause="connector-exhausted",
                 )
-            host = int(candidates[int(rng.integers(len(candidates)))])
             full[mid] = host
-            free_buffer.discard(host)
+            free_buffer[host] = False
         out.append(full)
     return out
 
@@ -761,10 +744,12 @@ def _assemble_almost(
                 emb.assign(tv, int(labels2[lh]), "paths")
 
     # Leftover leaves greedily into V3.  Like the lean-star walk, candidates
-    # follow the `v3_free` set's iteration order, not ascending host order.
+    # are read in the iteration order of a set of V3's hosts.
     leftovers = sorted({u for s_ in td.leftovers.values() for u in s_})
     if leftovers:
-        v3_free = set(int(x) for x in v3)
+        v3_order = np.fromiter(set(int(x) for x in v3), dtype=np.int64)
+        v3_free = np.zeros(d.n, dtype=bool)
+        v3_free[v3] = True
         left_set = set(leftovers)
         ordered: list[tuple[int, int, Sign]] = []
         seen: set[int] = set()
@@ -784,14 +769,12 @@ def _assemble_almost(
         placed: dict[int, int] = {}
         for u, parent, sign in ordered:
             parent_host = emb[parent] if parent in emb else placed[parent]
-            row = d.adj_row(parent_host, sign)
-            candidates = [w for w in v3_free if row[w]]
-            if not candidates:
+            host = draw_host(d.adj_row(parent_host, sign) & v3_free, rng, v3_order)
+            if host is None:
                 raise PhaseFailure("leaves", "leaf-greedy-fail",
                                    f"no V3 candidate for leftover {u}", 1)
-            host = int(candidates[int(rng.integers(len(candidates)))])
             placed[u] = host
-            v3_free.discard(host)
+            v3_free[host] = False
         for u, host in placed.items():
             emb.assign(u, host, "greedy-leaf")
     return emb

@@ -2,7 +2,8 @@
 
 Every pipeline phase draws a random partial map, audits it exactly and
 resamples on failure.  `PipelineError` is the one failure type those audits
-raise, and `greedy_walk` is the one random greedy rule they draw with.
+raise, `draw_host` is the one rule every random host pick goes through, and
+`greedy_walk` is the one random greedy walk built on it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,24 @@ class PipelineError(RuntimeError):
             self.cause = cause
 
 
+def draw_host(
+    mask: np.ndarray, rng: np.random.Generator, order: np.ndarray | None = None
+) -> int | None:
+    """Uniform host among those marked in `mask`; None when none is.
+
+    Candidates are read in ascending host order, or along the host array
+    `order` when given, and that reading order fixes which host an RNG state
+    picks.  To replay picks from scans of a Python set S, read `order` once
+    from S itself: discards never reorder a set, so `[w for w in S if row[w]]`
+    stays `order[row[order] & alive[order]]`, with `alive` cleared at the
+    discarded hosts.  A copy `set(S)` can iterate in another order.
+    """
+    candidates = np.flatnonzero(mask) if order is None else order[mask[order]]
+    if len(candidates) == 0:
+        return None
+    return int(candidates[rng.integers(len(candidates))])
+
+
 def greedy_walk(
     d: Digraph,
     order: PrefixOrdering,
@@ -39,29 +58,26 @@ def greedy_walk(
     rng: np.random.Generator,
     root_host: int | None = None,
     stop: int | None = None,
+    host_order: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Random greedy embedding of order.order[:stop] into the hosts marked in `free`.
 
     The root goes to `root_host`, or to a uniform free host when None; each
     later vertex goes to a uniform free host in the right neighborhood of
-    its parent's image, candidates read in ascending host order.  Used hosts
-    are cleared in `free`.  Returns hosts[i] = image of order.order[i], or
-    None when some vertex has no candidate.
+    its parent's image.  Every pick is a `draw_host` with `host_order`.
+    Used hosts are cleared in `free`.  Returns hosts[i] = image of
+    order.order[i], or None when some vertex has no candidate.
     """
     stop = len(order.order) if stop is None else stop
     hosts = np.full(stop, -1, dtype=np.int64)
     for i in range(stop):
-        if i == 0 and root_host is not None:
-            host = int(root_host)
+        if i == 0:
+            host = draw_host(free, rng, host_order) if root_host is None else int(root_host)
         else:
-            if i > 0:
-                row = d.adj_row(int(hosts[order.parent_index[i]]), order.sign[i])
-                candidates = np.flatnonzero(row & free)
-            else:
-                candidates = np.flatnonzero(free)
-            if len(candidates) == 0:
-                return None
-            host = int(candidates[rng.integers(len(candidates))])
+            row = d.adj_row(int(hosts[order.parent_index[i]]), order.sign[i])
+            host = draw_host(row & free, rng, host_order)
+        if host is None:
+            return None
         hosts[i] = host
         free[host] = False
     return hosts

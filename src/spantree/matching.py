@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .digraph import Digraph, Sign
-from .embedding import Embedding, PipelineError, greedy_walk
+from .embedding import Embedding, PipelineError, draw_host, greedy_walk
 from .trees import OrientedTree, canonical_order, canonical_rooted_form, prefix_order
 
 
@@ -331,6 +331,55 @@ class ForestEmbedError(PipelineError):
     cause = "hall-fail"
 
 
+def walk_lean_pieces(
+    d: Digraph,
+    pieces: list[tuple[OrientedTree, int, tuple[int, Sign] | None]],
+    free: np.ndarray,
+    rng: np.random.Generator,
+    what: str,
+    host_order: np.ndarray | None = None,
+) -> list[dict[int, int]]:
+    """Embed small trees into `free` by greedy interior walks and one leaf matching.
+
+    pieces[k] = (tree, root, attach).  The root goes to a uniform free host
+    in N^sign(host) for attach = (host, sign), or anywhere free when attach
+    is None; `greedy_walk` then places the interior up to the first
+    non-root leaf, every pick reading candidates along `host_order`.  All
+    the leaves are batch-matched into the hosts still free.  Used hosts are
+    cleared in `free`.  Returns one map (tree vertex -> host) per piece.
+
+    Raises ForestEmbedError (cause "leaf-greedy-fail") when a walk is stuck,
+    and MatchingError (labelled `what`) when the leaves cannot be matched.
+    """
+    maps: list[dict[int, int]] = []
+    leaf_slots: list[tuple[int, int]] = []      # (piece, leaf)
+    leaf_rows: list[tuple[int, Sign]] = []      # (parent host, sign)
+    for k, (tree, root, attach) in enumerate(pieces):
+        order = prefix_order(tree, root, "leaves_last_middles_consecutive")
+        # Non-root leaves form a suffix of this order: the walk stops there.
+        stop = next((i for i in range(1, tree.n) if tree.degree(order.order[i]) == 1), tree.n)
+        root_mask = free if attach is None else d.adj_row(*attach) & free
+        root_host = draw_host(root_mask, rng, host_order)
+        hosts = None if root_host is None else greedy_walk(
+            d, order, free, rng, root_host=root_host, stop=stop, host_order=host_order
+        )
+        if hosts is None:
+            raise ForestEmbedError(
+                f"{what}: greedy walk stuck on piece {k}", cause="leaf-greedy-fail"
+            )
+        mapping = {order.order[i]: int(hosts[i]) for i in range(stop)}
+        for i in range(stop, tree.n):
+            leaf_slots.append((k, order.order[i]))
+            leaf_rows.append((mapping[order.order[order.parent_index[i]]], order.sign[i]))
+        maps.append(mapping)
+    if leaf_rows:
+        for r, host in match_leaves(d, leaf_rows, np.flatnonzero(free), what):
+            k, leaf = leaf_slots[r]
+            maps[k][leaf] = host
+            free[host] = False
+    return maps
+
+
 def embed_small_forest(
     d: Digraph,
     components: list[OrientedTree],
@@ -417,34 +466,16 @@ def embed_small_forest(
 
     # Greedy interior walk + one leaf matching for the thin classes.
     if lean:
-        leaf_slots: list[tuple[int, int]] = []      # (comp, leaf)
-        leaf_rows: list[tuple[int, Sign]] = []      # (parent host, sign)
-        for c in lean:
-            for comp_idx, vmap in zip(c.members, c.member_maps):
-                comp = components[comp_idx]
-                order = prefix_order(comp, vmap[c.rep_root], "leaves_last_middles_consecutive")
-                # Non-root leaves form a suffix of this order: the walk stops there.
-                stop = next((i for i in range(1, comp.n) if comp.degree(order.order[i]) == 1), comp.n)
-                hosts = greedy_walk(d, order, free, rng, stop=stop)
-                if hosts is None:
-                    raise ForestEmbedError(
-                        f"greedy interior stuck on component {comp_idx}",
-                        cause="leaf-greedy-fail",
-                    )
-                mapping = {order.order[i]: int(hosts[i]) for i in range(stop)}
-                for i in range(stop, comp.n):
-                    leaf_slots.append((comp_idx, order.order[i]))
-                    leaf_rows.append((mapping[order.order[order.parent_index[i]]], order.sign[i]))
-                results[comp_idx] = mapping
-
-        if leaf_slots:
-            try:
-                pairs = match_leaves(d, leaf_rows, np.flatnonzero(free), "forest leaf batch")
-            except MatchingError as exc:
-                raise ForestEmbedError(f"leaf batch unmatched: {exc}", cause="hall-fail") from exc
-            for r, host in pairs:
-                comp_idx, tv = leaf_slots[r]
-                results[comp_idx][tv] = host
+        slots = [(i, vmap[c.rep_root]) for c in lean for i, vmap in zip(c.members, c.member_maps)]
+        try:
+            maps = walk_lean_pieces(
+                d, [(components[i], root, None) for i, root in slots], free, rng,
+                "forest leaf batch",
+            )
+        except MatchingError as exc:
+            raise ForestEmbedError(f"leaf batch unmatched: {exc}", cause="hall-fail") from exc
+        for (comp_idx, _root), mapping in zip(slots, maps):
+            results[comp_idx] = mapping
 
     assert all(m is not None and len(m) == components[i].n for i, m in enumerate(results))
     return results  # type: ignore[return-value]

@@ -140,20 +140,6 @@ class TrialConfig:
     schedule: ParamSchedule | None = None
 
 
-TARGETS = (
-    "matching",        # perfect matchings between random sets
-    "inherited-degree",
-    "small-forest",
-    "tree-copies",
-    "guide-restrict",  # trim-mode restriction audit Q1-Q3
-    "decompose",
-    "almost",
-    "absorber",
-    "spanning",
-    "verify-only",
-)
-
-
 def _trial_matching(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
     size = cfg.set_size or max(4, d.n // 10)
     a, b = sample_disjoint_subsets(d, [size, size], rng)

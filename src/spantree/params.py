@@ -42,6 +42,10 @@ class ParamSchedule:
     part_pad: int = 6                # additive leaf-part padding
     switch_margin: int = 4           # property-S threshold exceeds the swap count by this margin
 
+    def __post_init__(self) -> None:
+        if self.retries < 1:
+            raise ValueError(f"retry budget must be at least 1, got {self.retries}")
+
     def strip_threshold(self) -> float:
         return self.strip_eps if self.strip_eps is not None else 1.0 / (2 * self.k)
 
@@ -70,8 +74,6 @@ class ParamSchedule:
             warnings.append(f"k={self.k} >= K={self.K}")
         if self.lam > self.mu:
             warnings.append(f"lam={self.lam} > mu={self.mu}")
-        if self.retries < 1:
-            warnings.append("retry budget must be at least 1")
         return warnings
 
     def with_updates(self, **kwargs) -> "ParamSchedule":

@@ -5,9 +5,14 @@ import sys
 
 import pytest
 
+import numpy as np
+
+from spantree import cli
 from spantree import io as tio
 from spantree.cli import main, parse_experiment_config
-from spantree.digraph import min_semidegree
+from spantree.digraph import Digraph, min_semidegree
+from spantree.embedder import embed_almost_spanning
+from spantree.embedding import Embedding
 from spantree.trees import OrientedTree
 
 
@@ -254,3 +259,69 @@ class TestScheduleKeys:
         cfg.write_text("[experiment]\ntarget = matching\ntrials = 1\n[schedule]\nfoo = 1\n")
         assert main(["experiment", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: bad config: unknown [schedule] key 'foo'")
+
+    def test_int_fields_parse_as_int(self):
+        configs, _ = parse_experiment_config(
+            "[grid]\nn = 200\n[schedule]\nmax_tree_semidegree = 5\nstrip_eps = 0.03\n"
+        )
+        sched = configs[0].schedule
+        assert type(sched.max_tree_semidegree) is int and sched.max_tree_semidegree == 5
+        assert sched.strip_eps == 0.03
+        # The degree-cap error quotes the cap as configured.
+        host = Digraph(20, ~np.eye(20, dtype=bool))
+        star = OrientedTree(8, [(0, i) for i in range(1, 8)])
+        with pytest.raises(ValueError, match="schedule cap 5;"):
+            embed_almost_spanning(host, star, 0, 0, sched, np.random.default_rng(0))
+
+    def test_zero_retries_exits_one(self, tmp_path, capsys):
+        dpath, tpath = TestEmbed().make_instance(tmp_path, n=60)
+        assert main(["embed", str(dpath), str(tpath), "--seed", "1", "--p-retries", "0"]) == 1
+        assert "retry budget must be at least 1" in capsys.readouterr().err
+
+
+class TestVerifyWithoutAssert:
+    """Each map the CLI returns is checked explicitly; a broken one exits 2 with cause verify."""
+
+    @pytest.fixture
+    def instance(self, tmp_path):
+        # Every host arc runs i -> i-1, so the identity map reverses each tree arc.
+        n = 12
+        dpath, tpath = tmp_path / "d.dg", tmp_path / "t.tree"
+        tio.write_digraph(dpath, Digraph.from_edges(n, [(i, i - 1) for i in range(1, n)]))
+        tio.write_tree(tpath, OrientedTree(4, [(0, 1), (1, 2), (2, 3)]))
+        spanning = tmp_path / "s.tree"
+        tio.write_tree(spanning, OrientedTree(n, [(i, i + 1) for i in range(n - 1)]))
+        return dpath, tpath, spanning
+
+    @staticmethod
+    def identity(n):
+        emb = Embedding()
+        for v in range(n):
+            emb.assign(v, v)
+        return emb
+
+    def run(self, args, capsys):
+        capsys.readouterr()
+        code = main(args)
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_full_embedding_with_a_reversed_arc(self, instance, monkeypatch, capsys):
+        dpath, _tpath, spanning = instance
+        monkeypatch.setattr(cli, "embed_spanning", lambda d, tree, params, rng: (self.identity(tree.n), {}))
+        code, doc = self.run(["embed", str(dpath), str(spanning), "--seed", "1"], capsys)
+        assert code == 2
+        assert doc == {"success": False, "cause": "verify", "detail": "embedding failed verification"}
+
+    def test_absorber_phase_with_a_reversed_arc(self, instance, monkeypatch, capsys):
+        dpath, tpath, _spanning = instance
+        monkeypatch.setattr(cli, "absorb_at_random", lambda d, tree, t, params, rng: (None, self.identity(tree.n)))
+        code, doc = self.run(["embed", str(dpath), str(tpath), "--seed", "1", "--phase", "absorber"], capsys)
+        assert (code, doc["cause"]) == (2, "verify")
+
+    def test_stars_phase_with_a_reversed_arc(self, instance, monkeypatch, capsys):
+        dpath, tpath, _spanning = instance
+        monkeypatch.setattr(cli, "decompose", lambda tree, t, params: type("TD", (), {"t0": [0]})())
+        monkeypatch.setattr(cli, "stars_from_decomposition", lambda td: [])
+        monkeypatch.setattr(cli, "embed_stars", lambda d, tree, *rest: self.identity(2))
+        code, doc = self.run(["embed", str(dpath), str(tpath), "--seed", "1", "--phase", "stars"], capsys)
+        assert (code, doc["cause"]) == (2, "verify")

@@ -1,18 +1,28 @@
-"""The shared Las Vegas toolkit: failure base, retry loop, greedy walk, leaf matcher."""
+"""The shared Las Vegas toolkit: failure base, retry loop, host draws, walks, leaf matcher."""
 
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spantree.decompose import DecompositionError
 from spantree.digraph import Digraph, Sign, gen_semidegree_digraph
-from spantree.embedder import AbsorptionError, PhaseFailure, _retry, embed_spanning
-from spantree.embedding import PipelineError, greedy_walk
+from spantree.embedder import (
+    AbsorptionError,
+    PhaseFailure,
+    _retry,
+    build_absorber,
+    embed_almost_spanning,
+    embed_spanning,
+)
+from spantree.embedding import PipelineError, draw_host, greedy_walk
 from spantree.guides import GuideBuildError, GuideRestrictError
-from spantree.matching import ForestEmbedError, MatchingError, match_leaves
-from spantree.params import spanning_defaults
+from spantree.matching import ForestEmbedError, MatchingError, match_leaves, walk_lean_pieces
+from spantree.oracle import TrialConfig, run_single_trial
+from spantree.params import ParamSchedule, almost_defaults, spanning_defaults
 from spantree.trees import OrientedTree, gen_random_tree, prefix_order
 
 
@@ -125,6 +135,149 @@ class TestMatchLeaves:
             match_leaves(d, [(0, Sign.PLUS)] * 3, np.array([1, 2]), "test leaves")
 
 
+class TestDrawHost:
+    def test_ascending_by_default(self):
+        mask = np.zeros(20, dtype=bool)
+        mask[[17, 2, 11, 5]] = True
+        for seed in range(5):
+            expected = [2, 5, 11, 17][np.random.default_rng(seed).integers(4)]
+            assert draw_host(mask, np.random.default_rng(seed)) == expected
+
+    def test_explicit_order_honoured(self):
+        mask = np.zeros(20, dtype=bool)
+        mask[[17, 2, 11, 5]] = True
+        order = np.array([11, 3, 17, 2, 5, 8])
+        for seed in range(5):
+            expected = [11, 17, 2, 5][np.random.default_rng(seed).integers(4)]
+            assert draw_host(mask, np.random.default_rng(seed), order) == expected
+
+    def test_none_on_empty_mask_without_drawing(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert draw_host(np.zeros(8, dtype=bool), rng) is None
+        assert draw_host(np.zeros(8, dtype=bool), rng, np.arange(8)) is None
+        assert rng.bit_generator.state == state
+
+    def test_same_host_as_a_list_pick_over_a_shrinking_set(self):
+        # A scan of a Python set, as a draw over the order read from that set.
+        n = 400
+        gen = np.random.default_rng(11)
+        hosts = set(int(x) for x in gen.choice(n, size=150, replace=False))
+        order = np.fromiter(hosts, dtype=np.int64)
+        alive = np.zeros(n, dtype=bool)
+        alive[order] = True
+        old_rng, new_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _step in range(100):
+            row = gen.random(n) < 0.6
+            candidates = [w for w in hosts if row[w]]
+            host = draw_host(row & alive, new_rng, order)
+            if not candidates:
+                assert host is None
+                continue
+            assert host == int(candidates[int(old_rng.integers(len(candidates)))])
+            hosts.discard(host)
+            alive[host] = False
+
+
+class TestSetOrderContract:
+    """The contract `draw_host` states for replaying scans of a Python set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hosts=st.lists(st.integers(0, 5000), min_size=1, max_size=300, unique=True),
+        data=st.data(),
+    )
+    def test_filtered_scan_equals_filtered_order_after_discards(self, hosts, data):
+        n = 5001
+        live = set(int(h) for h in hosts)
+        order = np.fromiter(live, dtype=np.int64)
+        alive = np.zeros(n, dtype=bool)
+        alive[order] = True
+        for w in data.draw(st.lists(st.sampled_from(hosts), unique=True)):
+            live.discard(w)
+            alive[w] = False
+        row = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n) < 0.5
+        assert [w for w in live if row[w]] == order[row[order] & alive[order]].tolist()
+
+
+class TestWalkLeanPieces:
+    def test_roots_follow_attach_rows_and_leaves_are_matched(self):
+        d = gen_semidegree_digraph(80, 0.3, np.random.default_rng(4))
+        trees = [OrientedTree(4, [(0, 1), (1, 2), (3, 1)]), OrientedTree(1, []), OrientedTree(2, [(1, 0)])]
+        attach = [(0, Sign.PLUS), (1, Sign.MINUS), None]
+        free = np.ones(d.n, dtype=bool)
+        free[[0, 1]] = False
+        pieces = [(tree, 0, a) for tree, a in zip(trees, attach)]
+        maps = walk_lean_pieces(d, pieces, free, np.random.default_rng(6), "test leaves")
+        used = [h for m in maps for h in m.values()]
+        assert len(set(used)) == 7 and not free[used].any() and free.sum() == d.n - 9
+        assert d.adj_row(0, Sign.PLUS)[maps[0][0]] and d.adj_row(1, Sign.MINUS)[maps[1][0]]
+        for tree, m in zip(trees, maps):
+            assert sorted(m) == list(range(tree.n))
+            for u, w in tree.edge_list:
+                assert d.has_edge(m[u], m[w])
+
+    def test_host_order_replays_set_scans(self):
+        # With an order read from a set, the root pick is the list pick over that set.
+        d = complete(30)
+        pool = set(range(10, 30))
+        order = np.fromiter(pool, dtype=np.int64)
+        free = np.zeros(d.n, dtype=bool)
+        free[order] = True
+        (m,) = walk_lean_pieces(
+            d, [(OrientedTree(1, []), 0, (0, Sign.PLUS))], free, np.random.default_rng(2),
+            "test leaves", host_order=order,
+        )
+        assert m[0] == list(pool)[np.random.default_rng(2).integers(len(pool))]
+
+    def test_stuck_walk_is_a_leaf_greedy_fail(self):
+        d = Digraph.from_edges(4, [(0, 1)])
+        with pytest.raises(ForestEmbedError) as info:
+            walk_lean_pieces(
+                d, [(OrientedTree(2, [(0, 1)]), 0, (2, Sign.PLUS))], np.ones(4, dtype=bool),
+                np.random.default_rng(0), "test leaves",
+            )
+        assert info.value.cause == "leaf-greedy-fail"
+
+    def test_unmatched_leaves_raise_matching_error(self):
+        # Three leaves hang on a root whose out-neighbourhood is two hosts.
+        d = Digraph.from_edges(5, [(0, 1), (0, 2), (3, 0)])
+        star = OrientedTree(4, [(0, 1), (0, 2), (0, 3)])
+        free = np.ones(5, dtype=bool)
+        free[3] = False
+        with pytest.raises(MatchingError, match="test leaves"):
+            walk_lean_pieces(d, [(star, 0, (3, Sign.PLUS))], free, np.random.default_rng(0), "test leaves")
+
+
+class TestZeroRetryBudget:
+    """A zero retry budget is rejected once, where the schedule is built."""
+
+    def test_schedule_rejects_zero_retries(self):
+        with pytest.raises(ValueError, match="retry budget must be at least 1, got 0"):
+            ParamSchedule(retries=0)
+        assert not any("retry" in w for w in ParamSchedule(retries=1).validate())
+
+    def test_almost_spanning_never_sees_zero_retries(self):
+        rng = np.random.default_rng(3)
+        d = gen_semidegree_digraph(120, 0.25, rng)
+        tree = gen_random_tree(96, 3, "uniform", rng)
+        with pytest.raises(ValueError, match="retry budget"):
+            embed_almost_spanning(d, tree, 0, 5, almost_defaults(120, 0.25, 0.2).with_updates(retries=0), rng)
+
+    def test_absorber_never_sees_zero_retries(self):
+        rng = np.random.default_rng(3)
+        d = gen_semidegree_digraph(120, 0.25, rng)
+        tree = gen_random_tree(45, 3, "uniform", rng).with_t(0)
+        with pytest.raises(ValueError, match="retry budget"):
+            build_absorber(d, tree, 0, spanning_defaults(120, 0.25).with_updates(retries=0), rng)
+
+    def test_guide_restrict_trial_never_sees_zero_retries(self):
+        with pytest.raises(ValueError, match="retry budget"):
+            run_single_trial(TrialConfig(target="guide-restrict", n=80, schedule=ParamSchedule(retries=0)), 1)
+        report = run_single_trial(TrialConfig(target="guide-restrict", n=80, schedule=ParamSchedule(retries=1)), 1)
+        assert report.retries <= 1 and (report.success or report.failure_cause)
+
+
 class TestRngContract:
     """Pinned embed_spanning maps: a refactor must not move the random stream."""
 
@@ -153,4 +306,25 @@ class TestRngContract:
         emb, _telemetry = embed_spanning(d, tree, spanning_defaults(300, 0.24), rng)
         text = json.dumps(sorted(emb.map.items()))
         digest = "55dea6bc2b1567d2afa4c68daebf7fa3b716da671cfbf2a2f4c3fa13438ac12d"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestAlmostRngContract:
+    """Pinned embed_almost_spanning maps: every host-draw site keeps its stream."""
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("uniform", "b6f22f4dc6f151213c93bb6ba286f99c853311a18d72f51f9c86843e02ad09d8"),
+            # Caterpillars also reach the path connectors and the leftover leaves.
+            ("caterpillar", "d0b0bda563a99a92b00f489e73f0659ebc0bf652261d544d129acd1c0721c811"),
+        ],
+    )
+    def test_almost_spanning_digest(self, family, digest):
+        rng = np.random.default_rng(7)
+        d = gen_semidegree_digraph(300, 0.24, rng)
+        tree = gen_random_tree(240, 3, family, rng)
+        v = int(rng.integers(300))
+        emb, _telemetry = embed_almost_spanning(d, tree, 0, v, almost_defaults(300, 0.24, 0.2), rng)
+        text = json.dumps(sorted(emb.map.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == digest

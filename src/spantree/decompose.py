@@ -18,7 +18,7 @@ import numpy as np
 
 from .embedding import PipelineError
 from .params import ParamSchedule
-from .trees import OrientedTree, induced_subtree, maximal_bare_paths
+from .trees import OrientedTree, components, induced_subtree, maximal_bare_paths
 
 
 class DecompositionError(PipelineError):
@@ -135,27 +135,11 @@ def _stripped_components(tree: OrientedTree, alive: np.ndarray):
 
     Every component hangs below exactly one alive vertex.
     """
-    seen = np.zeros(tree.n, dtype=bool)
     comps: list[tuple[int, list[int]]] = []
-    for v in range(tree.n):
-        if alive[v] or seen[v]:
-            continue
-        stack = [v]
-        seen[v] = True
-        comp = []
-        attach = -1
-        while stack:
-            w = stack.pop()
-            comp.append(w)
-            for u in tree.nbrs(w):
-                if alive[u]:
-                    assert attach in (-1, u), "stripped component touches two core vertices"
-                    attach = u
-                elif not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        assert attach >= 0
-        comps.append((attach, sorted(comp)))
+    for comp in components(tree, np.flatnonzero(~alive)):
+        touches = {u for w in comp for u in tree.nbrs(w) if alive[u]}
+        assert len(touches) == 1, f"stripped component touches {len(touches)} core vertices"
+        comps.append((touches.pop(), comp))
     return comps
 
 
@@ -205,7 +189,7 @@ def _build_layers(
     if core.tree.n >= 5:
         walks = maximal_bare_paths(core.tree)
         for walk in walks:
-            path = [core.to_host(w) for w in walk]
+            path = [int(core.labels[w]) for w in walk]
             weight = [1 + int(vol[v]) for v in path]
             prefix = np.concatenate([[0], np.cumsum(weight)])
             tpos = path.index(t) if t in path else -1
@@ -306,26 +290,6 @@ def _build_layers(
     )
 
 
-def _components_within(tree: OrientedTree, verts: set[int]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for v in verts:
-        if v in seen:
-            continue
-        stack = [v]
-        seen.add(v)
-        comp = []
-        while stack:
-            w = stack.pop()
-            comp.append(w)
-            for u in tree.nbrs(w):
-                if u in verts and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
 def check_decomposition(td: TreeDecomposition) -> list[str]:
     """Machine-checks of P1-P4; returns a list of violations (empty = pass)."""
     tree = td.tree
@@ -347,7 +311,7 @@ def check_decomposition(td: TreeDecomposition) -> list[str]:
     for v, hang in td.stars.items():
         if v not in t0s:
             problems.append(f"P2: star anchored outside T0 at {v}")
-        for comp in _components_within(tree, set(hang)):
+        for comp in components(tree, hang):
             if len(comp) > td.K:
                 problems.append(f"P2: star component of size {len(comp)} > K = {td.K}")
             touches = {
@@ -380,7 +344,7 @@ def check_decomposition(td: TreeDecomposition) -> list[str]:
 
     # T2 is a tree: connected with the right edge count.
     t2_edges = sum(1 for u, v in tree.edge_list if u in t2s and v in t2s)
-    if t2_edges != len(t2s) - 1 or not _connected_within(tree, t2s):
+    if t2_edges != len(t2s) - 1 or len(components(tree, t2s)) > 1:
         problems.append("P3: T2 is not a tree")
 
     # P4: few leftover vertices.
@@ -402,18 +366,3 @@ def check_decomposition(td: TreeDecomposition) -> list[str]:
     if (star_verts & piece_verts) or (leftovers & t2s):
         problems.append("layers overlap")
     return problems
-
-
-def _connected_within(tree: OrientedTree, verts: set[int]) -> bool:
-    if not verts:
-        return True
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in tree.nbrs(v):
-            if u in verts and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(verts)

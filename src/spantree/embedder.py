@@ -24,7 +24,14 @@ from .digraph import (
     min_semidegree,
     sample_disjoint_subsets,
 )
-from .embedding import Embedding, PipelineError, draw_host, greedy_walk, is_valid_embedding
+from .embedding import (
+    Embedding,
+    PipelineError,
+    VerificationError,
+    draw_host,
+    greedy_walk,
+    is_valid_embedding,
+)
 from .guides import GuideBuildError, GuideSystem
 from .matching import (
     BipartitePattern,
@@ -41,6 +48,7 @@ from .trees import (
     TreePiece,
     canonical_order,
     canonical_rooted_form,
+    components,
     induced_subtree,
     max_semidegree,
     prefix_order,
@@ -226,21 +234,7 @@ def stars_from_decomposition(td: TreeDecomposition) -> list[StarComponent]:
     out = []
     tree = td.tree
     for v, hang in sorted(td.stars.items()):
-        hang_set = set(hang)
-        seen: set[int] = set()
-        for w in sorted(hang_set):
-            if w in seen:
-                continue
-            comp = [w]
-            seen.add(w)
-            stack = [w]
-            while stack:
-                x = stack.pop()
-                for u in tree.nbrs(x):
-                    if u in hang_set and u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-                        stack.append(u)
+        for comp in components(tree, hang):
             roots = [x for x in comp if v in tree.nbrs(x)]
             assert len(roots) == 1
             out.append(
@@ -248,7 +242,7 @@ def stars_from_decomposition(td: TreeDecomposition) -> list[StarComponent]:
                     attach=v,
                     root=roots[0],
                     sign=tree.edge_sign(v, roots[0]),
-                    vertices=tuple(sorted(comp)),
+                    vertices=tuple(comp),
                 )
             )
     return out
@@ -285,6 +279,8 @@ def embed_stars(
     per-class parts plus grafted tree copies; thin classes are walked
     greedily into a shared pool with their leaves batch-matched.
     """
+    if not 0 <= v < d.n:
+        raise ValueError(f"anchor host {v} outside 0..{d.n - 1}")
     return _retry(
         "stars", params.retries,
         lambda: _embed_stars_once(d, tree, tprime, stars, t, v, params, rng),
@@ -542,25 +538,28 @@ def embed_almost_spanning(
     the leftover leaves greedily into the third.
     """
     n = d.n
+    if not 0 <= v < n:
+        raise ValueError(f"anchor host {v} outside 0..{n - 1}")
     slack = n - tree.n
     if slack < 4:
         raise ValueError(f"need at least 4 spare host vertices, got {slack}")
     _check_degree_cap(tree, params, n)
     telemetry: dict = {"phase_retries": {}, "failures": []}
-    if tree.n <= max(8, params.k):
-        # Far below the decomposition scale: a plain greedy walk suffices.
-        emb, _attempts = _greedy_anchored(d, tree, t, v, params, rng)
-        assert is_valid_embedding(d, tree, emb)
-        return emb, telemetry
-    if td is None:
+    # Far below the decomposition scale, or small and undecomposable: a plain
+    # greedy walk suffices.
+    greedy = tree.n <= max(8, params.k)
+    if not greedy and td is None:
         try:
             td = decompose(tree, t, params)
         except DecompositionError as exc:
-            if tree.n <= 64:
-                emb, _attempts = _greedy_anchored(d, tree, t, v, params, rng)
-                assert is_valid_embedding(d, tree, emb)
-                return emb, telemetry
-            raise PhaseFailure("almost", "decompose", str(exc), 0) from exc
+            if tree.n > 64:
+                raise PhaseFailure("almost", "decompose", str(exc), 0) from exc
+            greedy = True
+    if greedy:
+        emb, _attempts = _greedy_anchored(d, tree, t, v, params, rng)
+        if not is_valid_embedding(d, tree, emb):
+            raise VerificationError("almost-spanning greedy embedding failed verification")
+        return emb, telemetry
     stars = stars_from_decomposition(td)
 
     t1_size = len(td.t1)
@@ -574,7 +573,7 @@ def embed_almost_spanning(
     s1_floor = len(td.t0) // 3 + 10 + math.ceil(0.1 * n_roots) + 12
     v1_bias = 0
 
-    last: Exception | None = None
+    last: PipelineError | None = None
     for attempt in range(params.retries):
         # Proportional slack split with floors: piece-heavy trees need their
         # headroom in V2, star-heavy trees in V1.
@@ -598,22 +597,20 @@ def embed_almost_spanning(
         if s1 < 2:
             raise PhaseFailure("almost", "guide-build", "slack too thin to size V1", attempt)
         sizes = [t1_size + s1, t2_new + s2]
-        for _draw in range(300):
-            v1, v2 = sample_disjoint_subsets(d, sizes, rng)
-            if v in v1:
-                break
-        else:
-            telemetry["failures"].append(
-                {"attempt": attempt, "phase": "almost", "cause": "guide-build"}
-            )
-            last = PhaseFailure("almost", "guide-build", "anchor never landed in V1", attempt)
-            continue
-        v3 = np.array(sorted(set(range(n)) - set(v1.tolist()) - set(v2.tolist())), dtype=np.int64)
-
         try:
+            for _draw in range(300):
+                v1, v2 = sample_disjoint_subsets(d, sizes, rng)
+                if v in v1:
+                    break
+            else:
+                raise GuideBuildError("anchor never landed in V1")
+            v3 = np.array(
+                sorted(set(range(n)) - set(v1.tolist()) - set(v2.tolist())), dtype=np.int64
+            )
             emb = _assemble_almost(d, tree, t, v, params, rng, td, stars, v1, v2, v3)
+            if not is_valid_embedding(d, tree, emb):
+                raise VerificationError("almost-spanning embedding failed verification")
             telemetry["phase_retries"]["almost"] = attempt
-            assert is_valid_embedding(d, tree, emb), "almost-spanning postcondition"
             return emb, telemetry
         except PipelineError as exc:
             telemetry["failures"].append(
@@ -624,12 +621,7 @@ def embed_almost_spanning(
                 v1_bias += max(4, slack // 6)
             elif exc.phase == "paths":
                 v1_bias -= max(4, slack // 8)
-    raise PhaseFailure(
-        "almost",
-        telemetry["failures"][-1]["cause"] if telemetry["failures"] else "hall-fail",
-        str(last),
-        attempts=params.retries,
-    )
+    raise PhaseFailure("almost", last.cause, str(last), attempts=params.retries)
 
 
 def _check_degree_cap(tree: OrientedTree, params: ParamSchedule, n: int) -> None:
@@ -664,7 +656,7 @@ def _greedy_anchored(
             for tv, host in zip(order.order, hosts):
                 emb.assign(tv, host, "greedy")
             return emb, attempt + 1
-    raise PhaseFailure("almost", "leaf-greedy-fail", "greedy walk stuck", 1)
+    raise PhaseFailure("almost", "leaf-greedy-fail", "greedy walk stuck", params.retries)
 
 
 def _greedy_spanning(
@@ -679,7 +671,8 @@ def _greedy_spanning(
     emb, attempts = _greedy_anchored(
         d, tree, tree.t if tree.t is not None else 0, None, params, rng
     )
-    assert is_valid_embedding(d, tree, emb) and len(emb.used) == d.n
+    if not is_valid_embedding(d, tree, emb) or len(emb.used) != d.n:
+        raise VerificationError("spanning greedy embedding failed verification")
     telemetry["phases"][route] = attempts
     return emb, telemetry
 
@@ -1002,8 +995,8 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
     emb = Embedding()
     for role, host in host_of_role.items():
         emb.assign(role, host, "absorber")
-    assert is_valid_embedding(d, state.tree, emb), "absorption produced a broken copy"
-    assert emb[state.t] == state.anchor_host
+    if not is_valid_embedding(d, state.tree, emb) or emb[state.t] != state.anchor_host:
+        raise VerificationError("absorption produced a broken copy")
     return emb
 
 
@@ -1055,7 +1048,7 @@ def embed_spanning(
 
     outer_budget = max(2, params.retries // 3)
     phases = telemetry["phases"]
-    last: Exception | None = None
+    last: PipelineError | None = None
     for outer in range(outer_budget):
         # A too-small absorber trunk cannot reach its switch threshold when
         # the inner split overshoots; growing the absorber between outer
@@ -1105,8 +1098,8 @@ def embed_spanning(
                     assert total[tv] == host, "absorber and trunk disagree at the shared vertex"
                     continue
                 total.assign(tv, host, "absorber")
-            assert is_valid_embedding(d, tree, total), "spanning postcondition"
-            assert len(total.map) == n and len(total.used) == n
+            if not is_valid_embedding(d, tree, total) or len(total.used) != n:
+                raise VerificationError("spanning embedding failed verification")
             phases["outer_attempts"] = outer + 1
             return total, telemetry
         except PipelineError as exc:
@@ -1122,9 +1115,4 @@ def embed_spanning(
     if max(max_semidegree(tree)) > nominal_cap:
         with contextlib.suppress(PhaseFailure):
             return _greedy_spanning(d, tree, params, rng, telemetry, "over-cap-greedy")
-    raise PhaseFailure(
-        "spanning",
-        telemetry["failures"][-1]["cause"] if telemetry["failures"] else "S-fail",
-        str(last),
-        attempts=outer_budget,
-    )
+    raise PhaseFailure("spanning", last.cause, str(last), attempts=outer_budget)

@@ -2,8 +2,9 @@
 
 Every pipeline phase draws a random partial map, audits it exactly and
 resamples on failure.  `PipelineError` is the one failure type those audits
-raise, `draw_host` is the one rule every random host pick goes through, and
-`greedy_walk` is the one random greedy walk built on it.
+raise (`VerificationError` when a finished map fails its check), `draw_host`
+is the one rule every random host pick goes through, and `greedy_walk` is
+the one random greedy walk built on it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ class PipelineError(RuntimeError):
         super().__init__(message)
         if cause is not None:
             self.cause = cause
+
+
+class VerificationError(PipelineError):
+    """A map a phase was about to return failed its exact check."""
+
+    cause = "verify"
 
 
 def draw_host(
@@ -122,21 +129,26 @@ class Embedding:
     @classmethod
     def from_json(cls, text: str) -> "Embedding":
         doc = json.loads(text)
+        if not isinstance(doc, dict) or not isinstance(doc.get("map"), dict):
+            raise ValueError("an embedding document is an object with a \"map\" object")
+        try:
+            pairs = sorted((int(a), int(b)) for a, b in doc["map"].items())
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"map entries must be integers: {exc}") from exc
         emb = cls()
-        for tv, hv in sorted((int(a), int(b)) for a, b in doc["map"].items()):
+        for tv, hv in pairs:
             emb.assign(tv, hv)
         return emb
 
 
 def is_valid_embedding(d: Digraph, tree: OrientedTree, emb: Embedding) -> bool:
-    """Total + injective + every tree edge maps to a host edge of the same direction."""
-    if len(emb.map) != tree.n:
+    """Total + injective + every tree edge maps to a host edge of the same direction.
+
+    Every tree vertex 0..|T|-1 and every host 0..n-1 is checked by range, so
+    no id can alias another through negative indexing.
+    """
+    if len(emb.map) != tree.n or not all(0 <= tv < tree.n for tv in emb.map):
         return False
-    if len(emb.used) != tree.n:
+    if len(emb.used) != tree.n or not all(0 <= hv < d.n for hv in emb.used):
         return False
-    for u, v in tree.edge_list:
-        if u not in emb.map or v not in emb.map:
-            return False
-        if not d.has_edge(emb.map[u], emb.map[v]):
-            return False
-    return True
+    return all(d.has_edge(emb.map[u], emb.map[v]) for u, v in tree.edge_list)

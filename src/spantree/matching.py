@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .digraph import Digraph, Sign
 from .embedding import Embedding, PipelineError, draw_host, greedy_walk
-from .trees import OrientedTree, canonical_order, canonical_rooted_form, prefix_order
+from .trees import OrientedTree, canonical_order, canonical_rooted_form, prefix_order, subtree_sizes
 
 
 class MatchingError(PipelineError):
@@ -275,9 +275,7 @@ def _centroids(tree: OrientedTree) -> list[int]:
         return [0]
     best = tree.n + 1
     out: list[int] = []
-    size = _subtree_sizes(tree, 0)
-    parent = size["parent"]
-    sub = size["size"]
+    parent, sub = subtree_sizes(tree, 0)
     for v in range(tree.n):
         worst = tree.n - sub[v]
         for u in tree.nbrs(v):
@@ -288,21 +286,6 @@ def _centroids(tree: OrientedTree) -> list[int]:
         elif worst == best:
             out.append(v)
     return out
-
-
-def _subtree_sizes(tree: OrientedTree, root: int) -> dict:
-    parent = [-1] * tree.n
-    order = [root]
-    for v in order:
-        for u in tree.nbrs(v):
-            if u != parent[v] and parent[u] == -1 and u != root:
-                parent[u] = v
-                order.append(u)
-    size = [1] * tree.n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    return {"parent": parent, "size": size}
 
 
 def group_components(components: list[OrientedTree]) -> list[ForestClass]:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .digraph import Digraph, Sign, gen_semidegree_digraph, sample_disjoint_subsets
 from .embedding import Embedding, PipelineError, is_valid_embedding
-from .embedder import PhaseFailure, absorb_at_random, embed_almost_spanning, embed_spanning
+from .embedder import absorb_at_random, embed_almost_spanning, embed_spanning
 from .guides import GuideSystem, restrict_guides
 from .matching import MatchingError, find_perfect_matching, embed_small_forest
 from .params import ParamSchedule, almost_defaults, spanning_defaults
@@ -240,7 +240,7 @@ def _trial_almost(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
     v = int(rng.integers(d.n))
     try:
         emb, tele = embed_almost_spanning(d, tree, 0, v, params, rng)
-    except PhaseFailure as exc:
+    except PipelineError as exc:
         return False, exc.attempts, exc.cause
     ok = verify_embedding(d, tree, emb) and emb[0] == v
     return ok, len(tele.get("failures", [])), "" if ok else "verify"
@@ -264,7 +264,7 @@ def _trial_spanning(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
     tree = gen_random_tree(d.n, cfg.max_semideg, cfg.tree_family, rng)
     try:
         emb, tele = embed_spanning(d, tree, params, rng)
-    except PhaseFailure as exc:
+    except PipelineError as exc:
         return False, exc.attempts, exc.cause
     ok = verify_embedding(d, tree, emb) and len(emb.used) == d.n
     return ok, len(tele.get("failures", [])), "" if ok else "verify"

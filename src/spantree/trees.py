@@ -259,6 +259,46 @@ def find_bare_paths(tree: OrientedTree, m: int) -> list[BarePath]:
     return chosen
 
 
+def components(tree: OrientedTree, vertices) -> list[list[int]]:
+    """Pieces of the subforest of `tree` induced on `vertices`.
+
+    Each piece is sorted, and pieces come in order of their smallest vertex.
+    """
+    left = {int(v) for v in vertices}
+    pieces = []
+    for v in sorted(left):
+        if v not in left:
+            continue
+        left.discard(v)
+        piece = [v]
+        for w in piece:
+            for u in tree.nbrs(w):
+                if u in left:
+                    left.discard(u)
+                    piece.append(u)
+        pieces.append(sorted(piece))
+    return pieces
+
+
+def subtree_sizes(tree: OrientedTree, root: int) -> tuple[list[int], list[int]]:
+    """(parent, size) of `tree` hung at `root`, with parent[root] = -1.
+
+    size[v] counts the vertices of the subtree below v, v included.
+    """
+    parent = [-1] * tree.n
+    order = [root]
+    for v in order:
+        for u in tree.nbrs(v):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    size = [1] * tree.n
+    for v in reversed(order):
+        if parent[v] >= 0:
+            size[parent[v]] += size[v]
+    return parent, size
+
+
 @dataclass(frozen=True)
 class TreePiece:
     """A subtree extracted from a host tree, relabeled to dense ids."""
@@ -266,19 +306,12 @@ class TreePiece:
     tree: OrientedTree
     labels: np.ndarray  # piece vertex -> host-tree vertex
 
-    def to_host(self, piece_vertex: int) -> int:
-        return int(self.labels[piece_vertex])
-
 
 def induced_subtree(tree: OrientedTree, vertices, t: int | None = None) -> TreePiece:
     """Subtree induced on `vertices` (must be connected), dense-relabelled."""
     verts = sorted(int(v) for v in vertices)
     index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v])
-        for u, v in tree.edge_list
-        if u in index and v in index
-    ]
+    edges = [(index[u], index[w]) for u in verts for w in tree.out(u) if w in index]
     local_t = index[t] if t is not None else None
     sub = OrientedTree(len(verts), edges, t=local_t)
     return TreePiece(sub, np.asarray(verts, dtype=np.int64))
@@ -294,17 +327,7 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
         raise ValueError(f"need 1 <= m <= |T|/3, got m={m}, |T|={tree.n}")
     root = keep if keep is not None else (tree.t if tree.t is not None else 0)
 
-    parent = [-1] * tree.n
-    order = [root]
-    for v in order:
-        for u in tree.nbrs(v):
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    size = [1] * tree.n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
+    parent, size = subtree_sizes(tree, root)
 
     # Deepest vertex with subtree size >= m; all its children subtrees are < m.
     pivot = root
@@ -330,12 +353,12 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
         total += size[u]
     assert m - 1 <= total <= 2 * m - 2, "accumulation bound broken"
 
+    # T2 is the pivot plus the pieces of T - pivot holding the taken children.
+    took_set = set(took)
     t2_vertices = {pivot}
-    stack = list(took)
-    while stack:
-        v = stack.pop()
-        t2_vertices.add(v)
-        stack.extend(u for u in tree.nbrs(v) if u != parent[v])
+    for piece in components(tree, set(range(tree.n)) - {pivot}):
+        if not took_set.isdisjoint(piece):
+            t2_vertices.update(piece)
     t1_vertices = (set(range(tree.n)) - t2_vertices) | {pivot}
 
     piece2 = induced_subtree(tree, t2_vertices)

@@ -325,3 +325,47 @@ class TestVerifyWithoutAssert:
         monkeypatch.setattr(cli, "embed_stars", lambda d, tree, *rest: self.identity(2))
         code, doc = self.run(["embed", str(dpath), str(tpath), "--seed", "1", "--phase", "stars"], capsys)
         assert (code, doc["cause"]) == (2, "verify")
+
+
+class TestVerifyInput:
+    """`spantree verify` range-checks every id and rejects documents without a map object."""
+
+    @pytest.fixture
+    def instance(self, tmp_path):
+        dpath, tpath = tmp_path / "d.dg", tmp_path / "t.tree"
+        tio.write_digraph(dpath, Digraph.from_edges(3, [(u, v) for u in range(3) for v in range(3) if u != v]))
+        tio.write_tree(tpath, OrientedTree(4, [(0, 1), (1, 2), (2, 3)]))
+        return dpath, tpath
+
+    def verify(self, instance, tmp_path, doc, capsys):
+        epath = tmp_path / "e.json"
+        epath.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["verify", *map(str, instance), str(epath)])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("last_host", [-3, 3, 7])
+    def test_host_outside_the_digraph_is_not_verified(self, instance, tmp_path, capsys, last_host):
+        doc = {"map": {"0": 0, "1": 1, "2": 2, "3": last_host}}
+        code, out = self.verify(instance, tmp_path, doc, capsys)
+        assert (code, out.out) == (2, "verified=False\n")
+
+    @pytest.mark.parametrize("doc", [{"mapp": {}}, [1, 2], {"map": [0, 1]}, {"map": {"0": None}}])
+    def test_document_without_a_map_object_exits_one(self, instance, tmp_path, capsys, doc):
+        code, out = self.verify(instance, tmp_path, doc, capsys)
+        assert code == 1
+        assert out.err.startswith("error: ")
+
+
+class TestAnchorRange:
+    """An anchor host outside 0..n-1 is a usage error, not a retried phase failure."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--almost", "--anchor", "5000"], ["--almost", "--anchor", "-1"], ["--phase", "stars", "--anchor", "5000"]],
+    )
+    def test_anchor_outside_the_host_exits_one(self, tmp_path, capsys, flags):
+        dpath, tpath = TestEmbed().make_instance(tmp_path, n=200, tree_n=160)
+        capsys.readouterr()
+        assert main(["embed", str(dpath), str(tpath), "--seed", "1", *flags]) == 1
+        assert "outside 0..199" in capsys.readouterr().err

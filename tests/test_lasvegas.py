@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spantree import embedder
 from spantree.decompose import DecompositionError
 from spantree.digraph import Digraph, Sign, gen_semidegree_digraph
 from spantree.embedder import (
@@ -17,8 +18,9 @@ from spantree.embedder import (
     build_absorber,
     embed_almost_spanning,
     embed_spanning,
+    embed_stars,
 )
-from spantree.embedding import PipelineError, draw_host, greedy_walk
+from spantree.embedding import Embedding, PipelineError, VerificationError, draw_host, greedy_walk
 from spantree.guides import GuideBuildError, GuideRestrictError
 from spantree.matching import ForestEmbedError, MatchingError, match_leaves, walk_lean_pieces
 from spantree.oracle import TrialConfig, run_single_trial
@@ -44,6 +46,7 @@ class TestFailureBase:
             (DecompositionError("m", ["P1"]), "decompose"),
             (AbsorptionError("m"), "S-fail"),
             (PhaseFailure("stars", "connector-exhausted", "m", 3), "connector-exhausted"),
+            (VerificationError("m"), "verify"),
         ],
     )
     def test_every_failure_derives_from_the_base(self, exc, cause):
@@ -328,3 +331,89 @@ class TestAlmostRngContract:
         emb, _telemetry = embed_almost_spanning(d, tree, 0, v, almost_defaults(300, 0.24, 0.2), rng)
         text = json.dumps(sorted(emb.map.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def backward_path_host(n):
+    """Every host arc runs i -> i-1."""
+    return Digraph.from_edges(n, [(i, i - 1) for i in range(1, n)])
+
+
+def identity(n):
+    emb = Embedding()
+    for v in range(n):
+        emb.assign(v, v)
+    return emb
+
+
+class TestAlmostFailureReports:
+    def test_anchor_outside_the_host_is_rejected(self):
+        rng = np.random.default_rng(3)
+        d = gen_semidegree_digraph(60, 0.25, rng)
+        tree = gen_random_tree(40, 3, "uniform", rng)
+        params = almost_defaults(60, 0.25, 0.2)
+        for v in (60, -1):
+            with pytest.raises(ValueError, match="outside 0..59"):
+                embed_almost_spanning(d, tree, 0, v, params, rng)
+            with pytest.raises(ValueError, match="outside 0..59"):
+                embed_stars(d, tree, {0}, [], 0, v, params, rng)
+
+    def test_greedy_walk_reports_its_whole_budget(self):
+        # A forward path cannot leave host 2 along arcs i -> i-1 for 5 steps.
+        tree = OrientedTree(6, [(i, i + 1) for i in range(5)], t=0)
+        params = almost_defaults(16, 0.25, 0.2).with_updates(retries=4)
+        with pytest.raises(PhaseFailure) as info:
+            embed_almost_spanning(backward_path_host(16), tree, 0, 2, params, np.random.default_rng(1))
+        assert info.value.attempts == 4
+        assert str(info.value) == "almost failed after 4 attempt(s) [leaf-greedy-fail]: greedy walk stuck"
+
+    def test_anchor_never_landing_in_v1_is_reported_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        d = gen_semidegree_digraph(120, 0.25, rng)
+        tree = gen_random_tree(96, 3, "uniform", rng)
+        v = 5
+        others = np.array([h for h in range(120) if h != v], dtype=np.int64)
+
+        def without_anchor(d, sizes, rng):
+            return [others[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(len(sizes))]
+
+        monkeypatch.setattr(embedder, "sample_disjoint_subsets", without_anchor)
+        params = almost_defaults(120, 0.25, 0.2).with_updates(retries=3)
+        with pytest.raises(PhaseFailure) as info:
+            embed_almost_spanning(d, tree, 0, v, params, rng)
+        assert (info.value.cause, info.value.attempts) == ("guide-build", 3)
+        assert str(info.value) == "almost failed after 3 attempt(s) [guide-build]: anchor never landed in V1"
+
+
+class TestVerificationError:
+    """Library postconditions raise VerificationError, with or without assert statements."""
+
+    def test_almost_spanning_greedy_map_with_a_reversed_arc(self, monkeypatch):
+        monkeypatch.setattr(embedder, "_greedy_anchored", lambda d, tree, *rest: (identity(tree.n), 1))
+        tree = OrientedTree(4, [(0, 1), (1, 2), (2, 3)], t=0)
+        with pytest.raises(VerificationError) as info:
+            embed_almost_spanning(backward_path_host(12), tree, 0, 0, almost_defaults(12, 0.25, 0.2),
+                                  np.random.default_rng(1))
+        assert info.value.cause == "verify"
+
+    def test_spanning_greedy_map_with_a_reversed_arc(self, monkeypatch):
+        monkeypatch.setattr(embedder, "_greedy_anchored", lambda d, tree, *rest: (identity(tree.n), 1))
+        tree = OrientedTree(12, [(i, i + 1) for i in range(11)], t=0)
+        with pytest.raises(VerificationError) as info:
+            embed_spanning(backward_path_host(12), tree, spanning_defaults(12, 0.25), np.random.default_rng(1))
+        assert info.value.cause == "verify"
+
+    def test_almost_spanning_retry_loop_resamples_a_broken_map(self, monkeypatch):
+        calls = []
+
+        def partial_map(d, tree, *rest):
+            calls.append(1)
+            return identity(tree.n - 1)
+
+        monkeypatch.setattr(embedder, "_assemble_almost", partial_map)
+        rng = np.random.default_rng(3)
+        d = gen_semidegree_digraph(120, 0.25, rng)
+        tree = gen_random_tree(96, 3, "uniform", rng)
+        params = almost_defaults(120, 0.25, 0.2).with_updates(retries=3)
+        with pytest.raises(PhaseFailure) as info:
+            embed_almost_spanning(d, tree, 0, 5, params, rng)
+        assert (info.value.cause, info.value.attempts, len(calls)) == ("verify", 3, 3)

@@ -8,13 +8,16 @@ from spantree.digraph import Sign
 from spantree.trees import (
     OrientedTree,
     canonical_rooted_form,
+    components,
     find_bare_paths,
     find_independent_leaves,
     gen_random_tree,
+    induced_subtree,
     max_semidegree,
     maximal_bare_paths,
     prefix_order,
     split_tree,
+    subtree_sizes,
 )
 
 
@@ -416,3 +419,83 @@ class TestMaximalBarePaths:
                     assert tree.degree(v) == 2
                     assert v not in interior_seen
                     interior_seen.add(v)
+
+
+def union_find_pieces(tree, verts):
+    """Reference for `components`: union the tree edges inside `verts`."""
+    root = {v: v for v in verts}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in tree.edge_list:
+        if u in root and v in root:
+            root[find(u)] = find(v)
+    groups = {}
+    for v in verts:
+        groups.setdefault(find(v), []).append(v)
+    return sorted(sorted(g) for g in groups.values())
+
+
+def tree_distances(tree):
+    """All-pairs distances by Floyd-Warshall over the edge list."""
+    n = tree.n
+    dist = np.full((n, n), n, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    for u, v in tree.edge_list:
+        dist[u, v] = dist[v, u] = 1
+    for k in range(n):
+        dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
+    return dist
+
+
+class TestGuestTreeWalks:
+    """`components`, `subtree_sizes` and `induced_subtree` against walk-free references."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 60), st.sampled_from(["uniform", "spider", "caterpillar"]))
+    @settings(max_examples=80, deadline=None)
+    def test_components_match_union_find(self, seed, n, family):
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, 3, family, rng)
+        verts = {int(v) for v in np.flatnonzero(rng.random(n) < rng.random())}
+        pieces = components(tree, np.array(sorted(verts), dtype=np.int64))
+        assert sorted(pieces) == union_find_pieces(tree, verts)
+        assert [p[0] for p in pieces] == sorted(p[0] for p in pieces)
+        assert all(p == sorted(p) and all(type(v) is int for v in p) for p in pieces)
+
+    def test_components_of_nothing_and_of_everything(self):
+        tree = gen_random_tree(20, 3, "uniform", np.random.default_rng(4))
+        assert components(tree, []) == []
+        assert components(tree, range(20)) == [list(range(20))]
+
+    @given(st.integers(0, 10_000), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_subtree_sizes_match_distance_counts(self, seed, n):
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, 3, "uniform", rng)
+        root = int(rng.integers(n))
+        parent, size = subtree_sizes(tree, root)
+        dist = tree_distances(tree)
+        assert parent[root] == -1
+        for v in range(n):
+            if v != root:
+                assert v in tree.nbrs(parent[v]) and dist[root, parent[v]] == dist[root, v] - 1
+            # v's subtree: every u whose path from the root runs through v.
+            assert size[v] == int((dist[root] == dist[root, v] + dist[v]).sum())
+
+    @given(st.integers(0, 10_000), st.integers(2, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_induced_subtree_matches_the_edge_list_filter(self, seed, n):
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, 3, "uniform", rng)
+        keep = np.flatnonzero(rng.random(n) < 0.6).tolist() or [0]
+        verts = max(components(tree, keep), key=len)
+        t = verts[int(rng.integers(len(verts)))]
+        piece = induced_subtree(tree, reversed(verts), t=t)
+        index = {v: i for i, v in enumerate(verts)}
+        filtered = {(index[u], index[v]) for u, v in tree.edge_list if u in index and v in index}
+        assert set(piece.tree.edge_list) == filtered
+        assert piece.labels.tolist() == verts
+        assert piece.tree.t == index[t]

@@ -281,23 +281,35 @@ def embed_stars(
     """
     if not 0 <= v < d.n:
         raise ValueError(f"anchor host {v} outside 0..{d.n - 1}")
+    layout = _star_layout(d.n, tree, tprime, stars, params)
     return _retry(
         "stars", params.retries,
-        lambda: _embed_stars_once(d, tree, tprime, stars, t, v, params, rng),
+        lambda: _embed_stars_once(d, tree, tprime, layout, t, v, params, rng),
     )
 
 
-def _embed_stars_once(
-    d: Digraph,
+@dataclass(frozen=True)
+class _StarLayout:
+    """The leaf parts, lean pieces and host-set sizes of one embed_stars call."""
+
+    parts: list[tuple[list[int], Sign]]
+    lean: list[tuple[StarComponent, TreePiece, int]]
+    rich_classes: list[list[tuple[StarComponent, TreePiece, int]]]
+    sizes: list[int]   # |V0|, the leaf parts, the rich classes' V2, the pool
+
+
+def _star_layout(
+    n: int,
     tree: OrientedTree,
     tprime: set[int],
     stars: list[StarComponent],
-    t: int,
-    v: int,
     params: ParamSchedule,
-    rng: np.random.Generator,
-) -> Embedding:
-    n = d.n
+) -> _StarLayout:
+    """Split the stars into leaf parts and lean pieces and size the host sets.
+
+    Depends on the inputs alone and draws no random numbers, so a layout
+    that leaves V0 too small is reported once rather than resampled.
+    """
     singles = [st for st in stars if len(st.vertices) == 1]
     multis = [st for st in stars if len(st.vertices) > 1]
 
@@ -341,23 +353,38 @@ def _embed_stars_once(
     )
 
     core_size = len(tprime)
-    reserved = sum(part_sizes) + sum(rich_v2_sizes) + pool_size
-    v0_size = n - reserved
+    v0_size = n - sum(part_sizes) - sum(rich_v2_sizes) - pool_size
     if v0_size < core_size + 3:
-        raise GuideBuildError(
-            f"V0 would hold {v0_size} vertices for a core of {core_size}"
+        raise PhaseFailure(
+            "stars", "guide-build",
+            f"V0 would hold {v0_size} vertices for a core of {core_size}", attempts=1,
         )
+    return _StarLayout(parts, lean, rich_classes, [v0_size] + part_sizes + rich_v2_sizes + [pool_size])
 
-    sizes = [v0_size] + part_sizes + rich_v2_sizes + [pool_size]
+
+def _embed_stars_once(
+    d: Digraph,
+    tree: OrientedTree,
+    tprime: set[int],
+    layout: _StarLayout,
+    t: int,
+    v: int,
+    params: ParamSchedule,
+    rng: np.random.Generator,
+) -> Embedding:
+    n = d.n
+    parts, lean, rich_classes = layout.parts, layout.lean, layout.rich_classes
+    core_size = len(tprime)
+    v0_size = layout.sizes[0]
     for _draw in range(60):
-        sets = sample_disjoint_subsets(d, sizes, rng)
+        sets = sample_disjoint_subsets(d, layout.sizes, rng)
         if v in sets[0]:
             break
     else:
         raise GuideBuildError(f"anchor {v} never landed in V0 across 60 partitions")
     v0 = sets[0]
     part_targets = sets[1 : 1 + len(parts)]
-    v2_targets = sets[1 + len(parts) : 1 + len(parts) + len(rich_v2_sizes)]
+    v2_targets = sets[1 + len(parts) : 1 + len(parts) + len(rich_classes)]
     pool = sets[-1] if lean else np.array([], dtype=np.int64)
 
     # Guide budget: the guide set must outlast the core draws comfortably.
@@ -595,7 +622,7 @@ def embed_almost_spanning(
             s3 -= take3
             s1 = slack - s2 - s3
         if s1 < 2:
-            raise PhaseFailure("almost", "guide-build", "slack too thin to size V1", attempt)
+            raise PhaseFailure("almost", "guide-build", "slack too thin to size V1", attempt + 1)
         sizes = [t1_size + s1, t2_new + s2]
         try:
             for _draw in range(300):
@@ -641,11 +668,13 @@ def _greedy_anchored(
     v: int | None,
     params: ParamSchedule,
     rng: np.random.Generator,
+    phase: str = "almost",
 ) -> tuple[Embedding, int]:
     """Greedy prefix embedding with t at v, for trees far below host scale.
 
     With v None, each attempt first draws a uniform host for t.  Returns the
-    embedding and the number of attempts it took.
+    embedding and the number of attempts it took; a spent budget is a
+    PhaseFailure of `phase`.
     """
     order = prefix_order(tree, t)
     for attempt in range(params.retries):
@@ -656,7 +685,7 @@ def _greedy_anchored(
             for tv, host in zip(order.order, hosts):
                 emb.assign(tv, host, "greedy")
             return emb, attempt + 1
-    raise PhaseFailure("almost", "leaf-greedy-fail", "greedy walk stuck", params.retries)
+    raise PhaseFailure(phase, "leaf-greedy-fail", "greedy walk stuck", params.retries)
 
 
 def _greedy_spanning(
@@ -669,7 +698,7 @@ def _greedy_spanning(
 ) -> tuple[Embedding, dict]:
     """Spanning fallback: the greedy walk retried from a random anchor image."""
     emb, attempts = _greedy_anchored(
-        d, tree, tree.t if tree.t is not None else 0, None, params, rng
+        d, tree, tree.t if tree.t is not None else 0, None, params, rng, "spanning"
     )
     if not is_valid_embedding(d, tree, emb) or len(emb.used) != d.n:
         raise VerificationError("spanning greedy embedding failed verification")
@@ -792,31 +821,63 @@ class AbsorberState:
     gap: int                     # vertices left for absorption (eps * n)
 
 
-def _property_s_counts(d: Digraph, trunk_tree: OrientedTree, order, hosts: np.ndarray):
-    """count[x, y] per sign: indices i with v_i in N^sign(x) and R-nbhd(v_i) within N^pm(y)."""
+def _property_s_floor(d: Digraph, order, hosts: np.ndarray) -> int:
+    """Least switchable-index count over both signs and all host pairs x != y.
+
+    Index i is switchable for (x, y, sign) when hosts[i] lies in N^sign(x)
+    and y can take over index i: y has an arc to the image of every trunk
+    out-neighbour of order.order[i] and from the image of every in-neighbour.
+    Counted through complements: with Xb[x, i] = "hosts[i] not in N^sign(x)"
+    and Mb[i, y] = "y cannot take over i", count[x, y] = ell - a[x] - b[y]
+    + (Xb Mb)[x, y] for a = Xb.sum(1) and b = Mb.sum(0).  Xb Mb vanishes
+    outside rows a > 0 and columns b > 0, and no pair off that block counts
+    fewer than one inside it: (Xb Mb)[x, y] <= min(a[x], b[y]), and both
+    index sets hold all ell >= 2 trunk images (the host has no loops and
+    every trunk vertex has a neighbour).  So only the block goes through
+    BLAS; on a complete host it is ell x ell.  Counts stay below 2**24, so
+    float32 holds them exactly.
+    """
     n = d.n
     ell = len(hosts)
-    m = np.ones((n, ell), dtype=bool)
-    pos_of = {order.order[i]: i for i in range(ell)}
-    for i in range(ell):
-        tv = order.order[i]
-        outs = [hosts[pos_of[w]] for w in trunk_tree.out(tv)]
-        ins = [hosts[pos_of[w]] for w in trunk_tree.in_(tv)]
-        col = np.ones(n, dtype=bool)
-        if outs:
-            col &= d.mat[:, np.asarray(outs)].all(axis=1)
-        if ins:
-            col &= d.mat[np.asarray(ins), :].all(axis=0)
-        m[:, i] = col
-    x_plus = d.mat[:, hosts]
-    x_minus = d.mat[hosts, :].T
-    counts = {}
-    mt = m.astype(np.float32).T
-    for sign, x in ((Sign.PLUS, x_plus), (Sign.MINUS, x_minus)):
-        # float32 matmul rides BLAS; counts are small integers, exactly stored.
-        c = np.rint(x.astype(np.float32) @ mt).astype(np.int32)
-        counts[sign] = c
-    return counts
+    # Rows of no_arc: [k, y] = no arc hosts[k] -> y, then [ell + k, y] = no
+    # arc y -> hosts[k].  For sign + the latter block is Xb transposed, for -
+    # the former; both also carry every row Mb is an OR of.
+    no_arc = np.empty((2 * ell, n), dtype=bool)
+    np.logical_not(d.mat[hosts], out=no_arc[:ell])
+    np.logical_not(d.mat[:, hosts].T, out=no_arc[ell:])
+
+    # Each trunk arc u -> w blocks y at u by "no arc y -> host(w)" and at w
+    # by "no arc host(u) -> y".  Every index past the root has one parent, so
+    # the child side is one gather; parents OR in one row per child, one
+    # batch per sibling rank (the parents within a batch are distinct).
+    parent = np.asarray(order.parent_index[1:], dtype=np.int64)
+    minus = np.fromiter((s is Sign.MINUS for s in order.sign[1:]), dtype=bool, count=ell - 1)
+    blocked = np.zeros((ell, n), dtype=bool)
+    blocked[1:] = no_arc[parent + ell * minus]
+    by_parent = np.argsort(parent, kind="stable")
+    grouped = parent[by_parent]
+    rank = np.arange(ell - 1) - np.searchsorted(grouped, grouped)
+    from_child = np.arange(1, ell) + ell * ~minus
+    for r in range(int(rank.max(initial=-1)) + 1):
+        batch = by_parent[rank == r]
+        blocked[parent[batch]] |= no_arc[from_child[batch]]
+
+    b = blocked.sum(axis=0, dtype=np.int32)
+    ry = np.flatnonzero(b)
+    blocked_ry = blocked[:, ry].astype(np.float32)
+    slot_in_ry = np.full(n, -1, dtype=np.int64)
+    slot_in_ry[ry] = np.arange(len(ry))
+    floor = ell
+    for xb_t in (no_arc[ell:], no_arc[:ell]):   # Xb transposed, sign + then -
+        a = xb_t.sum(axis=0, dtype=np.int32)
+        rx = np.flatnonzero(a)
+        block = xb_t[:, rx].astype(np.float32).T @ blocked_ry
+        block -= a[rx].astype(np.float32)[:, None]
+        block -= b[ry].astype(np.float32)
+        same = np.flatnonzero(slot_in_ry[rx] >= 0)
+        block[same, slot_in_ry[rx[same]]] = np.inf
+        floor = min(floor, ell + int(block.min()))
+    return floor
 
 
 def build_absorber(
@@ -858,14 +919,8 @@ def build_absorber(
         if hosts is None:
             continue
 
-        counts = _property_s_counts(d, trunk.tree, order, hosts)
-        min_count = None
-        for sign in SIGNS:
-            c = counts[sign]
-            np.fill_diagonal(c, np.iinfo(np.int32).max)
-            mn = int(c.min())
-            min_count = mn if min_count is None else min(min_count, mn)
-        if min_count >= threshold:
+        floor = _property_s_floor(d, order, hosts)
+        if floor >= threshold:
             pad = (tree.n - gap) - ell
             assert pad >= 0
             extra = (
@@ -878,7 +933,7 @@ def build_absorber(
                 order=order, hosts=hosts, a_set=a_set, anchor_host=anchor_host,
                 threshold=threshold, swap_count=swap_count, gap=gap,
             )
-        worst = min_count
+        worst = floor
     raise PhaseFailure(
         "absorber", "S-fail",
         f"property S floor {worst} below threshold {threshold} "
@@ -1041,10 +1096,7 @@ def embed_spanning(
     if n < 40:
         # Below the structural minimum for the absorber split; on hosts this
         # small a retried greedy walk is the only sensible route.
-        try:
-            return _greedy_spanning(d, tree, params, rng, telemetry, "tiny-greedy")
-        except PhaseFailure as exc:
-            raise PhaseFailure("spanning", "leaf-greedy-fail", str(exc), params.retries) from exc
+        return _greedy_spanning(d, tree, params, rng, telemetry, "tiny-greedy")
 
     outer_budget = max(2, params.retries // 3)
     phases = telemetry["phases"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from spantree.digraph import Digraph, Sign, gen_semidegree_digraph
 from spantree.embedder import (
     AbsorptionError,
     PhaseFailure,
+    _property_s_floor,
     attach_path_trees,
     build_absorber,
     complete_absorption,
@@ -16,11 +19,11 @@ from spantree.embedder import (
     stars_from_decomposition,
     StarComponent,
 )
-from spantree.embedding import is_valid_embedding
+from spantree.embedding import greedy_walk, is_valid_embedding
 from spantree.guides import GuideSystem
 from spantree.oracle import verify_embedding
 from spantree.params import ParamSchedule, almost_defaults, spanning_defaults
-from spantree.trees import OrientedTree, gen_random_tree, induced_subtree
+from spantree.trees import OrientedTree, gen_random_tree, induced_subtree, prefix_order
 
 
 def complete(n):
@@ -362,6 +365,118 @@ class TestAbsorber:
         bad = np.arange(tree.n)  # ignores A entirely
         with pytest.raises(ValueError):
             complete_absorption(state, bad)
+
+
+def full_property_s_counts(d, trunk_tree, order, hosts):
+    """The dense certificate: count[sign][x, y] over all host pairs, plus the takeover matrix.
+
+    count[x, y] is the number of indices i with hosts[i] in N^sign(x) whose
+    trunk neighbourhood images y can take over (m[y, i]).
+    """
+    n = d.n
+    ell = len(hosts)
+    m = np.ones((n, ell), dtype=bool)
+    pos_of = {order.order[i]: i for i in range(ell)}
+    for i in range(ell):
+        tv = order.order[i]
+        outs = [hosts[pos_of[w]] for w in trunk_tree.out(tv)]
+        ins = [hosts[pos_of[w]] for w in trunk_tree.in_(tv)]
+        col = np.ones(n, dtype=bool)
+        if outs:
+            col &= d.mat[:, np.asarray(outs)].all(axis=1)
+        if ins:
+            col &= d.mat[np.asarray(ins), :].all(axis=0)
+        m[:, i] = col
+    counts = {}
+    for sign, x in ((Sign.PLUS, d.mat[:, hosts]), (Sign.MINUS, d.mat[hosts, :].T)):
+        counts[sign] = np.rint(x.astype(np.float32) @ m.astype(np.float32).T).astype(np.int32)
+    return counts, m
+
+
+def full_property_s_floor(d, trunk_tree, order, hosts):
+    counts, m = full_property_s_counts(d, trunk_tree, order, hosts)
+    off_diagonal = ~np.eye(d.n, dtype=bool)
+    return min(int(c[off_diagonal].min()) for c in counts.values()), m
+
+
+class TestPropertySFloor:
+    """The certificate from the host's non-arcs against the dense count matrices."""
+
+    @staticmethod
+    def host(kind, n, rng):
+        if kind == "p0.98":
+            mat = rng.random((n, n)) < 0.98
+        elif kind == "p0.7":
+            mat = rng.random((n, n)) < 0.7
+        else:
+            mat = np.ones((n, n), dtype=bool)
+            if kind == "minus-arcs":
+                for _ in range(int(rng.integers(1, 4))):
+                    u, w = rng.choice(n, size=2, replace=False)
+                    mat[u, w] = False
+        np.fill_diagonal(mat, False)
+        return Digraph(n, mat)
+
+    @pytest.mark.parametrize("kind", ["complete", "p0.98", "p0.7", "minus-arcs"])
+    def test_floor_equals_the_dense_minimum(self, kind):
+        rng = np.random.default_rng(["complete", "p0.98", "p0.7", "minus-arcs"].index(kind))
+        # |V \ Rx| and |V \ Ry| per case, capped at 2: rows and columns off the product.
+        outside = set()
+        for family in ("uniform", "spider", "caterpillar"):
+            for gap in (0, 1, 2, 9):
+                n = int(rng.integers(16, 30))
+                d = self.host(kind, n, rng)
+                tree = gen_random_tree(n - gap, 3, family, rng)
+                for policy in ("any", "leaves_last_middles_consecutive"):
+                    order = prefix_order(tree, int(rng.integers(tree.n)), policy)
+                    hosts = rng.permutation(n)[: tree.n].astype(np.int64)
+                    want, m = full_property_s_floor(d, tree, order, hosts)
+                    assert _property_s_floor(d, order, hosts) == want
+                    rx = min((~d.mat[:, hosts]).any(axis=1).sum(), (~d.mat[hosts]).any(axis=0).sum())
+                    ry = (~m).any(axis=1).sum()
+                    outside.add((min(n - int(rx), 2), min(n - int(ry), 2)))
+        if kind in ("complete", "minus-arcs"):
+            assert {(0, 0), (1, 1), (2, 2)} <= outside
+
+    def test_trunk_embedded_by_the_absorber_walk(self):
+        rng = np.random.default_rng(11)
+        d = gen_semidegree_digraph(120, 0.24, rng)
+        for family in ("uniform", "spider", "caterpillar"):
+            tree = gen_random_tree(40, 3, family, rng)
+            order = prefix_order(tree, 0, "leaves_last_middles_consecutive")
+            hosts = greedy_walk(d, order, np.ones(120, dtype=bool), rng)
+            want, _m = full_property_s_floor(d, tree, order, hosts)
+            assert _property_s_floor(d, order, hosts) == want
+
+    def test_complete_host_build_allocates_less_than_one_count_matrix(self):
+        # The dense certificate peaked near 14 n^2 bytes here: several n x n
+        # float32 and int32 count matrices.  One of them alone is 4 n^2.
+        n = 600
+        params = spanning_defaults(n, 0.25)
+        tree = gen_random_tree(params.absorber_size(n), 3, "spider", np.random.default_rng(1)).with_t(0)
+        d = complete(n)
+        tracemalloc.start()
+        try:
+            build_absorber(d, tree, 0, params, np.random.default_rng(2))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n
+
+    def test_s_fail_message_keeps_its_floor(self):
+        # Message recorded with the dense certificate.
+        n = 160
+        rng = np.random.default_rng(5)
+        mat = rng.random((n, n)) < 0.8
+        np.fill_diagonal(mat, False)
+        params = spanning_defaults(n, 0.25)
+        tree = gen_random_tree(params.absorber_size(n), 3, "uniform", np.random.default_rng(6)).with_t(0)
+        with pytest.raises(PhaseFailure) as info:
+            build_absorber(Digraph(n, mat), tree, 0, params, np.random.default_rng(7))
+        assert str(info.value) == (
+            "absorber failed after 10 attempt(s) [S-fail]: "
+            "property S floor 9 below threshold 22 (ell=43, swaps=18)"
+        )
 
 
 class TestSpanning:

@@ -417,3 +417,42 @@ class TestVerificationError:
         with pytest.raises(PhaseFailure) as info:
             embed_almost_spanning(d, tree, 0, 5, params, rng)
         assert (info.value.cause, info.value.attempts, len(calls)) == ("verify", 3, 3)
+
+
+class TestFailuresFromInputs:
+    """A failure fixed by the inputs alone is reported once, with its real attempt count."""
+
+    def host_and_tree(self, family):
+        d = gen_semidegree_digraph(300, 0.24, np.random.default_rng(7))
+        return d, gen_random_tree(296, 3, family, np.random.default_rng(7))
+
+    def test_star_sizing_failure_is_not_resampled(self, monkeypatch):
+        calls = []
+        once = embedder._embed_stars_once
+
+        def counted(*args):
+            calls.append(1)
+            return once(*args)
+
+        monkeypatch.setattr(embedder, "_embed_stars_once", counted)
+        d, tree = self.host_and_tree("uniform")
+        with pytest.raises(PhaseFailure) as info:
+            embed_almost_spanning(d, tree, 0, 0, spanning_defaults(300, 0.24), np.random.default_rng(7))
+        assert (info.value.phase, info.value.cause, info.value.attempts) == ("almost", "guide-build", 10)
+        assert "stars failed after 1 attempt(s) [guide-build]: V0 would hold" in str(info.value)
+        assert calls == []
+
+    def test_thin_slack_reports_the_attempt_it_failed_in(self):
+        d, tree = self.host_and_tree("caterpillar")
+        with pytest.raises(PhaseFailure) as info:
+            embed_almost_spanning(d, tree, 0, 0, spanning_defaults(300, 0.24), np.random.default_rng(7))
+        assert info.value.attempts == 1
+        assert str(info.value) == "almost failed after 1 attempt(s) [guide-build]: slack too thin to size V1"
+
+    def test_tiny_spanning_greedy_failure_is_one_spanning_failure(self):
+        # Vertex 1 of an alternating path has in-degree 2; every host vertex has 1.
+        tree = OrientedTree(12, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(11)], t=0)
+        with pytest.raises(PhaseFailure) as info:
+            embed_spanning(backward_path_host(12), tree, spanning_defaults(12, 0.25), np.random.default_rng(1))
+        assert (info.value.phase, info.value.attempts) == ("spanning", 10)
+        assert str(info.value) == "spanning failed after 10 attempt(s) [leaf-greedy-fail]: greedy walk stuck"

@@ -3,9 +3,10 @@
 Vertices are dense integers 0..n-1.  The boolean adjacency matrix is the
 only stored form (constant-time edge tests, vectorized triple
 intersections); per-vertex sorted neighbour arrays are computed from it on
-demand.  The mutual-arc matrix mat & mat.T is built on first use and cached,
-so only hosts that build guides pay for it.  Instances are immutable after
-construction and safe to share across concurrent trials.
+demand.  The mutual-arc matrix mat & mat.T, its column sums and its
+bit-packed rows are built on first use and cached read-only, so only hosts
+that build guides pay for them.  Instances are immutable after construction
+and safe to share across concurrent trials.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ class Digraph:
     """Immutable digraph: at most one edge per ordered pair, no loops.
 
     `out`, `in_` and `adj` compute sorted int32 neighbour arrays from `mat`
-    on each call; `mutual` is the one cached derived field.
+    on each call.  The cached derived fields are `mutual`, `mutual_colsum`
+    and `mutual_packed`, each built once on first use.
     """
 
-    __slots__ = ("n", "mat", "_mutual")
+    __slots__ = ("n", "mat", "_mutual", "_mutual_colsum", "_mutual_packed")
 
     def __init__(self, n: int, mat: np.ndarray):
         if n < 1:
@@ -57,6 +59,8 @@ class Digraph:
         self.mat = mat
         self.mat.setflags(write=False)
         self._mutual: np.ndarray | None = None
+        self._mutual_colsum: np.ndarray | None = None
+        self._mutual_packed: np.ndarray | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Digraph":
@@ -88,6 +92,24 @@ class Digraph:
             mutual.setflags(write=False)
             self._mutual = mutual
         return self._mutual
+
+    @property
+    def mutual_colsum(self) -> np.ndarray:
+        """Read-only int64 column sums of `mutual` (equal to its row sums)."""
+        if self._mutual_colsum is None:
+            colsum = self.mutual.sum(axis=0)
+            colsum.setflags(write=False)
+            self._mutual_colsum = colsum
+        return self._mutual_colsum
+
+    @property
+    def mutual_packed(self) -> np.ndarray:
+        """Read-only `packbits(mutual, axis=1)`: row u of `mutual`, eight columns a byte."""
+        if self._mutual_packed is None:
+            packed = np.packbits(self.mutual, axis=1)
+            packed.setflags(write=False)
+            self._mutual_packed = packed
+        return self._mutual_packed
 
     def out(self, v: int) -> np.ndarray:
         return np.flatnonzero(self.mat[v]).astype(np.int32)

@@ -281,7 +281,7 @@ def embed_stars(
     """
     if not 0 <= v < d.n:
         raise ValueError(f"anchor host {v} outside 0..{d.n - 1}")
-    layout = _star_layout(d.n, tree, tprime, stars, params)
+    layout = _star_layout(d, tree, tprime, stars, params)
     return _retry(
         "stars", params.retries,
         lambda: _embed_stars_once(d, tree, tprime, layout, t, v, params, rng),
@@ -290,26 +290,30 @@ def embed_stars(
 
 @dataclass(frozen=True)
 class _StarLayout:
-    """The leaf parts, lean pieces and host-set sizes of one embed_stars call."""
+    """The leaf parts, lean pieces, host-set sizes and guide budget of one embed_stars call."""
 
     parts: list[tuple[list[int], Sign]]
     lean: list[tuple[StarComponent, TreePiece, int]]
     rich_classes: list[list[tuple[StarComponent, TreePiece, int]]]
     sizes: list[int]   # |V0|, the leaf parts, the rich classes' V2, the pool
+    alpha_hat: float   # measured semidegree excess delta^0(D)/n - 1/2
+    mu_count: int      # guide-set size inside V0
 
 
 def _star_layout(
-    n: int,
+    d: Digraph,
     tree: OrientedTree,
     tprime: set[int],
     stars: list[StarComponent],
     params: ParamSchedule,
 ) -> _StarLayout:
-    """Split the stars into leaf parts and lean pieces and size the host sets.
+    """Split the stars into leaf parts and lean pieces, size the host sets and the guides.
 
     Depends on the inputs alone and draws no random numbers, so a layout
-    that leaves V0 too small is reported once rather than resampled.
+    that leaves V0 too small, or a guide budget too small for the core, is
+    reported once rather than resampled.
     """
+    n = d.n
     singles = [st for st in stars if len(st.vertices) == 1]
     multis = [st for st in stars if len(st.vertices) > 1]
 
@@ -359,7 +363,21 @@ def _star_layout(
             "stars", "guide-build",
             f"V0 would hold {v0_size} vertices for a core of {core_size}", attempts=1,
         )
-    return _StarLayout(parts, lean, rich_classes, [v0_size] + part_sizes + rich_v2_sizes + [pool_size])
+
+    # Guide budget: the guide set must outlast the core draws comfortably.
+    alpha_hat = min_semidegree(d) / n - 0.5
+    mu_count = min(
+        core_size + max(6, core_size // 2),
+        int(math.floor(0.8 * (0.5 + max(alpha_hat, 0.0)) * v0_size)),
+    )
+    if mu_count < core_size + 2:
+        raise PhaseFailure(
+            "stars", "guide-build",
+            f"guide budget {mu_count} cannot cover a core of {core_size} in |V0|={v0_size}",
+            attempts=1,
+        )
+    sizes = [v0_size] + part_sizes + rich_v2_sizes + [pool_size]
+    return _StarLayout(parts, lean, rich_classes, sizes, alpha_hat, mu_count)
 
 
 def _embed_stars_once(
@@ -374,8 +392,6 @@ def _embed_stars_once(
 ) -> Embedding:
     n = d.n
     parts, lean, rich_classes = layout.parts, layout.lean, layout.rich_classes
-    core_size = len(tprime)
-    v0_size = layout.sizes[0]
     for _draw in range(60):
         sets = sample_disjoint_subsets(d, layout.sizes, rng)
         if v in sets[0]:
@@ -387,19 +403,8 @@ def _embed_stars_once(
     v2_targets = sets[1 + len(parts) : 1 + len(parts) + len(rich_classes)]
     pool = sets[-1] if lean else np.array([], dtype=np.int64)
 
-    # Guide budget: the guide set must outlast the core draws comfortably.
-    alpha_hat = min_semidegree(d) / n - 0.5
-    mu_count = min(
-        core_size + max(6, core_size // 2),
-        int(math.floor(0.8 * (0.5 + max(alpha_hat, 0.0)) * v0_size)),
-    )
-    if mu_count < core_size + 2:
-        raise GuideBuildError(
-            f"guide budget {mu_count} cannot cover a core of {core_size} in |V0|={v0_size}"
-        )
-
-    guides = GuideSystem(d, params.guide_eps, params.guide_eta, params.mu, alpha=alpha_hat)
-    guides.restrict(v0, part_targets, mu_count, direct=True)
+    guides = GuideSystem(d, params.guide_eps, params.guide_eta, params.mu, alpha=layout.alpha_hat)
+    guides.restrict(v0, part_targets, layout.mu_count, direct=True)
 
     core_tree = tree if tree.t == t else tree.with_t(t)
     emb, _audits = embed_core_with_leaf_sets(

@@ -61,6 +61,21 @@ class XYLabeling:
         return True
 
 
+def _count(rows: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of a bool matrix along `axis`, in the smallest dtype that holds them.
+
+    A wide result dtype makes numpy cast through a 64 KiB buffer, which costs
+    more time and memory than the sum itself.
+    """
+    return rows.sum(axis=axis, dtype=np.min_scalar_type(rows.shape[axis]))
+
+
+def _mutual_counts(d: Digraph, base: np.ndarray) -> np.ndarray:
+    """|mutual[i] cap base| for every vertex i, popcounted in place on the packed rows."""
+    packed = np.bitwise_and(d.mutual_packed, np.packbits(base))
+    return np.bitwise_count(packed, out=packed).sum(axis=1, dtype=np.min_scalar_type(d.n))
+
+
 def build_xy_labeling(d: Digraph, v: int, sign: Sign, alpha: float) -> XYLabeling:
     """Pair every vertex x with a partner y so the triple intersections are large.
 
@@ -75,8 +90,7 @@ def build_xy_labeling(d: Digraph, v: int, sign: Sign, alpha: float) -> XYLabelin
     base = d.adj_row(v, sign)
 
     # Identity shortcut: in dense hosts x_i = y_i = i almost always works.
-    diag = (d.mutual & base[None, :]).sum(axis=1)
-    if diag.min() >= threshold:
+    if _mutual_counts(d, base).min() >= threshold:
         ident = np.arange(n, dtype=np.int64)
         return XYLabeling(v, sign, ident, ident.copy(), threshold)
 
@@ -162,10 +176,12 @@ def build_guide(
     Coverage is kept incrementally: labeling indices only ever turn heavy,
     so the per-vertex count over light indices is summed once and the rows
     of indices whose mirror degree passes the growth bound are subtracted
-    after the round that pushed them over.  A build costs O(n^2 + size*n)
-    rather than a full O(|light|*n) recount per round.  For the identity
-    labeling the triple-intersection matrix is the host's cached mutual-arc
-    matrix masked to the target columns.
+    after the round that pushed them over.  Each round's edges are picked
+    by a partial selection on a running rank key, not a full sort.  For the
+    identity labeling the triple-intersection rows are the host's cached
+    mutual-arc rows and the starting coverage its cached column sums, so a
+    build costs O(size*n) and allocates nothing n x n; any other labeling
+    gathers its n x n triple-intersection matrix first, O(n^2 + size*n).
 
     With `v0_mask` the guide set is drawn from N^sign(v) inside that mask
     (the restricted construction the embedding phases use); guide rows still
@@ -200,28 +216,34 @@ def build_guide(
         )
 
     # W[j, w] = 1 iff w lies in the triple intersection of labeling index j.
-    ident = np.arange(n)
-    if np.array_equal(labeling.xs, ident) and np.array_equal(labeling.ys, ident):
-        wmat = d.mutual & base[None, :]
+    # Only columns in `base` are ever read (score and covered both stay in
+    # it), so for the identity labeling W's rows may be the mutual-arc rows
+    # unmasked, and column w of W is the contiguous row mutual[w].
+    if np.array_equal(labeling.xs, np.arange(n)) and np.array_equal(labeling.ys, labeling.xs):
+        wrows = wcols = d.mutual
+        full_coverage = d.mutual_colsum
     else:
-        wmat = d.mat[:, labeling.xs].T & base[None, :] & d.mat[labeling.ys, :]
+        wrows = d.mat[:, labeling.xs].T & base[None, :] & d.mat[labeling.ys, :]
+        wcols = wrows.T
+        full_coverage = wrows.sum(axis=0)
 
-    mirror = np.zeros(n, dtype=np.int64)      # d^-_{H+}(x_j) == d^+_{H-}(y_j)
-    light = mirror <= grow_bound              # all True unless eta < -2 makes the bound negative
+    # Each index's rank key: its mirror degree d^-_{H+}(x_j) == d^+_{H-}(y_j)
+    # times n, plus a fixed scrambling of the index space.  Rows must not be
+    # id-windows, or a target part can miss a row entirely; the scrambling is
+    # seeded per (v, sign) so entries stay distinct even on fully symmetric
+    # hosts, deterministic throughout.  Keys are unique, so the per_row
+    # smallest covered keys are one well-defined set.
+    sign_bit = 1 if sign is Sign.PLUS else 2
+    key = np.argsort(np.random.default_rng((0x5EED, n, v, sign_bit)).permutation(n))
+    unkeyed = np.iinfo(key.dtype).max
+    light = np.full(n, 0 <= grow_bound)       # all True unless eta < -2 makes the bound negative
     n_light = int(light.sum())
     # Per-vertex coverage by the light labeling indices, kept current below.
-    coverage = wmat.sum(axis=0) if n_light == n else wmat[light].sum(axis=0)
+    coverage = full_coverage.copy() if n_light == n else wrows[light].sum(axis=0)
     open_cols = base.copy()                   # N^sign(v) (cap V0) minus the guide so far
     guide: list[int] = []
     hplus = np.zeros((size, n), dtype=bool)
     hminus = np.zeros((size, n), dtype=bool)
-    # Fixed scrambling of the index space: rows must not be id-windows, or a
-    # target part can miss a row entirely.  Seeded per (v, sign) so entries
-    # stay distinct even on fully symmetric hosts, deterministic throughout.
-    sign_bit = 1 if sign is Sign.PLUS else 2
-    spread_rank = np.argsort(
-        np.random.default_rng((0x5EED, n, v, sign_bit)).permutation(n)
-    )
 
     for i in range(size):
         if n_light < eta * n / 4:
@@ -236,17 +258,18 @@ def build_guide(
                 f"round {i}: best coverage {int(score[w])} below {per_row}; "
                 "schedule too aggressive for this host"
             )
-        covered = np.flatnonzero(light & wmat[:, w])
-        # Spread the new edges over the lightest labeling indices, tie-broken
-        # by the scrambled rank: this balances back-degrees and keeps every
-        # row spread across the vertex space.
-        chosen = covered[np.lexsort((spread_rank[covered], mirror[covered]))[:per_row]]
+        # Spread the new edges over the lightest covered labeling indices,
+        # tie-broken by the scrambled rank: this balances back-degrees and
+        # keeps every row spread across the vertex space.  score[w] counts
+        # the covered indices, so all per_row picks are covered ones.
+        covered_key = np.where(light & wcols[w], key, unkeyed)
+        chosen = np.argpartition(covered_key, per_row - 1)[:per_row]
         hplus[i, labeling.xs[chosen]] = True
         hminus[i, labeling.ys[chosen]] = True
-        mirror[chosen] += 1
-        heavy = chosen[mirror[chosen] > grow_bound]
+        key[chosen] += n
+        heavy = chosen[key[chosen] // n > grow_bound]
         if len(heavy):
-            coverage -= wmat[heavy].sum(axis=0)
+            coverage -= _count(wrows[heavy], axis=0)
             light[heavy] = False
             n_light -= len(heavy)
         open_cols[w] = False
@@ -270,14 +293,12 @@ def _audit_entry(d: Digraph, entry: GuideEntry, labeling: XYLabeling) -> None:
     base = d.adj_row(entry.v, entry.sign)
     assert base[entry.guide].all(), "guide set leaves N^sign(v)"
     # Every H^+ edge w->x and every H^- edge y->w must be a D-edge.
-    wplus, xs = np.nonzero(entry.hplus)
-    assert d.mat[entry.guide[wplus], xs].all(), "H^+ contains a non-edge"
-    wminus, ys = np.nonzero(entry.hminus)
-    assert d.mat[ys, entry.guide[wminus]].all(), "H^- contains a non-edge"
+    assert not (entry.hplus & ~d.mat[entry.guide]).any(), "H^+ contains a non-edge"
+    assert not (entry.hminus & ~d.mat[:, entry.guide].T).any(), "H^- contains a non-edge"
     per = entry.edges_per_row
     bound = math.ceil(entry.back_bound)
-    plus_rows, minus_rows = entry.hplus.sum(axis=1), entry.hminus.sum(axis=1)
-    plus_back, minus_back = entry.hplus.sum(axis=0), entry.hminus.sum(axis=0)
+    plus_rows, minus_rows = _count(entry.hplus, axis=1), _count(entry.hminus, axis=1)
+    plus_back, minus_back = _count(entry.hplus, axis=0), _count(entry.hminus, axis=0)
     assert (plus_rows == per).all(), "H^+ row degree not exact"
     assert (minus_rows == per).all(), "H^- row degree not exact"
     # Skew bound (per, bound) on each graph, as matching.is_skew_bounded reads it.

@@ -138,7 +138,7 @@ class TestInheritedDegree:
 
 
 class TestDerivedAdjacency:
-    """Neighbour lists come from the matrix on demand; `mutual` is the one cache."""
+    """Neighbour lists come from the matrix on demand; the mutual-arc fields are cached."""
 
     @pytest.fixture(params=["host", "induced"])
     def digraph(self, request):
@@ -165,6 +165,20 @@ class TestDerivedAdjacency:
         assert 0 < mutual.sum() < d.n * (d.n - 1)
         assert not mutual.flags.writeable
         assert d.mutual is mutual
+
+    def test_mutual_colsum_and_packed_cached_and_read_only(self, digraph):
+        d = digraph
+        mutual = d.mat & d.mat.T
+        colsum, packed = d.mutual_colsum, d.mutual_packed
+        assert colsum.dtype == np.int64 and colsum.tolist() == mutual.sum(axis=0).tolist()
+        assert packed.dtype == np.uint8 and packed.shape == (d.n, (d.n + 7) // 8)
+        assert (packed == np.packbits(mutual, axis=1)).all()
+        assert (np.unpackbits(packed, axis=1, count=d.n) == mutual).all()
+        for field in (colsum, packed):
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 1
+        assert d.mutual_colsum is colsum and d.mutual_packed is packed
 
     def test_consistency_audit_passes(self, digraph):
         digraph.check_consistency()

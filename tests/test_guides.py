@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spantree.digraph import Digraph, SIGNS, Sign, gen_semidegree_digraph, sample_disjoint_subsets
 from spantree.guides import (
@@ -10,6 +13,7 @@ from spantree.guides import (
     GuideRestrictError,
     GuideSystem,
     XYLabeling,
+    _mutual_counts,
     build_guide,
     build_xy_labeling,
     restrict_guides,
@@ -54,6 +58,26 @@ class TestXYLabeling:
         with pytest.raises(GuideBuildError):
             build_xy_labeling(d, 0, Sign.PLUS, 0.25)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 41), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_popcount_counts_equal_the_masked_row_sums(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        mat = rng.random((n, n)) < p
+        np.fill_diagonal(mat, False)
+        d = Digraph(n, mat)
+        base = rng.random(n) < 0.7
+        assert _mutual_counts(d, base).tolist() == (d.mutual & base).sum(axis=1).tolist()
+
+    def test_refused_shortcut_runs_the_matching(self):
+        # Vertices 8.. have only the 8 mutual arcs to 0..7, below the threshold 10.
+        d = _few_mutual_rows_host()
+        base = d.adj_row(0, Sign.PLUS)
+        assert _mutual_counts(d, base).min() < math.ceil(0.5**2 * 40)
+        lab = build_xy_labeling(d, 0, Sign.PLUS, 0.5)
+        assert (lab.xs == np.arange(40)).all() and (lab.ys != lab.xs).any()
+        assert sorted(lab.ys.tolist()) == list(range(40))
+        assert lab.verify(d)
+
 
 class TestBuildGuide:
     def test_exact_counts_and_skew(self):
@@ -90,6 +114,23 @@ class TestBuildGuide:
         assert d.mat[entry.guide[rows], xs].all()
         rows, ys = np.nonzero(entry.hminus)
         assert d.mat[ys, entry.guide[rows]].all()
+
+    def test_identity_build_allocates_nothing_quadratic(self):
+        # The labeling and the guide loop read the host's cached mutual-arc
+        # fields, so the peak is O(n^2/8 + size*n): the packed popcount
+        # copy, then a dozen length-n vectors and the size x n guide graphs.
+        # An n x n bool mask alone would be n^2 bytes.
+        n = 600
+        d = complete(n)
+        d.mutual_colsum, d.mutual_packed  # warm the host's caches
+        tracemalloc.start()
+        try:
+            entry = build_guide(d, 0, Sign.PLUS, 0.02, 0.5, 0.01, alpha=0.45)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(entry.guide) == 6
+        assert peak < n * n / 4
 
     def test_debug_dump_json(self):
         d = complete(40)
@@ -287,6 +328,22 @@ class TestBuildGuideMatchesReference:
 
     def test_heavy_rows_on_a_skewed_host(self):
         self.assert_same(_few_mutual_rows_host(), 0, Sign.PLUS, 0.1, 3.0, 0.3, 0.01)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("sign", SIGNS)
+    def test_identity_labeling_off_the_byte_boundary(self, sign, masked):
+        n = 203
+        d = gen_semidegree_digraph(n, 0.24, np.random.default_rng(10))
+        lab = build_xy_labeling(d, 7, sign, 0.24)
+        assert (lab.xs == np.arange(n)).all() and (lab.ys == np.arange(n)).all()
+        kw = {}
+        if masked:
+            mask = np.zeros(n, dtype=bool)
+            mask[np.random.default_rng(11).permutation(n)[:70]] = True
+            kw = {"v0_mask": mask, "size": 17}
+        entry = self.assert_same(d, 7, sign, 0.05, 0.1, 0.2, 0.24, **kw)
+        grow_bound = (1 + 0.1 / 2) * len(entry.guide) * entry.edges_per_row / n
+        assert (entry.hplus.sum(axis=0) > grow_bound).any()
 
     @pytest.mark.parametrize(
         "eps, eta, mu, message",

@@ -456,3 +456,21 @@ class TestFailuresFromInputs:
             embed_spanning(backward_path_host(12), tree, spanning_defaults(12, 0.25), np.random.default_rng(1))
         assert (info.value.phase, info.value.attempts) == ("spanning", 10)
         assert str(info.value) == "spanning failed after 10 attempt(s) [leaf-greedy-fail]: greedy walk stuck"
+
+    def test_guide_budget_shortfall_is_not_resampled(self, monkeypatch):
+        calls = []
+        once = embedder._embed_stars_once
+
+        def counted(*args):
+            calls.append(1)
+            return once(*args)
+
+        monkeypatch.setattr(embedder, "_embed_stars_once", counted)
+        rng = np.random.default_rng(0)
+        d = gen_semidegree_digraph(200, 0.24, rng)
+        tree = gen_random_tree(186, 3, "uniform", rng)
+        with pytest.raises(PhaseFailure) as info:
+            embed_almost_spanning(d, tree, 0, 0, spanning_defaults(200, 0.24), np.random.default_rng(0))
+        assert (info.value.phase, info.value.cause) == ("almost", "guide-build")
+        assert "stars failed after 1 attempt(s) [guide-build]: guide budget" in str(info.value)
+        assert calls == []

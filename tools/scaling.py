@@ -1,8 +1,8 @@
 """Scaling record of one spanning embedding per host size.
 
-    python3 tools/scaling.py [--sizes 500,1000,2000,4000,8000] [--out BENCH_scaling.json]
+    python3 tools/scaling.py [--out BENCH_scaling.json]
 
-Each size runs the reference call in its own process with one BLAS thread:
+Each size in SIZES runs the reference call in its own process with one BLAS thread:
 
     d    = gen_semidegree_digraph(n, 0.25, default_rng(1))
     tree = gen_random_tree(n, 3, "uniform", default_rng(2))
@@ -26,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ALPHA = 0.25
+SIZES = (500, 1000, 2000, 4000, 8000)
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -64,7 +65,6 @@ def measure(n: int) -> dict:
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--sizes", default="500,1000,2000,4000,8000")
     p.add_argument("--src", default=str(ROOT / "src"))
     p.add_argument("--out", default=str(ROOT / "BENCH_scaling.json"))
     p.add_argument("--one", type=int, help=argparse.SUPPRESS)
@@ -76,7 +76,7 @@ def main() -> int:
 
     env = dict(os.environ, **{key: "1" for key in BLAS_ENV})
     runs = []
-    for n in (int(s) for s in args.sizes.split(",")):
+    for n in SIZES:
         out = subprocess.run(
             [sys.executable, __file__, "--one", str(n), "--src", args.src],
             env=env, stdout=subprocess.PIPE, text=True, check=True,

@@ -46,8 +46,7 @@ from .params import ParamSchedule
 from .trees import (
     OrientedTree,
     TreePiece,
-    canonical_order,
-    canonical_rooted_form,
+    canonical_form_and_order,
     components,
     induced_subtree,
     max_semidegree,
@@ -249,16 +248,16 @@ def stars_from_decomposition(td: TreeDecomposition) -> list[StarComponent]:
 
 
 def _star_classes(tree: OrientedTree, stars: list[StarComponent]):
-    """Group multi-vertex stars by (rooted canonical form, attach sign)."""
-    pieces = []
+    """Group multi-vertex stars by (rooted canonical form, attach sign).
+
+    Members are (star, piece, local root, canonical order of the piece).
+    """
+    groups: dict[tuple[str, str], list] = {}
     for st in stars:
         piece = induced_subtree(tree, st.vertices)
         local_root = int(np.searchsorted(piece.labels, st.root))
-        pieces.append((st, piece, local_root))
-    groups: dict[tuple[str, str], list] = {}
-    for st, piece, local_root in pieces:
-        key = (canonical_rooted_form(piece.tree, local_root), str(st.sign))
-        groups.setdefault(key, []).append((st, piece, local_root))
+        form, order = canonical_form_and_order(piece.tree, local_root)
+        groups.setdefault((form, str(st.sign)), []).append((st, piece, local_root, order))
     return [groups[k] for k in sorted(groups)]
 
 
@@ -294,7 +293,7 @@ class _StarLayout:
 
     parts: list[tuple[list[int], Sign]]
     lean: list[tuple[StarComponent, TreePiece, int]]
-    rich_classes: list[list[tuple[StarComponent, TreePiece, int]]]
+    rich_classes: list[list[tuple[StarComponent, TreePiece, int, list[int]]]]
     sizes: list[int]   # |V0|, the leaf parts, the rich classes' V2, the pool
     alpha_hat: float   # measured semidegree excess delta^0(D)/n - 1/2
     mu_count: int      # guide-set size inside V0
@@ -335,9 +334,9 @@ def _star_layout(
     for cls in _star_classes(tree, multis):
         if len(cls) >= params.pop_min:
             rich_classes.append(cls)
-            parts.append(([st.root for st, _p, _r in cls], cls[0][0].sign))
+            parts.append(([st.root for st, _p, _r, _o in cls], cls[0][0].sign))
         else:
-            lean.extend(cls)
+            lean.extend((st, piece, local_root) for st, piece, local_root, _o in cls)
 
     def sized(batch: list[int]) -> int:
         return int(math.floor((1 + params.part_slack) * len(batch))) + params.part_pad
@@ -414,14 +413,11 @@ def _embed_stars_once(
     # Graft rich classes: every part vertex roots a copy, so each embedded
     # attachment root picks up the copy rooted at its own image.
     for cls, v1, v2 in zip(rich_classes, part_targets[len(parts) - len(rich_classes):], v2_targets):
-        rep_piece = cls[0][1]
-        rep_root = cls[0][2]
+        _st, rep_piece, rep_root, rep_order = cls[0]
         copies = embed_tree_copies(d, rep_piece.tree, rep_root, v1, v2)
         by_root = {copy[rep_root]: copy for copy in copies}
-        rep_order = canonical_order(rep_piece.tree, rep_root)
-        for st, piece, local_root in cls:
+        for st, piece, _root, mem_order in cls:
             copy = by_root[emb[st.root]]
-            mem_order = canonical_order(piece.tree, local_root)
             for rv, mv in zip(rep_order, mem_order):
                 tv = int(piece.labels[mv])
                 if tv == st.root:

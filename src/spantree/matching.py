@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .digraph import Digraph, Sign
 from .embedding import Embedding, PipelineError, draw_host, greedy_walk
-from .trees import OrientedTree, canonical_order, canonical_rooted_form, prefix_order, subtree_sizes
+from .trees import OrientedTree, canonical_form_and_order, prefix_order, subtree_sizes
 
 
 class MatchingError(PipelineError):
@@ -296,15 +296,20 @@ def group_components(components: list[OrientedTree]) -> list[ForestClass]:
     always join the same class with corresponding canonical orders.
     """
     classes: dict[str, ForestClass] = {}
+    rep_orders: dict[str, list[int]] = {}
     for idx, comp in enumerate(components):
-        form, root = min((canonical_rooted_form(comp, r), r) for r in _centroids(comp))
+        # The (form, root) pairs are distinct, so orders are never compared.
+        form, root, order = min(
+            (form, r, order)
+            for r in _centroids(comp)
+            for form, order in [canonical_form_and_order(comp, r)]
+        )
         if form not in classes:
             classes[form] = ForestClass(rep=comp, rep_root=root)
+            rep_orders[form] = order
         cls = classes[form]
-        rep_order = canonical_order(cls.rep, cls.rep_root)
-        mem_order = canonical_order(comp, root)
         cls.members.append(idx)
-        cls.member_maps.append({rv: mv for rv, mv in zip(rep_order, mem_order)})
+        cls.member_maps.append(dict(zip(rep_orders[form], order)))
     return [classes[key] for key in sorted(classes)]
 
 

@@ -3,6 +3,11 @@
 A tree is stored with dense vertex ids 0..n-1 and an explicit list of
 directed edges (tail, head).  Orientation never affects connectivity
 arguments, so underlying-degree machinery works on the undirected shadow.
+
+Only `OrientedTree(n, edges, t)` sorts and validates an edge list.  Trees
+derived from a valid tree skip that work: `with_t` shares its parent's edge
+list and sorted adjacency tuples, and `induced_subtree` filters them through
+the (monotone) relabelling, which keeps every list sorted.
 """
 
 from __future__ import annotations
@@ -45,6 +50,14 @@ class OrientedTree:
         self._und = tuple(tuple(sorted(x)) for x in und)
         self._check_connected()
 
+    @classmethod
+    def _derived(cls, n: int, edge_list: tuple, t: int | None, out: tuple, in_: tuple, und: tuple):
+        """A tree from parts already known to form a valid tree; nothing is re-checked."""
+        tree = cls.__new__(cls)
+        tree.n, tree.edge_list, tree.t = n, edge_list, t
+        tree._out, tree._in, tree._und = out, in_, und
+        return tree
+
     def _check_connected(self) -> None:
         seen = [False] * self.n
         stack = [0]
@@ -86,8 +99,11 @@ class OrientedTree:
     def leaves(self) -> list[int]:
         return [v for v in range(self.n) if len(self._und[v]) == 1]
 
-    def with_t(self, t: int) -> "OrientedTree":
-        return OrientedTree(self.n, self.edge_list, t=t)
+    def with_t(self, t: int | None) -> "OrientedTree":
+        """The same tree with distinguished vertex t; shares this tree's adjacency."""
+        if t is not None and not (0 <= t < self.n):
+            raise ValueError(f"distinguished vertex {t} out of range")
+        return OrientedTree._derived(self.n, self.edge_list, t, self._out, self._in, self._und)
 
     def __len__(self) -> int:
         return self.n
@@ -95,10 +111,7 @@ class OrientedTree:
 
 def max_semidegree(tree: OrientedTree) -> tuple[int, int]:
     """(max out-degree, max in-degree)."""
-    return (
-        max(len(tree.out(v)) for v in range(tree.n)),
-        max(len(tree.in_(v)) for v in range(tree.n)),
-    )
+    return max(map(len, tree._out)), max(map(len, tree._in))
 
 
 @dataclass(frozen=True)
@@ -308,12 +321,30 @@ class TreePiece:
 
 
 def induced_subtree(tree: OrientedTree, vertices, t: int | None = None) -> TreePiece:
-    """Subtree induced on `vertices` (must be connected), dense-relabelled."""
+    """Subtree induced on `vertices` (must be connected), dense-relabelled.
+
+    Vertex i of the piece is the i-th smallest of `vertices`.  The relabelling
+    is monotone, so filtering the parent's sorted adjacency keeps it sorted.
+    A subforest of a tree on k vertices is connected iff it has k - 1 edges,
+    so the constructor's edge count is the whole connectivity check.
+    """
     verts = sorted(int(v) for v in vertices)
     index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[u], index[w]) for u in verts for w in tree.out(u) if w in index]
+    if t is not None and t not in index:
+        raise ValueError(f"distinguished vertex {t} is not among the induced vertices")
     local_t = index[t] if t is not None else None
-    sub = OrientedTree(len(verts), edges, t=local_t)
+    k = len(verts)
+    if k == 0 or len(index) != k or verts[0] < 0 or verts[-1] >= tree.n:
+        # Duplicate or out-of-range ids: the general constructor reports them.
+        edges = [(index[u], index[w]) for u in verts for w in tree.out(u) if w in index]
+        return TreePiece(OrientedTree(k, edges, t=local_t), np.asarray(verts, dtype=np.int64))
+    out = tuple([tuple([index[w] for w in tree._out[v] if w in index]) for v in verts])
+    edge_list = tuple([(i, w) for i, heads in enumerate(out) for w in heads])
+    if len(edge_list) != k - 1:
+        raise ValueError(f"a tree on {k} vertices needs {k - 1} edges, got {len(edge_list)}")
+    in_ = tuple([tuple([index[w] for w in tree._in[v] if w in index]) for v in verts])
+    und = tuple([tuple([index[w] for w in tree._und[v] if w in index]) for v in verts])
+    sub = OrientedTree._derived(k, edge_list, local_t, out, in_, und)
     return TreePiece(sub, np.asarray(verts, dtype=np.int64))
 
 
@@ -476,29 +507,43 @@ def gen_random_tree(
 
 def canonical_rooted_form(tree: OrientedTree, root: int) -> str:
     """Canonical string: equal iff rooted-oriented-isomorphic (AHU with signs)."""
-    form, _ = _canon(tree, root)
+    form, _ = canonical_form_and_order(tree, root)
     return form
 
 
-def canonical_order(tree: OrientedTree, root: int) -> list[int]:
-    """Canonical traversal order; isomorphic pairs' orders correspond position-wise."""
-    _, order = _canon(tree, root)
-    return order
+def canonical_form_and_order(tree: OrientedTree, root: int) -> tuple[str, list[int]]:
+    """Canonical string of `tree` rooted at `root`, and its canonical traversal order.
 
-
-def _canon(tree: OrientedTree, root: int) -> tuple[str, list[int]]:
-    def rec(v: int, parent: int) -> tuple[str, list[int]]:
-        items = []
-        for u in tree.nbrs(v):
-            if u == parent:
-                continue
-            label = "+" if u in tree.out(v) else "-"
-            sub, sub_order = rec(u, v)
-            items.append((label + sub, sub_order))
-        items.sort(key=lambda it: it[0])
-        order = [v]
-        for _, sub_order in items:
-            order.extend(sub_order)
-        return "(" + "".join(it[0] for it in items) + ")", order
-
-    return rec(root, -1)
+    A vertex's string is "(" + its children's signed strings, sorted, + ")";
+    the order is the preorder visiting children in that sorted order, ties in
+    ascending id.  Isomorphic pairs' orders correspond position-wise.  Children
+    are finished before their parents in one loop over a breadth-first order,
+    so the depth of the tree is not limited by the interpreter's stack.
+    """
+    parent = [-1] * tree.n
+    bfs = [root]
+    for v in bfs:
+        for u in tree._und[v]:
+            if u != parent[v]:
+                parent[u] = v
+                bfs.append(u)
+    form: list[str | None] = [None] * tree.n
+    kids: list[list[int]] = [[]] * tree.n
+    for v in reversed(bfs):
+        out_v = tree._out[v]
+        # Children come in ascending id, so sorting by (string, id) is the
+        # stable sort by string.
+        items = sorted(
+            [(("+" if u in out_v else "-") + form[u], u) for u in tree._und[v] if u != parent[v]]
+        )
+        form[v] = "(" + "".join([f for f, _ in items]) + ")"
+        kids[v] = [u for _, u in items]
+        for u in kids[v]:
+            form[u] = None  # each string is read once; keeps memory O(n)
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(kids[v]))
+    return form[root], order

@@ -1,12 +1,15 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spantree.digraph import Sign
+from spantree.matching import _centroids, group_components
 from spantree.trees import (
     OrientedTree,
+    canonical_form_and_order,
     canonical_rooted_form,
     components,
     find_bare_paths,
@@ -499,3 +502,165 @@ class TestGuestTreeWalks:
         assert set(piece.tree.edge_list) == filtered
         assert piece.labels.tolist() == verts
         assert piece.tree.t == index[t]
+
+
+FAMILIES = ["uniform", "spider", "caterpillar", "path"]
+
+
+def rebuilt_induced(tree, verts, t=None):
+    """Reference for `induced_subtree`: the filtered edge list through the constructor."""
+    verts = sorted(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [(index[u], index[w]) for u in verts for w in tree.out(u) if w in index]
+    return OrientedTree(len(verts), edges, t=index[t] if t is not None else None)
+
+
+def assert_same_tree(a, b):
+    assert (a.n, a.edge_list, a.t) == (b.n, b.edge_list, b.t)
+    for v in range(a.n):
+        assert (a.out(v), a.in_(v), a.nbrs(v)) == (b.out(v), b.in_(v), b.nbrs(v))
+
+
+class TestDerivedTrees:
+    """`induced_subtree` and `with_t` build from the parent's adjacency; the constructor is the reference."""
+
+    @given(st.integers(0, 10_000), st.integers(3, 70), st.sampled_from(FAMILIES))
+    @settings(max_examples=80, deadline=None)
+    def test_split_pieces_equal_rebuilt_trees(self, seed, n, family):
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, 3, family, rng)
+        keep = int(rng.integers(n))
+        piece1, piece2, _shared = split_tree(tree, max(1, n // 4), keep=keep)
+        assert_same_tree(piece1.tree, rebuilt_induced(tree, piece1.labels.tolist(), t=keep))
+        assert_same_tree(piece2.tree, rebuilt_induced(tree, piece2.labels.tolist()))
+
+    @given(st.integers(0, 10_000), st.integers(1, 70), st.sampled_from(FAMILIES))
+    @settings(max_examples=80, deadline=None)
+    def test_components_equal_rebuilt_trees(self, seed, n, family):
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, 3, family, rng)
+        keep = np.flatnonzero(rng.random(n) < rng.random()).tolist()
+        for verts in components(tree, keep):
+            t = verts[int(rng.integers(len(verts)))]
+            piece = induced_subtree(tree, verts, t=t)
+            assert piece.labels.tolist() == verts
+            assert_same_tree(piece.tree, rebuilt_induced(tree, verts, t=t))
+
+    @given(st.integers(0, 10_000), st.integers(3, 70), st.sampled_from(FAMILIES))
+    @settings(max_examples=60, deadline=None)
+    def test_disconnected_set_raises_the_constructors_error(self, seed, n, family):
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, 3, family, rng)
+        keep = np.flatnonzero(rng.random(n) < 0.5).tolist()
+        if len(components(tree, keep)) < 2:
+            keep = [v for v in range(n) if v != tree.nbrs(tree.leaves()[0])[0]]
+        assert len(components(tree, keep)) >= 2
+        with pytest.raises(ValueError) as ref:
+            rebuilt_induced(tree, keep)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            induced_subtree(tree, keep)
+
+    def test_duplicate_and_empty_ids_take_the_constructor(self):
+        tree = path_tree(5)
+        with pytest.raises(ValueError, match="connected"):
+            induced_subtree(tree, [1, 1, 2])
+        with pytest.raises(ValueError, match="at least one vertex"):
+            induced_subtree(tree, [])
+
+    def test_t_outside_the_vertices_is_named(self):
+        tree = path_tree(8)
+        with pytest.raises(ValueError, match=r"distinguished vertex 5 is not among"):
+            induced_subtree(tree, [0, 1, 2], t=5)
+
+    @given(st.integers(0, 10_000), st.integers(1, 50), st.sampled_from(FAMILIES))
+    @settings(max_examples=40, deadline=None)
+    def test_with_t_equals_a_rebuilt_tree(self, seed, n, family):
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, 3, family, rng)
+        for t in (None, 0, n - 1, int(rng.integers(n))):
+            assert_same_tree(tree.with_t(t), OrientedTree(n, tree.edge_list, t=t))
+        for bad in (-1, n):
+            with pytest.raises(ValueError) as ref:
+                OrientedTree(n, tree.edge_list, t=bad)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+                tree.with_t(bad)
+
+
+def recursive_canon(tree, root):
+    """The recursive canonical form and order that `canonical_form_and_order` replaced."""
+
+    def rec(v, parent):
+        items = []
+        for u in tree.nbrs(v):
+            if u == parent:
+                continue
+            label = "+" if u in tree.out(v) else "-"
+            sub, sub_order = rec(u, v)
+            items.append((label + sub, sub_order))
+        items.sort(key=lambda it: it[0])
+        order = [v]
+        for _, sub_order in items:
+            order.extend(sub_order)
+        return "(" + "".join(it[0] for it in items) + ")", order
+
+    return rec(root, -1)
+
+
+def double_canon_classes(comps):
+    """`group_components` as it was: canonical orders recomputed for the rep and each member."""
+    classes = {}
+    for idx, comp in enumerate(comps):
+        form, root = min((recursive_canon(comp, r)[0], r) for r in _centroids(comp))
+        if form not in classes:
+            classes[form] = (comp, root, [], [])
+        rep, rep_root, members, maps = classes[form]
+        rep_order = recursive_canon(rep, rep_root)[1]
+        mem_order = recursive_canon(comp, root)[1]
+        members.append(idx)
+        maps.append(dict(zip(rep_order, mem_order)))
+    return [classes[key] for key in sorted(classes)]
+
+
+def relabelled(tree, perm):
+    return OrientedTree(tree.n, [(perm[u], perm[v]) for u, v in tree.edge_list])
+
+
+class TestIterativeCanon:
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from(FAMILIES + ["star", "broom"]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_recursive_version(self, seed, n, family):
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, rng)
+        for root in range(n):
+            assert canonical_form_and_order(tree, root) == recursive_canon(tree, root)
+            assert canonical_rooted_form(tree, root) == recursive_canon(tree, root)[0]
+
+    def test_deep_path(self):
+        n = 5000
+        tree = path_tree(n)
+        form, order = canonical_form_and_order(tree, 0)
+        assert form == "(+" * (n - 1) + "()" + ")" * (n - 1)
+        assert order == list(range(n))
+        assert canonical_rooted_form(tree, n - 1) == "(-" * (n - 1) + "()" + ")" * (n - 1)
+
+    def test_group_components_on_a_deep_path(self):
+        tree = path_tree(2500, forward=False)
+        (cls,) = group_components([tree, tree.with_t(0)])
+        assert cls.members == [0, 1]
+        assert cls.member_maps == [{v: v for v in range(2500)}] * 2
+
+    @given(st.integers(0, 10_000), st.integers(5, 60), st.sampled_from(FAMILIES))
+    @settings(max_examples=60, deadline=None)
+    def test_group_components_matches_the_double_canon_version(self, seed, n, family):
+        # A mixed forest: the pieces of a random vertex subset, plus relabelled
+        # copies of some, so that classes hold several members.
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, 3, family, rng)
+        keep = np.flatnonzero(rng.random(n) < 0.7).tolist()
+        comps = [induced_subtree(tree, verts).tree for verts in components(tree, keep)]
+        for comp in list(comps):
+            if rng.random() < 0.5:
+                comps.append(relabelled(comp, rng.permutation(comp.n).tolist()))
+        comps = [comps[i] for i in rng.permutation(len(comps))]
+        got = [(c.rep, c.rep_root, c.members, c.member_maps) for c in group_components(comps)]
+        assert got == double_canon_classes(comps)

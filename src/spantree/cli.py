@@ -5,7 +5,6 @@ Exit codes: 0 = success (embedding verified), 1 = usage/format error,
 identical invocations produce identical outputs; wall-clock telemetry (the
 `*_millis` keys) is dropped unless --timings is given, keeping default outputs
 bit-stable.
-Setting ALG_DEBUG_AUDITS=1 turns on the quadratic consistency audits.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import io as tio
 from .decompose import decompose
-from .digraph import Digraph, debug_audits_enabled, gen_semidegree_digraph, min_semidegree
+from .digraph import Digraph, gen_semidegree_digraph, min_semidegree
 from .embedder import (
     absorb_at_random,
     attach_path_trees,
@@ -82,8 +81,6 @@ def cmd_embed(args) -> int:
     except (OSError, tio.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if debug_audits_enabled():
-        d.check_consistency()
     rng = np.random.default_rng(args.seed)
     almost = args.almost or args.phase == "almost"
     if args.phase in ("stars", "paths", "absorber"):

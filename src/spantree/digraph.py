@@ -12,7 +12,6 @@ and safe to share across concurrent trials.
 from __future__ import annotations
 
 import enum
-import os
 
 import numpy as np
 
@@ -32,10 +31,6 @@ class Sign(enum.Enum):
 
 
 SIGNS = (Sign.PLUS, Sign.MINUS)
-
-
-def debug_audits_enabled() -> bool:
-    return os.environ.get("ALG_DEBUG_AUDITS", "") == "1"
 
 
 class Digraph:

@@ -20,7 +20,6 @@ from .digraph import (
     SIGNS,
     Digraph,
     Sign,
-    debug_audits_enabled,
     min_semidegree,
     sample_disjoint_subsets,
 )
@@ -819,7 +818,6 @@ class AbsorberState:
     anchor_host: int             # image of t
     threshold: int               # verified property-S floor
     swap_count: int              # |rest| - 1
-    gap: int                     # vertices left for absorption (eps * n)
 
 
 def _property_s_floor(d: Digraph, order, hosts: np.ndarray) -> int:
@@ -932,7 +930,7 @@ def build_absorber(
             return AbsorberState(
                 d=d, tree=tree, t=t, trunk=trunk, rest=rest, shared=shared,
                 order=order, hosts=hosts, a_set=a_set, anchor_host=anchor_host,
-                threshold=threshold, swap_count=swap_count, gap=gap,
+                threshold=threshold, swap_count=swap_count,
             )
         worst = floor
     raise PhaseFailure(
@@ -1040,13 +1038,6 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
             nbr_out[slot].append(parent_role)
             nbr_in[parent_role].append(slot)
         retired[chosen] = True
-        if debug_audits_enabled():
-            # Switch-step local invariant: the partial copy stays valid.
-            for u_role, outs in nbr_out.items():
-                for w_role in outs:
-                    assert d.mat[host_of_role[u_role], host_of_role[w_role]], (
-                        f"swap {step} broke copy edge {u_role}->{w_role}"
-                    )
 
     emb = Embedding()
     for role, host in host_of_role.items():
@@ -1099,18 +1090,14 @@ def embed_spanning(
         # small a retried greedy walk is the only sensible route.
         return _greedy_spanning(d, tree, params, rng, telemetry, "tiny-greedy")
 
+    trunk_piece, absorber_piece, shared = split_tree(tree, min(n // 3, params.absorber_size(n)))
+    local_shared_abs = int(np.searchsorted(absorber_piece.labels, shared))
+    local_shared_trunk = int(np.searchsorted(trunk_piece.labels, shared))
+    absorber_tree = absorber_piece.tree.with_t(local_shared_abs)
     outer_budget = max(2, params.retries // 3)
     phases = telemetry["phases"]
     last: PipelineError | None = None
     for outer in range(outer_budget):
-        # A too-small absorber trunk cannot reach its switch threshold when
-        # the inner split overshoots; growing the absorber between outer
-        # attempts escapes that corner.
-        m_abs = min(n // 3, round(params.absorber_size(n) * (1.0 + 0.18 * outer)))
-        trunk_piece, absorber_piece, shared = split_tree(tree, m_abs)
-        local_shared_abs = int(np.searchsorted(absorber_piece.labels, shared))
-        local_shared_trunk = int(np.searchsorted(trunk_piece.labels, shared))
-        absorber_tree = absorber_piece.tree.with_t(local_shared_abs)
         try:
             start = time.perf_counter()
             state = build_absorber(d, absorber_tree, local_shared_abs, params, rng)

@@ -275,7 +275,7 @@ def build_guide(
         open_cols[w] = False
         guide.append(w)
 
-    entry = GuideEntry(
+    return GuideEntry(
         v=v,
         sign=sign,
         guide=np.array(guide, dtype=np.int64),
@@ -284,29 +284,6 @@ def build_guide(
         edges_per_row=per_row,
         back_bound=back_bound,
     )
-    _audit_entry(d, entry, labeling)
-    return entry
-
-
-def _audit_entry(d: Digraph, entry: GuideEntry, labeling: XYLabeling) -> None:
-    """Construction postconditions: containment in D, exact counts, skew bounds."""
-    base = d.adj_row(entry.v, entry.sign)
-    assert base[entry.guide].all(), "guide set leaves N^sign(v)"
-    # Every H^+ edge w->x and every H^- edge y->w must be a D-edge.
-    assert not (entry.hplus & ~d.mat[entry.guide]).any(), "H^+ contains a non-edge"
-    assert not (entry.hminus & ~d.mat[:, entry.guide].T).any(), "H^- contains a non-edge"
-    per = entry.edges_per_row
-    bound = math.ceil(entry.back_bound)
-    plus_rows, minus_rows = _count(entry.hplus, axis=1), _count(entry.hminus, axis=1)
-    plus_back, minus_back = _count(entry.hplus, axis=0), _count(entry.hminus, axis=0)
-    assert (plus_rows == per).all(), "H^+ row degree not exact"
-    assert (minus_rows == per).all(), "H^- row degree not exact"
-    # Skew bound (per, bound) on each graph, as matching.is_skew_bounded reads it.
-    for circ, rows, back in zip(SIGNS, (plus_rows, minus_rows), (plus_back, minus_back)):
-        skewed = len(rows) == 0 or (rows.min() >= per and back.max() <= bound)
-        assert skewed, f"H^{circ} violates its skew bound"
-    # Mirror invariant: d^-_{H+}(x_j) == d^+_{H-}(y_j) for every labeling index j.
-    assert (plus_back[labeling.xs] == minus_back[labeling.ys]).all(), "mirror degrees diverge"
 
 
 def _q2_quota(mean: float) -> int:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import Digraph, Sign, gen_semidegree_digraph, sample_disjoint_subsets
-from .embedding import Embedding, PipelineError, is_valid_embedding
+from .embedding import Embedding, PipelineError, VerificationError, is_valid_embedding
 from .embedder import absorb_at_random, embed_almost_spanning, embed_spanning
 from .guides import GuideSystem, restrict_guides
 from .matching import MatchingError, find_perfect_matching, embed_small_forest
@@ -98,7 +98,8 @@ def brute_force_contains(
     emb = Embedding()
     for v, h in assign.items():
         emb.assign(v, h, "oracle")
-    assert is_valid_embedding(d, tree, emb)
+    if not is_valid_embedding(d, tree, emb):
+        raise VerificationError("brute-force embedding failed verification")
     return emb
 
 

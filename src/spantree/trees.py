@@ -326,16 +326,20 @@ def induced_subtree(tree: OrientedTree, vertices, t: int | None = None) -> TreeP
     Vertex i of the piece is the i-th smallest of `vertices`.  The relabelling
     is monotone, so filtering the parent's sorted adjacency keeps it sorted.
     A subforest of a tree on k vertices is connected iff it has k - 1 edges,
-    so the constructor's edge count is the whole connectivity check.
+    so the constructor's edge count is the whole connectivity check.  An id
+    outside 0..|T|-1 is named in a ValueError before any adjacency is read.
     """
     verts = sorted(int(v) for v in vertices)
+    for v in verts[:1] + verts[-1:]:
+        if not 0 <= v < tree.n:
+            raise ValueError(f"vertex id {v} outside 0..{tree.n - 1}")
     index = {v: i for i, v in enumerate(verts)}
     if t is not None and t not in index:
         raise ValueError(f"distinguished vertex {t} is not among the induced vertices")
     local_t = index[t] if t is not None else None
     k = len(verts)
-    if k == 0 or len(index) != k or verts[0] < 0 or verts[-1] >= tree.n:
-        # Duplicate or out-of-range ids: the general constructor reports them.
+    if k == 0 or len(index) != k:
+        # Empty or duplicate ids: the general constructor reports them.
         edges = [(index[u], index[w]) for u in verts for w in tree.out(u) if w in index]
         return TreePiece(OrientedTree(k, edges, t=local_t), np.asarray(verts, dtype=np.int64))
     out = tuple([tuple([index[w] for w in tree._out[v] if w in index]) for v in verts])

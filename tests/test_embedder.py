@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spantree import embedder
 from spantree.decompose import decompose
 from spantree.digraph import Digraph, Sign, gen_semidegree_digraph
 from spantree.embedder import (
@@ -518,6 +519,28 @@ class TestSpanning:
         params = spanning_defaults(n, 0.45).with_updates(max_tree_semidegree=n)
         emb, _ = embed_spanning(d, star, params, np.random.default_rng(1))
         assert verify_embedding(d, star, emb) and len(emb.used) == n
+
+    def test_guest_tree_is_split_once_per_call(self, monkeypatch):
+        splits = []
+        split = embedder.split_tree
+
+        def counted(*args, **kwargs):
+            splits.append(args[1])
+            return split(*args, **kwargs)
+
+        def s_fail(*args):
+            raise PhaseFailure("absorber", "S-fail", "property S floor 0 below threshold 9")
+
+        monkeypatch.setattr(embedder, "split_tree", counted)
+        monkeypatch.setattr(embedder, "build_absorber", s_fail)
+        n = 120
+        params = spanning_defaults(n, 0.45)
+        tree = gen_random_tree(n, 3, "uniform", np.random.default_rng(0))
+        with pytest.raises(PhaseFailure) as info:
+            embed_spanning(complete(n), tree, params, np.random.default_rng(1))
+        assert splits == [n // 3]
+        assert (info.value.phase, info.value.cause, info.value.attempts) == ("spanning", "S-fail", 3)
+        assert str(info.value).endswith("property S floor 0 below threshold 9")
 
     def test_debug_audits_path(self, monkeypatch):
         monkeypatch.setenv("ALG_DEBUG_AUDITS", "1")

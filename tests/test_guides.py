@@ -115,6 +115,22 @@ class TestBuildGuide:
         rows, ys = np.nonzero(entry.hminus)
         assert d.mat[ys, entry.guide[rows]].all()
 
+    @pytest.mark.parametrize("sign", SIGNS)
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_mirror_degrees_agree(self, sign, shuffled):
+        # d^-_{H+}(x_j) == d^+_{H-}(y_j) for every labeling index j.
+        d = gen_semidegree_digraph(150, 0.24, np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        if shuffled:
+            lab = XYLabeling(9, sign, rng.permutation(150), rng.permutation(150), 1)
+        else:
+            lab = build_xy_labeling(d, 9, sign, 0.24)
+            assert (lab.xs == np.arange(150)).all() and (lab.ys == lab.xs).all()
+        entry = build_guide(d, 9, sign, 0.05, 0.1, 0.2, alpha=0.24, labeling=lab)
+        plus_back, minus_back = entry.hplus.sum(axis=0), entry.hminus.sum(axis=0)
+        assert plus_back.sum() == minus_back.sum() == len(entry.guide) * entry.edges_per_row
+        assert (plus_back[lab.xs] == minus_back[lab.ys]).all()
+
     def test_identity_build_allocates_nothing_quadratic(self):
         # The labeling and the guide loop read the host's cached mutual-arc
         # fields, so the peak is O(n^2/8 + size*n): the packed popcount

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from spantree import oracle
 from spantree.digraph import Digraph, gen_semidegree_digraph
-from spantree.embedding import Embedding
+from spantree.embedding import Embedding, VerificationError
 from spantree.oracle import (
     TrialConfig,
     brute_force_contains,
@@ -49,6 +50,12 @@ class TestBruteForce:
         emb = brute_force_contains(d, tree)
         assert emb is not None
         assert verify_embedding(d, tree, emb)
+
+    def test_broken_copy_raises_without_assert(self, monkeypatch):
+        monkeypatch.setattr(oracle, "is_valid_embedding", lambda d, tree, emb: False)
+        d = Digraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(VerificationError, match="brute-force embedding failed verification"):
+            brute_force_contains(d, OrientedTree(3, [(0, 1), (1, 2)]))
 
     def test_out_star_host_has_no_directed_path(self):
         d = Digraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])

@@ -567,6 +567,13 @@ class TestDerivedTrees:
         with pytest.raises(ValueError, match="at least one vertex"):
             induced_subtree(tree, [])
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_ids_outside_the_tree_are_named(self, bad):
+        # Id -1 must not read vertex 4's adjacency, nor id 5 index past the end.
+        tree = OrientedTree(5, [(4, 0), (0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=rf"^vertex id {bad} outside 0\.\.4$"):
+            induced_subtree(tree, [bad, 0])
+
     def test_t_outside_the_vertices_is_named(self):
         tree = path_tree(8)
         with pytest.raises(ValueError, match=r"distinguished vertex 5 is not among"):

@@ -820,7 +820,7 @@ class AbsorberState:
     swap_count: int              # |rest| - 1
 
 
-def _property_s_floor(d: Digraph, order, hosts: np.ndarray) -> int:
+def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | None = None) -> int:
     """Least switchable-index count over both signs and all host pairs x != y.
 
     Index i is switchable for (x, y, sign) when hosts[i] lies in N^sign(x)
@@ -828,13 +828,19 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray) -> int:
     out-neighbour of order.order[i] and from the image of every in-neighbour.
     Counted through complements: with Xb[x, i] = "hosts[i] not in N^sign(x)"
     and Mb[i, y] = "y cannot take over i", count[x, y] = ell - a[x] - b[y]
-    + (Xb Mb)[x, y] for a = Xb.sum(1) and b = Mb.sum(0).  Xb Mb vanishes
-    outside rows a > 0 and columns b > 0, and no pair off that block counts
-    fewer than one inside it: (Xb Mb)[x, y] <= min(a[x], b[y]), and both
-    index sets hold all ell >= 2 trunk images (the host has no loops and
-    every trunk vertex has a neighbour).  So only the block goes through
-    BLAS; on a complete host it is ell x ell.  Counts stay below 2**24, so
-    float32 holds them exactly.
+    + (Xb Mb)[x, y] for a = Xb.sum(1) and b = Mb.sum(0).
+
+    Union bound: Xb Mb >= 0, so ell - max a - max b, with max a taken over
+    both signs, is at most every count.  When a `threshold` is given and the
+    bound reaches it, the bound is returned: it settles the certificate
+    without any product.  Otherwise the exact minimum is returned.
+
+    Exact minimum: Xb Mb vanishes outside rows a > 0 and columns b > 0, and
+    no pair off that block counts fewer than one inside it: (Xb Mb)[x, y] <=
+    min(a[x], b[y]), and both index sets hold all ell >= 2 trunk images (the
+    host has no loops and every trunk vertex has a neighbour).  So only the
+    block goes through BLAS; on a complete host it is ell x ell.  Counts stay
+    below 2**24, so float32 holds them exactly.
     """
     n = d.n
     ell = len(hosts)
@@ -861,14 +867,22 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray) -> int:
         batch = by_parent[rank == r]
         blocked[parent[batch]] |= no_arc[from_child[batch]]
 
-    b = blocked.sum(axis=0, dtype=np.int32)
+    # Bool sums in the smallest dtype that holds ell: a wider one makes numpy
+    # cast through a buffer.
+    count_dtype = np.min_scalar_type(ell)
+    b = blocked.sum(axis=0, dtype=count_dtype)
+    xb_ts = (no_arc[ell:], no_arc[:ell])   # Xb transposed, sign + then -
+    a_by_sign = [xb_t.sum(axis=0, dtype=count_dtype) for xb_t in xb_ts]
+    bound = ell - max(int(a.max()) for a in a_by_sign) - int(b.max())
+    if threshold is not None and bound >= threshold:
+        return bound
+
     ry = np.flatnonzero(b)
     blocked_ry = blocked[:, ry].astype(np.float32)
     slot_in_ry = np.full(n, -1, dtype=np.int64)
     slot_in_ry[ry] = np.arange(len(ry))
     floor = ell
-    for xb_t in (no_arc[ell:], no_arc[:ell]):   # Xb transposed, sign + then -
-        a = xb_t.sum(axis=0, dtype=np.int32)
+    for xb_t, a in zip(xb_ts, a_by_sign):
         rx = np.flatnonzero(a)
         block = xb_t[:, rx].astype(np.float32).T @ blocked_ry
         block -= a[rx].astype(np.float32)[:, None]
@@ -890,8 +904,14 @@ def build_absorber(
 
     Splits the tree (the completed part holds t), orders the trunk with
     leaves last and bare-path middles consecutive, embeds it by the random
-    greedy rule, then exhaustively verifies that every (x, y, sign) has at
-    least `threshold` switchable indices.  Retries on a failed certificate.
+    greedy rule, then verifies that every (x, y, sign) has at least
+    `threshold` switchable indices.  The union bound of `_property_s_floor`
+    (ell minus the largest non-arc count of any x minus the largest blocked
+    count of any y) settles most attempts; the exact float32 count runs only
+    when the bound falls short of the threshold, and its floor decides the
+    attempt and fills the S-fail message.  Both routes accept exactly the
+    attempts the exact count accepts, so the random stream is the same.
+    Retries on a failed certificate.
     """
     n = d.n
     gap = params.absorb_gap(n)
@@ -918,7 +938,7 @@ def build_absorber(
         if hosts is None:
             continue
 
-        floor = _property_s_floor(d, order, hosts)
+        floor = _property_s_floor(d, order, hosts, threshold)
         if floor >= threshold:
             pad = (tree.n - gap) - ell
             assert pad >= 0

@@ -9,6 +9,7 @@ the one random greedy walk built on it.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -145,10 +146,15 @@ def is_valid_embedding(d: Digraph, tree: OrientedTree, emb: Embedding) -> bool:
     """Total + injective + every tree edge maps to a host edge of the same direction.
 
     Every tree vertex 0..|T|-1 and every host 0..n-1 is checked by range, so
-    no id can alias another through negative indexing.
+    no id can alias another through negative indexing.  The arcs are then
+    read in one gather: host[i] = image of i, and the edge list flattened
+    to tail, head, tail, head, ...
     """
     if len(emb.map) != tree.n or not all(0 <= tv < tree.n for tv in emb.map):
         return False
     if len(emb.used) != tree.n or not all(0 <= hv < d.n for hv in emb.used):
         return False
-    return all(d.has_edge(emb.map[u], emb.map[v]) for u, v in tree.edge_list)
+    host = np.fromiter(map(emb.map.__getitem__, range(tree.n)), dtype=np.int64, count=tree.n)
+    ends = host[np.fromiter(itertools.chain.from_iterable(tree.edge_list), dtype=np.int64,
+                            count=2 * (tree.n - 1))]
+    return bool(d.mat[ends[0::2], ends[1::2]].all())

@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .digraph import Digraph, Sign
 from .embedding import Embedding, PipelineError, draw_host, greedy_walk
-from .trees import OrientedTree, canonical_form_and_order, prefix_order, subtree_sizes
+from .trees import OrientedTree, canonical_forms_and_orders, prefix_order, subtree_sizes
 
 
 class MatchingError(PipelineError):
@@ -293,16 +293,16 @@ def group_components(components: list[OrientedTree]) -> list[ForestClass]:
 
     Each component is rooted at the centroid with the smaller canonical
     string, a choice invariant under isomorphism, so isomorphic components
-    always join the same class with corresponding canonical orders.
+    always join the same class with corresponding canonical orders.  A
+    component with two centroids gets both rootings from one pass.
     """
     classes: dict[str, ForestClass] = {}
     rep_orders: dict[str, list[int]] = {}
     for idx, comp in enumerate(components):
         # The (form, root) pairs are distinct, so orders are never compared.
+        roots = _centroids(comp)
         form, root, order = min(
-            (form, r, order)
-            for r in _centroids(comp)
-            for form, order in [canonical_form_and_order(comp, r)]
+            (form, r, order) for r, (form, order) in zip(roots, canonical_forms_and_orders(comp, roots))
         )
         if form not in classes:
             classes[form] = ForestClass(rep=comp, rep_root=root)

@@ -524,8 +524,23 @@ def canonical_form_and_order(tree: OrientedTree, root: int) -> tuple[str, list[i
     are finished before their parents in one loop over a breadth-first order,
     so the depth of the tree is not limited by the interpreter's stack.
     """
+    return canonical_forms_and_orders(tree, [root])[0]
+
+
+def canonical_forms_and_orders(tree: OrientedTree, roots: list[int]) -> list[tuple[str, list[int]]]:
+    """`canonical_form_and_order(tree, r)` for each r in `roots`, from one pass.
+
+    `roots` is one vertex or two adjacent ones (a tree's two centroids).  For
+    two, the edge between them splits the tree into two halves, each of
+    whose strings is formed once; each root's string is its own half's
+    children plus the other half's top string as one more child.
+    """
+    # Each root is the other's parent, so the search covers the two halves
+    # and no string crosses the edge between them.
     parent = [-1] * tree.n
-    bfs = [root]
+    if len(roots) == 2:
+        parent[roots[0]], parent[roots[1]] = roots[1], roots[0]
+    bfs = list(roots)
     for v in bfs:
         for u in tree._und[v]:
             if u != parent[v]:
@@ -533,6 +548,7 @@ def canonical_form_and_order(tree: OrientedTree, root: int) -> tuple[str, list[i
                 bfs.append(u)
     form: list[str | None] = [None] * tree.n
     kids: list[list[int]] = [[]] * tree.n
+    half_items: dict[int, list[tuple[str, int]]] = {}
     for v in reversed(bfs):
         out_v = tree._out[v]
         # Children come in ascending id, so sorting by (string, id) is the
@@ -544,10 +560,24 @@ def canonical_form_and_order(tree: OrientedTree, root: int) -> tuple[str, list[i
         kids[v] = [u for _, u in items]
         for u in kids[v]:
             form[u] = None  # each string is read once; keeps memory O(n)
+        if v in roots:
+            half_items[v] = items
+    if len(roots) == 1:
+        return [(form[roots[0]], _preorder(kids, roots[0]))]
+    out = []
+    for r, s in (roots, roots[::-1]):
+        items = sorted(half_items[r] + [(("+" if s in tree._out[r] else "-") + form[s], s)])
+        half_kids, kids[r] = kids[r], [u for _, u in items]
+        out.append(("(" + "".join([f for f, _ in items]) + ")", _preorder(kids, r)))
+        kids[r] = half_kids
+    return out
+
+
+def _preorder(kids: list[list[int]], root: int) -> list[int]:
     order = []
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
         stack.extend(reversed(kids[v]))
-    return form[root], order
+    return order

@@ -357,6 +357,26 @@ class TestAbsorber:
         assert emb[0] == state.anchor_host
         assert set(emb.used) == set(b.tolist())
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_completion_attaches_along_host_arcs(self, seed):
+        # About a tenth of the arcs are missing, so the smallest index that y
+        # can take over is often not adjacent to the attachment image: a
+        # completion that skipped the attachment-arc rule returns a map with
+        # a missing arc on each of these seeds.
+        n = 200
+        rng = np.random.default_rng(seed)
+        d = gen_semidegree_digraph(n, 0.2, rng)
+        assert d.num_edges() < 0.95 * n * (n - 1)
+        params = spanning_defaults(n, 0.2)
+        tree = gen_random_tree(params.absorber_size(n), 3, "uniform", rng).with_t(0)
+        state = build_absorber(d, tree, 0, params, rng)
+        free = np.array(sorted(set(range(n)) - set(state.a_set.tolist())))
+        extra = rng.choice(free, size=tree.n - len(state.a_set), replace=False)
+        b = np.array(sorted(set(state.a_set.tolist()) | {int(x) for x in extra}))
+        emb = complete_absorption(state, b)
+        assert verify_embedding(d, tree, emb)
+        assert set(emb.used) == set(b.tolist())
+
     def test_completion_requires_a_subset(self):
         d = complete(200)
         params = spanning_defaults(200, 0.45)
@@ -463,6 +483,64 @@ class TestPropertySFloor:
         finally:
             tracemalloc.stop()
         assert peak < 4 * n * n
+
+    @pytest.mark.parametrize("kind", ["complete", "p0.98", "p0.7", "minus-arcs"])
+    def test_union_bound_is_at_most_the_floor(self, kind):
+        # ell - max a - max b from the dense matrices, against the exact floor;
+        # a threshold the bound reaches returns the bound, one above it the floor.
+        rng = np.random.default_rng(10 + ["complete", "p0.98", "p0.7", "minus-arcs"].index(kind))
+        for family in ("uniform", "spider", "caterpillar"):
+            for gap in (0, 1, 2, 9):
+                n = int(rng.integers(16, 30))
+                d = self.host(kind, n, rng)
+                tree = gen_random_tree(n - gap, 3, family, rng)
+                order = prefix_order(tree, int(rng.integers(tree.n)), "leaves_last_middles_consecutive")
+                hosts = rng.permutation(n)[: tree.n].astype(np.int64)
+                floor, m = full_property_s_floor(d, tree, order, hosts)
+                ell = tree.n
+                max_a = ell - min(d.mat[:, hosts].sum(axis=1).min(), d.mat[hosts].sum(axis=0).min())
+                max_b = ell - m.sum(axis=1).min()
+                bound = ell - int(max_a) - int(max_b)
+                assert bound <= floor
+                assert _property_s_floor(d, order, hosts, bound) == bound
+                assert _property_s_floor(d, order, hosts, bound + 1) == floor
+
+    @pytest.mark.parametrize("n, margin", [(160, -10), (240, -5)])
+    def test_exact_floor_decides_when_the_bound_falls_short(self, monkeypatch, n, margin):
+        # On these p = 0.8 hosts the bound of every attempt is below the
+        # threshold; the exact floor rejects the attempts below it and accepts
+        # the first that reaches it, which the bound alone never would.
+        seen = []
+
+        def both(d, order, hosts, threshold=None):
+            bound = _property_s_floor(d, order, hosts, -3 * len(hosts))
+            seen.append((bound, _property_s_floor(d, order, hosts)))
+            return _property_s_floor(d, order, hosts, threshold)
+
+        monkeypatch.setattr(embedder, "_property_s_floor", both)
+        rng = np.random.default_rng(5)
+        mat = rng.random((n, n)) < 0.8
+        np.fill_diagonal(mat, False)
+        params = spanning_defaults(n, 0.25).with_updates(switch_margin=margin)
+        tree = gen_random_tree(params.absorber_size(n), 3, "uniform", np.random.default_rng(6)).with_t(0)
+        state = build_absorber(Digraph(n, mat), tree, 0, params, np.random.default_rng(7))
+        assert all(bound < state.threshold for bound, _floor in seen)
+        assert [floor >= state.threshold for _bound, floor in seen] == [False] * (len(seen) - 1) + [True]
+
+    def test_complete_host_build_peak_without_float32_blocks(self):
+        # The bound settles this build, so no float32 block is allocated; the
+        # exact route peaked at 2.0 n^2 bytes here.
+        n = 600
+        params = spanning_defaults(n, 0.25)
+        tree = gen_random_tree(params.absorber_size(n), 3, "spider", np.random.default_rng(1)).with_t(0)
+        d = complete(n)
+        tracemalloc.start()
+        try:
+            build_absorber(d, tree, 0, params, np.random.default_rng(2))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * n * n
 
     def test_s_fail_message_keeps_its_floor(self):
         # Message recorded with the dense certificate.

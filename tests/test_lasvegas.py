@@ -20,7 +20,14 @@ from spantree.embedder import (
     embed_spanning,
     embed_stars,
 )
-from spantree.embedding import Embedding, PipelineError, VerificationError, draw_host, greedy_walk
+from spantree.embedding import (
+    Embedding,
+    PipelineError,
+    VerificationError,
+    draw_host,
+    greedy_walk,
+    is_valid_embedding,
+)
 from spantree.guides import GuideBuildError, GuideRestrictError
 from spantree.matching import ForestEmbedError, MatchingError, match_leaves, walk_lean_pieces
 from spantree.oracle import TrialConfig, run_single_trial
@@ -417,6 +424,37 @@ class TestVerificationError:
         with pytest.raises(PhaseFailure) as info:
             embed_almost_spanning(d, tree, 0, 5, params, rng)
         assert (info.value.cause, info.value.attempts, len(calls)) == ("verify", 3, 3)
+
+
+class TestIsValidEmbedding:
+    """The output check: totality, ranges, then every tree arc as a host arc of the same direction."""
+
+    # Host arcs 0 -> 1 and 1 -> 2 only; tree arc 0 -> 1.
+    host = Digraph.from_edges(3, [(0, 1), (1, 2)])
+    tree = OrientedTree(2, [(0, 1)])
+
+    @staticmethod
+    def emb(pairs):
+        emb = Embedding()
+        for tv, hv in pairs:
+            emb.assign(tv, hv)
+        return emb
+
+    def test_arc_of_the_same_direction(self):
+        assert is_valid_embedding(self.host, self.tree, self.emb([(0, 1), (1, 2)]))
+        assert is_valid_embedding(self.host, OrientedTree(1, []), self.emb([(0, 2)]))
+
+    def test_reversed_arc(self):
+        assert not is_valid_embedding(self.host, self.tree, self.emb([(0, 1), (1, 0)]))
+
+    def test_non_arc(self):
+        assert not is_valid_embedding(self.host, self.tree, self.emb([(0, 0), (1, 2)]))
+
+    def test_negative_ids(self):
+        # Host -2 would index host 1, so without the range check the map
+        # would pass as the arc 0 -> 1.
+        assert not is_valid_embedding(self.host, self.tree, self.emb([(0, 0), (1, -2)]))
+        assert not is_valid_embedding(self.host, self.tree, self.emb([(0, 0), (-1, 1)]))
 
 
 class TestFailuresFromInputs:

@@ -10,6 +10,7 @@ from spantree.matching import _centroids, group_components
 from spantree.trees import (
     OrientedTree,
     canonical_form_and_order,
+    canonical_forms_and_orders,
     canonical_rooted_form,
     components,
     find_bare_paths,
@@ -669,5 +670,37 @@ class TestIterativeCanon:
             if rng.random() < 0.5:
                 comps.append(relabelled(comp, rng.permutation(comp.n).tolist()))
         comps = [comps[i] for i in rng.permutation(len(comps))]
+        got = [(c.rep, c.rep_root, c.members, c.member_maps) for c in group_components(comps)]
+        assert got == double_canon_classes(comps)
+
+    @given(st.integers(0, 10_000), st.integers(6, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_two_centroid_components_match_the_double_canon_version(self, seed, n):
+        # Oriented paths on an even number of vertices (two centroids), the
+        # legs of a spider with its centre removed, and a spider with a leg of
+        # half the vertices (two centroids again), each with relabelled copies
+        # so that classes hold several members.
+        rng = np.random.default_rng(seed)
+        comps = []
+        for k in range(2, 2 * int(rng.integers(2, 8)) + 1):
+            comps.append(OrientedTree(k, [(v, v + 1) if rng.random() < 0.5 else (v + 1, v)
+                                          for v in range(k - 1)]))
+        spider = gen_random_tree(n, 3, "spider", rng)
+        comps += [induced_subtree(spider, verts).tree for verts in components(spider, range(1, n))]
+        # Centre 0, a leg 1..n/2, and legs of one or two vertices.
+        n -= n % 2
+        half = n // 2
+        legs = [(v - 1, v) for v in range(1, half + 1)]
+        legs += [(0 if (v - half) % 2 else v - 1, v) for v in range(half + 1, n)]
+        comps.append(OrientedTree(n, [e if rng.random() < 0.5 else e[::-1] for e in legs]))
+        assert _centroids(comps[-1]) == [0, 1]
+        for comp in list(comps):
+            if rng.random() < 0.7:
+                comps.append(relabelled(comp, rng.permutation(comp.n).tolist()))
+        comps = [comps[i] for i in rng.permutation(len(comps))]
+        assert sum(len(_centroids(c)) == 2 for c in comps) >= 3
+        for comp in comps:
+            roots = _centroids(comp)
+            assert canonical_forms_and_orders(comp, roots) == [recursive_canon(comp, r) for r in roots]
         got = [(c.rep, c.rep_root, c.members, c.member_maps) for c in group_components(comps)]
         assert got == double_canon_classes(comps)

@@ -14,7 +14,6 @@ from .digraph import (
     check_inherited_degree,
     gen_semidegree_digraph,
     min_semidegree,
-    neighbors,
     sample_disjoint_subsets,
 )
 from .decompose import TreeDecomposition, check_decomposition, decompose

@@ -86,14 +86,8 @@ def cmd_embed(args) -> int:
     if args.phase in ("stars", "paths", "absorber"):
         return _run_isolated_phase(args, d, tree, rng)
     if almost:
-        if tree.n > d.n - 4:
-            print("error: --almost needs |T| <= n - 4", file=sys.stderr)
-            return 1
         base = almost_defaults(d.n, args.alpha_hint(d), args.eps)
     else:
-        if tree.n != d.n:
-            print(f"error: spanning embedding needs |T| = n ({tree.n} != {d.n})", file=sys.stderr)
-            return 1
         base = spanning_defaults(d.n, args.alpha_hint(d))
     params = _schedule_overrides(args, base)
 

@@ -18,7 +18,13 @@ import numpy as np
 
 from .embedding import PipelineError
 from .params import ParamSchedule
-from .trees import OrientedTree, components, induced_subtree, maximal_bare_paths
+from .trees import (
+    OrientedTree,
+    components,
+    find_independent_leaves,
+    induced_subtree,
+    maximal_bare_paths,
+)
 
 
 class DecompositionError(PipelineError):
@@ -86,36 +92,25 @@ class TreeDecomposition:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _greedy_independent_leaves(tree: OrientedTree, alive: np.ndarray, deg: np.ndarray) -> list[int]:
-    """Maximal set of current leaves, pairwise without common neighbors, by id."""
-    used_nbrs: set[int] = set()
-    out = []
-    for v in range(tree.n):
-        if alive[v] and deg[v] == 1:
-            nb = next(u for u in tree.nbrs(v) if alive[u])
-            if nb not in used_nbrs:
-                used_nbrs.add(nb)
-                out.append(v)
-    return out
-
-
 def _strip(tree: OrientedTree, t: int, batch_min: int) -> np.ndarray:
     """Iterated independent-leaf stripping plus the final leaf layer.
 
     Returns the alive mask of the low-leaf core S'.
     """
     alive = np.ones(tree.n, dtype=bool)
+    # deg[v]: v's degree among the alive vertices, 0 once v is removed.
     deg = np.array([tree.degree(v) for v in range(tree.n)], dtype=np.int64)
 
     def remove(batch: list[int]) -> None:
         for v in batch:
             alive[v] = False
+            deg[v] = 0
             for u in tree.nbrs(v):
                 if alive[u]:
                     deg[u] -= 1
 
     while alive.sum() > 1:
-        batch = _greedy_independent_leaves(tree, alive, deg)
+        batch = find_independent_leaves(tree, deg)
         if len(batch) < batch_min:
             break
         non_t = [v for v in batch if v != t]
@@ -138,7 +133,6 @@ def _stripped_components(tree: OrientedTree, alive: np.ndarray):
     comps: list[tuple[int, list[int]]] = []
     for comp in components(tree, np.flatnonzero(~alive)):
         touches = {u for w in comp for u in tree.nbrs(w) if alive[u]}
-        assert len(touches) == 1, f"stripped component touches {len(touches)} core vertices"
         comps.append((touches.pop(), comp))
     return comps
 

@@ -35,7 +35,6 @@ from .guides import GuideBuildError, GuideSystem
 from .matching import (
     BipartitePattern,
     ForestEmbedError,
-    MatchingError,
     covering_matching,
     embed_small_forest,
     embed_tree_copies,
@@ -79,21 +78,6 @@ def _retry(phase: str, attempts: int, once):
     raise PhaseFailure(phase, last.cause, str(last), attempts=attempts)
 
 
-@dataclass
-class PartAudit:
-    """Instrumentation for one auxiliary leaf-matching graph."""
-
-    part: int
-    sign: str
-    rows: int
-    cols: int
-    min_row_degree: int
-    max_back_degree: int
-    skew_certified: bool
-    matched: bool
-    widened_rows: int = 0   # rows that fell back to full host adjacency
-
-
 def _forest_order(tree: OrientedTree, core: set[int], anchor: int):
     """Prefix order of the core set: anchor's component first, roots by id.
 
@@ -130,7 +114,7 @@ def embed_core_with_leaf_sets(
     s: int,
     guides: GuideSystem,
     rng: np.random.Generator,
-) -> tuple[Embedding, list[PartAudit]]:
+) -> Embedding:
     """Randomly embed the core into V0 via guide draws, then match each leaf part.
 
     `targets[0]` is V0; `targets[j]` hosts leaf part j-1.  The tree anchor
@@ -138,14 +122,17 @@ def embed_core_with_leaf_sets(
     from the unused part of the guide set keyed by its parent's image; each
     leaf of part j is matched inside V_j along the guide-graph rows of the
     embedded vertices (anchor and stray component roots fall back to plain
-    host adjacency rows, since no guide produced them).
+    host adjacency rows, since no guide produced them).  Every vertex of
+    part j must hang on the core by one edge of sign leaf_parts[j][1].
     """
     v0 = targets[0]
     anchor = tree.t
     v0_free = np.zeros(d.n, dtype=bool)
     v0_free[v0] = True
-    assert anchor is not None and anchor in core
-    assert v0_free[int(s)], "anchor target must lie in V0"
+    if anchor not in core:
+        raise ValueError(f"tree anchor {anchor} is not a core vertex")
+    if not v0_free[int(s)]:
+        raise ValueError(f"anchor host {s} is not in V0")
 
     emb = Embedding()
     provenance: dict[int, tuple] = {}
@@ -169,7 +156,6 @@ def embed_core_with_leaf_sets(
         emb.assign(vertex, host, "core")
         v0_free[host] = False
 
-    audits: list[PartAudit] = []
     for j, (part_vertices, circ) in enumerate(leaf_parts):
         cols = np.asarray(targets[j + 1], dtype=np.int64)
         rows = np.zeros((len(part_vertices), len(cols)), dtype=bool)
@@ -177,12 +163,13 @@ def embed_core_with_leaf_sets(
         parent_of: list[int] = []
         for u in part_vertices:
             parents = [w for w in tree.nbrs(u) if w in core]
-            assert len(parents) == 1, "leaf-part vertex must attach to the core once"
+            if len(parents) != 1 or tree.edge_sign(parents[0], u) is not circ:
+                raise ValueError(
+                    f"leaf part {j}: vertex {u} must hang on the core by one {circ} edge"
+                )
             p = parents[0]
-            assert tree.edge_sign(p, u) is circ, "part attach sign not uniform"
             parent_of.append(p)
             multiplicity[p] = multiplicity.get(p, 0) + 1
-        widened = 0
         for r, (u, p) in enumerate(zip(part_vertices, parent_of)):
             row = None
             if p in provenance:
@@ -193,29 +180,14 @@ def embed_core_with_leaf_sets(
                 # (still host edges, only the steering is lost).
                 if int(row.sum()) < multiplicity[p]:
                     row = None
-                    widened += 1
             if row is None:
                 row = d.adj_row(emb[p], circ)[cols]
             rows[r] = row
         pattern = BipartitePattern.explicit(np.arange(len(part_vertices)), cols, circ, rows)
-        min_row = int(rows.sum(axis=1).min()) if rows.size else 0
-        max_back = int(rows.sum(axis=0).max()) if rows.size else 0
-        try:
-            matching = covering_matching(pattern, what=f"leaf part {j}")
-            matched = True
-        except MatchingError as exc:
-            audits.append(
-                PartAudit(j, str(circ), len(part_vertices), len(cols),
-                          min_row, max_back, min_row >= max_back, False, widened)
-            )
-            raise MatchingError(f"leaf part {j}: {exc}", violator=exc.violator) from exc
-        audits.append(
-            PartAudit(j, str(circ), len(part_vertices), len(cols),
-                      min_row, max_back, min_row >= max_back, matched, widened)
-        )
+        matching = covering_matching(pattern, what=f"leaf part {j}")
         for r, host in matching.pairs:
             emb.assign(part_vertices[r], host, "leafset")
-    return emb, audits
+    return emb
 
 
 @dataclass(frozen=True)
@@ -234,7 +206,6 @@ def stars_from_decomposition(td: TreeDecomposition) -> list[StarComponent]:
     for v, hang in sorted(td.stars.items()):
         for comp in components(tree, hang):
             roots = [x for x in comp if v in tree.nbrs(x)]
-            assert len(roots) == 1
             out.append(
                 StarComponent(
                     attach=v,
@@ -405,7 +376,7 @@ def _embed_stars_once(
     guides.restrict(v0, part_targets, layout.mu_count, direct=True)
 
     core_tree = tree if tree.t == t else tree.with_t(t)
-    emb, _audits = embed_core_with_leaf_sets(
+    emb = embed_core_with_leaf_sets(
         d, core_tree, tprime, parts, [v0] + part_targets, v, guides, rng
     )
 
@@ -482,10 +453,12 @@ def _attach_path_trees_once(
     total_body = 0
     for piece, r_local, s_local in pieces:
         tr = piece.tree
-        assert tr.degree(r_local) == 1 and tr.degree(s_local) == 1
+        if tr.degree(r_local) != 1 or tr.degree(s_local) != 1:
+            raise ValueError(f"endpoints {r_local}, {s_local} must be leaves of the piece")
         r_mid = tr.nbrs(r_local)[0]
         s_mid = tr.nbrs(s_local)[0]
-        assert tr.degree(r_mid) == 2 and tr.degree(s_mid) == 2
+        if tr.degree(r_mid) != 2 or tr.degree(s_mid) != 2:
+            raise ValueError(f"the neighbours of endpoints {r_local}, {s_local} must have degree 2")
         drop = {r_local, r_mid, s_local, s_mid}
         body_vertices = [x for x in range(tr.n) if x not in drop]
         body = induced_subtree(tr, body_vertices)
@@ -556,7 +529,6 @@ def embed_almost_spanning(
     v: int,
     params: ParamSchedule,
     rng: np.random.Generator,
-    td: TreeDecomposition | None = None,
 ) -> tuple[Embedding, dict]:
     """Verified copy of an almost-spanning tree with t embedded to v.
 
@@ -575,7 +547,7 @@ def embed_almost_spanning(
     # Far below the decomposition scale, or small and undecomposable: a plain
     # greedy walk suffices.
     greedy = tree.n <= max(8, params.k)
-    if not greedy and td is None:
+    if not greedy:
         try:
             td = decompose(tree, t, params)
         except DecompositionError as exc:
@@ -760,10 +732,8 @@ def _assemble_almost(
         for (piece, _r, _s), pmap in zip(piece_inputs, maps):
             for lv, lh in pmap.items():
                 tv = int(piece.labels[lv])
-                if tv in emb:
-                    assert emb[tv] == int(labels2[lh])
-                    continue
-                emb.assign(tv, int(labels2[lh]), "paths")
+                if tv not in emb:   # the anchors x, y are already placed
+                    emb.assign(tv, int(labels2[lh]), "paths")
 
     # Leftover leaves greedily into V3.  Like the lean-star walk, candidates
     # are read in the iteration order of a set of V3's hosts.
@@ -787,7 +757,6 @@ def _assemble_almost(
                 seen.add(u)
                 nxt.extend(w for w in tree.nbrs(u) if w in left_set and w not in seen)
             frontier = nxt
-        assert len(ordered) == len(leftovers)
         placed: dict[int, int] = {}
         for u, parent, sign in ordered:
             parent_host = emb[parent] if parent in emb else placed[parent]
@@ -941,7 +910,6 @@ def build_absorber(
         floor = _property_s_floor(d, order, hosts, threshold)
         if floor >= threshold:
             pad = (tree.n - gap) - ell
-            assert pad >= 0
             extra = (
                 rng.choice(np.flatnonzero(free), size=pad, replace=False)
                 if pad else np.array([], dtype=np.int64)
@@ -1154,10 +1122,8 @@ def embed_spanning(
                 total.assign(int(trunk_piece.labels[lv]), int(labels_rest[lh]), "almost")
             for lv, host in emb_abs.map.items():
                 tv = int(absorber_piece.labels[lv])
-                if tv in total:
-                    assert total[tv] == host, "absorber and trunk disagree at the shared vertex"
-                    continue
-                total.assign(tv, host, "absorber")
+                if tv not in total:   # the shared vertex is placed by both sides
+                    total.assign(tv, host, "absorber")
             if not is_valid_embedding(d, tree, total) or len(total.used) != n:
                 raise VerificationError("spanning embedding failed verification")
             phases["outer_attempts"] = outer + 1

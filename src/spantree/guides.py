@@ -12,7 +12,6 @@ randomness, so they are cached and reused across Las Vegas retries.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -121,7 +120,6 @@ class GuideEntry:
     hplus: np.ndarray            # bool |A| x n; row i: out-edges of guide[i] in H^+
     hminus: np.ndarray           # bool |A| x n; row i: in-edges  of guide[i] in H^-
     edges_per_row: int           # ceil(eps * n)
-    back_bound: float            # declared (1+eta)*mu*eps*n bound on back-degrees
     row_index: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -139,17 +137,6 @@ class GuideEntry:
         return BipartitePattern.explicit(
             self.guide, cols, circ, self.h(circ)[:, cols]
         )
-
-    def debug_dump(self) -> str:
-        doc = {
-            "v": int(self.v),
-            "sign": str(self.sign),
-            "guide_set": [int(w) for w in self.guide],
-            "row_edges": self.edges_per_row,
-            "hplus_back_degrees": self.hplus.sum(axis=0).tolist(),
-            "hminus_back_degrees": self.hminus.sum(axis=0).tolist(),
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def build_guide(
@@ -200,10 +187,9 @@ def build_guide(
     per_row = max(1, math.ceil(eps * n))
     # Degree budget from the realized counts: size*per_row edges over n
     # columns.  (1+eta/2) growth headroom per round leaves at least
-    # eta*n/(2+eta) light indices; the declared bound gets the full (1+eta).
+    # eta*n/(2+eta) light indices.
     mean_back = size * per_row / n
     grow_bound = (1 + eta / 2) * mean_back
-    back_bound = (1 + eta) * mean_back
 
     if labeling is None:
         labeling = build_xy_labeling(d, v, sign, alpha)
@@ -282,7 +268,6 @@ def build_guide(
         hplus=hplus,
         hminus=hminus,
         edges_per_row=per_row,
-        back_bound=back_bound,
     )
 
 
@@ -459,7 +444,6 @@ def restrict_entry(d: Digraph, entry: GuideEntry, ctx: RestrictionContext) -> Gu
         hplus=entry.hplus[keep],
         hminus=entry.hminus[keep],
         edges_per_row=entry.edges_per_row,
-        back_bound=entry.back_bound,
     )
     _audit_parts(d, trimmed, ctx)
     return trimmed
@@ -471,14 +455,13 @@ def restrict_guides(
     parts: list[np.ndarray],
     mu_count: int,
     probe: list[tuple[int, Sign]] | None = None,
-    direct: bool = False,
 ) -> GuideSystem:
     """Install a restriction on `system` and audit the probed entries eagerly.
 
     With probe=None the restriction is purely lazy; passing explicit (v, sign)
     pairs forces construction + audit now, surfacing Q1-Q3 failures early.
     """
-    system.restrict(v0, parts, mu_count, direct=direct)
+    system.restrict(v0, parts, mu_count)
     if probe:
         for v, sign in probe:
             system.get(v, sign)

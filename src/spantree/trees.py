@@ -165,30 +165,33 @@ def prefix_order(tree: OrientedTree, root: int, policy: str = "any") -> PrefixOr
         is_leaf = [tree.degree(v) == 1 for v in range(tree.n)]
         order = dfs(lambda u: not is_leaf[u])
         order.extend(v for v in range(tree.n) if is_leaf[v] and v != root)
-    assert len(order) == tree.n, "ordering missed vertices"
 
     pos = {v: i for i, v in enumerate(order)}
     parent_index: list[int] = [-1]
     signs: list[Sign | None] = [None]
     for i in range(1, len(order)):
         v = order[i]
-        earlier = [u for u in tree.nbrs(v) if pos[u] < i]
-        assert len(earlier) == 1, "prefix is not a tree"
-        parent = earlier[0]
+        parent = next(u for u in tree.nbrs(v) if pos[u] < i)
         parent_index.append(pos[parent])
         signs.append(tree.edge_sign(parent, v))
     return PrefixOrdering(tuple(order), tuple(parent_index), tuple(signs))
 
 
-def find_independent_leaves(tree: OrientedTree) -> list[int]:
-    """Greedy maximal set of leaves, no two sharing a neighbor (by vertex id)."""
+def find_independent_leaves(tree: OrientedTree, deg=None) -> list[int]:
+    """Greedy maximal set of leaves, no two sharing a neighbor (by vertex id).
+
+    With `deg`, the leaves are those of a subtree of at least two vertices:
+    deg[v] is v's degree inside it, and 0 for a vertex outside it.
+    """
     if tree.n < 2:
         raise ValueError("need at least two vertices")
+    if deg is None:
+        deg = list(map(len, tree._und))
     used_nbrs: set[int] = set()
     chosen = []
     for v in range(tree.n):
-        if tree.degree(v) == 1:
-            nb = tree.nbrs(v)[0]
+        if deg[v] == 1:
+            nb = next(u for u in tree.nbrs(v) if deg[u])
             if nb not in used_nbrs:
                 chosen.append(v)
                 used_nbrs.add(nb)
@@ -243,7 +246,7 @@ def find_bare_paths(tree: OrientedTree, m: int) -> list[BarePath]:
     """Vertex-disjoint bare paths of length exactly m.
 
     Removing their interiors leaves at most 6*m*t + 2|T|/(m+1) vertices,
-    where t is the leaf count; that bound is asserted on every call.
+    where t is the leaf count.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -260,15 +263,6 @@ def find_bare_paths(tree: OrientedTree, m: int) -> list[BarePath]:
                 a += m + 1
             else:
                 a += 1
-
-    interior_removed = sum(m - 1 for _ in chosen)
-    leaf_count = max(2, len(tree.leaves()))
-    bound = 6 * m * leaf_count + 2 * tree.n / (m + 1)
-    remaining = tree.n - interior_removed
-    assert remaining <= bound, (
-        f"bare-path residue {remaining} exceeds bound {bound:.1f} "
-        f"(n={tree.n}, m={m}, leaves={leaf_count})"
-    )
     return chosen
 
 
@@ -386,7 +380,6 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
             break
         took.append(u)
         total += size[u]
-    assert m - 1 <= total <= 2 * m - 2, "accumulation bound broken"
 
     # T2 is the pivot plus the pieces of T - pivot holding the taken children.
     took_set = set(took)
@@ -398,8 +391,6 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
 
     piece2 = induced_subtree(tree, t2_vertices)
     piece1 = induced_subtree(tree, t1_vertices, t=root if root in t1_vertices else None)
-    assert m <= piece2.tree.n <= 3 * m
-    assert piece1.tree.n + piece2.tree.n == tree.n + 1
     return piece1, piece2, pivot
 
 

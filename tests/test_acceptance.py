@@ -196,16 +196,20 @@ class TestCriterion5Decomposition:
             if not (m <= p2.tree.n <= 3 * m and p1.tree.n + p2.tree.n == tree.n + 1):
                 split_bad += 1
 
-        # find_bare_paths asserts its own bound on every call
+        # find_bare_paths residue: at most 6*m*t + 2|T|/(m+1) for t leaves
         from spantree.trees import find_bare_paths
 
+        residue_bad = 0
         for seed in range(40):
             rng = np.random.default_rng(seed)
             tree = gen_random_tree(int(rng.integers(10, 600)), 3, "uniform", rng)
-            find_bare_paths(tree, int(rng.integers(2, 9)))
+            m = int(rng.integers(2, 9))
+            residue = tree.n - (m - 1) * len(find_bare_paths(tree, m))
+            residue_bad += residue > 6 * m * len(tree.leaves()) + 2 * tree.n / (m + 1)
 
-        report(5, "structural decomposition", failures == 0 and split_bad == 0,
-               f"decomposition failures={failures}, split violations={split_bad}")
+        report(5, "structural decomposition", failures == 0 and split_bad == 0 and residue_bad == 0,
+               f"decomposition failures={failures}, split violations={split_bad}, "
+               f"bare-path residue violations={residue_bad}")
 
 
 class TestCriterion6AbsorptionDeterminism:

@@ -369,3 +369,18 @@ class TestAnchorRange:
         capsys.readouterr()
         assert main(["embed", str(dpath), str(tpath), "--seed", "1", *flags]) == 1
         assert "outside 0..199" in capsys.readouterr().err
+
+
+class TestSizeMismatch:
+    """A tree of the wrong size is the library's usage error, reported once with exit code 1."""
+
+    @pytest.mark.parametrize(
+        "tree_n, flags, message",
+        [(160, [], "spanning embedding needs |T| = n, got 160 != 200"),
+         (197, ["--almost"], "need at least 4 spare host vertices, got 3")],
+    )
+    def test_wrong_tree_size_exits_one(self, tmp_path, capsys, tree_n, flags, message):
+        dpath, tpath = TestEmbed().make_instance(tmp_path, n=200, tree_n=tree_n)
+        capsys.readouterr()
+        assert main(["embed", str(dpath), str(tpath), "--seed", "1", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

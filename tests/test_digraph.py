@@ -7,7 +7,6 @@ from spantree.digraph import (
     check_inherited_degree,
     gen_semidegree_digraph,
     min_semidegree,
-    neighbors,
     sample_disjoint_subsets,
 )
 
@@ -34,25 +33,8 @@ class TestMinSemidegree:
         assert min_semidegree(d) == 0
 
 
-class TestNeighbors:
-    def test_cycle_out(self):
-        got = neighbors(three_cycle(), 0, Sign.PLUS, np.arange(3))
-        assert got.tolist() == [1]
-
-    def test_cycle_in(self):
-        got = neighbors(three_cycle(), 0, Sign.MINUS, np.arange(3))
-        assert got.tolist() == [2]
-
-    def test_complete_restricted(self):
-        got = neighbors(complete(4), 2, Sign.PLUS, np.array([0, 1]))
-        assert got.tolist() == [0, 1]
-
-
 class TestSign:
-    def test_two_values_and_involution(self):
-        assert Sign.PLUS.flip is Sign.MINUS
-        assert Sign.MINUS.flip is Sign.PLUS
-        assert Sign.PLUS.flip.flip is Sign.PLUS
+    def test_two_values(self):
         assert len(list(Sign)) == 2
 
 
@@ -71,14 +53,22 @@ class TestGenerator:
         with pytest.raises(ValueError, match="irreparable"):
             gen_semidegree_digraph(4, 0.49, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_row_blocks_draw_the_one_shot_stream(self, n):
+        # n is no multiple of the 256-row block; at alpha = 0.2 the draw
+        # already meets the target, so no repair arc is added.
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        d = gen_semidegree_digraph(n, 0.2, rng)
+        want = ref.random((n, n)) < 0.9
+        np.fill_diagonal(want, False)
+        assert min(want.sum(axis=0).min(), want.sum(axis=1).min()) >= np.ceil(0.7 * n)
+        assert (d.mat == want).all()
+        assert rng.random() == ref.random()
+
     def test_deterministic(self):
         d1 = gen_semidegree_digraph(200, 0.1, np.random.default_rng(7))
         d2 = gen_semidegree_digraph(200, 0.1, np.random.default_rng(7))
         assert d1.edges() == d2.edges()
-
-    def test_adjacency_consistency_exhaustive(self):
-        d = gen_semidegree_digraph(150, 0.2, np.random.default_rng(5))
-        d.check_consistency()
 
 
 class TestSampleDisjointSubsets:
@@ -179,9 +169,6 @@ class TestDerivedAdjacency:
             with pytest.raises(ValueError):
                 field[0] = 1
         assert d.mutual_colsum is colsum and d.mutual_packed is packed
-
-    def test_consistency_audit_passes(self, digraph):
-        digraph.check_consistency()
 
     def test_induce_is_the_sorted_submatrix(self):
         d = gen_semidegree_digraph(90, 0.1, np.random.default_rng(13))

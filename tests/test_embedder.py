@@ -22,6 +22,7 @@ from spantree.embedder import (
 )
 from spantree.embedding import greedy_walk, is_valid_embedding
 from spantree.guides import GuideSystem
+from spantree.matching import MatchingError
 from spantree.oracle import verify_embedding
 from spantree.params import ParamSchedule, almost_defaults, spanning_defaults
 from spantree.trees import OrientedTree, gen_random_tree, induced_subtree, prefix_order
@@ -42,12 +43,45 @@ class TestCoreWithLeafSets:
         part = np.arange(10, 20)
         system = GuideSystem(d, eps=0.2, eta=1.0, mu=0.2, alpha=0.45)
         system.restrict(v0, [part], mu_count=4, direct=True)
-        emb, audits = embed_core_with_leaf_sets(
+        emb = embed_core_with_leaf_sets(
             d, tree, {0}, [([1], Sign.PLUS)], [v0, part], 3, system, rng
         )
         assert emb[0] == 3
         assert emb[1] in set(part.tolist())
-        assert audits[0].matched
+
+    def test_unmatched_part_is_named_once(self):
+        mat = ~np.eye(30, dtype=bool)
+        mat[3, 10:20] = False
+        d = Digraph(30, mat)
+        tree = OrientedTree(2, [(0, 1)], t=0)
+        v0, part = np.arange(0, 10), np.arange(10, 20)
+        system = GuideSystem(d, eps=0.2, eta=1.0, mu=0.2, alpha=0.45)
+        system.restrict(v0, [part], mu_count=4, direct=True)
+        with pytest.raises(MatchingError) as info:
+            embed_core_with_leaf_sets(
+                d, tree, {0}, [([1], Sign.PLUS)], [v0, part], 3, system, np.random.default_rng(0)
+            )
+        assert str(info.value).startswith("leaf part 0: no matching")
+
+    @pytest.mark.parametrize(
+        "core, parts, s, message",
+        [
+            ({1}, [([2], Sign.PLUS)], 3, "tree anchor 0 is not a core vertex"),
+            ({0, 1}, [([2], Sign.PLUS)], 15, "anchor host 15 is not in V0"),
+            ({0, 1}, [([2, 3], Sign.PLUS)], 3, "leaf part 0: vertex 3 must hang on the core"),
+            ({0}, [([1, 2], Sign.PLUS)], 3, "leaf part 0: vertex 2 must hang on the core"),
+        ],
+    )
+    def test_malformed_input_is_rejected(self, core, parts, s, message):
+        # 0 -> 1 -> 2 and 3 -> 0: vertex 3 is an in-leaf of the anchor.
+        d = complete(30)
+        tree = OrientedTree(4, [(0, 1), (1, 2), (3, 0)], t=0)
+        v0, part = np.arange(0, 10), np.arange(10, 20)
+        system = GuideSystem(d, eps=0.2, eta=1.0, mu=0.2, alpha=0.45)
+        system.restrict(v0, [part], mu_count=4, direct=True)
+        with pytest.raises(ValueError, match=message):
+            embed_core_with_leaf_sets(d, tree, core, parts, [v0, part], s, system,
+                                      np.random.default_rng(0))
 
     def test_core_lands_in_v0_and_leaves_in_parts(self):
         rng = np.random.default_rng(1)
@@ -66,7 +100,7 @@ class TestCoreWithLeafSets:
         p2 = np.arange(90, 120)
         system = GuideSystem(d, eps=0.3, eta=1.0, mu=0.2, alpha=0.3)
         system.restrict(v0, [p1, p2], mu_count=14, direct=True)
-        emb, audits = embed_core_with_leaf_sets(
+        emb = embed_core_with_leaf_sets(
             d, tree, set(range(6)),
             [(out_leaves, Sign.PLUS), (in_leaves, Sign.MINUS)],
             [v0, p1, p2], 5, system, rng,
@@ -102,7 +136,7 @@ class TestCoreMonteCarlo:
             system = GuideSystem(d, eps=0.2, eta=1.0, mu=0.3, alpha=0.3)
             try:
                 system.restrict(v0, [part], mu_count=45, direct=True)
-                emb, _ = embed_core_with_leaf_sets(
+                emb = embed_core_with_leaf_sets(
                     d, tree, set(range(core_n)), [(leaves, Sign.PLUS)],
                     [v0, part], 3, system, rng,
                 )
@@ -277,6 +311,19 @@ class TestAttachPathTrees:
         with pytest.raises(ValueError):
             attach_path_trees(d, [(piece, 0, 4), (piece, 0, 4)],
                               [(1, 2), (2, 3)], params, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "edges, r, s, message",
+        [
+            ([(0, 1), (1, 2), (2, 3), (3, 4)], 1, 4, "must be leaves"),
+            ([(0, 1), (1, 2), (1, 3), (3, 4)], 0, 4, "must have degree 2"),
+        ],
+    )
+    def test_endpoint_degrees_are_checked(self, edges, r, s, message):
+        piece = induced_subtree(OrientedTree(5, edges), range(5))
+        with pytest.raises(ValueError, match=message):
+            attach_path_trees(complete(30), [(piece, r, s)], [(1, 2)],
+                              ParamSchedule(alpha=0.45, retries=3), np.random.default_rng(0))
 
 
 class TestAlmostSpanning:
@@ -620,8 +667,7 @@ class TestSpanning:
         assert (info.value.phase, info.value.cause, info.value.attempts) == ("spanning", "S-fail", 3)
         assert str(info.value).endswith("property S floor 0 below threshold 9")
 
-    def test_debug_audits_path(self, monkeypatch):
-        monkeypatch.setenv("ALG_DEBUG_AUDITS", "1")
+    def test_absorber_built_and_completed_verifies(self):
         rng = np.random.default_rng(11)
         d = gen_semidegree_digraph(200, 0.25, rng)
         params = spanning_defaults(200, 0.25)

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -147,14 +146,6 @@ class TestBuildGuide:
             tracemalloc.stop()
         assert len(entry.guide) == 6
         assert peak < n * n / 4
-
-    def test_debug_dump_json(self):
-        d = complete(40)
-        entry = build_guide(d, 1, Sign.PLUS, 0.1, 0.5, 0.1, alpha=0.4)
-        doc = json.loads(entry.debug_dump())
-        assert doc["v"] == 1
-        assert len(doc["guide_set"]) == len(entry.guide)
-        assert len(doc["hplus_back_degrees"]) == 40
 
 
 class TestRestriction:

@@ -153,6 +153,18 @@ class TestIndependentLeaves:
                 if leaf not in got:
                     assert tree.nbrs(leaf)[0] in used
 
+    def test_degrees_select_the_leaves_of_a_subtree(self):
+        # The monotone relabelling of induced_subtree keeps the greedy id order.
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            tree = gen_random_tree(60, 3, "uniform", rng)
+            piece, _rest, _shared = split_tree(tree, 12)
+            inside = np.zeros(tree.n, dtype=bool)
+            inside[piece.labels] = True
+            deg = [sum(inside[u] for u in tree.nbrs(v)) if inside[v] else 0 for v in range(tree.n)]
+            want = piece.labels[find_independent_leaves(piece.tree)].tolist()
+            assert find_independent_leaves(tree, deg) == want
+
 
 class TestBarePaths:
     def test_long_path(self):
@@ -190,7 +202,7 @@ class TestBarePaths:
     @given(st.integers(0, 10_000), st.integers(4, 150), st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
     def test_bound_asserted_and_disjoint(self, seed, n, m):
-        # The 6mt + 2|T|/(m+1) bound is a hard assertion inside the call.
+        # Removing the interiors leaves at most 6mt + 2|T|/(m+1) vertices, t leaves.
         rng = np.random.default_rng(seed)
         tree = gen_random_tree(n, 3, "uniform", rng)
         paths = find_bare_paths(tree, m)
@@ -199,6 +211,7 @@ class TestBarePaths:
             assert len(p) == m
             assert not (set(p.vertices) & used)
             used |= set(p.vertices)
+        assert n - (m - 1) * len(paths) <= 6 * m * len(tree.leaves()) + 2 * n / (m + 1)
 
 
 class TestSplitTree:

@@ -38,8 +38,8 @@ print(f"H+ skew-bounded at ({per_row}, {bound}): "
 print(f"H- skew-bounded at ({per_row}, {bound}): "
       f"{is_skew_bounded(entry.pattern(Sign.MINUS), per_row, bound)}")
 
-# Restriction to random sets: trim to V0 and audit per part.
-system = GuideSystem(host, eps=0.1, eta=1.0, mu=0.3, alpha=alpha)
+# Restriction to random sets: build inside V0 and audit per part.
+system = GuideSystem(host, eps=0.1, eta=1.0, alpha=alpha)
 v0, part = sample_disjoint_subsets(host, [150, 250], rng)
 system.restrict(v0, [part], mu_count=20)
 restricted = system.get(7, Sign.PLUS)

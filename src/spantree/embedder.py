@@ -372,8 +372,8 @@ def _embed_stars_once(
     v2_targets = sets[1 + len(parts) : 1 + len(parts) + len(rich_classes)]
     pool = sets[-1] if lean else np.array([], dtype=np.int64)
 
-    guides = GuideSystem(d, params.guide_eps, params.guide_eta, params.mu, alpha=layout.alpha_hat)
-    guides.restrict(v0, part_targets, layout.mu_count, direct=True)
+    guides = GuideSystem(d, params.guide_eps, params.guide_eta, alpha=layout.alpha_hat)
+    guides.restrict(v0, part_targets, layout.mu_count)
 
     core_tree = tree if tree.t == t else tree.with_t(t)
     emb = embed_core_with_leaf_sets(
@@ -555,10 +555,7 @@ def embed_almost_spanning(
                 raise PhaseFailure("almost", "decompose", str(exc), 0) from exc
             greedy = True
     if greedy:
-        emb, _attempts = _greedy_anchored(d, tree, t, v, params, rng)
-        if not is_valid_embedding(d, tree, emb):
-            raise VerificationError("almost-spanning greedy embedding failed verification")
-        return emb, telemetry
+        return _greedy(d, tree, t, v, params, rng, "almost")[0], telemetry
     stars = stars_from_decomposition(td)
 
     t1_size = len(td.t1)
@@ -633,49 +630,40 @@ def _check_degree_cap(tree: OrientedTree, params: ParamSchedule, n: int) -> None
         )
 
 
-def _greedy_anchored(
+def _greedy(
     d: Digraph,
     tree: OrientedTree,
     t: int,
     v: int | None,
     params: ParamSchedule,
     rng: np.random.Generator,
-    phase: str = "almost",
+    phase: str,
 ) -> tuple[Embedding, int]:
-    """Greedy prefix embedding with t at v, for trees far below host scale.
+    """Verified greedy prefix embedding with t at v, for trees far below host scale.
 
-    With v None, each attempt first draws a uniform host for t.  Returns the
-    embedding and the number of attempts it took; a spent budget is a
-    PhaseFailure of `phase`.
+    With v None, each try first draws a uniform host for t.  A stuck walk is
+    resampled, and a spent budget is a PhaseFailure of `phase`.  Returns the
+    embedding and the number of tries it took.
     """
     order = prefix_order(tree, t)
-    for attempt in range(params.retries):
+    tries = 0
+
+    def once() -> np.ndarray:
+        nonlocal tries
+        tries += 1
         root_host = int(rng.integers(d.n)) if v is None else v
         hosts = greedy_walk(d, order, np.ones(d.n, dtype=bool), rng, root_host=root_host)
-        if hosts is not None:
-            emb = Embedding()
-            for tv, host in zip(order.order, hosts):
-                emb.assign(tv, host, "greedy")
-            return emb, attempt + 1
-    raise PhaseFailure(phase, "leaf-greedy-fail", "greedy walk stuck", params.retries)
+        if hosts is None:
+            raise PipelineError("greedy walk stuck", cause="leaf-greedy-fail")
+        return hosts
 
-
-def _greedy_spanning(
-    d: Digraph,
-    tree: OrientedTree,
-    params: ParamSchedule,
-    rng: np.random.Generator,
-    telemetry: dict,
-    route: str,
-) -> tuple[Embedding, dict]:
-    """Spanning fallback: the greedy walk retried from a random anchor image."""
-    emb, attempts = _greedy_anchored(
-        d, tree, tree.t if tree.t is not None else 0, None, params, rng, "spanning"
-    )
-    if not is_valid_embedding(d, tree, emb) or len(emb.used) != d.n:
-        raise VerificationError("spanning greedy embedding failed verification")
-    telemetry["phases"][route] = attempts
-    return emb, telemetry
+    hosts = _retry(phase, params.retries, once)
+    emb = Embedding()
+    for tv, host in zip(order.order, hosts):
+        emb.assign(tv, host, "greedy")
+    if not is_valid_embedding(d, tree, emb):
+        raise VerificationError(f"{phase} greedy embedding failed verification")
+    return emb, tries
 
 
 def path_piece_inputs(tree: OrientedTree, td: TreeDecomposition) -> list[tuple[TreePiece, int, int]]:
@@ -880,7 +868,8 @@ def build_absorber(
     when the bound falls short of the threshold, and its floor decides the
     attempt and fills the S-fail message.  Both routes accept exactly the
     attempts the exact count accepts, so the random stream is the same.
-    Retries on a failed certificate.
+    Retries on a stuck walk (leaf-greedy-fail) and on a failed certificate
+    (S-fail); a spent budget reports the last attempt's cause.
     """
     n = d.n
     gap = params.absorb_gap(n)
@@ -899,34 +888,32 @@ def build_absorber(
             f"trunk of {ell} vertices cannot reach a switch threshold of {threshold}", 0,
         )
 
-    worst = None
-    for attempt in range(params.retries):
+    def once() -> AbsorberState:
         free = np.ones(n, dtype=bool)
         anchor_host = int(rng.integers(n))
         hosts = greedy_walk(d, order, free, rng, root_host=anchor_host)
         if hosts is None:
-            continue
-
+            raise PipelineError("greedy walk stuck on the absorber trunk", cause="leaf-greedy-fail")
         floor = _property_s_floor(d, order, hosts, threshold)
-        if floor >= threshold:
-            pad = (tree.n - gap) - ell
-            extra = (
-                rng.choice(np.flatnonzero(free), size=pad, replace=False)
-                if pad else np.array([], dtype=np.int64)
+        if floor < threshold:
+            raise PipelineError(
+                f"property S floor {floor} below threshold {threshold} "
+                f"(ell={ell}, swaps={swap_count})",
+                cause="S-fail",
             )
-            a_set = np.array(sorted(set(hosts.tolist()) | set(int(x) for x in extra)), dtype=np.int64)
-            return AbsorberState(
-                d=d, tree=tree, t=t, trunk=trunk, rest=rest, shared=shared,
-                order=order, hosts=hosts, a_set=a_set, anchor_host=anchor_host,
-                threshold=threshold, swap_count=swap_count,
-            )
-        worst = floor
-    raise PhaseFailure(
-        "absorber", "S-fail",
-        f"property S floor {worst} below threshold {threshold} "
-        f"(ell={ell}, swaps={swap_count})",
-        attempts=params.retries,
-    )
+        pad = (tree.n - gap) - ell
+        extra = (
+            rng.choice(np.flatnonzero(free), size=pad, replace=False)
+            if pad else np.array([], dtype=np.int64)
+        )
+        a_set = np.array(sorted(set(hosts.tolist()) | set(int(x) for x in extra)), dtype=np.int64)
+        return AbsorberState(
+            d=d, tree=tree, t=t, trunk=trunk, rest=rest, shared=shared,
+            order=order, hosts=hosts, a_set=a_set, anchor_host=anchor_host,
+            threshold=threshold, swap_count=swap_count,
+        )
+
+    return _retry("absorber", params.retries, once)
 
 
 class AbsorptionError(PipelineError):
@@ -1072,18 +1059,20 @@ def embed_spanning(
         raise ValueError(f"spanning embedding needs |T| = n, got {tree.n} != {n}")
     _check_degree_cap(tree, params, n)
     telemetry: dict = {"phases": {}, "failures": []}
+    phases = telemetry["phases"]
+    anchor = tree.t if tree.t is not None else 0
 
     if n < 40:
         # Below the structural minimum for the absorber split; on hosts this
         # small a retried greedy walk is the only sensible route.
-        return _greedy_spanning(d, tree, params, rng, telemetry, "tiny-greedy")
+        emb, phases["tiny-greedy"] = _greedy(d, tree, anchor, None, params, rng, "spanning")
+        return emb, telemetry
 
     trunk_piece, absorber_piece, shared = split_tree(tree, min(n // 3, params.absorber_size(n)))
     local_shared_abs = int(np.searchsorted(absorber_piece.labels, shared))
     local_shared_trunk = int(np.searchsorted(trunk_piece.labels, shared))
     absorber_tree = absorber_piece.tree.with_t(local_shared_abs)
     outer_budget = max(2, params.retries // 3)
-    phases = telemetry["phases"]
     last: PipelineError | None = None
     for outer in range(outer_budget):
         try:
@@ -1140,5 +1129,6 @@ def embed_spanning(
     nominal_cap = params.with_updates(max_tree_semidegree=3).degree_cap(n)
     if max(max_semidegree(tree)) > nominal_cap:
         with contextlib.suppress(PhaseFailure):
-            return _greedy_spanning(d, tree, params, rng, telemetry, "over-cap-greedy")
+            emb, phases["over-cap-greedy"] = _greedy(d, tree, anchor, None, params, rng, "spanning")
+            return emb, telemetry
     raise PhaseFailure("spanning", last.cause, str(last), attempts=outer_budget)

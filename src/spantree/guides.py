@@ -6,8 +6,9 @@ carries the same number of edges and back-degrees stay balanced, so after
 restriction to random target sets the rows keep enough degree for covering
 matchings while back-degrees stay low (the skew-bound).
 
-Entries depend only on the host digraph and the build parameters, never on
-randomness, so they are cached and reused across Las Vegas retries.
+A `GuideSystem` builds each entry inside the random set V0 of its current
+restriction, so entries are cached only until the next `restrict`; the
+xy-labelings depend on the host alone and survive it.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ class GuideRestrictError(PipelineError):
     """Restriction audit failed (retryable by resampling); cause 'guide-restrict'."""
 
     cause = "guide-restrict"
-
-    def __init__(self, message: str, failures: list[tuple] | None = None):
-        super().__init__(message)
-        self.failures = failures or []
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,7 @@ def build_guide(
     gathers its n x n triple-intersection matrix first, O(n^2 + size*n).
 
     With `v0_mask` the guide set is drawn from N^sign(v) inside that mask
-    (the restricted construction the embedding phases use); guide rows still
+    (the construction `GuideSystem.get` runs); guide rows still
     span the whole host and are audited per target part afterwards.
     """
     n = d.n
@@ -291,31 +288,22 @@ def _q3_quota(nominal: float, mean: float) -> int:
 
 @dataclass
 class RestrictionContext:
-    """Random sets against which guides are trimmed and audited."""
+    """Random sets inside which guides are built and against which they are audited."""
 
-    v0: np.ndarray
+    v0_mask: np.ndarray           # bool over V(D): membership in V0
     parts: list[np.ndarray]
-    mu_count: int                 # trimmed |A| (exact)
+    mu_count: int                 # |A| (exact)
     eps: float
     eta: float
-    direct: bool = False          # build guide sets inside V0 instead of trimming
-    v0_mask: np.ndarray | None = None
 
 
 class GuideSystem:
-    """Lazy cache of guide entries plus an optional restriction context.
+    """Guide entries built on demand against the current restriction context.
 
-    Unrestricted entries and xy-labelings are deterministic in (host, build
-    parameters) and survive retries; restriction happens on demand against
-    the current context.  Two restriction modes exist:
-
-      * trim mode (the standalone restriction statement): entries are built
-        against the whole host at inflated parameters, then trimmed to V0
-        and audited (Q1-Q3).  Needs |V0| to be a healthy fraction of n.
-      * direct mode (the embedding phases): the guide set is drawn inside
-        N^sign(v) cap V0 from the start, rows still span the host, and the
-        per-part audits run on the result.  This is the only workable
-        reading when V0 is barely larger than the core being embedded.
+    `restrict` installs random sets V0 and target parts; `get` then draws the
+    guide set for (v, sign) inside N^sign(v) cap V0, with rows still spanning
+    the host, and audits every part (Q2-Q3).  Entries are cached until the
+    next `restrict`; the xy-labelings depend only on the host and survive it.
     """
 
     def __init__(
@@ -323,17 +311,14 @@ class GuideSystem:
         d: Digraph,
         eps: float,
         eta: float,
-        mu: float,
         alpha: float | None = None,
     ):
         self.d = d
         self.eps = eps
         self.eta = eta
-        self.mu = mu
         self.alpha = alpha if alpha is not None else min_semidegree(d) / d.n - 0.5
-        self._entries: dict[tuple[int, Sign], GuideEntry] = {}
         self._labelings: dict[tuple[int, Sign], XYLabeling] = {}
-        self._restricted: dict[tuple[int, Sign], GuideEntry] = {}
+        self._entries: dict[tuple[int, Sign], GuideEntry] = {}
         self.context: RestrictionContext | None = None
 
     def labeling(self, v: int, sign: Sign) -> XYLabeling:
@@ -342,55 +327,34 @@ class GuideSystem:
             self._labelings[key] = build_xy_labeling(self.d, v, sign, self.alpha)
         return self._labelings[key]
 
-    def raw(self, v: int, sign: Sign) -> GuideEntry:
-        key = (v, sign)
-        if key not in self._entries:
-            self._entries[key] = build_guide(
-                self.d, v, sign, self.eps, self.eta, self.mu,
-                alpha=self.alpha, labeling=self.labeling(v, sign),
-            )
-        return self._entries[key]
-
-    def restrict(
-        self,
-        v0: np.ndarray,
-        parts: list[np.ndarray],
-        mu_count: int,
-        direct: bool = False,
-    ) -> None:
-        """Install a restriction context; cached restricted entries reset."""
-        v0 = np.asarray(v0, dtype=np.int64)
+    def restrict(self, v0: np.ndarray, parts: list[np.ndarray], mu_count: int) -> None:
+        """Install a restriction context; cached entries reset."""
         mask = np.zeros(self.d.n, dtype=bool)
-        mask[v0] = True
+        mask[np.asarray(v0, dtype=np.int64)] = True
         self.context = RestrictionContext(
-            v0=v0,
+            v0_mask=mask,
             parts=[np.asarray(p, dtype=np.int64) for p in parts],
             mu_count=mu_count,
             eps=self.eps,
             eta=self.eta,
-            direct=direct,
-            v0_mask=mask,
         )
-        self._restricted = {}
+        self._entries = {}
 
     def get(self, v: int, sign: Sign) -> GuideEntry:
-        """Restricted entry for (v, sign); audits Q1-Q3 against the context."""
-        if self.context is None:
-            return self.raw(v, sign)
+        """Entry for (v, sign) built inside V0 and audited (Q2-Q3) against the context."""
+        ctx = self.context
+        if ctx is None:
+            raise ValueError("GuideSystem.get needs a restriction context: call restrict first")
         key = (v, sign)
-        if key not in self._restricted:
-            ctx = self.context
-            if ctx.direct:
-                entry = build_guide(
-                    self.d, v, sign, self.eps, self.eta, self.mu,
-                    alpha=self.alpha, labeling=self.labeling(v, sign),
-                    v0_mask=ctx.v0_mask, size=ctx.mu_count,
-                )
-                _audit_parts(self.d, entry, ctx)
-                self._restricted[key] = entry
-            else:
-                self._restricted[key] = restrict_entry(self.d, self.raw(v, sign), ctx)
-        return self._restricted[key]
+        if key not in self._entries:
+            entry = build_guide(
+                self.d, v, sign, self.eps, self.eta, ctx.mu_count / self.d.n,
+                alpha=self.alpha, labeling=self.labeling(v, sign),
+                v0_mask=ctx.v0_mask, size=ctx.mu_count,
+            )
+            _audit_parts(self.d, entry, ctx)
+            self._entries[key] = entry
+        return self._entries[key]
 
 
 def _audit_parts(d: Digraph, entry: GuideEntry, ctx: RestrictionContext) -> None:
@@ -414,39 +378,8 @@ def _audit_parts(d: Digraph, entry: GuideEntry, ctx: RestrictionContext) -> None
     if failures:
         raise GuideRestrictError(
             f"restriction audit failed for (v={entry.v}, {entry.sign}): "
-            + "; ".join(str(f) for f in failures[:4]),
-            failures=failures,
+            + "; ".join(str(f) for f in failures[:4])
         )
-
-
-def restrict_entry(d: Digraph, entry: GuideEntry, ctx: RestrictionContext) -> GuideEntry:
-    """Trim a guide entry to V0 and audit the per-part skew bounds.
-
-    Q1: |A cap V0| >= mu_count (trim to exactly mu_count).
-    Q2: inside every part, every trimmed row keeps enough edges.
-    Q3: no part vertex collects too many back-edges from the trimmed set.
-    Failures raise GuideRestrictError, which callers treat as retryable.
-    """
-    in_v0 = np.zeros(d.n, dtype=bool)
-    in_v0[ctx.v0] = True
-    keep = np.flatnonzero(in_v0[entry.guide])
-    if len(keep) < ctx.mu_count:
-        raise GuideRestrictError(
-            f"Q1 failed for (v={entry.v}, {entry.sign}): |A cap V0| = {len(keep)} "
-            f"< {ctx.mu_count}",
-            failures=[("Q1", entry.v, str(entry.sign), len(keep))],
-        )
-    keep = keep[: ctx.mu_count]
-    trimmed = GuideEntry(
-        v=entry.v,
-        sign=entry.sign,
-        guide=entry.guide[keep],
-        hplus=entry.hplus[keep],
-        hminus=entry.hminus[keep],
-        edges_per_row=entry.edges_per_row,
-    )
-    _audit_parts(d, trimmed, ctx)
-    return trimmed
 
 
 def restrict_guides(
@@ -459,7 +392,7 @@ def restrict_guides(
     """Install a restriction on `system` and audit the probed entries eagerly.
 
     With probe=None the restriction is purely lazy; passing explicit (v, sign)
-    pairs forces construction + audit now, surfacing Q1-Q3 failures early.
+    pairs forces construction + audit now, surfacing Q2-Q3 failures early.
     """
     system.restrict(v0, parts, mu_count)
     if probe:

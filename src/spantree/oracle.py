@@ -202,10 +202,7 @@ def _trial_guide_restrict(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int,
     params = cfg.schedule or ParamSchedule(alpha=cfg.alpha)
     p0, p1 = 0.3, 0.5
     mu_count = max(2, int(round(cfg.alpha**2 * p0 * d.n / 4)))
-    system = GuideSystem(
-        d, eps=params.guide_eps, eta=params.guide_eta,
-        mu=min(0.3, 3.0 * mu_count / d.n), alpha=cfg.alpha,
-    )
+    system = GuideSystem(d, eps=params.guide_eps, eta=params.guide_eta, alpha=cfg.alpha)
     probe_vertices = [int(x) for x in rng.choice(d.n, size=4, replace=False)]
     probe = [(v, s) for v in probe_vertices for s in (Sign.PLUS, Sign.MINUS)]
     retries = 0

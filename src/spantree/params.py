@@ -3,9 +3,9 @@
 The guarantees behind the pipeline are asymptotic and are stated through a
 hierarchy of constants.  At the instance sizes this library targets
 (n roughly 100..5000) the hierarchy cannot be satisfied literally, so every
-constant is an explicit, documented knob.  A schedule validator warns when
-the documented orderings are violated; phase code reads everything from
-here and never hard-codes a constant.
+constant is an explicit, documented knob.  A schedule validator warns on
+values out of range; phase code reads everything from here and never
+hard-codes a constant.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ class ParamSchedule:
         return self.strip_eps if self.strip_eps is not None else 1.0 / (2 * self.k)
 
     def validate(self) -> list[str]:
-        """Return human-readable warnings for violated orderings.
+        """Return human-readable warnings for out-of-range or inconsistent values.
 
-        The documented hierarchy is 1/n << c << eps << mu << alpha together
-        with eta << 1 and 1/K << 1/k.  Violations are legal (they are the
-        norm at desk scale) but worth surfacing.
+        The asymptotic hierarchy 1/n << c << eps << mu << alpha is not
+        checked: the calibrated desk-scale schedules set mu above alpha on
+        purpose, and decompose itself rejects k < 8.
         """
         warnings = []
         if not (0 < self.alpha < 0.5):
@@ -63,13 +63,6 @@ class ParamSchedule:
             val = getattr(self, name)
             if not (0 < val <= 1):
                 warnings.append(f"{name}={val} outside (0, 1]")
-        if not self.c <= self.eps <= self.mu <= self.alpha:
-            warnings.append(
-                f"ordering c <= eps <= mu <= alpha violated: "
-                f"c={self.c}, eps={self.eps}, mu={self.mu}, alpha={self.alpha}"
-            )
-        if self.k < 8:
-            warnings.append(f"k={self.k} < 8: length-6 bare paths cannot be cut from pieces")
         if self.k >= self.K:
             warnings.append(f"k={self.k} >= K={self.K}")
         if self.lam > self.mu:

@@ -41,8 +41,8 @@ class TestCoreWithLeafSets:
         rng = np.random.default_rng(0)
         v0 = np.arange(0, 10)
         part = np.arange(10, 20)
-        system = GuideSystem(d, eps=0.2, eta=1.0, mu=0.2, alpha=0.45)
-        system.restrict(v0, [part], mu_count=4, direct=True)
+        system = GuideSystem(d, eps=0.2, eta=1.0, alpha=0.45)
+        system.restrict(v0, [part], mu_count=4)
         emb = embed_core_with_leaf_sets(
             d, tree, {0}, [([1], Sign.PLUS)], [v0, part], 3, system, rng
         )
@@ -55,8 +55,8 @@ class TestCoreWithLeafSets:
         d = Digraph(30, mat)
         tree = OrientedTree(2, [(0, 1)], t=0)
         v0, part = np.arange(0, 10), np.arange(10, 20)
-        system = GuideSystem(d, eps=0.2, eta=1.0, mu=0.2, alpha=0.45)
-        system.restrict(v0, [part], mu_count=4, direct=True)
+        system = GuideSystem(d, eps=0.2, eta=1.0, alpha=0.45)
+        system.restrict(v0, [part], mu_count=4)
         with pytest.raises(MatchingError) as info:
             embed_core_with_leaf_sets(
                 d, tree, {0}, [([1], Sign.PLUS)], [v0, part], 3, system, np.random.default_rng(0)
@@ -77,8 +77,8 @@ class TestCoreWithLeafSets:
         d = complete(30)
         tree = OrientedTree(4, [(0, 1), (1, 2), (3, 0)], t=0)
         v0, part = np.arange(0, 10), np.arange(10, 20)
-        system = GuideSystem(d, eps=0.2, eta=1.0, mu=0.2, alpha=0.45)
-        system.restrict(v0, [part], mu_count=4, direct=True)
+        system = GuideSystem(d, eps=0.2, eta=1.0, alpha=0.45)
+        system.restrict(v0, [part], mu_count=4)
         with pytest.raises(ValueError, match=message):
             embed_core_with_leaf_sets(d, tree, core, parts, [v0, part], s, system,
                                       np.random.default_rng(0))
@@ -98,8 +98,8 @@ class TestCoreWithLeafSets:
         v0 = np.arange(0, 60)
         p1 = np.arange(60, 90)
         p2 = np.arange(90, 120)
-        system = GuideSystem(d, eps=0.3, eta=1.0, mu=0.2, alpha=0.3)
-        system.restrict(v0, [p1, p2], mu_count=14, direct=True)
+        system = GuideSystem(d, eps=0.3, eta=1.0, alpha=0.3)
+        system.restrict(v0, [p1, p2], mu_count=14)
         emb = embed_core_with_leaf_sets(
             d, tree, set(range(6)),
             [(out_leaves, Sign.PLUS), (in_leaves, Sign.MINUS)],
@@ -133,9 +133,9 @@ class TestCoreMonteCarlo:
             tree = OrientedTree(nxt, edges, t=0)
             v0 = np.arange(0, 150)
             part = np.arange(150, 210)
-            system = GuideSystem(d, eps=0.2, eta=1.0, mu=0.3, alpha=0.3)
+            system = GuideSystem(d, eps=0.2, eta=1.0, alpha=0.3)
             try:
-                system.restrict(v0, [part], mu_count=45, direct=True)
+                system.restrict(v0, [part], mu_count=45)
                 emb = embed_core_with_leaf_sets(
                     d, tree, set(range(core_n)), [(leaves, Sign.PLUS)],
                     [v0, part], 3, system, rng,
@@ -604,8 +604,39 @@ class TestPropertySFloor:
             "property S floor 9 below threshold 22 (ell=43, swaps=18)"
         )
 
+    def test_stuck_trunk_walk_is_a_leaf_greedy_fail(self):
+        # No host has an arc, so every attempt's walk is stuck and no floor is counted.
+        n = 120
+        params = spanning_defaults(n, 0.25)
+        m = params.absorber_size(n)
+        path = OrientedTree(m, [(i, i + 1) for i in range(m - 1)], t=0)
+        with pytest.raises(PhaseFailure) as info:
+            build_absorber(Digraph(n, np.zeros((n, n), dtype=bool)), path, 0, params,
+                           np.random.default_rng(0))
+        assert str(info.value) == (
+            "absorber failed after 10 attempt(s) [leaf-greedy-fail]: "
+            "greedy walk stuck on the absorber trunk"
+        )
+
 
 class TestSpanning:
+    def test_tiny_host_takes_the_greedy_route(self):
+        tree = gen_random_tree(30, 3, "uniform", np.random.default_rng(0))
+        emb, tele = embed_spanning(complete(30), tree, spanning_defaults(30, 0.25),
+                                   np.random.default_rng(1))
+        assert verify_embedding(complete(30), tree, emb)
+        assert tele["phases"] == {"tiny-greedy": 1}
+
+    def test_over_cap_star_takes_the_greedy_route(self):
+        # A star's absorber has no switch reservoir, so the pipeline fails and the walk carries it.
+        n = 200
+        star = OrientedTree(n, [(0, i) for i in range(1, n)], t=0)
+        params = spanning_defaults(n, 0.25).with_updates(max_tree_semidegree=n)
+        emb, tele = embed_spanning(complete(n), star, params, np.random.default_rng(1))
+        assert verify_embedding(complete(n), star, emb)
+        assert tele["phases"] == {"over-cap-greedy": 1}
+        assert [f["cause"] for f in tele["failures"]] == ["S-fail"] * 3
+
     def test_complete_host_any_tree(self):
         d = complete(200)
         tree = gen_random_tree(200, 3, "uniform", np.random.default_rng(0))

@@ -1,8 +1,12 @@
-"""Repository guards: the library holds no `assert`, and every perfbench probe resolves."""
+"""Repository guards: the library holds no `assert`, every perfbench probe resolves,
+and the scaling record's digests reproduce."""
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,3 +27,13 @@ def test_every_perfbench_probe_resolves():
     spec.loader.exec_module(spans)
     missing = [(owner.__name__, attr) for owner, attr, _span in spans.PROBES if attr not in vars(owner)]
     assert missing == []
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_scaling_record_digest_reproduces(n):
+    # The reference call must stay bit-identical; BENCH_scaling.json holds its digests.
+    spec = importlib.util.spec_from_file_location("tools_scaling", ROOT / "tools" / "scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    recorded = {run["n"]: run["digest"] for run in json.loads((ROOT / "BENCH_scaling.json").read_text())["runs"]}
+    assert scaling.measure(n)["digest"] == recorded[n]

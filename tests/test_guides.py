@@ -152,7 +152,7 @@ class TestRestriction:
     def test_complete_host_always_succeeds(self):
         d = complete(120)
         rng = np.random.default_rng(0)
-        system = GuideSystem(d, eps=0.1, eta=1.0, mu=0.2, alpha=0.45)
+        system = GuideSystem(d, eps=0.1, eta=1.0, alpha=0.45)
         v0, part = sample_disjoint_subsets(d, [40, 60], rng)
         restrict_guides(system, v0, [part], mu_count=12,
                         probe=[(0, Sign.PLUS), (0, Sign.MINUS)])
@@ -162,7 +162,7 @@ class TestRestriction:
     def test_trimmed_size_exact(self):
         rng = np.random.default_rng(4)
         d = gen_semidegree_digraph(300, 0.3, rng)
-        system = GuideSystem(d, eps=0.08, eta=1.0, mu=0.25, alpha=0.3)
+        system = GuideSystem(d, eps=0.08, eta=1.0, alpha=0.3)
         v0, part = sample_disjoint_subsets(d, [90, 150], rng)
         system.restrict(v0, [part], mu_count=15)
         entry = system.get(4, Sign.PLUS)
@@ -174,9 +174,9 @@ class TestRestriction:
     def test_direct_mode_builds_inside_v0(self):
         rng = np.random.default_rng(5)
         d = gen_semidegree_digraph(300, 0.3, rng)
-        system = GuideSystem(d, eps=0.12, eta=1.0, mu=0.25, alpha=0.3)
+        system = GuideSystem(d, eps=0.12, eta=1.0, alpha=0.3)
         v0, part = sample_disjoint_subsets(d, [100, 120], rng)
-        system.restrict(v0, [part], mu_count=20, direct=True)
+        system.restrict(v0, [part], mu_count=20)
         entry = system.get(9, Sign.MINUS)
         assert len(entry.guide) == 20
         in_v0 = np.zeros(300, dtype=bool)
@@ -185,21 +185,12 @@ class TestRestriction:
         base = d.adj_row(9, Sign.MINUS)
         assert base[entry.guide].all()
 
-    def test_q1_failure_reported(self):
-        rng = np.random.default_rng(6)
-        d = gen_semidegree_digraph(200, 0.25, rng)
-        system = GuideSystem(d, eps=0.08, eta=1.0, mu=0.05, alpha=0.25)
-        v0, part = sample_disjoint_subsets(d, [10, 100], rng)
-        system.restrict(v0, [part], mu_count=10)  # |A| = 10 cannot all be in tiny V0
-        with pytest.raises(GuideRestrictError):
-            system.get(2, Sign.PLUS)
-
     def test_monte_carlo_restriction(self):
-        # Trim-mode restriction with linear parts passes on most samples.
+        # Restriction with linear parts passes on most samples.
         rng = np.random.default_rng(11)
         d = gen_semidegree_digraph(300, 0.25, rng)
         good = 0
-        system = GuideSystem(d, eps=0.1, eta=1.0, mu=0.3, alpha=0.25)
+        system = GuideSystem(d, eps=0.1, eta=1.0, alpha=0.25)
         for _ in range(20):
             v0, part = sample_disjoint_subsets(d, [90, 150], rng)
             try:
@@ -212,17 +203,15 @@ class TestRestriction:
 
 
 class TestGuideSystemCaching:
-    def test_raw_entries_cached(self):
-        d = complete(80)
-        system = GuideSystem(d, eps=0.1, eta=0.5, mu=0.1, alpha=0.4)
-        a = system.raw(3, Sign.PLUS)
-        b = system.raw(3, Sign.PLUS)
-        assert a is b
+    def test_get_before_restrict_raises(self):
+        system = GuideSystem(complete(40), eps=0.1, eta=1.0, alpha=0.4)
+        with pytest.raises(ValueError, match="restrict"):
+            system.get(3, Sign.PLUS)
 
     def test_restriction_resets_trims(self):
         d = complete(80)
         rng = np.random.default_rng(1)
-        system = GuideSystem(d, eps=0.1, eta=1.0, mu=0.3, alpha=0.4)
+        system = GuideSystem(d, eps=0.1, eta=1.0, alpha=0.4)
         v0a, pa = sample_disjoint_subsets(d, [30, 40], rng)
         system.restrict(v0a, [pa], mu_count=8)
         first = system.get(2, Sign.PLUS)

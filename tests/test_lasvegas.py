@@ -288,6 +288,14 @@ class TestZeroRetryBudget:
         assert report.retries <= 1 and (report.success or report.failure_cause)
 
 
+class TestScheduleValidation:
+    @pytest.mark.parametrize("n", [200, 800, 2000])
+    @pytest.mark.parametrize("alpha", [0.15, 0.25])
+    def test_default_schedules_validate_clean(self, n, alpha):
+        assert spanning_defaults(n, alpha).validate() == []
+        assert almost_defaults(n, alpha, 0.1).validate() == []
+
+
 class TestRngContract:
     """Pinned embed_spanning maps: a refactor must not move the random stream."""
 
@@ -395,7 +403,7 @@ class TestVerificationError:
     """Library postconditions raise VerificationError, with or without assert statements."""
 
     def test_almost_spanning_greedy_map_with_a_reversed_arc(self, monkeypatch):
-        monkeypatch.setattr(embedder, "_greedy_anchored", lambda d, tree, *rest: (identity(tree.n), 1))
+        monkeypatch.setattr(embedder, "greedy_walk", lambda d, order, *rest, **kw: np.asarray(order.order))
         tree = OrientedTree(4, [(0, 1), (1, 2), (2, 3)], t=0)
         with pytest.raises(VerificationError) as info:
             embed_almost_spanning(backward_path_host(12), tree, 0, 0, almost_defaults(12, 0.25, 0.2),
@@ -403,7 +411,7 @@ class TestVerificationError:
         assert info.value.cause == "verify"
 
     def test_spanning_greedy_map_with_a_reversed_arc(self, monkeypatch):
-        monkeypatch.setattr(embedder, "_greedy_anchored", lambda d, tree, *rest: (identity(tree.n), 1))
+        monkeypatch.setattr(embedder, "greedy_walk", lambda d, order, *rest, **kw: np.asarray(order.order))
         tree = OrientedTree(12, [(i, i + 1) for i in range(11)], t=0)
         with pytest.raises(VerificationError) as info:
             embed_spanning(backward_path_host(12), tree, spanning_defaults(12, 0.25), np.random.default_rng(1))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -284,6 +285,46 @@ class TestGenerators:
             tree = gen_random_tree(64, 3, family, np.random.default_rng(seed))
             dplus, dminus = max_semidegree(tree)
             assert dplus <= 3 and dminus <= 3
+
+
+def stream_digest(family, cases):
+    """sha256 over each case's edge list (or ValueError text) and the generator's next draw."""
+    h = hashlib.sha256()
+    for n, delta, seed in cases:
+        rng = np.random.default_rng(seed)
+        try:
+            h.update(repr(gen_random_tree(n, delta, family, rng).edge_list).encode())
+        except ValueError as exc:
+            h.update(f"ValueError: {exc}".encode())
+        h.update(repr(rng.random()).encode())
+    return h.hexdigest()[:16]
+
+
+class TestGeneratorStream:
+    """Trees and RNG stream of every family, pinned to digests of an earlier generator.
+
+    Any tree, any draw, any error message or any count of draws that moves
+    changes a digest; every trial, gate and benchmark instance reads its
+    guest tree from this stream.
+    """
+
+    GRID = list(itertools.product((1, 2, 3, 10, 57, 200), (1, 2, 3, 5), range(6)))
+    DIGESTS = {
+        "uniform": "6bf10e17a2c41ab5",
+        "path": "8e33448404914e7b",
+        "star": "fe42d098e9f5deb9",
+        "caterpillar": "a0a7c8558363a080",
+        "spider": "340bfd87d7d3b4c0",
+        "broom": "98480246e7889fe7",
+    }
+
+    @pytest.mark.parametrize("family", sorted(DIGESTS))
+    def test_grid(self, family):
+        assert stream_digest(family, self.GRID) == self.DIGESTS[family]
+
+    def test_uniform_at_eight_hundred(self):
+        cases = list(itertools.product((800,), (1, 2, 3, 5), range(2)))
+        assert stream_digest("uniform", cases) == "6ab1d676e8f34b89"
 
 
 def brute_rooted_iso(t1, r1, t2, r2):

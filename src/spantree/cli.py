@@ -32,7 +32,7 @@ from .embedder import (
 from .embedding import Embedding, PipelineError
 from .oracle import TrialConfig, reports_to_csv, run_trials, verify_embedding
 from .params import ParamSchedule, almost_defaults, spanning_defaults
-from .trees import gen_random_tree, max_semidegree
+from .trees import FAMILIES, gen_random_tree, max_semidegree
 
 
 # CLI flag -> ParamSchedule field ("bigk" stands in for the upper size cap K)
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("kind", choices=("digraph", "tree"))
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--alpha", type=float, default=0.25)
-    gen.add_argument("--family", default="uniform")
+    gen.add_argument("--family", default="uniform", choices=FAMILIES)
     gen.add_argument("--max-semideg", type=int, default=3)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)

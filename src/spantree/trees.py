@@ -394,38 +394,50 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
     return piece1, piece2, pivot
 
 
+FAMILIES = ("uniform", "path", "star", "caterpillar", "spider", "broom")
+
+
 def gen_random_tree(
     n: int,
     max_semideg: int,
     family: str,
     rng: np.random.Generator,
 ) -> OrientedTree:
-    """Random test tree with Delta^+/- at most max_semideg.
+    """Random test tree with Delta^+/- at most max_semideg; `family` is one of FAMILIES.
 
-    Families: uniform (random recursive attachment), path, star,
-    caterpillar, spider, broom.
+    uniform: vertex v = 1, ..., n-1 attaches to an earlier vertex u drawn with
+    weight equal to u's remaining capacity 2 * max_semideg - d+(u) - d-(u).
+    path and star are directed away from vertex 0; caterpillar hangs leaves on
+    uniformly drawn open vertices of a spine of max(2, n // 3); spider grows
+    legs from vertex 0 round-robin; broom hangs the last 2 * max_semideg
+    vertices on the last open vertex of a path.
+
+    Random stream: uniform draws one rng.random() per attached vertex and
+    caterpillar one rng.integers per leaf; every edge of uniform, caterpillar,
+    spider and broom then draws rng.integers(2) for its direction when both
+    directions are open at its parent.  path and star draw nothing.
     """
     if n < 1:
         raise ValueError("n >= 1")
     if max_semideg < 1:
         raise ValueError("max_semideg >= 1")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     if n == 1:
         return OrientedTree(1, [], t=0)
 
-    out_deg = np.zeros(n, dtype=np.int64)
-    in_deg = np.zeros(n, dtype=np.int64)
+    full = 2 * max_semideg
+    out_deg = [0] * n
+    in_deg = [0] * n
     edges: list[tuple[int, int]] = []
 
-    def orient(parent: int, child: int) -> None:
-        """Attach child to parent in a random feasible direction."""
+    def orient(parent: int, child: int) -> bool:
+        """Attach child to parent in a random feasible direction; True if parent is now full."""
         can_out = out_deg[parent] < max_semideg
         can_in = in_deg[parent] < max_semideg
         if not (can_out or can_in):
             raise ValueError("family/degree combination infeasible")
-        if can_out and can_in:
-            forward = bool(rng.integers(2))
-        else:
-            forward = can_out
+        forward = bool(rng.integers(2)) if can_out and can_in else can_out
         if forward:
             edges.append((parent, child))
             out_deg[parent] += 1
@@ -434,64 +446,63 @@ def gen_random_tree(
             edges.append((child, parent))
             out_deg[child] += 1
             in_deg[parent] += 1
+        return out_deg[parent] + in_deg[parent] == full
+
+    def hang(spine: int, pick) -> None:
+        """Hang vertices spine..n-1 on open vertices of 0..spine-1, chosen by pick(open)."""
+        open_ = [u for u in range(spine) if out_deg[u] + in_deg[u] < full]
+        for v in range(spine, n):
+            if not open_:
+                raise ValueError("family/degree combination infeasible")
+            i = pick(open_)
+            if orient(open_[i], v):
+                del open_[i]
 
     if family == "path":
-        for v in range(n - 1):
-            edges.append((v, v + 1))
+        edges.extend((v, v + 1) for v in range(n - 1))
     elif family == "star":
         if max_semideg < n - 1:
             raise ValueError(f"star with n={n} needs max_semideg >= {n - 1}")
-        for v in range(1, n):
-            edges.append((0, v))
+        edges.extend((0, v) for v in range(1, n))
     elif family == "uniform":
+        # cap[u] is u's remaining capacity, 0 exactly when u is saturated, and
+        # total its exact sum over 0..v-1.  This is the float computation of
+        # rng.choice(feasible, p=cap[feasible] / total): a zero entry adds 0.0
+        # to the cumsum and side="right" never lands on it, so the same draw
+        # picks the same parent.
+        cap = np.zeros(n)
+        cdf = np.empty(n)
+        cap[0] = total = full
         for v in range(1, n):
-            feasible = np.flatnonzero(
-                (out_deg[:v] < max_semideg) | (in_deg[:v] < max_semideg)
-            )
-            capacity = (
-                2 * max_semideg - out_deg[feasible] - in_deg[feasible]
-            ).astype(float)
-            parent = int(rng.choice(feasible, p=capacity / capacity.sum()))
+            head = cdf[:v]
+            np.divide(cap[:v], total, out=head)
+            np.add.accumulate(head, out=head)   # cumsum without its wrappers
+            head /= head[-1]
+            parent = int(head.searchsorted(rng.random(), side="right"))
             orient(parent, v)
+            cap[parent] -= 1
+            cap[v] = full - 1
+            total += full - 2
     elif family == "caterpillar":
         spine_len = max(2, n // 3)
         for v in range(spine_len - 1):
             orient(v, v + 1)
-        for v in range(spine_len, n):
-            feasible = np.flatnonzero(
-                (out_deg[:spine_len] < max_semideg) | (in_deg[:spine_len] < max_semideg)
-            )
-            if len(feasible) == 0:
-                raise ValueError("family/degree combination infeasible")
-            orient(int(rng.choice(feasible)), v)
+        # rng.choice(open_) is open_[rng.integers(len(open_))].
+        hang(spine_len, lambda open_: int(rng.integers(len(open_))))
     elif family == "spider":
-        legs = min(2 * max_semideg, max(2, int(np.ceil(np.sqrt(n)))))
-        nxt = 1
-        tips = []
-        for _ in range(min(legs, n - 1)):
-            orient(0, nxt)
-            tips.append(nxt)
-            nxt += 1
-        i = 0
-        while nxt < n:
-            orient(tips[i % len(tips)], nxt)
-            tips[i % len(tips)] = nxt
-            nxt += 1
-            i += 1
-    elif family == "broom":
-        handle = max(1, n - 2 * max_semideg)
+        legs = min(full, max(2, int(np.ceil(np.sqrt(n)))), n - 1)
+        tips = list(range(1, legs + 1))
+        for v in tips:
+            orient(0, v)
+        for v in range(legs + 1, n):
+            leg = (v - legs - 1) % legs
+            orient(tips[leg], v)
+            tips[leg] = v
+    else:  # broom
+        handle = max(1, n - full)
         for v in range(handle - 1):
             orient(v, v + 1)
-        for v in range(handle, n):
-            feasible = np.flatnonzero(
-                (out_deg[: max(1, handle)] < max_semideg)
-                | (in_deg[: max(1, handle)] < max_semideg)
-            )
-            if len(feasible) == 0:
-                raise ValueError("family/degree combination infeasible")
-            orient(int(feasible[-1]), v)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+        hang(handle, lambda open_: len(open_) - 1)
 
     tree = OrientedTree(n, edges, t=0)
     dplus, dminus = max_semidegree(tree)

@@ -13,7 +13,7 @@ from spantree.cli import main, parse_experiment_config
 from spantree.digraph import Digraph, min_semidegree
 from spantree.embedder import embed_almost_spanning
 from spantree.embedding import Embedding
-from spantree.trees import OrientedTree
+from spantree.trees import FAMILIES, OrientedTree
 
 
 def run_cli(args):
@@ -72,6 +72,19 @@ class TestGen:
                      "--seed", "1", "--out", str(out)]) == 0
         tree = tio.read_tree(out)
         assert tree.n == 50
+
+    def test_gen_family_choices_are_the_generators(self, tmp_path, capsys):
+        for family in FAMILIES:
+            out = tmp_path / f"{family}.tree"
+            assert main(["gen", "tree", "--n", "4", "--family", family, "--seed", "1",
+                         "--out", str(out)]) == 0
+            assert tio.read_tree(out).n == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "tree", "--n", "1", "--family", "bogus", "--seed", "1",
+                  "--out", str(tmp_path / "bogus.tree")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "bogus.tree").exists()
 
     def test_gen_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.dg", tmp_path / "b.dg"

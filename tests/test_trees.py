@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from spantree.digraph import Sign
 from spantree.matching import _centroids, group_components
+from spantree.trees import FAMILIES as GENERATOR_FAMILIES
 from spantree.trees import (
     OrientedTree,
     canonical_form_and_order,
@@ -279,6 +280,11 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_random_tree(10, 3, "star", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_unknown_family_raises_at_every_size(self, n):
+        with pytest.raises(ValueError, match="unknown family 'bogus'"):
+            gen_random_tree(n, 3, "bogus", np.random.default_rng(0))
+
     @pytest.mark.parametrize("family", ["uniform", "path", "caterpillar", "spider", "broom"])
     def test_families_respect_cap(self, family):
         for seed in range(5):
@@ -317,6 +323,9 @@ class TestGeneratorStream:
         "spider": "340bfd87d7d3b4c0",
         "broom": "98480246e7889fe7",
     }
+
+    def test_every_family_is_pinned(self):
+        assert sorted(self.DIGESTS) == sorted(GENERATOR_FAMILIES)
 
     @pytest.mark.parametrize("family", sorted(DIGESTS))
     def test_grid(self, family):

@@ -806,7 +806,11 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | Non
     # the former; both also carry every row Mb is an OR of.
     no_arc = np.empty((2 * ell, n), dtype=bool)
     np.logical_not(d.mat[hosts], out=no_arc[:ell])
-    np.logical_not(d.mat[:, hosts].T, out=no_arc[ell:])
+    # Gather the columns in ascending host order (faster), scatter back in trunk order.
+    by_host = np.argsort(hosts)
+    cols = d.mat[:, hosts[by_host]]
+    np.logical_not(cols, out=cols)
+    no_arc[ell + by_host] = cols.T
 
     # Each trunk arc u -> w blocks y at u by "no arc y -> host(w)" and at w
     # by "no arc host(u) -> y".  Every index past the root has one parent, so

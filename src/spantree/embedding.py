@@ -53,7 +53,7 @@ def draw_host(
     stays `order[row[order] & alive[order]]`, with `alive` cleared at the
     discarded hosts.  A copy `set(S)` can iterate in another order.
     """
-    candidates = np.flatnonzero(mask) if order is None else order[mask[order]]
+    candidates = mask.nonzero()[0] if order is None else order[mask[order]]
     if len(candidates) == 0:
         return None
     return int(candidates[rng.integers(len(candidates))])

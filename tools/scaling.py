@@ -8,9 +8,11 @@ Each size in SIZES runs the reference call in its own process with one BLAS thre
     tree = gen_random_tree(n, 3, "uniform", default_rng(2))
     embed_spanning(d, tree, spanning_defaults(n, 0.25), default_rng(2))
 
-and records the call's wall time, the three phase times it reports
+and records the host's and the tree's generation times (`host_s`, `tree_s`),
+the call's wall time, the three phase times it reports
 (`absorber_build_millis`, `almost_millis`, `absorption_millis`), the
-process's peak RSS and the digest of the embedding: the first 12 hex digits
+process's peak RSS after generation (`setup_rss_mb`) and after the call
+(`peak_rss_mb`), and the digest of the embedding: the first 12 hex digits
 of the sha256 of `json.dumps(sorted(emb.map.items()))`.  The library is
 imported from `--src` (default: this checkout's src/), so the same script
 measures any other checkout.
@@ -43,10 +45,16 @@ def measure(n: int) -> dict:
     from spantree.params import spanning_defaults
     from spantree.trees import gen_random_tree
 
+    def peak_rss_mb() -> float:
+        return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
     start = time.perf_counter()
     d = gen_semidegree_digraph(n, ALPHA, np.random.default_rng(1))
+    host_s = time.perf_counter() - start
+    start = time.perf_counter()
     tree = gen_random_tree(n, 3, "uniform", np.random.default_rng(2))
-    setup_s = time.perf_counter() - start
+    tree_s = time.perf_counter() - start
+    setup_rss_mb = peak_rss_mb()
     start = time.perf_counter()
     emb, telemetry = embed_spanning(d, tree, spanning_defaults(n, ALPHA), np.random.default_rng(2))
     wall_s = time.perf_counter() - start
@@ -55,10 +63,12 @@ def measure(n: int) -> dict:
     return {
         "n": n,
         "wall_s": round(wall_s, 3),
-        "setup_s": round(setup_s, 3),
+        "host_s": round(host_s, 3),
+        "tree_s": round(tree_s, 3),
         **{key: round(phases[key], 1)
            for key in ("absorber_build_millis", "almost_millis", "absorption_millis")},
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "setup_rss_mb": setup_rss_mb,
+        "peak_rss_mb": peak_rss_mb(),
         "digest": digest,
     }
 

@@ -335,6 +335,42 @@ class TestGeneratorStream:
         cases = list(itertools.product((800,), (1, 2, 3, 5), range(2)))
         assert stream_digest("uniform", cases) == "6ab1d676e8f34b89"
 
+    @given(st.integers(0, 10_000), st.integers(2, 150), st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_uniform_matches_choice_over_the_feasible_set(self, seed, n, delta):
+        # Reference: the parent drawn by Generator.choice with capacity weights
+        # over the unsaturated vertices, then the same direction rule.
+        rng = np.random.default_rng(seed)
+        out_deg, in_deg, edges = np.zeros(n, int), np.zeros(n, int), []
+        for v in range(1, n):
+            feasible = np.flatnonzero((out_deg[:v] < delta) | (in_deg[:v] < delta))
+            capacity = (2 * delta - out_deg[feasible] - in_deg[feasible]).astype(float)
+            parent = int(rng.choice(feasible, p=capacity / capacity.sum()))
+            can_out, can_in = out_deg[parent] < delta, in_deg[parent] < delta
+            forward = bool(rng.integers(2)) if can_out and can_in else can_out
+            tail, head = (parent, v) if forward else (v, parent)
+            edges.append((tail, head))
+            out_deg[tail] += 1
+            in_deg[head] += 1
+        want = (tuple(edges), rng.random())
+        rng = np.random.default_rng(seed)
+        assert (gen_random_tree(n, delta, "uniform", rng).edge_list, rng.random()) == want
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("delta", [1, 2, 3])
+    def test_uniform_draws_at_the_ends_of_the_unit_interval(self, u, delta):
+        # u = 0 must pass over saturated vertices at the front of the cdf, and
+        # the largest u < 1 must stay below its last entry, as in choice().
+        class EndDraws:
+            def random(self):
+                return u
+
+            def integers(self, k):
+                return 0 if u == 0.0 else k - 1
+
+        tree = gen_random_tree(300, delta, "uniform", EndDraws())
+        assert max(max_semidegree(tree)) <= delta
+
 
 def brute_rooted_iso(t1, r1, t2, r2):
     """Exhaustive rooted oriented isomorphism via permutation search."""

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spantree.decompose import DecompositionError, decompose
 from spantree.digraph import Sign
 from spantree.matching import _centroids, group_components
+from spantree.params import spanning_defaults
 from spantree.trees import FAMILIES as GENERATOR_FAMILIES
 from spantree.trees import (
     OrientedTree,
@@ -371,6 +373,101 @@ class TestGeneratorStream:
         tree = gen_random_tree(300, delta, "uniform", EndDraws())
         assert max(max_semidegree(tree)) <= delta
 
+
+
+def family_tree(family, n, seed):
+    """A generator tree of `family`; stars get the semidegree they need."""
+    return gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, np.random.default_rng(seed))
+
+
+def passes_digest(family, sizes, seeds, digest_one):
+    """sha256 over digest_one(tree) for each generated tree of the grid."""
+    h = hashlib.sha256()
+    for n, seed in itertools.product(sizes, seeds):
+        h.update(repr(digest_one(family_tree(family, n, seed))).encode())
+    return h.hexdigest()[:16]
+
+
+def prefix_orders_of(tree):
+    out = []
+    for policy in ("any", "leaves_last_middles_consecutive"):
+        for root in sorted({0, tree.n // 2, tree.n - 1}):
+            po = prefix_order(tree, root, policy)
+            out.append((po.order, po.parent_index, tuple(str(s) for s in po.sign)))
+    return out
+
+
+def splits_of(tree):
+    out = []
+    for m in sorted({1, max(1, tree.n // 7), tree.n // 3}):
+        for keep in (None, tree.n - 1, tree.n // 2):
+            p1, p2, shared = split_tree(tree, m, keep=keep)
+            out.append(tuple((p.labels.tolist(), p.tree.edge_list, p.tree.t) for p in (p1, p2)) + (shared,))
+    return out
+
+
+def decompositions_of(tree):
+    out = []
+    for t in sorted({0, tree.n - 1}):
+        try:
+            out.append(decompose(tree, t, spanning_defaults(tree.n, 0.25)).to_json())
+        except DecompositionError as exc:
+            out.append(f"DecompositionError: {exc}")
+    return out
+
+
+class TestGuestPassesPinned:
+    """prefix_order, split_tree and decompose on every family, pinned to digests of an earlier version.
+
+    Every spanning embedding runs these passes on its guest tree, and the
+    random draws that follow read their output, so any moved order, parent,
+    sign, piece label, edge, shared vertex or layer changes an embedding.
+    """
+
+    SIZES = (2, 3, 10, 57, 200, 601)
+    SEEDS = range(3)
+    PREFIX = {
+        "uniform": "2f3958a6dad8c987",
+        "path": "e7e15ffff5697124",
+        "star": "554a8020f943cbab",
+        "caterpillar": "e6415856cc59ac6e",
+        "spider": "f5d0ff36d2d3527c",
+        "broom": "456b8015cc829dee",
+    }
+    SPLIT = {
+        "uniform": "49e762c3e3f1cd1f",
+        "path": "2b6b4b7a8629ca5d",
+        "star": "abbc1876911ad9c3",
+        "caterpillar": "43e0625f6d359f95",
+        "spider": "685a408121963b78",
+        "broom": "0a6deec671c39492",
+    }
+    DECOMPOSE = {
+        "uniform": "65118486d55d7779",
+        "path": "27ee4b7e647d371c",
+        "star": "c7ceeec6d87c54b6",
+        "caterpillar": "3ddc188d7617569d",
+        "spider": "bd081009479ba54f",
+        "broom": "70c269e24742899c",
+    }
+
+    def test_every_family_is_pinned(self):
+        for pins in (self.PREFIX, self.SPLIT, self.DECOMPOSE):
+            assert sorted(pins) == sorted(GENERATOR_FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(PREFIX))
+    def test_prefix_orders(self, family):
+        assert passes_digest(family, self.SIZES, self.SEEDS, prefix_orders_of) == self.PREFIX[family]
+
+    @pytest.mark.parametrize("family", sorted(SPLIT))
+    def test_splits(self, family):
+        sizes = [n for n in self.SIZES if n >= 3]
+        assert passes_digest(family, sizes, self.SEEDS, splits_of) == self.SPLIT[family]
+
+    @pytest.mark.parametrize("family", sorted(DECOMPOSE))
+    def test_decompositions(self, family):
+        sizes = [n for n in self.SIZES if n >= 57]
+        assert passes_digest(family, sizes, self.SEEDS, decompositions_of) == self.DECOMPOSE[family]
 
 def brute_rooted_iso(t1, r1, t2, r2):
     """Exhaustive rooted oriented isomorphism via permutation search."""

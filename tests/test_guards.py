@@ -1,12 +1,16 @@
 """Repository guards: the library holds no `assert`, every perfbench probe resolves,
-and the scaling record's digests reproduce."""
+and the scaling record's and the bench seed's embeddings reproduce."""
 
 import ast
+import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
+
+import spantree
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +41,27 @@ def test_scaling_record_digest_reproduces(n):
     spec.loader.exec_module(scaling)
     recorded = {run["n"]: run["digest"] for run in json.loads((ROOT / "BENCH_scaling.json").read_text())["runs"]}
     assert scaling.measure(n)["digest"] == recorded[n]
+
+
+@pytest.mark.parametrize("workload, digest", [
+    ("dense-uniform-800", "f5fa1f3bcbe3f72c"),
+    ("dense-spider-2000", "96e5ea01476554e5"),
+])
+def test_bench_seed_embeddings_reproduce(workload, digest, monkeypatch):
+    # The first three calls of bench seed 501, hashed as the bench hashes a
+    # run: a pure-speed change must leave every one of these maps unchanged.
+    loaded = {}
+    for name in ("spans", "bench"):
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+        loaded[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, loaded[name])  # bench.py imports spans by name
+        spec.loader.exec_module(loaded[name])
+    bench = loaded["bench"]
+    w = bench.WORKLOADS[workload]
+    instances, _host_s = bench.generate(w, 501, 3)
+    params = spantree.spanning_defaults(w.n, w.alpha)
+    outcomes = [bench.embed_one(inst, params, spantree.embed_spanning, spantree.verify_embedding)
+                for inst in instances]
+    assert [o.error for o in outcomes] == [None] * 3
+    lines = "".join(f"{i}:{o.digest_entry()}\n" for i, o in enumerate(outcomes))
+    assert hashlib.sha256(lines.encode()).hexdigest()[:16] == digest

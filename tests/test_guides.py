@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from spantree.digraph import Digraph, SIGNS, Sign, gen_semidegree_digraph, sample_disjoint_subsets
 from spantree.guides import (
     GuideBuildError,
+    GuideEntry,
     GuideRestrictError,
     GuideSystem,
+    RestrictionContext,
     XYLabeling,
+    _audit_parts,
     _mutual_counts,
     build_guide,
     build_xy_labeling,
@@ -201,6 +204,38 @@ class TestRestriction:
                 pass
         assert good >= 17
 
+
+    @staticmethod
+    def _balanced_entry(n=100, rows=30, per_row=40):
+        """Guide rows of `per_row` consecutive hosts (mod n): every back-degree is rows*per_row/n."""
+        h = np.zeros((rows, n), dtype=bool)
+        for i in range(rows):
+            h[i, (i * per_row + np.arange(per_row)) % n] = True
+        entry = GuideEntry(3, Sign.PLUS, np.arange(rows, dtype=np.int64), h, h.copy(), per_row)
+        ctx = RestrictionContext(np.ones(n, dtype=bool), [np.arange(n, dtype=np.int64)],
+                                 mu_count=rows, eps=0.01, eta=1.0)
+        return entry, ctx
+
+    def test_balanced_entry_passes_the_audits(self):
+        # Row quota ceil(40 - 3 sqrt(40)) = 22 <= 40; back cap ceil(12 + 3 sqrt(12)) = 23 >= 12.
+        entry, ctx = self._balanced_entry()
+        _audit_parts(complete(100), entry, ctx)
+
+    def test_a_thin_row_fails_q2(self):
+        entry, ctx = self._balanced_entry()
+        entry.hplus[7, 20:] = False   # keeps hosts 0..19: 20 edges, below the quota of 22
+        with pytest.raises(GuideRestrictError) as info:
+            _audit_parts(complete(100), entry, ctx)
+        assert "('Q2', 3, '+', '+', 0, 20, 22)" in str(info.value)
+        assert "Q3" not in str(info.value)
+
+    def test_a_crowded_column_fails_q3(self):
+        entry, ctx = self._balanced_entry()
+        entry.hminus[:, 55] = True    # back-degree 30 at host 55, above the cap of 23
+        with pytest.raises(GuideRestrictError) as info:
+            _audit_parts(complete(100), entry, ctx)
+        assert "('Q3', 3, '+', '-', 0, 30, 23)" in str(info.value)
+        assert "Q2" not in str(info.value)
 
 class TestGuideSystemCaching:
     def test_get_before_restrict_raises(self):

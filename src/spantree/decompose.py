@@ -11,6 +11,7 @@ piece anchors become the leftover leaf layer (T3 minus T2).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -169,7 +170,7 @@ def _build_layers(
     n = tree.n
     alive = _strip(tree, t, params.strip_count(n))
     comps = _stripped_components(tree, alive)
-    vol = np.zeros(n, dtype=np.int64)
+    vol = [0] * n
     at: dict[int, list[list[int]]] = {}
     for attach, comp in comps:
         vol[attach] += len(comp)
@@ -182,14 +183,12 @@ def _build_layers(
     removed_interiors: set[int] = set()
     if core.tree.n >= 5:
         walks = maximal_bare_paths(core.tree)
+        labels = core.labels.tolist()
         for walk in walks:
-            path = [int(core.labels[w]) for w in walk]
-            weight = [1 + int(vol[v]) for v in path]
-            prefix = np.concatenate([[0], np.cumsum(weight)])
+            path = [labels[w] for w in walk]
+            # prefix[i] weighs path[:i]; a piece's body is path[a + 2 : b - 1].
+            prefix = list(itertools.accumulate([1 + vol[v] for v in path], initial=0))
             tpos = path.index(t) if t in path else -1
-
-            def body_size(a: int, b: int) -> int:
-                return int(prefix[b - 1] - prefix[a + 2])
 
             a = 0
             L = len(path) - 1
@@ -207,7 +206,7 @@ def _build_layers(
                 best_b = -1
                 b = a + 4
                 while b <= L:
-                    size = body_size(a, b)
+                    size = prefix[b - 1] - prefix[a + 2]
                     if size > params.K:
                         break
                     if (
@@ -241,10 +240,8 @@ def _build_layers(
                 removed_interiors.update(path[a + 1 : b])
                 a = b + 1
 
-    t0 = np.array(
-        sorted(v for v in np.flatnonzero(alive) if v not in removed_interiors),
-        dtype=np.int64,
-    )
+    t0_list = [v for v in np.flatnonzero(alive).tolist() if v not in removed_interiors]
+    t0 = np.array(t0_list, dtype=np.int64)
     mids = {p.mid_x for p in pieces} | {p.mid_y for p in pieces}
 
     # Stripped trees at core vertices (piece anchors included) hang as stars;
@@ -252,8 +249,7 @@ def _build_layers(
     # paths must stay bare inside T2.
     stars: dict[int, tuple[int, ...]] = {}
     leftovers: dict[int, tuple[int, ...]] = {}
-    for v in t0:
-        v = int(v)
+    for v in t0_list:
         if v in at:
             stars[v] = tuple(sorted(u for comp in at[v] for u in comp))
     for v in sorted(mids):
@@ -261,7 +257,7 @@ def _build_layers(
             leftovers[v] = tuple(sorted(u for comp in at[v] for u in comp))
 
     t1 = np.array(
-        sorted(set(t0.tolist()) | {u for s in stars.values() for u in s}),
+        sorted(set(t0_list) | {u for s in stars.values() for u in s}),
         dtype=np.int64,
     )
     t2_set = set(t1.tolist())

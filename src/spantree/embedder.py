@@ -388,8 +388,9 @@ def _embed_stars_once(
         by_root = {copy[rep_root]: copy for copy in copies}
         for st, piece, _root, mem_order in cls:
             copy = by_root[emb[st.root]]
+            labels = piece.labels.tolist()
             for rv, mv in zip(rep_order, mem_order):
-                tv = int(piece.labels[mv])
+                tv = labels[mv]
                 if tv == st.root:
                     continue
                 emb.assign(tv, copy[rv], "graft")
@@ -407,8 +408,9 @@ def _embed_stars_once(
             host_order=np.fromiter(set(int(x) for x in pool), dtype=np.int64),
         )
         for (_st, piece, _root), mapping in zip(lean, maps):
+            labels = piece.labels.tolist()
             for lv, host in mapping.items():
-                emb.assign(int(piece.labels[lv]), host, "stars")
+                emb.assign(labels[lv], host, "stars")
 
     return emb
 
@@ -498,9 +500,8 @@ def _attach_path_trees_once(
         meta, anchors, body_maps
     ):
         tr = piece.tree
-        full: dict[int, int] = {}
-        for bv, host in bmap.items():
-            full[int(body.labels[bv])] = host
+        labels = body.labels.tolist()
+        full = {labels[bv]: host for bv, host in bmap.items()}
         full[r_local] = a
         full[s_local] = b
         for mid, outer, outer_host, inner in (
@@ -692,7 +693,8 @@ def _assemble_almost(
     # Star layer inside V1.  The guest tree keeps its own ids throughout;
     # only host vertices pass through the induced-subgraph relabeling.
     d1, labels1 = d.induce(v1)
-    back1 = {int(h): i for i, h in enumerate(labels1)}
+    labels1 = labels1.tolist()
+    back1 = {h: i for i, h in enumerate(labels1)}
     emb1 = embed_stars(
         d1,
         tree,
@@ -705,7 +707,7 @@ def _assemble_almost(
     )
     emb = Embedding()
     for tv, lh in emb1.map.items():
-        emb.assign(tv, int(labels1[lh]), emb1.phase.get(tv, "stars"))
+        emb.assign(tv, labels1[lh], emb1.phase.get(tv, "stars"))
 
     # Path pieces through V2 (anchors cross over from V1).
     if td.pieces:
@@ -714,14 +716,16 @@ def _assemble_almost(
         anchor_hosts = sorted({h for pair in anchor_pairs for h in pair})
         d2_verts = np.array(sorted(set(v2.tolist()) | set(anchor_hosts)), dtype=np.int64)
         d2, labels2 = d.induce(d2_verts)
-        back2 = {int(h): i for i, h in enumerate(labels2)}
+        labels2 = labels2.tolist()
+        back2 = {h: i for i, h in enumerate(labels2)}
         local_pairs = [(back2[a], back2[b]) for a, b in anchor_pairs]
         maps = attach_path_trees(d2, piece_inputs, local_pairs, params, rng)
         for (piece, _r, _s), pmap in zip(piece_inputs, maps):
+            labels = piece.labels.tolist()
             for lv, lh in pmap.items():
-                tv = int(piece.labels[lv])
+                tv = labels[lv]
                 if tv not in emb:   # the anchors x, y are already placed
-                    emb.assign(tv, int(labels2[lh]), "paths")
+                    emb.assign(tv, labels2[lh], "paths")
 
     # Leftover leaves greedily into V3.  Like the lean-star walk, candidates
     # are read in the iteration order of a set of V3's hosts.
@@ -945,16 +949,15 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
 
     order = state.order
     trunk = state.trunk
-    host_of_role: dict[int, int] = {}
-    for i, lv in enumerate(order.order):
-        host_of_role[int(trunk.labels[lv])] = int(state.hosts[i])
-    role_of_index = [int(trunk.labels[lv]) for lv in order.order]
+    labels = trunk.labels.tolist()
+    role_of_index = [labels[lv] for lv in order.order]
+    host_of_role = dict(zip(role_of_index, state.hosts.tolist()))
 
     # Current copy adjacency, by tree-vertex role.
     nbr_out: dict[int, list[int]] = {r: [] for r in role_of_index}
     nbr_in: dict[int, list[int]] = {r: [] for r in role_of_index}
     for lu, lw in trunk.tree.edge_list:
-        u, w = int(trunk.labels[lu]), int(trunk.labels[lw])
+        u, w = labels[lu], labels[lw]
         nbr_out[u].append(w)
         nbr_in[w].append(u)
 
@@ -962,9 +965,10 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
     rest = state.rest
     local_shared = int(np.searchsorted(rest.labels, state.shared))
     rest_order = prefix_order(rest.tree, local_shared)
+    rest_labels = rest.labels.tolist()
     slots = [
-        (int(rest.labels[rest_order.order[i]]),
-         int(rest.labels[rest_order.order[rest_order.parent_index[i]]]),
+        (rest_labels[rest_order.order[i]],
+         rest_labels[rest_order.order[rest_order.parent_index[i]]],
          rest_order.sign[i])
         for i in range(1, rest.tree.n)
     ]
@@ -1076,6 +1080,7 @@ def embed_spanning(
     local_shared_abs = int(np.searchsorted(absorber_piece.labels, shared))
     local_shared_trunk = int(np.searchsorted(trunk_piece.labels, shared))
     absorber_tree = absorber_piece.tree.with_t(local_shared_abs)
+    trunk_labels, absorber_labels = trunk_piece.labels.tolist(), absorber_piece.labels.tolist()
     outer_budget = max(2, params.retries // 3)
     last: PipelineError | None = None
     for outer in range(outer_budget):
@@ -1090,7 +1095,8 @@ def embed_spanning(
 
             keep = sorted((set(range(n)) - set(state.a_set.tolist())) | {state.anchor_host})
             d_rest, labels_rest = d.induce(np.array(keep, dtype=np.int64))
-            back = {int(h): i for i, h in enumerate(labels_rest)}
+            labels_rest = labels_rest.tolist()
+            back = {h: i for i, h in enumerate(labels_rest)}
             start = time.perf_counter()
             emb_almost, tele_almost = embed_almost_spanning(
                 d_rest,
@@ -1103,7 +1109,7 @@ def embed_spanning(
             phases["almost_millis"] = _millis_since(start)
             phases["almost"] = tele_almost
 
-            used_global = {int(labels_rest[h]) for h in emb_almost.used}
+            used_global = {labels_rest[h] for h in emb_almost.used}
             leftover = set(range(n)) - used_global - set(state.a_set.tolist())
             b_set = np.array(sorted(set(state.a_set.tolist()) | leftover), dtype=np.int64)
             start = time.perf_counter()
@@ -1112,9 +1118,9 @@ def embed_spanning(
 
             total = Embedding()
             for lv, lh in emb_almost.map.items():
-                total.assign(int(trunk_piece.labels[lv]), int(labels_rest[lh]), "almost")
+                total.assign(trunk_labels[lv], labels_rest[lh], "almost")
             for lv, host in emb_abs.map.items():
-                tv = int(absorber_piece.labels[lv])
+                tv = absorber_labels[lv]
                 if tv not in total:   # the shared vertex is placed by both sides
                     total.assign(tv, host, "absorber")
             if not is_valid_embedding(d, tree, total) or len(total.used) != n:

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, Sign
 from .trees import OrientedTree, PrefixOrdering
 
 
@@ -77,18 +77,21 @@ def greedy_walk(
     order.order[i], or None when some vertex has no candidate.
     """
     stop = len(order.order) if stop is None else stop
-    hosts = np.full(stop, -1, dtype=np.int64)
+    mat, parent_index, sign = d.mat, order.parent_index, order.sign
+    candidates = np.empty(d.n, dtype=bool)   # row & free, refilled in place per pick
+    hosts: list[int] = []
     for i in range(stop):
         if i == 0:
             host = draw_host(free, rng, host_order) if root_host is None else int(root_host)
         else:
-            row = d.adj_row(int(hosts[order.parent_index[i]]), order.sign[i])
-            host = draw_host(row & free, rng, host_order)
+            p = hosts[parent_index[i]]
+            np.logical_and(mat[p] if sign[i] is Sign.PLUS else mat[:, p], free, out=candidates)
+            host = draw_host(candidates, rng, host_order)
         if host is None:
             return None
-        hosts[i] = host
+        hosts.append(host)
         free[host] = False
-    return hosts
+    return np.array(hosts, dtype=np.int64)
 
 
 class Embedding:

@@ -42,12 +42,12 @@ class OrientedTree:
             in_[v].append(u)
             und[u].append(v)
             und[v].append(u)
+        for rows in (out, in_, und):
+            any(map(list.sort, rows))   # sorts every row in place (list.sort returns None)
         self.n = n
         self.edge_list = tuple(edge_list)
         self.t = t
-        self._out = tuple(tuple(sorted(x)) for x in out)
-        self._in = tuple(tuple(sorted(x)) for x in in_)
-        self._und = tuple(tuple(sorted(x)) for x in und)
+        self._out, self._in, self._und = (tuple(map(tuple, rows)) for rows in (out, in_, und))
         self._check_connected()
 
     @classmethod
@@ -146,34 +146,39 @@ def prefix_order(tree: OrientedTree, root: int, policy: str = "any") -> PrefixOr
     if not (0 <= root < tree.n):
         raise ValueError("root out of range")
 
-    def dfs(allowed) -> list[int]:
-        order = [root]
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in reversed(tree.nbrs(v)):
-                if u not in seen and allowed(u):
-                    seen.add(u)
-                    order.append(u)
-                    stack.append(u)
-        return order
-
+    # open_[u]: u may still be placed by the search.  Each placed vertex
+    # records its parent's position and the sign of the edge from it.
+    und, out = tree._und, tree._out
     if policy == "any":
-        order = dfs(lambda u: True)
+        open_ = [True] * tree.n
     else:
-        is_leaf = [tree.degree(v) == 1 for v in range(tree.n)]
-        order = dfs(lambda u: not is_leaf[u])
-        order.extend(v for v in range(tree.n) if is_leaf[v] and v != root)
-
-    pos = {v: i for i, v in enumerate(order)}
+        is_leaf = [len(nb) == 1 for nb in und]
+        open_ = [not leaf for leaf in is_leaf]
+    open_[root] = False
+    order = [root]
     parent_index: list[int] = [-1]
     signs: list[Sign | None] = [None]
-    for i in range(1, len(order)):
+    stack = [0]
+    while stack:
+        i = stack.pop()
         v = order[i]
-        parent = next(u for u in tree.nbrs(v) if pos[u] < i)
-        parent_index.append(pos[parent])
-        signs.append(tree.edge_sign(parent, v))
+        out_v = out[v]
+        for u in reversed(und[v]):
+            if open_[u]:
+                open_[u] = False
+                stack.append(len(order))
+                order.append(u)
+                parent_index.append(i)
+                signs.append(Sign.PLUS if u in out_v else Sign.MINUS)
+    if policy != "any":
+        # Every non-root leaf goes last, after its one neighbour.
+        pos = {v: i for i, v in enumerate(order)}
+        for v in range(tree.n):
+            if is_leaf[v] and v != root:
+                parent = und[v][0]
+                order.append(v)
+                parent_index.append(pos[parent])
+                signs.append(Sign.PLUS if v in out[parent] else Sign.MINUS)
     return PrefixOrdering(tuple(order), tuple(parent_index), tuple(signs))
 
 
@@ -381,16 +386,14 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
         took.append(u)
         total += size[u]
 
-    # T2 is the pivot plus the pieces of T - pivot holding the taken children.
-    took_set = set(took)
-    t2_vertices = {pivot}
-    for piece in components(tree, set(range(tree.n)) - {pivot}):
-        if not took_set.isdisjoint(piece):
-            t2_vertices.update(piece)
-    t1_vertices = (set(range(tree.n)) - t2_vertices) | {pivot}
-
-    piece2 = induced_subtree(tree, t2_vertices)
-    piece1 = induced_subtree(tree, t1_vertices, t=root if root in t1_vertices else None)
+    # T2 is the pivot plus the subtrees below the taken children; T1 is the
+    # rest, which holds the root and the pivot.
+    below = list(took)
+    for v in below:
+        below.extend(u for u in tree._und[v] if u != parent[v])
+    in_below = set(below)
+    piece2 = induced_subtree(tree, [pivot, *below])
+    piece1 = induced_subtree(tree, [v for v in range(tree.n) if v not in in_below], t=root)
     return piece1, piece2, pivot
 
 

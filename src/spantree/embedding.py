@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .digraph import Digraph, Sign
+from .digraph import Digraph
 from .trees import OrientedTree, PrefixOrdering
 
 
@@ -77,15 +77,14 @@ def greedy_walk(
     order.order[i], or None when some vertex has no candidate.
     """
     stop = len(order.order) if stop is None else stop
-    mat, parent_index, sign = d.mat, order.parent_index, order.sign
+    adj_row, parent_index, sign = d.adj_row, order.parent_index, order.sign
     candidates = np.empty(d.n, dtype=bool)   # row & free, refilled in place per pick
     hosts: list[int] = []
     for i in range(stop):
         if i == 0:
             host = draw_host(free, rng, host_order) if root_host is None else int(root_host)
         else:
-            p = hosts[parent_index[i]]
-            np.logical_and(mat[p] if sign[i] is Sign.PLUS else mat[:, p], free, out=candidates)
+            np.logical_and(adj_row(hosts[parent_index[i]], sign[i]), free, out=candidates)
             host = draw_host(candidates, rng, host_order)
         if host is None:
             return None

@@ -378,17 +378,16 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
         (u for u in tree.nbrs(pivot) if u != parent[pivot]),
         key=lambda u: size[u],
     )
-    took: list[int] = []
+    below: list[int] = []   # the taken children, then every vertex under them
     total = 0
     for u in children:
         if total >= m - 1:
             break
-        took.append(u)
+        below.append(u)
         total += size[u]
 
-    # T2 is the pivot plus the subtrees below the taken children; T1 is the
+    # T2 is the pivot plus the subtrees of the taken children; T1 is the
     # rest, which holds the root and the pivot.
-    below = list(took)
     for v in below:
         below.extend(u for u in tree._und[v] if u != parent[v])
     in_below = set(below)

@@ -374,7 +374,6 @@ class TestGeneratorStream:
         assert max(max_semidegree(tree)) <= delta
 
 
-
 def family_tree(family, n, seed):
     """A generator tree of `family`; stars get the semidegree they need."""
     return gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, np.random.default_rng(seed))
@@ -468,6 +467,7 @@ class TestGuestPassesPinned:
     def test_decompositions(self, family):
         sizes = [n for n in self.SIZES if n >= 57]
         assert passes_digest(family, sizes, self.SEEDS, decompositions_of) == self.DECOMPOSE[family]
+
 
 def brute_rooted_iso(t1, r1, t2, r2):
     """Exhaustive rooted oriented isomorphism via permutation search."""

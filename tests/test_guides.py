@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spantree.digraph import Digraph, SIGNS, Sign, gen_semidegree_digraph, sample_disjoint_subsets
@@ -392,3 +392,130 @@ class TestBuildGuideMatchesReference:
             _reference_build_guide(d, 0, Sign.PLUS, eps, eta, mu, 0.01)
         assert str(new.value) == str(ref.value)
         assert str(new.value).startswith(message)
+
+
+def _first_heavy_round(hplus, grow_bound):
+    """First round after which some column's back-degree in H^+ passes the growth bound, else None."""
+    over = (hplus.cumsum(axis=0) > grow_bound).any(axis=1)
+    return int(np.argmax(over)) if over.any() else None
+
+
+@st.composite
+def _guide_cases(draw):
+    """A small host, (v, sign), schedule and labeling for build_guide against its oracle."""
+    kind = draw(st.sampled_from(["complete", "random", "few-mutual"]))
+    n = draw(st.integers(8, 120))
+    if kind == "complete":
+        d = complete(n)
+    elif kind == "random":
+        p = draw(st.floats(0.6, 1.0))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mat = rng.random((n, n)) < p
+        np.fill_diagonal(mat, False)
+        d = Digraph(n, mat)
+    else:
+        d = _few_mutual_rows_host(n, draw(st.integers(1, n // 3)))
+    v = draw(st.integers(0, n - 1))
+    sign = draw(st.sampled_from(SIGNS))
+    eps = draw(st.floats(0.02, 0.3))
+    eta = draw(st.floats(0.0, 4.0))
+    mu = draw(st.floats(0.02, 0.5))
+    kw = {}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labeling = draw(st.sampled_from(["identity", "shuffled", "built"]))
+    if labeling == "identity":
+        kw["labeling"] = XYLabeling(v, sign, np.arange(n), np.arange(n), 1)
+    elif labeling == "shuffled":
+        kw["labeling"] = XYLabeling(v, sign, rng.permutation(n), rng.permutation(n), 1)
+    if draw(st.booleans()):
+        kw["v0_mask"] = rng.random(n) < draw(st.floats(0.2, 1.0))
+        base = d.adj_row(v, sign) & kw["v0_mask"]
+        kw["size"] = draw(st.integers(1, max(1, int(base.sum()) + 1)))
+    return d, v, sign, eps, eta, mu, kw
+
+
+class TestGuideBuildPinned:
+    """build_guide draws exactly the oracle's guide sets, H rows and failures on small hosts."""
+
+    def test_matches_the_reference_build(self):
+        heavy_rounds = []
+
+        # A host where labeling indices pass the growth bound in round 3 of 12.
+        @example((_few_mutual_rows_host(), 0, Sign.PLUS, 0.1, 3.0, 0.3, {}))
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(_guide_cases())
+        def check(case):
+            d, v, sign, eps, eta, mu, kw = case
+            base = d.adj_row(v, sign) & kw.get("v0_mask", True)
+            if kw.get("size", max(1, math.ceil(mu * d.n))) > base.sum():
+                with pytest.raises(GuideBuildError, match="guide target"):
+                    build_guide(d, v, sign, eps, eta, mu, alpha=0.01, **kw)
+                return
+            try:
+                guide, hplus, hminus = _reference_build_guide(d, v, sign, eps, eta, mu, 0.01, **kw)
+            except GuideBuildError as ref:
+                with pytest.raises(GuideBuildError) as new:
+                    build_guide(d, v, sign, eps, eta, mu, alpha=0.01, **kw)
+                assert str(new.value) == str(ref)
+                return
+            entry = build_guide(d, v, sign, eps, eta, mu, alpha=0.01, **kw)
+            assert entry.guide.tolist() == guide.tolist()
+            assert (entry.hplus == hplus).all() and (entry.hminus == hminus).all()
+            grow_bound = (1 + eta / 2) * len(guide) * entry.edges_per_row / d.n
+            heavy_rounds.append((_first_heavy_round(hplus, grow_bound), len(guide)))
+
+        check()
+        # Some builds turned indices heavy in a round that later rounds follow.
+        assert any(r is not None and 0 < r < rounds - 1 for r, rounds in heavy_rounds)
+        assert any(r is None for r, _rounds in heavy_rounds)
+
+    def test_guide_target_beyond_the_neighbourhood(self):
+        d = complete(30)
+        mask = np.zeros(30, dtype=bool)
+        mask[:10] = True
+        with pytest.raises(GuideBuildError, match=r"guide target 11 exceeds \|N\^\+\(v\) cap V0\| = 9 for v=0"):
+            build_guide(d, 0, Sign.PLUS, 0.1, 1.0, 0.2, alpha=0.4, v0_mask=mask, size=11)
+
+    @pytest.mark.parametrize("sign", SIGNS)
+    def test_mutual_union_bound_never_overrides_the_popcount(self, sign):
+        # |mutual[i] cap base| >= |base| - (n - |mutual[i]|): where the bound
+        # reaches the threshold, so does the exact count.
+        hosts = [complete(50), _few_mutual_rows_host(), _few_mutual_rows_host(64, 20)]
+        for seed, p in [(1, 0.97), (2, 0.9), (3, 0.75)]:
+            mat = np.random.default_rng(seed).random((90, 90)) < p
+            np.fill_diagonal(mat, False)
+            hosts.append(Digraph(90, mat))
+        for d in hosts:
+            for v in range(0, d.n, 7):
+                base = d.adj_row(v, sign)
+                exact = _mutual_counts(d, base)
+                assert (exact >= int(base.sum()) - d.n + d.mutual_colsum).all()
+                for alpha in (0.05, 0.2, 0.35, 0.5):
+                    threshold = max(1, math.ceil(alpha * alpha * d.n))
+                    try:
+                        lab = build_xy_labeling(d, v, sign, alpha)
+                    except GuideBuildError:
+                        assert exact.min() < threshold
+                        continue
+                    identity = (lab.ys == np.arange(d.n)).all()
+                    assert identity == (exact.min() >= threshold)
+                    assert lab.verify(d)
+
+    def test_few_mutual_rows_fall_through_to_the_matching(self):
+        d = _few_mutual_rows_host()
+        base = d.adj_row(0, Sign.PLUS)
+        threshold = math.ceil(0.5**2 * 40)
+        assert int(base.sum()) - 40 + int(d.mutual_colsum.min()) < threshold
+        lab = build_xy_labeling(d, 0, Sign.PLUS, 0.5)
+        assert (lab.ys != lab.xs).any() and lab.verify(d)
+
+    @pytest.mark.parametrize("sign", SIGNS)
+    def test_identity_rows_mirror_and_shuffled_rows_differ(self, sign):
+        d = gen_semidegree_digraph(150, 0.24, np.random.default_rng(6))
+        entry = build_guide(d, 9, sign, 0.05, 0.1, 0.2, alpha=0.24)
+        assert (entry.hplus == entry.hminus).all()
+        rng = np.random.default_rng(7)
+        lab = XYLabeling(9, sign, rng.permutation(150), rng.permutation(150), 1)
+        shuffled = build_guide(d, 9, sign, 0.05, 0.1, 0.2, alpha=0.24, labeling=lab)
+        assert shuffled.hplus is not shuffled.hminus
+        assert (shuffled.hplus != shuffled.hminus).any()

@@ -5,8 +5,9 @@ only stored form (constant-time edge tests, vectorized triple
 intersections); per-vertex sorted neighbour arrays are computed from it on
 demand.  The mutual-arc matrix mat & mat.T, its column sums and its
 bit-packed rows are built on first use and cached read-only, so only hosts
-that build guides pay for them.  Instances are immutable after construction
-and safe to share across concurrent trials.
+that build guides pay for them, and only hosts whose xy-labelings the
+column-sum bound cannot settle pay for the packed rows.  Instances are
+immutable after construction and safe to share across concurrent trials.
 """
 
 from __future__ import annotations

@@ -86,7 +86,12 @@ def build_xy_labeling(d: Digraph, v: int, sign: Sign, alpha: float) -> XYLabelin
     base = d.adj_row(v, sign)
 
     # Identity shortcut: in dense hosts x_i = y_i = i almost always works.
-    if _mutual_counts(d, base).min() >= threshold:
+    # |mutual[i] cap base| >= |base| - (n - |mutual[i]|) settles most hosts
+    # from the cached column sums; the popcount decides the rest exactly.
+    if (
+        int(base.sum()) - n + int(d.mutual_colsum.min()) >= threshold
+        or _mutual_counts(d, base).min() >= threshold
+    ):
         ident = np.arange(n, dtype=np.int64)
         return XYLabeling(v, sign, ident, ident.copy(), threshold)
 
@@ -160,12 +165,17 @@ def build_guide(
     Coverage is kept incrementally: labeling indices only ever turn heavy,
     so the per-vertex count over light indices is summed once and the rows
     of indices whose mirror degree passes the growth bound are subtracted
-    after the round that pushed them over.  Each round's edges are picked
-    by a partial selection on a running rank key, not a full sort.  For the
-    identity labeling the triple-intersection rows are the host's cached
-    mutual-arc rows and the starting coverage its cached column sums, so a
-    build costs O(size*n) and allocates nothing n x n; any other labeling
-    gathers its n x n triple-intersection matrix first, O(n^2 + size*n).
+    after the round that pushed them over.  While the coverage stands
+    still the argmax order is fixed, so the open columns are sorted once
+    into a queue and consumed from its head; a round that turns indices
+    heavy costs O(n log n) to rebuild it.  Any other round reads one
+    column of W, O(n), and picks its edges by a partial selection on a
+    running rank key over that column's support only.  For the identity
+    labeling the triple-intersection rows are the host's cached mutual-arc
+    rows, the starting coverage its cached column sums and H^- the same
+    array as H^+, so a build allocates nothing n x n; any other labeling
+    gathers its n x n triple-intersection matrix first, O(n^2).  Both
+    guide graphs are returned read-only.
 
     With `v0_mask` the guide set is drawn from N^sign(v) inside that mask
     (the construction `GuideSystem.get` runs); guide rows still
@@ -199,10 +209,11 @@ def build_guide(
         )
 
     # W[j, w] = 1 iff w lies in the triple intersection of labeling index j.
-    # Only columns in `base` are ever read (score and covered both stay in
-    # it), so for the identity labeling W's rows may be the mutual-arc rows
+    # Only columns in `base` are ever read (coverage is read on open columns
+    # only), so for the identity labeling W's rows may be the mutual-arc rows
     # unmasked, and column w of W is the contiguous row mutual[w].
-    if np.array_equal(labeling.xs, np.arange(n)) and np.array_equal(labeling.ys, labeling.xs):
+    identity = np.array_equal(labeling.xs, np.arange(n)) and np.array_equal(labeling.ys, labeling.xs)
+    if identity:
         wrows = wcols = d.mutual
         full_coverage = d.mutual_colsum
     else:
@@ -214,11 +225,12 @@ def build_guide(
     # times n, plus a fixed scrambling of the index space.  Rows must not be
     # id-windows, or a target part can miss a row entirely; the scrambling is
     # seeded per (v, sign) so entries stay distinct even on fully symmetric
-    # hosts, deterministic throughout.  Keys are unique, so the per_row
-    # smallest covered keys are one well-defined set.
+    # hosts, deterministic throughout: the inverse of a seeded permutation.
+    # Keys are unique, so the per_row smallest covered keys are one set.
     sign_bit = 1 if sign is Sign.PLUS else 2
-    key = np.argsort(np.random.default_rng((0x5EED, n, v, sign_bit)).permutation(n))
-    unkeyed = np.iinfo(key.dtype).max
+    key = np.empty(n, dtype=np.int64)
+    key[np.random.default_rng((0x5EED, n, v, sign_bit)).permutation(n)] = np.arange(n)
+    heavy_key = n * (math.floor(grow_bound) + 1)   # key >= heavy_key iff key // n > grow_bound
     light = np.full(n, 0 <= grow_bound)       # all True unless eta < -2 makes the bound negative
     n_light = int(light.sum())
     # Per-vertex coverage by the light labeling indices, kept current below.
@@ -226,7 +238,8 @@ def build_guide(
     open_cols = base.copy()                   # N^sign(v) (cap V0) minus the guide so far
     guide: list[int] = []
     hplus = np.zeros((size, n), dtype=bool)
-    hminus = np.zeros((size, n), dtype=bool)
+    hminus = hplus if identity else np.zeros((size, n), dtype=bool)
+    queue = None
 
     for i in range(size):
         if n_light < eta * n / 4:
@@ -234,30 +247,42 @@ def build_guide(
                 f"round {i}: only {n_light} light labeling indices "
                 f"(need {eta * n / 4:.1f}); schedule too aggressive"
             )
-        score = np.where(open_cols, coverage, -1)
-        w = int(np.argmax(score))
-        if score[w] < per_row:
+        # Open columns by coverage, descending, ties in ascending id: the
+        # order in which argmax over the open columns would pick them while
+        # the coverage stands still.  Rebuilt after a round that changed it.
+        if queue is None:
+            cols = open_cols.nonzero()[0]
+            queue = cols[np.argsort(-coverage[cols], kind="stable")].tolist()
+            head = 0
+        w = queue[head]
+        head += 1
+        if coverage[w] < per_row:
             raise GuideBuildError(
-                f"round {i}: best coverage {int(score[w])} below {per_row}; "
+                f"round {i}: best coverage {int(coverage[w])} below {per_row}; "
                 "schedule too aggressive for this host"
             )
         # Spread the new edges over the lightest covered labeling indices,
         # tie-broken by the scrambled rank: this balances back-degrees and
-        # keeps every row spread across the vertex space.  score[w] counts
-        # the covered indices, so all per_row picks are covered ones.
-        covered_key = np.where(light & wcols[w], key, unkeyed)
-        chosen = np.argpartition(covered_key, per_row - 1)[:per_row]
+        # keeps every row spread across the vertex space.  coverage[w] counts
+        # the covered indices, so there are at least per_row of them.
+        chosen = (wcols[w] if n_light == n else light & wcols[w]).nonzero()[0]
+        if len(chosen) > per_row:
+            chosen = chosen[key[chosen].argpartition(per_row - 1)[:per_row]]
         hplus[i, labeling.xs[chosen]] = True
-        hminus[i, labeling.ys[chosen]] = True
-        key[chosen] += n
-        heavy = chosen[key[chosen] // n > grow_bound]
-        if len(heavy):
+        if not identity:                      # the identity labeling's H^- is H^+
+            hminus[i, labeling.ys[chosen]] = True
+        kc = key[chosen] = key[chosen] + n
+        if kc.max() >= heavy_key:
+            heavy = chosen[kc >= heavy_key]
             coverage -= _count(wrows[heavy], axis=0)
             light[heavy] = False
             n_light -= len(heavy)
+            queue = None
         open_cols[w] = False
         guide.append(w)
 
+    hplus.setflags(write=False)
+    hminus.setflags(write=False)
     return GuideEntry(
         v=v,
         sign=sign,

@@ -519,3 +519,12 @@ class TestGuideBuildPinned:
         shuffled = build_guide(d, 9, sign, 0.05, 0.1, 0.2, alpha=0.24, labeling=lab)
         assert shuffled.hplus is not shuffled.hminus
         assert (shuffled.hplus != shuffled.hminus).any()
+
+    def test_identity_entry_shares_one_read_only_h(self):
+        d = gen_semidegree_digraph(150, 0.24, np.random.default_rng(6))
+        entry = build_guide(d, 9, Sign.PLUS, 0.05, 0.1, 0.2, alpha=0.24)
+        assert entry.hminus is entry.hplus and not entry.hplus.flags.writeable
+        rng = np.random.default_rng(7)
+        lab = XYLabeling(9, Sign.PLUS, rng.permutation(150), rng.permutation(150), 1)
+        shuffled = build_guide(d, 9, Sign.PLUS, 0.05, 0.1, 0.2, alpha=0.24, labeling=lab)
+        assert not shuffled.hplus.flags.writeable and not shuffled.hminus.flags.writeable

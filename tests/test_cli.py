@@ -10,9 +10,11 @@ import numpy as np
 from spantree import cli
 from spantree import io as tio
 from spantree.cli import main, parse_experiment_config
+from spantree.decompose import decompose
 from spantree.digraph import Digraph, min_semidegree
 from spantree.embedder import embed_almost_spanning
 from spantree.embedding import Embedding
+from spantree.params import spanning_defaults
 from spantree.trees import FAMILIES, OrientedTree
 
 
@@ -162,6 +164,22 @@ class TestEmbed:
         assert main(["embed", str(dpath), str(small), "--seed", "6",
                      "--phase", "absorber", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["telemetry"]["phase"] == "absorber"
+
+    def test_paths_phase_output_bytes(self, tmp_path):
+        dpath, tpath = self.make_instance(tmp_path, n=260, tree_n=220, family="path")
+        out = tmp_path / "paths.json"
+        assert main(["embed", str(dpath), str(tpath), "--seed", "6", "--phase", "paths",
+                     "--out", str(out)]) == 0
+        digest = "2113368ae135777543af6614d964b3e1bf3b1a3a72f4e1cc52cb1eee2b82d9e1"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        # Piece i's anchors x and y sit at the i-th pair of a host permutation
+        # drawn first from the seed.
+        hosts = json.loads(out.read_text())["map"]
+        perm = np.random.default_rng(6).permutation(260).tolist()
+        pieces = decompose(tio.read_tree(tpath), 0, spanning_defaults(260, 0.3)).pieces
+        assert pieces
+        for i, p in enumerate(pieces):
+            assert (hosts[str(p.x)], hosts[str(p.y)]) == (perm[2 * i], perm[2 * i + 1])
 
     def test_timings_only_on_request(self, tmp_path):
         dpath, tpath = self.make_instance(tmp_path, n=150, alpha=0.24)

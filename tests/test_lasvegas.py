@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantree import embedder
-from spantree.decompose import DecompositionError
+from spantree.decompose import DecompositionError, decompose
 from spantree.digraph import Digraph, Sign, gen_semidegree_digraph
 from spantree.embedder import (
     AbsorptionError,
@@ -346,6 +346,34 @@ class TestAlmostRngContract:
         emb, _telemetry = embed_almost_spanning(d, tree, 0, v, almost_defaults(300, 0.24, 0.2), rng)
         text = json.dumps(sorted(emb.map.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "family, max_semideg, n, digests",
+        [
+            # Spiders with three out-legs per side strip down to no pieces at n = 300.
+            ("spider", 2, 300, ("32a5cfacd3fe5efb", "375341a0cba3590a", "91f56255deec4f8f")),
+            ("spider", 2, 800, ("a9a4d29e67046669", "42416db1d9d12570", "c145842e52def844")),
+            ("path", 3, 300, ("279a6119688796d9", "87e39096d7cb14da", "e594cb8abea5e8ea")),
+            ("path", 3, 800, ("d37555ab905dd629", "a5c19a12bafe331c", "2801c4188467289a")),
+            ("caterpillar", 3, 300, ("4fb8f740456bbe41", "89f3b11ca188e483", "486b3f8930fb715f")),
+            ("caterpillar", 3, 800, ("d811bf7944cecc7f", "b32080081d5ba5bc", "0188cb84351536ac")),
+            ("broom", 3, 300, ("6f45ddcfca19f9c3", "75a314f1466b99ba", "d769d7f0802940a2")),
+            ("broom", 3, 800, ("b5549a1bc878e19e", "c47903b4c094e722", "df260978384da5d2")),
+        ],
+    )
+    def test_piece_heavy_digests(self, family, max_semideg, n, digests):
+        # Trees whose decomposition has path pieces, so the path connectors
+        # and the piece bodies' forest draws are pinned too.
+        params = spanning_defaults(n, 0.24)
+        for seed, digest in enumerate(digests):
+            rng = np.random.default_rng(seed)
+            d = gen_semidegree_digraph(n, 0.24, rng)
+            tree = gen_random_tree(4 * n // 5, max_semideg, family, rng)
+            v = int(rng.integers(n))
+            assert decompose(tree, 0, params).pieces
+            emb, _telemetry = embed_almost_spanning(d, tree, 0, v, params, rng)
+            text = json.dumps(sorted(emb.map.items()))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, seed
 
 
 def backward_path_host(n):

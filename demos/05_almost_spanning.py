@@ -11,13 +11,13 @@ import numpy as np
 
 from spantree import gen_random_tree, gen_semidegree_digraph, verify_embedding
 from spantree.embedder import embed_almost_spanning
-from spantree.params import almost_defaults
+from spantree.params import spanning_defaults
 
 rng = np.random.default_rng(11)
 n, alpha, eps = 500, 0.2, 0.2
 host = gen_semidegree_digraph(n, alpha, rng)
 tree = gen_random_tree(int((1 - eps) * n), 3, "caterpillar", rng)
-params = almost_defaults(n, alpha, eps)
+params = spanning_defaults(n, alpha)
 
 anchor_vertex, anchor_target = 0, 123
 emb, telemetry = embed_almost_spanning(host, tree, anchor_vertex, anchor_target, params, rng)

@@ -42,7 +42,7 @@ from .matching import (
     max_matching,
 )
 from .oracle import TrialConfig, TrialReport, brute_force_contains, run_trials, verify_embedding
-from .params import ParamSchedule, almost_defaults, spanning_defaults
+from .params import ParamSchedule, spanning_defaults
 from .trees import (
     BarePath,
     OrientedTree,

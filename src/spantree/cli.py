@@ -26,12 +26,11 @@ from .embedder import (
     embed_almost_spanning,
     embed_spanning,
     embed_stars,
-    path_piece_inputs,
     stars_from_decomposition,
 )
 from .embedding import Embedding, PipelineError
 from .oracle import TrialConfig, reports_to_csv, run_trials, verify_embedding
-from .params import ParamSchedule, almost_defaults, spanning_defaults
+from .params import ParamSchedule, spanning_defaults
 from .trees import FAMILIES, gen_random_tree, max_semidegree
 
 
@@ -82,18 +81,13 @@ def cmd_embed(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rng = np.random.default_rng(args.seed)
-    almost = args.almost or args.phase == "almost"
+    params = _schedule_overrides(args, spanning_defaults(d.n, args.alpha_hint(d)))
     if args.phase in ("stars", "paths", "absorber"):
-        return _run_isolated_phase(args, d, tree, rng)
-    if almost:
-        base = almost_defaults(d.n, args.alpha_hint(d), args.eps)
-    else:
-        base = spanning_defaults(d.n, args.alpha_hint(d))
-    params = _schedule_overrides(args, base)
+        return _run_isolated_phase(args, d, tree, params, rng)
 
     t = tree.t if tree.t is not None else 0
     try:
-        if almost:
+        if args.almost or args.phase == "almost":
             v = args.anchor if args.anchor is not None else int(rng.integers(d.n))
             emb, telemetry = embed_almost_spanning(d, tree.with_t(t), t, v, params, rng)
         else:
@@ -136,11 +130,9 @@ def _emit_unverified(args, what: str) -> int:
     return _emit_failure(args, PipelineError(f"{what} failed verification", cause="verify"))
 
 
-def _run_isolated_phase(args, d, tree, rng) -> int:
+def _run_isolated_phase(args, d, tree, params, rng) -> int:
     """Run one embedding phase on inputs derived from the tree, and verify it."""
     t = tree.t if tree.t is not None else 0
-    base = almost_defaults(d.n, args.alpha_hint(d), args.eps)
-    params = _schedule_overrides(args, base)
     try:
         if args.phase == "stars":
             td = decompose(tree, t, params)
@@ -155,23 +147,19 @@ def _run_isolated_phase(args, d, tree, rng) -> int:
             if not td.pieces:
                 print("error: decomposition yields no path pieces", file=sys.stderr)
                 return 1
-            piece_inputs = path_piece_inputs(tree, td)
             perm = rng.permutation(d.n)
-            anchor_pairs = [(int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(len(piece_inputs))]
-            maps = attach_path_trees(d, piece_inputs, anchor_pairs, params, rng)
+            anchor_pairs = [(int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(len(td.pieces))]
+            maps = attach_path_trees(d, tree, td.pieces, anchor_pairs, params, rng)
             emb = Embedding()
-            for (piece, _r, _s), pmap in zip(piece_inputs, maps):
-                for lv, lh in pmap.items():
-                    tv = int(piece.labels[lv])
-                    if tv not in emb:
-                        emb.assign(tv, lh, "paths")
+            for p, (a, b), pmap in zip(td.pieces, anchor_pairs, maps):
+                for tv, host in ((p.x, a), (p.y, b), *pmap.items()):
+                    emb.assign(tv, host, "paths")
             return _emit_embedding(args, emb, {"phase": "paths", "pieces": len(maps)})
         # absorber: the input tree is the absorber tree
         if tree.n > d.n // 3:
             print("error: absorber phase needs |T| <= n/3", file=sys.stderr)
             return 1
-        sched = _schedule_overrides(args, spanning_defaults(d.n, args.alpha_hint(d)))
-        state, emb = absorb_at_random(d, tree.with_t(t), t, sched, rng)
+        state, emb = absorb_at_random(d, tree.with_t(t), t, params, rng)
         if not verify_embedding(d, tree, emb):
             return _emit_unverified(args, "absorber embedding")
         return _emit_embedding(
@@ -298,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("tree")
     emb.add_argument("--seed", type=int, required=True)
     emb.add_argument("--almost", action="store_true", help="almost-spanning mode")
-    emb.add_argument("--eps", type=float, default=0.1)
     emb.add_argument("--anchor", type=int, default=None, help="host vertex for t")
     emb.add_argument("--phase", choices=("full", "almost", "stars", "paths", "absorber"),
                      default="full", help="run one phase in isolation")

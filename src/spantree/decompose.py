@@ -42,8 +42,9 @@ class DecompositionError(PipelineError):
 class PathPiece:
     """A subtree attached to the core by exactly two bare paths of length 2.
 
-    x - mid_x - body ... body - mid_y - y, with x, y in T0 and the mids of
-    underlying degree 2 in the whole tree.
+    x - mid_x - body ... body - mid_y - y, with x, y in T0 and each mid of
+    underlying degree 2 inside T2: its anchor and one body vertex.  In the
+    whole tree a mid may have more neighbours, leftover leaves hung on it.
     """
 
     x: int

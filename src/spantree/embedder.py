@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionError, TreeDecomposition, decompose
+from .decompose import DecompositionError, PathPiece, TreeDecomposition, decompose
 from .digraph import (
     SIGNS,
     Digraph,
@@ -417,110 +417,98 @@ def _embed_stars_once(
 
 def attach_path_trees(
     d: Digraph,
-    pieces: list[tuple[TreePiece, int, int]],
+    tree: OrientedTree,
+    pieces: list[PathPiece],
     anchors: list[tuple[int, int]],
     params: ParamSchedule,
     rng: np.random.Generator,
 ) -> list[dict[int, int]]:
-    """Embed each piece with its two endpoint leaves at prescribed anchors.
+    """Embed each piece's mids and body, its anchors x and y at prescribed hosts.
 
-    pieces[i] = (piece, r_local, s_local) where r/s are leaves whose
-    neighbors have underlying degree 2; anchors[i] = (a_i, b_i) hosts.
-    The piece bodies (minus both endpoint 2-paths) are embedded as a small
-    forest away from a sampled buffer B; the degree-2 connector vertices are
-    then drawn from pairwise neighborhood intersections inside B.
+    anchors[i] = (a_i, b_i) hosts pieces[i].x and pieces[i].y.  Returns, per
+    piece, a map from tree ids to hosts for its added vertices.  The bodies
+    are embedded as a small forest away from a sampled buffer B; each mid is
+    then drawn inside B from the intersection of its anchor's and its body
+    neighbour's neighborhoods.  Inducing the bodies, reading the mids' edges
+    and sizing B and the forest pool draw no random numbers, so they run
+    once, and a sizing that cannot fit is reported once, not resampled.
     """
     if not pieces:
         return []
-    return _retry(
-        "paths", params.retries,
-        lambda: _attach_path_trees_once(d, pieces, anchors, params, rng),
-    )
-
-
-def _attach_path_trees_once(
-    d: Digraph,
-    pieces: list[tuple[TreePiece, int, int]],
-    anchors: list[tuple[int, int]],
-    params: ParamSchedule,
-    rng: np.random.Generator,
-) -> list[dict[int, int]]:
     n = d.n
     anchor_hosts = {h for pair in anchors for h in pair}
     if len(anchor_hosts) != 2 * len(pieces):
         raise ValueError("anchors must be pairwise distinct")
 
-    bodies: list[OrientedTree] = []
-    meta = []
-    total_body = 0
-    for piece, r_local, s_local in pieces:
-        tr = piece.tree
-        if tr.degree(r_local) != 1 or tr.degree(s_local) != 1:
-            raise ValueError(f"endpoints {r_local}, {s_local} must be leaves of the piece")
-        r_mid = tr.nbrs(r_local)[0]
-        s_mid = tr.nbrs(s_local)[0]
-        if tr.degree(r_mid) != 2 or tr.degree(s_mid) != 2:
-            raise ValueError(f"the neighbours of endpoints {r_local}, {s_local} must have degree 2")
-        drop = {r_local, r_mid, s_local, s_mid}
-        body_vertices = [x for x in range(tr.n) if x not in drop]
-        body = induced_subtree(tr, body_vertices)
-        r_inner = [x for x in tr.nbrs(r_mid) if x != r_local][0]
-        s_inner = [x for x in tr.nbrs(s_mid) if x != s_local][0]
-        bodies.append(body.tree)
-        meta.append((piece, r_local, r_mid, r_inner, s_local, s_mid, s_inner, body))
-        total_body += body.tree.n
+    bodies: list[TreePiece] = []
+    # Per piece, (mid, sign seen from its anchor, body neighbour, sign seen
+    # from it) for mid_x, then mid_y.
+    links: list[list[tuple[int, Sign, int, Sign]]] = []
+    for p in pieces:
+        body = induced_subtree(tree, p.body)
+        in_body = set(p.body)
+        piece_links = []
+        for mid, outer in ((p.mid_x, p.x), (p.mid_y, p.y)):
+            inner = [u for u in tree.nbrs(mid) if u in in_body]
+            if len(inner) != 1:
+                raise ValueError(f"mid {mid} must have exactly one body neighbour, has {len(inner)}")
+            piece_links.append((mid, tree.edge_sign(outer, mid), inner[0], tree.edge_sign(inner[0], mid)))
+        bodies.append(body)
+        links.append(piece_links)
 
     rest = np.array(sorted(set(range(n)) - anchor_hosts), dtype=np.int64)
+    total_body = sum(len(p.body) for p in pieces)
     spare = len(rest) - total_body
     if spare < 2 * len(pieces) + 2:
-        raise GuideBuildError(f"no room for a connector buffer of {2 * len(pieces)}")
+        raise PhaseFailure(
+            "paths", "guide-build", f"no room for a connector buffer of {2 * len(pieces)}", attempts=1,
+        )
+    # The pool keeps forest_reserve >= 2 vertices beyond the bodies, so the
+    # headroom is positive; embed_small_forest still needs it above eps_eff.
     forest_reserve = max(2, min(10, spare // 4))
     b_size = max(2 * len(pieces), int(math.ceil(params.beta * n)))
     b_size = min(b_size, spare - forest_reserve)
-    perm = rng.permutation(len(rest))
-    buffer = set(int(x) for x in rest[perm[:b_size]])
-    # Connector candidates are read in the iteration order of a copy of the
-    # buffer set (which can differ from the source set's); that order fixes
-    # the RNG stream of the connector draws.
-    buffer_order = np.fromiter(set(buffer), dtype=np.int64)
-    free_buffer = np.zeros(n, dtype=bool)
-    free_buffer[buffer_order] = True
-    forest_pool = rest[perm[b_size:]]
-
-    headroom = 1.0 - total_body / max(1, len(forest_pool))
-    if headroom <= 0.0:
-        raise GuideBuildError("piece bodies exceed the forest pool")
+    pool_size = len(rest) - b_size
+    headroom = 1.0 - total_body / pool_size
     eps_eff = min(0.5, max(0.004, headroom - 0.004))
-    body_maps = embed_small_forest(
-        d, bodies, eps_eff, rng, pool=forest_pool, pop_min=params.pop_min
-    )
+    if total_body > (1 - eps_eff) * pool_size:
+        raise PhaseFailure(
+            "paths", "guide-build",
+            f"forest too large: {total_body} vertices into a pool of {pool_size} at eps={eps_eff}",
+            attempts=1,
+        )
 
-    out: list[dict[int, int]] = []
-    for (piece, r_local, r_mid, r_inner, s_local, s_mid, s_inner, body), (a, b), bmap in zip(
-        meta, anchors, body_maps
-    ):
-        tr = piece.tree
-        labels = body.labels.tolist()
-        full = {labels[bv]: host for bv, host in bmap.items()}
-        full[r_local] = a
-        full[s_local] = b
-        for mid, outer, outer_host, inner in (
-            (r_mid, r_local, a, r_inner),
-            (s_mid, s_local, b, s_inner),
-        ):
-            sign_out = tr.edge_sign(outer, mid)     # mid as seen from the anchor leaf
-            sign_in = tr.edge_sign(inner, mid)      # mid as seen from the body
-            row = d.adj_row(outer_host, sign_out) & d.adj_row(full[inner], sign_in)
-            host = draw_host(row & free_buffer, rng, buffer_order)
-            if host is None:
-                raise ForestEmbedError(
-                    f"connector intersection empty at anchor {outer_host}",
-                    cause="connector-exhausted",
-                )
-            full[mid] = host
-            free_buffer[host] = False
-        out.append(full)
-    return out
+    def once() -> list[dict[int, int]]:
+        perm = rng.permutation(len(rest))
+        buffer = set(int(x) for x in rest[perm[:b_size]])
+        # Connector candidates are read in the iteration order of a copy of
+        # the buffer set (which can differ from the source set's); that order
+        # fixes the RNG stream of the connector draws.
+        buffer_order = np.fromiter(set(buffer), dtype=np.int64)
+        free_buffer = np.zeros(n, dtype=bool)
+        free_buffer[buffer_order] = True
+        body_maps = embed_small_forest(
+            d, [body.tree for body in bodies], eps_eff, rng,
+            pool=rest[perm[b_size:]], pop_min=params.pop_min,
+        )
+        out: list[dict[int, int]] = []
+        for body, piece_links, pair, bmap in zip(bodies, links, anchors, body_maps):
+            labels = body.labels.tolist()
+            full = {labels[bv]: host for bv, host in bmap.items()}
+            for (mid, sign_out, inner, sign_in), outer_host in zip(piece_links, pair):
+                row = d.adj_row(outer_host, sign_out) & d.adj_row(full[inner], sign_in)
+                host = draw_host(row & free_buffer, rng, buffer_order)
+                if host is None:
+                    raise ForestEmbedError(
+                        f"connector intersection empty at anchor {outer_host}",
+                        cause="connector-exhausted",
+                    )
+                full[mid] = host
+                free_buffer[host] = False
+            out.append(full)
+        return out
+
+    return _retry("paths", params.retries, once)
 
 
 def embed_almost_spanning(
@@ -667,16 +655,6 @@ def _greedy(
     return emb, tries
 
 
-def path_piece_inputs(tree: OrientedTree, td: TreeDecomposition) -> list[tuple[TreePiece, int, int]]:
-    """attach_path_trees inputs for td.pieces: (piece, local x, local y) each."""
-    out = []
-    for p in td.pieces:
-        piece = induced_subtree(tree, [p.x, p.y, p.mid_x, p.mid_y, *p.body])
-        pos = {int(h): i for i, h in enumerate(piece.labels)}
-        out.append((piece, pos[p.x], pos[p.y]))
-    return out
-
-
 def _assemble_almost(
     d: Digraph,
     tree: OrientedTree,
@@ -711,21 +689,16 @@ def _assemble_almost(
 
     # Path pieces through V2 (anchors cross over from V1).
     if td.pieces:
-        piece_inputs = path_piece_inputs(tree, td)
         anchor_pairs = [(emb[p.x], emb[p.y]) for p in td.pieces]
-        anchor_hosts = sorted({h for pair in anchor_pairs for h in pair})
-        d2_verts = np.array(sorted(set(v2.tolist()) | set(anchor_hosts)), dtype=np.int64)
+        anchor_hosts = {h for pair in anchor_pairs for h in pair}
+        d2_verts = np.array(sorted(set(v2.tolist()) | anchor_hosts), dtype=np.int64)
         d2, labels2 = d.induce(d2_verts)
         labels2 = labels2.tolist()
         back2 = {h: i for i, h in enumerate(labels2)}
         local_pairs = [(back2[a], back2[b]) for a, b in anchor_pairs]
-        maps = attach_path_trees(d2, piece_inputs, local_pairs, params, rng)
-        for (piece, _r, _s), pmap in zip(piece_inputs, maps):
-            labels = piece.labels.tolist()
-            for lv, lh in pmap.items():
-                tv = labels[lv]
-                if tv not in emb:   # the anchors x, y are already placed
-                    emb.assign(tv, labels2[lh], "paths")
+        for pmap in attach_path_trees(d2, tree, td.pieces, local_pairs, params, rng):
+            for tv, lh in pmap.items():
+                emb.assign(tv, labels2[lh], "paths")
 
     # Leftover leaves greedily into V3.  Like the lean-star walk, candidates
     # are read in the iteration order of a set of V3's hosts.

@@ -12,7 +12,7 @@ from .embedding import Embedding, PipelineError, VerificationError, is_valid_emb
 from .embedder import absorb_at_random, embed_almost_spanning, embed_spanning
 from .guides import GuideSystem, restrict_guides
 from .matching import MatchingError, find_perfect_matching, embed_small_forest
-from .params import ParamSchedule, almost_defaults, spanning_defaults
+from .params import ParamSchedule, spanning_defaults
 from .trees import OrientedTree, gen_random_tree
 
 BRUTE_CAP = 12
@@ -232,7 +232,7 @@ def _trial_decompose(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]
 
 
 def _trial_almost(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
-    params = cfg.schedule or almost_defaults(d.n, cfg.alpha, cfg.eps)
+    params = cfg.schedule or spanning_defaults(d.n, cfg.alpha)
     size = int((1 - cfg.eps) * d.n)
     tree = gen_random_tree(size, cfg.max_semideg, cfg.tree_family, rng)
     v = int(rng.integers(d.n))

@@ -23,7 +23,7 @@ class ParamSchedule:
 
     alpha: float = 0.2        # semidegree surplus: delta^0(D) >= (1/2 + alpha) n
     c: float = 0.01           # nominal degree-cap constant (cap = c*n/log n, see max_tree_semidegree)
-    eps: float = 0.1          # slack fraction (almost-spanning headroom, absorber gap)
+    eps: float = 0.1          # slack fraction: the absorber gap (see absorb_gap)
     mu: float = 0.02          # absorber-tree fraction for the spanning pipeline
     eta: float = 0.05         # decomposition core bound: |T0| <= eta * |T|
     beta: float = 0.05        # connector-buffer fraction for path attachment
@@ -106,7 +106,7 @@ class ParamSchedule:
 
 
 def spanning_defaults(n: int, alpha: float) -> ParamSchedule:
-    """Calibrated schedule for the full spanning pipeline at desk scale.
+    """Calibrated schedule for the spanning and almost-spanning pipelines at desk scale.
 
     The absorber needs a large switch reservoir relative to the swap count,
     and every matching phase needs a handful of genuinely spare vertices, so
@@ -118,22 +118,6 @@ def spanning_defaults(n: int, alpha: float) -> ParamSchedule:
         alpha=alpha,
         eps=eps,
         mu=mu,
-        eta=0.08,
-        beta=0.06,
-        lam=2.0 / n,
-        k=12,
-        K=max(60, n // 3),
-        retries=10,
-        strip_eps=0.02,
-    )
-
-
-def almost_defaults(n: int, alpha: float, eps: float) -> ParamSchedule:
-    """Calibrated schedule for the almost-spanning embedder alone."""
-    return ParamSchedule(
-        alpha=alpha,
-        eps=eps,
-        mu=0.3,
         eta=0.08,
         beta=0.06,
         lam=2.0 / n,

@@ -29,7 +29,7 @@ from spantree.matching import (
     max_matching,
 )
 from spantree.oracle import TrialConfig, brute_force_contains, run_trials, verify_embedding
-from spantree.params import ParamSchedule, almost_defaults, spanning_defaults
+from spantree.params import ParamSchedule, spanning_defaults
 from spantree.trees import OrientedTree, gen_random_tree, split_tree
 
 from test_matching import brute_max_matching, make_skew_pattern
@@ -53,7 +53,7 @@ class TestCriterion1Verifier:
             d = gen_semidegree_digraph(300, 0.3, rng)
             tree = gen_random_tree(240, 3, ("uniform", "path", "caterpillar")[seed % 3], rng)
             try:
-                emb, _ = embed_almost_spanning(d, tree, 0, 5, almost_defaults(300, 0.3, 0.2), rng)
+                emb, _ = embed_almost_spanning(d, tree, 0, 5, spanning_defaults(300, 0.3), rng)
             except PhaseFailure:
                 continue
             total += 1

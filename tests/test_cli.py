@@ -129,7 +129,7 @@ class TestEmbed:
         dpath, tpath = self.make_instance(tmp_path, n=250, tree_n=200)
         out = tmp_path / "a.json"
         code = main(["embed", str(dpath), str(tpath), "--seed", "3",
-                     "--almost", "--eps", "0.2", "--out", str(out)])
+                     "--almost", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc["map"]) == 200

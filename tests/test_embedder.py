@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spantree import embedder
-from spantree.decompose import decompose
+from spantree.decompose import PathPiece, decompose
 from spantree.digraph import Digraph, Sign, gen_semidegree_digraph
 from spantree.embedder import (
     AbsorptionError,
@@ -24,8 +24,8 @@ from spantree.embedding import greedy_walk, is_valid_embedding
 from spantree.guides import GuideSystem
 from spantree.matching import MatchingError
 from spantree.oracle import verify_embedding
-from spantree.params import ParamSchedule, almost_defaults, spanning_defaults
-from spantree.trees import OrientedTree, gen_random_tree, induced_subtree, prefix_order
+from spantree.params import ParamSchedule, spanning_defaults
+from spantree.trees import OrientedTree, gen_random_tree, prefix_order
 
 
 def complete(n):
@@ -222,7 +222,7 @@ class TestEmbedStars:
         rng = np.random.default_rng(4)
         d = gen_semidegree_digraph(250, 0.3, rng)
         tree = gen_random_tree(150, 3, "uniform", rng)
-        params = almost_defaults(250, 0.3, 0.2)
+        params = spanning_defaults(250, 0.3)
         td = decompose(tree, 0, params)
         stars = stars_from_decomposition(td)
         emb = embed_stars(d, tree, {int(x) for x in td.t0}, stars, 0, 9, params, rng)
@@ -231,106 +231,138 @@ class TestEmbedStars:
         assert len(emb.used) == len(embedded) <= d.n
 
 
+def path_piece(start, size):
+    """The piece x, mid_x, body, mid_y, y on the ids start..start+size-1 of a path."""
+    last = start + size - 1
+    return PathPiece(x=start, y=last, mid_x=start + 1, mid_y=last - 1,
+                     body=tuple(range(start + 2, last - 1)))
+
+
+def pieces_placed(d, tree, pieces, anchors, maps):
+    """Each map covers its piece's added vertices on fresh hosts off every
+    anchor, and with the piece's anchors keeps each of its edges."""
+    anchor_hosts = {h for pair in anchors for h in pair}
+    used = set()
+    for p, (a, b), m in zip(pieces, anchors, maps):
+        full = {**m, p.x: a, p.y: b}
+        hosts = set(m.values())
+        if set(m) != set(p.added_vertices()) or len(hosts) != len(m) or hosts & (used | anchor_hosts):
+            return False
+        if not all(d.has_edge(full[u], full[w]) for u, w in tree.edge_list if u in full and w in full):
+            return False
+        used |= hosts
+    return True
+
+
 class TestAttachPathTrees:
     def test_smallest_legal_piece(self):
-        # oriented path r -> r' -> mid -> s' -> s: both connectors from one
-        # triple intersection each
+        # oriented path x -> mid_x -> body -> mid_y -> y: both connectors from
+        # one triple intersection each
         d = complete(60)
-        piece_tree = OrientedTree(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        piece = induced_subtree(piece_tree, range(5))
+        tree = OrientedTree(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         params = ParamSchedule(alpha=0.45, beta=0.2, retries=5)
-        maps = attach_path_trees(d, [(piece, 0, 4)], [(3, 9)], params,
+        maps = attach_path_trees(d, tree, [path_piece(0, 5)], [(3, 9)], params,
                                  np.random.default_rng(0))
-        m = maps[0]
-        assert m[0] == 3 and m[4] == 9
-        for u, w in piece_tree.edge_list:
-            assert d.has_edge(m[u], m[w])
+        assert pieces_placed(d, tree, [path_piece(0, 5)], [(3, 9)], maps)
 
     def test_anchors_on_complete_digraph(self):
+        # Random 12-vertex trees cut at two leaves whose neighbours have
+        # degree 2, joined into one tree by an arc from each y to the next x.
         d = complete(100)
         rng = np.random.default_rng(1)
-        pieces, anchors = [], []
-        host = 0
+        edges, pieces = [], []
         for i in range(4):
-            tree = gen_random_tree(12, 3, "uniform", np.random.default_rng(i))
-            leaves = [v for v in range(12) if tree.degree(v) == 1
-                      and tree.degree(tree.nbrs(v)[0]) == 2]
+            part = gen_random_tree(12, 3, "uniform", np.random.default_rng(i))
+            leaves = [v for v in range(12) if part.degree(v) == 1
+                      and part.degree(part.nbrs(v)[0]) == 2]
             if len(leaves) < 2:
                 continue
-            piece = induced_subtree(tree, range(12))
-            pieces.append((piece, leaves[0], leaves[1]))
-            anchors.append((host, host + 1))
-            host += 2
+            off = 12 * len(pieces)
+            x, y = leaves[0], leaves[1]
+            mid_x, mid_y = part.nbrs(x)[0], part.nbrs(y)[0]
+            if pieces:
+                edges.append((pieces[-1].y, off + x))
+            edges += [(off + u, off + w) for u, w in part.edge_list]
+            body = tuple(off + v for v in range(12) if v not in (x, y, mid_x, mid_y))
+            pieces.append(PathPiece(x=off + x, y=off + y, mid_x=off + mid_x, mid_y=off + mid_y, body=body))
+        tree = OrientedTree(12 * len(pieces), edges)
+        anchors = [(2 * i, 2 * i + 1) for i in range(len(pieces))]
         params = ParamSchedule(alpha=0.45, beta=0.15, retries=5)
-        maps = attach_path_trees(d, pieces, anchors, params, rng)
-        used = set()
-        for (piece, r, s), (a, b), m in zip(pieces, anchors, maps):
-            assert m[r] == a and m[s] == b
-            for u, w in piece.tree.edge_list:
-                assert d.has_edge(m[u], m[w])
-            body = {h for v, h in m.items() if v not in (r, s)}
-            assert not (body & used)
-            used |= body
+        maps = attach_path_trees(d, tree, pieces, anchors, params, rng)
+        assert len(pieces) >= 2
+        assert pieces_placed(d, tree, pieces, anchors, maps)
 
     def test_many_pieces_rate(self):
-        # pieces of size 10..40 with prescribed distinct anchors
+        # pieces of size 10..40 cut from one forward path, with prescribed
+        # distinct anchors
+        sizes = [10 + (7 * i) % 31 for i in range(10)]
+        starts = [sum(sizes[:i]) for i in range(10)]
+        tree = OrientedTree(sum(sizes), [(v, v + 1) for v in range(sum(sizes) - 1)])
+        pieces = [path_piece(start, size) for start, size in zip(starts, sizes)]
+        anchors = [(2 * i, 2 * i + 1) for i in range(10)]
         wins = 0
         for seed in range(20):
             rng = np.random.default_rng(seed)
             d = gen_semidegree_digraph(500, 0.3, rng)
-            pieces, anchors = [], []
-            host = 0
-            for i in range(10):
-                size = 10 + (7 * i) % 31
-                base = gen_random_tree(size, 2, "path", np.random.default_rng(100 + i))
-                piece = induced_subtree(base, range(size))
-                pieces.append((piece, 0, size - 1))
-                anchors.append((host, host + 1))
-                host += 2
             params = ParamSchedule(alpha=0.3, beta=0.08, retries=6)
             try:
-                maps = attach_path_trees(d, pieces, anchors, params, rng)
+                maps = attach_path_trees(d, tree, pieces, anchors, params, rng)
             except PhaseFailure:
                 continue
-            ok = True
-            used = set()
-            for (piece, r, s), (a, b), m in zip(pieces, anchors, maps):
-                ok &= m[r] == a and m[s] == b
-                ok &= all(d.has_edge(m[u], m[w]) for u, w in piece.tree.edge_list)
-                body = {h for v, h in m.items() if v not in (r, s)}
-                ok &= not (body & used)
-                used |= body
-            wins += ok
+            wins += pieces_placed(d, tree, pieces, anchors, maps)
         assert wins >= 17
 
     def test_distinct_anchor_requirement(self):
-        d = complete(30)
-        piece_tree = OrientedTree(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        piece = induced_subtree(piece_tree, range(5))
+        tree = OrientedTree(10, [(v, v + 1) for v in range(9)])
         params = ParamSchedule(alpha=0.45, retries=3)
-        with pytest.raises(ValueError):
-            attach_path_trees(d, [(piece, 0, 4), (piece, 0, 4)],
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            attach_path_trees(complete(30), tree, [path_piece(0, 5), path_piece(5, 5)],
                               [(1, 2), (2, 3)], params, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
-        "edges, r, s, message",
+        "edges, piece, message",
         [
-            ([(0, 1), (1, 2), (2, 3), (3, 4)], 1, 4, "must be leaves"),
-            ([(0, 1), (1, 2), (1, 3), (3, 4)], 0, 4, "must have degree 2"),
+            # x = 1 is no leaf of the piece: mid_x = 0 has no body neighbour.
+            ([(0, 1), (1, 2), (2, 3), (3, 4)], PathPiece(x=1, y=4, mid_x=0, mid_y=3, body=(2,)),
+             "one body neighbour"),
+            # mid_x = 1 has degree 3: mid_y = 3 hangs on it, not on the body.
+            ([(0, 1), (1, 2), (1, 3), (3, 4)], PathPiece(x=0, y=4, mid_x=1, mid_y=3, body=(2,)),
+             "one body neighbour"),
+            ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], PathPiece(x=0, y=5, mid_x=2, mid_y=4, body=(3,)),
+             "not adjacent"),
+        ],
+        ids=["anchor-not-a-leaf", "mid-of-degree-3", "mid-off-its-anchor"],
+    )
+    def test_mids_are_checked(self, edges, piece, message):
+        tree = OrientedTree(max(max(e) for e in edges) + 1, edges)
+        with pytest.raises(ValueError, match=message):
+            attach_path_trees(complete(30), tree, [piece], [(1, 2)],
+                              ParamSchedule(alpha=0.45, retries=3), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "n, size, message",
+        [
+            # 500 body vertices into a pool of 502 leave embed_small_forest too little slack.
+            (513, 504, "forest too large: 500 vertices into a pool of 502"),
+            (30, 29, "no room for a connector buffer of 2"),
         ],
     )
-    def test_endpoint_degrees_are_checked(self, edges, r, s, message):
-        piece = induced_subtree(OrientedTree(5, edges), range(5))
-        with pytest.raises(ValueError, match=message):
-            attach_path_trees(complete(30), [(piece, r, s)], [(1, 2)],
-                              ParamSchedule(alpha=0.45, retries=3), np.random.default_rng(0))
+    def test_sizing_miss_is_a_paths_failure_before_any_draw(self, n, size, message):
+        tree = OrientedTree(size, [(v, v + 1) for v in range(size - 1)])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(PhaseFailure, match=message) as info:
+            attach_path_trees(complete(n), tree, [path_piece(0, size)], [(0, 1)],
+                              ParamSchedule(beta=0.06), rng)
+        assert (info.value.phase, info.value.cause, info.value.attempts) == ("paths", "guide-build", 1)
+        assert rng.bit_generator.state == state
 
 
 class TestAlmostSpanning:
     def test_single_vertex_tree(self):
         d = complete(20)
         tree = OrientedTree(1, [], t=0)
-        params = almost_defaults(20, 0.4, 0.2)
+        params = spanning_defaults(20, 0.4)
         emb, _ = embed_almost_spanning(d, tree, 0, 13, params, np.random.default_rng(0))
         assert emb[0] == 13
 
@@ -338,7 +370,7 @@ class TestAlmostSpanning:
         rng = np.random.default_rng(5)
         d = gen_semidegree_digraph(300, 0.3, rng)
         tree = gen_random_tree(240, 1, "path", rng)
-        params = almost_defaults(300, 0.3, 0.2)
+        params = spanning_defaults(300, 0.3)
         emb, _ = embed_almost_spanning(d, tree, 0, 7, params, rng)
         assert verify_embedding(d, tree, emb)
         assert emb[0] == 7
@@ -348,7 +380,7 @@ class TestAlmostSpanning:
             rng = np.random.default_rng(seed)
             d = gen_semidegree_digraph(350, 0.25, rng)
             tree = gen_random_tree(280, 3, family, rng)
-            params = almost_defaults(350, 0.25, 0.2)
+            params = spanning_defaults(350, 0.25)
             emb, _ = embed_almost_spanning(d, tree, 0, 3, params, rng)
             assert verify_embedding(d, tree, emb)
             assert emb[0] == 3
@@ -359,7 +391,7 @@ class TestAlmostSpanning:
         d = gen_semidegree_digraph(n, 0.3, rng)
         size = int(0.7 * n)
         tree = OrientedTree(size, [(0, v) for v in range(1, size)], t=0)
-        params = almost_defaults(n, 0.3, 0.3).with_updates(max_tree_semidegree=size)
+        params = spanning_defaults(n, 0.3).with_updates(max_tree_semidegree=size)
         emb, _ = embed_almost_spanning(d, tree, 0, 5, params, rng)
         assert verify_embedding(d, tree, emb)
 
@@ -367,7 +399,7 @@ class TestAlmostSpanning:
         d = complete(20)
         tree = gen_random_tree(19, 3, "uniform", np.random.default_rng(0))
         with pytest.raises(ValueError):
-            embed_almost_spanning(d, tree, 0, 0, almost_defaults(20, 0.4, 0.1),
+            embed_almost_spanning(d, tree, 0, 0, spanning_defaults(20, 0.4),
                                   np.random.default_rng(0))
 
 

@@ -31,7 +31,7 @@ from spantree.embedding import (
 from spantree.guides import GuideBuildError, GuideRestrictError
 from spantree.matching import ForestEmbedError, MatchingError, match_leaves, walk_lean_pieces
 from spantree.oracle import TrialConfig, run_single_trial
-from spantree.params import ParamSchedule, almost_defaults, spanning_defaults
+from spantree.params import ParamSchedule, spanning_defaults
 from spantree.trees import OrientedTree, gen_random_tree, prefix_order
 
 
@@ -272,7 +272,7 @@ class TestZeroRetryBudget:
         d = gen_semidegree_digraph(120, 0.25, rng)
         tree = gen_random_tree(96, 3, "uniform", rng)
         with pytest.raises(ValueError, match="retry budget"):
-            embed_almost_spanning(d, tree, 0, 5, almost_defaults(120, 0.25, 0.2).with_updates(retries=0), rng)
+            embed_almost_spanning(d, tree, 0, 5, spanning_defaults(120, 0.25).with_updates(retries=0), rng)
 
     def test_absorber_never_sees_zero_retries(self):
         rng = np.random.default_rng(3)
@@ -293,7 +293,7 @@ class TestScheduleValidation:
     @pytest.mark.parametrize("alpha", [0.15, 0.25])
     def test_default_schedules_validate_clean(self, n, alpha):
         assert spanning_defaults(n, alpha).validate() == []
-        assert almost_defaults(n, alpha, 0.1).validate() == []
+        assert spanning_defaults(n, alpha).validate() == []
 
 
 class TestRngContract:
@@ -343,7 +343,7 @@ class TestAlmostRngContract:
         d = gen_semidegree_digraph(300, 0.24, rng)
         tree = gen_random_tree(240, 3, family, rng)
         v = int(rng.integers(300))
-        emb, _telemetry = embed_almost_spanning(d, tree, 0, v, almost_defaults(300, 0.24, 0.2), rng)
+        emb, _telemetry = embed_almost_spanning(d, tree, 0, v, spanning_defaults(300, 0.24), rng)
         text = json.dumps(sorted(emb.map.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -393,7 +393,7 @@ class TestAlmostFailureReports:
         rng = np.random.default_rng(3)
         d = gen_semidegree_digraph(60, 0.25, rng)
         tree = gen_random_tree(40, 3, "uniform", rng)
-        params = almost_defaults(60, 0.25, 0.2)
+        params = spanning_defaults(60, 0.25)
         for v in (60, -1):
             with pytest.raises(ValueError, match="outside 0..59"):
                 embed_almost_spanning(d, tree, 0, v, params, rng)
@@ -403,7 +403,7 @@ class TestAlmostFailureReports:
     def test_greedy_walk_reports_its_whole_budget(self):
         # A forward path cannot leave host 2 along arcs i -> i-1 for 5 steps.
         tree = OrientedTree(6, [(i, i + 1) for i in range(5)], t=0)
-        params = almost_defaults(16, 0.25, 0.2).with_updates(retries=4)
+        params = spanning_defaults(16, 0.25).with_updates(retries=4)
         with pytest.raises(PhaseFailure) as info:
             embed_almost_spanning(backward_path_host(16), tree, 0, 2, params, np.random.default_rng(1))
         assert info.value.attempts == 4
@@ -420,11 +420,43 @@ class TestAlmostFailureReports:
             return [others[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(len(sizes))]
 
         monkeypatch.setattr(embedder, "sample_disjoint_subsets", without_anchor)
-        params = almost_defaults(120, 0.25, 0.2).with_updates(retries=3)
+        params = spanning_defaults(120, 0.25).with_updates(retries=3)
         with pytest.raises(PhaseFailure) as info:
             embed_almost_spanning(d, tree, 0, v, params, rng)
         assert (info.value.cause, info.value.attempts) == ("guide-build", 3)
         assert str(info.value) == "almost failed after 3 attempt(s) [guide-build]: anchor never landed in V1"
+
+
+def tight_host(n, alpha, rng):
+    """gen_semidegree_digraph's draw at arc probability 1/2 + alpha, not
+    min(1, 1/2 + 2 alpha), then its repair up to semidegree (1/2 + alpha) n."""
+    target = int(np.ceil((0.5 + alpha) * n))
+    mat = np.empty((n, n), dtype=bool)
+    for start in range(0, n, 256):
+        block = mat[start : start + 256]
+        np.less(rng.random(block.shape), 0.5 + alpha, out=block)
+    np.fill_diagonal(mat, False)
+    for lines in (mat, mat.T):   # out-degrees, then in-degrees
+        for v in range(n):
+            deficit = target - int(lines[v].sum())
+            if deficit > 0:
+                missing = np.flatnonzero(~lines[v])
+                lines[v, rng.choice(missing[missing != v], size=deficit, replace=False)] = True
+    return Digraph(n, mat)
+
+
+class TestPathSizingMiss:
+    def test_tight_caterpillar_seed_7_embeds(self):
+        # The forest pool of the path layer once came out two vertices short
+        # here and raised ValueError; the almost loop now answers the paths
+        # failure by moving slack out of V1 and succeeds.
+        n, alpha = 1000, 0.25
+        d = tight_host(n, alpha, np.random.default_rng(1007))
+        tree = gen_random_tree(n, 3, "caterpillar", np.random.default_rng(2007))
+        emb, telemetry = embed_spanning(d, tree, spanning_defaults(n, alpha), np.random.default_rng(3007))
+        assert is_valid_embedding(d, tree, emb) and len(emb.used) == n
+        failures = telemetry["phases"]["almost"]["failures"]
+        assert {"attempt": 2, "phase": "paths", "cause": "guide-build"} in failures
 
 
 class TestVerificationError:
@@ -434,7 +466,7 @@ class TestVerificationError:
         monkeypatch.setattr(embedder, "greedy_walk", lambda d, order, *rest, **kw: np.asarray(order.order))
         tree = OrientedTree(4, [(0, 1), (1, 2), (2, 3)], t=0)
         with pytest.raises(VerificationError) as info:
-            embed_almost_spanning(backward_path_host(12), tree, 0, 0, almost_defaults(12, 0.25, 0.2),
+            embed_almost_spanning(backward_path_host(12), tree, 0, 0, spanning_defaults(12, 0.25),
                                   np.random.default_rng(1))
         assert info.value.cause == "verify"
 
@@ -456,7 +488,7 @@ class TestVerificationError:
         rng = np.random.default_rng(3)
         d = gen_semidegree_digraph(120, 0.25, rng)
         tree = gen_random_tree(96, 3, "uniform", rng)
-        params = almost_defaults(120, 0.25, 0.2).with_updates(retries=3)
+        params = spanning_defaults(120, 0.25).with_updates(retries=3)
         with pytest.raises(PhaseFailure) as info:
             embed_almost_spanning(d, tree, 0, 5, params, rng)
         assert (info.value.cause, info.value.attempts, len(calls)) == ("verify", 3, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,8 +10,8 @@ from spantree.decompose import (
     decompose,
 )
 from spantree.embedder import stars_from_decomposition
-from spantree.params import ParamSchedule
-from spantree.trees import OrientedTree, gen_random_tree
+from spantree.params import ParamSchedule, spanning_defaults
+from spantree.trees import FAMILIES, OrientedTree, gen_random_tree
 
 
 def schedule(n, eta=0.08, k=12, K=None):
@@ -130,3 +131,49 @@ class TestDump:
         td = decompose(tree, 0, params)
         golden = Path(__file__).parent / "data" / "decomposition_golden.json"
         assert td.to_json() + "\n" == golden.read_text()
+
+
+class TestDecompositionPinned:
+    """`decompose(...).to_json()` at n in {300, 800, 2000}, pinned to sha256 digests of an earlier version.
+
+    One tree per family and size (seed n + 7; stars get the semidegree they
+    need), decomposed at anchors n // 3 and n - 1 under spanning_defaults(n, 0.25).
+    Every piece, star, leftover and layer feeds the embedding's random draws.
+    Uniform and star trees keep no piece here; the other families keep 1 to 7.
+    """
+
+    DIGESTS = {
+        ("uniform", 300): "a7a4dcf8743828d85908d41effc4ace4cedd41e11e8fd1cd8e599e395dd6fd8a",
+        ("uniform", 800): "412a85ff874cddef4266a0e3f4281a39beea4dd58eb34b35fc97d6a4197d019b",
+        ("uniform", 2000): "3d74690d1ad3310aaca908b6f016ba034d736f73a35e893ca12c8a3e0f17ca12",
+        ("path", 300): "c7155af92848e3887052325f580faba341efcf2c60b21cba0aae39b44bc72dca",
+        ("path", 800): "4dd96ff20a8d8f1aa74333d1d666da6c0b8207b50e772e82d412ceb559f1f57b",
+        ("path", 2000): "02af69911a9876259391b1b9d4b9cf18b15336cd99d182d002fa5026b3c27706",
+        ("star", 300): "424bb8689f0212b37c4bc0480010593905145635dad6e9e20a3046d375d28fe7",
+        ("star", 800): "87e7737f367bd34f6bea8a30c3cee2365ff912a4cb09502f20538e760ccfe44f",
+        ("star", 2000): "71902b43fefb6d008e9c7c16db1a7bf6b24886cf23c6566cd888a24ef68b1940",
+        ("caterpillar", 300): "e4e8d1709c34ed94b4cf3d1d1c94a3c98c21237514b4269eb1dd0f1bd6e3a041",
+        ("caterpillar", 800): "8ebda1b133566c54e554d5239547e812a22b81073377fb55b335c61b9d42ff5e",
+        ("caterpillar", 2000): "fcc5556dc2f4d73420f2a4cda97de63566facf737ead5c5934ddd83bdf34207e",
+        ("spider", 300): "4da6063ed147d6d58305ccaeea1d12fc7f8b51b34bde7372e48d75a108bb0281",
+        ("spider", 800): "0aabe4f9a712ebb826c70b22df22d0612d4f9a62df5a6bb9e0332a77746a19af",
+        ("spider", 2000): "3177193c5f8102669e68c9d11608d7aa8e53d14992ce03e0cdb98f84d80a0e79",
+        ("broom", 300): "15d2dfad84289d34872174e337f2739ae80805ebb64dd6edf04fa26415dd83ef",
+        ("broom", 800): "6982a273184973a9481de96efaed912e4e7d64830564dc17786056b1179b1c03",
+        ("broom", 2000): "881e3a5c2dc0f4e5d6587e8273c47be6672ae53f71733dac58250e60070ebf0b",
+    }
+
+    def test_every_family_is_pinned(self):
+        assert sorted({family for family, _n in self.DIGESTS}) == sorted(FAMILIES)
+
+    @pytest.mark.parametrize("family,n", sorted(DIGESTS))
+    def test_decomposition_digest(self, family, n):
+        tree = gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, np.random.default_rng(n + 7))
+        h = hashlib.sha256()
+        for t in (n // 3, n - 1):
+            try:
+                doc = decompose(tree, t, spanning_defaults(n, 0.25)).to_json()
+            except DecompositionError as exc:
+                doc = f"DecompositionError: {exc}"
+            h.update(doc.encode())
+        assert h.hexdigest() == self.DIGESTS[family, n]

@@ -23,7 +23,6 @@ from .trees import (
     OrientedTree,
     components,
     find_independent_leaves,
-    induced_subtree,
     maximal_bare_paths,
 )
 
@@ -94,14 +93,15 @@ class TreeDecomposition:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _strip(tree: OrientedTree, t: int, batch_min: int) -> np.ndarray:
+def _strip(tree: OrientedTree, t: int, batch_min: int) -> tuple[list[bool], list[int]]:
     """Iterated independent-leaf stripping plus the final leaf layer.
 
-    Returns the alive mask of the low-leaf core S'.
+    Returns the alive mask of the low-leaf core S' and each vertex's degree
+    inside it (0 outside it).
     """
-    alive = np.ones(tree.n, dtype=bool)
+    alive = [True] * tree.n
     # deg[v]: v's degree among the alive vertices, 0 once v is removed.
-    deg = np.array([tree.degree(v) for v in range(tree.n)], dtype=np.int64)
+    deg = list(map(len, tree._und))
 
     def remove(batch: list[int]) -> None:
         for v in batch:
@@ -111,7 +111,7 @@ def _strip(tree: OrientedTree, t: int, batch_min: int) -> np.ndarray:
                 if alive[u]:
                     deg[u] -= 1
 
-    while alive.sum() > 1:
+    while alive.count(True) > 1:
         batch = find_independent_leaves(tree, deg)
         if len(batch) < batch_min:
             break
@@ -122,18 +122,18 @@ def _strip(tree: OrientedTree, t: int, batch_min: int) -> np.ndarray:
 
     # Final layer: all remaining leaves except t.
     final = [v for v in range(tree.n) if alive[v] and deg[v] == 1 and v != t]
-    if alive.sum() - len(final) >= 1:
+    if alive.count(True) - len(final) >= 1:
         remove(final)
-    return alive
+    return alive, deg
 
 
-def _stripped_components(tree: OrientedTree, alive: np.ndarray):
+def _stripped_components(tree: OrientedTree, alive: list[bool]):
     """Connected components of the removed vertices with their attachment.
 
     Every component hangs below exactly one alive vertex.
     """
     comps: list[tuple[int, list[int]]] = []
-    for comp in components(tree, np.flatnonzero(~alive)):
+    for comp in components(tree, [v for v, kept in enumerate(alive) if not kept]):
         touches = {u for w in comp for u in tree.nbrs(w) if alive[u]}
         comps.append((touches.pop(), comp))
     return comps
@@ -169,7 +169,7 @@ def _build_layers(
     tree: OrientedTree, t: int, params: ParamSchedule, vol_cap: float
 ) -> TreeDecomposition:
     n = tree.n
-    alive = _strip(tree, t, params.strip_count(n))
+    alive, deg = _strip(tree, t, params.strip_count(n))
     comps = _stripped_components(tree, alive)
     vol = [0] * n
     at: dict[int, list[list[int]]] = {}
@@ -177,16 +177,14 @@ def _build_layers(
         vol[attach] += len(comp)
         at.setdefault(attach, []).append(comp)
 
-    core = induced_subtree(tree, np.flatnonzero(alive), t=t)
+    core = list(itertools.compress(range(n), alive))
 
     pieces: list[PathPiece] = []
     anchors: set[int] = set()
     removed_interiors: set[int] = set()
-    if core.tree.n >= 5:
-        walks = maximal_bare_paths(core.tree)
-        labels = core.labels.tolist()
-        for walk in walks:
-            path = [labels[w] for w in walk]
+    if len(core) >= 5:
+        # The core's bare paths, walked in the whole tree with its degrees.
+        for path in maximal_bare_paths(tree, deg):
             # prefix[i] weighs path[:i]; a piece's body is path[a + 2 : b - 1].
             prefix = list(itertools.accumulate([1 + vol[v] for v in path], initial=0))
             tpos = path.index(t) if t in path else -1
@@ -241,7 +239,7 @@ def _build_layers(
                 removed_interiors.update(path[a + 1 : b])
                 a = b + 1
 
-    t0_list = [v for v in np.flatnonzero(alive).tolist() if v not in removed_interiors]
+    t0_list = [v for v in core if v not in removed_interiors]
     t0 = np.array(t0_list, dtype=np.int64)
     mids = {p.mid_x for p in pieces} | {p.mid_y for p in pieces}
 

@@ -3,11 +3,13 @@
 A tree is stored with dense vertex ids 0..n-1 and an explicit list of
 directed edges (tail, head).  Orientation never affects connectivity
 arguments, so underlying-degree machinery works on the undirected shadow.
+Two sorted adjacency tables are stored, out-neighbours and all neighbours;
+in-neighbours are the neighbours that are not out-neighbours, read on demand.
 
 Only `OrientedTree(n, edges, t)` sorts and validates an edge list.  Trees
 derived from a valid tree skip that work: `with_t` shares its parent's edge
-list and sorted adjacency tuples, and `induced_subtree` filters them through
-the (monotone) relabelling, which keeps every list sorted.
+list and both tables, and `induced_subtree` maps their rows through one
+monotone index list, which keeps every row sorted.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .digraph import Sign
 class OrientedTree:
     """Immutable tree whose edges carry an orientation."""
 
-    __slots__ = ("n", "edge_list", "t", "_out", "_in", "_und")
+    __slots__ = ("n", "edge_list", "t", "_out", "_und")
 
     def __init__(self, n: int, edges, t: int | None = None):
         if n < 1:
@@ -33,29 +35,27 @@ class OrientedTree:
         if t is not None and not (0 <= t < n):
             raise ValueError(f"distinguished vertex {t} out of range")
         out: list[list[int]] = [[] for _ in range(n)]
-        in_: list[list[int]] = [[] for _ in range(n)]
         und: list[list[int]] = [[] for _ in range(n)]
         for u, v in edge_list:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u},{v})")
             out[u].append(v)
-            in_[v].append(u)
             und[u].append(v)
             und[v].append(u)
-        for rows in (out, in_, und):
+        for rows in (out, und):
             any(map(list.sort, rows))   # sorts every row in place (list.sort returns None)
         self.n = n
         self.edge_list = tuple(edge_list)
         self.t = t
-        self._out, self._in, self._und = (tuple(map(tuple, rows)) for rows in (out, in_, und))
+        self._out, self._und = tuple(map(tuple, out)), tuple(map(tuple, und))
         self._check_connected()
 
     @classmethod
-    def _derived(cls, n: int, edge_list: tuple, t: int | None, out: tuple, in_: tuple, und: tuple):
+    def _derived(cls, n: int, edge_list: tuple, t: int | None, out: tuple, und: tuple):
         """A tree from parts already known to form a valid tree; nothing is re-checked."""
         tree = cls.__new__(cls)
         tree.n, tree.edge_list, tree.t = n, edge_list, t
-        tree._out, tree._in, tree._und = out, in_, und
+        tree._out, tree._und = out, und
         return tree
 
     def _check_connected(self) -> None:
@@ -77,13 +77,15 @@ class OrientedTree:
         return self._out[v]
 
     def in_(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
+        """In-neighbours of v, sorted: its neighbours that are not out-neighbours."""
+        out_v = self._out[v]
+        return tuple([u for u in self._und[v] if u not in out_v])
 
     def nbrs(self, v: int) -> tuple[int, ...]:
         return self._und[v]
 
     def adj(self, v: int, sign: Sign) -> tuple[int, ...]:
-        return self._out[v] if sign is Sign.PLUS else self._in[v]
+        return self._out[v] if sign is Sign.PLUS else self.in_(v)
 
     def degree(self, v: int) -> int:
         return len(self._und[v])
@@ -92,7 +94,7 @@ class OrientedTree:
         """Sign s with v in N^s(u); requires u, v adjacent."""
         if v in self._out[u]:
             return Sign.PLUS
-        if v in self._in[u]:
+        if u in self._out[v]:
             return Sign.MINUS
         raise ValueError(f"{u} and {v} are not adjacent")
 
@@ -103,15 +105,16 @@ class OrientedTree:
         """The same tree with distinguished vertex t; shares this tree's adjacency."""
         if t is not None and not (0 <= t < self.n):
             raise ValueError(f"distinguished vertex {t} out of range")
-        return OrientedTree._derived(self.n, self.edge_list, t, self._out, self._in, self._und)
+        return OrientedTree._derived(self.n, self.edge_list, t, self._out, self._und)
 
     def __len__(self) -> int:
         return self.n
 
 
 def max_semidegree(tree: OrientedTree) -> tuple[int, int]:
-    """(max out-degree, max in-degree)."""
-    return max(map(len, tree._out)), max(map(len, tree._in))
+    """(max out-degree, max in-degree); a vertex's in-degree is its degree minus its out-degree."""
+    out_deg = list(map(len, tree._out))
+    return max(out_deg), max(map(int.__sub__, map(len, tree._und), out_deg))
 
 
 @dataclass(frozen=True)
@@ -217,32 +220,41 @@ class BarePath:
         return len(self.vertices) - 1
 
 
-def maximal_bare_paths(tree: OrientedTree) -> list[list[int]]:
+def maximal_bare_paths(tree: OrientedTree, deg=None) -> list[list[int]]:
     """Maximal paths of degree-2 interior vertices between leaves/branch vertices.
 
     Paths may share endpoints (branch vertices) but never interior vertices.
-    A cycle-free degree-2 tree (a path) yields one maximal path.
+    A cycle-free degree-2 tree (a path) yields one maximal path.  With `deg`
+    (a list), the paths are those of a subtree: deg[v] is v's degree inside
+    it, and 0 for a vertex outside it; walks come in the same order as on the
+    induced subtree, in tree ids.
     """
-    if tree.n <= 2:
-        return [[v for v in range(tree.n)]] if tree.n == 2 else []
-    stop = [tree.degree(v) != 2 for v in range(tree.n)]
+    if deg is None:
+        deg = list(map(len, tree._und))
+    size = len(deg) - deg.count(0)   # a one-vertex subtree counts 0 and has no path
+    if size <= 2:
+        return [[v for v in range(tree.n) if deg[v]]] if size == 2 else []
+    und = tree._und
     paths = []
     seen_interior = [False] * tree.n
     for v in range(tree.n):
-        if not stop[v]:
+        if deg[v] in (0, 2):
             continue
-        for u in tree.nbrs(v):
+        for u in und[v]:
             # Edges between two stop vertices have no interior and never
             # yield a cuttable segment; interior chains are walked once.
-            if stop[u] or seen_interior[u]:
+            if deg[u] != 2 or seen_interior[u]:
                 continue
-            walk = [v, u]
-            seen_interior[u] = True
-            while not stop[walk[-1]]:
-                nxt = [w for w in tree.nbrs(walk[-1]) if w != walk[-2]][0]
-                walk.append(nxt)
-                if not stop[nxt]:
-                    seen_interior[nxt] = True
+            walk = [v]
+            prev, x = v, u
+            while deg[x] == 2:
+                seen_interior[x] = True
+                walk.append(x)
+                row = und[x]   # x's two neighbours inside, and any outside
+                nxt = row[0] + row[1] - prev if len(row) == 2 else next(
+                    w for w in row if w != prev and deg[w])
+                prev, x = x, nxt
+            walk.append(x)
             paths.append(walk)
     return paths
 
@@ -322,32 +334,39 @@ class TreePiece:
 def induced_subtree(tree: OrientedTree, vertices, t: int | None = None) -> TreePiece:
     """Subtree induced on `vertices` (must be connected), dense-relabelled.
 
-    Vertex i of the piece is the i-th smallest of `vertices`.  The relabelling
-    is monotone, so filtering the parent's sorted adjacency keeps it sorted.
-    A subforest of a tree on k vertices is connected iff it has k - 1 edges,
-    so the constructor's edge count is the whole connectivity check.  An id
-    outside 0..|T|-1 is named in a ValueError before any adjacency is read.
+    Vertex i of the piece is the i-th smallest of `vertices`.  One index list
+    maps tree ids to piece ids (-1 outside the set); the relabelling is
+    monotone, so each mapped adjacency row stays sorted, and only rows that
+    reach outside the set are filtered.  A subforest of a tree on k vertices
+    is connected iff it has k - 1 edges, so the constructor's edge count is
+    the whole connectivity check.  An id outside 0..|T|-1 is named in a
+    ValueError before any adjacency is read.
     """
-    verts = sorted(int(v) for v in vertices)
+    verts = sorted(map(int, vertices))
     for v in verts[:1] + verts[-1:]:
         if not 0 <= v < tree.n:
             raise ValueError(f"vertex id {v} outside 0..{tree.n - 1}")
-    index = {v: i for i, v in enumerate(verts)}
-    if t is not None and t not in index:
+    k = len(verts)
+    index = [-1] * tree.n
+    any(map(index.__setitem__, verts, range(k)))   # index[verts[i]] = i (setitem returns None)
+    if t is not None and not (0 <= t < tree.n and index[t] >= 0):
         raise ValueError(f"distinguished vertex {t} is not among the induced vertices")
     local_t = index[t] if t is not None else None
-    k = len(verts)
-    if k == 0 or len(index) != k:
+    if k == 0 or len(set(verts)) != k:
         # Empty or duplicate ids: the general constructor reports them.
-        edges = [(index[u], index[w]) for u in verts for w in tree.out(u) if w in index]
+        edges = [(index[u], index[w]) for u in verts for w in tree.out(u) if index[w] >= 0]
         return TreePiece(OrientedTree(k, edges, t=local_t), np.asarray(verts, dtype=np.int64))
-    out = tuple([tuple([index[w] for w in tree._out[v] if w in index]) for v in verts])
+    get, inside = index.__getitem__, (0).__le__
+
+    def relabel(rows: tuple) -> tuple:
+        mapped = [tuple(map(get, row)) for row in map(rows.__getitem__, verts)]
+        return tuple([row if -1 not in row else tuple(filter(inside, row)) for row in mapped])
+
+    out = relabel(tree._out)
     edge_list = tuple([(i, w) for i, heads in enumerate(out) for w in heads])
     if len(edge_list) != k - 1:
         raise ValueError(f"a tree on {k} vertices needs {k - 1} edges, got {len(edge_list)}")
-    in_ = tuple([tuple([index[w] for w in tree._in[v] if w in index]) for v in verts])
-    und = tuple([tuple([index[w] for w in tree._und[v] if w in index]) for v in verts])
-    sub = OrientedTree._derived(k, edge_list, local_t, out, in_, und)
+    sub = OrientedTree._derived(k, edge_list, local_t, out, relabel(tree._und))
     return TreePiece(sub, np.asarray(verts, dtype=np.int64))
 
 

@@ -621,6 +621,75 @@ class TestMaximalBarePaths:
                     interior_seen.add(v)
 
 
+def reference_bare_paths(tree):
+    """`maximal_bare_paths` as it was before it took degrees: list-comprehension walks."""
+    if tree.n <= 2:
+        return [[v for v in range(tree.n)]] if tree.n == 2 else []
+    stop = [tree.degree(v) != 2 for v in range(tree.n)]
+    paths = []
+    seen_interior = [False] * tree.n
+    for v in range(tree.n):
+        if not stop[v]:
+            continue
+        for u in tree.nbrs(v):
+            if stop[u] or seen_interior[u]:
+                continue
+            walk = [v, u]
+            seen_interior[u] = True
+            while not stop[walk[-1]]:
+                nxt = [w for w in tree.nbrs(walk[-1]) if w != walk[-2]][0]
+                walk.append(nxt)
+                if not stop[nxt]:
+                    seen_interior[nxt] = True
+            paths.append(walk)
+    return paths
+
+
+def random_strip(tree, rng):
+    """A connected alive mask: rounds of removing a random share of the current leaves."""
+    alive = [True] * tree.n
+    deg = [tree.degree(v) for v in range(tree.n)]
+    for _ in range(int(rng.integers(0, 6))):
+        leaves = [v for v in range(tree.n) if deg[v] == 1]
+        batch = [v for v in leaves if rng.random() < rng.random()]
+        # Keep a vertex: stripping both ends of an edge would empty the tree.
+        for v in batch:
+            if sum(alive) > 1 and deg[v] == 1:
+                alive[v] = False
+                deg[v] = 0
+                for u in tree.nbrs(v):
+                    if alive[u]:
+                        deg[u] -= 1
+    return alive, deg
+
+
+class TestBarePathsOfASubtree:
+    """`maximal_bare_paths(tree, deg)` walks a subtree in place of its induced copy."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 90), st.sampled_from(GENERATOR_FAMILIES))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_induced_core_mapped_back(self, seed, n, family):
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, rng)
+        alive, deg = random_strip(tree, rng)
+        core = induced_subtree(tree, [v for v in range(n) if alive[v]])
+        labels = core.labels.tolist()
+        want = [[labels[w] for w in walk] for walk in reference_bare_paths(core.tree)]
+        assert maximal_bare_paths(core.tree) == reference_bare_paths(core.tree)
+        assert maximal_bare_paths(tree, deg) == want
+        assert maximal_bare_paths(tree) == reference_bare_paths(tree)
+
+    def test_interiors_with_outside_neighbours(self):
+        # A caterpillar without its hanging leaves is its spine, whose
+        # interior vertices keep leaves outside the subtree.
+        tree = gen_random_tree(60, 3, "caterpillar", np.random.default_rng(0))
+        alive = [tree.degree(v) > 1 for v in range(60)]
+        deg = [sum(alive[u] for u in tree.nbrs(v)) if alive[v] else 0 for v in range(60)]
+        spine = [v for v in range(60) if alive[v]]
+        assert any(tree.degree(v) > 2 for v in spine[1:-1])
+        assert maximal_bare_paths(tree, deg) == [spine]
+
+
 def union_find_pieces(tree, verts):
     """Reference for `components`: union the tree edges inside `verts`."""
     root = {v: v for v in verts}
@@ -788,6 +857,64 @@ class TestDerivedTrees:
                 OrientedTree(n, tree.edge_list, t=bad)
             with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
                 tree.with_t(bad)
+
+
+def assert_views_match_the_edge_list(tree):
+    """in_, adj, edge_sign and max_semidegree against a reference read off edge_list."""
+    outs = {v: [] for v in range(tree.n)}
+    ins = {v: [] for v in range(tree.n)}
+    for u, w in tree.edge_list:
+        outs[u].append(w)
+        ins[w].append(u)
+    for v in range(tree.n):
+        assert tree.in_(v) == tree.adj(v, Sign.MINUS) == tuple(sorted(ins[v]))
+        assert tree.out(v) == tree.adj(v, Sign.PLUS) == tuple(sorted(outs[v]))
+        assert type(tree.in_(v)) is tuple
+    for u, w in tree.edge_list:
+        assert tree.edge_sign(u, w) is Sign.PLUS
+        assert tree.edge_sign(w, u) is Sign.MINUS
+    for u in range(tree.n):
+        for w in (u, (u + 2) % tree.n, tree.n - 1 - u):
+            if w not in outs[u] and w not in ins[u]:
+                with pytest.raises(ValueError, match=f"^{u} and {w} are not adjacent$"):
+                    tree.edge_sign(u, w)
+    want = (max(map(len, outs.values())), max(map(len, ins.values())))
+    assert max_semidegree(tree) == want
+
+
+class TestTreeViews:
+    """In-adjacency is derived from the out- and undirected rows; read off the edge list as reference."""
+
+    def test_single_vertex(self):
+        tree = OrientedTree(1, [], t=0)
+        assert tree.in_(0) == tree.adj(0, Sign.MINUS) == tree.out(0) == ()
+        assert max_semidegree(tree) == (0, 0)
+        with pytest.raises(ValueError, match="^0 and 0 are not adjacent$"):
+            tree.edge_sign(0, 0)
+        assert_views_match_the_edge_list(tree.with_t(None))
+
+    @given(st.integers(0, 10_000), st.integers(1, 60), st.sampled_from(GENERATOR_FAMILIES))
+    @settings(max_examples=80, deadline=None)
+    def test_constructed_trees(self, seed, n, family):
+        tree = gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, np.random.default_rng(seed))
+        assert_views_match_the_edge_list(tree)
+        for t in (None, n - 1):
+            assert_views_match_the_edge_list(tree.with_t(t))
+            assert_same_tree(tree.with_t(t), OrientedTree(n, tree.edge_list, t=t))
+
+    @given(st.integers(0, 10_000), st.integers(2, 70), st.sampled_from(FAMILIES), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_induced_pieces_with_many_boundary_rows(self, seed, n, family, with_t):
+        # Keeping about half the vertices makes most kept rows reach outside.
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, 3, family, rng)
+        keep = np.flatnonzero(rng.random(n) < 0.5).tolist()
+        for verts in components(tree, keep) + [list(range(n))]:
+            t = verts[int(rng.integers(len(verts)))] if with_t else None
+            piece = induced_subtree(tree, verts, t=t)
+            assert_views_match_the_edge_list(piece.tree)
+            assert_same_tree(piece.tree, rebuilt_induced(tree, verts, t=t))
+            assert_views_match_the_edge_list(piece.tree.with_t(0))
 
 
 def recursive_canon(tree, root):

@@ -459,15 +459,18 @@ def attach_path_trees(
     rest = np.array(sorted(set(range(n)) - anchor_hosts), dtype=np.int64)
     total_body = sum(len(p.body) for p in pieces)
     spare = len(rest) - total_body
-    if spare < 2 * len(pieces) + 2:
-        raise PhaseFailure(
-            "paths", "guide-build", f"no room for a connector buffer of {2 * len(pieces)}", attempts=1,
-        )
     # The pool keeps forest_reserve >= 2 vertices beyond the bodies, so the
     # headroom is positive; embed_small_forest still needs it above eps_eff.
+    # B must hold the 2|pieces| connectors, one host each.
     forest_reserve = max(2, min(10, spare // 4))
-    b_size = max(2 * len(pieces), int(math.ceil(params.beta * n)))
-    b_size = min(b_size, spare - forest_reserve)
+    if spare - forest_reserve < 2 * len(pieces):
+        raise PhaseFailure(
+            "paths", "guide-build",
+            f"no room for a connector buffer of {2 * len(pieces)}: {spare} spare vertices, "
+            f"{forest_reserve} kept for the forest",
+            attempts=1,
+        )
+    b_size = min(max(2 * len(pieces), int(math.ceil(params.beta * n))), spare - forest_reserve)
     pool_size = len(rest) - b_size
     headroom = 1.0 - total_body / pool_size
     eps_eff = min(0.5, max(0.004, headroom - 0.004))

@@ -357,6 +357,19 @@ class TestAttachPathTrees:
         assert (info.value.phase, info.value.cause, info.value.attempts) == ("paths", "guide-build", 1)
         assert rng.bit_generator.state == state
 
+    def test_connector_buffer_miss_is_reported_before_any_draw(self):
+        # Ten 20-vertex pieces leave 22 spare hosts; 5 of them are kept for
+        # the forest, so B could hold only 17 of the 20 connectors.
+        tree = OrientedTree(200, [(v, v + 1) for v in range(199)])
+        pieces = [path_piece(20 * i, 20) for i in range(10)]
+        anchors = [(2 * i, 2 * i + 1) for i in range(10)]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(PhaseFailure, match="connector buffer of 20: 22 spare vertices, 5 kept") as info:
+            attach_path_trees(complete(202), tree, pieces, anchors, ParamSchedule(beta=0.06), rng)
+        assert (info.value.phase, info.value.cause, info.value.attempts) == ("paths", "guide-build", 1)
+        assert rng.bit_generator.state == state
+
 
 class TestAlmostSpanning:
     def test_single_vertex_tree(self):

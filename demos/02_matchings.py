@@ -1,10 +1,10 @@
 """Directed bipartite matchings: Hall certificates and skew-bounds.
 
 A pattern pairs a left class A with a right class B under a sign; when a
-covering matching is missing, the library hands back a Hall violator
+covering matching is missing, the MatchingError carries a Hall violator
 (a subset of A with a smaller neighborhood).  Skew-bounded patterns
 (every A-degree at least a, every B-back-degree at most b, a >= b) always
-carry a covering matching; the library makes that a hard assertion.
+carry a covering matching.
 """
 
 import numpy as np
@@ -14,12 +14,9 @@ from spantree import (
     Sign,
     find_perfect_matching,
     gen_semidegree_digraph,
-    hall_violator,
-    is_skew_bounded,
-    matching_from_skew,
     sample_disjoint_subsets,
 )
-from spantree.matching import MatchingError
+from spantree.matching import MatchingError, covering_matching
 
 rng = np.random.default_rng(7)
 host = gen_semidegree_digraph(300, 0.2, rng)
@@ -35,8 +32,10 @@ print("\n".join(m.dump().splitlines()[:4]))
 adj = np.zeros((3, 2), dtype=bool)
 adj[:, 0] = True  # three rows, one shared neighbor
 bad = BipartitePattern.explicit([10, 11, 12], [20, 21], Sign.PLUS, adj)
-violator = hall_violator(bad)
-print(f"\nhall violator of the 3-into-1 pattern: {violator} (neighborhood is smaller)")
+try:
+    covering_matching(bad)
+except MatchingError as exc:
+    print(f"\nhall violator of the 3-into-1 pattern: {exc.violator} (neighborhood is smaller)")
 
 # Skew-bounded patterns force coverage: 6 rows of degree 3 over 9 columns,
 # each column hit exactly twice.
@@ -44,8 +43,9 @@ adj = np.zeros((6, 9), dtype=bool)
 for i in range(6):
     adj[i, [(3 * i) % 9, (3 * i + 1) % 9, (3 * i + 2) % 9]] = True
 pat = BipartitePattern.explicit(np.arange(6), np.arange(9), Sign.PLUS, adj)
-print(f"\npattern is (3, 2, +)-skew-bounded: {is_skew_bounded(pat, 3, 2)}")
-covering = matching_from_skew(pat, 3, 2)
+print(f"\nrow degrees >= {int(adj.sum(axis=1).min())}, column degrees <= {int(adj.sum(axis=0).max())}: "
+      "the pattern is (3, 2, +)-skew-bounded")
+covering = covering_matching(pat)
 print(f"covering matching size: {len(covering)} (covers all of A)")
 
 # Adversarial small case: B inside the non-neighbors of one A-vertex.

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from spantree import GuideSystem, Sign, gen_semidegree_digraph, is_skew_bounded
+from spantree import GuideSystem, Sign, gen_semidegree_digraph
 from spantree.digraph import sample_disjoint_subsets
 from spantree.guides import build_guide, build_xy_labeling
 
@@ -33,10 +33,9 @@ print(f"\nguide set size {len(entry.guide)} (= ceil(mu n) = {size})")
 print(f"edges per row {entry.edges_per_row} (= ceil(eps n) = {per_row})")
 print(f"e(H+) = {int(entry.hplus.sum())} = size * per_row = {size * per_row}")
 bound = math.ceil((1 + eta) * mu * eps * n)
-print(f"H+ skew-bounded at ({per_row}, {bound}): "
-      f"{is_skew_bounded(entry.pattern(Sign.PLUS), per_row, bound)}")
-print(f"H- skew-bounded at ({per_row}, {bound}): "
-      f"{is_skew_bounded(entry.pattern(Sign.MINUS), per_row, bound)}")
+for name, h in (("H+", entry.hplus), ("H-", entry.hminus)):
+    print(f"{name}: row degrees >= {int(h.sum(axis=1).min())} (need {per_row}), "
+          f"column degrees <= {int(h.sum(axis=0).max())} (bound {bound})")
 
 # Restriction to random sets: build inside V0 and audit per part.
 system = GuideSystem(host, eps=0.1, eta=1.0, alpha=alpha)

@@ -36,19 +36,12 @@ from .matching import (
     embed_small_forest,
     embed_tree_copies,
     find_perfect_matching,
-    hall_violator,
-    is_skew_bounded,
-    matching_from_skew,
-    max_matching,
 )
-from .oracle import TrialConfig, TrialReport, brute_force_contains, run_trials, verify_embedding
+from .oracle import TrialConfig, TrialReport, run_trials, verify_embedding
 from .params import ParamSchedule, spanning_defaults
 from .trees import (
-    BarePath,
     OrientedTree,
     PrefixOrdering,
-    canonical_rooted_form,
-    find_bare_paths,
     find_independent_leaves,
     gen_random_tree,
     max_semidegree,

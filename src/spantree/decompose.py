@@ -331,9 +331,10 @@ def check_decomposition(td: TreeDecomposition) -> list[str]:
     if len(set(anchor_list)) != len(anchor_list):
         problems.append("P3: piece anchors collide")
 
-    # T2 is a tree: connected with the right edge count.
+    # T2 is a tree.  Tree vertices induce a forest, which is connected
+    # exactly when it has one edge fewer than vertices.
     t2_edges = sum(1 for u, v in tree.edge_list if u in t2s and v in t2s)
-    if t2_edges != len(t2s) - 1 or len(components(tree, t2s)) > 1:
+    if t2_edges != len(t2s) - 1:
         problems.append("P3: T2 is not a tree")
 
     # P4: few leftover vertices.

@@ -31,8 +31,9 @@ from .embedding import (
     greedy_walk,
     is_valid_embedding,
 )
-from .guides import GuideBuildError, GuideSystem
+from .guides import GUIDE_EPS, GUIDE_ETA, GuideBuildError, GuideSystem
 from .matching import (
+    POP_MIN,
     BipartitePattern,
     ForestEmbedError,
     covering_matching,
@@ -250,10 +251,10 @@ def embed_stars(
     """
     if not 0 <= v < d.n:
         raise ValueError(f"anchor host {v} outside 0..{d.n - 1}")
-    layout = _star_layout(d, tree, tprime, stars, params)
+    layout = _star_layout(d, tree, tprime, stars)
     return _retry(
         "stars", params.retries,
-        lambda: _embed_stars_once(d, tree, tprime, layout, t, v, params, rng),
+        lambda: _embed_stars_once(d, tree, tprime, layout, t, v, rng),
     )
 
 
@@ -274,7 +275,6 @@ def _star_layout(
     tree: OrientedTree,
     tprime: set[int],
     stars: list[StarComponent],
-    params: ParamSchedule,
 ) -> _StarLayout:
     """Split the stars into leaf parts and lean pieces, size the host sets and the guides.
 
@@ -288,8 +288,11 @@ def _star_layout(
 
     # Leaf parts: singleton leaves split by sign, rich multi-vertex classes
     # by class.  Groups too small to feed a matching reliably (guide rows
-    # hit a tiny part too rarely) go through the shared pool instead.
+    # hit a tiny part too rarely) go through the shared pool instead.  A
+    # part of u roots gets floor((1 + part_slack) u) + part_pad hosts.
     part_min = 10
+    part_slack = 0.10
+    part_pad = 6
     parts: list[tuple[list[int], Sign]] = []
     lean: list[tuple[StarComponent, TreePiece, int]] = []
     for sign in SIGNS:
@@ -302,14 +305,14 @@ def _star_layout(
                 lean.append((st, piece, 0))
     rich_classes = []
     for cls in _star_classes(tree, multis):
-        if len(cls) >= params.pop_min:
+        if len(cls) >= POP_MIN:
             rich_classes.append(cls)
             parts.append(([st.root for st, _p, _r, _o in cls], cls[0][0].sign))
         else:
             lean.extend((st, piece, local_root) for st, piece, local_root, _o in cls)
 
     def sized(batch: list[int]) -> int:
-        return int(math.floor((1 + params.part_slack) * len(batch))) + params.part_pad
+        return int(math.floor((1 + part_slack) * len(batch))) + part_pad
 
     part_sizes = [sized(batch) for batch, _ in parts]
     # Rich-class parts occupy the tail of `parts`, in order.
@@ -320,7 +323,7 @@ def _star_layout(
 
     lean_total = sum(len(st.vertices) for st, _p, _r in lean)
     pool_size = (
-        lean_total + max(params.part_pad, math.ceil(0.06 * lean_total))
+        lean_total + max(part_pad, math.ceil(0.06 * lean_total))
         if lean
         else 0
     )
@@ -356,7 +359,6 @@ def _embed_stars_once(
     layout: _StarLayout,
     t: int,
     v: int,
-    params: ParamSchedule,
     rng: np.random.Generator,
 ) -> Embedding:
     n = d.n
@@ -372,7 +374,7 @@ def _embed_stars_once(
     v2_targets = sets[1 + len(parts) : 1 + len(parts) + len(rich_classes)]
     pool = sets[-1] if lean else np.array([], dtype=np.int64)
 
-    guides = GuideSystem(d, params.guide_eps, params.guide_eta, alpha=layout.alpha_hat)
+    guides = GuideSystem(d, GUIDE_EPS, GUIDE_ETA, alpha=layout.alpha_hat)
     guides.restrict(v0, part_targets, layout.mu_count)
 
     core_tree = tree if tree.t == t else tree.with_t(t)
@@ -492,7 +494,7 @@ def attach_path_trees(
         free_buffer[buffer_order] = True
         body_maps = embed_small_forest(
             d, [body.tree for body in bodies], eps_eff, rng,
-            pool=rest[perm[b_size:]], pop_min=params.pop_min,
+            pool=rest[perm[b_size:]],
         )
         out: list[dict[int, int]] = []
         for body, piece_links, pair, bmap in zip(bodies, links, anchors, body_maps):

@@ -134,12 +134,6 @@ class GuideEntry:
     def row(self, host_vertex: int, circ: Sign) -> np.ndarray:
         return self.h(circ)[self.row_index[int(host_vertex)]]
 
-    def pattern(self, circ: Sign, target: np.ndarray | None = None) -> BipartitePattern:
-        cols = np.arange(self.hplus.shape[1]) if target is None else np.asarray(target)
-        return BipartitePattern.explicit(
-            self.guide, cols, circ, self.h(circ)[:, cols]
-        )
-
 
 def build_guide(
     d: Digraph,
@@ -320,6 +314,12 @@ class RestrictionContext:
     mu_count: int                 # |A| (exact)
     eps: float
     eta: float
+
+
+# The pipeline's guide graphs: each row gets ceil(GUIDE_EPS * n) edges, and
+# GUIDE_ETA is the back-degree slack of the skew-bound.
+GUIDE_EPS = 0.18
+GUIDE_ETA = 1.0
 
 
 class GuideSystem:

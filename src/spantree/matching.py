@@ -59,12 +59,6 @@ class BipartitePattern:
             raise ValueError("incidence shape mismatch")
         return cls(left, right, sign, adj)
 
-    def row_degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1)
-
-    def col_degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -92,17 +86,6 @@ def _raw_matching(adj: np.ndarray) -> np.ndarray:
     return maximum_bipartite_matching(csr_matrix(adj), perm_type="column").astype(np.int64)
 
 
-def max_matching(pattern: BipartitePattern) -> Matching:
-    """Maximum-cardinality matching; deterministic for a fixed pattern."""
-    col_of_row = _raw_matching(pattern.adj)
-    pairs = tuple(
-        (int(pattern.left[i]), int(pattern.right[j]))
-        for i, j in enumerate(col_of_row)
-        if j >= 0
-    )
-    return Matching(pairs, pattern.sign)
-
-
 def _violator_rows(adj: np.ndarray, col_of_row: np.ndarray) -> np.ndarray:
     """Rows reachable by alternating paths from unmatched rows (Koenig set).
 
@@ -125,14 +108,6 @@ def _violator_rows(adj: np.ndarray, col_of_row: np.ndarray) -> np.ndarray:
         reach_rows[nxt] = True
         frontier = nxt
     return np.flatnonzero(reach_rows)
-
-
-def hall_violator(pattern: BipartitePattern) -> np.ndarray | None:
-    """None if a matching covering A exists, else S with |N(S)| < |S|."""
-    col_of_row = _raw_matching(pattern.adj)
-    if (col_of_row >= 0).all():
-        return None
-    return pattern.left[_violator_rows(pattern.adj, col_of_row)]
 
 
 def covering_matching(pattern: BipartitePattern, what: str = "pattern") -> Matching:
@@ -164,33 +139,6 @@ def match_leaves(
         adj[r] = d.adj_row(parent_host, sign)[cols]
     pattern = BipartitePattern.explicit(np.arange(len(rows)), cols, Sign.PLUS, adj)
     return covering_matching(pattern, what=what).pairs
-
-
-def is_skew_bounded(pattern: BipartitePattern, a: float, b: float) -> bool:
-    """Every left degree >= a and every right back-degree <= b."""
-    if len(pattern.left) == 0:
-        return True
-    rows = pattern.row_degrees()
-    cols = pattern.col_degrees()
-    return bool(rows.min() >= a and (len(pattern.right) == 0 or cols.max() <= b))
-
-
-def matching_from_skew(pattern: BipartitePattern, a: float, b: float) -> Matching:
-    """Covering matching guaranteed by an (a, b, sign)-skew-bound with a >= b.
-
-    A failure here is a bug or a false certificate, so it raises AssertionError
-    rather than the retryable MatchingError.
-    """
-    if a < b:
-        raise ValueError(f"skew matching needs a >= b, got a={a}, b={b}")
-    if not is_skew_bounded(pattern, a, b):
-        raise ValueError("pattern is not skew-bounded at the declared parameters")
-    try:
-        return covering_matching(pattern, what="skew-bounded pattern")
-    except MatchingError as exc:  # pragma: no cover - would indicate a real bug
-        raise AssertionError(
-            f"skew-bounded pattern with a={a} >= b={b} failed Hall: {exc}"
-        ) from exc
 
 
 def find_perfect_matching(d: Digraph, a, b, sign: Sign) -> Matching:
@@ -364,13 +312,17 @@ def walk_lean_pieces(
     return maps
 
 
+# Class population below which block matchings are bypassed: thinner classes
+# are walked and leaf-matched, and thinner star classes share the lean pool.
+POP_MIN = 16
+
+
 def embed_small_forest(
     d: Digraph,
     components: list[OrientedTree],
     eps: float,
     rng: np.random.Generator,
     pool: np.ndarray | None = None,
-    pop_min: int = 16,
 ) -> list[dict[int, int]]:
     """Vertex-disjoint embedding of a forest of small components.
 
@@ -395,7 +347,7 @@ def embed_small_forest(
         return []
 
     classes = group_components(components)
-    rich = [c for c in classes if len(c.members) >= pop_min and c.rep.n >= 2]
+    rich = [c for c in classes if len(c.members) >= POP_MIN and c.rep.n >= 2]
     rich_keys = {id(c) for c in rich}
     lean = [c for c in classes if id(c) not in rich_keys]
 

@@ -1,4 +1,4 @@
-"""Ground truth: embedding verification, exhaustive containment, trial harness."""
+"""Ground truth: embedding verification and the trial harness."""
 
 from __future__ import annotations
 
@@ -8,99 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import Digraph, Sign, gen_semidegree_digraph, sample_disjoint_subsets
-from .embedding import Embedding, PipelineError, VerificationError, is_valid_embedding
+from .embedding import Embedding, PipelineError, is_valid_embedding
 from .embedder import absorb_at_random, embed_almost_spanning, embed_spanning
-from .guides import GuideSystem, restrict_guides
+from .guides import GUIDE_EPS, GUIDE_ETA, GuideSystem, restrict_guides
 from .matching import MatchingError, find_perfect_matching, embed_small_forest
 from .params import ParamSchedule, spanning_defaults
 from .trees import OrientedTree, gen_random_tree
-
-BRUTE_CAP = 12
 
 
 def verify_embedding(d: Digraph, tree: OrientedTree, emb: Embedding) -> bool:
     """True iff emb is total, injective, and orientation-respecting."""
     return is_valid_embedding(d, tree, emb)
-
-
-def brute_force_contains(
-    d: Digraph, tree: OrientedTree, spanning: bool = False
-) -> Embedding | None:
-    """Exhaustive backtracking search for a copy of `tree` in `d`.
-
-    Capped at 12 vertices on both sides.  Tree vertices are tried most
-    constrained first (largest degree), each subsequent vertex attaching to
-    an already-placed neighbor, so candidates come from one neighborhood.
-    """
-    if tree.n > BRUTE_CAP or d.n > BRUTE_CAP:
-        raise ValueError(f"brute force capped at {BRUTE_CAP} vertices")
-    if spanning and tree.n != d.n:
-        return None
-
-    root = max(range(tree.n), key=lambda v: tree.degree(v))
-    order: list[int] = [root]
-    seen = {root}
-    while len(order) < tree.n:
-        # Most-constrained next: among fringe vertices, largest degree.
-        fringe = [
-            u for v in order for u in tree.nbrs(v) if u not in seen
-        ]
-        nxt = max(fringe, key=lambda u: tree.degree(u))
-        order.append(nxt)
-        seen.add(nxt)
-    parents = []
-    for i, v in enumerate(order):
-        if i == 0:
-            parents.append((None, None))
-            continue
-        ear = [u for u in tree.nbrs(v) if u in set(order[:i])]
-        p = ear[0]
-        parents.append((p, tree.edge_sign(p, v)))
-
-    assign: dict[int, int] = {}
-    used = [False] * d.n
-
-    def backtrack(i: int) -> bool:
-        if i == tree.n:
-            return True
-        v = order[i]
-        if i == 0:
-            candidates = range(d.n)
-        else:
-            p, sign = parents[i]
-            candidates = d.adj(assign[p], sign)
-        for h in candidates:
-            h = int(h)
-            if used[h]:
-                continue
-            ok = True
-            for u in tree.out(v):
-                if u in assign and not d.has_edge(h, assign[u]):
-                    ok = False
-                    break
-            if ok:
-                for u in tree.in_(v):
-                    if u in assign and not d.has_edge(assign[u], h):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            assign[v] = h
-            used[h] = True
-            if backtrack(i + 1):
-                return True
-            del assign[v]
-            used[h] = False
-        return False
-
-    if not backtrack(0):
-        return None
-    emb = Embedding()
-    for v, h in assign.items():
-        emb.assign(v, h, "oracle")
-    if not is_valid_embedding(d, tree, emb):
-        raise VerificationError("brute-force embedding failed verification")
-    return emb
 
 
 @dataclass
@@ -202,7 +120,7 @@ def _trial_guide_restrict(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int,
     params = cfg.schedule or ParamSchedule(alpha=cfg.alpha)
     p0, p1 = 0.3, 0.5
     mu_count = max(2, int(round(cfg.alpha**2 * p0 * d.n / 4)))
-    system = GuideSystem(d, eps=params.guide_eps, eta=params.guide_eta, alpha=cfg.alpha)
+    system = GuideSystem(d, eps=GUIDE_EPS, eta=GUIDE_ETA, alpha=cfg.alpha)
     probe_vertices = [int(x) for x in rng.choice(d.n, size=4, replace=False)]
     probe = [(v, s) for v in probe_vertices for s in (Sign.PLUS, Sign.MINUS)]
     retries = 0

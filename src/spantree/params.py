@@ -2,21 +2,22 @@
 
 The guarantees behind the pipeline are asymptotic and are stated through a
 hierarchy of constants.  At the instance sizes this library targets
-(n roughly 100..5000) the hierarchy cannot be satisfied literally, so every
-constant is an explicit, documented knob.  A schedule validator warns on
-values out of range; phase code reads everything from here and never
-hard-codes a constant.
+(n roughly 100..5000) the hierarchy cannot be satisfied literally, so the
+constants a caller tunes are explicit, documented knobs here, and a
+schedule validator warns on values out of range.  Desk-scale constants that
+no caller tunes (the guide-graph shape, leaf-part sizing, the forest class
+cutoff, the partition redraws) are defined next to the code that reads them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
 class ParamSchedule:
-    """All pipeline constants plus the retry budget.
+    """The tunable pipeline constants plus the retry budget.
 
     Fraction fields are relative to the host size n unless noted.
     """
@@ -35,11 +36,6 @@ class ParamSchedule:
     # Desk-scale knobs (derived in the source analysis, configurable here).
     strip_eps: float | None = None   # independent-leaf stripping threshold; None -> 1/(2k)
     max_tree_semidegree: int = 3     # replaces c*n/log n, which is < 1 at desk scale
-    guide_eps: float = 0.18          # guide-graph row fraction: each guide row gets ceil(guide_eps*n) edges
-    guide_eta: float = 1.0           # guide-graph back-degree slack
-    pop_min: int = 16                # class population below which tree-copy grafting is bypassed
-    part_slack: float = 0.10         # multiplicative leaf-part slack: |V_j| = floor((1+part_slack)|U_j|) + pad
-    part_pad: int = 6                # additive leaf-part padding
     switch_margin: int = 4           # property-S threshold exceeds the swap count by this margin
 
     def __post_init__(self) -> None:

@@ -206,20 +206,6 @@ def find_independent_leaves(tree: OrientedTree, deg=None) -> list[int]:
     return chosen
 
 
-@dataclass(frozen=True)
-class BarePath:
-    """Path whose interior vertices all have underlying degree 2 in the host tree."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
-    def __len__(self) -> int:
-        return len(self.vertices) - 1
-
-
 def maximal_bare_paths(tree: OrientedTree, deg=None) -> list[list[int]]:
     """Maximal paths of degree-2 interior vertices between leaves/branch vertices.
 
@@ -257,30 +243,6 @@ def maximal_bare_paths(tree: OrientedTree, deg=None) -> list[list[int]]:
             walk.append(x)
             paths.append(walk)
     return paths
-
-
-def find_bare_paths(tree: OrientedTree, m: int) -> list[BarePath]:
-    """Vertex-disjoint bare paths of length exactly m.
-
-    Removing their interiors leaves at most 6*m*t + 2|T|/(m+1) vertices,
-    where t is the leaf count.
-    """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    chosen: list[BarePath] = []
-    used = np.zeros(tree.n, dtype=bool)
-    for walk in maximal_bare_paths(tree):
-        a = 0
-        while a + m < len(walk):
-            seg = walk[a : a + m + 1]
-            if not any(used[v] for v in seg):
-                chosen.append(BarePath(tuple(seg)))
-                for v in seg:
-                    used[v] = True
-                a += m + 1
-            else:
-                a += 1
-    return chosen
 
 
 def components(tree: OrientedTree, vertices) -> list[list[int]]:
@@ -530,12 +492,6 @@ def gen_random_tree(
     if family != "star" and (dplus > max_semideg or dminus > max_semideg):
         raise ValueError("family/degree combination infeasible")
     return tree
-
-
-def canonical_rooted_form(tree: OrientedTree, root: int) -> str:
-    """Canonical string: equal iff rooted-oriented-isomorphic (AHU with signs)."""
-    form, _ = canonical_form_and_order(tree, root)
-    return form
 
 
 def canonical_form_and_order(tree: OrientedTree, root: int) -> tuple[str, list[int]]:

@@ -1,0 +1,89 @@
+"""Exhaustive containment search: the reference the pipeline is checked against."""
+
+from __future__ import annotations
+
+from spantree.digraph import Digraph
+from spantree.embedding import Embedding, VerificationError, is_valid_embedding
+from spantree.trees import OrientedTree
+
+BRUTE_CAP = 12
+
+
+def brute_force_contains(
+    d: Digraph, tree: OrientedTree, spanning: bool = False
+) -> Embedding | None:
+    """Exhaustive backtracking search for a copy of `tree` in `d`.
+
+    Capped at 12 vertices on both sides.  Tree vertices are tried most
+    constrained first (largest degree), each subsequent vertex attaching to
+    an already-placed neighbor, so candidates come from one neighborhood.
+    """
+    if tree.n > BRUTE_CAP or d.n > BRUTE_CAP:
+        raise ValueError(f"brute force capped at {BRUTE_CAP} vertices")
+    if spanning and tree.n != d.n:
+        return None
+
+    root = max(range(tree.n), key=lambda v: tree.degree(v))
+    order: list[int] = [root]
+    seen = {root}
+    while len(order) < tree.n:
+        # Most-constrained next: among fringe vertices, largest degree.
+        fringe = [
+            u for v in order for u in tree.nbrs(v) if u not in seen
+        ]
+        nxt = max(fringe, key=lambda u: tree.degree(u))
+        order.append(nxt)
+        seen.add(nxt)
+    parents = []
+    for i, v in enumerate(order):
+        if i == 0:
+            parents.append((None, None))
+            continue
+        ear = [u for u in tree.nbrs(v) if u in set(order[:i])]
+        p = ear[0]
+        parents.append((p, tree.edge_sign(p, v)))
+
+    assign: dict[int, int] = {}
+    used = [False] * d.n
+
+    def backtrack(i: int) -> bool:
+        if i == tree.n:
+            return True
+        v = order[i]
+        if i == 0:
+            candidates = range(d.n)
+        else:
+            p, sign = parents[i]
+            candidates = d.adj(assign[p], sign)
+        for h in candidates:
+            h = int(h)
+            if used[h]:
+                continue
+            ok = True
+            for u in tree.out(v):
+                if u in assign and not d.has_edge(h, assign[u]):
+                    ok = False
+                    break
+            if ok:
+                for u in tree.in_(v):
+                    if u in assign and not d.has_edge(assign[u], h):
+                        ok = False
+                        break
+            if not ok:
+                continue
+            assign[v] = h
+            used[h] = True
+            if backtrack(i + 1):
+                return True
+            del assign[v]
+            used[h] = False
+        return False
+
+    if not backtrack(0):
+        return None
+    emb = Embedding()
+    for v, h in assign.items():
+        emb.assign(v, h, "oracle")
+    if not is_valid_embedding(d, tree, emb):
+        raise VerificationError("brute-force embedding failed verification")
+    return emb

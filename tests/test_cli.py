@@ -291,6 +291,14 @@ class TestScheduleKeys:
         assert main(["experiment", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: bad config: unknown [schedule] key 'foo'")
 
+    @pytest.mark.parametrize("key", ["guide_eps", "guide_eta", "pop_min", "part_slack", "part_pad"])
+    def test_constant_key_exits_one(self, key, tmp_path, capsys):
+        # Constants of the guide, forest and leaf-part code, not schedule fields.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[experiment]\ntarget = matching\ntrials = 1\n[schedule]\n{key} = 1\n")
+        assert main(["experiment", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad config: unknown [schedule] key '{key}'")
+
     def test_int_fields_parse_as_int(self):
         configs, _ = parse_experiment_config(
             "[grid]\nn = 200\n[schedule]\nmax_tree_semidegree = 5\nstrip_eps = 0.03\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -76,6 +77,16 @@ class TestValidator:
             for mid in (p.mid_x, p.mid_y):
                 t2 = set(td.t2.tolist())
                 assert len([u for u in tree.nbrs(mid) if u in t2]) == 2
+
+    def test_t2_cut_at_a_middle_is_not_a_tree(self):
+        # Without one bare-path middle, T2 splits in two and the edge count
+        # alone reports it.
+        tree = gen_random_tree(600, 1, "path", np.random.default_rng(2))
+        td = decompose(tree, 0, schedule(600))
+        mid = td.pieces[0].mid_x
+        cut = dataclasses.replace(td, t2=td.t2[td.t2 != mid])
+        assert check_decomposition(td) == []
+        assert "P3: T2 is not a tree" in check_decomposition(cut)
 
     def test_too_tight_schedule_reports_property(self):
         tree = gen_random_tree(9, 1, "path", np.random.default_rng(0))

@@ -1,5 +1,6 @@
-"""Repository guards: the library holds no `assert`, every perfbench probe resolves,
-and the scaling record's and the bench seed's embeddings reproduce."""
+"""Repository guards: the library holds no `assert` and no definition without a
+caller, every perfbench probe resolves, and the scaling record's and the bench
+seed's embeddings reproduce."""
 
 import ast
 import hashlib
@@ -22,6 +23,32 @@ def test_library_has_no_assert_statement():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_library_definition_is_referenced():
+    # A top-level function or class that no library module names, outside its
+    # own definition and the package exports, is API the pipeline never runs.
+    referenced = []   # (top-level statement, the names it mentions)
+    defined = []
+    for path in sorted((ROOT / "src" / "spantree").glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, stmt))
+            if path.name != "__init__.py":
+                names = set()
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name):
+                        names.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        names.add(node.attr)
+                    elif isinstance(node, ast.alias):
+                        names.add(node.name)
+                referenced.append((stmt, names))
+    unreferenced = [
+        f"{module}:{stmt.name}" for module, stmt in defined
+        if not any(stmt.name in names for other, names in referenced if other is not stmt)
+    ]
+    assert unreferenced == []
 
 
 def test_every_perfbench_probe_resolves():

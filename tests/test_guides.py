@@ -20,7 +20,8 @@ from spantree.guides import (
     build_xy_labeling,
     restrict_guides,
 )
-from spantree.matching import is_skew_bounded
+
+from test_matching import skew_bounded
 
 
 def complete(n):
@@ -93,7 +94,7 @@ class TestBuildGuide:
         assert int(entry.hminus.sum()) == size * per_row
         bound = math.ceil((1 + eta) * mu * eps * 500)
         for circ in SIGNS:
-            assert is_skew_bounded(entry.pattern(circ), per_row, bound)
+            assert skew_bounded(entry.h(circ), per_row, bound)
 
     def test_guide_set_inside_neighborhood(self):
         rng = np.random.default_rng(8)

@@ -1,3 +1,4 @@
+import functools
 
 import numpy as np
 import pytest
@@ -7,14 +8,11 @@ from spantree.embedding import is_valid_embedding
 from spantree.matching import (
     BipartitePattern,
     MatchingError,
+    covering_matching,
     embed_small_forest,
     embed_tree_copies,
     find_perfect_matching,
     group_components,
-    hall_violator,
-    is_skew_bounded,
-    matching_from_skew,
-    max_matching,
 )
 from spantree.trees import OrientedTree, gen_random_tree
 
@@ -23,6 +21,7 @@ def brute_max_matching(adj):
     """Exhaustive maximum matching size by recursion over rows."""
     nl, nr = adj.shape
 
+    @functools.cache
     def rec(i, used):
         if i == nl:
             return 0
@@ -41,15 +40,23 @@ def complete(n):
     return Digraph(n, mat)
 
 
+def skew_bounded(adj, a, b):
+    """Every row has at least a edges and every column at most b."""
+    return adj.shape[0] == 0 or bool(
+        adj.sum(axis=1).min() >= a and (adj.shape[1] == 0 or adj.sum(axis=0).max() <= b)
+    )
+
+
 class TestMaxMatching:
     def test_single_edge(self):
         p = BipartitePattern.explicit([0], [1], Sign.PLUS, np.array([[True]]))
-        assert max_matching(p).pairs == ((0, 1),)
+        assert covering_matching(p).pairs == ((0, 1),)
 
     def test_shared_target(self):
         adj = np.array([[True], [True]])
         p = BipartitePattern.explicit([0, 1], [9], Sign.PLUS, adj)
-        assert len(max_matching(p)) == 1
+        with pytest.raises(MatchingError):
+            covering_matching(p)
 
     def test_matches_brute_force_on_random_patterns(self):
         rng = np.random.default_rng(42)
@@ -58,31 +65,38 @@ class TestMaxMatching:
             nr = int(rng.integers(1, 9))
             adj = rng.random((nl, nr)) < rng.uniform(0.1, 0.9)
             p = BipartitePattern.explicit(np.arange(nl), np.arange(nr), Sign.PLUS, adj)
-            assert len(max_matching(p)) == brute_max_matching(adj)
+            try:
+                covered = len(covering_matching(p)) == nl
+            except MatchingError:
+                covered = False
+            assert covered == (brute_max_matching(adj) == nl)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
-        adj = rng.random((8, 8)) < 0.5
+        adj = (rng.random((8, 8)) < 0.5) | np.eye(8, dtype=bool)
         p = BipartitePattern.explicit(np.arange(8), np.arange(8), Sign.PLUS, adj)
-        assert max_matching(p).pairs == max_matching(p).pairs
+        assert covering_matching(p).pairs == covering_matching(p).pairs
 
     def test_dump_format(self):
         p = BipartitePattern.explicit([2, 1], [5, 6], Sign.PLUS, np.eye(2, dtype=bool))
-        text = max_matching(p).dump()
+        text = covering_matching(p).dump()
         lines = text.strip().splitlines()
         assert lines == sorted(lines)
 
 
 class TestHallViolator:
+    """The violator a failed covering_matching carries on its MatchingError."""
+
     def test_perfect_pattern_none(self):
         p = BipartitePattern.explicit([0, 1], [2, 3], Sign.PLUS, np.eye(2, dtype=bool))
-        assert hall_violator(p) is None
+        assert len(covering_matching(p)) == 2
 
     def test_two_into_one(self):
         adj = np.array([[True], [True]])
         p = BipartitePattern.explicit([0, 1], [9], Sign.PLUS, adj)
-        v = hall_violator(p)
-        assert sorted(v.tolist()) == [0, 1]
+        with pytest.raises(MatchingError) as exc:
+            covering_matching(p)
+        assert sorted(exc.value.violator.tolist()) == [0, 1]
 
     def test_violator_iff_uncovered(self):
         rng = np.random.default_rng(7)
@@ -90,12 +104,17 @@ class TestHallViolator:
             nl = int(rng.integers(1, 11))
             nr = int(rng.integers(1, 11))
             adj = rng.random((nl, nr)) < rng.uniform(0.05, 0.9)
-            p = BipartitePattern.explicit(np.arange(nl), np.arange(nr), Sign.PLUS, adj)
-            covered = len(max_matching(p)) == nl
-            violator = hall_violator(p)
-            assert (violator is None) == covered
+            left = np.arange(100, 100 + nl)
+            p = BipartitePattern.explicit(left, np.arange(nr), Sign.PLUS, adj)
+            try:
+                covering_matching(p)
+                violator = None
+            except MatchingError as exc:
+                violator = exc.violator
+            assert (violator is None) == (brute_max_matching(adj) == nl)
             if violator is not None:
-                rows = np.isin(p.left, violator)
+                assert set(violator.tolist()) <= set(left.tolist())
+                rows = np.isin(left, violator)
                 nbhd = int(adj[rows].any(axis=0).sum())
                 assert nbhd < len(violator)
 
@@ -104,23 +123,27 @@ class TestSkewBounded:
     def test_complete_pattern(self):
         adj = np.ones((3, 5), dtype=bool)
         p = BipartitePattern.explicit(np.arange(3), np.arange(5), Sign.PLUS, adj)
-        assert is_skew_bounded(p, 5, 3)
-        assert not is_skew_bounded(p, 6, 3)
+        assert skew_bounded(adj, 5, 3)
+        assert not skew_bounded(adj, 6, 3)
+        assert len(covering_matching(p)) == 3
 
     def test_matching_from_skew_regular(self):
         adj = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)
         p = BipartitePattern.explicit(np.arange(3), np.arange(3), Sign.PLUS, adj)
-        m = matching_from_skew(p, 2, 2)
-        assert len(m) == 3
+        assert skew_bounded(adj, 2, 2)
+        assert len(covering_matching(p)) == 3
 
     def test_single_edge(self):
         p = BipartitePattern.explicit([0], [1], Sign.MINUS, np.array([[True]]))
-        assert matching_from_skew(p, 1, 1).pairs == ((0, 1),)
+        assert covering_matching(p).pairs == ((0, 1),)
 
     def test_requires_a_geq_b(self):
-        p = BipartitePattern.explicit([0], [1], Sign.PLUS, np.array([[True]]))
-        with pytest.raises(ValueError):
-            matching_from_skew(p, 1, 2)
+        # A (1, 2)-skew-bound does not force coverage: two rows share one column.
+        adj = np.array([[True], [True]])
+        p = BipartitePattern.explicit([0, 1], [9], Sign.PLUS, adj)
+        assert skew_bounded(adj, 1, 2)
+        with pytest.raises(MatchingError):
+            covering_matching(p)
 
     def test_generated_skew_patterns_always_covered(self):
         # 200 random (a, b)-skew-bounded patterns with a >= b; the acceptance
@@ -131,8 +154,7 @@ class TestSkewBounded:
             if made is None:
                 continue
             p, a, b = made
-            m = matching_from_skew(p, a, b)
-            assert len(m) == len(p.left)
+            assert len(covering_matching(p)) == len(p.left)
 
 
 def make_skew_pattern(rng):
@@ -150,9 +172,9 @@ def make_skew_pattern(rng):
         take = rng.choice(open_cols, size=a, replace=False)
         adj[i, take] = True
         col_load[take] += 1
-    p = BipartitePattern.explicit(np.arange(nl), np.arange(nr), Sign.PLUS, adj)
-    assert is_skew_bounded(p, a, b)
-    return p, a, b
+    if not skew_bounded(adj, a, b):
+        raise AssertionError(f"generated pattern is not ({a}, {b})-skew-bounded")
+    return BipartitePattern.explicit(np.arange(nl), np.arange(nr), Sign.PLUS, adj), a, b
 
 
 class TestPerfectMatching:

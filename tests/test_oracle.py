@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from spantree import oracle
 from spantree.digraph import Digraph, gen_semidegree_digraph
 from spantree.embedding import Embedding, VerificationError
-from spantree.oracle import (
-    TrialConfig,
-    brute_force_contains,
-    reports_to_csv,
-    run_trials,
-    verify_embedding,
-)
+from spantree.oracle import TrialConfig, reports_to_csv, run_trials, verify_embedding
 from spantree.trees import OrientedTree, gen_random_tree
+
+import brute_force
+from brute_force import brute_force_contains
 
 
 def path_host(n):
@@ -52,7 +48,7 @@ class TestBruteForce:
         assert verify_embedding(d, tree, emb)
 
     def test_broken_copy_raises_without_assert(self, monkeypatch):
-        monkeypatch.setattr(oracle, "is_valid_embedding", lambda d, tree, emb: False)
+        monkeypatch.setattr(brute_force, "is_valid_embedding", lambda d, tree, emb: False)
         d = Digraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(VerificationError, match="brute-force embedding failed verification"):
             brute_force_contains(d, OrientedTree(3, [(0, 1), (1, 2)]))

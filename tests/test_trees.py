@@ -15,9 +15,7 @@ from spantree.trees import (
     OrientedTree,
     canonical_form_and_order,
     canonical_forms_and_orders,
-    canonical_rooted_form,
     components,
-    find_bare_paths,
     find_independent_leaves,
     gen_random_tree,
     induced_subtree,
@@ -168,54 +166,6 @@ class TestIndependentLeaves:
             deg = [sum(inside[u] for u in tree.nbrs(v)) if inside[v] else 0 for v in range(tree.n)]
             want = piece.labels[find_independent_leaves(piece.tree)].tolist()
             assert find_independent_leaves(tree, deg) == want
-
-
-class TestBarePaths:
-    def test_long_path(self):
-        tree = path_tree(21)
-        paths = find_bare_paths(tree, 5)
-        assert len(paths) >= 3
-        for p in paths:
-            assert len(p) == 5
-
-    def test_star_has_none(self):
-        tree = OrientedTree(11, [(0, v) for v in range(1, 11)])
-        assert find_bare_paths(tree, 2) == []
-
-    def test_spider_three_legs(self):
-        edges = []
-        nxt = 1
-        for _ in range(3):
-            prev = 0
-            for _ in range(7):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-        tree = OrientedTree(22, edges)
-        paths = find_bare_paths(tree, 3)
-        assert len(paths) >= 3
-        seen = set()
-        for p in paths:
-            assert len(p) == 3
-            for v in p.vertices:
-                assert v not in seen
-                seen.add(v)
-            for v in p.interior:
-                assert tree.degree(v) == 2
-
-    @given(st.integers(0, 10_000), st.integers(4, 150), st.integers(2, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_bound_asserted_and_disjoint(self, seed, n, m):
-        # Removing the interiors leaves at most 6mt + 2|T|/(m+1) vertices, t leaves.
-        rng = np.random.default_rng(seed)
-        tree = gen_random_tree(n, 3, "uniform", rng)
-        paths = find_bare_paths(tree, m)
-        used = set()
-        for p in paths:
-            assert len(p) == m
-            assert not (set(p.vertices) & used)
-            used |= set(p.vertices)
-        assert n - (m - 1) * len(paths) <= 6 * m * len(tree.leaves()) + 2 * n / (m + 1)
 
 
 class TestSplitTree:
@@ -528,7 +478,7 @@ def all_free_trees(n):
         w = heapq.heappop(leaves)
         edges.append((u, w))
         und = OrientedTree(n, edges)
-        key = min(canonical_rooted_form(und, r) for r in range(n))
+        key = min(canonical_form_and_order(und, r)[0] for r in range(n))
         seen.setdefault(key, edges)
     return list(seen.values())
 
@@ -537,12 +487,12 @@ class TestCanonicalForm:
     def test_single_edges_equal(self):
         a = OrientedTree(2, [(0, 1)])
         b = OrientedTree(2, [(0, 1)])
-        assert canonical_rooted_form(a, 0) == canonical_rooted_form(b, 0)
+        assert canonical_form_and_order(a, 0)[0] == canonical_form_and_order(b, 0)[0]
 
     def test_orientation_distinguishes(self):
         a = OrientedTree(2, [(0, 1)])
         b = OrientedTree(2, [(1, 0)])
-        assert canonical_rooted_form(a, 0) != canonical_rooted_form(b, 0)
+        assert canonical_form_and_order(a, 0)[0] != canonical_form_and_order(b, 0)[0]
 
     def test_two_edge_path_orientations_distinct(self):
         # all 4 orientations of the path rooted at an endpoint are distinct
@@ -552,7 +502,7 @@ class TestCanonicalForm:
             [(1, 0), (1, 2)],
             [(1, 0), (2, 1)],
         ]
-        forms = {canonical_rooted_form(OrientedTree(3, e), 0) for e in combos}
+        forms = {canonical_form_and_order(OrientedTree(3, e), 0)[0] for e in combos}
         assert len(forms) == 4
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -567,7 +517,7 @@ class TestCanonicalForm:
                 ]
                 tree = OrientedTree(n, edges)
                 for root in range(n):
-                    objects.append((tree, root, canonical_rooted_form(tree, root)))
+                    objects.append((tree, root, canonical_form_and_order(tree, root)[0]))
         by_form = {}
         for tree, root, form in objects:
             by_form.setdefault(form, []).append((tree, root))
@@ -590,7 +540,7 @@ class TestCanonicalForm:
                 edges = [(u, v) if b else (v, u) for (u, v), b in zip(shape, bits)]
                 tree = OrientedTree(n, edges)
                 for root in range(n):
-                    objects.append((tree, root, canonical_rooted_form(tree, root)))
+                    objects.append((tree, root, canonical_form_and_order(tree, root)[0]))
         by_form = {}
         for tree, root, form in objects:
             by_form.setdefault(form, []).append((tree, root))
@@ -964,7 +914,6 @@ class TestIterativeCanon:
         tree = gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, rng)
         for root in range(n):
             assert canonical_form_and_order(tree, root) == recursive_canon(tree, root)
-            assert canonical_rooted_form(tree, root) == recursive_canon(tree, root)[0]
 
     def test_deep_path(self):
         n = 5000
@@ -972,7 +921,7 @@ class TestIterativeCanon:
         form, order = canonical_form_and_order(tree, 0)
         assert form == "(+" * (n - 1) + "()" + ")" * (n - 1)
         assert order == list(range(n))
-        assert canonical_rooted_form(tree, n - 1) == "(-" * (n - 1) + "()" + ")" * (n - 1)
+        assert canonical_form_and_order(tree, n - 1)[0] == "(-" * (n - 1) + "()" + ")" * (n - 1)
 
     def test_group_components_on_a_deep_path(self):
         tree = path_tree(2500, forward=False)

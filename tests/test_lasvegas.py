@@ -32,7 +32,7 @@ from spantree.guides import GuideBuildError, GuideRestrictError
 from spantree.matching import ForestEmbedError, MatchingError, match_leaves, walk_lean_pieces
 from spantree.oracle import TrialConfig, run_single_trial
 from spantree.params import ParamSchedule, spanning_defaults
-from spantree.trees import OrientedTree, gen_random_tree, prefix_order
+from spantree.trees import FAMILIES, OrientedTree, gen_random_tree, max_semidegree, prefix_order
 
 
 def complete(n):
@@ -374,6 +374,63 @@ class TestAlmostRngContract:
             emb, _telemetry = embed_almost_spanning(d, tree, 0, v, params, rng)
             text = json.dumps(sorted(emb.map.items()))
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, seed
+
+
+# First 16 hex digits of the sha256 of each embed_spanning map, or of
+# "fail:<cause>" for a PhaseFailure, at host seeds 0-2 (tree seeds 100-102,
+# call seeds 200-202).
+SPANNING_DIGESTS = {
+    ("uniform", 300, 0.24): ("645bce2930cc74bb", "ae062877efcdd5f1", "3f9ce8bd592d344e"),
+    ("uniform", 300, 0.25): ("c2e9eecdfd5f646a", "bd8e7ebdaeeb6c72", "249f641d85c364cf"),
+    ("uniform", 800, 0.24): ("6cded7df0323360d", "9d126c1b6d4968be", "035dddc89ccd2429"),
+    ("uniform", 800, 0.25): ("6ecec89f939b9d07", "1ee88f0e0d25ce8f", "a1a00c5358b502c3"),
+    ("path", 300, 0.24): ("d88ebbd012424a33", "33aac3119f140457", "0da539c9a2ed4123"),
+    ("path", 300, 0.25): ("d8651de2cc3c330c", "dcafd07cbdc97cce", "d1b8cef05dba97df"),
+    ("path", 800, 0.24): ("e66c623b5e140c8e", "8d29ca07f7eefbb8", "76ac9408d39cb568"),
+    ("path", 800, 0.25): ("0cc5a6abd4c02717", "c10b61330e1340d3", "2612e233bda66227"),
+    ("star", 300, 0.24): ("99b5eb33a1bdfc6f", "99b5eb33a1bdfc6f", "99b5eb33a1bdfc6f"),
+    ("star", 300, 0.25): ("bb7e1b02e5b482db", "6bcd9938fc6bc600", "a1ce270cd8567388"),
+    ("star", 800, 0.24): ("99b5eb33a1bdfc6f", "99b5eb33a1bdfc6f", "99b5eb33a1bdfc6f"),
+    ("star", 800, 0.25): ("a84d80804f782dd4", "709ce17968eaf7d0", "2cb9a136c2d19d2f"),
+    ("caterpillar", 300, 0.24): ("2d842dee47bdeaad", "f9cebbc36c70e561", "7d885f4878791b13"),
+    ("caterpillar", 300, 0.25): ("2f03481e2f02bb80", "483492727f5ef037", "7d885f4878791b13"),
+    ("caterpillar", 800, 0.24): ("7de8f9c98d9bd1fc", "febdc2a48d387a9f", "54e79254a82dd3fc"),
+    ("caterpillar", 800, 0.25): ("8c378beedd2e09d9", "45c1536c3a7317a9", "0b74910947eebdb7"),
+    ("spider", 300, 0.24): ("4bf4cf7dd528bbef", "8c54fdd40e3cb96f", "32f6e01cb366e250"),
+    ("spider", 300, 0.25): ("53ee56b98e6491d2", "32e277b4b575e1dc", "1eabebf038b88a9a"),
+    ("spider", 800, 0.24): ("35ade5af748c7521", "420cfea104657046", "9a508054f7c103bd"),
+    ("spider", 800, 0.25): ("8f31f8853263d3ba", "16d719e8b43a2f3a", "6269f16519e87125"),
+    ("broom", 300, 0.24): ("470abfd0188933ea", "d43d248ac02120b6", "b7e5ac9278ae3abd"),
+    ("broom", 300, 0.25): ("463d4f55c76cba55", "68d82809ad721ec4", "62cdfcafe2b971f8"),
+    ("broom", 800, 0.24): ("a776ff68af66d09d", "c5bd789ddd50764d", "64b280a6f54e69f8"),
+    ("broom", 800, 0.25): ("8c9b2f4fd06a82c6", "5468b55789220a70", "6f7010ce57a13df8"),
+}
+
+
+class TestSpanningRngContract:
+    """Pinned embed_spanning maps on every family: a pure-speed change keeps them."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_spanning_digests(self, family):
+        for n in (300, 800):
+            for alpha in (0.24, 0.25):
+                got = []
+                for seed in range(3):
+                    d = gen_semidegree_digraph(n, alpha, np.random.default_rng(seed))
+                    tree = gen_random_tree(
+                        n, n - 1 if family == "star" else 3, family, np.random.default_rng(100 + seed)
+                    )
+                    params = spanning_defaults(n, alpha)
+                    top = max(max_semidegree(tree))
+                    if top > 3:
+                        params = params.with_updates(max_tree_semidegree=top)
+                    try:
+                        emb, _telemetry = embed_spanning(d, tree, params, np.random.default_rng(200 + seed))
+                        text = json.dumps(sorted(emb.map.items()))
+                    except PhaseFailure as exc:
+                        text = f"fail:{exc.cause}"
+                    got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+                assert tuple(got) == SPANNING_DIGESTS[family, n, alpha], (n, alpha)
 
 
 def backward_path_host(n):

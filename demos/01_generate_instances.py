@@ -26,7 +26,7 @@ print(f"  actual   min semidegree: {min_semidegree(host)}")
 for family in ("uniform", "path", "caterpillar", "spider", "broom"):
     tree = gen_random_tree(60, 3, family, rng)
     dplus, dminus = max_semidegree(tree)
-    leaves = len(tree.leaves())
+    leaves = sum(tree.degree(v) == 1 for v in range(tree.n))
     print(f"tree[{family:11s}]  leaves={leaves:3d}  max out/in degree = {dplus}/{dminus}")
 
 # The text formats round-trip bit-exactly (edges written sorted).

@@ -9,8 +9,8 @@ reported success is a verified spanning copy.
 import numpy as np
 
 from spantree import gen_random_tree, gen_semidegree_digraph, verify_embedding
-from spantree.embedder import AbsorptionError, PhaseFailure, embed_spanning
-from spantree.oracle import TrialConfig, reports_to_csv, run_trials
+from spantree.embedder import embed_spanning
+from spantree.oracle import TrialConfig, run_trials
 from spantree.params import spanning_defaults
 
 rng = np.random.default_rng(17)

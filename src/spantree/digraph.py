@@ -1,10 +1,12 @@
 """Dense digraph representation with fast neighborhood-set queries.
 
-Vertices are dense integers 0..n-1.  The boolean adjacency matrix is the
-only stored form (constant-time edge tests, vectorized triple
-intersections); per-vertex sorted neighbour arrays are computed from it on
-demand.  The mutual-arc matrix mat & mat.T, its column sums and its
-bit-packed rows are built on first use and cached read-only, so only hosts
+Vertices are dense integers 0..n-1.  The boolean adjacency matrix `mat` is
+the primary form (constant-time edge tests, vectorized triple
+intersections); per-vertex sorted neighbour arrays are computed on demand.
+Derived forms are built on first use and cached read-only: the
+bit-packed in-adjacency, whose contiguous rows serve every in-neighbourhood
+read, so no read walks a stride-n column of `mat`; and the mutual-arc
+matrix mat & mat.T with its column sums and bit-packed rows, so only hosts
 that build guides pay for them, and only hosts whose xy-labelings the
 column-sum bound cannot settle pay for the packed rows.  Instances are
 immutable after construction and safe to share across concurrent trials.
@@ -33,12 +35,13 @@ SIGNS = (Sign.PLUS, Sign.MINUS)
 class Digraph:
     """Immutable digraph: at most one edge per ordered pair, no loops.
 
-    `out`, `in_` and `adj` compute sorted int32 neighbour arrays from `mat`
-    on each call.  The cached derived fields are `mutual`, `mutual_colsum`
+    `out`, `in_` and `adj` compute sorted int32 neighbour arrays on each
+    call, out-neighbours from `mat` and in-neighbours from `in_packed`.
+    The cached derived fields are `in_packed`, `mutual`, `mutual_colsum`
     and `mutual_packed`, each built once on first use.
     """
 
-    __slots__ = ("n", "mat", "_mutual", "_mutual_colsum", "_mutual_packed")
+    __slots__ = ("n", "mat", "_in_packed", "_mutual", "_mutual_colsum", "_mutual_packed")
 
     def __init__(self, n: int, mat: np.ndarray):
         if n < 1:
@@ -50,6 +53,7 @@ class Digraph:
         self.n = n
         self.mat = mat
         self.mat.setflags(write=False)
+        self._in_packed: np.ndarray | None = None
         self._mutual: np.ndarray | None = None
         self._mutual_colsum: np.ndarray | None = None
         self._mutual_packed: np.ndarray | None = None
@@ -75,6 +79,27 @@ class Digraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.mat[u, v])
+
+    @property
+    def in_packed(self) -> np.ndarray:
+        """Read-only `packbits(mat.T, axis=1)`: row v holds N^-(v), eight hosts a byte.
+
+        Built in blocks of 64 columns, each transposed in tiles of 512 rows,
+        so no n x n temporary is made and no copy strides a whole column.
+        """
+        if self._in_packed is None:
+            n = self.n
+            packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+            block = np.empty((64, n), dtype=bool)
+            for start in range(0, n, 64):
+                cols = self.mat[:, start : start + 64]
+                rows = block[: cols.shape[1]]
+                for top in range(0, n, 512):
+                    rows[:, top : top + 512] = cols[top : top + 512].T
+                packed[start : start + 64] = np.packbits(rows, axis=1)
+            packed.setflags(write=False)
+            self._in_packed = packed
+        return self._in_packed
 
     @property
     def mutual(self) -> np.ndarray:
@@ -107,14 +132,20 @@ class Digraph:
         return np.flatnonzero(self.mat[v]).astype(np.int32)
 
     def in_(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.mat[:, v]).astype(np.int32)
+        return np.flatnonzero(self.adj_row(v, Sign.MINUS)).astype(np.int32)
 
     def adj(self, v: int, sign: Sign) -> np.ndarray:
         return np.flatnonzero(self.adj_row(v, sign)).astype(np.int32)
 
     def adj_row(self, v: int, sign: Sign) -> np.ndarray:
-        """Boolean neighborhood row; N^+(v) reads mat[v], N^-(v) reads mat[:, v]."""
-        return self.mat[v] if sign is Sign.PLUS else self.mat[:, v]
+        """Boolean neighborhood row over all n hosts; callers only read it.
+
+        N^+(v) is the view mat[v]; N^-(v) is unpacked from the contiguous
+        row v of `in_packed`, equal to the column mat[:, v].
+        """
+        if sign is Sign.PLUS:
+            return self.mat[v]
+        return np.unpackbits(self.in_packed[v], count=self.n).view(np.bool_)
 
     def out_degrees(self) -> np.ndarray:
         return self.mat.sum(axis=1)
@@ -188,21 +219,25 @@ def gen_semidegree_digraph(n: int, alpha: float, rng: np.random.Generator) -> Di
 
 
 def sample_disjoint_subsets(
-    d: Digraph, sizes: list[int], rng: np.random.Generator
+    d: Digraph, sizes: list[int], rng: np.random.Generator, pool: np.ndarray | None = None
 ) -> list[np.ndarray]:
     """Pairwise-disjoint uniform vertex subsets of the requested sizes.
 
     Uniformity over all tuples comes from slicing a single uniform
-    permutation at consecutive prefixes.
+    permutation at consecutive prefixes.  With a sorted array `pool` of host
+    ids the subsets are drawn from it: each is pool[...] of the subset the
+    same RNG state draws over range(len(pool)).
     """
     total = sum(sizes)
-    if total > d.n:
-        raise ValueError(f"requested {total} vertices from a digraph with {d.n}")
-    perm = rng.permutation(d.n)
+    available = d.n if pool is None else len(pool)
+    if total > available:
+        raise ValueError(f"requested {total} vertices from {available}")
+    perm = rng.permutation(available)
     out = []
     start = 0
     for size in sizes:
-        out.append(np.sort(perm[start : start + size]).astype(np.int64))
+        ranks = np.sort(perm[start : start + size]).astype(np.int64)
+        out.append(ranks if pool is None else pool[ranks])
         start += size
     return out
 

@@ -424,6 +424,7 @@ def attach_path_trees(
     anchors: list[tuple[int, int]],
     params: ParamSchedule,
     rng: np.random.Generator,
+    pool: np.ndarray | None = None,
 ) -> list[dict[int, int]]:
     """Embed each piece's mids and body, its anchors x and y at prescribed hosts.
 
@@ -434,10 +435,17 @@ def attach_path_trees(
     neighbour's neighborhoods.  Inducing the bodies, reading the mids' edges
     and sizing B and the forest pool draw no random numbers, so they run
     once, and a sizing that cannot fit is reported once, not resampled.
+
+    Everything is drawn from `pool`, a sorted array of host ids holding the
+    anchors (all of d when None), and sized by len(pool).  The RNG stream is
+    that of the same call on d.induce(pool): B is drawn over ranks in the
+    pool, and the connectors read their candidates in the iteration order of
+    a set of those ranks.
     """
     if not pieces:
         return []
-    n = d.n
+    pool = np.arange(d.n, dtype=np.int64) if pool is None else pool
+    n = len(pool)
     anchor_hosts = {h for pair in anchors for h in pair}
     if len(anchor_hosts) != 2 * len(pieces):
         raise ValueError("anchors must be pairwise distinct")
@@ -458,7 +466,8 @@ def attach_path_trees(
         bodies.append(body)
         links.append(piece_links)
 
-    rest = np.array(sorted(set(range(n)) - anchor_hosts), dtype=np.int64)
+    rest_rank = np.flatnonzero(~np.isin(pool, list(anchor_hosts)))
+    rest = pool[rest_rank]
     total_body = sum(len(p.body) for p in pieces)
     spare = len(rest) - total_body
     # The pool keeps forest_reserve >= 2 vertices beyond the bodies, so the
@@ -485,12 +494,12 @@ def attach_path_trees(
 
     def once() -> list[dict[int, int]]:
         perm = rng.permutation(len(rest))
-        buffer = set(int(x) for x in rest[perm[:b_size]])
+        buffer = set(int(x) for x in rest_rank[perm[:b_size]])
         # Connector candidates are read in the iteration order of a copy of
-        # the buffer set (which can differ from the source set's); that order
-        # fixes the RNG stream of the connector draws.
-        buffer_order = np.fromiter(set(buffer), dtype=np.int64)
-        free_buffer = np.zeros(n, dtype=bool)
+        # the buffer's rank set (which can differ from the source set's);
+        # that order fixes the RNG stream of the connector draws.
+        buffer_order = pool[np.fromiter(set(buffer), dtype=np.int64)]
+        free_buffer = np.zeros(d.n, dtype=bool)
         free_buffer[buffer_order] = True
         body_maps = embed_small_forest(
             d, [body.tree for body in bodies], eps_eff, rng,
@@ -523,16 +532,29 @@ def embed_almost_spanning(
     v: int,
     params: ParamSchedule,
     rng: np.random.Generator,
+    pool: np.ndarray | None = None,
 ) -> tuple[Embedding, dict]:
     """Verified copy of an almost-spanning tree with t embedded to v.
 
     Decomposes the tree, splits the host into three random parts, embeds
     the star layer in the first, the path pieces through the second, and
     the leftover leaves greedily into the third.
+
+    The tree goes into `pool`, a sorted array of host ids holding v (all of
+    d when None), and is sized by len(pool).  Only the first part is
+    induced; the paths and the leftover leaves run on d itself.  The RNG
+    stream, and so the map, is that of the same call on d.induce(pool)
+    relabelled: the parts are drawn over ranks in the pool, and the leftover
+    leaves read their candidates in the iteration order of a set of ranks.
     """
-    n = d.n
-    if not 0 <= v < n:
-        raise ValueError(f"anchor host {v} outside 0..{n - 1}")
+    if not 0 <= v < d.n:
+        raise ValueError(f"anchor host {v} outside 0..{d.n - 1}")
+    pool = np.arange(d.n, dtype=np.int64) if pool is None else pool
+    in_pool = np.zeros(d.n, dtype=bool)
+    in_pool[pool] = True
+    if not in_pool[v]:
+        raise ValueError(f"anchor host {v} is not in the pool")
+    n = len(pool)
     slack = n - tree.n
     if slack < 4:
         raise ValueError(f"need at least 4 spare host vertices, got {slack}")
@@ -549,7 +571,7 @@ def embed_almost_spanning(
                 raise PhaseFailure("almost", "decompose", str(exc), 0) from exc
             greedy = True
     if greedy:
-        return _greedy(d, tree, t, v, params, rng, "almost")[0], telemetry
+        return _greedy(d, tree, t, v, params, rng, "almost", in_pool)[0], telemetry
     stars = stars_from_decomposition(td)
 
     t1_size = len(td.t1)
@@ -589,15 +611,15 @@ def embed_almost_spanning(
         sizes = [t1_size + s1, t2_new + s2]
         try:
             for _draw in range(300):
-                v1, v2 = sample_disjoint_subsets(d, sizes, rng)
+                v1, v2 = sample_disjoint_subsets(d, sizes, rng, pool)
                 if v in v1:
                     break
             else:
                 raise GuideBuildError("anchor never landed in V1")
-            v3 = np.array(
-                sorted(set(range(n)) - set(v1.tolist()) - set(v2.tolist())), dtype=np.int64
-            )
-            emb = _assemble_almost(d, tree, t, v, params, rng, td, stars, v1, v2, v3)
+            in_v3 = in_pool.copy()
+            in_v3[v1] = False
+            in_v3[v2] = False
+            emb = _assemble_almost(d, tree, t, v, params, rng, td, stars, v1, v2, pool, in_v3)
             if not is_valid_embedding(d, tree, emb):
                 raise VerificationError("almost-spanning embedding failed verification")
             telemetry["phase_retries"]["almost"] = attempt
@@ -632,9 +654,11 @@ def _greedy(
     params: ParamSchedule,
     rng: np.random.Generator,
     phase: str,
+    within: np.ndarray | None = None,
 ) -> tuple[Embedding, int]:
     """Verified greedy prefix embedding with t at v, for trees far below host scale.
 
+    The walk uses the hosts marked in the mask `within` (all when None).
     With v None, each try first draws a uniform host for t.  A stuck walk is
     resampled, and a spent budget is a PhaseFailure of `phase`.  Returns the
     embedding and the number of tries it took.
@@ -646,7 +670,8 @@ def _greedy(
         nonlocal tries
         tries += 1
         root_host = int(rng.integers(d.n)) if v is None else v
-        hosts = greedy_walk(d, order, np.ones(d.n, dtype=bool), rng, root_host=root_host)
+        free = np.ones(d.n, dtype=bool) if within is None else within.copy()
+        hosts = greedy_walk(d, order, free, rng, root_host=root_host)
         if hosts is None:
             raise PipelineError("greedy walk stuck", cause="leaf-greedy-fail")
         return hosts
@@ -671,10 +696,11 @@ def _assemble_almost(
     stars: list[StarComponent],
     v1: np.ndarray,
     v2: np.ndarray,
-    v3: np.ndarray,
+    pool: np.ndarray,
+    v3_free: np.ndarray,
 ) -> Embedding:
-    # Star layer inside V1.  The guest tree keeps its own ids throughout;
-    # only host vertices pass through the induced-subgraph relabeling.
+    # Star layer inside V1, the one induced host: guides and stars keep their
+    # local ids.  The guest tree keeps its own ids throughout.
     d1, labels1 = d.induce(v1)
     labels1 = labels1.tolist()
     back1 = {h: i for i, h in enumerate(labels1)}
@@ -697,21 +723,17 @@ def _assemble_almost(
         anchor_pairs = [(emb[p.x], emb[p.y]) for p in td.pieces]
         anchor_hosts = {h for pair in anchor_pairs for h in pair}
         d2_verts = np.array(sorted(set(v2.tolist()) | anchor_hosts), dtype=np.int64)
-        d2, labels2 = d.induce(d2_verts)
-        labels2 = labels2.tolist()
-        back2 = {h: i for i, h in enumerate(labels2)}
-        local_pairs = [(back2[a], back2[b]) for a, b in anchor_pairs]
-        for pmap in attach_path_trees(d2, tree, td.pieces, local_pairs, params, rng):
-            for tv, lh in pmap.items():
-                emb.assign(tv, labels2[lh], "paths")
+        for pmap in attach_path_trees(d, tree, td.pieces, anchor_pairs, params, rng, d2_verts):
+            for tv, host in pmap.items():
+                emb.assign(tv, host, "paths")
 
-    # Leftover leaves greedily into V3.  Like the lean-star walk, candidates
-    # are read in the iteration order of a set of V3's hosts.
+    # Leftover leaves greedily into V3, the hosts marked in v3_free.  Like
+    # the lean-star walk, candidates are read in the iteration order of a
+    # set, here of V3's ranks in the pool.
     leftovers = sorted({u for s_ in td.leftovers.values() for u in s_})
     if leftovers:
-        v3_order = np.fromiter(set(int(x) for x in v3), dtype=np.int64)
-        v3_free = np.zeros(d.n, dtype=bool)
-        v3_free[v3] = True
+        v3_ranks = np.flatnonzero(v3_free[pool])
+        v3_order = pool[np.fromiter(set(v3_ranks.tolist()), dtype=np.int64)]
         left_set = set(leftovers)
         ordered: list[tuple[int, int, Sign]] = []
         seen: set[int] = set()
@@ -788,11 +810,9 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | Non
     # the former; both also carry every row Mb is an OR of.
     no_arc = np.empty((2 * ell, n), dtype=bool)
     np.logical_not(d.mat[hosts], out=no_arc[:ell])
-    # Gather the columns in ascending host order (faster), scatter back in trunk order.
-    by_host = np.argsort(hosts)
-    cols = d.mat[:, hosts[by_host]]
-    np.logical_not(cols, out=cols)
-    no_arc[ell + by_host] = cols.T
+    np.logical_not(
+        np.unpackbits(d.in_packed[hosts], axis=1, count=n).view(np.bool_), out=no_arc[ell:]
+    )
 
     # Each trunk arc u -> w blocks y at u by "no arc y -> host(w)" and at w
     # by "no arc host(u) -> y".  Every index past the root has one parent, so
@@ -1071,32 +1091,31 @@ def embed_spanning(
                 "swaps": state.swap_count,
             }
 
-            keep = sorted((set(range(n)) - set(state.a_set.tolist())) | {state.anchor_host})
-            d_rest, labels_rest = d.induce(np.array(keep, dtype=np.int64))
-            labels_rest = labels_rest.tolist()
-            back = {h: i for i, h in enumerate(labels_rest)}
+            keep = np.ones(n, dtype=bool)
+            keep[state.a_set] = False
+            keep[state.anchor_host] = True
             start = time.perf_counter()
             emb_almost, tele_almost = embed_almost_spanning(
-                d_rest,
+                d,
                 trunk_piece.tree.with_t(local_shared_trunk),
                 local_shared_trunk,
-                back[state.anchor_host],
+                state.anchor_host,
                 params,
                 rng,
+                np.flatnonzero(keep),
             )
             phases["almost_millis"] = _millis_since(start)
             phases["almost"] = tele_almost
 
-            used_global = {labels_rest[h] for h in emb_almost.used}
-            leftover = set(range(n)) - used_global - set(state.a_set.tolist())
+            leftover = set(range(n)) - emb_almost.used - set(state.a_set.tolist())
             b_set = np.array(sorted(set(state.a_set.tolist()) | leftover), dtype=np.int64)
             start = time.perf_counter()
             emb_abs = complete_absorption(state, b_set)
             phases["absorption_millis"] = _millis_since(start)
 
             total = Embedding()
-            for lv, lh in emb_almost.map.items():
-                total.assign(trunk_labels[lv], labels_rest[lh], "almost")
+            for lv, host in emb_almost.map.items():
+                total.assign(trunk_labels[lv], host, "almost")
             for lv, host in emb_abs.map.items():
                 tv = absorber_labels[lv]
                 if tv not in total:   # the shared vertex is placed by both sides

@@ -48,14 +48,6 @@ class XYLabeling:
     ys: np.ndarray
     threshold: int
 
-    def verify(self, d: Digraph) -> bool:
-        base = d.adj_row(self.v, self.sign)
-        for x, y in zip(self.xs, self.ys):
-            cnt = int((d.mat[:, x] & base & d.mat[y]).sum())
-            if cnt < self.threshold:
-                return False
-        return True
-
 
 def _count(rows: np.ndarray, axis: int) -> np.ndarray:
     """Sums of a bool matrix along `axis`, in the smallest dtype that holds them.

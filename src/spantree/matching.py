@@ -73,9 +73,6 @@ class Matching:
     def as_dict(self) -> dict[int, int]:
         return {a: b for a, b in self.pairs}
 
-    def dump(self) -> str:
-        return "\n".join(f"{a} {b}" for a, b in sorted(self.pairs)) + "\n"
-
 
 def _raw_matching(adj: np.ndarray) -> np.ndarray:
     """Row -> matched column (or -1), via augmenting paths in compiled code."""

@@ -98,9 +98,6 @@ class OrientedTree:
             return Sign.MINUS
         raise ValueError(f"{u} and {v} are not adjacent")
 
-    def leaves(self) -> list[int]:
-        return [v for v in range(self.n) if len(self._und[v]) == 1]
-
     def with_t(self, t: int | None) -> "OrientedTree":
         """The same tree with distinguished vertex t; shares this tree's adjacency."""
         if t is not None and not (0 <= t < self.n):

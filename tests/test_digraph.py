@@ -89,6 +89,15 @@ class TestSampleDisjointSubsets:
         union = np.concatenate(parts)
         assert len(np.unique(union)) == 30
 
+    def test_pool_draw_is_the_unpooled_draw_through_the_pool(self):
+        pool = np.sort(np.random.default_rng(3).choice(50, size=30, replace=False))
+        for seed in range(5):
+            got = sample_disjoint_subsets(complete(50), [5, 10, 12], np.random.default_rng(seed), pool)
+            ranks = sample_disjoint_subsets(complete(30), [5, 10, 12], np.random.default_rng(seed))
+            assert [g.tolist() for g in got] == [pool[r].tolist() for r in ranks]
+        with pytest.raises(ValueError, match="requested 31 vertices from 30"):
+            sample_disjoint_subsets(complete(50), [20, 11], np.random.default_rng(0), pool)
+
     def test_oversized_request(self):
         with pytest.raises(ValueError):
             sample_disjoint_subsets(complete(10), [6, 6], np.random.default_rng(0))
@@ -128,7 +137,7 @@ class TestInheritedDegree:
 
 
 class TestDerivedAdjacency:
-    """Neighbour lists come from the matrix on demand; the mutual-arc fields are cached."""
+    """Neighbour lists come from the matrix on demand; the in-adjacency and mutual-arc fields are cached."""
 
     @pytest.fixture(params=["host", "induced"])
     def digraph(self, request):
@@ -169,6 +178,37 @@ class TestDerivedAdjacency:
             with pytest.raises(ValueError):
                 field[0] = 1
         assert d.mutual_colsum is colsum and d.mutual_packed is packed
+
+    def test_in_rows_are_the_columns(self):
+        # n = 1..70, mostly not multiples of 8, so the padding bits of the
+        # last byte and a partial block of 64 columns are both exercised.
+        rng = np.random.default_rng(21)
+        for n in range(1, 71):
+            mat = rng.random((n, n)) < 0.5
+            np.fill_diagonal(mat, False)
+            hosts = [Digraph(n, mat), complete(n)]
+            if n >= 4:
+                host = gen_semidegree_digraph(n, 0.2, rng)
+                v1, _v2 = sample_disjoint_subsets(host, [(n + 1) // 2, n // 4], rng)
+                hosts.append(host.induce(v1)[0])
+            for d in hosts:
+                packed = d.in_packed
+                assert packed.dtype == np.uint8 and (packed == np.packbits(d.mat.T, axis=1)).all()
+                assert not packed.flags.writeable and d.in_packed is packed
+                for v in range(d.n):
+                    row = d.adj_row(v, Sign.MINUS)
+                    assert row.dtype == np.bool_ and (row == d.mat[:, v]).all()
+
+    def test_in_rows_across_row_tiles(self):
+        # More rows than one transposed tile of 512, and a ragged last block.
+        rng = np.random.default_rng(22)
+        n = 1101
+        mat = rng.random((n, n)) < 0.5
+        np.fill_diagonal(mat, False)
+        d = Digraph(n, mat)
+        assert (d.in_packed == np.packbits(mat.T, axis=1)).all()
+        for v in (0, 63, 64, 511, 512, 1100):
+            assert (d.adj_row(v, Sign.MINUS) == mat[:, v]).all()
 
     def test_induce_is_the_sorted_submatrix(self):
         d = gen_semidegree_digraph(90, 0.1, np.random.default_rng(13))

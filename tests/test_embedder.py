@@ -7,7 +7,6 @@ from spantree import embedder
 from spantree.decompose import PathPiece, decompose
 from spantree.digraph import Digraph, Sign, gen_semidegree_digraph
 from spantree.embedder import (
-    AbsorptionError,
     PhaseFailure,
     _property_s_floor,
     attach_path_trees,
@@ -416,6 +415,49 @@ class TestAlmostSpanning:
                                   np.random.default_rng(0))
 
 
+class TestPooledHost:
+    """A call on d with a pool of hosts is the same call on d.induce(pool), relabelled."""
+
+    @pytest.mark.parametrize("family, max_semideg", [("caterpillar", 3), ("broom", 3), ("spider", 2)])
+    def test_almost_spanning(self, family, max_semideg):
+        # Caterpillars also reach the leftover leaves; every family here has path pieces.
+        n, m = 400, 320
+        rng = np.random.default_rng(4)
+        d = gen_semidegree_digraph(n, 0.24, rng)
+        pool = np.sort(rng.choice(n, size=m, replace=False))
+        tree = gen_random_tree(4 * m // 5, max_semideg, family, rng)
+        params = spanning_defaults(m, 0.24)
+        assert decompose(tree, 0, params).pieces
+        sub, labels = d.induce(pool)
+        want, _telemetry = embed_almost_spanning(sub, tree, 0, 17, params, np.random.default_rng(9))
+        got, _telemetry = embed_almost_spanning(d, tree, 0, int(pool[17]), params, np.random.default_rng(9), pool)
+        assert got.map == {tv: int(labels[h]) for tv, h in want.map.items()}
+
+    def test_attach_path_trees(self):
+        sizes = [10 + (7 * i) % 31 for i in range(10)]
+        starts = [sum(sizes[:i]) for i in range(10)]
+        tree = OrientedTree(sum(sizes), [(v, v + 1) for v in range(sum(sizes) - 1)])
+        pieces = [path_piece(start, size) for start, size in zip(starts, sizes)]
+        rng = np.random.default_rng(6)
+        d = gen_semidegree_digraph(600, 0.3, rng)
+        pool = np.sort(rng.choice(600, size=500, replace=False))
+        params = ParamSchedule(alpha=0.3, beta=0.08, retries=6)
+        ranks = [(2 * i, 2 * i + 1) for i in range(10)]
+        sub, labels = d.induce(pool)
+        want = attach_path_trees(sub, tree, pieces, ranks, params, np.random.default_rng(8))
+        anchors = [(int(pool[a]), int(pool[b])) for a, b in ranks]
+        got = attach_path_trees(d, tree, pieces, anchors, params, np.random.default_rng(8), pool)
+        assert got == [{tv: int(labels[h]) for tv, h in m.items()} for m in want]
+        assert pieces_placed(d, tree, pieces, anchors, got)
+
+    def test_anchor_outside_the_pool_is_rejected(self):
+        d = complete(60)
+        tree = gen_random_tree(40, 3, "uniform", np.random.default_rng(0))
+        with pytest.raises(ValueError, match="anchor host 3 is not in the pool"):
+            embed_almost_spanning(d, tree, 0, 3, spanning_defaults(50, 0.25), np.random.default_rng(1),
+                                  np.arange(10, 60))
+
+
 class TestAbsorber:
     def test_complete_host_margin(self):
         d = complete(300)
@@ -742,6 +784,35 @@ class TestSpanning:
         assert splits == [n // 3]
         assert (info.value.phase, info.value.cause, info.value.attempts) == ("spanning", "S-fail", 3)
         assert str(info.value).endswith("property S floor 0 below threshold 9")
+
+    def test_one_induced_host_per_almost_attempt(self, monkeypatch):
+        # Only V1 is induced: the almost-spanning part and its path pieces run
+        # on the shared host.  The first path attachment is made to fail, so
+        # the almost loop makes two attempts, one induced V1 each.
+        induced, attached = [], []
+        induce, attach = Digraph.induce, embedder.attach_path_trees
+
+        def counted_induce(self, vertices):
+            induced.append(len(vertices))
+            return induce(self, vertices)
+
+        def first_attach_fails(*args, **kwargs):
+            attached.append(len(args[2]))
+            if len(attached) == 1:
+                raise PhaseFailure("paths", "connector-exhausted", "forced miss", 1)
+            return attach(*args, **kwargs)
+
+        monkeypatch.setattr(Digraph, "induce", counted_induce)
+        monkeypatch.setattr(embedder, "attach_path_trees", first_attach_fails)
+        n = 800
+        d = gen_semidegree_digraph(n, 0.25, np.random.default_rng(0))
+        tree = gen_random_tree(n, 2, "spider", np.random.default_rng(100))
+        emb, telemetry = embed_spanning(d, tree, spanning_defaults(n, 0.25), np.random.default_rng(200))
+        assert verify_embedding(d, tree, emb)
+        assert telemetry["phases"]["outer_attempts"] == 1
+        assert len(telemetry["phases"]["almost"]["failures"]) == 1
+        assert len(attached) == 2 and min(attached) > 0
+        assert len(induced) == 2
 
     def test_absorber_built_and_completed_verifies(self):
         rng = np.random.default_rng(11)

@@ -25,28 +25,44 @@ def test_library_has_no_assert_statement():
     assert found == []
 
 
+def _names_in(node, skip=()):
+    """Every Name, Attribute and import alias under `node`, not descending into `skip`."""
+    skip_ids = {id(s) for s in skip}
+    names, stack = set(), [node]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, ast.Name):
+            names.add(cur.id)
+        elif isinstance(cur, ast.Attribute):
+            names.add(cur.attr)
+        elif isinstance(cur, ast.alias):
+            names.add(cur.name)
+        stack.extend(child for child in ast.iter_child_nodes(cur) if id(child) not in skip_ids)
+    return names
+
+
 def test_every_library_definition_is_referenced():
-    # A top-level function or class that no library module names, outside its
-    # own definition and the package exports, is API the pipeline never runs.
-    referenced = []   # (top-level statement, the names it mentions)
-    defined = []
+    # A top-level function or class, or a method, that no library code names
+    # outside its own definition and the package exports is API the pipeline
+    # never runs.  Dunder methods are called by the language, not by name.
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    units = []     # (id of a top-level statement or a method, the names it mentions)
+    defined = []   # (module, name, ids of the units that make up its own definition)
     for path in sorted((ROOT / "src" / "spantree").glob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path.name, stmt))
+            methods = []
+            if isinstance(stmt, ast.ClassDef):
+                methods = [m for m in stmt.body if isinstance(m, funcs)
+                           and not (m.name.startswith("__") and m.name.endswith("__"))]
+                defined += [(path.name, f"{stmt.name}.{m.name}", {id(m)}) for m in methods]
+            if isinstance(stmt, (*funcs, ast.ClassDef)):
+                defined.append((path.name, stmt.name, {id(stmt)} | {id(m) for m in methods}))
             if path.name != "__init__.py":
-                names = set()
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Name):
-                        names.add(node.id)
-                    elif isinstance(node, ast.Attribute):
-                        names.add(node.attr)
-                    elif isinstance(node, ast.alias):
-                        names.add(node.name)
-                referenced.append((stmt, names))
+                units.append((id(stmt), _names_in(stmt, skip=methods)))
+                units += [(id(m), _names_in(m)) for m in methods]
     unreferenced = [
-        f"{module}:{stmt.name}" for module, stmt in defined
-        if not any(stmt.name in names for other, names in referenced if other is not stmt)
+        f"{module}:{name}" for module, name, own in defined
+        if not any(name.rsplit(".", 1)[-1] in names for unit, names in units if unit not in own)
     ]
     assert unreferenced == []
 

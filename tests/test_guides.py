@@ -21,6 +21,7 @@ from spantree.guides import (
     restrict_guides,
 )
 
+from helpers import labeling_verifies
 from test_matching import skew_bounded
 
 
@@ -45,7 +46,7 @@ class TestXYLabeling:
         d = complete(20)
         lab = build_xy_labeling(d, 0, Sign.PLUS, 0.2)
         assert (lab.xs == lab.ys).all()
-        assert lab.verify(d)
+        assert labeling_verifies(d, lab)
 
     def test_generated_all_intersections_large(self):
         rng = np.random.default_rng(2)
@@ -79,7 +80,7 @@ class TestXYLabeling:
         lab = build_xy_labeling(d, 0, Sign.PLUS, 0.5)
         assert (lab.xs == np.arange(40)).all() and (lab.ys != lab.xs).any()
         assert sorted(lab.ys.tolist()) == list(range(40))
-        assert lab.verify(d)
+        assert labeling_verifies(d, lab)
 
 
 class TestBuildGuide:
@@ -500,7 +501,7 @@ class TestGuideBuildPinned:
                         continue
                     identity = (lab.ys == np.arange(d.n)).all()
                     assert identity == (exact.min() >= threshold)
-                    assert lab.verify(d)
+                    assert labeling_verifies(d, lab)
 
     def test_few_mutual_rows_fall_through_to_the_matching(self):
         d = _few_mutual_rows_host()
@@ -508,7 +509,7 @@ class TestGuideBuildPinned:
         threshold = math.ceil(0.5**2 * 40)
         assert int(base.sum()) - 40 + int(d.mutual_colsum.min()) < threshold
         lab = build_xy_labeling(d, 0, Sign.PLUS, 0.5)
-        assert (lab.ys != lab.xs).any() and lab.verify(d)
+        assert (lab.ys != lab.xs).any() and labeling_verifies(d, lab)
 
     @pytest.mark.parametrize("sign", SIGNS)
     def test_identity_rows_mirror_and_shuffled_rows_differ(self, sign):

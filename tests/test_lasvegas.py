@@ -473,7 +473,7 @@ class TestAlmostFailureReports:
         v = 5
         others = np.array([h for h in range(120) if h != v], dtype=np.int64)
 
-        def without_anchor(d, sizes, rng):
+        def without_anchor(d, sizes, rng, pool=None):
             return [others[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(len(sizes))]
 
         monkeypatch.setattr(embedder, "sample_disjoint_subsets", without_anchor)

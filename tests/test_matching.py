@@ -16,6 +16,8 @@ from spantree.matching import (
 )
 from spantree.trees import OrientedTree, gen_random_tree
 
+from helpers import matching_dump
+
 
 def brute_max_matching(adj):
     """Exhaustive maximum matching size by recursion over rows."""
@@ -79,7 +81,7 @@ class TestMaxMatching:
 
     def test_dump_format(self):
         p = BipartitePattern.explicit([2, 1], [5, 6], Sign.PLUS, np.eye(2, dtype=bool))
-        text = covering_matching(p).dump()
+        text = matching_dump(covering_matching(p))
         lines = text.strip().splitlines()
         assert lines == sorted(lines)
 

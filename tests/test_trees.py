@@ -26,6 +26,8 @@ from spantree.trees import (
     subtree_sizes,
 )
 
+from helpers import tree_leaves
+
 
 def path_tree(n, forward=True):
     edges = [(v, v + 1) if forward else (v + 1, v) for v in range(n - 1)]
@@ -113,7 +115,7 @@ class TestPrefixOrder:
 
 class TestIndependentLeaves:
     def brute_max(self, tree):
-        leaves = tree.leaves()
+        leaves = tree_leaves(tree)
         best = 0
         for r in range(len(leaves), 0, -1):
             for combo in itertools.combinations(leaves, r):
@@ -151,7 +153,7 @@ class TestIndependentLeaves:
             tree = gen_random_tree(40, 3, "uniform", rng)
             got = find_independent_leaves(tree)
             used = {tree.nbrs(v)[0] for v in got}
-            for leaf in tree.leaves():
+            for leaf in tree_leaves(tree):
                 if leaf not in got:
                     assert tree.nbrs(leaf)[0] in used
 
@@ -769,7 +771,7 @@ class TestDerivedTrees:
         tree = gen_random_tree(n, 3, family, rng)
         keep = np.flatnonzero(rng.random(n) < 0.5).tolist()
         if len(components(tree, keep)) < 2:
-            keep = [v for v in range(n) if v != tree.nbrs(tree.leaves()[0])[0]]
+            keep = [v for v in range(n) if v != tree.nbrs(tree_leaves(tree)[0])[0]]
         assert len(components(tree, keep)) >= 2
         with pytest.raises(ValueError) as ref:
             rebuilt_induced(tree, keep)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -215,6 +217,37 @@ class TestEmbedStars:
             except PhaseFailure:
                 pass
         assert wins >= 15
+
+    def test_repeated_thin_star_classes_keep_their_map(self):
+        # 84 stars: i % 4 fixes the body, i % 3 the attach sign, so each
+        # multi-vertex class holds 14 (out) or 7 (in) isomorphic stars, and
+        # the 7 single in-leaves are too few for a leaf part.  A refactor
+        # keeps the map.
+        rng = np.random.default_rng(5)
+        d = gen_semidegree_digraph(500, 0.3, rng)
+        core_n = 20
+        edges = [(i, i + 1) for i in range(core_n - 1)]
+        stars = []
+        nxt = core_n
+        for i in range(84):
+            sign = Sign.PLUS if i % 3 else Sign.MINUS
+            attach = i % core_n
+            root = nxt
+            edges.append((attach, root) if sign is Sign.PLUS else (root, attach))
+            body = [root]
+            nxt += 1
+            for j in range(i % 4):
+                edges.append((body[-1], nxt) if j % 2 == 0 else (nxt, body[-1]))
+                body.append(nxt)
+                nxt += 1
+            stars.append(StarComponent(attach=attach, root=root, sign=sign, vertices=tuple(body)))
+        tree = OrientedTree(nxt, edges, t=0)
+        params = ParamSchedule(alpha=0.3, retries=6)
+        emb = embed_stars(d, tree, set(range(core_n)), stars, 0, 7, params, rng)
+        assert is_valid_embedding(d, tree, emb) and emb[0] == 7 and len(emb.map) == tree.n
+        text = json.dumps(sorted(emb.map.items()))
+        digest = "d6e93fd06ca3376a1db7046dc9ff9613b58f4f1283c1da9a04660ac3d5c3513d"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_sizing_audit_fits_host(self):
         # arithmetic postcondition: parts plus pool plus core fit the host

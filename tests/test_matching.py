@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -284,6 +286,34 @@ class TestSmallForest:
         assert len(classes) == 3
         pops = sorted(len(c.members) for c in classes)
         assert pops == [1, 2, 3]
+
+    def test_thin_classes_keep_their_maps(self):
+        # Classes of 2 to 15 relabelled copies, one class per size, so no two
+        # classes are isomorphic; the even sizes are oriented paths, whose two
+        # centroids both root the same class.  A refactor keeps every map.
+        rng = np.random.default_rng(12)
+        comps = []
+        for k, count in enumerate((2, 15, 3, 9, 6, 2, 11, 4, 7, 5), start=1):
+            if k % 2 == 0 or k < 5:
+                base = OrientedTree(k, [(v, v + 1) if rng.random() < 0.5 else (v + 1, v) for v in range(k - 1)])
+            else:
+                base = gen_random_tree(k, 3, "uniform", rng)
+            for _ in range(count):
+                perm = rng.permutation(k).tolist()
+                comps.append(OrientedTree(k, [(perm[u], perm[v]) for u, v in base.edge_list]))
+        comps = [comps[i] for i in rng.permutation(len(comps))]
+        rng = np.random.default_rng(13)
+        d = gen_semidegree_digraph(600, 0.24, rng)
+        maps = embed_small_forest(d, comps, 0.2, rng)
+        used = set()
+        for comp, m in zip(comps, maps):
+            assert len(m) == comp.n
+            assert all(d.has_edge(m[u], m[w]) for u, w in comp.edge_list)
+            assert not (set(m.values()) & used)
+            used |= set(m.values())
+        text = json.dumps([sorted(m.items()) for m in maps])
+        digest = "68c36ec44cc3a3a41bdac6ba2a53aef490da38bba608bd93ba3eb930d07c1e45"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_oversized_forest_rejected(self):
         d = complete(20)

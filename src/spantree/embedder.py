@@ -33,19 +33,18 @@ from .embedding import (
 )
 from .guides import GUIDE_EPS, GUIDE_ETA, GuideBuildError, GuideSystem
 from .matching import (
-    POP_MIN,
     BipartitePattern,
     ForestEmbedError,
     covering_matching,
     embed_small_forest,
-    embed_tree_copies,
+    embed_tree_copies,  # noqa: F401 -- perfbench/spans.py probes this name here
     walk_lean_pieces,
 )
 from .params import ParamSchedule
 from .trees import (
     OrientedTree,
     TreePiece,
-    canonical_form_and_order,
+    canonical_forms,
     components,
     induced_subtree,
     max_semidegree,
@@ -218,20 +217,6 @@ def stars_from_decomposition(td: TreeDecomposition) -> list[StarComponent]:
     return out
 
 
-def _star_classes(tree: OrientedTree, stars: list[StarComponent]):
-    """Group multi-vertex stars by (rooted canonical form, attach sign).
-
-    Members are (star, piece, local root, canonical order of the piece).
-    """
-    groups: dict[tuple[str, str], list] = {}
-    for st in stars:
-        piece = induced_subtree(tree, st.vertices)
-        local_root = int(np.searchsorted(piece.labels, st.root))
-        form, order = canonical_form_and_order(piece.tree, local_root)
-        groups.setdefault((form, str(st.sign)), []).append((st, piece, local_root, order))
-    return [groups[k] for k in sorted(groups)]
-
-
 def embed_stars(
     d: Digraph,
     tree: OrientedTree,
@@ -245,9 +230,8 @@ def embed_stars(
     """Embed T' plus all its edge-attached star trees, anchoring t to v.
 
     Single-vertex stars (the bulk) are matched through guide-graph leaf
-    parts, one per attach sign.  Populous multi-vertex classes go through
-    per-class parts plus grafted tree copies; thin classes are walked
-    greedily into a shared pool with their leaves batch-matched.
+    parts, one per attach sign.  The rest are walked greedily from their
+    attach images into a shared pool, with their leaves batch-matched.
     """
     if not 0 <= v < d.n:
         raise ValueError(f"anchor host {v} outside 0..{d.n - 1}")
@@ -264,8 +248,7 @@ class _StarLayout:
 
     parts: list[tuple[list[int], Sign]]
     lean: list[tuple[StarComponent, TreePiece, int]]
-    rich_classes: list[list[tuple[StarComponent, TreePiece, int, list[int]]]]
-    sizes: list[int]   # |V0|, the leaf parts, the rich classes' V2, the pool
+    sizes: list[int]   # |V0|, the leaf parts, the pool
     alpha_hat: float   # measured semidegree excess delta^0(D)/n - 1/2
     mu_count: int      # guide-set size inside V0
 
@@ -286,9 +269,9 @@ def _star_layout(
     singles = [st for st in stars if len(st.vertices) == 1]
     multis = [st for st in stars if len(st.vertices) > 1]
 
-    # Leaf parts: singleton leaves split by sign, rich multi-vertex classes
-    # by class.  Groups too small to feed a matching reliably (guide rows
-    # hit a tiny part too rarely) go through the shared pool instead.  A
+    # Leaf parts: singleton leaves split by sign.  A sign too small to feed
+    # a matching reliably (guide rows hit a tiny part too rarely) goes
+    # through the shared pool instead, as do the multi-vertex stars.  A
     # part of u roots gets floor((1 + part_slack) u) + part_pad hosts.
     part_min = 10
     part_slack = 0.10
@@ -303,23 +286,17 @@ def _star_layout(
             for st in batch:
                 piece = induced_subtree(tree, st.vertices)
                 lean.append((st, piece, 0))
-    rich_classes = []
-    for cls in _star_classes(tree, multis):
-        if len(cls) >= POP_MIN:
-            rich_classes.append(cls)
-            parts.append(([st.root for st, _p, _r, _o in cls], cls[0][0].sign))
-        else:
-            lean.extend((st, piece, local_root) for st, piece, local_root, _o in cls)
+    # Multi-vertex stars follow in a stable sort by (rooted canonical
+    # string, attach sign); the walk order fixes the RNG stream.
+    keyed = []
+    for st in multis:
+        piece = induced_subtree(tree, st.vertices)
+        local_root = int(np.searchsorted(piece.labels, st.root))
+        (form,) = canonical_forms(piece.tree, [local_root])
+        keyed.append(((form, str(st.sign)), (st, piece, local_root)))
+    lean += [member for _key, member in sorted(keyed, key=lambda item: item[0])]
 
-    def sized(batch: list[int]) -> int:
-        return int(math.floor((1 + part_slack) * len(batch))) + part_pad
-
-    part_sizes = [sized(batch) for batch, _ in parts]
-    # Rich-class parts occupy the tail of `parts`, in order.
-    rich_v2_sizes = [
-        (cls[0][1].tree.n - 1) * size
-        for cls, size in zip(rich_classes, part_sizes[len(parts) - len(rich_classes):])
-    ]
+    part_sizes = [int(math.floor((1 + part_slack) * len(batch))) + part_pad for batch, _ in parts]
 
     lean_total = sum(len(st.vertices) for st, _p, _r in lean)
     pool_size = (
@@ -329,7 +306,7 @@ def _star_layout(
     )
 
     core_size = len(tprime)
-    v0_size = n - sum(part_sizes) - sum(rich_v2_sizes) - pool_size
+    v0_size = n - sum(part_sizes) - pool_size
     if v0_size < core_size + 3:
         raise PhaseFailure(
             "stars", "guide-build",
@@ -348,8 +325,8 @@ def _star_layout(
             f"guide budget {mu_count} cannot cover a core of {core_size} in |V0|={v0_size}",
             attempts=1,
         )
-    sizes = [v0_size] + part_sizes + rich_v2_sizes + [pool_size]
-    return _StarLayout(parts, lean, rich_classes, sizes, alpha_hat, mu_count)
+    sizes = [v0_size] + part_sizes + [pool_size]
+    return _StarLayout(parts, lean, sizes, alpha_hat, mu_count)
 
 
 def _embed_stars_once(
@@ -362,7 +339,7 @@ def _embed_stars_once(
     rng: np.random.Generator,
 ) -> Embedding:
     n = d.n
-    parts, lean, rich_classes = layout.parts, layout.lean, layout.rich_classes
+    parts, lean = layout.parts, layout.lean
     for _draw in range(60):
         sets = sample_disjoint_subsets(d, layout.sizes, rng)
         if v in sets[0]:
@@ -371,8 +348,6 @@ def _embed_stars_once(
         raise GuideBuildError(f"anchor {v} never landed in V0 across 60 partitions")
     v0 = sets[0]
     part_targets = sets[1 : 1 + len(parts)]
-    v2_targets = sets[1 + len(parts) : 1 + len(parts) + len(rich_classes)]
-    pool = sets[-1] if lean else np.array([], dtype=np.int64)
 
     guides = GuideSystem(d, GUIDE_EPS, GUIDE_ETA, alpha=layout.alpha_hat)
     guides.restrict(v0, part_targets, layout.mu_count)
@@ -382,25 +357,11 @@ def _embed_stars_once(
         d, core_tree, tprime, parts, [v0] + part_targets, v, guides, rng
     )
 
-    # Graft rich classes: every part vertex roots a copy, so each embedded
-    # attachment root picks up the copy rooted at its own image.
-    for cls, v1, v2 in zip(rich_classes, part_targets[len(parts) - len(rich_classes):], v2_targets):
-        _st, rep_piece, rep_root, rep_order = cls[0]
-        copies = embed_tree_copies(d, rep_piece.tree, rep_root, v1, v2)
-        by_root = {copy[rep_root]: copy for copy in copies}
-        for st, piece, _root, mem_order in cls:
-            copy = by_root[emb[st.root]]
-            labels = piece.labels.tolist()
-            for rv, mv in zip(rep_order, mem_order):
-                tv = labels[mv]
-                if tv == st.root:
-                    continue
-                emb.assign(tv, copy[rv], "graft")
-
     # Lean stars: greedy walk from the attach image, leaves batch-matched.
     # Candidates are read in the iteration order of a set of the pool's
     # hosts, which fixes the RNG stream of these draws.
     if lean:
+        pool = sets[-1]
         free = np.zeros(n, dtype=bool)
         free[pool] = True
         maps = walk_lean_pieces(

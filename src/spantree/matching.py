@@ -8,7 +8,7 @@ from guide rows) supply the incidence matrix directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .digraph import Digraph, Sign
 from .embedding import Embedding, PipelineError, draw_host, greedy_walk
-from .trees import OrientedTree, canonical_forms_and_orders, prefix_order, subtree_sizes
+from .trees import OrientedTree, canonical_forms, prefix_order, subtree_sizes
 
 
 class MatchingError(PipelineError):
@@ -200,16 +200,6 @@ def embed_tree_copies(
     return copies
 
 
-@dataclass
-class ForestClass:
-    """One isomorphism class of forest components."""
-
-    rep: OrientedTree
-    rep_root: int
-    members: list[int] = field(default_factory=list)      # component indices
-    member_maps: list[dict[int, int]] = field(default_factory=list)  # rep vtx -> member vtx
-
-
 def _centroids(tree: OrientedTree) -> list[int]:
     """The one or two vertices minimizing the largest component of T - v."""
     if tree.n == 1:
@@ -229,33 +219,8 @@ def _centroids(tree: OrientedTree) -> list[int]:
     return out
 
 
-def group_components(components: list[OrientedTree]) -> list[ForestClass]:
-    """Group forest components by oriented isomorphism class.
-
-    Each component is rooted at the centroid with the smaller canonical
-    string, a choice invariant under isomorphism, so isomorphic components
-    always join the same class with corresponding canonical orders.  A
-    component with two centroids gets both rootings from one pass.
-    """
-    classes: dict[str, ForestClass] = {}
-    rep_orders: dict[str, list[int]] = {}
-    for idx, comp in enumerate(components):
-        # The (form, root) pairs are distinct, so orders are never compared.
-        roots = _centroids(comp)
-        form, root, order = min(
-            (form, r, order) for r, (form, order) in zip(roots, canonical_forms_and_orders(comp, roots))
-        )
-        if form not in classes:
-            classes[form] = ForestClass(rep=comp, rep_root=root)
-            rep_orders[form] = order
-        cls = classes[form]
-        cls.members.append(idx)
-        cls.member_maps.append(dict(zip(rep_orders[form], order)))
-    return [classes[key] for key in sorted(classes)]
-
-
 class ForestEmbedError(PipelineError):
-    """A small-forest route failed: 'hall-fail', or 'leaf-greedy-fail' when a walk is stuck."""
+    """A small-piece walk failed: 'hall-fail', or 'leaf-greedy-fail' when a walk is stuck."""
 
     cause = "hall-fail"
 
@@ -309,11 +274,6 @@ def walk_lean_pieces(
     return maps
 
 
-# Class population below which block matchings are bypassed: thinner classes
-# are walked and leaf-matched, and thinner star classes share the lean pool.
-POP_MIN = 16
-
-
 def embed_small_forest(
     d: Digraph,
     components: list[OrientedTree],
@@ -321,93 +281,34 @@ def embed_small_forest(
     rng: np.random.Generator,
     pool: np.ndarray | None = None,
 ) -> list[dict[int, int]]:
-    """Vertex-disjoint embedding of a forest of small components.
+    """Vertex-disjoint embedding of a forest of small components into `pool`.
 
-    Components are grouped into isomorphism classes.  Populous classes go
-    through the tree-copies machinery with per-class copy counts
-    p_i * n = t_i + eps*n/(ell*s_i) (floors assigned largest-remainder, so
-    the class targets always fit the pool).  Classes too thin for block
-    matchings are embedded by a rooted greedy walk with all their leaves
-    finished by one covering matching.
+    The forest must leave an eps fraction of the pool free.  Each component
+    is rooted at the centroid with the smaller canonical string, a choice
+    invariant under isomorphism, and `walk_lean_pieces` walks the components
+    in a stable sort by that string (the order fixes the RNG stream), with
+    all their leaves finished by one covering matching.
 
     Returns one vertex map per component.  Raises ForestEmbedError (cause
-    "hall-fail" or "leaf-greedy-fail"; retryable) when a route fails.
+    "hall-fail" or "leaf-greedy-fail"; retryable) when the walk or the
+    matching fails.
     """
-    n = d.n
-    full_pool = np.arange(n, dtype=np.int64) if pool is None else np.asarray(pool, dtype=np.int64)
+    pool = np.arange(d.n, dtype=np.int64) if pool is None else np.asarray(pool, dtype=np.int64)
     total = sum(c.n for c in components)
-    if total > (1 - eps) * len(full_pool):
-        raise ValueError(
-            f"forest too large: {total} vertices into a pool of {len(full_pool)} at eps={eps}"
+    if total > (1 - eps) * len(pool):
+        raise ValueError(f"forest too large: {total} vertices into a pool of {len(pool)} at eps={eps}")
+    keyed = []
+    for comp in components:
+        roots = _centroids(comp)
+        keyed.append(min(zip(canonical_forms(comp, roots), roots)))
+    walk = sorted(range(len(components)), key=lambda i: keyed[i][0])
+    free = np.zeros(d.n, dtype=bool)
+    free[pool] = True
+    try:
+        maps = walk_lean_pieces(
+            d, [(components[i], keyed[i][1], None) for i in walk], free, rng, "forest leaf batch",
         )
-    if not components:
-        return []
-
-    classes = group_components(components)
-    rich = [c for c in classes if len(c.members) >= POP_MIN and c.rep.n >= 2]
-    rich_keys = {id(c) for c in rich}
-    lean = [c for c in classes if id(c) not in rich_keys]
-
-    results: list[dict[int, int] | None] = [None] * len(components)
-    pool_n = len(full_pool)
-    in_pool = np.zeros(n, dtype=bool)
-    in_pool[full_pool] = True
-    free = in_pool.copy()
-
-    # Copies route: per class, p_i*n = t_i + eps*n/(ell*s_i) copies, floored
-    # with largest remainders while the budget lasts.
-    if rich:
-        ell = len(classes)
-        raw = [len(c.members) + eps * pool_n / (ell * c.rep.n) for c in rich]
-        copy_counts = [max(len(c.members), int(np.floor(r))) for c, r in zip(rich, raw)]
-        budget = int(free.sum()) - sum(
-            components[i].n for c in lean for i in c.members
-        )
-
-        def need(counts):
-            return sum(cnt * c.rep.n for cnt, c in zip(counts, rich))
-
-        for idx in sorted(range(len(rich)), key=lambda i: raw[i] - copy_counts[i], reverse=True):
-            trial = list(copy_counts)
-            trial[idx] += 1
-            if need(trial) <= budget:
-                copy_counts = trial
-        if need(copy_counts) > budget:
-            raise ForestEmbedError("class targets exceed the pool", cause="hall-fail")
-
-        avail = np.flatnonzero(free)
-        perm = rng.permutation(len(avail))
-        cursor = 0
-        for c, per in zip(rich, copy_counts):
-            size = per * c.rep.n
-            chunk = avail[perm[cursor : cursor + size]]
-            cursor += size
-            v1 = np.sort(chunk[:per])
-            v2 = np.sort(chunk[per:])
-            try:
-                copies = embed_tree_copies(d, c.rep, c.rep_root, v1, v2)
-            except MatchingError as exc:
-                raise ForestEmbedError(
-                    f"copies route failed for a class of {len(c.members)} components: {exc}",
-                    cause="hall-fail",
-                ) from exc
-            for copy, comp_idx, vmap in zip(copies, c.members, c.member_maps):
-                results[comp_idx] = {vmap[rv]: hv for rv, hv in copy.map.items()}
-                for hv in copy.used:
-                    free[hv] = False
-            # Surplus copies beyond the class population return to the pool.
-
-    # Greedy interior walk + one leaf matching for the thin classes.
-    if lean:
-        slots = [(i, vmap[c.rep_root]) for c in lean for i, vmap in zip(c.members, c.member_maps)]
-        try:
-            maps = walk_lean_pieces(
-                d, [(components[i], root, None) for i, root in slots], free, rng,
-                "forest leaf batch",
-            )
-        except MatchingError as exc:
-            raise ForestEmbedError(f"leaf batch unmatched: {exc}", cause="hall-fail") from exc
-        for (comp_idx, _root), mapping in zip(slots, maps):
-            results[comp_idx] = mapping
-
-    return results  # type: ignore[return-value]
+    except MatchingError as exc:
+        raise ForestEmbedError(f"leaf batch unmatched: {exc}", cause="hall-fail") from exc
+    by_component = dict(zip(walk, maps))
+    return [by_component[i] for i in range(len(components))]

@@ -5,8 +5,8 @@ hierarchy of constants.  At the instance sizes this library targets
 (n roughly 100..5000) the hierarchy cannot be satisfied literally, so the
 constants a caller tunes are explicit, documented knobs here, and a
 schedule validator warns on values out of range.  Desk-scale constants that
-no caller tunes (the guide-graph shape, leaf-part sizing, the forest class
-cutoff, the partition redraws) are defined next to the code that reads them.
+no caller tunes (the guide-graph shape, leaf-part sizing, the partition
+redraws) are defined next to the code that reads them.
 """
 
 from __future__ import annotations

@@ -491,25 +491,16 @@ def gen_random_tree(
     return tree
 
 
-def canonical_form_and_order(tree: OrientedTree, root: int) -> tuple[str, list[int]]:
-    """Canonical string of `tree` rooted at `root`, and its canonical traversal order.
+def canonical_forms(tree: OrientedTree, roots: list[int]) -> list[str]:
+    """The canonical string of `tree` rooted at each r in `roots`, from one pass.
 
-    A vertex's string is "(" + its children's signed strings, sorted, + ")";
-    the order is the preorder visiting children in that sorted order, ties in
-    ascending id.  Isomorphic pairs' orders correspond position-wise.  Children
-    are finished before their parents in one loop over a breadth-first order,
-    so the depth of the tree is not limited by the interpreter's stack.
-    """
-    return canonical_forms_and_orders(tree, [root])[0]
-
-
-def canonical_forms_and_orders(tree: OrientedTree, roots: list[int]) -> list[tuple[str, list[int]]]:
-    """`canonical_form_and_order(tree, r)` for each r in `roots`, from one pass.
-
+    A vertex's string is "(" + its children's signed strings, sorted, + ")".
     `roots` is one vertex or two adjacent ones (a tree's two centroids).  For
     two, the edge between them splits the tree into two halves, each of
     whose strings is formed once; each root's string is its own half's
-    children plus the other half's top string as one more child.
+    children plus the other half's top string as one more child.  Children
+    are finished before their parents in one loop over a breadth-first
+    order, so the depth of the tree is not limited by the interpreter's stack.
     """
     # Each root is the other's parent, so the search covers the two halves
     # and no string crosses the edge between them.
@@ -523,37 +514,19 @@ def canonical_forms_and_orders(tree: OrientedTree, roots: list[int]) -> list[tup
                 parent[u] = v
                 bfs.append(u)
     form: list[str | None] = [None] * tree.n
-    kids: list[list[int]] = [[]] * tree.n
-    half_items: dict[int, list[tuple[str, int]]] = {}
+    half_items: dict[int, list[str]] = {}
     for v in reversed(bfs):
         out_v = tree._out[v]
-        # Children come in ascending id, so sorting by (string, id) is the
-        # stable sort by string.
-        items = sorted(
-            [(("+" if u in out_v else "-") + form[u], u) for u in tree._und[v] if u != parent[v]]
-        )
-        form[v] = "(" + "".join([f for f, _ in items]) + ")"
-        kids[v] = [u for _, u in items]
-        for u in kids[v]:
+        kids = [u for u in tree._und[v] if u != parent[v]]
+        items = sorted([("+" if u in out_v else "-") + form[u] for u in kids])
+        for u in kids:
             form[u] = None  # each string is read once; keeps memory O(n)
+        form[v] = "(" + "".join(items) + ")"
         if v in roots:
             half_items[v] = items
     if len(roots) == 1:
-        return [(form[roots[0]], _preorder(kids, roots[0]))]
-    out = []
-    for r, s in (roots, roots[::-1]):
-        items = sorted(half_items[r] + [(("+" if s in tree._out[r] else "-") + form[s], s)])
-        half_kids, kids[r] = kids[r], [u for _, u in items]
-        out.append(("(" + "".join([f for f, _ in items]) + ")", _preorder(kids, r)))
-        kids[r] = half_kids
-    return out
-
-
-def _preorder(kids: list[list[int]], root: int) -> list[int]:
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(kids[v]))
-    return order
+        return [form[roots[0]]]
+    return [
+        "(" + "".join(sorted(half_items[r] + [("+" if s in tree._out[r] else "-") + form[s]])) + ")"
+        for r, s in (roots, roots[::-1])
+    ]

@@ -775,6 +775,17 @@ class TestSpanning:
             assert verify_embedding(d, tree, emb)
             assert len(emb.used) == 400
 
+    def test_complete_binary_out_arborescence(self):
+        # Its stars fall into classes of hundreds of isomorphic pieces, which
+        # must share the one walked pool: hosts reserved per class would
+        # leave V0 with -134 vertices here.
+        n = 1023
+        tree = OrientedTree(n, [((i - 1) // 2, i) for i in range(1, n)], t=0)
+        d = gen_semidegree_digraph(n, 0.25, np.random.default_rng(7))
+        emb, tele = embed_spanning(d, tree, spanning_defaults(n, 0.25), np.random.default_rng(7))
+        assert verify_embedding(d, tree, emb) and len(emb.used) == n
+        assert tele["phases"]["outer_attempts"] == 1
+
     def test_size_mismatch(self):
         d = complete(50)
         tree = gen_random_tree(40, 3, "uniform", np.random.default_rng(0))

@@ -48,8 +48,12 @@ def test_every_library_definition_is_referenced():
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     units = []     # (id of a top-level statement or a method, the names it mentions)
     defined = []   # (module, name, ids of the units that make up its own definition)
-    for path in sorted((ROOT / "src" / "spantree").glob("*.py")):
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+    # Units are keyed by id(), so every module tree stays alive for the whole
+    # scan: a freed tree's ids can be reused by the next module's nodes.
+    modules = [(path, ast.parse(path.read_text(), filename=str(path)))
+               for path in sorted((ROOT / "src" / "spantree").glob("*.py"))]
+    for path, module in modules:
+        for stmt in module.body:
             methods = []
             if isinstance(stmt, ast.ClassDef):
                 methods = [m for m in stmt.body if isinstance(m, funcs)

@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from spantree.decompose import DecompositionError, decompose
 from spantree.digraph import Sign
-from spantree.matching import _centroids, group_components
+from spantree.matching import _centroids
 from spantree.params import spanning_defaults
 from spantree.trees import FAMILIES as GENERATOR_FAMILIES
 from spantree.trees import (
     OrientedTree,
-    canonical_form_and_order,
-    canonical_forms_and_orders,
+    canonical_forms,
     components,
     find_independent_leaves,
     gen_random_tree,
@@ -480,7 +479,7 @@ def all_free_trees(n):
         w = heapq.heappop(leaves)
         edges.append((u, w))
         und = OrientedTree(n, edges)
-        key = min(canonical_form_and_order(und, r)[0] for r in range(n))
+        key = min(canonical_forms(und, [r])[0] for r in range(n))
         seen.setdefault(key, edges)
     return list(seen.values())
 
@@ -489,12 +488,12 @@ class TestCanonicalForm:
     def test_single_edges_equal(self):
         a = OrientedTree(2, [(0, 1)])
         b = OrientedTree(2, [(0, 1)])
-        assert canonical_form_and_order(a, 0)[0] == canonical_form_and_order(b, 0)[0]
+        assert canonical_forms(a, [0])[0] == canonical_forms(b, [0])[0]
 
     def test_orientation_distinguishes(self):
         a = OrientedTree(2, [(0, 1)])
         b = OrientedTree(2, [(1, 0)])
-        assert canonical_form_and_order(a, 0)[0] != canonical_form_and_order(b, 0)[0]
+        assert canonical_forms(a, [0])[0] != canonical_forms(b, [0])[0]
 
     def test_two_edge_path_orientations_distinct(self):
         # all 4 orientations of the path rooted at an endpoint are distinct
@@ -504,7 +503,7 @@ class TestCanonicalForm:
             [(1, 0), (1, 2)],
             [(1, 0), (2, 1)],
         ]
-        forms = {canonical_form_and_order(OrientedTree(3, e), 0)[0] for e in combos}
+        forms = {canonical_forms(OrientedTree(3, e), [0])[0] for e in combos}
         assert len(forms) == 4
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -519,7 +518,7 @@ class TestCanonicalForm:
                 ]
                 tree = OrientedTree(n, edges)
                 for root in range(n):
-                    objects.append((tree, root, canonical_form_and_order(tree, root)[0]))
+                    objects.append((tree, root, canonical_forms(tree, [root])[0]))
         by_form = {}
         for tree, root, form in objects:
             by_form.setdefault(form, []).append((tree, root))
@@ -542,7 +541,7 @@ class TestCanonicalForm:
                 edges = [(u, v) if b else (v, u) for (u, v), b in zip(shape, bits)]
                 tree = OrientedTree(n, edges)
                 for root in range(n):
-                    objects.append((tree, root, canonical_form_and_order(tree, root)[0]))
+                    objects.append((tree, root, canonical_forms(tree, [root])[0]))
         by_form = {}
         for tree, root, form in objects:
             by_form.setdefault(form, []).append((tree, root))
@@ -870,38 +869,15 @@ class TestTreeViews:
 
 
 def recursive_canon(tree, root):
-    """The recursive canonical form and order that `canonical_form_and_order` replaced."""
+    """The recursive canonical string that `canonical_forms` replaced."""
 
     def rec(v, parent):
-        items = []
-        for u in tree.nbrs(v):
-            if u == parent:
-                continue
-            label = "+" if u in tree.out(v) else "-"
-            sub, sub_order = rec(u, v)
-            items.append((label + sub, sub_order))
-        items.sort(key=lambda it: it[0])
-        order = [v]
-        for _, sub_order in items:
-            order.extend(sub_order)
-        return "(" + "".join(it[0] for it in items) + ")", order
+        items = sorted(
+            ("+" if u in tree.out(v) else "-") + rec(u, v) for u in tree.nbrs(v) if u != parent
+        )
+        return "(" + "".join(items) + ")"
 
     return rec(root, -1)
-
-
-def double_canon_classes(comps):
-    """`group_components` as it was: canonical orders recomputed for the rep and each member."""
-    classes = {}
-    for idx, comp in enumerate(comps):
-        form, root = min((recursive_canon(comp, r)[0], r) for r in _centroids(comp))
-        if form not in classes:
-            classes[form] = (comp, root, [], [])
-        rep, rep_root, members, maps = classes[form]
-        rep_order = recursive_canon(rep, rep_root)[1]
-        mem_order = recursive_canon(comp, root)[1]
-        members.append(idx)
-        maps.append(dict(zip(rep_order, mem_order)))
-    return [classes[key] for key in sorted(classes)]
 
 
 def relabelled(tree, perm):
@@ -915,45 +891,21 @@ class TestIterativeCanon:
         rng = np.random.default_rng(seed)
         tree = gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, rng)
         for root in range(n):
-            assert canonical_form_and_order(tree, root) == recursive_canon(tree, root)
+            assert canonical_forms(tree, [root]) == [recursive_canon(tree, root)]
 
     def test_deep_path(self):
         n = 5000
         tree = path_tree(n)
-        form, order = canonical_form_and_order(tree, 0)
-        assert form == "(+" * (n - 1) + "()" + ")" * (n - 1)
-        assert order == list(range(n))
-        assert canonical_form_and_order(tree, n - 1)[0] == "(-" * (n - 1) + "()" + ")" * (n - 1)
-
-    def test_group_components_on_a_deep_path(self):
-        tree = path_tree(2500, forward=False)
-        (cls,) = group_components([tree, tree.with_t(0)])
-        assert cls.members == [0, 1]
-        assert cls.member_maps == [{v: v for v in range(2500)}] * 2
-
-    @given(st.integers(0, 10_000), st.integers(5, 60), st.sampled_from(FAMILIES))
-    @settings(max_examples=60, deadline=None)
-    def test_group_components_matches_the_double_canon_version(self, seed, n, family):
-        # A mixed forest: the pieces of a random vertex subset, plus relabelled
-        # copies of some, so that classes hold several members.
-        rng = np.random.default_rng(seed)
-        tree = gen_random_tree(n, 3, family, rng)
-        keep = np.flatnonzero(rng.random(n) < 0.7).tolist()
-        comps = [induced_subtree(tree, verts).tree for verts in components(tree, keep)]
-        for comp in list(comps):
-            if rng.random() < 0.5:
-                comps.append(relabelled(comp, rng.permutation(comp.n).tolist()))
-        comps = [comps[i] for i in rng.permutation(len(comps))]
-        got = [(c.rep, c.rep_root, c.members, c.member_maps) for c in group_components(comps)]
-        assert got == double_canon_classes(comps)
+        assert canonical_forms(tree, [0]) == ["(+" * (n - 1) + "()" + ")" * (n - 1)]
+        assert canonical_forms(tree, [n - 1]) == ["(-" * (n - 1) + "()" + ")" * (n - 1)]
 
     @given(st.integers(0, 10_000), st.integers(6, 60))
     @settings(max_examples=60, deadline=None)
     def test_two_centroid_components_match_the_double_canon_version(self, seed, n):
         # Oriented paths on an even number of vertices (two centroids), the
         # legs of a spider with its centre removed, and a spider with a leg of
-        # half the vertices (two centroids again), each with relabelled copies
-        # so that classes hold several members.
+        # half the vertices (two centroids again), each with relabelled copies.
+        # Both roots' strings, from one pass, match two recursive ones.
         rng = np.random.default_rng(seed)
         comps = []
         for k in range(2, 2 * int(rng.integers(2, 8)) + 1):
@@ -968,13 +920,13 @@ class TestIterativeCanon:
         legs += [(0 if (v - half) % 2 else v - 1, v) for v in range(half + 1, n)]
         comps.append(OrientedTree(n, [e if rng.random() < 0.5 else e[::-1] for e in legs]))
         assert _centroids(comps[-1]) == [0, 1]
-        for comp in list(comps):
-            if rng.random() < 0.7:
-                comps.append(relabelled(comp, rng.permutation(comp.n).tolist()))
-        comps = [comps[i] for i in rng.permutation(len(comps))]
+        copies = [(comp, relabelled(comp, rng.permutation(comp.n).tolist()))
+                  for comp in comps if rng.random() < 0.7]
+        comps += [copy for _comp, copy in copies]
         assert sum(len(_centroids(c)) == 2 for c in comps) >= 3
         for comp in comps:
             roots = _centroids(comp)
-            assert canonical_forms_and_orders(comp, roots) == [recursive_canon(comp, r) for r in roots]
-        got = [(c.rep, c.rep_root, c.members, c.member_maps) for c in group_components(comps)]
-        assert got == double_canon_classes(comps)
+            assert canonical_forms(comp, roots) == [recursive_canon(comp, r) for r in roots]
+        # The smaller centroid string, the forest walk's sort key, is the same on every copy.
+        for comp, copy in copies:
+            assert min(canonical_forms(comp, _centroids(comp))) == min(canonical_forms(copy, _centroids(copy)))

@@ -45,7 +45,8 @@ v0, part = sample_disjoint_subsets(host, [150, 250], rng)
 system.restrict(v0, [part], mu_count=20)
 restricted = system.get(7, Sign.PLUS)
 print(f"\nrestricted guide set size: {len(restricted.guide)} (all inside V0)")
-sub = restricted.hplus[:, part]
+# The system keeps audited entries bit-packed; `row` unpacks one H row.
+sub = np.array([restricted.row(w, Sign.PLUS) for w in restricted.guide])[:, part]
 print(f"row degrees into the part: min={int(sub.sum(axis=1).min())}, "
       f"mean={sub.sum(axis=1).mean():.1f}")
 print(f"part back-degrees: max={int(sub.sum(axis=0).max())}")

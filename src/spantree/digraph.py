@@ -31,6 +31,10 @@ class Sign(enum.Enum):
 
 SIGNS = (Sign.PLUS, Sign.MINUS)
 
+# Rows per block where a whole-host gather would otherwise make an n^2-scale
+# temporary: a block costs ROW_BLOCK x n bools.
+ROW_BLOCK = 256
+
 
 class Digraph:
     """Immutable digraph: at most one edge per ordered pair, no loops.
@@ -157,11 +161,24 @@ class Digraph:
         return int(self.adj_row(v, sign).sum())
 
     def induce(self, vertices: np.ndarray) -> tuple["Digraph", np.ndarray]:
-        """Induced subdigraph plus the new-index -> original-vertex labels."""
+        """Induced subdigraph plus the new-index -> original-vertex labels.
+
+        Raises ValueError on an id outside 0..n-1 or given twice.
+        """
         labels = np.asarray(sorted(int(v) for v in vertices), dtype=np.int64)
-        # Same matrix as mat[np.ix_(labels, labels)]; gathering whole rows first
-        # and then taking columns avoids the slow 2-D fancy-index path.
-        sub = self.mat[labels].take(labels, axis=1)
+        bad = labels[(labels < 0) | (labels >= self.n)]
+        if len(bad):
+            raise ValueError(f"vertex {int(bad[0])} outside 0..{self.n - 1}")
+        twice = labels[1:][labels[1:] == labels[:-1]]
+        if len(twice):
+            raise ValueError(f"vertex {int(twice[0])} given twice")
+        # Same matrix as mat[np.ix_(labels, labels)], gathered in row blocks:
+        # whole rows first, then their columns, which avoids the slow 2-D
+        # fancy-index path and any len(labels) x n temporary.
+        sub = np.empty((len(labels), len(labels)), dtype=bool)
+        for start in range(0, len(labels), ROW_BLOCK):
+            rows = labels[start : start + ROW_BLOCK]
+            sub[start : start + len(rows)] = self.mat[rows].take(labels, axis=1)
         return Digraph(len(labels), sub), labels
 
 
@@ -191,8 +208,8 @@ def gen_semidegree_digraph(n: int, alpha: float, rng: np.random.Generator) -> Di
     # Row blocks draw the same stream as one rng.random((n, n)) call, without
     # its n x n float64 temporary.
     mat = np.empty((n, n), dtype=bool)
-    for start in range(0, n, 256):
-        block = mat[start : start + 256]
+    for start in range(0, n, ROW_BLOCK):
+        block = mat[start : start + ROW_BLOCK]
         np.less(rng.random(block.shape), prob, out=block)
     np.fill_diagonal(mat, False)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .decompose import DecompositionError, PathPiece, TreeDecomposition, decompose
 from .digraph import (
+    ROW_BLOCK,
     SIGNS,
     Digraph,
     Sign,
@@ -742,6 +743,13 @@ class AbsorberState:
     swap_count: int              # |rest| - 1
 
 
+def _arc_rows(d: Digraph, heads: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """Bool rows over all n hosts: row r is N^-(heads[r]) where into[r], else N^+(heads[r])."""
+    rows = d.mat[heads]
+    rows[into] = np.unpackbits(d.in_packed[heads[into]], axis=1, count=d.n).view(np.bool_)
+    return rows
+
+
 def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | None = None) -> int:
     """Least switchable-index count over both signs and all host pairs x != y.
 
@@ -761,59 +769,85 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | Non
     no pair off that block counts fewer than one inside it: (Xb Mb)[x, y] <=
     min(a[x], b[y]), and both index sets hold all ell >= 2 trunk images (the
     host has no loops and every trunk vertex has a neighbour).  So only the
-    block goes through BLAS; on a complete host it is ell x ell.  Counts stay
-    below 2**24, so float32 holds them exactly.
+    block goes through BLAS, in ROW_BLOCK x ROW_BLOCK tiles; on a complete
+    host it is ell x ell.  Counts stay below 2**24, so float32 holds them
+    exactly in any summation order.
+
+    Memory: a, b and the Mb columns are read in blocks of ROW_BLOCK trunk
+    indices straight from `d.mat` and `d.in_packed`, so every temporary is
+    O(ROW_BLOCK x n); the exact route keeps Mb's columns b > 0 bit-packed.
     """
     n = d.n
     ell = len(hosts)
-    # Rows of no_arc: [k, y] = no arc hosts[k] -> y, then [ell + k, y] = no
-    # arc y -> hosts[k].  For sign + the latter block is Xb transposed, for -
-    # the former; both also carry every row Mb is an OR of.
-    no_arc = np.empty((2 * ell, n), dtype=bool)
-    np.logical_not(d.mat[hosts], out=no_arc[:ell])
-    np.logical_not(
-        np.unpackbits(d.in_packed[hosts], axis=1, count=n).view(np.bool_), out=no_arc[ell:]
-    )
-
     # Each trunk arc u -> w blocks y at u by "no arc y -> host(w)" and at w
-    # by "no arc host(u) -> y".  Every index past the root has one parent, so
-    # the child side is one gather; parents OR in one row per child, one
-    # batch per sibling rank (the parents within a batch are distinct).
+    # by "no arc host(u) -> y".  Every index past the root has one parent,
+    # which gives it one row; parents AND in one row per child, read off the
+    # children sorted by parent, one batch per sibling rank (the parents
+    # within a batch are distinct).
     parent = np.asarray(order.parent_index[1:], dtype=np.int64)
     minus = np.fromiter((s is Sign.MINUS for s in order.sign[1:]), dtype=bool, count=ell - 1)
-    blocked = np.zeros((ell, n), dtype=bool)
-    blocked[1:] = no_arc[parent + ell * minus]
     by_parent = np.argsort(parent, kind="stable")
     grouped = parent[by_parent]
-    rank = np.arange(ell - 1) - np.searchsorted(grouped, grouped)
-    from_child = np.arange(1, ell) + ell * ~minus
-    for r in range(int(rank.max(initial=-1)) + 1):
-        batch = by_parent[rank == r]
-        blocked[parent[batch]] |= no_arc[from_child[batch]]
+
+    def take_over(start: int, stop: int) -> np.ndarray:
+        """[i - start, y] = y can take over trunk index i, for start <= i < stop."""
+        first = max(start, 1)
+        pos = np.arange(first - 1, stop - 1)
+        ok = _arc_rows(d, hosts[parent[pos]], minus[pos])
+        if start == 0:   # the root: only its children's rows
+            ok = np.vstack((np.ones((1, n), dtype=bool), ok))
+        lo, hi = np.searchsorted(grouped, [start, stop])
+        for chunk in range(lo, hi, ROW_BLOCK):
+            pos = by_parent[chunk : min(chunk + ROW_BLOCK, hi)]
+            par = parent[pos]
+            rows = _arc_rows(d, hosts[pos + 1], ~minus[pos])
+            rank = np.arange(len(par)) - np.searchsorted(par, par)
+            for r in range(int(rank.max()) + 1):
+                sibling = rank == r
+                ok[par[sibling] - start] &= rows[sibling]
+        return ok
 
     # Bool sums in the smallest dtype that holds ell: a wider one makes numpy
-    # cast through a buffer.
+    # cast through a buffer.  Rows: y can take over; arcs hosts[k] -> y;
+    # arcs y -> hosts[k].
     count_dtype = np.min_scalar_type(ell)
-    b = blocked.sum(axis=0, dtype=count_dtype)
-    xb_ts = (no_arc[ell:], no_arc[:ell])   # Xb transposed, sign + then -
-    a_by_sign = [xb_t.sum(axis=0, dtype=count_dtype) for xb_t in xb_ts]
+    sums = np.zeros((3, n), dtype=count_dtype)
+    for start in range(0, ell, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, ell)
+        block = hosts[start:stop]
+        sums[0] += take_over(start, stop).sum(axis=0, dtype=count_dtype)
+        sums[1] += d.mat[block].sum(axis=0, dtype=count_dtype)
+        in_rows = np.unpackbits(d.in_packed[block], axis=1, count=n).view(np.bool_)
+        sums[2] += in_rows.sum(axis=0, dtype=count_dtype)
+    b = ell - sums[0]
+    a_by_sign = (ell - sums[2], ell - sums[1])   # Xb row sums, sign + then -
     bound = ell - max(int(a.max()) for a in a_by_sign) - int(b.max())
     if threshold is not None and bound >= threshold:
         return bound
 
     ry = np.flatnonzero(b)
-    blocked_ry = blocked[:, ry].astype(np.float32)
+    mb_ry = np.empty((ell, (len(ry) + 7) // 8), dtype=np.uint8)   # Mb[:, ry], packed
+    for start in range(0, ell, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, ell)
+        mb_ry[start:stop] = np.packbits(~take_over(start, stop)[:, ry], axis=1)
     slot_in_ry = np.full(n, -1, dtype=np.int64)
     slot_in_ry[ry] = np.arange(len(ry))
     floor = ell
-    for xb_t, a in zip(xb_ts, a_by_sign):
+    for into, a in zip((False, True), a_by_sign):
         rx = np.flatnonzero(a)
-        block = xb_t[:, rx].astype(np.float32).T @ blocked_ry
-        block -= a[rx].astype(np.float32)[:, None]
-        block -= b[ry].astype(np.float32)
-        same = np.flatnonzero(slot_in_ry[rx] >= 0)
-        block[same, slot_in_ry[rx[same]]] = np.inf
-        floor = min(floor, ell + int(block.min()))
+        for xs in range(0, len(rx), ROW_BLOCK):
+            x = rx[xs : xs + ROW_BLOCK]
+            xb = (~_arc_rows(d, x, np.full(len(x), into)).take(hosts, axis=1)).astype(np.float32)
+            slot = slot_in_ry[x]
+            for ys in range(0, len(ry), ROW_BLOCK):
+                y = ry[ys : ys + ROW_BLOCK]
+                mb = np.unpackbits(mb_ry[:, ys // 8 : (ys + ROW_BLOCK) // 8], axis=1, count=len(y))
+                tile = xb @ mb.astype(np.float32)
+                tile -= a[x].astype(np.float32)[:, None]
+                tile -= b[y].astype(np.float32)
+                same = np.flatnonzero((slot >= ys) & (slot < ys + len(y)))
+                tile[same, slot[same] - ys] = np.inf
+                floor = min(floor, ell + int(tile.min()))
     return floor
 
 

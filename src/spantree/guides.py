@@ -14,7 +14,7 @@ xy-labelings depend on the host alone and survive it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,7 +106,11 @@ def build_xy_labeling(d: Digraph, v: int, sign: Sign, alpha: float) -> XYLabelin
 
 @dataclass
 class GuideEntry:
-    """Guide set A for (v, sign) plus guide graphs H^+, H^- from A into V(D)."""
+    """Guide set A for (v, sign) plus guide graphs H^+, H^- from A into V(D).
+
+    `GuideSystem` keeps each audited entry `packed`: its H rows hold eight
+    hosts a byte, `h` returns them so, and `row` unpacks the one it reads.
+    """
 
     v: int
     sign: Sign
@@ -115,6 +119,7 @@ class GuideEntry:
     hminus: np.ndarray           # bool |A| x n; row i: in-edges  of guide[i] in H^-
     edges_per_row: int           # ceil(eps * n)
     row_index: dict[int, int] = field(default_factory=dict)
+    packed_n: int | None = None  # n when hplus and hminus are packbits(..., axis=1)
 
     def __post_init__(self):
         if not self.row_index:
@@ -124,7 +129,19 @@ class GuideEntry:
         return self.hplus if circ is Sign.PLUS else self.hminus
 
     def row(self, host_vertex: int, circ: Sign) -> np.ndarray:
-        return self.h(circ)[self.row_index[int(host_vertex)]]
+        """Bool row over all n hosts: the H^circ edges of guide vertex `host_vertex`."""
+        row = self.h(circ)[self.row_index[int(host_vertex)]]
+        if self.packed_n is None:
+            return row
+        return np.unpackbits(row, count=self.packed_n).view(np.bool_)
+
+    def packed(self) -> "GuideEntry":
+        """This entry with read-only bit-packed H rows; a shared H^- stays shared."""
+        hplus = np.packbits(self.hplus, axis=1)
+        hminus = hplus if self.hminus is self.hplus else np.packbits(self.hminus, axis=1)
+        hplus.setflags(write=False)
+        hminus.setflags(write=False)
+        return replace(self, hplus=hplus, hminus=hminus, packed_n=self.hplus.shape[1])
 
 
 def build_guide(
@@ -319,8 +336,9 @@ class GuideSystem:
 
     `restrict` installs random sets V0 and target parts; `get` then draws the
     guide set for (v, sign) inside N^sign(v) cap V0, with rows still spanning
-    the host, and audits every part (Q2-Q3).  Entries are cached until the
-    next `restrict`; the xy-labelings depend only on the host and survive it.
+    the host, and audits every part (Q2-Q3).  Audited entries are cached,
+    with their H rows bit-packed, until the next `restrict`; the xy-labelings
+    depend only on the host and survive it.
     """
 
     def __init__(
@@ -370,7 +388,7 @@ class GuideSystem:
                 v0_mask=ctx.v0_mask, size=ctx.mu_count,
             )
             _audit_parts(self.d, entry, ctx)
-            self._entries[key] = entry
+            self._entries[key] = entry.packed()
         return self._entries[key]
 
 

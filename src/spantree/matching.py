@@ -75,12 +75,24 @@ class Matching:
 
 
 def _raw_matching(adj: np.ndarray) -> np.ndarray:
-    """Row -> matched column (or -1), via augmenting paths in compiled code."""
+    """Row -> matched column (or -1), via augmenting paths in compiled code.
+
+    The CSR form is built directly, the same arrays `csr_matrix(adj)` holds:
+    `indptr` from the row sums, and the column ids of the set entries read
+    in row order off a broadcast column-id view, so the only temporaries are
+    the CSR arrays themselves (csr_matrix(adj) goes through int64
+    coordinates of every entry).
+    """
     nl, nr = adj.shape
     if nl == 0 or nr == 0:
         return np.full(nl, -1, dtype=np.int64)
+    index_dtype = np.int32 if adj.size < 2**31 else np.int64
+    indptr = np.zeros(nl + 1, dtype=index_dtype)
+    np.cumsum(adj.sum(axis=1), out=indptr[1:])
+    indices = np.broadcast_to(np.arange(nr, dtype=index_dtype), adj.shape)[adj]
+    graph = csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=adj.shape)
     # scipy returns, for each row, the matched column (or -1).
-    return maximum_bipartite_matching(csr_matrix(adj), perm_type="column").astype(np.int64)
+    return maximum_bipartite_matching(graph, perm_type="column").astype(np.int64)
 
 
 def _violator_rows(adj: np.ndarray, col_of_row: np.ndarray) -> np.ndarray:

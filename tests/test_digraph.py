@@ -218,3 +218,25 @@ class TestDerivedAdjacency:
         assert (sub.mat == d.mat[np.ix_(labels, labels)]).all()
         assert sub.mat.flags.c_contiguous and not sub.mat.flags.writeable
         assert not np.shares_memory(sub.mat, d.mat)
+
+    def test_induce_across_row_blocks(self):
+        # 255 to 700 labels: one row block short of ROW_BLOCK, exactly one,
+        # one past it, and several with a ragged last block.
+        rng = np.random.default_rng(23)
+        mat = rng.random((900, 900)) < 0.5
+        np.fill_diagonal(mat, False)
+        d = Digraph(900, mat)
+        for size in (255, 256, 257, 512, 700):
+            picked = rng.permutation(900)[:size]
+            sub, labels = d.induce(picked)
+            assert labels.tolist() == sorted(picked.tolist())
+            assert (sub.mat == mat[np.ix_(labels, labels)]).all()
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([1, 1, 2], "vertex 1 given twice"),
+        ([-1, 2], "vertex -1 outside 0..9"),
+        ([3, 10], "vertex 10 outside 0..9"),
+    ])
+    def test_induce_rejects_repeated_and_outside_ids(self, vertices, message):
+        with pytest.raises(ValueError, match=message):
+            complete(10).induce(vertices)

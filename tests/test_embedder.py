@@ -709,6 +709,48 @@ class TestPropertySFloor:
             tracemalloc.stop()
         assert peak < 1.75 * n * n
 
+    def test_floor_across_row_blocks(self):
+        # Trunks of 400 to 700 indices span several blocks of ROW_BLOCK trunk
+        # indices, and the wide spider's root has more children than one chunk.
+        rng = np.random.default_rng(31)
+        n = 720
+        for kind, family, cap, ell in (
+            ("p0.98", "uniform", 3, 700), ("p0.7", "caterpillar", 3, 560),
+            ("minus-arcs", "spider", 400, 650), ("p0.98", "spider", 400, 400),
+        ):
+            d = self.host(kind, n, rng)
+            tree = gen_random_tree(ell, cap, family, rng)
+            order = prefix_order(tree, 0, "leaves_last_middles_consecutive")
+            hosts = rng.permutation(n)[:ell].astype(np.int64)
+            floor, m = full_property_s_floor(d, tree, order, hosts)
+            max_a = ell - min(d.mat[:, hosts].sum(axis=1).min(), d.mat[hosts].sum(axis=0).min())
+            bound = ell - int(max_a) - int(ell - m.sum(axis=1).min())
+            assert _property_s_floor(d, order, hosts) == floor
+            assert _property_s_floor(d, order, hosts, bound) == bound
+            assert _property_s_floor(d, order, hosts, bound + 1) == floor
+
+    @pytest.mark.parametrize("family, cap", [("uniform", 3), ("spider", 300)])
+    def test_certificate_peak_in_row_blocks(self, family, cap):
+        # A trunk over all 600 hosts of the complete host.  The whole-trunk
+        # arrays (2 ell x n non-arcs, ell x n blocked rows and their gathers)
+        # peaked at 4.2 and 5.0 n^2 bytes on the bound route, and the float32
+        # count blocks at 19 n^2 on the exact route.
+        n = 600
+        d = complete(n)
+        d.in_packed  # warm the host's cache
+        tree = gen_random_tree(n, cap, family, np.random.default_rng(1))
+        order = prefix_order(tree, 0, "leaves_last_middles_consecutive")
+        hosts = np.random.default_rng(2).permutation(n)
+        for threshold, limit in ((0, 3 * n * n), (None, 8 * n * n)):
+            tracemalloc.start()
+            try:
+                floor = _property_s_floor(d, order, hosts, threshold)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert floor > 0
+            assert peak < limit
+
     def test_s_fail_message_keeps_its_floor(self):
         # Message recorded with the dense certificate.
         n = 160

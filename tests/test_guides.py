@@ -239,6 +239,39 @@ class TestRestriction:
         assert "('Q3', 3, '+', '-', 0, 30, 23)" in str(info.value)
         assert "Q2" not in str(info.value)
 
+class TestPackedEntries:
+    @pytest.mark.parametrize("sign", SIGNS)
+    def test_system_rows_are_the_built_rows(self, sign):
+        # n = 203 is not a multiple of 8: the last byte of each packed row pads.
+        n = 203
+        d = gen_semidegree_digraph(n, 0.3, np.random.default_rng(8))
+        system = GuideSystem(d, eps=0.1, eta=1.0, alpha=0.3)
+        v0, part = sample_disjoint_subsets(d, [70, 100], np.random.default_rng(9))
+        system.restrict(v0, [part], mu_count=12)
+        entry = system.get(5, sign)
+        built = build_guide(d, 5, sign, 0.1, 1.0, 12 / n, alpha=0.3, labeling=system.labeling(5, sign),
+                            v0_mask=system.context.v0_mask, size=12)
+        assert (entry.guide == built.guide).all()
+        assert entry.hplus.dtype == np.uint8 and entry.hplus.shape == (12, (n + 7) // 8)
+        assert entry.hminus is entry.hplus and not entry.hplus.flags.writeable
+        for i, w in enumerate(built.guide):
+            for circ in SIGNS:
+                row = entry.row(w, circ)
+                assert row.dtype == np.bool_ and row.shape == (n,)
+                assert (row == built.h(circ)[i]).all()
+
+    def test_packed_shuffled_entry_keeps_both_graphs(self):
+        d = gen_semidegree_digraph(150, 0.24, np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        lab = XYLabeling(9, Sign.MINUS, rng.permutation(150), rng.permutation(150), 1)
+        entry = build_guide(d, 9, Sign.MINUS, 0.05, 0.1, 0.2, alpha=0.24, labeling=lab)
+        packed = entry.packed()
+        assert packed.hminus is not packed.hplus and not packed.hminus.flags.writeable
+        for w in entry.guide:
+            for circ in SIGNS:
+                assert (packed.row(w, circ) == entry.row(w, circ)).all()
+
+
 class TestGuideSystemCaching:
     def test_get_before_restrict_raises(self):
         system = GuideSystem(complete(40), eps=0.1, eta=1.0, alpha=0.4)

@@ -432,6 +432,16 @@ class TestSpanningRngContract:
                     got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
                 assert tuple(got) == SPANNING_DIGESTS[family, n, alpha], (n, alpha)
 
+    def test_reference_call_at_n_4000(self):
+        # The scaling record's reference call: its certificate, V1 gather and
+        # leaf batches cross many seams of ROW_BLOCK rows, which n <= 800 barely do.
+        n = 4000
+        d = gen_semidegree_digraph(n, 0.25, np.random.default_rng(1))
+        tree = gen_random_tree(n, 3, "uniform", np.random.default_rng(2))
+        emb, _telemetry = embed_spanning(d, tree, spanning_defaults(n, 0.25), np.random.default_rng(2))
+        text = json.dumps(sorted(emb.map.items()))
+        assert hashlib.sha256(text.encode()).hexdigest()[:12] == "e57a01e2b289"
+
 
 def backward_path_host(n):
     """Every host arc runs i -> i-1."""

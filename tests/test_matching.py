@@ -1,15 +1,19 @@
 import functools
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from spantree.digraph import Digraph, Sign, gen_semidegree_digraph, sample_disjoint_subsets
 from spantree.embedding import is_valid_embedding
 from spantree.matching import (
     BipartitePattern,
     MatchingError,
+    _raw_matching,
     covering_matching,
     embed_small_forest,
     embed_tree_copies,
@@ -79,6 +83,31 @@ class TestMaxMatching:
         adj = (rng.random((8, 8)) < 0.5) | np.eye(8, dtype=bool)
         p = BipartitePattern.explicit(np.arange(8), np.arange(8), Sign.PLUS, adj)
         assert covering_matching(p).pairs == covering_matching(p).pairs
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
+    def test_direct_csr_is_the_coo_route(self, rows):
+        # 640 columns, so a dense pattern of 600 rows holds 384,000 entries.
+        rng = np.random.default_rng(rows)
+        for density in (1.0, 0.98, 0.75):
+            adj = rng.random((rows, 640)) < density
+            want = maximum_bipartite_matching(csr_matrix(adj), perm_type="column")
+            assert (_raw_matching(adj) == want).all()
+
+    def test_direct_csr_peak_below_the_coo_route(self):
+        # csr_matrix(dense) goes through int64 coordinates of every entry;
+        # the direct build holds only the CSR arrays.
+        adj = np.ones((600, 640), dtype=bool)
+        peaks = []
+        for route in (lambda: maximum_bipartite_matching(csr_matrix(adj), perm_type="column"),
+                      lambda: _raw_matching(adj)):
+            tracemalloc.start()
+            try:
+                route()
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] / 2
 
     def test_dump_format(self):
         p = BipartitePattern.explicit([2, 1], [5, 6], Sign.PLUS, np.eye(2, dtype=bool))

@@ -29,7 +29,7 @@ from .embedder import (
     embed_core_with_leaf_sets,
 )
 from .embedding import Embedding, PipelineError
-from .guides import GuideEntry, GuideSystem, XYLabeling, build_guide, build_xy_labeling, restrict_guides
+from .guides import GuideEntry, GuideSystem, PackedGuide, XYLabeling, build_guide, build_xy_labeling, restrict_guides
 from .matching import (
     BipartitePattern,
     Matching,

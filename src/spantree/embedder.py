@@ -743,6 +743,13 @@ class AbsorberState:
     swap_count: int              # |rest| - 1
 
 
+# Side of the float32 tiles of the exact property-S count.  Narrower tiles
+# cost BLAS time: 680-wide tiles took 1.25 times one whole product for
+# ell = 1500 and n = 4000 (one thread, 2-core x86 box), 2048-wide ones 1.03.
+# A multiple of 8, so each tile starts on a whole byte of the packed Mb.
+PRODUCT_TILE = 8 * ROW_BLOCK
+
+
 def _arc_rows(d: Digraph, heads: np.ndarray, into: np.ndarray) -> np.ndarray:
     """Bool rows over all n hosts: row r is N^-(heads[r]) where into[r], else N^+(heads[r])."""
     rows = d.mat[heads]
@@ -769,13 +776,15 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | Non
     no pair off that block counts fewer than one inside it: (Xb Mb)[x, y] <=
     min(a[x], b[y]), and both index sets hold all ell >= 2 trunk images (the
     host has no loops and every trunk vertex has a neighbour).  So only the
-    block goes through BLAS, in ROW_BLOCK x ROW_BLOCK tiles; on a complete
-    host it is ell x ell.  Counts stay below 2**24, so float32 holds them
-    exactly in any summation order.
+    block goes through BLAS, both signs' rows stacked, in tiles of
+    PRODUCT_TILE hosts a side; on a complete host it is 2 ell x ell.  Every
+    partial sum is an integer below 3 ell < 2**24 in size, so float32 holds
+    it exactly in any summation order.
 
     Memory: a, b and the Mb columns are read in blocks of ROW_BLOCK trunk
-    indices straight from `d.mat` and `d.in_packed`, so every temporary is
-    O(ROW_BLOCK x n); the exact route keeps Mb's columns b > 0 bit-packed.
+    indices straight from `d.mat` and `d.in_packed`, so the bound route's
+    temporaries are O(ROW_BLOCK x n).  The exact route keeps Mb's columns
+    b > 0 bit-packed and holds O(PRODUCT_TILE x n) float32 at a time.
     """
     n = d.n
     ell = len(hosts)
@@ -825,6 +834,8 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | Non
     if threshold is not None and bound >= threshold:
         return bound
 
+    # The take-over rows are read again rather than packed during the sums:
+    # most attempts end at the bound, and this pass is a few percent here.
     ry = np.flatnonzero(b)
     mb_ry = np.empty((ell, (len(ry) + 7) // 8), dtype=np.uint8)   # Mb[:, ry], packed
     for start in range(0, ell, ROW_BLOCK):
@@ -832,23 +843,35 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | Non
         mb_ry[start:stop] = np.packbits(~take_over(start, stop)[:, ry], axis=1)
     slot_in_ry = np.full(n, -1, dtype=np.int64)
     slot_in_ry[ry] = np.arange(len(ry))
-    floor = ell
-    for into, a in zip((False, True), a_by_sign):
-        rx = np.flatnonzero(a)
-        for xs in range(0, len(rx), ROW_BLOCK):
-            x = rx[xs : xs + ROW_BLOCK]
-            xb = (~_arc_rows(d, x, np.full(len(x), into)).take(hosts, axis=1)).astype(np.float32)
-            slot = slot_in_ry[x]
-            for ys in range(0, len(ry), ROW_BLOCK):
-                y = ry[ys : ys + ROW_BLOCK]
-                mb = np.unpackbits(mb_ry[:, ys // 8 : (ys + ROW_BLOCK) // 8], axis=1, count=len(y))
-                tile = xb @ mb.astype(np.float32)
-                tile -= a[x].astype(np.float32)[:, None]
-                tile -= b[y].astype(np.float32)
-                same = np.flatnonzero((slot >= ys) & (slot < ys + len(y)))
-                tile[same, slot[same] - ys] = np.inf
-                floor = min(floor, ell + int(tile.min()))
-    return floor
+    # The rows of Xb: hosts with a > 0 for sign +, then for sign -.  Each Xb
+    # row ends in (-a[x], 1) and each Mb column in (1, -b[y]), so the product
+    # tile is count - ell outright.
+    rx = [np.flatnonzero(a) for a in a_by_sign]
+    x_all = np.concatenate(rx)
+    into = np.repeat([False, True], [len(r) for r in rx])
+    minus_a = -np.concatenate([a[r] for a, r in zip(a_by_sign, rx)]).astype(np.float32)
+    minus_b = -b.astype(np.float32)
+    floor = np.inf   # a float across tiles: a tile of one x == y pair holds only inf
+    for xs in range(0, len(x_all), PRODUCT_TILE):
+        x, x_into = x_all[xs : xs + PRODUCT_TILE], into[xs : xs + PRODUCT_TILE]
+        xb = np.empty((len(x), ell + 2), dtype=np.float32)
+        for r in range(0, len(x), ROW_BLOCK):
+            rows = slice(r, r + ROW_BLOCK)
+            xb[rows, :ell] = ~_arc_rows(d, x[rows], x_into[rows]).take(hosts, axis=1)
+        xb[:, ell] = minus_a[xs : xs + PRODUCT_TILE]
+        xb[:, ell + 1] = 1
+        slot = slot_in_ry[x]
+        for ys in range(0, len(ry), PRODUCT_TILE):
+            y = ry[ys : ys + PRODUCT_TILE]
+            mb = np.empty((ell + 2, len(y)), dtype=np.float32)
+            mb[:ell] = np.unpackbits(mb_ry[:, ys // 8 : (ys + len(y) + 7) // 8], axis=1, count=len(y))
+            mb[ell] = 1
+            mb[ell + 1] = minus_b[y]
+            tile = xb @ mb
+            same = np.flatnonzero((slot >= ys) & (slot < ys + len(y)))
+            tile[same, slot[same] - ys] = np.inf
+            floor = min(floor, tile.min())
+    return ell + int(floor)
 
 
 def build_absorber(

@@ -14,7 +14,7 @@ xy-labelings depend on the host alone and survive it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,11 +106,7 @@ def build_xy_labeling(d: Digraph, v: int, sign: Sign, alpha: float) -> XYLabelin
 
 @dataclass
 class GuideEntry:
-    """Guide set A for (v, sign) plus guide graphs H^+, H^- from A into V(D).
-
-    `GuideSystem` keeps each audited entry `packed`: its H rows hold eight
-    hosts a byte, `h` returns them so, and `row` unpacks the one it reads.
-    """
+    """Guide set A for (v, sign) plus guide graphs H^+, H^- from A into V(D)."""
 
     v: int
     sign: Sign
@@ -119,7 +115,6 @@ class GuideEntry:
     hminus: np.ndarray           # bool |A| x n; row i: in-edges  of guide[i] in H^-
     edges_per_row: int           # ceil(eps * n)
     row_index: dict[int, int] = field(default_factory=dict)
-    packed_n: int | None = None  # n when hplus and hminus are packbits(..., axis=1)
 
     def __post_init__(self):
         if not self.row_index:
@@ -129,19 +124,36 @@ class GuideEntry:
         return self.hplus if circ is Sign.PLUS else self.hminus
 
     def row(self, host_vertex: int, circ: Sign) -> np.ndarray:
-        """Bool row over all n hosts: the H^circ edges of guide vertex `host_vertex`."""
-        row = self.h(circ)[self.row_index[int(host_vertex)]]
-        if self.packed_n is None:
-            return row
-        return np.unpackbits(row, count=self.packed_n).view(np.bool_)
+        return self.h(circ)[self.row_index[int(host_vertex)]]
 
-    def packed(self) -> "GuideEntry":
-        """This entry with read-only bit-packed H rows; a shared H^- stays shared."""
-        hplus = np.packbits(self.hplus, axis=1)
-        hminus = hplus if self.hminus is self.hplus else np.packbits(self.hminus, axis=1)
+
+@dataclass(frozen=True)
+class PackedGuide:
+    """An audited guide entry as `GuideSystem` caches it: H rows eight hosts a byte.
+
+    `row` is the one reader of H; it unpacks the row it reads.
+    """
+
+    v: int
+    sign: Sign
+    guide: np.ndarray            # A, in construction-round order
+    row_index: dict[int, int]
+    _n: int
+    _hplus: np.ndarray           # packbits(H^+, axis=1), read-only
+    _hminus: np.ndarray          # packbits(H^-, axis=1); _hplus itself when H^- is H^+
+
+    @classmethod
+    def of(cls, entry: GuideEntry) -> PackedGuide:
+        hplus = np.packbits(entry.hplus, axis=1)
+        hminus = hplus if entry.hminus is entry.hplus else np.packbits(entry.hminus, axis=1)
         hplus.setflags(write=False)
         hminus.setflags(write=False)
-        return replace(self, hplus=hplus, hminus=hminus, packed_n=self.hplus.shape[1])
+        return cls(entry.v, entry.sign, entry.guide, entry.row_index, entry.hplus.shape[1], hplus, hminus)
+
+    def row(self, host_vertex: int, circ: Sign) -> np.ndarray:
+        """Bool row over all n hosts: the H^circ edges of guide vertex `host_vertex`."""
+        packed = self._hplus if circ is Sign.PLUS else self._hminus
+        return np.unpackbits(packed[self.row_index[int(host_vertex)]], count=self._n).view(np.bool_)
 
 
 def build_guide(
@@ -336,9 +348,9 @@ class GuideSystem:
 
     `restrict` installs random sets V0 and target parts; `get` then draws the
     guide set for (v, sign) inside N^sign(v) cap V0, with rows still spanning
-    the host, and audits every part (Q2-Q3).  Audited entries are cached,
-    with their H rows bit-packed, until the next `restrict`; the xy-labelings
-    depend only on the host and survive it.
+    the host, and audits every part (Q2-Q3).  Audited entries are cached as
+    `PackedGuide`s until the next `restrict`; the xy-labelings depend only on
+    the host and survive it.
     """
 
     def __init__(
@@ -353,7 +365,7 @@ class GuideSystem:
         self.eta = eta
         self.alpha = alpha if alpha is not None else min_semidegree(d) / d.n - 0.5
         self._labelings: dict[tuple[int, Sign], XYLabeling] = {}
-        self._entries: dict[tuple[int, Sign], GuideEntry] = {}
+        self._entries: dict[tuple[int, Sign], PackedGuide] = {}
         self.context: RestrictionContext | None = None
 
     def labeling(self, v: int, sign: Sign) -> XYLabeling:
@@ -375,7 +387,7 @@ class GuideSystem:
         )
         self._entries = {}
 
-    def get(self, v: int, sign: Sign) -> GuideEntry:
+    def get(self, v: int, sign: Sign) -> PackedGuide:
         """Entry for (v, sign) built inside V0 and audited (Q2-Q3) against the context."""
         ctx = self.context
         if ctx is None:
@@ -388,7 +400,7 @@ class GuideSystem:
                 v0_mask=ctx.v0_mask, size=ctx.mu_count,
             )
             _audit_parts(self.d, entry, ctx)
-            self._entries[key] = entry.packed()
+            self._entries[key] = PackedGuide.of(entry)
         return self._entries[key]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from spantree import embedder
 from spantree.decompose import PathPiece, decompose
-from spantree.digraph import Digraph, Sign, gen_semidegree_digraph
+from spantree.digraph import ROW_BLOCK, Digraph, Sign, gen_semidegree_digraph
 from spantree.embedder import (
     PhaseFailure,
     _property_s_floor,
@@ -729,12 +729,39 @@ class TestPropertySFloor:
             assert _property_s_floor(d, order, hosts, bound) == bound
             assert _property_s_floor(d, order, hosts, bound + 1) == floor
 
+    @pytest.mark.parametrize("tile", [8, 16, ROW_BLOCK])
+    def test_floor_across_product_tiles(self, monkeypatch, tile):
+        # Tiles of 8 to 256 hosts a side put many seams through the exact
+        # count.  On complete(257) minus one arc at host 256, with the trunk
+        # on hosts 0..255, Xb has 257 rows for one sign and 256 for the
+        # other, and host 256 ends both Xb and the columns b > 0: with 256
+        # wide tiles the last tile is the single pair x == y == 256.
+        monkeypatch.setattr(embedder, "PRODUCT_TILE", tile)
+        rng = np.random.default_rng(tile)
+        cases = [
+            (self.host("complete", 257, rng), np.arange(257)),
+            (self.host("p0.7", 513, rng), rng.permutation(513)[:192]),
+            (self.host("p0.98", 300, rng), rng.permutation(300)[:150]),
+        ]
+        for u, w in ((256, 5), (5, 256)):
+            mat = np.ones((257, 257), dtype=bool)
+            np.fill_diagonal(mat, False)
+            mat[u, w] = False
+            cases.append((Digraph(257, mat), np.arange(256)))
+        for d, hosts in cases:
+            tree = gen_random_tree(len(hosts), 3, "uniform", rng)
+            order = prefix_order(tree, 0, "leaves_last_middles_consecutive")
+            floor, _m = full_property_s_floor(d, tree, order, hosts)
+            assert _property_s_floor(d, order, hosts) == floor
+
     @pytest.mark.parametrize("family, cap", [("uniform", 3), ("spider", 300)])
-    def test_certificate_peak_in_row_blocks(self, family, cap):
+    def test_certificate_peak_in_row_blocks(self, monkeypatch, family, cap):
         # A trunk over all 600 hosts of the complete host.  The whole-trunk
         # arrays (2 ell x n non-arcs, ell x n blocked rows and their gathers)
         # peaked at 4.2 and 5.0 n^2 bytes on the bound route, and the float32
-        # count blocks at 19 n^2 on the exact route.
+        # count blocks at 19 n^2 on the exact route; that route's tiles are
+        # ROW_BLOCK wide here, so its peak shows the tiling.
+        monkeypatch.setattr(embedder, "PRODUCT_TILE", ROW_BLOCK)
         n = 600
         d = complete(n)
         d.in_packed  # warm the host's cache

@@ -12,6 +12,7 @@ from spantree.guides import (
     GuideEntry,
     GuideRestrictError,
     GuideSystem,
+    PackedGuide,
     RestrictionContext,
     XYLabeling,
     _audit_parts,
@@ -251,9 +252,9 @@ class TestPackedEntries:
         entry = system.get(5, sign)
         built = build_guide(d, 5, sign, 0.1, 1.0, 12 / n, alpha=0.3, labeling=system.labeling(5, sign),
                             v0_mask=system.context.v0_mask, size=12)
-        assert (entry.guide == built.guide).all()
-        assert entry.hplus.dtype == np.uint8 and entry.hplus.shape == (12, (n + 7) // 8)
-        assert entry.hminus is entry.hplus and not entry.hplus.flags.writeable
+        assert isinstance(entry, PackedGuide) and (entry.guide == built.guide).all()
+        assert entry._hplus.dtype == np.uint8 and entry._hplus.shape == (12, (n + 7) // 8)
+        assert entry._hminus is entry._hplus and not entry._hplus.flags.writeable
         for i, w in enumerate(built.guide):
             for circ in SIGNS:
                 row = entry.row(w, circ)
@@ -265,8 +266,8 @@ class TestPackedEntries:
         rng = np.random.default_rng(7)
         lab = XYLabeling(9, Sign.MINUS, rng.permutation(150), rng.permutation(150), 1)
         entry = build_guide(d, 9, Sign.MINUS, 0.05, 0.1, 0.2, alpha=0.24, labeling=lab)
-        packed = entry.packed()
-        assert packed.hminus is not packed.hplus and not packed.hminus.flags.writeable
+        packed = PackedGuide.of(entry)
+        assert packed._hminus is not packed._hplus and not packed._hminus.flags.writeable
         for w in entry.guide:
             for circ in SIGNS:
                 assert (packed.row(w, circ) == entry.row(w, circ)).all()

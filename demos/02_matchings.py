@@ -12,7 +12,6 @@ import numpy as np
 from spantree import (
     BipartitePattern,
     Sign,
-    find_perfect_matching,
     gen_semidegree_digraph,
     sample_disjoint_subsets,
 )
@@ -23,7 +22,7 @@ host = gen_semidegree_digraph(300, 0.2, rng)
 
 # Perfect matchings between random disjoint sets exist reliably.
 a, b = sample_disjoint_subsets(host, [40, 40], rng)
-m = find_perfect_matching(host, a, b, Sign.PLUS)
+m = covering_matching(BipartitePattern.from_host(host, a, b, Sign.PLUS), what="perfect matching")
 print(f"perfect +matching between random 40-sets: {len(m)} edges")
 print("first rows of the dump:")
 print("\n".join(f"{a} {b}" for a, b in sorted(m.pairs)[:4]))
@@ -49,9 +48,12 @@ covering = covering_matching(pat)
 print(f"covering matching size: {len(covering)} (covers all of A)")
 
 # Adversarial small case: B inside the non-neighbors of one A-vertex.
-non_nbrs = np.setdiff1d(np.arange(300), host.out(0))[:10]
+non_nbrs = np.setdiff1d(np.arange(300), np.flatnonzero(host.mat[0]))[:10]
 non_nbrs = non_nbrs[non_nbrs != 0]
 try:
-    find_perfect_matching(host, np.array([0]), non_nbrs[:1], Sign.PLUS)
+    covering_matching(
+        BipartitePattern.from_host(host, np.array([0]), non_nbrs[:1], Sign.PLUS),
+        what="perfect matching",
+    )
 except MatchingError as exc:
     print(f"\nadversarial case correctly rejected: {exc}")

@@ -29,13 +29,12 @@ from .embedder import (
     embed_core_with_leaf_sets,
 )
 from .embedding import Embedding, PipelineError
-from .guides import GuideEntry, GuideSystem, PackedGuide, XYLabeling, build_guide, build_xy_labeling, restrict_guides
+from .guides import GuideEntry, GuideSystem, PackedGuide, XYLabeling, build_guide, build_xy_labeling
 from .matching import (
     BipartitePattern,
     Matching,
     embed_small_forest,
     embed_tree_copies,
-    find_perfect_matching,
 )
 from .oracle import TrialConfig, TrialReport, run_trials, verify_embedding
 from .params import ParamSchedule, spanning_defaults

@@ -2,14 +2,15 @@
 
 Vertices are dense integers 0..n-1.  The boolean adjacency matrix `mat` is
 the primary form (constant-time edge tests, vectorized triple
-intersections); per-vertex sorted neighbour arrays are computed on demand.
-Derived forms are built on first use and cached read-only: the
-bit-packed in-adjacency, whose contiguous rows serve every in-neighbourhood
-read, so no read walks a stride-n column of `mat`; and the mutual-arc
-matrix mat & mat.T with its column sums and bit-packed rows, so only hosts
-that build guides pay for them, and only hosts whose xy-labelings the
-column-sum bound cannot settle pay for the packed rows.  Instances are
-immutable after construction and safe to share across concurrent trials.
+intersections); `adj_row` reads one vertex's out- or in-neighbourhood as
+a boolean row over all hosts.  Derived forms are built on first use and
+cached read-only: the bit-packed in-adjacency, whose contiguous rows serve
+every in-neighbourhood read, so no read walks a stride-n column of `mat`;
+and the mutual-arc matrix mat & mat.T with its column sums and bit-packed
+rows, so only hosts that build guides pay for them, and only hosts whose
+xy-labelings the column-sum bound cannot settle pay for the packed rows.
+Instances are immutable after construction and safe to share across
+concurrent trials.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ ROW_BLOCK = 256
 class Digraph:
     """Immutable digraph: at most one edge per ordered pair, no loops.
 
-    `out`, `in_` and `adj` compute sorted int32 neighbour arrays on each
-    call, out-neighbours from `mat` and in-neighbours from `in_packed`.
-    The cached derived fields are `in_packed`, `mutual`, `mutual_colsum`
-    and `mutual_packed`, each built once on first use.
+    `adj_row` is the one neighbourhood reader: out-neighbours are a row of
+    `mat`, in-neighbours a row of `in_packed`.  The cached derived fields
+    are `in_packed`, `mutual`, `mutual_colsum` and `mutual_packed`, each
+    built once on first use.
     """
 
     __slots__ = ("n", "mat", "_in_packed", "_mutual", "_mutual_colsum", "_mutual_packed")
@@ -132,15 +133,6 @@ class Digraph:
             self._mutual_packed = packed
         return self._mutual_packed
 
-    def out(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.mat[v]).astype(np.int32)
-
-    def in_(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adj_row(v, Sign.MINUS)).astype(np.int32)
-
-    def adj(self, v: int, sign: Sign) -> np.ndarray:
-        return np.flatnonzero(self.adj_row(v, sign)).astype(np.int32)
-
     def adj_row(self, v: int, sign: Sign) -> np.ndarray:
         """Boolean neighborhood row over all n hosts; callers only read it.
 
@@ -150,15 +142,6 @@ class Digraph:
         if sign is Sign.PLUS:
             return self.mat[v]
         return np.unpackbits(self.in_packed[v], count=self.n).view(np.bool_)
-
-    def out_degrees(self) -> np.ndarray:
-        return self.mat.sum(axis=1)
-
-    def in_degrees(self) -> np.ndarray:
-        return self.mat.sum(axis=0)
-
-    def degree(self, v: int, sign: Sign) -> int:
-        return int(self.adj_row(v, sign).sum())
 
     def induce(self, vertices: np.ndarray) -> tuple["Digraph", np.ndarray]:
         """Induced subdigraph plus the new-index -> original-vertex labels.
@@ -184,7 +167,7 @@ class Digraph:
 
 def min_semidegree(d: Digraph) -> int:
     """Smallest in- or out-degree over all vertices."""
-    return int(min(d.out_degrees().min(), d.in_degrees().min()))
+    return int(min(d.mat.sum(axis=1).min(), d.mat.sum(axis=0).min()))
 
 
 def gen_semidegree_digraph(n: int, alpha: float, rng: np.random.Generator) -> Digraph:

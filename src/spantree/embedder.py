@@ -503,11 +503,12 @@ def embed_almost_spanning(
     the leftover leaves greedily into the third.
 
     The tree goes into `pool`, a sorted array of host ids holding v (all of
-    d when None), and is sized by len(pool).  Only the first part is
-    induced; the paths and the leftover leaves run on d itself.  The RNG
-    stream, and so the map, is that of the same call on d.induce(pool)
-    relabelled: the parts are drawn over ranks in the pool, and the leftover
-    leaves read their candidates in the iteration order of a set of ranks.
+    d when None), and is sized by len(pool); the degree cap is the host's,
+    at d.n.  Only the first part is induced; the paths and the leftover
+    leaves run on d itself.  The RNG stream, and so the map, is that of the
+    same call on d.induce(pool) relabelled: the parts are drawn over ranks
+    in the pool, and the leftover leaves read their candidates in the
+    iteration order of a set of ranks.
     """
     if not 0 <= v < d.n:
         raise ValueError(f"anchor host {v} outside 0..{d.n - 1}")
@@ -520,7 +521,7 @@ def embed_almost_spanning(
     slack = n - tree.n
     if slack < 4:
         raise ValueError(f"need at least 4 spare host vertices, got {slack}")
-    _check_degree_cap(tree, params, n)
+    _check_degree_cap(tree, params, d.n)
     telemetry: dict = {"phase_retries": {}, "failures": []}
     # Far below the decomposition scale, or small and undecomposable: a plain
     # greedy walk suffices.
@@ -1086,13 +1087,15 @@ def embed_spanning(
     phases = telemetry["phases"]
     anchor = tree.t if tree.t is not None else 0
 
-    if n < 40:
-        # Below the structural minimum for the absorber split; on hosts this
-        # small a retried greedy walk is the only sensible route.
+    # Below n = 40, or with an absorber piece too small for build_absorber to
+    # split off a rest of gap + 1 (it needs 3 * (gap + 1) vertices), a retried
+    # greedy walk is the only route.  split_tree draws nothing.
+    split = split_tree(tree, min(n // 3, params.absorber_size(n))) if n >= 40 else None
+    if split is None or split[1].tree.n < 3 * (params.absorb_gap(n) + 1):
         emb, phases["tiny-greedy"] = _greedy(d, tree, anchor, None, params, rng, "spanning")
         return emb, telemetry
 
-    trunk_piece, absorber_piece, shared = split_tree(tree, min(n // 3, params.absorber_size(n)))
+    trunk_piece, absorber_piece, shared = split
     local_shared_abs = int(np.searchsorted(absorber_piece.labels, shared))
     local_shared_trunk = int(np.searchsorted(trunk_piece.labels, shared))
     absorber_tree = absorber_piece.tree.with_t(local_shared_abs)

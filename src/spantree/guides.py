@@ -427,22 +427,3 @@ def _audit_parts(d: Digraph, entry: GuideEntry, ctx: RestrictionContext) -> None
             f"restriction audit failed for (v={entry.v}, {entry.sign}): "
             + "; ".join(str(f) for f in failures[:4])
         )
-
-
-def restrict_guides(
-    system: GuideSystem,
-    v0: np.ndarray,
-    parts: list[np.ndarray],
-    mu_count: int,
-    probe: list[tuple[int, Sign]] | None = None,
-) -> GuideSystem:
-    """Install a restriction on `system` and audit the probed entries eagerly.
-
-    With probe=None the restriction is purely lazy; passing explicit (v, sign)
-    pairs forces construction + audit now, surfacing Q2-Q3 failures early.
-    """
-    system.restrict(v0, parts, mu_count)
-    if probe:
-        for v, sign in probe:
-            system.get(v, sign)
-    return system

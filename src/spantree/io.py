@@ -25,6 +25,18 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
+def _edges(lines: list[str]) -> list[tuple[int, int]]:
+    """One (u, v) per line of exactly two integer tokens, else FormatError naming the line."""
+    edges = []
+    for line in lines:
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise FormatError(f"bad edge line: {line!r}") from None
+        edges.append((u, v))
+    return edges
+
+
 def dumps_digraph(d: Digraph) -> str:
     lines = [f"digraph {d.n}"]
     lines.extend(f"{u} {v}" for u, v in d.edges())
@@ -39,12 +51,7 @@ def loads_digraph(text: str) -> Digraph:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise FormatError("bad digraph header") from exc
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line: {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    edges = _edges(lines[1:])
     try:
         return Digraph.from_edges(n, edges)
     except ValueError as exc:
@@ -69,16 +76,13 @@ def loads_tree(text: str) -> OrientedTree:
         raise FormatError("bad tree header") from exc
     t = None
     for token in head[2:]:
-        if token.startswith("t="):
-            t = int(token[2:])
-        else:
+        if not token.startswith("t="):
             raise FormatError(f"unknown header token {token!r}")
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line: {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            t = int(token[2:])
+        except ValueError:
+            raise FormatError(f"bad tree header: {lines[0]!r}") from None
+    edges = _edges(lines[1:])
     try:
         return OrientedTree(n, edges, t=t)
     except ValueError as exc:

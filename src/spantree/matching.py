@@ -150,14 +150,6 @@ def match_leaves(
     return covering_matching(pattern, what=what).pairs
 
 
-def find_perfect_matching(d: Digraph, a, b, sign: Sign) -> Matching:
-    """Perfect sign-matching between equal-sized disjoint sets, or MatchingError."""
-    pattern = BipartitePattern.from_host(d, a, b, sign)
-    if len(pattern.left) != len(pattern.right):
-        raise ValueError("perfect matching needs |A| == |B|")
-    return covering_matching(pattern, what="perfect matching")
-
-
 def embed_tree_copies(
     d: Digraph, tree: OrientedTree, root: int, v1: np.ndarray, v2: np.ndarray
 ) -> list[Embedding]:

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, Sign, gen_semidegree_digraph, sample_disjoint_subsets
+from .decompose import DecompositionError, decompose
+from .digraph import Digraph, Sign, check_inherited_degree, gen_semidegree_digraph, sample_disjoint_subsets
 from .embedding import Embedding, PipelineError, is_valid_embedding
 from .embedder import absorb_at_random, embed_almost_spanning, embed_spanning
-from .guides import GUIDE_EPS, GUIDE_ETA, GuideSystem, restrict_guides
-from .matching import MatchingError, find_perfect_matching, embed_small_forest
+from .guides import GUIDE_EPS, GUIDE_ETA, GuideSystem
+from .matching import BipartitePattern, MatchingError, covering_matching, embed_small_forest, embed_tree_copies
 from .params import ParamSchedule, spanning_defaults
 from .trees import OrientedTree, gen_random_tree
 
@@ -63,15 +65,13 @@ def _trial_matching(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
     size = cfg.set_size or max(4, d.n // 10)
     a, b = sample_disjoint_subsets(d, [size, size], rng)
     try:
-        find_perfect_matching(d, a, b, Sign.PLUS)
+        covering_matching(BipartitePattern.from_host(d, a, b, Sign.PLUS), what="perfect matching")
         return True, 0, ""
     except MatchingError:
         return False, 0, "hall-fail"
 
 
 def _trial_inherited(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
-    from .digraph import check_inherited_degree
-
     size = cfg.set_size or max(4, d.n // 5)
     (a,) = sample_disjoint_subsets(d, [size], rng)
     ok = check_inherited_degree(d, a, cfg.alpha)
@@ -99,8 +99,6 @@ def _trial_small_forest(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, s
 
 
 def _trial_tree_copies(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
-    from .matching import embed_tree_copies
-
     tree = gen_random_tree(5, cfg.max_semideg, "uniform", rng)
     per = cfg.set_size or max(4, d.n // 25)
     v1, v2 = sample_disjoint_subsets(d, [per, (tree.n - 1) * per], rng)
@@ -129,7 +127,9 @@ def _trial_guide_restrict(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int,
             d, [int(p0 * d.n), int(p1 * d.n)], rng
         )
         try:
-            restrict_guides(system, v0, [part], mu_count, probe=probe)
+            system.restrict(v0, [part], mu_count)
+            for v, s in probe:
+                system.get(v, s)
             return True, retries, ""
         except PipelineError as exc:
             retries += 1
@@ -138,8 +138,6 @@ def _trial_guide_restrict(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int,
 
 
 def _trial_decompose(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
-    from .decompose import DecompositionError, decompose
-
     params = cfg.schedule or spanning_defaults(cfg.n, cfg.alpha)
     tree = gen_random_tree(cfg.n, cfg.max_semideg, cfg.tree_family, rng)
     try:
@@ -227,8 +225,10 @@ def run_trials(cfg: TrialConfig, jobs: int = 1) -> list[TrialReport]:
 
     Reports come back sorted by seed regardless of execution order, so the
     output is bit-identical for a fixed config (modulo the opt-in millis).
+    At most min(jobs, cfg.trials, os.cpu_count()) worker processes run.
     """
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
+    jobs = min(jobs, cfg.trials, os.cpu_count() or 1)
     if jobs > 1:
         import multiprocessing as mp
 

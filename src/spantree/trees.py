@@ -3,8 +3,9 @@
 A tree is stored with dense vertex ids 0..n-1 and an explicit list of
 directed edges (tail, head).  Orientation never affects connectivity
 arguments, so underlying-degree machinery works on the undirected shadow.
-Two sorted adjacency tables are stored, out-neighbours and all neighbours;
-in-neighbours are the neighbours that are not out-neighbours, read on demand.
+Two sorted adjacency tables are stored, out-neighbours and all neighbours,
+read through `out` and `nbrs`; an in-neighbour is a neighbour that is not
+an out-neighbour, and `edge_sign` tells the two apart.
 
 Only `OrientedTree(n, edges, t)` sorts and validates an edge list.  Trees
 derived from a valid tree skip that work: `with_t` shares its parent's edge
@@ -76,16 +77,8 @@ class OrientedTree:
     def out(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 
-    def in_(self, v: int) -> tuple[int, ...]:
-        """In-neighbours of v, sorted: its neighbours that are not out-neighbours."""
-        out_v = self._out[v]
-        return tuple([u for u in self._und[v] if u not in out_v])
-
     def nbrs(self, v: int) -> tuple[int, ...]:
         return self._und[v]
-
-    def adj(self, v: int, sign: Sign) -> tuple[int, ...]:
-        return self._out[v] if sign is Sign.PLUS else self.in_(v)
 
     def degree(self, v: int) -> int:
         return len(self._und[v])
@@ -484,11 +477,7 @@ def gen_random_tree(
             orient(v, v + 1)
         hang(handle, lambda open_: len(open_) - 1)
 
-    tree = OrientedTree(n, edges, t=0)
-    dplus, dminus = max_semidegree(tree)
-    if family != "star" and (dplus > max_semideg or dminus > max_semideg):
-        raise ValueError("family/degree combination infeasible")
-    return tree
+    return OrientedTree(n, edges, t=0)
 
 
 def canonical_forms(tree: OrientedTree, roots: list[int]) -> list[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from spantree.digraph import Digraph
 from spantree.embedding import Embedding, VerificationError, is_valid_embedding
 from spantree.trees import OrientedTree
@@ -54,21 +56,15 @@ def brute_force_contains(
             candidates = range(d.n)
         else:
             p, sign = parents[i]
-            candidates = d.adj(assign[p], sign)
+            candidates = np.flatnonzero(d.adj_row(assign[p], sign))
         for h in candidates:
             h = int(h)
             if used[h]:
                 continue
-            ok = True
-            for u in tree.out(v):
-                if u in assign and not d.has_edge(h, assign[u]):
-                    ok = False
-                    break
-            if ok:
-                for u in tree.in_(v):
-                    if u in assign and not d.has_edge(assign[u], h):
-                        ok = False
-                        break
+            ok = all(
+                d.has_edge(h, assign[u]) if u in tree.out(v) else d.has_edge(assign[u], h)
+                for u in tree.nbrs(v) if u in assign
+            )
             if not ok:
                 continue
             assign[v] = h

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -57,6 +58,38 @@ class TestFormats:
             tio.loads_digraph("graph 3\n0 1\n")
         with pytest.raises(tio.FormatError):
             tio.loads_tree("tree 3\n0 1 2\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "expected 'digraph <n>' header"),
+        ("digraph\n", "bad digraph header"),
+        ("digraph x\n", "bad digraph header"),
+        ("digraph 3\n0\n", "bad edge line: '0'"),
+        ("digraph 3\n0 1 2\n", "bad edge line: '0 1 2'"),
+        ("digraph 3\n0 x\n", "bad edge line: '0 x'"),
+        ("digraph 3\n0 1.5\n", "bad edge line: '0 1.5'"),
+        ("digraph 3\n1 1\n", "self-loop at 1"),
+        ("digraph 3\n0 3\n", "edge (0,3) outside 0..2"),
+    ])
+    def test_digraph_rejections(self, text, message):
+        with pytest.raises(tio.FormatError, match=f"^{re.escape(message)}$"):
+            tio.loads_digraph(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("0 1\n", "expected 'tree <n> [t=<vertex>]' header"),
+        ("tree\n", "bad tree header"),
+        ("tree x\n", "bad tree header"),
+        ("tree 2 r=1\n0 1\n", "unknown header token 'r=1'"),
+        ("tree 2 t=q\n0 1\n", "bad tree header: 'tree 2 t=q'"),
+        ("tree 3\n0 x\n1 2\n", "bad edge line: '0 x'"),
+        ("tree 3\n0 1.5\n1 2\n", "bad edge line: '0 1.5'"),
+        ("tree 3\n0 1\n", "a tree on 3 vertices needs 2 edges, got 1"),
+        ("tree 2\n1 1\n", "bad edge (1,1)"),
+        ("tree 3 t=3\n0 1\n1 2\n", "distinguished vertex 3 out of range"),
+        ("tree 4\n0 1\n1 0\n2 3\n", "edges do not form a connected tree"),
+    ])
+    def test_tree_rejections(self, text, message):
+        with pytest.raises(tio.FormatError, match=f"^{re.escape(message)}$"):
+            tio.loads_tree(text)
 
 
 class TestGen:
@@ -139,6 +172,13 @@ class TestEmbed:
         bad.write_text("nonsense\n")
         _, tpath = self.make_instance(tmp_path, n=30)
         assert main(["embed", str(bad), str(tpath), "--seed", "1"]) == 1
+
+    def test_non_integer_token_exits_one(self, tmp_path, capsys):
+        dpath, _ = self.make_instance(tmp_path, n=30)
+        bad = tmp_path / "bad.tree"
+        bad.write_text("tree 3\n0 1\n1 two\n")
+        assert main(["embed", str(dpath), str(bad), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: bad edge line: '1 two'\n"
 
     def test_deterministic_output_bytes(self, tmp_path):
         dpath, tpath = self.make_instance(tmp_path, n=150)

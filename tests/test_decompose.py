@@ -116,7 +116,7 @@ class TestStarsExtraction:
         assert star_vertices == set(td.t1.tolist()) - set(td.t0.tolist())
         for st in stars:
             assert st.root in tree.nbrs(st.attach) or st.attach in tree.nbrs(st.root)
-            assert st.root in tree.adj(st.attach, st.sign)
+            assert tree.edge_sign(st.attach, st.root) is st.sign
 
 
 class TestDump:

@@ -33,6 +33,34 @@ class TestMinSemidegree:
         assert min_semidegree(d) == 0
 
 
+class TestRejections:
+    @pytest.mark.parametrize("n,mat,message", [
+        (0, np.zeros((0, 0), dtype=bool), "digraph needs at least one vertex"),
+        (3, np.zeros((3, 2), dtype=bool), "adjacency matrix must be boolean n x n"),
+        (3, np.zeros((3, 3), dtype=np.int8), "adjacency matrix must be boolean n x n"),
+        (3, np.eye(3, dtype=bool), "self-loops are not allowed"),
+    ])
+    def test_constructor(self, n, mat, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Digraph(n, mat)
+
+    def test_from_edges(self):
+        with pytest.raises(ValueError, match=r"^self-loop at 2$"):
+            Digraph.from_edges(3, [(0, 1), (2, 2)])
+        for edge in ((0, 3), (-1, 0)):
+            with pytest.raises(ValueError, match=r"^edge \(.*\) outside 0\.\.2$"):
+                Digraph.from_edges(3, [edge])
+
+    @pytest.mark.parametrize("n,alpha,message", [
+        (3, 0.25, "need n >= 4"),
+        (10, 0.0, "need 0 < alpha < 1/2"),
+        (10, 0.5, "need 0 < alpha < 1/2"),
+    ])
+    def test_generator(self, n, alpha, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gen_semidegree_digraph(n, alpha, np.random.default_rng(0))
+
+
 class TestSign:
     def test_two_values(self):
         assert len(list(Sign)) == 2
@@ -137,7 +165,7 @@ class TestInheritedDegree:
 
 
 class TestDerivedAdjacency:
-    """Neighbour lists come from the matrix on demand; the in-adjacency and mutual-arc fields are cached."""
+    """Neighbourhood rows come from the matrix and the packed in-adjacency; the derived fields are cached."""
 
     @pytest.fixture(params=["host", "induced"])
     def digraph(self, request):
@@ -149,13 +177,10 @@ class TestDerivedAdjacency:
     def test_lists_match_matrix(self, digraph):
         d = digraph
         for v in range(d.n):
-            out, in_ = np.flatnonzero(d.mat[v]), np.flatnonzero(d.mat[:, v])
-            for got, want in ((d.out(v), out), (d.in_(v), in_),
-                              (d.adj(v, Sign.PLUS), out), (d.adj(v, Sign.MINUS), in_)):
-                assert got.dtype == np.int32
-                assert got.tolist() == want.tolist()
-            assert d.degree(v, Sign.PLUS) == len(out)
-            assert d.degree(v, Sign.MINUS) == len(in_)
+            for sign, want in ((Sign.PLUS, d.mat[v]), (Sign.MINUS, d.mat[:, v])):
+                got = d.adj_row(v, sign)
+                assert got.dtype == np.bool_ and got.shape == (d.n,)
+                assert (got == want).all()
 
     def test_mutual_cached_and_read_only(self, digraph):
         d = digraph

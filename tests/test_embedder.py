@@ -21,12 +21,12 @@ from spantree.embedder import (
     stars_from_decomposition,
     StarComponent,
 )
-from spantree.embedding import greedy_walk, is_valid_embedding
+from spantree.embedding import PipelineError, greedy_walk, is_valid_embedding
 from spantree.guides import GuideSystem
 from spantree.matching import MatchingError
 from spantree.oracle import verify_embedding
 from spantree.params import ParamSchedule, spanning_defaults
-from spantree.trees import OrientedTree, gen_random_tree, prefix_order
+from spantree.trees import FAMILIES, OrientedTree, gen_random_tree, max_semidegree, prefix_order, split_tree
 
 
 def complete(n):
@@ -568,7 +568,7 @@ def full_property_s_counts(d, trunk_tree, order, hosts):
     for i in range(ell):
         tv = order.order[i]
         outs = [hosts[pos_of[w]] for w in trunk_tree.out(tv)]
-        ins = [hosts[pos_of[w]] for w in trunk_tree.in_(tv)]
+        ins = [hosts[pos_of[w]] for w in trunk_tree.nbrs(tv) if w not in trunk_tree.out(tv)]
         col = np.ones(n, dtype=bool)
         if outs:
             col &= d.mat[:, np.asarray(outs)].all(axis=1)
@@ -815,6 +815,54 @@ class TestSpanning:
                                    np.random.default_rng(1))
         assert verify_embedding(complete(30), tree, emb)
         assert tele["phases"] == {"tiny-greedy": 1}
+
+    @pytest.mark.parametrize("n,family,seed", [(40, "uniform", 3), (51, "path", 0), (62, "uniform", 2)])
+    def test_small_absorber_piece_takes_the_greedy_route(self, n, family, seed):
+        # build_absorber needs 3 * (gap + 1) vertices to split off its rest;
+        # these absorber pieces have fewer, so the call walks greedily.
+        d = gen_semidegree_digraph(n, 0.25, np.random.default_rng(seed))
+        tree = gen_random_tree(n, 3, family, np.random.default_rng(100 + seed))
+        params = spanning_defaults(n, 0.25)
+        _trunk, piece, _shared = split_tree(tree, min(n // 3, params.absorber_size(n)))
+        assert piece.tree.n < 3 * (params.absorb_gap(n) + 1)
+        emb, tele = embed_spanning(d, tree, params, np.random.default_rng(seed))
+        assert verify_embedding(d, tree, emb) and len(emb.used) == n
+        assert tele["phases"] == {"tiny-greedy": 1}
+
+    def test_small_hosts_give_a_map_or_a_pipeline_error(self):
+        # The route is decided from the split sizes: greedy exactly when the
+        # absorber piece cannot be split, the pipeline otherwise.
+        routes = set()
+        for n in range(40, 70):
+            params = spanning_defaults(n, 0.25)
+            for family in set(FAMILIES) - {"star"}:
+                d = gen_semidegree_digraph(n, 0.25, np.random.default_rng(n))
+                tree = gen_random_tree(n, 3, family, np.random.default_rng(1000 + n))
+                _trunk, piece, _shared = split_tree(tree, min(n // 3, params.absorber_size(n)))
+                greedy = piece.tree.n < 3 * (params.absorb_gap(n) + 1)
+                try:
+                    emb, tele = embed_spanning(d, tree, params, np.random.default_rng(n))
+                except PipelineError:
+                    assert not greedy
+                    continue
+                assert verify_embedding(d, tree, emb) and len(emb.used) == n
+                assert ("tiny-greedy" in tele["phases"]) == greedy
+                routes.add(greedy)
+        assert routes == {True, False}
+
+    def test_degree_cap_is_checked_at_the_host_size(self):
+        # degree_cap(300) is 5 while the cap at the almost part's pool size
+        # is 4; a tree at the host's cap must not be rejected by the second.
+        n = 300
+        params = spanning_defaults(n, 0.25).with_updates(c=0.1)
+        d = gen_semidegree_digraph(n, 0.25, np.random.default_rng(1))
+        tree = gen_random_tree(n, 5, "uniform", np.random.default_rng(2))
+        assert max(max_semidegree(tree)) == params.degree_cap(n) == 5
+        try:
+            emb, _ = embed_spanning(d, tree, params, np.random.default_rng(2))
+        except PipelineError:
+            return
+        assert verify_embedding(d, tree, emb) and len(emb.used) == n
 
     def test_over_cap_star_takes_the_greedy_route(self):
         # A star's absorber has no switch reservoir, so the pipeline fails and the walk carries it.

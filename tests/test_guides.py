@@ -19,7 +19,6 @@ from spantree.guides import (
     _mutual_counts,
     build_guide,
     build_xy_labeling,
-    restrict_guides,
 )
 
 from helpers import labeling_verifies
@@ -160,8 +159,9 @@ class TestRestriction:
         rng = np.random.default_rng(0)
         system = GuideSystem(d, eps=0.1, eta=1.0, alpha=0.45)
         v0, part = sample_disjoint_subsets(d, [40, 60], rng)
-        restrict_guides(system, v0, [part], mu_count=12,
-                        probe=[(0, Sign.PLUS), (0, Sign.MINUS)])
+        system.restrict(v0, [part], mu_count=12)
+        for v, sign in [(0, Sign.PLUS), (0, Sign.MINUS)]:
+            system.get(v, sign)
         entry = system.get(0, Sign.PLUS)
         assert len(entry.guide) == 12
 
@@ -200,8 +200,9 @@ class TestRestriction:
         for _ in range(20):
             v0, part = sample_disjoint_subsets(d, [90, 150], rng)
             try:
-                restrict_guides(system, v0, [part], mu_count=18,
-                                probe=[(5, Sign.PLUS), (5, Sign.MINUS)])
+                system.restrict(v0, [part], mu_count=18)
+                for v, sign in [(5, Sign.PLUS), (5, Sign.MINUS)]:
+                    system.get(v, sign)
                 good += 1
             except GuideRestrictError:
                 pass

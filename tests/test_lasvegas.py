@@ -289,6 +289,15 @@ class TestZeroRetryBudget:
 
 
 class TestScheduleValidation:
+    def test_each_warning(self):
+        bad = ParamSchedule(alpha=0.5, c=0.0, lam=0.03, mu=0.02, k=400, K=400)
+        assert bad.validate() == [
+            "alpha=0.5 outside (0, 1/2)",
+            "c=0.0 outside (0, 1]",
+            "k=400 >= K=400",
+            "lam=0.03 > mu=0.02",
+        ]
+
     @pytest.mark.parametrize("n", [200, 800, 2000])
     @pytest.mark.parametrize("alpha", [0.15, 0.25])
     def test_default_schedules_validate_clean(self, n, alpha):

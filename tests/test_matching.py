@@ -17,7 +17,6 @@ from spantree.matching import (
     covering_matching,
     embed_small_forest,
     embed_tree_copies,
-    find_perfect_matching,
 )
 from spantree.trees import OrientedTree, gen_random_tree
 
@@ -209,10 +208,15 @@ def make_skew_pattern(rng):
     return BipartitePattern.explicit(np.arange(nl), np.arange(nr), Sign.PLUS, adj), a, b
 
 
+def perfect_matching(d, a, b, sign):
+    """The pipeline's matching call between equal-sized disjoint host sets."""
+    return covering_matching(BipartitePattern.from_host(d, a, b, sign), what="perfect matching")
+
+
 class TestPerfectMatching:
     def test_complete_host(self):
         d = complete(12)
-        m = find_perfect_matching(d, np.arange(6), np.arange(6, 12), Sign.PLUS)
+        m = perfect_matching(d, np.arange(6), np.arange(6, 12), Sign.PLUS)
         assert len(m) == 6
 
     def test_adversarial_violator(self):
@@ -222,7 +226,7 @@ class TestPerfectMatching:
         mat[0, 3:] = False
         d = Digraph(6, mat)
         with pytest.raises(MatchingError) as exc:
-            find_perfect_matching(d, np.arange(3), np.arange(3, 6), Sign.PLUS)
+            perfect_matching(d, np.arange(3), np.arange(3, 6), Sign.PLUS)
         assert len(exc.value.violator) == 1
 
     def test_monte_carlo_random_sets(self):
@@ -232,7 +236,7 @@ class TestPerfectMatching:
         for _ in range(50):
             a, b = sample_disjoint_subsets(d, [60, 60], rng)
             try:
-                find_perfect_matching(d, a, b, Sign.MINUS)
+                perfect_matching(d, a, b, Sign.MINUS)
                 good += 1
             except MatchingError:
                 pass

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,33 @@ class TestTrials:
         serial = reports_to_csv(run_trials(cfg, jobs=1))
         parallel = reports_to_csv(run_trials(cfg, jobs=2))
         assert serial == parallel
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        # The pool records its size and runs the trials in reverse in this
+        # process; no worker is started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args):
+                return [fn(*a) for a in reversed(args)]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        cfg = TrialConfig(target="inherited-degree", n=60, alpha=0.2, trials=3, seed=9)
+        serial = reports_to_csv(run_trials(cfg))
+        for cpus, want in ((64, [3]), (2, [2]), (1, []), (None, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            assert reports_to_csv(run_trials(cfg, jobs=10**6)) == serial
+            assert sizes == want
 
     @pytest.mark.parametrize(
         "target,n",

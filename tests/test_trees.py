@@ -48,7 +48,7 @@ class TestMaxSemidegree:
         # degrees: vertex 2 has out-degree 2, vertex 1 has in-degree 2.
         tree = OrientedTree(4, [(0, 1), (2, 1), (2, 3)])
         out_deg = [len(tree.out(v)) for v in range(4)]
-        in_deg = [len(tree.in_(v)) for v in range(4)]
+        in_deg = [tree.degree(v) - len(tree.out(v)) for v in range(4)]
         assert max_semidegree(tree) == (max(out_deg), max(in_deg)) == (2, 2)
 
 
@@ -59,6 +59,14 @@ class TestPrefixOrder:
         assert po.order == (0, 1)
         assert po.parent_index == (-1, 0)
         assert po.sign[1] is Sign.PLUS
+
+    def test_rejections(self):
+        tree = path_tree(4)
+        with pytest.raises(ValueError, match="^unknown policy 'bfs'$"):
+            prefix_order(tree, 0, "bfs")
+        for root in (-1, 4):
+            with pytest.raises(ValueError, match="^root out of range$"):
+                prefix_order(tree, root)
 
     def test_star_leaves_last(self):
         tree = OrientedTree(4, [(0, 1), (0, 2), (0, 3)])
@@ -106,7 +114,7 @@ class TestPrefixOrder:
                 parent = po.order[po.parent_index[i]]
                 assert po.parent_index[i] < i
                 assert parent in seen
-                assert v in tree.adj(parent, po.sign[i])
+                assert tree.edge_sign(parent, v) is po.sign[i]
                 earlier = [u for u in tree.nbrs(v) if u in seen]
                 assert earlier == [parent]
             seen.add(v)
@@ -201,6 +209,11 @@ class TestSplitTree:
             assert keep in set(p1.labels.tolist())
             assert int(np.intersect1d(p1.labels, p2.labels)[0]) == shared
 
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_m_range(self, m):
+        with pytest.raises(ValueError, match=rf"^need 1 <= m <= \|T\|/3, got m={m}, \|T\|=12$"):
+            split_tree(path_tree(12), m)
+
     @given(st.integers(0, 10_000), st.integers(6, 90))
     @settings(max_examples=50, deadline=None)
     def test_postconditions(self, seed, n):
@@ -215,6 +228,11 @@ class TestSplitTree:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("n,max_semideg,message", [(0, 3, "n >= 1"), (5, 0, "max_semideg >= 1")])
+    def test_argument_checks(self, n, max_semideg, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gen_random_tree(n, max_semideg, "uniform", np.random.default_rng(0))
+
     def test_path_family(self):
         tree = gen_random_tree(5, 1, "path", np.random.default_rng(0))
         assert max_semidegree(tree) == (1, 1)
@@ -735,7 +753,7 @@ def rebuilt_induced(tree, verts, t=None):
 def assert_same_tree(a, b):
     assert (a.n, a.edge_list, a.t) == (b.n, b.edge_list, b.t)
     for v in range(a.n):
-        assert (a.out(v), a.in_(v), a.nbrs(v)) == (b.out(v), b.in_(v), b.nbrs(v))
+        assert (a.out(v), a.nbrs(v)) == (b.out(v), b.nbrs(v))
 
 
 class TestDerivedTrees:
@@ -811,16 +829,16 @@ class TestDerivedTrees:
 
 
 def assert_views_match_the_edge_list(tree):
-    """in_, adj, edge_sign and max_semidegree against a reference read off edge_list."""
+    """out, nbrs, edge_sign and max_semidegree against a reference read off edge_list."""
     outs = {v: [] for v in range(tree.n)}
     ins = {v: [] for v in range(tree.n)}
     for u, w in tree.edge_list:
         outs[u].append(w)
         ins[w].append(u)
     for v in range(tree.n):
-        assert tree.in_(v) == tree.adj(v, Sign.MINUS) == tuple(sorted(ins[v]))
-        assert tree.out(v) == tree.adj(v, Sign.PLUS) == tuple(sorted(outs[v]))
-        assert type(tree.in_(v)) is tuple
+        assert tree.out(v) == tuple(sorted(outs[v]))
+        assert tree.nbrs(v) == tuple(sorted(outs[v] + ins[v]))
+        assert type(tree.out(v)) is tuple and type(tree.nbrs(v)) is tuple
     for u, w in tree.edge_list:
         assert tree.edge_sign(u, w) is Sign.PLUS
         assert tree.edge_sign(w, u) is Sign.MINUS
@@ -838,7 +856,7 @@ class TestTreeViews:
 
     def test_single_vertex(self):
         tree = OrientedTree(1, [], t=0)
-        assert tree.in_(0) == tree.adj(0, Sign.MINUS) == tree.out(0) == ()
+        assert tree.nbrs(0) == tree.out(0) == ()
         assert max_semidegree(tree) == (0, 0)
         with pytest.raises(ValueError, match="^0 and 0 are not adjacent$"):
             tree.edge_sign(0, 0)

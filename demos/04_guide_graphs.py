@@ -39,10 +39,10 @@ for name, h in (("H+", entry.hplus), ("H-", entry.hminus)):
     print(f"{name}: row degrees >= {int(h.sum(axis=1).min())} (need {per_row}), "
           f"column degrees <= {int(h.sum(axis=0).max())} (bound {bound})")
 
-# Restriction to random sets: build inside V0 and audit per part.
-system = GuideSystem(host, eps=0.1, eta=1.0, alpha=alpha)
+# Restriction to random sets: one system per restriction builds inside V0
+# and audits per part.
 v0, part = sample_disjoint_subsets(host, [150, 250], rng)
-system.restrict(v0, [part], mu_count=20)
+system = GuideSystem(host, v0, [part], mu_count=20, eps=0.1, eta=1.0, alpha=alpha)
 restricted = system.get(7, Sign.PLUS)
 print(f"\nrestricted guide set size: {len(restricted.guide)} (all inside V0)")
 # The system keeps audited entries bit-packed; `row` unpacks one H row.

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as tio
 from .decompose import decompose
-from .digraph import Digraph, gen_semidegree_digraph, min_semidegree
+from .digraph import gen_semidegree_digraph, min_semidegree
 from .embedder import (
     absorb_at_random,
     attach_path_trees,
@@ -81,13 +81,14 @@ def cmd_embed(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rng = np.random.default_rng(args.seed)
-    params = _schedule_overrides(args, spanning_defaults(d.n, args.alpha_hint(d)))
+    measured_alpha = max(0.01, min_semidegree(d) / d.n - 0.5)
+    params = _schedule_overrides(args, spanning_defaults(d.n, measured_alpha))
     if args.phase in ("stars", "paths", "absorber"):
         return _run_isolated_phase(args, d, tree, params, rng)
 
     t = tree.t if tree.t is not None else 0
     try:
-        if args.almost or args.phase == "almost":
+        if args.phase == "almost":
             v = args.anchor if args.anchor is not None else int(rng.integers(d.n))
             emb, telemetry = embed_almost_spanning(d, tree.with_t(t), t, v, params, rng)
         else:
@@ -102,27 +103,22 @@ def cmd_embed(args) -> int:
     return _emit_embedding(args, emb, telemetry)
 
 
-def _emit_embedding(args, emb, telemetry) -> int:
-    text = emb.to_json(telemetry)
+def _emit(args, text: str, code: int) -> int:
+    """Write `text` to --out (if given) and stdout; return the exit code."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    return 0
+    return code
+
+
+def _emit_embedding(args, emb, telemetry) -> int:
+    return _emit(args, emb.to_json(telemetry), 0)
 
 
 def _emit_failure(args, exc: PipelineError) -> int:
-    doc = {
-        "success": False,
-        "cause": exc.cause,
-        "detail": str(exc),
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 2
+    doc = {"success": False, "cause": exc.cause, "detail": str(exc)}
+    return _emit(args, json.dumps(doc, indent=2, sort_keys=True), 2)
 
 
 def _emit_unverified(args, what: str) -> int:
@@ -285,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("digraph")
     emb.add_argument("tree")
     emb.add_argument("--seed", type=int, required=True)
-    emb.add_argument("--almost", action="store_true", help="almost-spanning mode")
     emb.add_argument("--anchor", type=int, default=None, help="host vertex for t")
     emb.add_argument("--phase", choices=("full", "almost", "stars", "paths", "absorber"),
                      default="full", help="run one phase in isolation")
@@ -310,14 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    def alpha_hint(d: Digraph) -> float:
-        declared = getattr(args, "p_alpha", None)
-        if declared is not None:
-            return declared
-        return max(0.01, min_semidegree(d) / d.n - 0.5)
-
-    args.alpha_hint = alpha_hint
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -32,7 +32,7 @@ from .embedding import (
     greedy_walk,
     is_valid_embedding,
 )
-from .guides import GUIDE_EPS, GUIDE_ETA, GuideBuildError, GuideSystem
+from .guides import GuideBuildError, GuideSystem
 from .matching import (
     BipartitePattern,
     ForestEmbedError,
@@ -350,8 +350,7 @@ def _embed_stars_once(
     v0 = sets[0]
     part_targets = sets[1 : 1 + len(parts)]
 
-    guides = GuideSystem(d, GUIDE_EPS, GUIDE_ETA, alpha=layout.alpha_hat)
-    guides.restrict(v0, part_targets, layout.mu_count)
+    guides = GuideSystem(d, v0, part_targets, layout.mu_count, alpha=layout.alpha_hat)
 
     core_tree = tree if tree.t == t else tree.with_t(t)
     emb = embed_core_with_leaf_sets(

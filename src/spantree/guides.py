@@ -6,15 +6,14 @@ carries the same number of edges and back-degrees stay balanced, so after
 restriction to random target sets the rows keep enough degree for covering
 matchings while back-degrees stay low (the skew-bound).
 
-A `GuideSystem` builds each entry inside the random set V0 of its current
-restriction, so entries are cached only until the next `restrict`; the
-xy-labelings depend on the host alone and survive it.
+A `GuideSystem` holds one restriction (the random set V0 and the target
+parts) and builds each entry inside V0, audited against those parts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,17 +113,9 @@ class GuideEntry:
     hplus: np.ndarray            # bool |A| x n; row i: out-edges of guide[i] in H^+
     hminus: np.ndarray           # bool |A| x n; row i: in-edges  of guide[i] in H^-
     edges_per_row: int           # ceil(eps * n)
-    row_index: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.row_index:
-            self.row_index = {int(w): i for i, w in enumerate(self.guide)}
 
     def h(self, circ: Sign) -> np.ndarray:
         return self.hplus if circ is Sign.PLUS else self.hminus
-
-    def row(self, host_vertex: int, circ: Sign) -> np.ndarray:
-        return self.h(circ)[self.row_index[int(host_vertex)]]
 
 
 @dataclass(frozen=True)
@@ -148,7 +139,8 @@ class PackedGuide:
         hminus = hplus if entry.hminus is entry.hplus else np.packbits(entry.hminus, axis=1)
         hplus.setflags(write=False)
         hminus.setflags(write=False)
-        return cls(entry.v, entry.sign, entry.guide, entry.row_index, entry.hplus.shape[1], hplus, hminus)
+        row_index = {int(w): i for i, w in enumerate(entry.guide)}
+        return cls(entry.v, entry.sign, entry.guide, row_index, entry.hplus.shape[1], hplus, hminus)
 
     def row(self, host_vertex: int, circ: Sign) -> np.ndarray:
         """Bool row over all n hosts: the H^circ edges of guide vertex `host_vertex`."""
@@ -326,17 +318,6 @@ def _q3_quota(nominal: float, mean: float) -> int:
     return max(math.ceil(nominal), math.ceil(mean + 3.0 * math.sqrt(max(mean, 1.0))))
 
 
-@dataclass
-class RestrictionContext:
-    """Random sets inside which guides are built and against which they are audited."""
-
-    v0_mask: np.ndarray           # bool over V(D): membership in V0
-    parts: list[np.ndarray]
-    mu_count: int                 # |A| (exact)
-    eps: float
-    eta: float
-
-
 # The pipeline's guide graphs: each row gets ceil(GUIDE_EPS * n) edges, and
 # GUIDE_ETA is the back-degree slack of the skew-bound.
 GUIDE_EPS = 0.18
@@ -344,73 +325,55 @@ GUIDE_ETA = 1.0
 
 
 class GuideSystem:
-    """Guide entries built on demand against the current restriction context.
+    """Guide entries for one restriction: the random set V0 and the target parts.
 
-    `restrict` installs random sets V0 and target parts; `get` then draws the
-    guide set for (v, sign) inside N^sign(v) cap V0, with rows still spanning
-    the host, and audits every part (Q2-Q3).  Audited entries are cached as
-    `PackedGuide`s until the next `restrict`; the xy-labelings depend only on
-    the host and survive it.
+    `get` draws the guide set for (v, sign) inside N^sign(v) cap V0, with
+    rows still spanning the host, audits it against every part (Q2-Q3) and
+    caches it as a `PackedGuide`.  The pipeline builds one system per draw.
     """
 
     def __init__(
         self,
         d: Digraph,
-        eps: float,
-        eta: float,
+        v0: np.ndarray,
+        parts: list[np.ndarray],
+        mu_count: int,
+        eps: float = GUIDE_EPS,
+        eta: float = GUIDE_ETA,
         alpha: float | None = None,
     ):
         self.d = d
+        self.v0_mask = np.zeros(d.n, dtype=bool)
+        self.v0_mask[np.asarray(v0, dtype=np.int64)] = True
+        self.parts = [np.asarray(p, dtype=np.int64) for p in parts]
+        self.mu_count = mu_count              # |A| (exact)
         self.eps = eps
         self.eta = eta
         self.alpha = alpha if alpha is not None else min_semidegree(d) / d.n - 0.5
-        self._labelings: dict[tuple[int, Sign], XYLabeling] = {}
         self._entries: dict[tuple[int, Sign], PackedGuide] = {}
-        self.context: RestrictionContext | None = None
-
-    def labeling(self, v: int, sign: Sign) -> XYLabeling:
-        key = (v, sign)
-        if key not in self._labelings:
-            self._labelings[key] = build_xy_labeling(self.d, v, sign, self.alpha)
-        return self._labelings[key]
-
-    def restrict(self, v0: np.ndarray, parts: list[np.ndarray], mu_count: int) -> None:
-        """Install a restriction context; cached entries reset."""
-        mask = np.zeros(self.d.n, dtype=bool)
-        mask[np.asarray(v0, dtype=np.int64)] = True
-        self.context = RestrictionContext(
-            v0_mask=mask,
-            parts=[np.asarray(p, dtype=np.int64) for p in parts],
-            mu_count=mu_count,
-            eps=self.eps,
-            eta=self.eta,
-        )
-        self._entries = {}
 
     def get(self, v: int, sign: Sign) -> PackedGuide:
-        """Entry for (v, sign) built inside V0 and audited (Q2-Q3) against the context."""
-        ctx = self.context
-        if ctx is None:
-            raise ValueError("GuideSystem.get needs a restriction context: call restrict first")
+        """Entry for (v, sign) built inside V0 and audited (Q2-Q3) against the parts."""
         key = (v, sign)
         if key not in self._entries:
+            # An explicit alpha spares build_guide its O(n^2) re-derivation and
+            # its alpha <= 0 rejection, which measured star layouts reach.
             entry = build_guide(
-                self.d, v, sign, self.eps, self.eta, ctx.mu_count / self.d.n,
-                alpha=self.alpha, labeling=self.labeling(v, sign),
-                v0_mask=ctx.v0_mask, size=ctx.mu_count,
+                self.d, v, sign, self.eps, self.eta, self.mu_count / self.d.n,
+                alpha=self.alpha, v0_mask=self.v0_mask, size=self.mu_count,
             )
-            _audit_parts(self.d, entry, ctx)
+            _audit_parts(self, entry)
             self._entries[key] = PackedGuide.of(entry)
         return self._entries[key]
 
 
-def _audit_parts(d: Digraph, entry: GuideEntry, ctx: RestrictionContext) -> None:
+def _audit_parts(system: GuideSystem, entry: GuideEntry) -> None:
     """Per-part skew audits Q2 (row quota) and Q3 (back-degree cap)."""
     failures: list[tuple] = []
-    n = d.n
-    for i, part in enumerate(ctx.parts):
+    n = system.d.n
+    for i, part in enumerate(system.parts):
         row_mean = entry.edges_per_row * len(part) / n
-        back_nominal = (1 + ctx.eta) * ctx.eps * ctx.mu_count
+        back_nominal = (1 + system.eta) * system.eps * system.mu_count
         back_mean = len(entry.guide) * entry.edges_per_row / n
         quota = _q2_quota(row_mean)
         cap = _q3_quota(back_nominal, back_mean)

@@ -10,17 +10,16 @@ import numpy as np
 
 from .decompose import DecompositionError, decompose
 from .digraph import Digraph, Sign, check_inherited_degree, gen_semidegree_digraph, sample_disjoint_subsets
-from .embedding import Embedding, PipelineError, is_valid_embedding
+from .embedding import PipelineError, is_valid_embedding
 from .embedder import absorb_at_random, embed_almost_spanning, embed_spanning
-from .guides import GUIDE_EPS, GUIDE_ETA, GuideSystem
+from .guides import GuideSystem
 from .matching import BipartitePattern, MatchingError, covering_matching, embed_small_forest, embed_tree_copies
 from .params import ParamSchedule, spanning_defaults
-from .trees import OrientedTree, gen_random_tree
+from .trees import gen_random_tree
 
 
-def verify_embedding(d: Digraph, tree: OrientedTree, emb: Embedding) -> bool:
-    """True iff emb is total, injective, and orientation-respecting."""
-    return is_valid_embedding(d, tree, emb)
+# The public name of the output check: total, injective, orientation-respecting.
+verify_embedding = is_valid_embedding
 
 
 @dataclass
@@ -118,7 +117,6 @@ def _trial_guide_restrict(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int,
     params = cfg.schedule or ParamSchedule(alpha=cfg.alpha)
     p0, p1 = 0.3, 0.5
     mu_count = max(2, int(round(cfg.alpha**2 * p0 * d.n / 4)))
-    system = GuideSystem(d, eps=GUIDE_EPS, eta=GUIDE_ETA, alpha=cfg.alpha)
     probe_vertices = [int(x) for x in rng.choice(d.n, size=4, replace=False)]
     probe = [(v, s) for v in probe_vertices for s in (Sign.PLUS, Sign.MINUS)]
     retries = 0
@@ -126,8 +124,8 @@ def _trial_guide_restrict(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int,
         v0, part = sample_disjoint_subsets(
             d, [int(p0 * d.n), int(p1 * d.n)], rng
         )
+        system = GuideSystem(d, v0, [part], mu_count, alpha=cfg.alpha)
         try:
-            system.restrict(v0, [part], mu_count)
             for v, s in probe:
                 system.get(v, s)
             return True, retries, ""

@@ -5,6 +5,7 @@ here.  The heavy Monte Carlo blocks run at the sizes stated in their
 criterion.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from spantree.matching import (
     embed_small_forest,
     embed_tree_copies,
 )
-from spantree.oracle import TrialConfig, run_trials, verify_embedding
+from spantree.oracle import TrialConfig, reports_to_csv, run_trials, verify_embedding
 from spantree.params import ParamSchedule, spanning_defaults
 from spantree.trees import OrientedTree, gen_random_tree, split_tree
 
@@ -248,7 +249,10 @@ class TestCriterion7EmpiricalGates:
     def test_guide_restriction_gate(self):
         cfg = TrialConfig(target="guide-restrict", n=600, alpha=0.2, trials=100,
                           seed=103)
-        wins = sum(r.success for r in run_trials(cfg))
+        reports = run_trials(cfg)
+        # The trial's whole record, not only its win count, is pinned.
+        assert hashlib.sha256(reports_to_csv(reports).encode()).hexdigest()[:16] == "50e8ac7df929b0ee"
+        wins = sum(r.success for r in reports)
         report("7c", "guide restriction n=600", wins >= 90, f"{wins}/100 (gate 90)")
 
     def test_almost_spanning_gate(self):

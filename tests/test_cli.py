@@ -162,7 +162,7 @@ class TestEmbed:
         dpath, tpath = self.make_instance(tmp_path, n=250, tree_n=200)
         out = tmp_path / "a.json"
         code = main(["embed", str(dpath), str(tpath), "--seed", "3",
-                     "--almost", "--out", str(out)])
+                     "--phase", "almost", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc["map"]) == 200
@@ -441,7 +441,7 @@ class TestAnchorRange:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--almost", "--anchor", "5000"], ["--almost", "--anchor", "-1"], ["--phase", "stars", "--anchor", "5000"]],
+        [["--phase", "almost", "--anchor", "5000"], ["--phase", "almost", "--anchor", "-1"], ["--phase", "stars", "--anchor", "5000"]],
     )
     def test_anchor_outside_the_host_exits_one(self, tmp_path, capsys, flags):
         dpath, tpath = TestEmbed().make_instance(tmp_path, n=200, tree_n=160)
@@ -456,7 +456,7 @@ class TestSizeMismatch:
     @pytest.mark.parametrize(
         "tree_n, flags, message",
         [(160, [], "spanning embedding needs |T| = n, got 160 != 200"),
-         (197, ["--almost"], "need at least 4 spare host vertices, got 3")],
+         (197, ["--phase", "almost"], "need at least 4 spare host vertices, got 3")],
     )
     def test_wrong_tree_size_exits_one(self, tmp_path, capsys, tree_n, flags, message):
         dpath, tpath = TestEmbed().make_instance(tmp_path, n=200, tree_n=tree_n)

@@ -42,8 +42,7 @@ class TestCoreWithLeafSets:
         rng = np.random.default_rng(0)
         v0 = np.arange(0, 10)
         part = np.arange(10, 20)
-        system = GuideSystem(d, eps=0.2, eta=1.0, alpha=0.45)
-        system.restrict(v0, [part], mu_count=4)
+        system = GuideSystem(d, v0, [part], mu_count=4, eps=0.2, eta=1.0, alpha=0.45)
         emb = embed_core_with_leaf_sets(
             d, tree, {0}, [([1], Sign.PLUS)], [v0, part], 3, system, rng
         )
@@ -56,8 +55,7 @@ class TestCoreWithLeafSets:
         d = Digraph(30, mat)
         tree = OrientedTree(2, [(0, 1)], t=0)
         v0, part = np.arange(0, 10), np.arange(10, 20)
-        system = GuideSystem(d, eps=0.2, eta=1.0, alpha=0.45)
-        system.restrict(v0, [part], mu_count=4)
+        system = GuideSystem(d, v0, [part], mu_count=4, eps=0.2, eta=1.0, alpha=0.45)
         with pytest.raises(MatchingError) as info:
             embed_core_with_leaf_sets(
                 d, tree, {0}, [([1], Sign.PLUS)], [v0, part], 3, system, np.random.default_rng(0)
@@ -78,8 +76,7 @@ class TestCoreWithLeafSets:
         d = complete(30)
         tree = OrientedTree(4, [(0, 1), (1, 2), (3, 0)], t=0)
         v0, part = np.arange(0, 10), np.arange(10, 20)
-        system = GuideSystem(d, eps=0.2, eta=1.0, alpha=0.45)
-        system.restrict(v0, [part], mu_count=4)
+        system = GuideSystem(d, v0, [part], mu_count=4, eps=0.2, eta=1.0, alpha=0.45)
         with pytest.raises(ValueError, match=message):
             embed_core_with_leaf_sets(d, tree, core, parts, [v0, part], s, system,
                                       np.random.default_rng(0))
@@ -99,8 +96,7 @@ class TestCoreWithLeafSets:
         v0 = np.arange(0, 60)
         p1 = np.arange(60, 90)
         p2 = np.arange(90, 120)
-        system = GuideSystem(d, eps=0.3, eta=1.0, alpha=0.3)
-        system.restrict(v0, [p1, p2], mu_count=14)
+        system = GuideSystem(d, v0, [p1, p2], mu_count=14, eps=0.3, eta=1.0, alpha=0.3)
         emb = embed_core_with_leaf_sets(
             d, tree, set(range(6)),
             [(out_leaves, Sign.PLUS), (in_leaves, Sign.MINUS)],
@@ -134,9 +130,8 @@ class TestCoreMonteCarlo:
             tree = OrientedTree(nxt, edges, t=0)
             v0 = np.arange(0, 150)
             part = np.arange(150, 210)
-            system = GuideSystem(d, eps=0.2, eta=1.0, alpha=0.3)
             try:
-                system.restrict(v0, [part], mu_count=45)
+                system = GuideSystem(d, v0, [part], mu_count=45, eps=0.2, eta=1.0, alpha=0.3)
                 emb = embed_core_with_leaf_sets(
                     d, tree, set(range(core_n)), [(leaves, Sign.PLUS)],
                     [v0, part], 3, system, rng,

@@ -13,7 +13,6 @@ from spantree.guides import (
     GuideRestrictError,
     GuideSystem,
     PackedGuide,
-    RestrictionContext,
     XYLabeling,
     _audit_parts,
     _mutual_counts,
@@ -157,9 +156,8 @@ class TestRestriction:
     def test_complete_host_always_succeeds(self):
         d = complete(120)
         rng = np.random.default_rng(0)
-        system = GuideSystem(d, eps=0.1, eta=1.0, alpha=0.45)
         v0, part = sample_disjoint_subsets(d, [40, 60], rng)
-        system.restrict(v0, [part], mu_count=12)
+        system = GuideSystem(d, v0, [part], mu_count=12, eps=0.1, eta=1.0, alpha=0.45)
         for v, sign in [(0, Sign.PLUS), (0, Sign.MINUS)]:
             system.get(v, sign)
         entry = system.get(0, Sign.PLUS)
@@ -168,9 +166,8 @@ class TestRestriction:
     def test_trimmed_size_exact(self):
         rng = np.random.default_rng(4)
         d = gen_semidegree_digraph(300, 0.3, rng)
-        system = GuideSystem(d, eps=0.08, eta=1.0, alpha=0.3)
         v0, part = sample_disjoint_subsets(d, [90, 150], rng)
-        system.restrict(v0, [part], mu_count=15)
+        system = GuideSystem(d, v0, [part], mu_count=15, eps=0.08, eta=1.0, alpha=0.3)
         entry = system.get(4, Sign.PLUS)
         assert len(entry.guide) == 15
         in_v0 = np.zeros(300, dtype=bool)
@@ -180,9 +177,8 @@ class TestRestriction:
     def test_direct_mode_builds_inside_v0(self):
         rng = np.random.default_rng(5)
         d = gen_semidegree_digraph(300, 0.3, rng)
-        system = GuideSystem(d, eps=0.12, eta=1.0, alpha=0.3)
         v0, part = sample_disjoint_subsets(d, [100, 120], rng)
-        system.restrict(v0, [part], mu_count=20)
+        system = GuideSystem(d, v0, [part], mu_count=20, eps=0.12, eta=1.0, alpha=0.3)
         entry = system.get(9, Sign.MINUS)
         assert len(entry.guide) == 20
         in_v0 = np.zeros(300, dtype=bool)
@@ -196,11 +192,10 @@ class TestRestriction:
         rng = np.random.default_rng(11)
         d = gen_semidegree_digraph(300, 0.25, rng)
         good = 0
-        system = GuideSystem(d, eps=0.1, eta=1.0, alpha=0.25)
         for _ in range(20):
             v0, part = sample_disjoint_subsets(d, [90, 150], rng)
             try:
-                system.restrict(v0, [part], mu_count=18)
+                system = GuideSystem(d, v0, [part], mu_count=18, eps=0.1, eta=1.0, alpha=0.25)
                 for v, sign in [(5, Sign.PLUS), (5, Sign.MINUS)]:
                     system.get(v, sign)
                 good += 1
@@ -216,28 +211,27 @@ class TestRestriction:
         for i in range(rows):
             h[i, (i * per_row + np.arange(per_row)) % n] = True
         entry = GuideEntry(3, Sign.PLUS, np.arange(rows, dtype=np.int64), h, h.copy(), per_row)
-        ctx = RestrictionContext(np.ones(n, dtype=bool), [np.arange(n, dtype=np.int64)],
-                                 mu_count=rows, eps=0.01, eta=1.0)
-        return entry, ctx
+        system = GuideSystem(complete(n), np.arange(n), [np.arange(n)], mu_count=rows, eps=0.01, eta=1.0)
+        return entry, system
 
     def test_balanced_entry_passes_the_audits(self):
         # Row quota ceil(40 - 3 sqrt(40)) = 22 <= 40; back cap ceil(12 + 3 sqrt(12)) = 23 >= 12.
-        entry, ctx = self._balanced_entry()
-        _audit_parts(complete(100), entry, ctx)
+        entry, system = self._balanced_entry()
+        _audit_parts(system, entry)
 
     def test_a_thin_row_fails_q2(self):
-        entry, ctx = self._balanced_entry()
+        entry, system = self._balanced_entry()
         entry.hplus[7, 20:] = False   # keeps hosts 0..19: 20 edges, below the quota of 22
         with pytest.raises(GuideRestrictError) as info:
-            _audit_parts(complete(100), entry, ctx)
+            _audit_parts(system, entry)
         assert "('Q2', 3, '+', '+', 0, 20, 22)" in str(info.value)
         assert "Q3" not in str(info.value)
 
     def test_a_crowded_column_fails_q3(self):
-        entry, ctx = self._balanced_entry()
+        entry, system = self._balanced_entry()
         entry.hminus[:, 55] = True    # back-degree 30 at host 55, above the cap of 23
         with pytest.raises(GuideRestrictError) as info:
-            _audit_parts(complete(100), entry, ctx)
+            _audit_parts(system, entry)
         assert "('Q3', 3, '+', '-', 0, 30, 23)" in str(info.value)
         assert "Q2" not in str(info.value)
 
@@ -247,12 +241,10 @@ class TestPackedEntries:
         # n = 203 is not a multiple of 8: the last byte of each packed row pads.
         n = 203
         d = gen_semidegree_digraph(n, 0.3, np.random.default_rng(8))
-        system = GuideSystem(d, eps=0.1, eta=1.0, alpha=0.3)
         v0, part = sample_disjoint_subsets(d, [70, 100], np.random.default_rng(9))
-        system.restrict(v0, [part], mu_count=12)
+        system = GuideSystem(d, v0, [part], mu_count=12, eps=0.1, eta=1.0, alpha=0.3)
         entry = system.get(5, sign)
-        built = build_guide(d, 5, sign, 0.1, 1.0, 12 / n, alpha=0.3, labeling=system.labeling(5, sign),
-                            v0_mask=system.context.v0_mask, size=12)
+        built = build_guide(d, 5, sign, 0.1, 1.0, 12 / n, alpha=0.3, v0_mask=system.v0_mask, size=12)
         assert isinstance(entry, PackedGuide) and (entry.guide == built.guide).all()
         assert entry._hplus.dtype == np.uint8 and entry._hplus.shape == (12, (n + 7) // 8)
         assert entry._hminus is entry._hplus and not entry._hplus.flags.writeable
@@ -269,27 +261,22 @@ class TestPackedEntries:
         entry = build_guide(d, 9, Sign.MINUS, 0.05, 0.1, 0.2, alpha=0.24, labeling=lab)
         packed = PackedGuide.of(entry)
         assert packed._hminus is not packed._hplus and not packed._hminus.flags.writeable
-        for w in entry.guide:
+        for i, w in enumerate(entry.guide):
             for circ in SIGNS:
-                assert (packed.row(w, circ) == entry.row(w, circ)).all()
+                assert (packed.row(w, circ) == entry.h(circ)[i]).all()
 
 
 class TestGuideSystemCaching:
-    def test_get_before_restrict_raises(self):
-        system = GuideSystem(complete(40), eps=0.1, eta=1.0, alpha=0.4)
-        with pytest.raises(ValueError, match="restrict"):
-            system.get(3, Sign.PLUS)
-
     def test_restriction_resets_trims(self):
+        # Each restriction is its own system; a system caches its entries.
         d = complete(80)
         rng = np.random.default_rng(1)
-        system = GuideSystem(d, eps=0.1, eta=1.0, alpha=0.4)
         v0a, pa = sample_disjoint_subsets(d, [30, 40], rng)
-        system.restrict(v0a, [pa], mu_count=8)
+        system = GuideSystem(d, v0a, [pa], mu_count=8, eps=0.1, eta=1.0, alpha=0.4)
         first = system.get(2, Sign.PLUS)
+        assert system.get(2, Sign.PLUS) is first
         v0b, pb = sample_disjoint_subsets(d, [30, 40], rng)
-        system.restrict(v0b, [pb], mu_count=8)
-        second = system.get(2, Sign.PLUS)
+        second = GuideSystem(d, v0b, [pb], mu_count=8, eps=0.1, eta=1.0, alpha=0.4).get(2, Sign.PLUS)
         in_v0b = np.zeros(80, dtype=bool)
         in_v0b[v0b] = True
         assert in_v0b[second.guide].all()

@@ -535,6 +535,28 @@ class TestPathSizingMiss:
         assert {"attempt": 2, "phase": "paths", "cause": "guide-build"} in failures
 
 
+class TestNegativeGuideAlpha:
+    def test_star_layout_below_zero_still_embeds(self, monkeypatch):
+        # The whole host has semidegree (1/2 + 0.05) n, but the star layout
+        # measures its guide alpha on the induced V1, here below zero; the
+        # guides take it as given instead of rejecting alpha <= 0.
+        alphas = []
+
+        def recorded(*args):
+            layout = star_layout(*args)
+            alphas.append(layout.alpha_hat)
+            return layout
+
+        star_layout = embedder._star_layout
+        monkeypatch.setattr(embedder, "_star_layout", recorded)
+        d = tight_host(400, 0.05, np.random.default_rng(1000))
+        tree = gen_random_tree(320, 3, "path", np.random.default_rng(2000))
+        emb, _telemetry = embed_almost_spanning(d, tree, 0, 5, spanning_defaults(400, 0.05),
+                                                np.random.default_rng(3000))
+        assert is_valid_embedding(d, tree, emb) and emb[0] == 5
+        assert alphas and min(alphas) < 0
+
+
 class TestVerificationError:
     """Library postconditions raise VerificationError, with or without assert statements."""
 

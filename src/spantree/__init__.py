@@ -30,12 +30,7 @@ from .embedder import (
 )
 from .embedding import Embedding, PipelineError
 from .guides import GuideEntry, GuideSystem, PackedGuide, XYLabeling, build_guide, build_xy_labeling
-from .matching import (
-    BipartitePattern,
-    Matching,
-    embed_small_forest,
-    embed_tree_copies,
-)
+from .matching import embed_small_forest, embed_tree_copies
 from .oracle import TrialConfig, TrialReport, run_trials, verify_embedding
 from .params import ParamSchedule, spanning_defaults
 from .trees import (

@@ -34,7 +34,6 @@ from .embedding import (
 )
 from .guides import GuideBuildError, GuideSystem
 from .matching import (
-    BipartitePattern,
     ForestEmbedError,
     covering_matching,
     embed_small_forest,
@@ -184,10 +183,9 @@ def embed_core_with_leaf_sets(
             if row is None:
                 row = d.adj_row(emb[p], circ)[cols]
             rows[r] = row
-        pattern = BipartitePattern.explicit(np.arange(len(part_vertices)), cols, circ, rows)
-        matching = covering_matching(pattern, what=f"leaf part {j}")
-        for r, host in matching.pairs:
-            emb.assign(part_vertices[r], host, "leafset")
+        hosts = cols[covering_matching(rows, what=f"leaf part {j}")]
+        for u, host in zip(part_vertices, hosts.tolist()):
+            emb.assign(u, host, "leafset")
     return emb
 
 
@@ -530,7 +528,7 @@ def embed_almost_spanning(
             td = decompose(tree, t, params)
         except DecompositionError as exc:
             if tree.n > 64:
-                raise PhaseFailure("almost", "decompose", str(exc), 0) from exc
+                raise PhaseFailure("almost", "decompose", str(exc), 1) from exc
             greedy = True
     if greedy:
         return _greedy(d, tree, t, v, params, rng, "almost", in_pool)[0], telemetry

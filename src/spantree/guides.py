@@ -19,7 +19,7 @@ import numpy as np
 
 from .digraph import Digraph, Sign, SIGNS, min_semidegree
 from .embedding import PipelineError
-from .matching import BipartitePattern, MatchingError, covering_matching
+from .matching import MatchingError, covering_matching
 
 
 class GuideBuildError(PipelineError):
@@ -88,18 +88,13 @@ def build_xy_labeling(d: Digraph, v: int, sign: Sign, alpha: float) -> XYLabelin
 
     in_rows = d.mat.T & base[None, :]
     counts = in_rows.astype(np.float32) @ d.mat.astype(np.float32).T
-    aux = counts >= threshold
-    pattern = BipartitePattern.explicit(
-        np.arange(n), np.arange(n), Sign.PLUS, aux
-    )
     try:
-        matching = covering_matching(pattern, what="xy-labeling auxiliary graph")
+        ys = covering_matching(counts >= threshold, what="xy-labeling auxiliary graph")
     except MatchingError as exc:
         raise GuideBuildError(
             f"no xy-labeling for v={v}, sign={sign}: semidegree hypothesis violated "
-            f"(Hall violator of size {0 if exc.violator is None else len(exc.violator)})"
+            f"(Hall violator of size {len(exc.violator)})"
         ) from exc
-    ys = np.array([b for _a, b in sorted(matching.pairs)], dtype=np.int64)
     return XYLabeling(v, sign, np.arange(n, dtype=np.int64), ys, threshold)
 
 

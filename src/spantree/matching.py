@@ -1,14 +1,13 @@
-"""Directed bipartite matchings, Hall certificates, and matching-based embedding.
+"""Covering matchings with Hall certificates, and matching-based embedding.
 
-A pattern couples a left vertex class A with a right class B under a sign:
-a PLUS pattern contains a row edge (a, b) when a->b is an edge, a MINUS
-pattern when b->a is an edge.  Synthetic patterns (auxiliary graphs built
-from guide rows) supply the incidence matrix directly.
+A bipartite graph is a bool matrix: rows are the side to cover (guide-graph
+rows, leaves, or one block of hosts), columns the candidates, and the caller
+reads the sign of each row edge off the host before building it.  A missing
+covering matching comes back as the Koenig violator, a set of rows whose
+neighbourhood is smaller than itself.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -27,51 +26,6 @@ class MatchingError(PipelineError):
     def __init__(self, message: str, violator: np.ndarray | None = None):
         super().__init__(message)
         self.violator = violator
-
-
-@dataclass(frozen=True)
-class BipartitePattern:
-    """Left/right vertex classes and the boolean row-edge incidence."""
-
-    left: np.ndarray       # labels of the left class
-    right: np.ndarray      # labels of the right class
-    sign: Sign
-    adj: np.ndarray        # bool, len(left) x len(right)
-
-    @classmethod
-    def from_host(cls, d: Digraph, a, b, sign: Sign) -> "BipartitePattern":
-        a = np.asarray(sorted(int(v) for v in a), dtype=np.int64)
-        b = np.asarray(sorted(int(v) for v in b), dtype=np.int64)
-        if len(np.intersect1d(a, b)) > 0:
-            raise ValueError("pattern classes must be disjoint")
-        if sign is Sign.PLUS:
-            adj = d.mat[np.ix_(a, b)]
-        else:
-            adj = d.mat[np.ix_(b, a)].T
-        return cls(a, b, sign, np.ascontiguousarray(adj))
-
-    @classmethod
-    def explicit(cls, left, right, sign: Sign, adj: np.ndarray) -> "BipartitePattern":
-        left = np.asarray(left, dtype=np.int64)
-        right = np.asarray(right, dtype=np.int64)
-        adj = np.asarray(adj, dtype=bool)
-        if adj.shape != (len(left), len(right)):
-            raise ValueError("incidence shape mismatch")
-        return cls(left, right, sign, adj)
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Vertex-disjoint sign-edges from the left class into the right class."""
-
-    pairs: tuple[tuple[int, int], ...]
-    sign: Sign
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return {a: b for a, b in self.pairs}
 
 
 def _raw_matching(adj: np.ndarray) -> np.ndarray:
@@ -119,35 +73,21 @@ def _violator_rows(adj: np.ndarray, col_of_row: np.ndarray) -> np.ndarray:
     return np.flatnonzero(reach_rows)
 
 
-def covering_matching(pattern: BipartitePattern, what: str = "pattern") -> Matching:
-    """Matching covering the left class, or MatchingError with the violator."""
-    col_of_row = _raw_matching(pattern.adj)
-    if not (col_of_row >= 0).all():
-        rows = _violator_rows(pattern.adj, col_of_row)
+def covering_matching(adj: np.ndarray, what: str = "pattern") -> np.ndarray:
+    """The matched column of every row of the bool matrix `adj`.
+
+    Raises MatchingError, with the Koenig violator as row indices, when no
+    matching covers every row.
+    """
+    col_of_row = _raw_matching(adj)
+    if (col_of_row < 0).any():
+        rows = _violator_rows(adj, col_of_row)
         raise MatchingError(
             f"{what}: no matching covering the left class "
-            f"(violator size {len(rows)}, neighborhood {int(pattern.adj[rows].any(axis=0).sum())})",
-            violator=pattern.left[rows],
+            f"(violator size {len(rows)}, neighborhood {int(adj[rows].any(axis=0).sum())})",
+            violator=rows,
         )
-    pairs = tuple(
-        (int(pattern.left[i]), int(pattern.right[j])) for i, j in enumerate(col_of_row)
-    )
-    return Matching(pairs, pattern.sign)
-
-
-def match_leaves(
-    d: Digraph, rows: list[tuple[int, Sign]], cols: np.ndarray, what: str
-) -> tuple[tuple[int, int], ...]:
-    """Batch-match leaves into the free hosts `cols`, or raise MatchingError.
-
-    rows[r] = (parent host, sign): leaf r needs a host in N^sign(parent host).
-    Returns (r, host) pairs covering every row.
-    """
-    adj = np.zeros((len(rows), len(cols)), dtype=bool)
-    for r, (parent_host, sign) in enumerate(rows):
-        adj[r] = d.adj_row(parent_host, sign)[cols]
-    pattern = BipartitePattern.explicit(np.arange(len(rows)), cols, Sign.PLUS, adj)
-    return covering_matching(pattern, what=what).pairs
+    return col_of_row
 
 
 def embed_tree_copies(
@@ -155,9 +95,9 @@ def embed_tree_copies(
 ) -> list[Embedding]:
     """|V1| vertex-disjoint copies of `tree`, each mapping `root` into V1.
 
-    V2 is split into |tree|-1 equal blocks following a prefix order of the
-    tree; consecutive blocks are joined by perfect sign-matchings, whose
-    union decomposes into the copies.
+    V1 and V2 must hold distinct hosts.  V2 is split into |tree|-1 equal
+    blocks following a prefix order of the tree; consecutive blocks are
+    joined by perfect sign-matchings, whose union decomposes into the copies.
     """
     v1 = np.asarray(v1, dtype=np.int64)
     v2 = np.asarray(v2, dtype=np.int64)
@@ -166,6 +106,8 @@ def embed_tree_copies(
         raise ValueError(
             f"need |V2| = (|R|-1)|V1|: got {len(v2)} != {(tree.n - 1) * per}"
         )
+    if len(np.unique(np.concatenate([v1, v2]))) != per + len(v2):
+        raise ValueError("V1 and V2 together must hold distinct hosts")
     if tree.n == 1:
         out = []
         for h in v1:
@@ -181,19 +123,21 @@ def embed_tree_copies(
     for i in range(1, tree.n):
         j = order.parent_index[i]
         sign = order.sign[i]
+        # Ascending hosts: searchsorted reads `parents`, and the copies depend on the order.
+        parents, children = np.sort(blocks[j]), np.sort(blocks[i])
+        if sign is Sign.PLUS:
+            adj = d.mat[np.ix_(parents, children)]
+        else:
+            adj = d.mat[np.ix_(children, parents)].T
         try:
-            matching = covering_matching(
-                BipartitePattern.from_host(d, blocks[j], blocks[i], sign),
-                what=f"tree-copy edge class {i}",
-            )
+            col_of_row = covering_matching(adj, what=f"tree-copy edge class {i}")
         except MatchingError as exc:
             raise MatchingError(
                 f"chained matching failed at edge class {i} "
                 f"(tree vertex {order.order[i]}, sign {sign}): {exc}",
-                violator=exc.violator,
+                violator=parents[exc.violator],
             ) from exc
-        lookup = matching.as_dict()
-        host_of[i] = np.array([lookup[int(h)] for h in host_of[j]], dtype=np.int64)
+        host_of[i] = children[col_of_row[np.searchsorted(parents, host_of[j])]]
 
     copies = []
     for b in range(per):
@@ -271,10 +215,14 @@ def walk_lean_pieces(
             leaf_rows.append((mapping[order.order[order.parent_index[i]]], order.sign[i]))
         maps.append(mapping)
     if leaf_rows:
-        for r, host in match_leaves(d, leaf_rows, np.flatnonzero(free), what):
-            k, leaf = leaf_slots[r]
+        cols = np.flatnonzero(free)
+        adj = np.zeros((len(leaf_rows), len(cols)), dtype=bool)
+        for r, (parent_host, sign) in enumerate(leaf_rows):
+            adj[r] = d.adj_row(parent_host, sign)[cols]
+        hosts = cols[covering_matching(adj, what)]
+        for (k, leaf), host in zip(leaf_slots, hosts.tolist()):
             maps[k][leaf] = host
-            free[host] = False
+        free[hosts] = False
     return maps
 
 

@@ -13,7 +13,7 @@ from .digraph import Digraph, Sign, check_inherited_degree, gen_semidegree_digra
 from .embedding import PipelineError, is_valid_embedding
 from .embedder import absorb_at_random, embed_almost_spanning, embed_spanning
 from .guides import GuideSystem
-from .matching import BipartitePattern, MatchingError, covering_matching, embed_small_forest, embed_tree_copies
+from .matching import MatchingError, covering_matching, embed_small_forest, embed_tree_copies
 from .params import ParamSchedule, spanning_defaults
 from .trees import gen_random_tree
 
@@ -64,7 +64,7 @@ def _trial_matching(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
     size = cfg.set_size or max(4, d.n // 10)
     a, b = sample_disjoint_subsets(d, [size, size], rng)
     try:
-        covering_matching(BipartitePattern.from_host(d, a, b, Sign.PLUS), what="perfect matching")
+        covering_matching(d.mat[np.ix_(a, b)], what="perfect matching")
         return True, 0, ""
     except MatchingError:
         return False, 0, "hall-fail"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from spantree.digraph import Digraph
 from spantree.guides import XYLabeling
-from spantree.matching import Matching
 from spantree.trees import OrientedTree
 
 
@@ -17,9 +16,9 @@ def labeling_verifies(d: Digraph, lab: XYLabeling) -> bool:
     )
 
 
-def matching_dump(matching: Matching) -> str:
-    """One "left right" line per pair, sorted."""
-    return "\n".join(f"{a} {b}" for a, b in sorted(matching.pairs)) + "\n"
+def matching_dump(col_of_row) -> str:
+    """One "row column" line per matched row, in row order."""
+    return "".join(f"{r} {c}\n" for r, c in enumerate(col_of_row.tolist()))
 
 
 def tree_leaves(tree: OrientedTree) -> list[int]:

@@ -80,6 +80,24 @@ class TestXYLabeling:
         assert (lab.xs == np.arange(40)).all() and (lab.ys != lab.xs).any()
         assert sorted(lab.ys.tolist()) == list(range(40))
         assert labeling_verifies(d, lab)
+        # Recorded before the matching took bool matrices: the same partners.
+        assert lab.ys.tolist() == list(range(8)) + [v ^ 1 for v in range(8, 40)]
+
+    def test_unmatched_auxiliary_graph_names_the_violator_size(self):
+        # Hosts 30 and 33 have no in-arcs, so their auxiliary rows are empty.
+        d = _few_mutual_rows_host()
+        mat = d.mat.copy()
+        mat[:, [30, 33]] = False
+        with pytest.raises(GuideBuildError) as info:
+            build_xy_labeling(Digraph(40, mat), 0, Sign.PLUS, 0.5)
+        assert str(info.value) == (
+            "no xy-labeling for v=0, sign=+: semidegree hypothesis violated (Hall violator of size 2)"
+        )
+        assert str(info.value.__cause__) == (
+            "xy-labeling auxiliary graph: no matching covering the left class "
+            "(violator size 2, neighborhood 0)"
+        )
+        assert info.value.__cause__.violator.tolist() == [30, 33]
 
 
 class TestBuildGuide:

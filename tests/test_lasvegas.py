@@ -29,7 +29,7 @@ from spantree.embedding import (
     is_valid_embedding,
 )
 from spantree.guides import GuideBuildError, GuideRestrictError
-from spantree.matching import ForestEmbedError, MatchingError, match_leaves, walk_lean_pieces
+from spantree.matching import ForestEmbedError, MatchingError, walk_lean_pieces
 from spantree.oracle import TrialConfig, run_single_trial
 from spantree.params import ParamSchedule, spanning_defaults
 from spantree.trees import FAMILIES, OrientedTree, gen_random_tree, max_semidegree, prefix_order
@@ -128,21 +128,27 @@ class TestGreedyWalk:
 
 
 class TestMatchLeaves:
+    """The one leaf matcher: the leaf batch of `walk_lean_pieces`."""
+
     def test_covers_every_row_along_its_sign(self):
         d = gen_semidegree_digraph(40, 0.3, np.random.default_rng(5))
-        rows = [(0, Sign.PLUS), (0, Sign.MINUS), (1, Sign.PLUS)]
-        cols = np.arange(10, 40)
-        pairs = match_leaves(d, rows, cols, "test leaves")
-        assert sorted(r for r, _h in pairs) == [0, 1, 2]
-        assert len({h for _r, h in pairs}) == 3
-        for r, host in pairs:
-            parent, sign = rows[r]
-            assert host in cols and d.adj_row(parent, sign)[host]
+        star = OrientedTree(4, [(0, 1), (2, 0), (0, 3)])
+        free = np.zeros(d.n, dtype=bool)
+        free[10:] = True
+        (m,) = walk_lean_pieces(d, [(star, 0, None)], free, np.random.default_rng(0), "test leaves")
+        assert len(set(m.values())) == 4 and all(10 <= h < 40 for h in m.values())
+        assert not free[list(m.values())].any()
+        for u, w in star.edge_list:
+            assert d.has_edge(m[u], m[w])
 
     def test_hall_violation_raises(self):
-        d = complete(10)
-        with pytest.raises(MatchingError, match="test leaves"):
-            match_leaves(d, [(0, Sign.PLUS)] * 3, np.array([1, 2]), "test leaves")
+        # The root takes one of three free hosts; its three leaves have two left.
+        free = np.zeros(10, dtype=bool)
+        free[[1, 2, 3]] = True
+        star = OrientedTree(4, [(0, 1), (0, 2), (0, 3)])
+        with pytest.raises(MatchingError, match="test leaves") as info:
+            walk_lean_pieces(complete(10), [(star, 0, None)], free, np.random.default_rng(0), "test leaves")
+        assert info.value.violator.tolist() == [0, 1, 2]
 
 
 class TestDrawHost:
@@ -660,6 +666,14 @@ class TestFailuresFromInputs:
             embed_spanning(backward_path_host(12), tree, spanning_defaults(12, 0.25), np.random.default_rng(1))
         assert (info.value.phase, info.value.attempts) == ("spanning", 10)
         assert str(info.value) == "spanning failed after 10 attempt(s) [leaf-greedy-fail]: greedy walk stuck"
+
+    def test_decomposition_failure_reports_one_attempt(self):
+        d = gen_semidegree_digraph(120, 0.25, np.random.default_rng(0))
+        tree = gen_random_tree(100, 3, "caterpillar", np.random.default_rng(100))
+        with pytest.raises(PhaseFailure) as info:
+            embed_almost_spanning(d, tree, 0, 5, spanning_defaults(120, 0.25), np.random.default_rng(1))
+        assert (info.value.cause, info.value.attempts) == ("decompose", 1)
+        assert str(info.value).startswith("almost failed after 1 attempt(s) [decompose]: decomposition failed")
 
     def test_guide_budget_shortfall_is_not_resampled(self, monkeypatch):
         calls = []

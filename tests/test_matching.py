@@ -11,7 +11,6 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from spantree.digraph import Digraph, Sign, gen_semidegree_digraph, sample_disjoint_subsets
 from spantree.embedding import is_valid_embedding
 from spantree.matching import (
-    BipartitePattern,
     MatchingError,
     _raw_matching,
     covering_matching,
@@ -55,14 +54,11 @@ def skew_bounded(adj, a, b):
 
 class TestMaxMatching:
     def test_single_edge(self):
-        p = BipartitePattern.explicit([0], [1], Sign.PLUS, np.array([[True]]))
-        assert covering_matching(p).pairs == ((0, 1),)
+        assert covering_matching(np.array([[True]])).tolist() == [0]
 
     def test_shared_target(self):
-        adj = np.array([[True], [True]])
-        p = BipartitePattern.explicit([0, 1], [9], Sign.PLUS, adj)
         with pytest.raises(MatchingError):
-            covering_matching(p)
+            covering_matching(np.array([[True], [True]]))
 
     def test_matches_brute_force_on_random_patterns(self):
         rng = np.random.default_rng(42)
@@ -70,9 +66,9 @@ class TestMaxMatching:
             nl = int(rng.integers(1, 9))
             nr = int(rng.integers(1, 9))
             adj = rng.random((nl, nr)) < rng.uniform(0.1, 0.9)
-            p = BipartitePattern.explicit(np.arange(nl), np.arange(nr), Sign.PLUS, adj)
             try:
-                covered = len(covering_matching(p)) == nl
+                col_of_row = covering_matching(adj)
+                covered = bool(adj[np.arange(nl), col_of_row].all()) and len(set(col_of_row.tolist())) == nl
             except MatchingError:
                 covered = False
             assert covered == (brute_max_matching(adj) == nl)
@@ -80,8 +76,7 @@ class TestMaxMatching:
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         adj = (rng.random((8, 8)) < 0.5) | np.eye(8, dtype=bool)
-        p = BipartitePattern.explicit(np.arange(8), np.arange(8), Sign.PLUS, adj)
-        assert covering_matching(p).pairs == covering_matching(p).pairs
+        assert covering_matching(adj).tolist() == covering_matching(adj).tolist()
 
     @pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
     def test_direct_csr_is_the_coo_route(self, rows):
@@ -109,25 +104,20 @@ class TestMaxMatching:
         assert peaks[1] < peaks[0] / 2
 
     def test_dump_format(self):
-        p = BipartitePattern.explicit([2, 1], [5, 6], Sign.PLUS, np.eye(2, dtype=bool))
-        text = matching_dump(covering_matching(p))
-        lines = text.strip().splitlines()
-        assert lines == sorted(lines)
+        adj = np.array([[False, True, False], [True, False, False]])
+        assert matching_dump(covering_matching(adj)) == "0 1\n1 0\n"
 
 
 class TestHallViolator:
     """The violator a failed covering_matching carries on its MatchingError."""
 
     def test_perfect_pattern_none(self):
-        p = BipartitePattern.explicit([0, 1], [2, 3], Sign.PLUS, np.eye(2, dtype=bool))
-        assert len(covering_matching(p)) == 2
+        assert covering_matching(np.eye(2, dtype=bool)).tolist() == [0, 1]
 
     def test_two_into_one(self):
-        adj = np.array([[True], [True]])
-        p = BipartitePattern.explicit([0, 1], [9], Sign.PLUS, adj)
         with pytest.raises(MatchingError) as exc:
-            covering_matching(p)
-        assert sorted(exc.value.violator.tolist()) == [0, 1]
+            covering_matching(np.array([[True], [True]]))
+        assert exc.value.violator.tolist() == [0, 1]
 
     def test_violator_iff_uncovered(self):
         rng = np.random.default_rng(7)
@@ -135,46 +125,41 @@ class TestHallViolator:
             nl = int(rng.integers(1, 11))
             nr = int(rng.integers(1, 11))
             adj = rng.random((nl, nr)) < rng.uniform(0.05, 0.9)
-            left = np.arange(100, 100 + nl)
-            p = BipartitePattern.explicit(left, np.arange(nr), Sign.PLUS, adj)
             try:
-                covering_matching(p)
+                covering_matching(adj)
                 violator = None
             except MatchingError as exc:
                 violator = exc.violator
             assert (violator is None) == (brute_max_matching(adj) == nl)
             if violator is not None:
-                assert set(violator.tolist()) <= set(left.tolist())
-                rows = np.isin(left, violator)
-                nbhd = int(adj[rows].any(axis=0).sum())
+                assert set(violator.tolist()) <= set(range(nl))
+                nbhd = int(adj[violator].any(axis=0).sum())
                 assert nbhd < len(violator)
 
 
 class TestSkewBounded:
     def test_complete_pattern(self):
         adj = np.ones((3, 5), dtype=bool)
-        p = BipartitePattern.explicit(np.arange(3), np.arange(5), Sign.PLUS, adj)
         assert skew_bounded(adj, 5, 3)
         assert not skew_bounded(adj, 6, 3)
-        assert len(covering_matching(p)) == 3
+        assert len(covering_matching(adj)) == 3
 
     def test_matching_from_skew_regular(self):
         adj = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)
-        p = BipartitePattern.explicit(np.arange(3), np.arange(3), Sign.PLUS, adj)
         assert skew_bounded(adj, 2, 2)
-        assert len(covering_matching(p)) == 3
+        assert len(covering_matching(adj)) == 3
 
     def test_single_edge(self):
-        p = BipartitePattern.explicit([0], [1], Sign.MINUS, np.array([[True]]))
-        assert covering_matching(p).pairs == ((0, 1),)
+        # A MINUS pattern is the transposed host block: the arc 1 -> 0.
+        d = Digraph.from_edges(2, [(1, 0)])
+        assert covering_matching(d.mat[np.ix_([1], [0])].T).tolist() == [0]
 
     def test_requires_a_geq_b(self):
         # A (1, 2)-skew-bound does not force coverage: two rows share one column.
         adj = np.array([[True], [True]])
-        p = BipartitePattern.explicit([0, 1], [9], Sign.PLUS, adj)
         assert skew_bounded(adj, 1, 2)
         with pytest.raises(MatchingError):
-            covering_matching(p)
+            covering_matching(adj)
 
     def test_generated_skew_patterns_always_covered(self):
         # 200 random (a, b)-skew-bounded patterns with a >= b; the acceptance
@@ -184,8 +169,8 @@ class TestSkewBounded:
             made = make_skew_pattern(rng)
             if made is None:
                 continue
-            p, a, b = made
-            assert len(covering_matching(p)) == len(p.left)
+            adj, a, b = made
+            assert len(covering_matching(adj)) == len(adj)
 
 
 def make_skew_pattern(rng):
@@ -205,12 +190,13 @@ def make_skew_pattern(rng):
         col_load[take] += 1
     if not skew_bounded(adj, a, b):
         raise AssertionError(f"generated pattern is not ({a}, {b})-skew-bounded")
-    return BipartitePattern.explicit(np.arange(nl), np.arange(nr), Sign.PLUS, adj), a, b
+    return adj, a, b
 
 
 def perfect_matching(d, a, b, sign):
     """The pipeline's matching call between equal-sized disjoint host sets."""
-    return covering_matching(BipartitePattern.from_host(d, a, b, sign), what="perfect matching")
+    adj = d.mat[np.ix_(a, b)] if sign is Sign.PLUS else d.mat[np.ix_(b, a)].T
+    return covering_matching(adj, what="perfect matching")
 
 
 class TestPerfectMatching:
@@ -227,7 +213,7 @@ class TestPerfectMatching:
         d = Digraph(6, mat)
         with pytest.raises(MatchingError) as exc:
             perfect_matching(d, np.arange(3), np.arange(3, 6), Sign.PLUS)
-        assert len(exc.value.violator) == 1
+        assert exc.value.violator.tolist() == [0]
 
     def test_monte_carlo_random_sets(self):
         rng = np.random.default_rng(5)
@@ -280,6 +266,40 @@ class TestTreeCopies:
         tree = OrientedTree(2, [(0, 1)])
         with pytest.raises(ValueError):
             embed_tree_copies(d, tree, 0, np.arange(4), np.arange(4, 7))
+
+    def test_mixed_signs_unsorted_sets_keep_their_maps(self):
+        # Recorded before the matching took bool matrices.
+        rng = np.random.default_rng(21)
+        d = gen_semidegree_digraph(200, 0.2, rng)
+        tree = OrientedTree(6, [(0, 1), (2, 1), (1, 3), (4, 3), (3, 5)])
+        v1, v2 = sample_disjoint_subsets(d, [12, 60], rng)
+        v1, v2 = rng.permutation(v1), rng.permutation(v2)
+        copies = embed_tree_copies(d, tree, 0, v1, v2)
+        assert all(is_valid_embedding(d, tree, c) for c in copies)
+        text = json.dumps([sorted(c.map.items()) for c in copies])
+        digest = "79a535ff1fed2cf5f9a797ad21da7735ed66915840990ca6fb7e389c904ab264"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_chained_failure_names_hosts_of_the_parent_block(self):
+        # Hosts 8 and 11 of block 1 receive arcs from block 2 only from host 6.
+        mat = np.ones((12, 12), dtype=bool)
+        np.fill_diagonal(mat, False)
+        mat[np.ix_([0, 3], [8, 11])] = False
+        tree = OrientedTree(3, [(0, 1), (2, 1)])
+        with pytest.raises(MatchingError) as info:
+            embed_tree_copies(Digraph(12, mat), tree, 0, np.array([7, 2, 10]), np.array([11, 4, 8, 0, 6, 3]))
+        assert str(info.value) == (
+            "chained matching failed at edge class 2 (tree vertex 2, sign -): tree-copy edge class 2: "
+            "no matching covering the left class (violator size 2, neighborhood 1)"
+        )
+        assert info.value.violator.tolist() == [8, 11]
+
+    def test_shared_hosts_rejected(self):
+        # Host 1 is in both V1 and V2; the chained matchings alone once
+        # returned {0: 0, 1: 2, 2: 1} and {0: 1, 1: 3, 2: 4}.
+        tree = OrientedTree(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="distinct hosts"):
+            embed_tree_copies(complete(10), tree, 0, [0, 1], [2, 3, 1, 4])
 
 
 class TestSmallForest:

@@ -6,9 +6,11 @@ intersections); `adj_row` reads one vertex's out- or in-neighbourhood as
 a boolean row over all hosts.  Derived forms are built on first use and
 cached read-only: the bit-packed in-adjacency, whose contiguous rows serve
 every in-neighbourhood read, so no read walks a stride-n column of `mat`;
-and the mutual-arc matrix mat & mat.T with its column sums and bit-packed
+the mutual-arc matrix mat & mat.T with its column sums and bit-packed
 rows, so only hosts that build guides pay for them, and only hosts whose
-xy-labelings the column-sum bound cannot settle pay for the packed rows.
+xy-labelings the column-sum bound cannot settle pay for the packed rows;
+and per sign, the O(n) flags of the hosts whose neighbourhood is every
+other host, which let a greedy-walk pick from such a host skip its scan.
 Instances are immutable after construction and safe to share across
 concurrent trials.
 """
@@ -42,11 +44,13 @@ class Digraph:
 
     `adj_row` is the one neighbourhood reader: out-neighbours are a row of
     `mat`, in-neighbours a row of `in_packed`.  The cached derived fields
-    are `in_packed`, `mutual`, `mutual_colsum` and `mutual_packed`, each
-    built once on first use.
+    are `in_packed`, `mutual`, `mutual_colsum`, `mutual_packed` and the
+    `full_rows` of each sign, each built once on first use.
     """
 
-    __slots__ = ("n", "mat", "_in_packed", "_mutual", "_mutual_colsum", "_mutual_packed")
+    __slots__ = (
+        "n", "mat", "_in_packed", "_mutual", "_mutual_colsum", "_mutual_packed", "_full_rows",
+    )
 
     def __init__(self, n: int, mat: np.ndarray):
         if n < 1:
@@ -62,6 +66,7 @@ class Digraph:
         self._mutual: np.ndarray | None = None
         self._mutual_colsum: np.ndarray | None = None
         self._mutual_packed: np.ndarray | None = None
+        self._full_rows: dict[Sign, np.ndarray] = {}
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Digraph":
@@ -132,6 +137,17 @@ class Digraph:
             packed.setflags(write=False)
             self._mutual_packed = packed
         return self._mutual_packed
+
+    def full_rows(self, sign: Sign) -> np.ndarray:
+        """Read-only bool flags: [v] is set iff N^sign(v) is every other host (degree n - 1)."""
+        flags = self._full_rows.get(sign)
+        if flags is None:
+            # int32 sums take half the time of count_nonzero's int64 ones.
+            degree = self.mat.sum(axis=1 if sign is Sign.PLUS else 0, dtype=np.int32)
+            flags = degree == self.n - 1
+            flags.setflags(write=False)
+            self._full_rows[sign] = flags
+        return flags
 
     def adj_row(self, v: int, sign: Sign) -> np.ndarray:
         """Boolean neighborhood row over all n hosts; callers only read it.

@@ -339,11 +339,8 @@ def _embed_stars_once(
 ) -> Embedding:
     n = d.n
     parts, lean = layout.parts, layout.lean
-    for _draw in range(60):
-        sets = sample_disjoint_subsets(d, layout.sizes, rng)
-        if v in sets[0]:
-            break
-    else:
+    sets = _parts_holding(d, layout.sizes, rng, None, v, 60)
+    if sets is None:
         raise GuideBuildError(f"anchor {v} never landed in V0 across 60 partitions")
     v0 = sets[0]
     part_targets = sets[1 : 1 + len(parts)]
@@ -570,12 +567,10 @@ def embed_almost_spanning(
             raise PhaseFailure("almost", "guide-build", "slack too thin to size V1", attempt + 1)
         sizes = [t1_size + s1, t2_new + s2]
         try:
-            for _draw in range(300):
-                v1, v2 = sample_disjoint_subsets(d, sizes, rng, pool)
-                if v in v1:
-                    break
-            else:
+            parts = _parts_holding(d, sizes, rng, pool, v, 300)
+            if parts is None:
                 raise GuideBuildError("anchor never landed in V1")
+            v1, v2 = parts
             in_v3 = in_pool.copy()
             in_v3[v1] = False
             in_v3[v2] = False
@@ -594,6 +589,29 @@ def embed_almost_spanning(
             elif exc.phase == "paths":
                 v1_bias -= max(4, slack // 8)
     raise PhaseFailure("almost", last.cause, str(last), attempts=params.retries)
+
+
+def _parts_holding(
+    d: Digraph, sizes: list[int], rng: np.random.Generator, pool: np.ndarray | None, v: int,
+    draws: int,
+) -> list[np.ndarray] | None:
+    """The first of `draws` `sample_disjoint_subsets` draws whose first part holds v, or None.
+
+    A draw slices one permutation of the ranks in `pool` (of the hosts when
+    None), so a draw that leaves v's rank out of its first sizes[0] entries
+    is rejected on that permutation alone, and only a draw that keeps it is
+    replayed through `sample_disjoint_subsets` from the saved RNG state.
+    The random stream and the parts are those of redrawing whole partitions.
+    """
+    rank, available = (v, d.n) if pool is None else (int(np.searchsorted(pool, v)), len(pool))
+    for _draw in range(draws):
+        state = rng.bit_generator.state
+        if rank in rng.permutation(available)[: sizes[0]]:
+            rng.bit_generator.state = state
+            parts = sample_disjoint_subsets(d, sizes, rng, pool)
+            if v in parts[0]:
+                return parts
+    return None
 
 
 def _check_degree_cap(tree: OrientedTree, params: ParamSchedule, n: int) -> None:
@@ -1145,6 +1163,8 @@ def embed_spanning(
         except PipelineError as exc:
             telemetry["failures"].append({"outer": outer, "cause": exc.cause, "detail": str(exc)})
             last = exc
+            if exc.cause == "decompose":   # fixed by the trunk piece: a retry fails alike
+                break
 
     # Trees whose degrees dwarf the nominal cap sit outside the guarantee the
     # pipeline realizes (a star's absorber has no switch reservoir: every
@@ -1156,4 +1176,4 @@ def embed_spanning(
         with contextlib.suppress(PhaseFailure):
             emb, phases["over-cap-greedy"] = _greedy(d, tree, anchor, None, params, rng, "spanning")
             return emb, telemetry
-    raise PhaseFailure("spanning", last.cause, str(last), attempts=outer_budget)
+    raise PhaseFailure("spanning", last.cause, str(last), attempts=outer + 1)

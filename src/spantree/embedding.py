@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, Sign
 from .trees import OrientedTree, PrefixOrdering
 
 
@@ -75,17 +75,34 @@ def greedy_walk(
     its parent's image.  Every pick is a `draw_host` with `host_order`.
     Used hosts are cleared in `free`.  Returns hosts[i] = image of
     order.order[i], or None when some vertex has no candidate.
+
+    When the parent's image p has a full row in the pick's sign
+    (`Digraph.full_rows`), the candidates are `free` itself, since p is
+    never free.  Such a pick reads the free hosts from a list kept in the
+    reading order and draws the same index from it, with no scan; the
+    list is built at the first such pick and dropped after any pick that
+    scans a row.
     """
     stop = len(order.order) if stop is None else stop
     adj_row, parent_index, sign = d.adj_row, order.parent_index, order.sign
+    plus, full_out, full_in = Sign.PLUS, d.full_rows(Sign.PLUS), d.full_rows(Sign.MINUS)
     candidates = np.empty(d.n, dtype=bool)   # row & free, refilled in place per pick
+    free_list: list[int] | None = None       # the hosts marked in `free`, in reading order
     hosts: list[int] = []
     for i in range(stop):
         if i == 0:
             host = draw_host(free, rng, host_order) if root_host is None else int(root_host)
         else:
-            np.logical_and(adj_row(hosts[parent_index[i]], sign[i]), free, out=candidates)
-            host = draw_host(candidates, rng, host_order)
+            parent, s = hosts[parent_index[i]], sign[i]
+            if not (full_out if s is plus else full_in)[parent]:
+                free_list = None
+                np.logical_and(adj_row(parent, s), free, out=candidates)
+                host = draw_host(candidates, rng, host_order)
+            else:
+                if free_list is None:
+                    free_list = (free.nonzero()[0] if host_order is None
+                                 else host_order[free[host_order]]).tolist()
+                host = free_list.pop(rng.integers(len(free_list))) if free_list else None
         if host is None:
             return None
         hosts.append(host)

@@ -1,7 +1,9 @@
 """The shared Las Vegas toolkit: failure base, retry loop, host draws, walks, leaf matcher."""
 
+import functools
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +127,134 @@ class TestGreedyWalk:
         d = Digraph.from_edges(4, [(0, 1)])
         order = prefix_order(OrientedTree(3, [(0, 1), (1, 2)]), 0)
         assert greedy_walk(d, order, np.ones(4, dtype=bool), np.random.default_rng(0), root_host=0) is None
+
+
+def scan_walk(d, order, free, rng, root_host=None, stop=None, host_order=None):
+    """The greedy walk with a scan on every pick: its candidates are row & free."""
+    stop = len(order.order) if stop is None else stop
+    hosts = []
+    for i in range(stop):
+        if i == 0:
+            host = draw_host(free, rng, host_order) if root_host is None else int(root_host)
+        else:
+            row = d.adj_row(hosts[order.parent_index[i]], order.sign[i])
+            host = draw_host(row & free, rng, host_order)
+        if host is None:
+            return None
+        hosts.append(host)
+        free[host] = False
+    return np.array(hosts, dtype=np.int64)
+
+
+def minus_arcs(n, arcs):
+    mat = np.ones((n, n), dtype=bool)
+    np.fill_diagonal(mat, False)
+    for u, w in arcs:
+        mat[u, w] = False
+    return Digraph(n, mat)
+
+
+def p_host(n, p, seed):
+    mat = np.random.default_rng(seed).random((n, n)) < p
+    np.fill_diagonal(mat, False)
+    return Digraph(n, mat)
+
+
+def full_row_brute_force(d, sign):
+    return np.array([d.adj_row(v, sign).sum() == d.n - 1 for v in range(d.n)])
+
+
+class TestWalkAgainstScan:
+    """`greedy_walk` reads full rows from a list of free hosts; every pick,
+    the free mask and the RNG state must equal those of the scan on every pick."""
+
+    N = 200
+    HOSTS = ("complete", "minus-arcs", "p=0.98", "tight")
+
+    @staticmethod
+    @functools.cache
+    def host(name):
+        n = TestWalkAgainstScan.N
+        if name == "complete":
+            return complete(n)
+        if name == "minus-arcs":   # rows 0, 3, 5, 7 lose out-arcs only; 1, 2, 4, 6 in-arcs only
+            return minus_arcs(n, [(0, 1), (3, 2), (5, 4), (7, 6), (0, 150), (3, 199)])
+        if name == "p=0.98":
+            return p_host(n, 0.98, 4)
+        return tight_host(n, 0.1, np.random.default_rng(5))
+
+    def walk_both(self, d, order, free, seed, **kw):
+        runs = []
+        for walk in (greedy_walk, scan_walk):
+            rng, mask = np.random.default_rng(seed), free.copy()
+            hosts = walk(d, order, mask, rng, **kw)
+            runs.append((None if hosts is None else hosts.tolist(), mask.tolist(),
+                         rng.bit_generator.state))
+        assert runs[0] == runs[1]
+        return runs[0][0]
+
+    def cases(self, d, seeds):
+        for seed in seeds:
+            for family in ("uniform", "spider", "caterpillar", "path"):
+                tree = gen_random_tree(40, 3, family, np.random.default_rng(seed))
+                for policy in ("any", "leaves_last_middles_consecutive"):
+                    yield seed, prefix_order(tree, seed % tree.n, policy)
+
+    @pytest.mark.parametrize("host", HOSTS)
+    def test_picks_free_mask_and_rng_state(self, host):
+        d = self.host(host)
+        free = np.zeros(d.n, dtype=bool)
+        free[np.random.default_rng(9).choice(d.n, 70, replace=False)] = True
+        pool = np.flatnonzero(free)
+        # 70 ints sit in a table of 128 slots, so hosts above 127 wrap around.
+        set_order = np.fromiter(set(pool.tolist()), dtype=np.int64)
+        assert (np.diff(set_order) < 0).any()
+        for seed, order in self.cases(d, range(3)):
+            root = int(pool[seed * 7])
+            for host_order in (None, set_order):
+                self.walk_both(d, order, free, seed, root_host=root, host_order=host_order)
+                self.walk_both(d, order, free, seed, host_order=host_order)
+                self.walk_both(d, order, free, seed, stop=13, host_order=host_order)
+
+    def test_scanned_picks_between_full_row_picks(self):
+        # Out-rows 0..7 and in-rows 8..15 miss one arc each, so these walks mix
+        # both kinds of pick, and a list of free hosts kept past a scan shows.
+        d = minus_arcs(16, [(v, v + 8) for v in range(8)])
+        tree = OrientedTree(10, [(i, i + 1) if i % 3 else (i + 1, i) for i in range(9)])
+        order = prefix_order(tree, 0)
+        mixed = 0
+        for seed in range(30):
+            hosts = self.walk_both(d, order, np.ones(16, dtype=bool), seed)
+            kinds = "".join(
+                "F" if d.full_rows(order.sign[i])[hosts[order.parent_index[i]]] else "S"
+                for i in range(1, tree.n)
+            )
+            mixed += re.search("F.*S.*F", kinds) is not None
+        assert mixed >= 10
+
+    @pytest.mark.parametrize("host", HOSTS)
+    def test_stuck_walks_draw_nothing_more(self, host):
+        d = self.host(host)
+        for seed, order in self.cases(d, range(2)):
+            free = np.zeros(d.n, dtype=bool)
+            free[np.random.default_rng(seed).choice(d.n, 30, replace=False)] = True
+            assert self.walk_both(d, order, free, seed) is None
+
+    def test_full_rows_of_an_induced_host(self):
+        d = self.host("minus-arcs")
+        keep = np.array([0, 1, 2, 3, 5, 7, 8, 9, 40, 150])   # drops heads 4, 6 and 199
+        sub, labels = d.induce(keep)
+        for sign in (Sign.PLUS, Sign.MINUS):
+            assert sub.full_rows(sign).tolist() == full_row_brute_force(sub, sign).tolist()
+            assert d.full_rows(sign).tolist() == full_row_brute_force(d, sign).tolist()
+            with pytest.raises(ValueError):
+                sub.full_rows(sign)[0] = True
+        # 5 -> 4 and 7 -> 6 leave the induced host: rows 5 and 7 become full.
+        assert not d.full_rows(Sign.PLUS)[[0, 3, 5, 7]].any()
+        assert sub.full_rows(Sign.PLUS)[labels.tolist().index(5)]
+        assert sub.full_rows(Sign.PLUS).sum() == len(keep) - 2   # 0 and 3 lose arcs inside
+        for seed, order in self.cases(sub, range(2)):
+            self.walk_both(sub, order, np.ones(sub.n, dtype=bool), seed, stop=len(keep))
 
 
 class TestMatchLeaves:
@@ -674,6 +804,27 @@ class TestFailuresFromInputs:
             embed_almost_spanning(d, tree, 0, 5, spanning_defaults(120, 0.25), np.random.default_rng(1))
         assert (info.value.cause, info.value.attempts) == ("decompose", 1)
         assert str(info.value).startswith("almost failed after 1 attempt(s) [decompose]: decomposition failed")
+
+    def test_spanning_stops_at_the_first_decomposition_failure(self, monkeypatch):
+        # The trunk piece of this caterpillar fails P1 whatever the draws, so
+        # one absorber build and one almost attempt settle the call.
+        builds = []
+        build = embedder.build_absorber
+
+        def counted(*args):
+            builds.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(embedder, "build_absorber", counted)
+        d = gen_semidegree_digraph(150, 0.25, np.random.default_rng(2))
+        tree = gen_random_tree(150, 3, "caterpillar", np.random.default_rng(102))
+        with pytest.raises(PhaseFailure) as info:
+            embed_spanning(d, tree, spanning_defaults(150, 0.25), np.random.default_rng(202))
+        assert (info.value.phase, info.value.cause, info.value.attempts) == ("spanning", "decompose", 1)
+        assert str(info.value).startswith(
+            "spanning failed after 1 attempt(s) [decompose]: almost failed after 1 attempt(s) [decompose]"
+        )
+        assert builds == [1]
 
     def test_guide_budget_shortfall_is_not_resampled(self, monkeypatch):
         calls = []

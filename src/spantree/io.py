@@ -1,7 +1,8 @@
 """Text formats for digraphs, trees, matchings, and embeddings.
 
 Digraph files: header line ``digraph <n>``, then one ``u v`` line per edge
-meaning u->v.  Tree files: header ``tree <n> [t=<vertex>]`` then edges.
+meaning u->v.  Tree files: header ``tree <n> [t=<vertex>]`` then edges.  A
+header starts with exactly its keyword and holds no other token.
 Blank lines and ``#`` comments are ignored; writers emit edges sorted by
 (u, v), so round-trips are bit-exact.
 """
@@ -37,6 +38,14 @@ def _edges(lines: list[str]) -> list[tuple[int, int]]:
     return edges
 
 
+def _header(lines: list[str], keyword: str, usage: str) -> list[str]:
+    """The header's tokens after `keyword`, which must be its first token exactly."""
+    head = lines[0].split() if lines else []
+    if head[:1] != [keyword]:
+        raise FormatError(f"expected {usage!r} header")
+    return head[1:]
+
+
 def dumps_digraph(d: Digraph) -> str:
     lines = [f"digraph {d.n}"]
     lines.extend(f"{u} {v}" for u, v in d.edges())
@@ -45,12 +54,13 @@ def dumps_digraph(d: Digraph) -> str:
 
 def loads_digraph(text: str) -> Digraph:
     lines = _content_lines(text)
-    if not lines or not lines[0].startswith("digraph"):
-        raise FormatError("expected 'digraph <n>' header")
+    rest = _header(lines, "digraph", "digraph <n>")
     try:
-        n = int(lines[0].split()[1])
+        n = int(rest[0])
     except (IndexError, ValueError) as exc:
         raise FormatError("bad digraph header") from exc
+    if len(rest) > 1:
+        raise FormatError(f"bad digraph header: {lines[0]!r}")
     edges = _edges(lines[1:])
     try:
         return Digraph.from_edges(n, edges)
@@ -67,21 +77,18 @@ def dumps_tree(tree: OrientedTree) -> str:
 
 def loads_tree(text: str) -> OrientedTree:
     lines = _content_lines(text)
-    if not lines or not lines[0].startswith("tree"):
-        raise FormatError("expected 'tree <n> [t=<vertex>]' header")
-    head = lines[0].split()
+    rest = _header(lines, "tree", "tree <n> [t=<vertex>]")
     try:
-        n = int(head[1])
+        n = int(rest[0])
     except (IndexError, ValueError) as exc:
         raise FormatError("bad tree header") from exc
-    t = None
-    for token in head[2:]:
+    for token in rest[1:]:
         if not token.startswith("t="):
             raise FormatError(f"unknown header token {token!r}")
-        try:
-            t = int(token[2:])
-        except ValueError:
-            raise FormatError(f"bad tree header: {lines[0]!r}") from None
+    try:
+        (t,) = [int(token[2:]) for token in rest[1:]] or [None]   # a second t= fails to unpack
+    except ValueError:
+        raise FormatError(f"bad tree header: {lines[0]!r}") from None
     edges = _edges(lines[1:])
     try:
         return OrientedTree(n, edges, t=t)

@@ -10,12 +10,16 @@ an out-neighbour, and `edge_sign` tells the two apart.
 Only `OrientedTree(n, edges, t)` sorts and validates an edge list.  Trees
 derived from a valid tree skip that work: `with_t` shares its parent's edge
 list and both tables, and `induced_subtree` maps their rows through one
-monotone index list, which keeps every row sorted.
+monotone index list, which keeps every row sorted.  `gen_random_tree` skips
+it too: it attaches each vertex to an earlier one, so the tables it fills
+from its own edge list come out sorted and connected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import length_hint
 
 import numpy as np
 
@@ -388,7 +392,14 @@ def gen_random_tree(
     Random stream: uniform draws one rng.random() per attached vertex and
     caterpillar one rng.integers per leaf; every edge of uniform, caterpillar,
     spider and broom then draws rng.integers(2) for its direction when both
-    directions are open at its parent.  path and star draw nothing.
+    directions are open at its parent.  path and star draw nothing.  Spider
+    and broom draw nothing else, so their bits come in one block of n - 1,
+    rewound to the count used: the stream and the state after the call are
+    those of one scalar draw per such edge.
+
+    Every vertex v >= 1 attaches to an earlier one, and edge v - 1 holds v,
+    so each adjacency row (parent first, then children by id) comes out
+    sorted and the tree is built without the constructor's checks.
     """
     if n < 1:
         raise ValueError("n >= 1")
@@ -404,13 +415,20 @@ def gen_random_tree(
     in_deg = [0] * n
     edges: list[tuple[int, int]] = []
 
+    if family in ("spider", "broom"):
+        state = rng.bit_generator.state
+        block = iter(rng.integers(2, size=n - 1).tolist())
+        coin = block.__next__
+    else:
+        coin = partial(rng.integers, 2)
+
     def orient(parent: int, child: int) -> bool:
         """Attach child to parent in a random feasible direction; True if parent is now full."""
         can_out = out_deg[parent] < max_semideg
         can_in = in_deg[parent] < max_semideg
         if not (can_out or can_in):
             raise ValueError("family/degree combination infeasible")
-        forward = bool(rng.integers(2)) if can_out and can_in else can_out
+        forward = bool(coin()) if can_out and can_in else can_out
         if forward:
             edges.append((parent, child))
             out_deg[parent] += 1
@@ -477,7 +495,21 @@ def gen_random_tree(
             orient(v, v + 1)
         hang(handle, lambda open_: len(open_) - 1)
 
-    return OrientedTree(n, edges, t=0)
+    if family in ("spider", "broom"):
+        # Neither family raises after its first draw, so the rewind is the
+        # only exit: leave the stream as if each used bit had been drawn alone.
+        rng.bit_generator.state = state
+        used = n - 1 - length_hint(block)   # exact for a list iterator: the bits left
+        if used:
+            rng.integers(2, size=used)
+
+    out: list[list[int]] = [[] for _ in range(n)]
+    und: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        out[u].append(v)
+        und[u].append(v)
+        und[v].append(u)
+    return OrientedTree._derived(n, tuple(edges), 0, tuple(map(tuple, out)), tuple(map(tuple, und)))
 
 
 def canonical_forms(tree: OrientedTree, roots: list[int]) -> list[str]:

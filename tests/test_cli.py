@@ -69,6 +69,8 @@ class TestFormats:
         ("digraph 3\n0 1.5\n", "bad edge line: '0 1.5'"),
         ("digraph 3\n1 1\n", "self-loop at 1"),
         ("digraph 3\n0 3\n", "edge (0,3) outside 0..2"),
+        ("digraphs 3\n0 1\n", "expected 'digraph <n>' header"),
+        ("digraph 3 7\n0 1\n", "bad digraph header: 'digraph 3 7'"),
     ])
     def test_digraph_rejections(self, text, message):
         with pytest.raises(tio.FormatError, match=f"^{re.escape(message)}$"):
@@ -86,6 +88,8 @@ class TestFormats:
         ("tree 2\n1 1\n", "bad edge (1,1)"),
         ("tree 3 t=3\n0 1\n1 2\n", "distinguished vertex 3 out of range"),
         ("tree 4\n0 1\n1 0\n2 3\n", "edges do not form a connected tree"),
+        ("trees 2\n0 1\n", "expected 'tree <n> [t=<vertex>]' header"),
+        ("tree 3 t=0 t=2\n0 1\n1 2\n", "bad tree header: 'tree 3 t=0 t=2'"),
     ])
     def test_tree_rejections(self, text, message):
         with pytest.raises(tio.FormatError, match=f"^{re.escape(message)}$"):
@@ -172,6 +176,23 @@ class TestEmbed:
         bad.write_text("nonsense\n")
         _, tpath = self.make_instance(tmp_path, n=30)
         assert main(["embed", str(bad), str(tpath), "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize("which, header, message", [
+        ("digraph", "digraphs 30", "expected 'digraph <n>' header"),
+        ("digraph", "digraph 30 7", "bad digraph header: 'digraph 30 7'"),
+        ("tree", "trees 30", "expected 'tree <n> [t=<vertex>]' header"),
+        ("tree", "tree 30 t=0 t=2", "bad tree header: 'tree 30 t=0 t=2'"),
+    ])
+    def test_loose_header_exits_one(self, tmp_path, capsys, which, header, message):
+        dpath, tpath = self.make_instance(tmp_path, n=30)
+        out = tmp_path / "emb.json"
+        assert main(["embed", str(dpath), str(tpath), "--seed", "1", "--out", str(out)]) == 0
+        path = dpath if which == "digraph" else tpath
+        path.write_text("\n".join([header, *path.read_text().splitlines()[1:]]) + "\n")
+        capsys.readouterr()
+        assert main(["embed", str(dpath), str(tpath), "--seed", "1"]) == 1
+        assert main(["verify", str(dpath), str(tpath), str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n" * 2
 
     def test_non_integer_token_exits_one(self, tmp_path, capsys):
         dpath, _ = self.make_instance(tmp_path, n=30)

@@ -343,6 +343,160 @@ class TestGeneratorStream:
         assert max(max_semidegree(tree)) <= delta
 
 
+def reference_tree(n, max_semideg, family, rng):
+    """The earlier generator: one scalar rng.integers(2) per direction, then the validating constructor."""
+    if n < 1:
+        raise ValueError("n >= 1")
+    if max_semideg < 1:
+        raise ValueError("max_semideg >= 1")
+    if family not in GENERATOR_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if n == 1:
+        return OrientedTree(1, [], t=0)
+    full = 2 * max_semideg
+    out_deg, in_deg, edges = [0] * n, [0] * n, []
+
+    def orient(parent, child):
+        can_out, can_in = out_deg[parent] < max_semideg, in_deg[parent] < max_semideg
+        if not (can_out or can_in):
+            raise ValueError("family/degree combination infeasible")
+        forward = bool(rng.integers(2)) if can_out and can_in else can_out
+        tail, head = (parent, child) if forward else (child, parent)
+        edges.append((tail, head))
+        out_deg[tail] += 1
+        in_deg[head] += 1
+        return out_deg[parent] + in_deg[parent] == full
+
+    def hang(spine, pick):
+        open_ = [u for u in range(spine) if out_deg[u] + in_deg[u] < full]
+        for v in range(spine, n):
+            if not open_:
+                raise ValueError("family/degree combination infeasible")
+            i = pick(open_)
+            if orient(open_[i], v):
+                del open_[i]
+
+    if family == "path":
+        edges.extend((v, v + 1) for v in range(n - 1))
+    elif family == "star":
+        if max_semideg < n - 1:
+            raise ValueError(f"star with n={n} needs max_semideg >= {n - 1}")
+        edges.extend((0, v) for v in range(1, n))
+    elif family == "uniform":
+        cap, cdf = np.zeros(n), np.empty(n)
+        cap[0] = total = full
+        for v in range(1, n):
+            head = cdf[:v]
+            np.divide(cap[:v], total, out=head)
+            np.add.accumulate(head, out=head)
+            head /= head[-1]
+            parent = int(head.searchsorted(rng.random(), side="right"))
+            orient(parent, v)
+            cap[parent] -= 1
+            cap[v] = full - 1
+            total += full - 2
+    elif family == "caterpillar":
+        spine_len = max(2, n // 3)
+        for v in range(spine_len - 1):
+            orient(v, v + 1)
+        hang(spine_len, lambda open_: int(rng.integers(len(open_))))
+    elif family == "spider":
+        legs = min(full, max(2, int(np.ceil(np.sqrt(n)))), n - 1)
+        tips = list(range(1, legs + 1))
+        for v in tips:
+            orient(0, v)
+        for v in range(legs + 1, n):
+            leg = (v - legs - 1) % legs
+            orient(tips[leg], v)
+            tips[leg] = v
+    else:
+        handle = max(1, n - full)
+        for v in range(handle - 1):
+            orient(v, v + 1)
+        hang(handle, lambda open_: len(open_) - 1)
+    return OrientedTree(n, edges, t=0)
+
+
+def generated(make, n, delta, family, rng):
+    """Everything a generator call leaves: the tree's parts (or the error text) and the rng state."""
+    try:
+        tree = make(n, delta, family, rng)
+        result = (tree.edge_list, tree.t, [tree.out(v) for v in range(n)], [tree.nbrs(v) for v in range(n)])
+    except ValueError as exc:
+        result = f"ValueError: {exc}"
+    return result, rng.bit_generator.state
+
+
+class TestGeneratorAgainstReference:
+    """gen_random_tree against reference_tree, the earlier generator, call for call.
+
+    The block draw of spider and broom trees must leave the trees, the error
+    texts and the rng state exactly where one scalar draw per edge left them.
+    """
+
+    @given(st.sampled_from(GENERATOR_FAMILIES), st.integers(1, 300), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_trees_errors_and_state(self, family, n, delta, seed):
+        want = generated(reference_tree, n, delta, family, np.random.default_rng(seed))
+        assert generated(gen_random_tree, n, delta, family, np.random.default_rng(seed)) == want
+
+    @pytest.mark.parametrize("family", ["spider", "broom"])
+    @pytest.mark.parametrize("n", [2, 3, 10, 57, 200, 2000])
+    @pytest.mark.parametrize("delta", [1, 2, 3, 5])
+    def test_block_families(self, family, n, delta):
+        for seed in range(3):
+            want = generated(reference_tree, n, delta, family, np.random.default_rng(seed))
+            assert generated(gen_random_tree, n, delta, family, np.random.default_rng(seed)) == want
+
+    def test_families_in_a_row_from_one_rng(self):
+        # As demo 01 does: several families drawn one after another from one stream.
+        calls = [(n, 3, family) for n in (12, 200) for family in GENERATOR_FAMILIES if family != "star"]
+        calls += [(5, 4, "star"), (40, 2, "spider"), (40, 1, "broom"), (9, 3, "star")]
+        rngs = np.random.default_rng(11), np.random.default_rng(11)
+        for n, delta, family in calls:
+            want = generated(reference_tree, n, delta, family, rngs[0])
+            assert generated(gen_random_tree, n, delta, family, rngs[1]) == want, (n, delta, family)
+
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    @pytest.mark.parametrize("n", [2, 7, 64, 301])
+    def test_with_a_pending_32_bit_half(self, family, n):
+        # rng.integers(7) leaves half of a 64-bit output buffered for the next 32-bit draw.
+        rngs = np.random.default_rng(5), np.random.default_rng(5)
+        for rng in rngs:
+            rng.integers(7)
+        assert rngs[0].bit_generator.state["has_uint32"] == 1
+        want = generated(reference_tree, n, 2, family, rngs[0])
+        assert generated(gen_random_tree, n, 2, family, rngs[1]) == want
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+def plain_state(state):
+    """A bit generator's state with its arrays as lists, so two states compare with ==."""
+    if isinstance(state, dict):
+        return {key: plain_state(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 1999])
+@pytest.mark.parametrize("pending_half", [False, True])
+def test_a_block_of_bits_is_the_scalar_stream(bit_generator, k, pending_half):
+    # numpy fills integers(2, size=k) from the same 32-bit outputs as k scalar calls.
+    rngs = np.random.Generator(bit_generator(17)), np.random.Generator(bit_generator(17))
+    if pending_half:
+        for rng in rngs:
+            rng.integers(7)
+    block = rngs[0].integers(2, size=k).tolist()
+    scalars = [int(rngs[1].integers(2)) for _ in range(k)]
+    states = [plain_state(rng.bit_generator.state) for rng in rngs]
+    assert (block, states[0]) == (scalars, states[1]), (
+        "integers(2, size=k) no longer replays k scalar integers(2) calls on this numpy: "
+        "revisit the block draw of spider and broom trees in trees.gen_random_tree")
+
+
 def family_tree(family, n, seed):
     """A generator tree of `family`; stars get the semidegree they need."""
     return gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, np.random.default_rng(seed))

@@ -2,7 +2,8 @@
 
     python3 tools/scaling.py [--out BENCH_scaling.json]
 
-Each size in SIZES runs the reference call in its own process with one BLAS thread:
+Each size in SIZES runs the reference call in RUNS processes of its own, one
+after another, each with one BLAS thread:
 
     d    = gen_semidegree_digraph(n, 0.25, default_rng(1))
     tree = gen_random_tree(n, 3, "uniform", default_rng(2))
@@ -13,15 +14,18 @@ the call's wall time, the three phase times it reports
 (`absorber_build_millis`, `almost_millis`, `absorption_millis`), the
 process's peak RSS after generation (`setup_rss_mb`) and after the call
 (`peak_rss_mb`), and the digest of the embedding: the first 12 hex digits
-of the sha256 of `json.dumps(sorted(emb.map.items()))`.  The library is
-imported from `--src` (default: this checkout's src/), so the same script
-measures any other checkout.
+of the sha256 of `json.dumps(sorted(emb.map.items()))`.  Each time and RSS
+field holds the median of the runs, and `<field>_range` their [min, max].
+The script exits non-zero, writing nothing, when the runs of a size disagree
+on the digest.  The library is imported from `--src` (default: this
+checkout's src/), so the same script measures any other checkout.
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ALPHA = 0.25
 SIZES = (500, 1000, 2000, 4000, 8000, 16000)
+RUNS = 3
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -73,6 +78,20 @@ def measure(n: int) -> dict:
     }
 
 
+def summarize(samples: list[dict]) -> dict:
+    """One size's record from its runs: every measured field's median and [min, max]."""
+    digests = sorted({sample["digest"] for sample in samples})
+    if len(digests) > 1:
+        sys.exit(f"n={samples[0]['n']}: the runs disagree on the digest: {digests}")
+    record = {"n": samples[0]["n"]}
+    for key in [key for key in samples[0] if key not in ("n", "digest")]:
+        values = [sample[key] for sample in samples]
+        record[key] = statistics.median(values)
+        record[f"{key}_range"] = [min(values), max(values)]
+    record["digest"] = digests[0]
+    return record
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=str(ROOT / "src"))
@@ -87,12 +106,15 @@ def main() -> int:
     env = dict(os.environ, **{key: "1" for key in BLAS_ENV})
     runs = []
     for n in SIZES:
-        out = subprocess.run(
-            [sys.executable, __file__, "--one", str(n), "--src", args.src],
-            env=env, stdout=subprocess.PIPE, text=True, check=True,
-        ).stdout
-        runs.append(json.loads(out.splitlines()[-1]))
-        print(json.dumps(runs[-1]), file=sys.stderr)
+        samples = []
+        for _ in range(RUNS):
+            out = subprocess.run(
+                [sys.executable, __file__, "--one", str(n), "--src", args.src],
+                env=env, stdout=subprocess.PIPE, text=True, check=True,
+            ).stdout
+            samples.append(json.loads(out.splitlines()[-1]))
+            print(json.dumps(samples[-1]), file=sys.stderr)
+        runs.append(summarize(samples))
 
     import numpy as np
 
@@ -101,6 +123,7 @@ def main() -> int:
                 "gen_random_tree(n, 3, 'uniform', default_rng(2)), "
                 "spanning_defaults(n, 0.25), default_rng(2)",
         "blas_threads": 1,
+        "runs_per_size": RUNS,
         "machine": {
             "cpus": os.cpu_count(),
             "platform": platform.platform(),

@@ -4,13 +4,15 @@ Every pipeline phase draws a random partial map, audits it exactly and
 resamples on failure.  `PipelineError` is the one failure type those audits
 raise (`VerificationError` when a finished map fails its check), `draw_host`
 is the one rule every random host pick goes through, and `greedy_walk` is
-the one random greedy walk built on it.
+the one random greedy walk built on it; it draws each run of picks that
+need no scan in one block, with the same stream as one draw per pick.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import numpy as np
 
@@ -78,10 +80,16 @@ def greedy_walk(
 
     When the parent's image p has a full row in the pick's sign
     (`Digraph.full_rows`), the candidates are `free` itself, since p is
-    never free.  Such a pick reads the free hosts from a list kept in the
-    reading order and draws the same index from it, with no scan; the
-    list is built at the first such pick and dropped after any pick that
-    scans a row.
+    never free.  Such a pick pops the same index from a list of the free
+    hosts kept in the reading order, with no scan.  The list is built at
+    the first such pick and dropped at any pick that scans a row.  Its
+    picks are drawn in one block when it is built: `integers(0, bounds)`
+    with bounds len(list), len(list) - 1, ..., 1, cut at the picks left
+    before `stop`, as each pick pops one host.  numpy draws such a block
+    element by element, as it draws one `integers(len(list))` per pick.
+    Only a scanning pick can leave picks of the block unused; it rewinds
+    the RNG to the block's start and redraws the picks used, so every pick
+    and the RNG state after the walk are those of one draw per pick.
     """
     stop = len(order.order) if stop is None else stop
     adj_row, parent_index, sign = d.adj_row, order.parent_index, order.sign
@@ -95,6 +103,9 @@ def greedy_walk(
         else:
             parent, s = hosts[parent_index[i]], sign[i]
             if not (full_out if s is plus else full_in)[parent]:
+                if free_list is not None and len(free_list) > size - len(picks):
+                    rng.bit_generator.state = saved   # redraw only the picks used
+                    rng.integers(0, bounds[:size - len(free_list)])
                 free_list = None
                 np.logical_and(adj_row(parent, s), free, out=candidates)
                 host = draw_host(candidates, rng, host_order)
@@ -102,7 +113,10 @@ def greedy_walk(
                 if free_list is None:
                     free_list = (free.nonzero()[0] if host_order is None
                                  else host_order[free[host_order]]).tolist()
-                host = free_list.pop(rng.integers(len(free_list))) if free_list else None
+                    saved, size = rng.bit_generator.state, len(free_list)
+                    bounds = np.arange(size, max(size - stop + i, 0), -1)
+                    picks = rng.integers(0, bounds).tolist()
+                host = free_list.pop(picks[size - len(free_list)]) if free_list else None
         if host is None:
             return None
         hosts.append(host)
@@ -151,12 +165,11 @@ class Embedding:
         doc = json.loads(text)
         if not isinstance(doc, dict) or not isinstance(doc.get("map"), dict):
             raise ValueError("an embedding document is an object with a \"map\" object")
-        try:
-            pairs = sorted((int(a), int(b)) for a, b in doc["map"].items())
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"map entries must be integers: {exc}") from exc
+        for a, b in doc["map"].items():   # JSON integers, keys as str(int) writes them
+            if type(b) is not int or not re.fullmatch("0|-?[1-9][0-9]*", a):
+                raise ValueError(f"map entries must be integers: {a!r}: {b!r}")
         emb = cls()
-        for tv, hv in pairs:
+        for tv, hv in sorted((int(a), b) for a, b in doc["map"].items()):
             emb.assign(tv, hv)
         return emb
 

@@ -456,6 +456,23 @@ class TestVerifyInput:
         assert code == 1
         assert out.err.startswith("error: ")
 
+    @pytest.mark.parametrize("key, value", [
+        ("2", 2.0), ("2", 2.5), ("1", True), ("2", "2"),         # values: JSON integers only
+        ("02", 2), ("+2", 2), (" 2", 2), ("0_2", 2), ("-0", 0), ("٢", 2),   # keys as str(int) writes them
+    ])
+    def test_entry_that_is_not_an_integer_exits_one(self, tmp_path, capsys, key, value):
+        # The identity map of a path on the complete digraph of 4 verifies until one entry is respelled.
+        dpath, tpath = tmp_path / "d.dg", tmp_path / "t.tree"
+        tio.write_digraph(dpath, Digraph.from_edges(4, [(u, v) for u in range(4) for v in range(4) if u != v]))
+        tio.write_tree(tpath, OrientedTree(4, [(0, 1), (1, 2), (2, 3)]))
+        entries = {"0": 0, "1": 1, "2": 2, "3": 3}
+        assert self.verify((dpath, tpath), tmp_path, {"map": entries}, capsys)[0] == 0
+        del entries[str(int(key))]
+        entries[key] = value
+        code, out = self.verify((dpath, tpath), tmp_path, {"map": entries}, capsys)
+        assert code == 1
+        assert out.err.startswith(f"error: map entries must be integers: {key!r}: {value!r}")
+
 
 class TestAnchorRange:
     """An anchor host outside 0..n-1 is a usage error, not a retried phase failure."""

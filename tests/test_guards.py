@@ -1,6 +1,6 @@
 """Repository guards: the library holds no `assert` and no definition without a
 caller, every perfbench probe resolves, and the scaling record's and the bench
-seed's embeddings reproduce."""
+seed's embeddings and RNG stream reproduce."""
 
 import ast
 import hashlib
@@ -9,6 +9,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spantree
@@ -112,3 +113,24 @@ def test_bench_seed_embeddings_reproduce(workload, digest, monkeypatch):
     assert [o.error for o in outcomes] == [None] * 3
     lines = "".join(f"{i}:{o.digest_entry()}\n" for i, o in enumerate(outcomes))
     assert hashlib.sha256(lines.encode()).hexdigest()[:16] == digest
+
+
+def test_bench_seed_stream_after_each_call(monkeypatch):
+    # The first three dense-spider-2000 calls of bench seed 501, as above.  The
+    # draw after each call pins the RNG stream where a map cannot: a walk that
+    # drew more picks than it used would shift the draws after its call's last walk.
+    loaded = {}
+    for name in ("spans", "bench"):
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+        loaded[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, loaded[name])
+        spec.loader.exec_module(loaded[name])
+    w = loaded["bench"].WORKLOADS["dense-spider-2000"]
+    instances, _host_s = loaded["bench"].generate(w, 501, 3)
+    params = spantree.spanning_defaults(w.n, w.alpha)
+    after = []
+    for inst in instances:
+        rng = np.random.default_rng(inst.embed_seed)
+        spantree.embed_spanning(inst.host, inst.tree, params, rng)
+        after.append(int(rng.integers(2**62)))
+    assert after == [2249608225656012585, 4489773007377969298, 2605850032146696239]

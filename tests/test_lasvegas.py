@@ -232,6 +232,32 @@ class TestWalkAgainstScan:
             mixed += re.search("F.*S.*F", kinds) is not None
         assert mixed >= 10
 
+    def test_blocks_cut_by_a_scan_pick(self):
+        # Out-rows 0..9 and in-rows 10..19 of 300 hosts miss one arc each, so
+        # long runs of full-row picks end at a scan pick before their block of
+        # picks is used up, and the walk must rewind the block to the picks used.
+        n = 300
+        d = minus_arcs(n, [(v, v + 10) for v in range(10)])
+        free = np.zeros(n, dtype=bool)
+        free[np.random.default_rng(3).choice(n, 200, replace=False)] = True
+        shuffled = np.random.default_rng(4).permutation(np.flatnonzero(free))   # not ascending
+        rewound = stopped_in_run = 0
+        for seed in range(8):
+            for family in ("uniform", "spider", "caterpillar"):
+                order = prefix_order(gen_random_tree(180, 3, family, np.random.default_rng(seed)), 0)
+                for host_order in (None, shuffled):
+                    for stop in (None, 121):
+                        hosts = self.walk_both(d, order, free, seed, stop=stop, host_order=host_order)
+                        if hosts is None:
+                            continue
+                        kinds = "".join(
+                            "F" if d.full_rows(order.sign[i])[hosts[order.parent_index[i]]] else "S"
+                            for i in range(1, len(hosts))
+                        )
+                        rewound += "FS" in kinds
+                        stopped_in_run += stop is not None and kinds.endswith("FF")
+        assert rewound >= 60 and stopped_in_run >= 30, (rewound, stopped_in_run)
+
     @pytest.mark.parametrize("host", HOSTS)
     def test_stuck_walks_draw_nothing_more(self, host):
         d = self.host(host)

@@ -497,6 +497,25 @@ def test_a_block_of_bits_is_the_scalar_stream(bit_generator, k, pending_half):
         "revisit the block draw of spider and broom trees in trees.gen_random_tree")
 
 
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+@pytest.mark.parametrize("k, m", [(2000, 2000), (2000, 37), (300, 300), (5, 2), (1, 1), (0, 0)])
+@pytest.mark.parametrize("pending_half", [False, True])
+def test_decreasing_bounds_are_the_scalar_stream(bit_generator, k, m, pending_half):
+    # numpy draws an array-bounded integers(0, bounds) element by element; bound 1
+    # draws nothing, as a scalar integers(1) does, and so does an empty array.
+    rngs = np.random.Generator(bit_generator(17)), np.random.Generator(bit_generator(17))
+    if pending_half:
+        for rng in rngs:
+            rng.integers(7)
+    block = rngs[0].integers(0, np.arange(k, k - m, -1)).tolist()
+    scalars = [int(rngs[1].integers(k - j)) for j in range(m)]
+    states = [plain_state(rng.bit_generator.state) for rng in rngs]
+    nexts = [int(rng.integers(2**62)) for rng in rngs]
+    assert (block, states[0], nexts[0]) == (scalars, states[1], nexts[1]), (
+        "integers(0, arange(k, k - m, -1)) no longer replays m scalar integers(k - j) calls "
+        "on this numpy: revisit the block draw of full-row picks in embedding.greedy_walk")
+
+
 def family_tree(family, n, seed):
     """A generator tree of `family`; stars get the semidegree they need."""
     return gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, np.random.default_rng(seed))

@@ -81,7 +81,7 @@ def cmd_embed(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rng = np.random.default_rng(args.seed)
-    measured_alpha = max(0.01, min_semidegree(d) / d.n - 0.5)
+    measured_alpha = max(0.01, d.alpha_hat)
     params = _schedule_overrides(args, spanning_defaults(d.n, measured_alpha))
     if args.phase in ("stars", "paths", "absorber"):
         return _run_isolated_phase(args, d, tree, params, rng)
@@ -127,19 +127,31 @@ def _emit_unverified(args, what: str) -> int:
 
 
 def _run_isolated_phase(args, d, tree, params, rng) -> int:
-    """Run one embedding phase on inputs derived from the tree, and verify it."""
+    """Run one embedding phase on inputs derived from the tree, and verify it.
+
+    The stars and paths phases return partial maps: every tree edge with
+    both ends mapped must be a host arc in the same direction.
+    """
     t = tree.t if tree.t is not None else 0
     try:
+        if args.phase == "absorber":   # the input tree is the absorber tree
+            if tree.n > d.n // 3:
+                print("error: absorber phase needs |T| <= n/3", file=sys.stderr)
+                return 1
+            state, emb = absorb_at_random(d, tree.with_t(t), t, params, rng)
+            if not verify_embedding(d, tree, emb):
+                return _emit_unverified(args, "absorber embedding")
+            return _emit_embedding(
+                args, emb,
+                {"phase": "absorber", "threshold": state.threshold, "swaps": state.swap_count},
+            )
+        td = decompose(tree, t, params)
         if args.phase == "stars":
-            td = decompose(tree, t, params)
             stars = stars_from_decomposition(td)
             v = args.anchor if args.anchor is not None else int(rng.integers(d.n))
             emb = embed_stars(d, tree, {int(x) for x in td.t0}, stars, t, v, params, rng)
-            if not all(d.has_edge(emb[u], emb[w]) for u, w in tree.edge_list if u in emb and w in emb):
-                return _emit_unverified(args, "stars phase embedding")
-            return _emit_embedding(args, emb, {"phase": "stars", "embedded": len(emb)})
-        if args.phase == "paths":
-            td = decompose(tree, t, params)
+            telemetry = {"phase": "stars", "embedded": len(emb)}
+        else:
             if not td.pieces:
                 print("error: decomposition yields no path pieces", file=sys.stderr)
                 return 1
@@ -150,20 +162,12 @@ def _run_isolated_phase(args, d, tree, params, rng) -> int:
             for p, (a, b), pmap in zip(td.pieces, anchor_pairs, maps):
                 for tv, host in ((p.x, a), (p.y, b), *pmap.items()):
                     emb.assign(tv, host, "paths")
-            return _emit_embedding(args, emb, {"phase": "paths", "pieces": len(maps)})
-        # absorber: the input tree is the absorber tree
-        if tree.n > d.n // 3:
-            print("error: absorber phase needs |T| <= n/3", file=sys.stderr)
-            return 1
-        state, emb = absorb_at_random(d, tree.with_t(t), t, params, rng)
-        if not verify_embedding(d, tree, emb):
-            return _emit_unverified(args, "absorber embedding")
-        return _emit_embedding(
-            args, emb,
-            {"phase": "absorber", "threshold": state.threshold, "swaps": state.swap_count},
-        )
+            telemetry = {"phase": "paths", "pieces": len(maps)}
     except PipelineError as exc:
         return _emit_failure(args, exc)
+    if not all(d.has_edge(emb[u], emb[w]) for u, w in tree.edge_list if u in emb and w in emb):
+        return _emit_unverified(args, f"{args.phase} phase embedding")
+    return _emit_embedding(args, emb, telemetry)
 
 
 def _strip_timings(doc):
@@ -184,9 +188,8 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     ok = verify_embedding(d, tree, emb)
-    spanning_ok = ok and (tree.n != d.n or len(emb.used) == d.n)
-    print(f"verified={ok and spanning_ok}")
-    return 0 if ok and spanning_ok else 2
+    print(f"verified={ok}")
+    return 0 if ok else 2
 
 
 def parse_experiment_config(text: str) -> tuple[list[TrialConfig], int]:

@@ -9,8 +9,10 @@ every in-neighbourhood read, so no read walks a stride-n column of `mat`;
 the mutual-arc matrix mat & mat.T with its column sums and bit-packed
 rows, so only hosts that build guides pay for them, and only hosts whose
 xy-labelings the column-sum bound cannot settle pay for the packed rows;
-and per sign, the O(n) flags of the hosts whose neighbourhood is every
-other host, which let a greedy-walk pick from such a host skip its scan.
+and the out- and in-degrees, summed once for the semidegree, the measured
+excess alpha_hat and, per sign, the flags of the hosts whose neighbourhood
+is every other host, which let a greedy-walk pick from such a host skip
+its scan.
 Instances are immutable after construction and safe to share across
 concurrent trials.
 """
@@ -18,6 +20,7 @@ concurrent trials.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -39,18 +42,20 @@ SIGNS = (Sign.PLUS, Sign.MINUS)
 ROW_BLOCK = 256
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class Digraph:
     """Immutable digraph: at most one edge per ordered pair, no loops.
 
     `adj_row` is the one neighbourhood reader: out-neighbours are a row of
-    `mat`, in-neighbours a row of `in_packed`.  The cached derived fields
-    are `in_packed`, `mutual`, `mutual_colsum`, `mutual_packed` and the
-    `full_rows` of each sign, each built once on first use.
+    `mat`, in-neighbours a row of `in_packed`.  The derived fields
+    `in_packed`, `mutual`, `mutual_colsum`, `mutual_packed` and `degrees`
+    are each built once, on first use, and read-only; `full_rows`,
+    `min_semidegree` and `alpha_hat` read `degrees`.
     """
-
-    __slots__ = (
-        "n", "mat", "_in_packed", "_mutual", "_mutual_colsum", "_mutual_packed", "_full_rows",
-    )
 
     def __init__(self, n: int, mat: np.ndarray):
         if n < 1:
@@ -60,13 +65,7 @@ class Digraph:
         if mat.diagonal().any():
             raise ValueError("self-loops are not allowed")
         self.n = n
-        self.mat = mat
-        self.mat.setflags(write=False)
-        self._in_packed: np.ndarray | None = None
-        self._mutual: np.ndarray | None = None
-        self._mutual_colsum: np.ndarray | None = None
-        self._mutual_packed: np.ndarray | None = None
-        self._full_rows: dict[Sign, np.ndarray] = {}
+        self.mat = _read_only(mat)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Digraph":
@@ -90,64 +89,53 @@ class Digraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.mat[u, v])
 
-    @property
+    @functools.cached_property
     def in_packed(self) -> np.ndarray:
         """Read-only `packbits(mat.T, axis=1)`: row v holds N^-(v), eight hosts a byte.
 
         Built in blocks of 64 columns, each transposed in tiles of 512 rows,
         so no n x n temporary is made and no copy strides a whole column.
         """
-        if self._in_packed is None:
-            n = self.n
-            packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-            block = np.empty((64, n), dtype=bool)
-            for start in range(0, n, 64):
-                cols = self.mat[:, start : start + 64]
-                rows = block[: cols.shape[1]]
-                for top in range(0, n, 512):
-                    rows[:, top : top + 512] = cols[top : top + 512].T
-                packed[start : start + 64] = np.packbits(rows, axis=1)
-            packed.setflags(write=False)
-            self._in_packed = packed
-        return self._in_packed
+        n = self.n
+        packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+        block = np.empty((64, n), dtype=bool)
+        for start in range(0, n, 64):
+            cols = self.mat[:, start : start + 64]
+            rows = block[: cols.shape[1]]
+            for top in range(0, n, 512):
+                rows[:, top : top + 512] = cols[top : top + 512].T
+            packed[start : start + 64] = np.packbits(rows, axis=1)
+        return _read_only(packed)
 
-    @property
+    @functools.cached_property
     def mutual(self) -> np.ndarray:
         """Read-only mat & mat.T: [u, w] is set iff both u->w and w->u are edges."""
-        if self._mutual is None:
-            mutual = self.mat & self.mat.T
-            mutual.setflags(write=False)
-            self._mutual = mutual
-        return self._mutual
+        return _read_only(self.mat & self.mat.T)
 
-    @property
+    @functools.cached_property
     def mutual_colsum(self) -> np.ndarray:
         """Read-only int64 column sums of `mutual` (equal to its row sums)."""
-        if self._mutual_colsum is None:
-            colsum = self.mutual.sum(axis=0)
-            colsum.setflags(write=False)
-            self._mutual_colsum = colsum
-        return self._mutual_colsum
+        return _read_only(self.mutual.sum(axis=0))
 
-    @property
+    @functools.cached_property
     def mutual_packed(self) -> np.ndarray:
         """Read-only `packbits(mutual, axis=1)`: row u of `mutual`, eight columns a byte."""
-        if self._mutual_packed is None:
-            packed = np.packbits(self.mutual, axis=1)
-            packed.setflags(write=False)
-            self._mutual_packed = packed
-        return self._mutual_packed
+        return _read_only(np.packbits(self.mutual, axis=1))
+
+    @functools.cached_property
+    def degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int32 out-degrees and in-degrees (int32 sums take half
+        the time of count_nonzero's int64 ones)."""
+        return tuple(_read_only(self.mat.sum(axis=axis, dtype=np.int32)) for axis in (1, 0))
+
+    @property
+    def alpha_hat(self) -> float:
+        """The measured semidegree excess delta^0(D)/n - 1/2."""
+        return min_semidegree(self) / self.n - 0.5
 
     def full_rows(self, sign: Sign) -> np.ndarray:
         """Read-only bool flags: [v] is set iff N^sign(v) is every other host (degree n - 1)."""
-        flags = self._full_rows.get(sign)
-        if flags is None:
-            # int32 sums take half the time of count_nonzero's int64 ones.
-            degree = self.mat.sum(axis=1 if sign is Sign.PLUS else 0, dtype=np.int32)
-            flags = degree == self.n - 1
-            flags.setflags(write=False)
-            self._full_rows[sign] = flags
-        return flags
+        return _read_only(self.degrees[0 if sign is Sign.PLUS else 1] == self.n - 1)
 
     def adj_row(self, v: int, sign: Sign) -> np.ndarray:
         """Boolean neighborhood row over all n hosts; callers only read it.
@@ -183,7 +171,7 @@ class Digraph:
 
 def min_semidegree(d: Digraph) -> int:
     """Smallest in- or out-degree over all vertices."""
-    return int(min(d.mat.sum(axis=1).min(), d.mat.sum(axis=0).min()))
+    return int(min(degree.min() for degree in d.degrees))
 
 
 def gen_semidegree_digraph(n: int, alpha: float, rng: np.random.Generator) -> Digraph:

@@ -21,7 +21,6 @@ from .digraph import (
     SIGNS,
     Digraph,
     Sign,
-    min_semidegree,
     sample_disjoint_subsets,
 )
 from .embedding import (
@@ -43,6 +42,7 @@ from .matching import (
 from .params import ParamSchedule
 from .trees import (
     OrientedTree,
+    PrefixOrdering,
     TreePiece,
     canonical_forms,
     components,
@@ -313,7 +313,7 @@ def _star_layout(
         )
 
     # Guide budget: the guide set must outlast the core draws comfortably.
-    alpha_hat = min_semidegree(d) / n - 0.5
+    alpha_hat = d.alpha_hat
     mu_count = min(
         core_size + max(6, core_size // 2),
         int(math.floor(0.8 * (0.5 + max(alpha_hat, 0.0)) * v0_size)),
@@ -345,7 +345,7 @@ def _embed_stars_once(
     v0 = sets[0]
     part_targets = sets[1 : 1 + len(parts)]
 
-    guides = GuideSystem(d, v0, part_targets, layout.mu_count, alpha=layout.alpha_hat)
+    guides = GuideSystem(d, v0, part_targets, layout.mu_count)
 
     core_tree = tree if tree.t == t else tree.with_t(t)
     emb = embed_core_with_leaf_sets(
@@ -649,7 +649,7 @@ def _greedy(
         tries += 1
         root_host = int(rng.integers(d.n)) if v is None else v
         free = np.ones(d.n, dtype=bool) if within is None else within.copy()
-        hosts = greedy_walk(d, order, free, rng, root_host=root_host)
+        hosts = greedy_walk(d, order, free, rng, [root_host])
         if hosts is None:
             raise PipelineError("greedy walk stuck", cause="leaf-greedy-fail")
         return hosts
@@ -705,15 +705,15 @@ def _assemble_almost(
             for tv, host in pmap.items():
                 emb.assign(tv, host, "paths")
 
-    # Leftover leaves greedily into V3, the hosts marked in v3_free.  Like
-    # the lean-star walk, candidates are read in the iteration order of a
-    # set, here of V3's ranks in the pool.
+    # Leftover leaves into V3, the hosts marked in v3_free: one greedy walk over
+    # their level order, hung from their placed parents.  Candidates are read
+    # in the iteration order of a set of V3's ranks in the pool.
     leftovers = sorted({u for s_ in td.leftovers.values() for u in s_})
     if leftovers:
         v3_ranks = np.flatnonzero(v3_free[pool])
         v3_order = pool[np.fromiter(set(v3_ranks.tolist()), dtype=np.int64)]
         left_set = set(leftovers)
-        ordered: list[tuple[int, int, Sign]] = []
+        ordered: list[tuple[int, int]] = []   # (leftover, parent)
         seen: set[int] = set()
         frontier = [u for u in leftovers if any(w in emb for w in tree.nbrs(u))]
         while frontier:
@@ -722,21 +722,22 @@ def _assemble_almost(
                 if u in seen:
                     continue
                 parents = [w for w in tree.nbrs(u) if w in emb or w in seen]
-                parent = parents[0]
-                ordered.append((u, parent, tree.edge_sign(parent, u)))
+                ordered.append((u, parents[0]))
                 seen.add(u)
                 nxt.extend(w for w in tree.nbrs(u) if w in left_set and w not in seen)
             frontier = nxt
-        placed: dict[int, int] = {}
-        for u, parent, sign in ordered:
-            parent_host = emb[parent] if parent in emb else placed[parent]
-            host = draw_host(d.adj_row(parent_host, sign) & v3_free, rng, v3_order)
-            if host is None:
-                raise PhaseFailure("leaves", "leaf-greedy-fail",
-                                   f"no V3 candidate for leftover {u}", 1)
-            placed[u] = host
-            v3_free[host] = False
-        for u, host in placed.items():
+        placed = list(dict.fromkeys(p for _u, p in ordered if p in emb))
+        entries = placed + [u for u, _p in ordered]
+        index = {x: i for i, x in enumerate(entries)}
+        walk = PrefixOrdering(
+            tuple(entries),
+            (-1,) * len(placed) + tuple(index[p] for _u, p in ordered),
+            (None,) * len(placed) + tuple(tree.edge_sign(p, u) for u, p in ordered),
+        )
+        hosts = greedy_walk(d, walk, v3_free, rng, [emb[p] for p in placed], host_order=v3_order)
+        if hosts is None:
+            raise PhaseFailure("leaves", "leaf-greedy-fail", "greedy walk stuck on the leftover leaves", 1)
+        for (u, _p), host in zip(ordered, hosts[len(placed):].tolist()):
             emb.assign(u, host, "greedy-leaf")
     return emb
 
@@ -931,7 +932,7 @@ def build_absorber(
     def once() -> AbsorberState:
         free = np.ones(n, dtype=bool)
         anchor_host = int(rng.integers(n))
-        hosts = greedy_walk(d, order, free, rng, root_host=anchor_host)
+        hosts = greedy_walk(d, order, free, rng, [anchor_host])
         if hosts is None:
             raise PipelineError("greedy walk stuck on the absorber trunk", cause="leaf-greedy-fail")
         floor = _property_s_floor(d, order, hosts, threshold)
@@ -972,7 +973,7 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
     becomes the new leaf.  Deterministic: smallest admissible index wins.
     """
     d = state.d
-    b = np.asarray(sorted(int(x) for x in b_set), dtype=np.int64)
+    b = np.unique(np.fromiter(b_set, dtype=np.int64))   # B as a set: a repeated host counts once
     a_set = set(int(x) for x in state.a_set)
     if not a_set <= set(b.tolist()):
         raise ValueError("B must contain A")
@@ -1004,8 +1005,6 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
          rest_order.sign[i])
         for i in range(1, rest.tree.n)
     ]
-    if len(slots) != len(new_hosts):
-        raise ValueError(f"{len(new_hosts)} new vertices for {len(slots)} tree slots")
 
     cap = max(6, math.ceil(4 * d.n / max(state.threshold, 1)))
     retired = np.zeros(len(role_of_index), dtype=bool)
@@ -1156,7 +1155,7 @@ def embed_spanning(
                 tv = absorber_labels[lv]
                 if tv not in total:   # the shared vertex is placed by both sides
                     total.assign(tv, host, "absorber")
-            if not is_valid_embedding(d, tree, total) or len(total.used) != n:
+            if not is_valid_embedding(d, tree, total):
                 raise VerificationError("spanning embedding failed verification")
             phases["outer_attempts"] = outer + 1
             return total, telemetry

@@ -66,24 +66,25 @@ def greedy_walk(
     order: PrefixOrdering,
     free: np.ndarray,
     rng: np.random.Generator,
-    root_host: int | None = None,
+    placed: list[int] | tuple[int, ...] = (),
     stop: int | None = None,
     host_order: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Random greedy embedding of order.order[:stop] into the hosts marked in `free`.
+    """Random greedy embedding of the forest order.order[:stop] into the hosts marked in `free`.
 
-    The root goes to `root_host`, or to a uniform free host when None; each
-    later vertex goes to a uniform free host in the right neighborhood of
-    its parent's image.  Every pick is a `draw_host` with `host_order`.
-    Used hosts are cleared in `free`.  Returns hosts[i] = image of
-    order.order[i], or None when some vertex has no candidate.
+    The first entries go to the hosts `placed`, in order.  Each later entry
+    goes to a uniform free host: in the right neighborhood of its parent's
+    image, or anywhere in `free` when its parent_index is -1.  Every pick is
+    a `draw_host` with `host_order`.  Used hosts are cleared in `free`.
+    Returns hosts[i] = image of order.order[i], or None when some vertex
+    has no candidate.
 
-    When the parent's image p has a full row in the pick's sign
-    (`Digraph.full_rows`), the candidates are `free` itself, since p is
-    never free.  Such a pick pops the same index from a list of the free
-    hosts kept in the reading order, with no scan.  The list is built at
-    the first such pick and dropped at any pick that scans a row.  Its
-    picks are drawn in one block when it is built: `integers(0, bounds)`
+    When a pick has no parent, or its parent's image p has a full row in
+    the pick's sign (`Digraph.full_rows`; p is never free), the candidates
+    are `free` itself.  Such a pick pops the same index from a list of
+    the free hosts kept in the reading order, with no scan.  The list is
+    built at the first such pick and dropped at any pick that scans a row.
+    Its picks are drawn in one block when it is built: `integers(0, bounds)`
     with bounds len(list), len(list) - 1, ..., 1, cut at the picks left
     before `stop`, as each pick pops one host.  numpy draws such a block
     element by element, as it draws one `integers(len(list))` per pick.
@@ -96,27 +97,25 @@ def greedy_walk(
     plus, full_out, full_in = Sign.PLUS, d.full_rows(Sign.PLUS), d.full_rows(Sign.MINUS)
     candidates = np.empty(d.n, dtype=bool)   # row & free, refilled in place per pick
     free_list: list[int] | None = None       # the hosts marked in `free`, in reading order
-    hosts: list[int] = []
-    for i in range(stop):
-        if i == 0:
-            host = draw_host(free, rng, host_order) if root_host is None else int(root_host)
+    hosts = [int(h) for h in placed]
+    free[hosts] = False
+    for i in range(len(hosts), stop):
+        j, s = parent_index[i], sign[i]
+        if j >= 0 and not (full_out if s is plus else full_in)[hosts[j]]:
+            if free_list is not None and len(free_list) > size - len(picks):
+                rng.bit_generator.state = saved   # redraw only the picks used
+                rng.integers(0, bounds[:size - len(free_list)])
+            free_list = None
+            np.logical_and(adj_row(hosts[j], s), free, out=candidates)
+            host = draw_host(candidates, rng, host_order)
         else:
-            parent, s = hosts[parent_index[i]], sign[i]
-            if not (full_out if s is plus else full_in)[parent]:
-                if free_list is not None and len(free_list) > size - len(picks):
-                    rng.bit_generator.state = saved   # redraw only the picks used
-                    rng.integers(0, bounds[:size - len(free_list)])
-                free_list = None
-                np.logical_and(adj_row(parent, s), free, out=candidates)
-                host = draw_host(candidates, rng, host_order)
-            else:
-                if free_list is None:
-                    free_list = (free.nonzero()[0] if host_order is None
-                                 else host_order[free[host_order]]).tolist()
-                    saved, size = rng.bit_generator.state, len(free_list)
-                    bounds = np.arange(size, max(size - stop + i, 0), -1)
-                    picks = rng.integers(0, bounds).tolist()
-                host = free_list.pop(picks[size - len(free_list)]) if free_list else None
+            if free_list is None:
+                free_list = (free.nonzero()[0] if host_order is None
+                             else host_order[free[host_order]]).tolist()
+                saved, size = rng.bit_generator.state, len(free_list)
+                bounds = np.arange(size, max(size - stop + i, 0), -1)
+                picks = rng.integers(0, bounds).tolist()
+            host = free_list.pop(picks[size - len(free_list)]) if free_list else None
         if host is None:
             return None
         hosts.append(host)

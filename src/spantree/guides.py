@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, Sign, SIGNS, min_semidegree
+from .digraph import Digraph, Sign, SIGNS
 from .embedding import PipelineError
 from .matching import MatchingError, covering_matching
 
@@ -150,7 +150,7 @@ def build_guide(
     eps: float,
     eta: float,
     mu: float,
-    alpha: float | None = None,
+    alpha: float,
     labeling: XYLabeling | None = None,
     v0_mask: np.ndarray | None = None,
     size: int | None = None,
@@ -184,10 +184,6 @@ def build_guide(
     span the whole host and are audited per target part afterwards.
     """
     n = d.n
-    if alpha is None:
-        alpha = min_semidegree(d) / n - 0.5
-        if alpha <= 0:
-            raise GuideBuildError("host has minimum semidegree below n/2")
     # mu <= alpha^2/2 is the classical feasibility region; dense desk-scale
     # hosts tolerate far larger mu, so the construction just runs and reports
     # the first round whose coverage falls short.
@@ -325,6 +321,8 @@ class GuideSystem:
     `get` draws the guide set for (v, sign) inside N^sign(v) cap V0, with
     rows still spanning the host, audits it against every part (Q2-Q3) and
     caches it as a `PackedGuide`.  The pipeline builds one system per draw.
+    `alpha` defaults to the host's `alpha_hat`, taken as given even at or
+    below 0, which star layouts measured on an induced host can reach.
     """
 
     def __init__(
@@ -344,15 +342,13 @@ class GuideSystem:
         self.mu_count = mu_count              # |A| (exact)
         self.eps = eps
         self.eta = eta
-        self.alpha = alpha if alpha is not None else min_semidegree(d) / d.n - 0.5
+        self.alpha = d.alpha_hat if alpha is None else alpha
         self._entries: dict[tuple[int, Sign], PackedGuide] = {}
 
     def get(self, v: int, sign: Sign) -> PackedGuide:
         """Entry for (v, sign) built inside V0 and audited (Q2-Q3) against the parts."""
         key = (v, sign)
         if key not in self._entries:
-            # An explicit alpha spares build_guide its O(n^2) re-derivation and
-            # its alpha <= 0 rejection, which measured star layouts reach.
             entry = build_guide(
                 self.d, v, sign, self.eps, self.eta, self.mu_count / self.d.n,
                 alpha=self.alpha, v0_mask=self.v0_mask, size=self.mu_count,

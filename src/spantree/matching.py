@@ -203,7 +203,7 @@ def walk_lean_pieces(
         root_mask = free if attach is None else d.adj_row(*attach) & free
         root_host = draw_host(root_mask, rng, host_order)
         hosts = None if root_host is None else greedy_walk(
-            d, order, free, rng, root_host=root_host, stop=stop, host_order=host_order
+            d, order, free, rng, [root_host], stop=stop, host_order=host_order
         )
         if hosts is None:
             raise ForestEmbedError(

@@ -178,7 +178,7 @@ def _trial_spanning(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:
         emb, tele = embed_spanning(d, tree, params, rng)
     except PipelineError as exc:
         return False, exc.attempts, exc.cause
-    ok = verify_embedding(d, tree, emb) and len(emb.used) == d.n
+    ok = verify_embedding(d, tree, emb)
     return ok, len(tele.get("failures", [])), "" if ok else "verify"
 
 

@@ -117,7 +117,9 @@ class PrefixOrdering:
 
     order[0] is the root; for i >= 1, order[i] attaches to
     order[parent_index[i]] (its unique neighbor among earlier vertices),
-    and sign[i] is the direction: order[i] in N^{sign[i]}(parent).
+    and sign[i] is the direction: order[i] in N^{sign[i]}(parent).  A
+    forest ordering, as `greedy_walk` takes, starts a tree at each i with
+    parent_index[i] == -1.
     """
 
     order: tuple[int, ...]

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from spantree.digraph import Digraph
 from spantree.guides import XYLabeling
 from spantree.trees import OrientedTree
+
+
+def complete(n: int) -> Digraph:
+    """The complete digraph on n vertices: every arc u -> w with u != w."""
+    mat = np.ones((n, n), dtype=bool)
+    np.fill_diagonal(mat, False)
+    return Digraph(n, mat)
 
 
 def labeling_verifies(d: Digraph, lab: XYLabeling) -> bool:

@@ -426,6 +426,19 @@ class TestVerifyWithoutAssert:
         code, doc = self.run(["embed", str(dpath), str(tpath), "--seed", "1", "--phase", "stars"], capsys)
         assert (code, doc["cause"]) == (2, "verify")
 
+    def test_paths_phase_with_a_reversed_arc(self, instance, monkeypatch, capsys):
+        # The path 0 -> 1 -> 2 -> 3 is one piece with anchors x = 0 and y = 3.
+        # Seed 1 draws them to hosts 8 and 11, and the body goes to 9 and 10,
+        # so every tree arc lands on a host arc run backwards.
+        dpath, tpath, _spanning = instance
+        piece = type("Piece", (), {"x": 0, "y": 3})()
+        monkeypatch.setattr(cli, "decompose", lambda tree, t, params: type("TD", (), {"pieces": [piece]})())
+        monkeypatch.setattr(cli, "attach_path_trees",
+                            lambda d, tree, pieces, anchors, *rest: [{1: a + 1, 2: b - 1} for a, b in anchors])
+        code, doc = self.run(["embed", str(dpath), str(tpath), "--seed", "1", "--phase", "paths"], capsys)
+        assert code == 2
+        assert doc == {"success": False, "cause": "verify", "detail": "paths phase embedding failed verification"}
+
 
 class TestVerifyInput:
     """`spantree verify` range-checks every id and rejects documents without a map object."""

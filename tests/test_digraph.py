@@ -10,11 +10,7 @@ from spantree.digraph import (
     sample_disjoint_subsets,
 )
 
-
-def complete(n):
-    mat = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(mat, False)
-    return Digraph(n, mat)
+from helpers import complete
 
 
 def three_cycle():
@@ -203,6 +199,52 @@ class TestDerivedAdjacency:
             with pytest.raises(ValueError):
                 field[0] = 1
         assert d.mutual_colsum is colsum and d.mutual_packed is packed
+
+    def test_every_cached_array_is_read_only_and_built_once(self, digraph):
+        d = digraph
+        names = ("in_packed", "mutual", "mutual_colsum", "mutual_packed", "degrees")
+        first = {name: getattr(d, name) for name in names}
+        for name in names:
+            assert getattr(d, name) is first[name], name
+            for array in first[name] if name == "degrees" else (first[name],):
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError):
+                    array[0] = 0
+        out, into = d.degrees
+        assert out.dtype == into.dtype == np.int32
+        assert out.tolist() == d.mat.sum(axis=1).tolist() and into.tolist() == d.mat.sum(axis=0).tolist()
+        with pytest.raises(AttributeError):
+            d.alpha_hat = 0.25
+
+    def test_semidegree_facts_read_the_one_degree_pair(self, digraph):
+        # A planted pair shows that full_rows, min_semidegree and alpha_hat
+        # read the cached degrees instead of summing the matrix again.
+        d, n = digraph, digraph.n
+        d.__dict__["degrees"] = (np.full(n, n - 1, dtype=np.int32), np.arange(n, dtype=np.int32))
+        assert min_semidegree(d) == 0 and d.alpha_hat == -0.5
+        assert d.full_rows(Sign.PLUS).all()
+        assert np.flatnonzero(d.full_rows(Sign.MINUS)).tolist() == [n - 1]
+
+    def test_host_facts_against_brute_force_on_induced_hosts(self):
+        rng = np.random.default_rng(31)
+        p70 = rng.random((50, 50)) < 0.7
+        np.fill_diagonal(p70, False)
+        hosts = [gen_semidegree_digraph(60, 0.24, rng), complete(40), Digraph(50, p70)]
+        with_full = without_full = 0
+        for d in hosts:
+            for size in (1, 2, 7, 30, d.n):
+                sub, _labels = d.induce(rng.permutation(d.n)[:size])
+                m = sub.n
+                out = [sum(sub.has_edge(v, w) for w in range(m)) for v in range(m)]
+                into = [sum(sub.has_edge(w, v) for w in range(m)) for v in range(m)]
+                for sign, degree in ((Sign.PLUS, out), (Sign.MINUS, into)):
+                    assert sub.full_rows(sign).tolist() == [x == m - 1 for x in degree]
+                assert min_semidegree(sub) == min(out + into)
+                assert sub.alpha_hat == min(out + into) / m - 0.5
+                full = sub.full_rows(Sign.PLUS).any() or sub.full_rows(Sign.MINUS).any()
+                with_full += full
+                without_full += not full
+        assert with_full >= 5 and without_full >= 3, (with_full, without_full)
 
     def test_in_rows_are_the_columns(self):
         # n = 1..70, mostly not multiples of 8, so the padding bits of the

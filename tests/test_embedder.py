@@ -28,11 +28,7 @@ from spantree.oracle import verify_embedding
 from spantree.params import ParamSchedule, spanning_defaults
 from spantree.trees import FAMILIES, OrientedTree, gen_random_tree, max_semidegree, prefix_order, split_tree
 
-
-def complete(n):
-    mat = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(mat, False)
-    return Digraph(n, mat)
+from helpers import complete
 
 
 class TestCoreWithLeafSets:
@@ -546,8 +542,27 @@ class TestAbsorber:
                                np.random.default_rng(4)).with_t(0)
         state = build_absorber(d, tree, 0, params, np.random.default_rng(5))
         bad = np.arange(tree.n)  # ignores A entirely
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^B must contain A$"):
             complete_absorption(state, bad)
+
+    def test_completion_requires_b_of_size_t(self):
+        d = complete(200)
+        params = spanning_defaults(200, 0.45)
+        tree = gen_random_tree(params.absorber_size(200), 3, "uniform",
+                               np.random.default_rng(4)).with_t(0)
+        state = build_absorber(d, tree, 0, params, np.random.default_rng(5))
+        a = state.a_set.tolist()
+        extra = sorted(set(range(200)) - set(a))
+        room = tree.n - len(a)
+        assert room >= 2
+        too_many = np.array(a + extra[: room + 1])
+        with pytest.raises(ValueError, match=rf"^\|B\| = {tree.n + 1} must equal \|T\| = {tree.n}$"):
+            complete_absorption(state, too_many)
+        # |T| entries, but one host given twice: B as a set is one short.
+        repeated = np.array(a + extra[: room - 1] + [extra[0]])
+        assert len(repeated) == tree.n
+        with pytest.raises(ValueError, match=rf"^\|B\| = {tree.n - 1} must equal \|T\| = {tree.n}$"):
+            complete_absorption(state, repeated)
 
 
 def full_property_s_counts(d, trunk_tree, order, hosts):

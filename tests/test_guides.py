@@ -20,14 +20,8 @@ from spantree.guides import (
     build_xy_labeling,
 )
 
-from helpers import labeling_verifies
+from helpers import complete, labeling_verifies
 from test_matching import skew_bounded
-
-
-def complete(n):
-    mat = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(mat, False)
-    return Digraph(n, mat)
 
 
 def two_dense_halves(n):

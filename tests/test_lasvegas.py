@@ -34,13 +34,16 @@ from spantree.guides import GuideBuildError, GuideRestrictError
 from spantree.matching import ForestEmbedError, MatchingError, walk_lean_pieces
 from spantree.oracle import TrialConfig, run_single_trial
 from spantree.params import ParamSchedule, spanning_defaults
-from spantree.trees import FAMILIES, OrientedTree, gen_random_tree, max_semidegree, prefix_order
+from spantree.trees import (
+    FAMILIES,
+    OrientedTree,
+    PrefixOrdering,
+    gen_random_tree,
+    max_semidegree,
+    prefix_order,
+)
 
-
-def complete(n):
-    mat = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(mat, False)
-    return Digraph(n, mat)
+from helpers import complete
 
 
 class TestFailureBase:
@@ -104,7 +107,7 @@ class TestGreedyWalk:
         tree = gen_random_tree(20, 3, "uniform", np.random.default_rng(2))
         order = prefix_order(tree, 0)
         free = np.ones(d.n, dtype=bool)
-        hosts = greedy_walk(d, order, free, np.random.default_rng(3), root_host=17)
+        hosts = greedy_walk(d, order, free, np.random.default_rng(3), placed=[17])
         assert hosts[0] == 17
         assert len(set(hosts.tolist())) == tree.n
         assert not free[hosts].any() and free.sum() == d.n - tree.n
@@ -126,24 +129,34 @@ class TestGreedyWalk:
         # 0 -> 1 is the only arc, so an out-path of three vertices from 0 is stuck.
         d = Digraph.from_edges(4, [(0, 1)])
         order = prefix_order(OrientedTree(3, [(0, 1), (1, 2)]), 0)
-        assert greedy_walk(d, order, np.ones(4, dtype=bool), np.random.default_rng(0), root_host=0) is None
+        assert greedy_walk(d, order, np.ones(4, dtype=bool), np.random.default_rng(0), placed=[0]) is None
 
 
-def scan_walk(d, order, free, rng, root_host=None, stop=None, host_order=None):
-    """The greedy walk with a scan on every pick: its candidates are row & free."""
+def scan_walk(d, order, free, rng, placed=(), stop=None, host_order=None):
+    """The greedy walk with a scan on every pick: its candidates are row & free,
+    or all of free for an entry past `placed` with no parent."""
     stop = len(order.order) if stop is None else stop
-    hosts = []
-    for i in range(stop):
-        if i == 0:
-            host = draw_host(free, rng, host_order) if root_host is None else int(root_host)
-        else:
-            row = d.adj_row(hosts[order.parent_index[i]], order.sign[i])
-            host = draw_host(row & free, rng, host_order)
+    hosts = [int(h) for h in placed]
+    free[hosts] = False
+    for i in range(len(hosts), stop):
+        j = order.parent_index[i]
+        host = draw_host(free if j < 0 else d.adj_row(hosts[j], order.sign[i]) & free, rng, host_order)
         if host is None:
             return None
         hosts.append(host)
         free[host] = False
     return np.array(hosts, dtype=np.int64)
+
+
+def forest_order(*orders):
+    """The orderings one after another as one forest ordering: each root keeps parent_index -1."""
+    order, parent_index, sign = [], [], []
+    for o in orders:
+        base = len(order)
+        order += [base + v for v in o.order]
+        parent_index += [j if j < 0 else base + j for j in o.parent_index]
+        sign += o.sign
+    return PrefixOrdering(tuple(order), tuple(parent_index), tuple(sign))
 
 
 def minus_arcs(n, arcs):
@@ -212,7 +225,7 @@ class TestWalkAgainstScan:
         for seed, order in self.cases(d, range(3)):
             root = int(pool[seed * 7])
             for host_order in (None, set_order):
-                self.walk_both(d, order, free, seed, root_host=root, host_order=host_order)
+                self.walk_both(d, order, free, seed, placed=[root], host_order=host_order)
                 self.walk_both(d, order, free, seed, host_order=host_order)
                 self.walk_both(d, order, free, seed, stop=13, host_order=host_order)
 
@@ -257,6 +270,33 @@ class TestWalkAgainstScan:
                         rewound += "FS" in kinds
                         stopped_in_run += stop is not None and kinds.endswith("FF")
         assert rewound >= 60 and stopped_in_run >= 30, (rewound, stopped_in_run)
+
+    @pytest.mark.parametrize("host", HOSTS)
+    def test_forests_after_a_placed_prefix(self, host):
+        # A 40-vertex tree, then a second root and its 20-vertex tree.  The
+        # first k entries are placed; the walk draws the rest, the second root
+        # from all of free.  50 free hosts cannot hold the whole forest.
+        d = self.host(host)
+        gen = np.random.default_rng(9)
+        counts = {"second root": 0, "stuck": 0}
+        for size in (70, 50):
+            free = np.zeros(d.n, dtype=bool)
+            free[gen.choice(d.n, size, replace=False)] = True
+            set_order = np.fromiter(set(np.flatnonzero(free).tolist()), dtype=np.int64)
+            for seed, first in self.cases(d, range(2)):
+                second = prefix_order(gen_random_tree(20, 3, "uniform", np.random.default_rng(50 + seed)), 0)
+                forest = forest_order(first, second)
+                for k in (1, 5, len(first)):
+                    prefix = scan_walk(d, forest, free.copy(), np.random.default_rng(100 + seed), stop=k)
+                    if prefix is None:
+                        continue
+                    for host_order in (None, set_order):
+                        for stop in (None, len(first) + 1):
+                            hosts = self.walk_both(d, forest, free, seed, placed=prefix.tolist(),
+                                                   stop=stop, host_order=host_order)
+                            counts["stuck"] += hosts is None
+                            counts["second root"] += hosts is not None and len(hosts) > len(first)
+        assert counts["second root"] >= 200 and counts["stuck"] >= 50, counts
 
     @pytest.mark.parametrize("host", HOSTS)
     def test_stuck_walks_draw_nothing_more(self, host):

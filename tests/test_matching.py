@@ -19,7 +19,7 @@ from spantree.matching import (
 )
 from spantree.trees import OrientedTree, gen_random_tree
 
-from helpers import matching_dump
+from helpers import complete, matching_dump
 
 
 def brute_max_matching(adj):
@@ -37,12 +37,6 @@ def brute_max_matching(adj):
         return best
 
     return rec(0, 0)
-
-
-def complete(n):
-    mat = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(mat, False)
-    return Digraph(n, mat)
 
 
 def skew_bounded(adj, a, b):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, Sign, SIGNS
+from .digraph import Digraph, Sign, SIGNS, _read_only
 from .embedding import PipelineError
 from .matching import MatchingError, covering_matching
 
@@ -46,15 +46,6 @@ class XYLabeling:
     xs: np.ndarray
     ys: np.ndarray
     threshold: int
-
-
-def _count(rows: np.ndarray, axis: int) -> np.ndarray:
-    """Sums of a bool matrix along `axis`, in the smallest dtype that holds them.
-
-    A wide result dtype makes numpy cast through a 64 KiB buffer, which costs
-    more time and memory than the sum itself.
-    """
-    return rows.sum(axis=axis, dtype=np.min_scalar_type(rows.shape[axis]))
 
 
 def _mutual_counts(d: Digraph, base: np.ndarray) -> np.ndarray:
@@ -105,8 +96,8 @@ class GuideEntry:
     v: int
     sign: Sign
     guide: np.ndarray            # A, in construction-round order
-    hplus: np.ndarray            # bool |A| x n; row i: out-edges of guide[i] in H^+
-    hminus: np.ndarray           # bool |A| x n; row i: in-edges  of guide[i] in H^-
+    hplus: np.ndarray | None     # bool |A| x n; row i: out-edges of guide[i] in H^+; None if not built
+    hminus: np.ndarray | None    # bool |A| x n; row i: in-edges  of guide[i] in H^-; None if not built
     edges_per_row: int           # ceil(eps * n)
 
     def h(self, circ: Sign) -> np.ndarray:
@@ -115,9 +106,9 @@ class GuideEntry:
 
 @dataclass(frozen=True)
 class PackedGuide:
-    """An audited guide entry as `GuideSystem` caches it: H rows eight hosts a byte.
+    """A guide entry as `GuideSystem` caches it: H rows eight hosts a byte.
 
-    `row` is the one reader of H; it unpacks the row it reads.
+    `row` is the one reader of H; it unpacks the row it reads, or raises `LookupError` without H.
     """
 
     v: int
@@ -125,20 +116,22 @@ class PackedGuide:
     guide: np.ndarray            # A, in construction-round order
     row_index: dict[int, int]
     _n: int
-    _hplus: np.ndarray           # packbits(H^+, axis=1), read-only
-    _hminus: np.ndarray          # packbits(H^-, axis=1); _hplus itself when H^- is H^+
+    _hplus: np.ndarray | None    # packbits(H^+, axis=1), read-only; None without guide graphs
+    _hminus: np.ndarray | None   # packbits(H^-, axis=1); _hplus itself when H^- is H^+
 
     @classmethod
     def of(cls, entry: GuideEntry) -> PackedGuide:
-        hplus = np.packbits(entry.hplus, axis=1)
-        hminus = hplus if entry.hminus is entry.hplus else np.packbits(entry.hminus, axis=1)
-        hplus.setflags(write=False)
-        hminus.setflags(write=False)
+        if entry.hplus is None:
+            return cls(entry.v, entry.sign, entry.guide, {}, 0, None, None)
+        hplus = _read_only(np.packbits(entry.hplus, axis=1))
+        hminus = hplus if entry.hminus is entry.hplus else _read_only(np.packbits(entry.hminus, axis=1))
         row_index = {int(w): i for i, w in enumerate(entry.guide)}
         return cls(entry.v, entry.sign, entry.guide, row_index, entry.hplus.shape[1], hplus, hminus)
 
     def row(self, host_vertex: int, circ: Sign) -> np.ndarray:
         """Bool row over all n hosts: the H^circ edges of guide vertex `host_vertex`."""
+        if self._hplus is None:
+            raise LookupError(f"guide entry (v={self.v}, {self.sign}) was built without guide graphs")
         packed = self._hplus if circ is Sign.PLUS else self._hminus
         return np.unpackbits(packed[self.row_index[int(host_vertex)]], count=self._n).view(np.bool_)
 
@@ -154,6 +147,7 @@ def build_guide(
     labeling: XYLabeling | None = None,
     v0_mask: np.ndarray | None = None,
     size: int | None = None,
+    graphs: bool = True,
 ) -> GuideEntry:
     """Construct the guide entry for (v, sign) by the balanced induction.
 
@@ -178,6 +172,15 @@ def build_guide(
     array as H^+, so a build allocates nothing n x n; any other labeling
     gathers its n x n triple-intersection matrix first, O(n^2).  Both
     guide graphs are returned read-only.
+
+    With `graphs=False` A comes without the rounds, and H^+ = H^- = None,
+    when no index can turn heavy: the queue then never changes, so A is its
+    first `size` columns.  With c their least coverage, that holds if
+    c >= per_row, eta <= 4, grow_bound >= 0 (all n indices light) and
+    (size-1)*per_row // (c-per_row+1) < floor(grow_bound).  Proof: round
+    i's picks have at most the (per_row + n - c)-th smallest mirror degree
+    t, so c - per_row + 1 indices have degree >= t; their sum is at most
+    i*per_row, so t <= the left side and a pick ends at t + 1 <= the right.
 
     With `v0_mask` the guide set is drawn from N^sign(v) inside that mask
     (the construction `GuideSystem.get` runs); guide rows still
@@ -213,31 +216,39 @@ def build_guide(
     identity = np.array_equal(labeling.xs, np.arange(n)) and np.array_equal(labeling.ys, labeling.xs)
     if identity:
         wrows = wcols = d.mutual
-        full_coverage = d.mutual_colsum
+        coverage = d.mutual_colsum.copy()
     else:
         wrows = d.mat[:, labeling.xs].T & base[None, :] & d.mat[labeling.ys, :]
         wcols = wrows.T
-        full_coverage = wrows.sum(axis=0)
+        coverage = wrows.sum(axis=0)
+    # Per-vertex coverage by the light labeling indices, kept current below:
+    # all n of them, or none when eta < -2 makes the growth bound negative.
+    n_light = n if grow_bound >= 0 else 0
+    coverage *= n_light == n
+    # The open columns by coverage, descending, ties in ascending id: the order
+    # argmax over them picks in while the coverage stands still.
+    cols = base.nonzero()[0]
+    queue = cols[np.argsort(-coverage[cols], kind="stable")]
+    if not graphs and n_light == n and eta <= 4:
+        c = int(coverage[queue[size - 1]])
+        if c >= per_row and (size - 1) * per_row // (c - per_row + 1) < math.floor(grow_bound):
+            return GuideEntry(v, sign, queue[:size], None, None, per_row)
 
     # Each index's rank key: its mirror degree d^-_{H+}(x_j) == d^+_{H-}(y_j)
     # times n, plus a fixed scrambling of the index space.  Rows must not be
     # id-windows, or a target part can miss a row entirely; the scrambling is
     # seeded per (v, sign) so entries stay distinct even on fully symmetric
     # hosts, deterministic throughout: the inverse of a seeded permutation.
-    # Keys are unique, so the per_row smallest covered keys are one set.
+    # Keys are unique, so the per_row smallest covered keys are one set, and
+    # an index is light iff its key is below heavy_key.
     sign_bit = 1 if sign is Sign.PLUS else 2
     key = np.empty(n, dtype=np.int64)
     key[np.random.default_rng((0x5EED, n, v, sign_bit)).permutation(n)] = np.arange(n)
     heavy_key = n * (math.floor(grow_bound) + 1)   # key >= heavy_key iff key // n > grow_bound
-    light = np.full(n, 0 <= grow_bound)       # all True unless eta < -2 makes the bound negative
-    n_light = int(light.sum())
-    # Per-vertex coverage by the light labeling indices, kept current below.
-    coverage = full_coverage.copy() if n_light == n else wrows[light].sum(axis=0)
-    open_cols = base.copy()                   # N^sign(v) (cap V0) minus the guide so far
     guide: list[int] = []
     hplus = np.zeros((size, n), dtype=bool)
     hminus = hplus if identity else np.zeros((size, n), dtype=bool)
-    queue = None
+    head = 0
 
     for i in range(size):
         if n_light < eta * n / 4:
@@ -245,13 +256,6 @@ def build_guide(
                 f"round {i}: only {n_light} light labeling indices "
                 f"(need {eta * n / 4:.1f}); schedule too aggressive"
             )
-        # Open columns by coverage, descending, ties in ascending id: the
-        # order in which argmax over the open columns would pick them while
-        # the coverage stands still.  Rebuilt after a round that changed it.
-        if queue is None:
-            cols = open_cols.nonzero()[0]
-            queue = cols[np.argsort(-coverage[cols], kind="stable")].tolist()
-            head = 0
         w = queue[head]
         head += 1
         if coverage[w] < per_row:
@@ -263,30 +267,28 @@ def build_guide(
         # tie-broken by the scrambled rank: this balances back-degrees and
         # keeps every row spread across the vertex space.  coverage[w] counts
         # the covered indices, so there are at least per_row of them.
-        chosen = (wcols[w] if n_light == n else light & wcols[w]).nonzero()[0]
-        if len(chosen) > per_row:
-            chosen = chosen[key[chosen].argpartition(per_row - 1)[:per_row]]
+        chosen = (wcols[w] if n_light == n else wcols[w] & (key < heavy_key)).nonzero()[0]
+        chosen = chosen[key[chosen].argpartition(per_row - 1)[:per_row]]
         hplus[i, labeling.xs[chosen]] = True
         if not identity:                      # the identity labeling's H^- is H^+
             hminus[i, labeling.ys[chosen]] = True
         kc = key[chosen] = key[chosen] + n
         if kc.max() >= heavy_key:
             heavy = chosen[kc >= heavy_key]
-            coverage -= _count(wrows[heavy], axis=0)
-            light[heavy] = False
+            # The smallest dtype that holds the sums: a wider one makes numpy
+            # cast through a 64 KiB buffer, which costs more than the sum.
+            coverage -= wrows[heavy].sum(axis=0, dtype=np.min_scalar_type(len(heavy)))
             n_light -= len(heavy)
-            queue = None
-        open_cols[w] = False
+            cols = np.sort(queue[head:])      # the coverage changed: queue the open columns anew
+            queue, head = cols[np.argsort(-coverage[cols], kind="stable")], 0
         guide.append(w)
 
-    hplus.setflags(write=False)
-    hminus.setflags(write=False)
     return GuideEntry(
         v=v,
         sign=sign,
         guide=np.array(guide, dtype=np.int64),
-        hplus=hplus,
-        hminus=hminus,
+        hplus=_read_only(hplus),
+        hminus=_read_only(hminus),
         edges_per_row=per_row,
     )
 
@@ -320,7 +322,8 @@ class GuideSystem:
 
     `get` draws the guide set for (v, sign) inside N^sign(v) cap V0, with
     rows still spanning the host, audits it against every part (Q2-Q3) and
-    caches it as a `PackedGuide`.  The pipeline builds one system per draw.
+    caches it as a `PackedGuide`; with no parts, which read no row, it asks
+    `build_guide` for A alone (graphs=False).  One system per pipeline draw.
     `alpha` defaults to the host's `alpha_hat`, taken as given even at or
     below 0, which star layouts measured on an induced host can reach.
     """
@@ -351,7 +354,7 @@ class GuideSystem:
         if key not in self._entries:
             entry = build_guide(
                 self.d, v, sign, self.eps, self.eta, self.mu_count / self.d.n,
-                alpha=self.alpha, v0_mask=self.v0_mask, size=self.mu_count,
+                alpha=self.alpha, v0_mask=self.v0_mask, size=self.mu_count, graphs=bool(self.parts),
             )
             _audit_parts(self, entry)
             self._entries[key] = PackedGuide.of(entry)
@@ -362,12 +365,10 @@ def _audit_parts(system: GuideSystem, entry: GuideEntry) -> None:
     """Per-part skew audits Q2 (row quota) and Q3 (back-degree cap)."""
     failures: list[tuple] = []
     n = system.d.n
+    cap = _q3_quota((1 + system.eta) * system.eps * system.mu_count,   # the same for every part
+                    len(entry.guide) * entry.edges_per_row / n)
     for i, part in enumerate(system.parts):
-        row_mean = entry.edges_per_row * len(part) / n
-        back_nominal = (1 + system.eta) * system.eps * system.mu_count
-        back_mean = len(entry.guide) * entry.edges_per_row / n
-        quota = _q2_quota(row_mean)
-        cap = _q3_quota(back_nominal, back_mean)
+        quota = _q2_quota(entry.edges_per_row * len(part) / n)
         for circ in SIGNS:
             sub = entry.h(circ)[:, part]
             row_min = int(sub.sum(axis=1).min()) if sub.size else 0

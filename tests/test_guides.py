@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from spantree.digraph import Digraph, SIGNS, Sign, gen_semidegree_digraph, sample_disjoint_subsets
 from spantree.guides import (
+    GUIDE_ETA,
+    GUIDE_EPS,
     GuideBuildError,
     GuideEntry,
     GuideRestrictError,
@@ -21,6 +24,7 @@ from spantree.guides import (
 )
 
 from helpers import complete, labeling_verifies
+from test_lasvegas import tight_host
 from test_matching import skew_bounded
 
 
@@ -564,3 +568,120 @@ class TestGuideBuildPinned:
         lab = XYLabeling(9, Sign.PLUS, rng.permutation(150), rng.permutation(150), 1)
         shuffled = build_guide(d, 9, Sign.PLUS, 0.05, 0.1, 0.2, alpha=0.24, labeling=lab)
         assert not shuffled.hplus.flags.writeable and not shuffled.hminus.flags.writeable
+
+
+@st.composite
+def _part_free_cases(draw):
+    """A `_guide_cases` case with eta from 0 to 5, on its own host or a tight or dense one of that size."""
+    d, v, sign, eps, _eta, mu, kw = draw(_guide_cases())
+    host = draw(st.sampled_from(["drawn", "tight", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if host == "tight":
+        d = tight_host(d.n, draw(st.floats(0.05, 0.3)), rng)
+    elif host == "dense":
+        mat = rng.random((d.n, d.n)) < draw(st.floats(0.9, 1.0))
+        np.fill_diagonal(mat, False)
+        d = Digraph(d.n, mat)
+    return d, v, sign, eps, draw(st.floats(0.0, 5.0)), mu, kw
+
+
+class TestCertifiedGuideSets:
+    """build_guide(graphs=False) skips the rounds only where they would leave the queue as it is."""
+
+    def test_matches_the_reference_build(self):
+        routes = Counter()
+
+        @example((_few_mutual_rows_host(), 0, Sign.PLUS, 0.1, 3.0, 0.3, {}))
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(_part_free_cases())
+        def check(case):
+            d, v, sign, eps, eta, mu, kw = case
+            base = d.adj_row(v, sign) & kw.get("v0_mask", True)
+            if kw.get("size", max(1, math.ceil(mu * d.n))) > base.sum():
+                return
+            try:
+                guide, hplus, hminus = _reference_build_guide(d, v, sign, eps, eta, mu, 0.01, **kw)
+            except GuideBuildError as ref:
+                with pytest.raises(GuideBuildError) as new:
+                    build_guide(d, v, sign, eps, eta, mu, alpha=0.01, graphs=False, **kw)
+                assert str(new.value) == str(ref)
+                routes["loop"] += 1
+                return
+            entry = build_guide(d, v, sign, eps, eta, mu, alpha=0.01, graphs=False, **kw)
+            assert entry.guide.tolist() == guide.tolist()
+            if entry.hplus is None:
+                # Certified: the full rounds keep every index light.
+                assert entry.hminus is None and eta <= 4
+                grow_bound = (1 + eta / 2) * len(guide) * entry.edges_per_row / d.n
+                assert max(hplus.sum(axis=0).max(), hminus.sum(axis=0).max()) <= math.floor(grow_bound)
+                routes["shortcut"] += 1
+            else:
+                assert (entry.hplus == hplus).all() and (entry.hminus == hminus).all()
+                routes["loop"] += 1
+
+        check()
+        assert routes["shortcut"] >= 40 and routes["loop"] >= 40
+
+    def test_few_mutual_rows_and_eta_above_four_reach_the_loop(self):
+        d = _few_mutual_rows_host()
+        entry = build_guide(d, 0, Sign.PLUS, 0.1, 3.0, 0.3, alpha=0.01, graphs=False)
+        assert entry.hplus is not None
+        assert entry.guide.tolist() == build_guide(d, 0, Sign.PLUS, 0.1, 3.0, 0.3, alpha=0.01).guide.tolist()
+        # On complete(60) the bound holds at eta = 4; above it every index is
+        # light but too few for the light-count check, which round 0 reports.
+        assert build_guide(complete(60), 0, Sign.PLUS, 0.1, 4.0, 0.1, alpha=0.4, graphs=False).hplus is None
+        with pytest.raises(GuideBuildError, match=r"^round 0: only 60 light labeling indices \(need 67\.5\)"):
+            build_guide(complete(60), 0, Sign.PLUS, 0.1, 4.5, 0.1, alpha=0.4, graphs=False)
+
+    def test_a_short_column_reaches_the_loop(self):
+        # Columns 8.. of this host are covered by the 8 mutual rows only,
+        # below per_row = 10: the ninth round stops, as without the bound.
+        d = _few_mutual_rows_host()
+        with pytest.raises(GuideBuildError) as new:
+            build_guide(d, 0, Sign.PLUS, 0.25, 1.0, 0.225, alpha=0.01, graphs=False)
+        with pytest.raises(GuideBuildError) as ref:
+            _reference_build_guide(d, 0, Sign.PLUS, 0.25, 1.0, 0.225, 0.01)
+        assert str(new.value) == str(ref.value)
+        assert "below 10" in str(new.value)
+
+
+class TestPartFreeSystems:
+    """A GuideSystem with no target parts: guide sets from the bound, no guide graphs."""
+
+    @staticmethod
+    def _scramble_sentinel(monkeypatch):
+        """Record each seeding of the per-build scramble, which only the round loop draws."""
+        seeded = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: seeded.append(a) or default_rng(*a))
+        return seeded
+
+    @pytest.mark.parametrize("host", ["complete", "p=0.98"])
+    def test_no_round_loop_and_no_rows(self, host, monkeypatch):
+        n = 200
+        d = complete(n) if host == "complete" else gen_semidegree_digraph(n, 0.24, np.random.default_rng(3))
+        v0 = np.random.default_rng(4).permutation(n)[:120]
+        system = GuideSystem(d, v0, [], mu_count=40)
+        probes = [(v, sign) for v in (0, 57, 199) for sign in SIGNS]
+        seeded = self._scramble_sentinel(monkeypatch)
+        entries = [system.get(v, sign) for v, sign in probes]
+        assert seeded == []
+        monkeypatch.undo()
+        for (v, sign), entry in zip(probes, entries):
+            assert entry._hplus is None and entry._hminus is None
+            with pytest.raises(LookupError, match="without guide graphs"):
+                entry.row(int(entry.guide[0]), Sign.PLUS)
+            built = build_guide(d, v, sign, GUIDE_EPS, GUIDE_ETA, 40 / n, alpha=system.alpha,
+                                v0_mask=system.v0_mask, size=40)
+            assert entry.guide.tolist() == built.guide.tolist()
+
+    def test_spider_sized_system_is_refused_by_the_bound(self, monkeypatch):
+        # n = 37, per_row = 7: at size 14, floor(grow_bound) = 3 and the bound
+        # reads 13 * 7 // 30 = 3, not below it; at size 13 it reads 2 < 3.
+        d = complete(37)
+        seeded = self._scramble_sentinel(monkeypatch)
+        entry = GuideSystem(d, np.arange(37), [], mu_count=14).get(5, Sign.PLUS)
+        assert len(seeded) == 1 and entry._hplus is not None
+        assert entry.row(int(entry.guide[0]), Sign.PLUS).sum() == 7
+        assert GuideSystem(d, np.arange(37), [], mu_count=13).get(5, Sign.PLUS)._hplus is None
+        assert len(seeded) == 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,16 +78,7 @@ class TreeDecomposition:
             "t1": self.t1.tolist(),
             "t2": self.t2.tolist(),
             "stars": {str(v): list(s) for v, s in sorted(self.stars.items())},
-            "pieces": [
-                {
-                    "x": p.x,
-                    "y": p.y,
-                    "mid_x": p.mid_x,
-                    "mid_y": p.mid_y,
-                    "body": list(p.body),
-                }
-                for p in self.pieces
-            ],
+            "pieces": [asdict(p) for p in self.pieces],
             "leftovers": {str(v): list(s) for v, s in sorted(self.leftovers.items())},
         }
         return json.dumps(doc, indent=2, sort_keys=True)

@@ -200,24 +200,15 @@ def gen_semidegree_digraph(n: int, alpha: float, rng: np.random.Generator) -> Di
         np.less(rng.random(block.shape), prob, out=block)
     np.fill_diagonal(mat, False)
 
-    # Repair: bring every deficient out- then in-degree up to the target.
-    # The in-degree pass only adds arcs, so no out-degree drops below it.
-    for v in range(n):
-        row = mat[v]
-        deficit = target - int(row.sum())
-        if deficit > 0:
-            missing = np.flatnonzero(~row)
-            missing = missing[missing != v]
-            add = rng.choice(missing, size=deficit, replace=False)
-            row[add] = True
-    for v in range(n):
-        col = mat[:, v]
-        deficit = target - int(col.sum())
-        if deficit > 0:
-            missing = np.flatnonzero(~col)
-            missing = missing[missing != v]
-            add = rng.choice(missing, size=deficit, replace=False)
-            mat[add, v] = True
+    # Repair every deficient out-degree (row), then in-degree (column).  A
+    # repair adds arcs to its own line alone, so each pass knows its deficient
+    # lines up front; the in-degree pass cannot lower an out-degree.
+    for lines in (mat, mat.T):
+        degree = np.count_nonzero(lines, axis=1)
+        for v in np.flatnonzero(degree < target).tolist():
+            missing = np.flatnonzero(~lines[v])
+            add = rng.choice(missing[missing != v], size=target - int(degree[v]), replace=False)
+            lines[v, add] = True
 
     return Digraph(n, mat)
 

@@ -66,7 +66,9 @@ def _retry(phase: str, attempts: int, once):
     """Return the first result of `once()` within `attempts` tries.
 
     A try that raises a PipelineError is resampled; the last one's cause is
-    reported as a PhaseFailure of `phase` once the budget is spent.
+    reported as a PhaseFailure of `phase` once the budget is spent.  Only the
+    cause and message of a failed try are kept, not the exception, whose
+    traceback would keep that try's frames and hosts alive.
     """
     if attempts < 1:
         raise ValueError(f"{phase}: retry budget must be at least 1, got {attempts}")
@@ -74,8 +76,8 @@ def _retry(phase: str, attempts: int, once):
         try:
             return once()
         except PipelineError as exc:
-            last = exc
-    raise PhaseFailure(phase, last.cause, str(last), attempts=attempts)
+            last = exc.cause, str(exc)
+    raise PhaseFailure(phase, *last, attempts=attempts)
 
 
 def _forest_order(tree: OrientedTree, core: set[int], anchor: int):
@@ -542,7 +544,7 @@ def embed_almost_spanning(
     s1_floor = len(td.t0) // 3 + 10 + math.ceil(0.1 * n_roots) + 12
     v1_bias = 0
 
-    last: PipelineError | None = None
+    last = ("", "")   # (cause, message) of the last failed attempt
     for attempt in range(params.retries):
         # Proportional slack split with floors: piece-heavy trees need their
         # headroom in V2, star-heavy trees in V1.
@@ -583,12 +585,12 @@ def embed_almost_spanning(
             telemetry["failures"].append(
                 {"attempt": attempt, "phase": exc.phase or "almost", "cause": exc.cause}
             )
-            last = exc
+            last = exc.cause, str(exc)
             if exc.phase == "stars" and exc.cause in ("guide-build", "guide-restrict"):
                 v1_bias += max(4, slack // 6)
             elif exc.phase == "paths":
                 v1_bias -= max(4, slack // 8)
-    raise PhaseFailure("almost", last.cause, str(last), attempts=params.retries)
+    raise PhaseFailure("almost", *last, attempts=params.retries)
 
 
 def _parts_holding(
@@ -1115,7 +1117,7 @@ def embed_spanning(
     absorber_tree = absorber_piece.tree.with_t(local_shared_abs)
     trunk_labels, absorber_labels = trunk_piece.labels.tolist(), absorber_piece.labels.tolist()
     outer_budget = max(2, params.retries // 3)
-    last: PipelineError | None = None
+    last = ("", "")   # (cause, message) of the last failed attempt
     for outer in range(outer_budget):
         try:
             start = time.perf_counter()
@@ -1161,7 +1163,7 @@ def embed_spanning(
             return total, telemetry
         except PipelineError as exc:
             telemetry["failures"].append({"outer": outer, "cause": exc.cause, "detail": str(exc)})
-            last = exc
+            last = exc.cause, str(exc)
             if exc.cause == "decompose":   # fixed by the trunk piece: a retry fails alike
                 break
 
@@ -1175,4 +1177,4 @@ def embed_spanning(
         with contextlib.suppress(PhaseFailure):
             emb, phases["over-cap-greedy"] = _greedy(d, tree, anchor, None, params, rng, "spanning")
             return emb, telemetry
-    raise PhaseFailure("spanning", last.cause, str(last), attempts=outer + 1)
+    raise PhaseFailure("spanning", *last, attempts=outer + 1)

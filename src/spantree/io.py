@@ -38,12 +38,15 @@ def _edges(lines: list[str]) -> list[tuple[int, int]]:
     return edges
 
 
-def _header(lines: list[str], keyword: str, usage: str) -> list[str]:
-    """The header's tokens after `keyword`, which must be its first token exactly."""
+def _header(lines: list[str], keyword: str, usage: str) -> tuple[int, list[str]]:
+    """The size n after `keyword`, which must be the first token exactly, and the tokens after n."""
     head = lines[0].split() if lines else []
     if head[:1] != [keyword]:
         raise FormatError(f"expected {usage!r} header")
-    return head[1:]
+    try:
+        return int(head[1]), head[2:]
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"bad {keyword} header") from exc
 
 
 def dumps_digraph(d: Digraph) -> str:
@@ -54,12 +57,8 @@ def dumps_digraph(d: Digraph) -> str:
 
 def loads_digraph(text: str) -> Digraph:
     lines = _content_lines(text)
-    rest = _header(lines, "digraph", "digraph <n>")
-    try:
-        n = int(rest[0])
-    except (IndexError, ValueError) as exc:
-        raise FormatError("bad digraph header") from exc
-    if len(rest) > 1:
+    n, rest = _header(lines, "digraph", "digraph <n>")
+    if rest:
         raise FormatError(f"bad digraph header: {lines[0]!r}")
     edges = _edges(lines[1:])
     try:
@@ -77,16 +76,12 @@ def dumps_tree(tree: OrientedTree) -> str:
 
 def loads_tree(text: str) -> OrientedTree:
     lines = _content_lines(text)
-    rest = _header(lines, "tree", "tree <n> [t=<vertex>]")
-    try:
-        n = int(rest[0])
-    except (IndexError, ValueError) as exc:
-        raise FormatError("bad tree header") from exc
-    for token in rest[1:]:
+    n, rest = _header(lines, "tree", "tree <n> [t=<vertex>]")
+    for token in rest:
         if not token.startswith("t="):
             raise FormatError(f"unknown header token {token!r}")
     try:
-        (t,) = [int(token[2:]) for token in rest[1:]] or [None]   # a second t= fails to unpack
+        (t,) = [int(token[2:]) for token in rest] or [None]   # a second t= fails to unpack
     except ValueError:
         raise FormatError(f"bad tree header: {lines[0]!r}") from None
     edges = _edges(lines[1:])

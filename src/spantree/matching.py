@@ -55,11 +55,9 @@ def _violator_rows(adj: np.ndarray, col_of_row: np.ndarray) -> np.ndarray:
     When the matching misses some row, this set S satisfies |N(S)| < |S|.
     """
     nl, nr = adj.shape
-    row_of_col = np.full(nr, -1, dtype=np.int64)
-    for i, j in enumerate(col_of_row):
-        if j >= 0:
-            row_of_col[j] = i
     reach_rows = col_of_row < 0
+    row_of_col = np.full(nr, -1, dtype=np.int64)
+    row_of_col[col_of_row[~reach_rows]] = np.flatnonzero(~reach_rows)
     frontier = np.flatnonzero(reach_rows)
     seen_cols = np.zeros(nr, dtype=bool)
     while len(frontier) > 0:
@@ -108,13 +106,6 @@ def embed_tree_copies(
         )
     if len(np.unique(np.concatenate([v1, v2]))) != per + len(v2):
         raise ValueError("V1 and V2 together must hold distinct hosts")
-    if tree.n == 1:
-        out = []
-        for h in v1:
-            emb = Embedding()
-            emb.assign(root, int(h), "copies")
-            out.append(emb)
-        return out
 
     order = prefix_order(tree, root)
     blocks = [v1] + [v2[i * per : (i + 1) * per] for i in range(tree.n - 1)]
@@ -150,8 +141,6 @@ def embed_tree_copies(
 
 def _centroids(tree: OrientedTree) -> list[int]:
     """The one or two vertices minimizing the largest component of T - v."""
-    if tree.n == 1:
-        return [0]
     best = tree.n + 1
     out: list[int] = []
     parent, sub = subtree_sizes(tree, 0)

@@ -391,6 +391,20 @@ def gen_random_tree(
     legs from vertex 0 round-robin; broom hangs the last 2 * max_semideg
     vertices on the last open vertex of a path.
 
+    uniform's parent is the one rng.choice(feasible, p=cap / total) picks,
+    found in O(log n) from exact integer capacities.  With r = rng.random(),
+    S_k the capacity sum over 0..k and T = S_{v-1}, the float cdf h_k that
+    choice searches is within (2v + 3) 2^-53 of S_k / T: recursive sums of
+    non-negative terms, in any order, then one normalising division.  Let
+    x = fl(r T), within T 2^-53 of r T.  If M < x - floor(x) < 1 - M with
+    M = (v + 2) T 2^-50, every integer is more than M - T 2^-53 >
+    (2v + 3) T 2^-53 from r T, so h_k <= r exactly when S_k <= floor(x), and
+    searchsorted(h, r, side="right") is the count of those k: a Fenwick
+    descent.  Later vertices already sit in the tree at their first capacity
+    but are never counted, since S_{v-1} = T > floor(x).  A step outside the
+    margin searches the float cdf over all v vertices, as choice does over
+    the feasible ones: a saturated vertex adds 0.0 and is never landed on.
+
     Random stream: uniform draws one rng.random() per attached vertex and
     caterpillar one rng.integers per leaf; every edge of uniform, caterpillar,
     spider and broom then draws rng.integers(2) for its direction when both
@@ -458,23 +472,35 @@ def gen_random_tree(
             raise ValueError(f"star with n={n} needs max_semideg >= {n - 1}")
         edges.extend((0, v) for v in range(1, n))
     elif family == "uniform":
-        # cap[u] is u's remaining capacity, 0 exactly when u is saturated, and
-        # total its exact sum over 0..v-1.  This is the float computation of
-        # rng.choice(feasible, p=cap[feasible] / total): a zero entry adds 0.0
-        # to the cumsum and side="right" never lands on it, so the same draw
-        # picks the same parent.
-        cap = np.zeros(n)
-        cdf = np.empty(n)
-        cap[0] = total = full
+        # fen[i] sums the capacities of the vertices u with u + 1 in the Fenwick
+        # range (i - lowbit(i), i]; a vertex still to attach counts full - 1.
+        size = 1 << (n - 1).bit_length()
+        fen = [0, full] + [full - 1] * (n - 1) + [0] * (size - n)
+        for i in range(1, size):
+            fen[i + (i & -i)] += fen[i]
+        total = full
         for v in range(1, n):
-            head = cdf[:v]
-            np.divide(cap[:v], total, out=head)
-            np.add.accumulate(head, out=head)   # cumsum without its wrappers
-            head /= head[-1]
-            parent = int(head.searchsorted(rng.random(), side="right"))
+            r = rng.random()
+            x = r * total
+            low = int(x)
+            margin = (v + 2) * total * 2.0**-50
+            if margin < x - low < 1 - margin:
+                parent, step = 0, size >> 1
+                while step:
+                    if fen[parent + step] <= low:
+                        parent += step
+                        low -= fen[parent]
+                    step >>= 1
+            else:
+                head = (full - np.add(out_deg[:v], in_deg[:v])) / total
+                np.add.accumulate(head, out=head)   # cumsum without its wrappers
+                head /= head[-1]
+                parent = int(head.searchsorted(r, side="right"))
             orient(parent, v)
-            cap[parent] -= 1
-            cap[v] = full - 1
+            i = parent + 1
+            while i < size:
+                fen[i] -= 1
+                i += i & -i
             total += full - 2
     elif family == "caterpillar":
         spine_len = max(2, n // 3)

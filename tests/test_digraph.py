@@ -89,6 +89,32 @@ class TestGenerator:
         assert (d.mat == want).all()
         assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("n,alpha,seed", [
+        (50, 0.05, 0), (50, 0.1, 0), (301, 0.05, 0), (1000, 0.05, 3), (1000, 0.01, 0),
+    ])
+    def test_repair_matches_the_per_vertex_loop(self, n, alpha, seed):
+        # Reference: the earlier repair, which visits every row and then
+        # every column.  Each case needs repair arcs in both passes.
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        d = gen_semidegree_digraph(n, alpha, rng)
+        target = int(np.ceil((0.5 + alpha) * n))
+        mat = ref.random((n, n)) < min(1.0, 0.5 + 2 * alpha)
+        np.fill_diagonal(mat, False)
+        repaired = []
+        for lines in (mat, mat.T):
+            repaired.append(0)
+            for v in range(n):
+                line = lines[v]
+                deficit = target - int(line.sum())
+                if deficit > 0:
+                    missing = np.flatnonzero(~line)
+                    missing = missing[missing != v]
+                    line[ref.choice(missing, size=deficit, replace=False)] = True
+                    repaired[-1] += 1
+        assert min(repaired) > 0
+        assert (d.mat == mat).all()
+        assert rng.random() == ref.random()
+
     def test_deterministic(self):
         d1 = gen_semidegree_digraph(200, 0.1, np.random.default_rng(7))
         d2 = gen_semidegree_digraph(200, 0.1, np.random.default_rng(7))

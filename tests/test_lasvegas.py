@@ -1,9 +1,11 @@
 """The shared Las Vegas toolkit: failure base, retry loop, host draws, walks, leaf matcher."""
 
 import functools
+import gc
 import hashlib
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -99,6 +101,60 @@ class TestRetry:
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
             _retry("stars", 0, lambda: None)
+
+    def test_a_failed_try_is_freed_before_the_next(self):
+        # Only the cause and message of a failure are kept: the exception's
+        # traceback would hold the failed try's frame and its locals.
+        class Held:
+            pass
+
+        held, alive = [], []
+
+        def once():
+            alive.append(sum(ref() is not None for ref in held))
+            local = Held()
+            held.append(weakref.ref(local))
+            raise GuideBuildError(f"try {len(held)}")
+
+        gc.disable()
+        try:
+            with pytest.raises(PhaseFailure, match="try 3$"):
+                _retry("stars", 3, once)
+        finally:
+            gc.enable()
+        assert alive == [0, 0, 0]
+
+    def test_failed_attempts_free_their_induced_hosts(self, monkeypatch):
+        # Every path attachment fails, so each almost attempt induces one V1
+        # and fails, and the spanning loop spends its two outer attempts.
+        # Each induced host must be freed, by reference counting alone,
+        # before the next attempt induces its own.
+        hosts, alive = [], []
+        induce = Digraph.induce
+
+        def watched_induce(self, vertices):
+            alive.append(sum(ref() is not None for ref in hosts))
+            sub, labels = induce(self, vertices)
+            hosts.append(weakref.ref(sub))
+            return sub, labels
+
+        def attach_fails(*args, **kwargs):
+            raise PhaseFailure("paths", "connector-exhausted", "forced miss", 1)
+
+        monkeypatch.setattr(Digraph, "induce", watched_induce)
+        monkeypatch.setattr(embedder, "attach_path_trees", attach_fails)
+        n = 800
+        d = gen_semidegree_digraph(n, 0.25, np.random.default_rng(0))
+        tree = gen_random_tree(n, 2, "spider", np.random.default_rng(100))
+        params = spanning_defaults(n, 0.25).with_updates(retries=3)
+        gc.disable()
+        try:
+            with pytest.raises(PhaseFailure) as info:
+                embed_spanning(d, tree, params, np.random.default_rng(200))
+        finally:
+            gc.enable()
+        assert (info.value.phase, info.value.cause) == ("spanning", "connector-exhausted")
+        assert len(hosts) == 6 and alive == [0] * 6
 
 
 class TestGreedyWalk:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spantree.decompose import DecompositionError, decompose
 from spantree.digraph import Sign
@@ -306,6 +306,10 @@ class TestGeneratorStream:
         cases = list(itertools.product((800,), (1, 2, 3, 5), range(2)))
         assert stream_digest("uniform", cases) == "6ab1d676e8f34b89"
 
+    def test_uniform_at_four_thousand(self):
+        cases = list(itertools.product((4000,), (1, 2, 3, 6), range(2)))
+        assert stream_digest("uniform", cases) == "4f440baa31ad0914"
+
     @given(st.integers(0, 10_000), st.integers(2, 150), st.integers(1, 6))
     @settings(max_examples=80, deadline=None)
     def test_uniform_matches_choice_over_the_feasible_set(self, seed, n, delta):
@@ -440,6 +444,42 @@ class TestGeneratorAgainstReference:
     def test_same_trees_errors_and_state(self, family, n, delta, seed):
         want = generated(reference_tree, n, delta, family, np.random.default_rng(seed))
         assert generated(gen_random_tree, n, delta, family, np.random.default_rng(seed)) == want
+
+    @given(st.integers(2, 2000), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @example(2000, 3, 0)
+    @example(1999, 6, 1)
+    @settings(max_examples=40, deadline=None)
+    def test_uniform_up_to_two_thousand(self, n, delta, seed):
+        # The Fenwick count with its float-cdf fallback against the float cdf
+        # built at every step.
+        want = generated(reference_tree, n, delta, "uniform", np.random.default_rng(seed))
+        assert generated(gen_random_tree, n, delta, "uniform", np.random.default_rng(seed)) == want
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 6])
+    def test_uniform_draws_on_eighths(self, delta):
+        # Draws on multiples of 1/8, and one ulp to either side, put r * total
+        # on or next to an integer at many steps: inside the margin, where the
+        # exact count and the float cdf may part, so the fallback must answer.
+        eighths = [k / 8 for k in range(8)]
+        draws = eighths + [np.nextafter(u, 1.0) for u in eighths] + [np.nextafter(u, 0.0) for u in eighths[1:]]
+
+        class GridDraws:
+            def __init__(self):
+                self.draws, self.bits = itertools.cycle(draws), itertools.cycle([0, 1, 1])
+
+            def random(self):
+                return next(self.draws)
+
+            def integers(self, k):
+                return next(self.bits)
+
+        n, full = 600, 2 * delta
+        totals = [full + (v - 1) * (full - 2) for v in range(1, n)]
+        near = sum(abs(u * t - round(u * t)) < 1e-9 for u, t in zip(itertools.cycle(draws), totals))
+        assert near > n // 5
+        rngs = GridDraws(), GridDraws()
+        want = reference_tree(n, delta, "uniform", rngs[0]).edge_list, rngs[0].random()
+        assert (gen_random_tree(n, delta, "uniform", rngs[1]).edge_list, rngs[1].random()) == want
 
     @pytest.mark.parametrize("family", ["spider", "broom"])
     @pytest.mark.parametrize("n", [2, 3, 10, 57, 200, 2000])

@@ -212,11 +212,8 @@ def _build_layers(
                     a += 1
                     continue
                 b = best_b
-                body = []
-                for j in range(a + 2, b - 1):
-                    body.append(path[j])
-                    for comp in at.get(path[j], []):
-                        body.extend(comp)
+                inner = path[a + 2 : b - 1]
+                body = inner + [u for v in inner for comp in at.get(v, []) for u in comp]
                 pieces.append(
                     PathPiece(
                         x=path[a],
@@ -237,14 +234,10 @@ def _build_layers(
     # Stripped trees at core vertices (piece anchors included) hang as stars;
     # trees at 2-path midpoints join the leftover layer, since the attachment
     # paths must stay bare inside T2.
-    stars: dict[int, tuple[int, ...]] = {}
-    leftovers: dict[int, tuple[int, ...]] = {}
-    for v in t0_list:
-        if v in at:
-            stars[v] = tuple(sorted(u for comp in at[v] for u in comp))
-    for v in sorted(mids):
-        if v in at:
-            leftovers[v] = tuple(sorted(u for comp in at[v] for u in comp))
+    def hung_at(vertices) -> dict[int, tuple[int, ...]]:
+        return {v: tuple(sorted(u for comp in at[v] for u in comp)) for v in vertices if v in at}
+
+    stars, leftovers = hung_at(t0_list), hung_at(sorted(mids))
 
     t1 = np.array(
         sorted(set(t0_list) | {u for s in stars.values() for u in s}),

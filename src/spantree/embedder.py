@@ -975,7 +975,8 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
     becomes the new leaf.  Deterministic: smallest admissible index wins.
     """
     d = state.d
-    b = np.unique(np.fromiter(b_set, dtype=np.int64))   # B as a set: a repeated host counts once
+    # B as a set: a repeated host counts once (np.unique would load numpy.ma on first use).
+    b = np.array(sorted(set(map(int, b_set))), dtype=np.int64)
     a_set = set(int(x) for x in state.a_set)
     if not a_set <= set(b.tolist()):
         raise ValueError("B must contain A")
@@ -1020,12 +1021,8 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
                 continue
             role = role_of_index[j]
             cand = host_of_role[role]
-            if sign is Sign.PLUS:
-                if not d.mat[x_host, cand]:
-                    continue
-            else:
-                if not d.mat[cand, x_host]:
-                    continue
+            if not d.mat[(x_host, cand) if sign is Sign.PLUS else (cand, x_host)]:
+                continue
             deg = len(nbr_out[role]) + len(nbr_in[role])
             if deg > cap:
                 continue
@@ -1045,14 +1042,9 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
         freed = host_of_role[role]
         host_of_role[role] = y
         host_of_role[slot] = freed
-        nbr_out.setdefault(slot, [])
-        nbr_in.setdefault(slot, [])
-        if sign is Sign.PLUS:
-            nbr_out[parent_role].append(slot)
-            nbr_in[slot].append(parent_role)
-        else:
-            nbr_out[slot].append(parent_role)
-            nbr_in[parent_role].append(slot)
+        tail, head = (parent_role, slot) if sign is Sign.PLUS else (slot, parent_role)
+        nbr_out.setdefault(tail, []).append(head)
+        nbr_in.setdefault(head, []).append(tail)
         retired[chosen] = True
 
     emb = Embedding()

@@ -2,16 +2,15 @@
 
 A bipartite graph is a bool matrix: rows are the side to cover (guide-graph
 rows, leaves, or one block of hosts), columns the candidates, and the caller
-reads the sign of each row edge off the host before building it.  A missing
-covering matching comes back as the Koenig violator, a set of rows whose
-neighbourhood is smaller than itself.
+reads the sign of each row edge off the host before building it.  Matchings
+come from a pure-Python Hopcroft-Karp on bitmask rows, and a missing covering
+matching comes back as the Koenig violator its last BFS reached, a set of
+rows whose neighbourhood is smaller than itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .digraph import Digraph, Sign
 from .embedding import Embedding, PipelineError, draw_host, greedy_walk
@@ -28,47 +27,73 @@ class MatchingError(PipelineError):
         self.violator = violator
 
 
-def _raw_matching(adj: np.ndarray) -> np.ndarray:
-    """Row -> matched column (or -1), via augmenting paths in compiled code.
+def _raw_matching(adj: np.ndarray, reached: np.ndarray | None = None) -> np.ndarray:
+    """Row -> matched column (or -1): scipy's Hopcroft-Karp, step for step.
 
-    The CSR form is built directly, the same arrays `csr_matrix(adj)` holds:
-    `indptr` from the row sums, and the column ids of the set entries read
-    in row order off a broadcast column-id view, so the only temporaries are
-    the CSR arrays themselves (csr_matrix(adj) goes through int64
-    coordinates of every entry).
+    Row v is the int with bit w set for adj[v, w].  Each phase layers the
+    rows by BFS from the free rows, in row order, up to the first layer that
+    sees a free column, then runs a stack DFS from each free row in row
+    order: a popped row leaves its layer, and in the last layer takes its
+    smallest free column and augments along its parents, ending that search,
+    or else pushes its next-layer rows in ascending column order.  The first
+    phase, where every row is free and in the last layer, is a greedy pass
+    run without the stack.  This is scipy's `maximum_bipartite_matching(
+    perm_type="column")`.  When a BFS sees no free column, the rows it reached
+    (set in `reached`) are the Koenig violator S: every column of N(S) is
+    matched to a row of S, and S holds a free row, so |N(S)| < |S|.
     """
     nl, nr = adj.shape
-    if nl == 0 or nr == 0:
-        return np.full(nl, -1, dtype=np.int64)
-    index_dtype = np.int32 if adj.size < 2**31 else np.int64
-    indptr = np.zeros(nl + 1, dtype=index_dtype)
-    np.cumsum(adj.sum(axis=1), out=indptr[1:])
-    indices = np.broadcast_to(np.arange(nr, dtype=index_dtype), adj.shape)[adj]
-    graph = csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=adj.shape)
-    # scipy returns, for each row, the matched column (or -1).
-    return maximum_bipartite_matching(graph, perm_type="column").astype(np.int64)
+    rows = [int.from_bytes(r, "little") for r in np.packbits(adj, axis=1, bitorder="little")]
+    col_of_row, row_of_col, free = [-1] * nl, [-1] * nr, (1 << nr) - 1
+    for v, row in enumerate(rows):
+        hit = row & free
+        if hit:
+            w = (hit & -hit).bit_length() - 1
+            col_of_row[v], row_of_col[w], free = w, v, free ^ (1 << w)
+    while -1 in col_of_row:
+        # layers[d]: the rows at BFS distance d; cols[d]: the columns matched
+        # to the rows of layer d that no DFS has popped yet.
+        layers, cols = [[v for v in range(nl) if col_of_row[v] < 0]], [0]
+        unseen = ((1 << nr) - 1) ^ free   # matched columns no BFS layer holds yet
+        while layers[-1] and not any(rows[v] & free for v in layers[-1]):
+            layers.append([])
+            cols.append(unseen)
+            for v in layers[-2]:
+                layers[-1] += [row_of_col[w] for w in _bits(rows[v] & unseen)]
+                unseen &= ~rows[v]
+            cols[-1] ^= unseen
+        if not layers[-1]:
+            if reached is not None:
+                reached[[v for layer in layers for v in layer]] = True
+            break
+        parent = [-1] * nl
+        for root in layers[0]:
+            stack = [(root, 0)]
+            while stack:
+                v, d = stack.pop()
+                if d:   # v leaves its layer (free rows sit in layer 0, matched to no column)
+                    cols[d] ^= 1 << col_of_row[v]
+                if d < len(layers) - 1:
+                    for w in _bits(rows[v] & cols[d + 1]):
+                        parent[row_of_col[w]] = v
+                        stack.append((row_of_col[w], d + 1))
+                elif rows[v] & free:
+                    w = next(_bits(rows[v] & free))
+                    free ^= 1 << w
+                    while w >= 0:
+                        row_of_col[w] = v
+                        col_of_row[v], w = w, col_of_row[v]
+                        v = parent[v]
+                    break
+    return np.array(col_of_row, dtype=np.int64)
 
 
-def _violator_rows(adj: np.ndarray, col_of_row: np.ndarray) -> np.ndarray:
-    """Rows reachable by alternating paths from unmatched rows (Koenig set).
-
-    When the matching misses some row, this set S satisfies |N(S)| < |S|.
-    """
-    nl, nr = adj.shape
-    reach_rows = col_of_row < 0
-    row_of_col = np.full(nr, -1, dtype=np.int64)
-    row_of_col[col_of_row[~reach_rows]] = np.flatnonzero(~reach_rows)
-    frontier = np.flatnonzero(reach_rows)
-    seen_cols = np.zeros(nr, dtype=bool)
-    while len(frontier) > 0:
-        cols = adj[frontier].any(axis=0) & ~seen_cols
-        seen_cols |= cols
-        nxt = row_of_col[np.flatnonzero(cols)]
-        nxt = nxt[nxt >= 0]
-        nxt = nxt[~reach_rows[nxt]]
-        reach_rows[nxt] = True
-        frontier = nxt
-    return np.flatnonzero(reach_rows)
+def _bits(mask: int):
+    """The set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def covering_matching(adj: np.ndarray, what: str = "pattern") -> np.ndarray:
@@ -77,9 +102,10 @@ def covering_matching(adj: np.ndarray, what: str = "pattern") -> np.ndarray:
     Raises MatchingError, with the Koenig violator as row indices, when no
     matching covers every row.
     """
-    col_of_row = _raw_matching(adj)
+    reached = np.zeros(len(adj), dtype=bool)
+    col_of_row = _raw_matching(adj, reached)
     if (col_of_row < 0).any():
-        rows = _violator_rows(adj, col_of_row)
+        rows = np.flatnonzero(reached)
         raise MatchingError(
             f"{what}: no matching covering the left class "
             f"(violator size {len(rows)}, neighborhood {int(adj[rows].any(axis=0).sum())})",

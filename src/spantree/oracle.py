@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -37,10 +37,7 @@ class TrialReport:
     CSV_HEADER = "seed,n,alpha,tree_family,target,success,retries,millis,failure_cause"
 
     def csv_row(self) -> str:
-        return (
-            f"{self.seed},{self.n},{self.alpha},{self.tree_family},{self.target},"
-            f"{int(self.success)},{self.retries},{self.millis},{self.failure_cause}"
-        )
+        return ",".join(str(int(v) if isinstance(v, bool) else v) for v in astuple(self))
 
 
 @dataclass
@@ -86,15 +83,11 @@ def _trial_small_forest(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, s
         maps = embed_small_forest(d, comps, cfg.eps / 2, rng)
     except PipelineError as exc:
         return False, 0, exc.cause
-    used: set[int] = set()
-    for comp, m in zip(comps, maps):
-        for u, w in comp.edge_list:
-            if not d.has_edge(m[u], m[w]):
-                return False, 0, "verify"
-        if used & set(m.values()):
-            return False, 0, "verify"
-        used |= set(m.values())
-    return True, 0, ""
+    hosts = [host for m in maps for host in m.values()]
+    ok = len(set(hosts)) == len(hosts) and all(
+        d.has_edge(m[u], m[w]) for comp, m in zip(comps, maps) for u, w in comp.edge_list
+    )
+    return ok, 0, "" if ok else "verify"
 
 
 def _trial_tree_copies(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:

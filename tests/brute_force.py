@@ -1,4 +1,5 @@
-"""Exhaustive containment search: the reference the pipeline is checked against."""
+"""References the pipeline is checked against: exhaustive containment search,
+and the Koenig set of a maximum matching by alternating reachability."""
 
 from __future__ import annotations
 
@@ -83,3 +84,27 @@ def brute_force_contains(
     if not is_valid_embedding(d, tree, emb):
         raise VerificationError("brute-force embedding failed verification")
     return emb
+
+
+def alternating_reach_rows(adj: np.ndarray, col_of_row: np.ndarray) -> np.ndarray:
+    """Rows reachable by alternating paths from the unmatched rows (the Koenig set).
+
+    `col_of_row` is a maximum matching of the bool matrix `adj` (-1 for an
+    unmatched row); when it misses some row, this set S has |N(S)| < |S|.
+    The frontier grows one alternating step at a time over whole rows.
+    """
+    nl, nr = adj.shape
+    reach_rows = col_of_row < 0
+    row_of_col = np.full(nr, -1, dtype=np.int64)
+    row_of_col[col_of_row[~reach_rows]] = np.flatnonzero(~reach_rows)
+    frontier = np.flatnonzero(reach_rows)
+    seen_cols = np.zeros(nr, dtype=bool)
+    while len(frontier) > 0:
+        cols = adj[frontier].any(axis=0) & ~seen_cols
+        seen_cols |= cols
+        nxt = row_of_col[np.flatnonzero(cols)]
+        nxt = nxt[nxt >= 0]
+        nxt = nxt[~reach_rows[nxt]]
+        reach_rows[nxt] = True
+        frontier = nxt
+    return np.flatnonzero(reach_rows)

@@ -1,11 +1,13 @@
 """Repository guards: the library holds no `assert` and no definition without a
-caller, every perfbench probe resolves, and the scaling record's and the bench
-seed's embeddings and RNG stream reproduce."""
+caller and runs without scipy, every perfbench probe resolves, and the scaling
+record's and the bench seed's embeddings and RNG stream reproduce."""
 
 import ast
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,6 +72,35 @@ def test_every_library_definition_is_referenced():
         if not any(name.rsplit(".", 1)[-1] in names for unit, names in units if unit not in own)
     ]
     assert unreferenced == []
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None   # every scipy import now raises ImportError
+import numpy as np
+import spantree
+import spantree.cli
+from spantree.matching import MatchingError, covering_matching
+d = spantree.gen_semidegree_digraph(200, 0.25, np.random.default_rng(1))
+tree = spantree.gen_random_tree(200, 3, "uniform", np.random.default_rng(2))
+emb, _ = spantree.embed_spanning(d, tree, spantree.spanning_defaults(200, 0.25), np.random.default_rng(2))
+if not spantree.verify_embedding(d, tree, emb):
+    sys.exit(3)
+try:
+    covering_matching(np.array([[True, False], [True, False], [False, True]]))
+except MatchingError as exc:
+    sys.exit(0 if exc.violator.tolist() == [0, 1] else 4)
+sys.exit(5)
+"""
+
+
+def test_library_runs_without_scipy():
+    # scipy is a test dependency only.  The child reports through its exit
+    # code, so the check holds under `python -O` too.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr[-2000:]
 
 
 def test_every_perfbench_probe_resolves():

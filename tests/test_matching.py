@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -19,6 +21,7 @@ from spantree.matching import (
 )
 from spantree.trees import OrientedTree, gen_random_tree
 
+from brute_force import alternating_reach_rows
 from helpers import complete, matching_dump
 
 
@@ -129,6 +132,90 @@ class TestHallViolator:
                 assert set(violator.tolist()) <= set(range(nl))
                 nbhd = int(adj[violator].any(axis=0).sum())
                 assert nbhd < len(violator)
+
+
+def oracle_matrix(nl, nr, kind, transposed, seed):
+    """A random nl x nr bool matrix: dense, sparse, or blocks on a sparse background.
+
+    Transposed, it is the .T view of an nr x nl array (F-order), as
+    `embed_tree_copies` passes its MINUS blocks.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (nr, nl) if transposed else (nl, nr)
+    if kind == "dense":
+        adj = rng.random(shape) < rng.uniform(0.5, 1.0)
+    elif kind == "sparse":
+        adj = rng.random(shape) < rng.uniform(0.0, 0.1)
+    else:
+        blocks = int(rng.integers(1, 6))
+        side = [np.sort(rng.integers(0, blocks, size)) for size in shape]
+        adj = (side[0][:, None] == side[1][None, :]) & (rng.random(shape) < rng.uniform(0.3, 1.0))
+        adj |= rng.random(shape) < 0.01
+    return adj.T if transposed else adj
+
+
+def scipy_matching(adj):
+    if adj.size == 0:
+        return np.full(len(adj), -1, dtype=np.int64)
+    return maximum_bipartite_matching(csr_matrix(adj), perm_type="column").astype(np.int64)
+
+
+def greedy_size(adj):
+    """Rows matched by the pass that gives each row in turn its smallest free column."""
+    free = np.ones(adj.shape[1], dtype=bool)
+    for row in adj:
+        hit = np.flatnonzero(row & free)
+        if len(hit):
+            free[hit[0]] = False
+    return int((~free).sum())
+
+
+class TestScipyOracle:
+    """`_raw_matching` is scipy's Hopcroft-Karp matching, and the violator a
+    failed covering carries is the Koenig set of alternating reachability."""
+
+    def check(self, adj):
+        want = scipy_matching(adj)
+        assert _raw_matching(adj).tolist() == want.tolist()
+        try:
+            covering_matching(adj)
+            violator = None
+        except MatchingError as exc:
+            violator = exc.violator.tolist()
+        if (want < 0).any():
+            assert violator == alternating_reach_rows(adj, want).tolist()
+        else:
+            assert violator is None
+        return want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nl=st.integers(0, 120),
+        nr=st.integers(0, 120),
+        kind=st.sampled_from(["dense", "sparse", "blocks"]),
+        transposed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nl=0, nr=9, kind="dense", transposed=False, seed=0)
+    @example(nl=9, nr=0, kind="dense", transposed=True, seed=0)
+    @example(nl=120, nr=120, kind="dense", transposed=True, seed=1)
+    @example(nl=120, nr=120, kind="blocks", transposed=False, seed=2)
+    def test_matches_scipy(self, nl, nr, kind, transposed, seed):
+        self.check(oracle_matrix(nl, nr, kind, transposed, seed))
+
+    def test_seeded_batch_needs_augmenting_phases(self):
+        # Many of these need augmenting paths beyond the greedy pass, and
+        # some have no covering matching, so phases and violators both run.
+        rng = np.random.default_rng(32)
+        augmented = violated = 0
+        for i in range(400):
+            nl, nr = (int(x) for x in rng.integers(1, 61, size=2))
+            kind = ("sparse", "blocks")[i % 2]
+            adj = oracle_matrix(nl, nr, kind, bool(i % 4 > 1), int(rng.integers(2**32)))
+            want = self.check(adj)
+            augmented += int((want >= 0).sum()) > greedy_size(adj)
+            violated += bool((want < 0).any())
+        assert augmented >= 50 and violated >= 50
 
 
 class TestSkewBounded:

@@ -44,6 +44,7 @@ def measure(n: int) -> dict:
     import time
 
     import numpy as np
+    import numpy.random  # noqa: F401 -- numpy loads it on first use; keep that out of host_s
 
     from spantree.digraph import gen_semidegree_digraph
     from spantree.embedder import embed_spanning

@@ -992,7 +992,7 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
     # Current copy adjacency, by tree-vertex role.
     nbr_out: dict[int, list[int]] = {r: [] for r in role_of_index}
     nbr_in: dict[int, list[int]] = {r: [] for r in role_of_index}
-    for lu, lw in trunk.tree.edge_list:
+    for lu, lw in trunk.tree.edges.tolist():
         u, w = labels[lu], labels[lw]
         nbr_out[u].append(w)
         nbr_in[w].append(u)
@@ -1010,42 +1010,35 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
     ]
 
     cap = max(6, math.ceil(4 * d.n / max(state.threshold, 1)))
-    retired = np.zeros(len(role_of_index), dtype=bool)
-    retired[0] = True  # the anchor is never switched out
+    live = list(range(1, len(role_of_index)))  # indices not yet switched out; the anchor never is
 
     for step, (y, (slot, parent_role, sign)) in enumerate(zip(new_hosts, slots)):
         x_host = host_of_role[parent_role]
         chosen = -1
-        for j in range(1, len(role_of_index)):
-            if retired[j]:
-                continue
+        for k, j in enumerate(live):
             role = role_of_index[j]
             cand = host_of_role[role]
             if not d.mat[(x_host, cand) if sign is Sign.PLUS else (cand, x_host)]:
                 continue
-            deg = len(nbr_out[role]) + len(nbr_in[role])
-            if deg > cap:
+            if len(nbr_out[role]) + len(nbr_in[role]) > cap:
                 continue
-            ok = all(d.mat[y, host_of_role[w]] for w in nbr_out[role]) and all(
-                d.mat[host_of_role[w], y] for w in nbr_in[role]
-            )
-            if not ok:
+            if not (all(d.mat[y, host_of_role[w]] for w in nbr_out[role])
+                    and all(d.mat[host_of_role[w], y] for w in nbr_in[role])):
                 continue
-            chosen = j
+            chosen = k
             break
         if chosen < 0:
             raise AbsorptionError(
                 f"absorption stuck at step {step + 1}/{len(slots)}: no admissible index "
-                f"(threshold {state.threshold}, retired {int(retired.sum())})"
+                f"(threshold {state.threshold}, retired {len(role_of_index) - len(live)})"
             )
-        role = role_of_index[chosen]
+        role = role_of_index[live.pop(chosen)]
         freed = host_of_role[role]
         host_of_role[role] = y
         host_of_role[slot] = freed
         tail, head = (parent_role, slot) if sign is Sign.PLUS else (slot, parent_role)
         nbr_out.setdefault(tail, []).append(head)
         nbr_in.setdefault(head, []).append(tail)
-        retired[chosen] = True
 
     emb = Embedding()
     for role, host in host_of_role.items():

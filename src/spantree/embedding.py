@@ -10,7 +10,6 @@ need no scan in one block, with the same stream as one draw per pick.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 
@@ -176,16 +175,15 @@ class Embedding:
 def is_valid_embedding(d: Digraph, tree: OrientedTree, emb: Embedding) -> bool:
     """Total + injective + every tree edge maps to a host edge of the same direction.
 
-    Every tree vertex 0..|T|-1 and every host 0..n-1 is checked by range, so
-    no id can alias another through negative indexing.  The arcs are then
-    read in one gather: host[i] = image of i, and the edge list flattened
-    to tail, head, tail, head, ...
+    Every tree vertex 0..|T|-1 and every host 0..n-1 is range-checked on one
+    array of the ids (an id past int64 reads as a float or object entry, which
+    compares exactly), so no id can alias another through negative indexing.
+    Then one gather reads the host pair at every tree edge.
     """
-    if len(emb.map) != tree.n or not all(0 <= tv < tree.n for tv in emb.map):
-        return False
-    if len(emb.used) != tree.n or not all(0 <= hv < d.n for hv in emb.used):
-        return False
+    for ids, bound in ((emb.map, tree.n), (emb.used, d.n)):
+        ids = np.array(list(ids))
+        if len(ids) != tree.n or not ((ids >= 0) & (ids < bound)).all():
+            return False
     host = np.fromiter(map(emb.map.__getitem__, range(tree.n)), dtype=np.int64, count=tree.n)
-    ends = host[np.fromiter(itertools.chain.from_iterable(tree.edge_list), dtype=np.int64,
-                            count=2 * (tree.n - 1))]
-    return bool(d.mat[ends[0::2], ends[1::2]].all())
+    ends = host[tree.edges]
+    return bool(d.mat[ends[:, 0], ends[:, 1]].all())

@@ -1,35 +1,72 @@
 """Oriented trees: representation, orderings, generators, structural helpers.
 
-A tree is stored with dense vertex ids 0..n-1 and an explicit list of
-directed edges (tail, head).  Orientation never affects connectivity
+A tree has dense vertex ids 0..n-1.  Orientation never affects connectivity
 arguments, so underlying-degree machinery works on the undirected shadow.
-Two sorted adjacency tables are stored, out-neighbours and all neighbours,
-read through `out` and `nbrs`; an in-neighbour is a neighbour that is not
-an out-neighbour, and `edge_sign` tells the two apart.
+One sorted neighbour table is stored, read through `nbrs`, and beside each
+row an int whose bit j is set when entry j is an out-neighbour (ints below
+257 are shared, so a row of degree <= 8 costs no object), read by `out` and
+`edge_sign`.  The edges are kept once, as the read-only int32 (n - 1) x 2
+array `edges`; `edge_list` gives them as a tuple of int pairs.
 
-Only `OrientedTree(n, edges, t)` sorts and validates an edge list.  Trees
-derived from a valid tree skip that work: `with_t` shares its parent's edge
-list and both tables, and `induced_subtree` maps their rows through one
-monotone index list, which keeps every row sorted.  `gen_random_tree` skips
-it too: it attaches each vertex to an earlier one, so the tables it fills
-from its own edge list come out sorted and connected.
+Only `OrientedTree(n, edges, t)` validates an edge list.  `with_t` shares
+its tree's parts, and `induced_subtree` maps rows through one monotone
+index list, which keeps every row sorted and every row with no neighbour
+outside the piece at its flags.  `gen_random_tree` attaches each vertex to
+an earlier one, so its tree is valid by construction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import length_hint
 
 import numpy as np
 
-from .digraph import Sign
+from .digraph import Sign, _read_only
+
+
+def _flags(bits: int, deg: int) -> str:
+    """A row's out-flags: character j is "1" when entry j is an out-neighbour (one linear pass)."""
+    return bin(bits | 1 << deg)[:2:-1]   # bin() is "0b1" and the flags, last entry first
+
+
+# _FLAGS[d][bits] is _flags(bits, d) for every row of degree d <= 8.
+_FLAGS = tuple(tuple(_flags(b, d) for b in range(1 << d)) for d in range(9))
+
+
+def _mask(flags: str) -> int:
+    """The out-flags int of a row from its `_flags` string."""
+    return int(flags[::-1] or "0", 2)
+
+
+def _table(n: int, arcs) -> tuple[tuple, tuple]:
+    """Neighbour table and out-flags of a tree from arcs (tail, head) that fill each row in order.
+
+    Arcs sorted by their smaller end, then their larger, do.  A flag past entry 63 is noted and
+    set with its row's others at the end, so no row's int is rebuilt per entry.
+    """
+    und: list[list[int]] = [[] for _ in range(n)]
+    bits, late = [0] * n, {}
+    for u, v in arcs:
+        j = len(und[u])
+        if j < 64:
+            bits[u] |= 1 << j
+        else:
+            late.setdefault(u, set()).add(j)
+        und[u].append(v)
+        und[v].append(u)
+    for u, js in late.items():
+        bits[u] |= _mask("".join(["01"[j in js] for j in range(len(und[u]))]))
+    return tuple(map(tuple, und)), tuple(bits)
 
 
 class OrientedTree:
     """Immutable tree whose edges carry an orientation."""
 
-    __slots__ = ("n", "edge_list", "t", "_out", "_und")
+    __slots__ = ("n", "edges", "t", "_und", "_bits")
 
     def __init__(self, n: int, edges, t: int | None = None):
         if n < 1:
@@ -39,47 +76,30 @@ class OrientedTree:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edge_list)}")
         if t is not None and not (0 <= t < n):
             raise ValueError(f"distinguished vertex {t} out of range")
-        out: list[list[int]] = [[] for _ in range(n)]
-        und: list[list[int]] = [[] for _ in range(n)]
         for u, v in edge_list:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u},{v})")
-            out[u].append(v)
-            und[u].append(v)
-            und[v].append(u)
-        for rows in (out, und):
-            any(map(list.sort, rows))   # sorts every row in place (list.sort returns None)
-        self.n = n
-        self.edge_list = tuple(edge_list)
-        self.t = t
-        self._out, self._und = tuple(map(tuple, out)), tuple(map(tuple, und))
-        self._check_connected()
-
-    @classmethod
-    def _derived(cls, n: int, edge_list: tuple, t: int | None, out: tuple, und: tuple):
-        """A tree from parts already known to form a valid tree; nothing is re-checked."""
-        tree = cls.__new__(cls)
-        tree.n, tree.edge_list, tree.t = n, edge_list, t
-        tree._out, tree._und = out, und
-        return tree
-
-    def _check_connected(self) -> None:
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for u in self._und[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    count += 1
-                    stack.append(u)
-        if count != self.n:
+        self.n, self.t = n, t
+        self.edges = _read_only(np.array(edge_list, dtype=np.int32).reshape(-1, 2))
+        self._und, self._bits = _table(n, sorted(edge_list, key=sorted))
+        if len(components(self, range(n))) != 1:
             raise ValueError("edges do not form a connected tree")
 
+    @classmethod
+    def _derived(cls, n: int, edges: np.ndarray, t: int | None, und: tuple, bits: tuple):
+        """A tree from parts already known to form a valid tree; nothing is re-checked."""
+        tree = cls.__new__(cls)
+        tree.n, tree.edges, tree.t = n, edges, t
+        tree._und, tree._bits = und, bits
+        return tree
+
+    @property
+    def edge_list(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edges.tolist()))
+
     def out(self, v: int) -> tuple[int, ...]:
-        return self._out[v]
+        row = self._und[v]
+        return tuple([w for w, f in zip(row, _flags(self._bits[v], len(row))) if f == "1"])
 
     def nbrs(self, v: int) -> tuple[int, ...]:
         return self._und[v]
@@ -89,17 +109,17 @@ class OrientedTree:
 
     def edge_sign(self, u: int, v: int) -> Sign:
         """Sign s with v in N^s(u); requires u, v adjacent."""
-        if v in self._out[u]:
-            return Sign.PLUS
-        if u in self._out[v]:
-            return Sign.MINUS
-        raise ValueError(f"{u} and {v} are not adjacent")
+        row = self._und[u]
+        j = bisect_left(row, v)
+        if j == len(row) or row[j] != v:
+            raise ValueError(f"{u} and {v} are not adjacent")
+        return Sign.PLUS if self._bits[u] >> j & 1 else Sign.MINUS
 
     def with_t(self, t: int | None) -> "OrientedTree":
-        """The same tree with distinguished vertex t; shares this tree's adjacency."""
+        """The same tree with distinguished vertex t; shares this tree's edges, table and flags."""
         if t is not None and not (0 <= t < self.n):
             raise ValueError(f"distinguished vertex {t} out of range")
-        return OrientedTree._derived(self.n, self.edge_list, t, self._out, self._und)
+        return OrientedTree._derived(self.n, self.edges, t, self._und, self._bits)
 
     def __len__(self) -> int:
         return self.n
@@ -107,7 +127,7 @@ class OrientedTree:
 
 def max_semidegree(tree: OrientedTree) -> tuple[int, int]:
     """(max out-degree, max in-degree); a vertex's in-degree is its degree minus its out-degree."""
-    out_deg = list(map(len, tree._out))
+    out_deg = list(map(int.bit_count, tree._bits))
     return max(out_deg), max(map(int.__sub__, map(len, tree._und), out_deg))
 
 
@@ -147,7 +167,7 @@ def prefix_order(tree: OrientedTree, root: int, policy: str = "any") -> PrefixOr
 
     # open_[u]: u may still be placed by the search.  Each placed vertex
     # records its parent's position and the sign of the edge from it.
-    und, out = tree._und, tree._out
+    und, bits, small, plus, minus = tree._und, tree._bits, _FLAGS, Sign.PLUS, Sign.MINUS
     if policy == "any":
         open_ = [True] * tree.n
     else:
@@ -161,14 +181,16 @@ def prefix_order(tree: OrientedTree, root: int, policy: str = "any") -> PrefixOr
     while stack:
         i = stack.pop()
         v = order[i]
-        out_v = out[v]
-        for u in reversed(und[v]):
+        row, j = und[v], len(und[v])
+        flags = small[j][bits[v]] if j < 9 else _flags(bits[v], j)
+        for u in reversed(row):
+            j -= 1
             if open_[u]:
                 open_[u] = False
                 stack.append(len(order))
                 order.append(u)
                 parent_index.append(i)
-                signs.append(Sign.PLUS if u in out_v else Sign.MINUS)
+                signs.append(plus if flags[j] == "1" else minus)
     if policy != "any":
         # Every non-root leaf goes last, after its one neighbour.
         pos = {v: i for i, v in enumerate(order)}
@@ -177,7 +199,7 @@ def prefix_order(tree: OrientedTree, root: int, policy: str = "any") -> PrefixOr
                 parent = und[v][0]
                 order.append(v)
                 parent_index.append(pos[parent])
-                signs.append(Sign.PLUS if v in out[parent] else Sign.MINUS)
+                signs.append(minus if bits[v] else plus)   # bits[v] == 1: v's one edge leaves v
     return PrefixOrdering(tuple(order), tuple(parent_index), tuple(signs))
 
 
@@ -314,17 +336,19 @@ def induced_subtree(tree: OrientedTree, vertices, t: int | None = None) -> TreeP
         # Empty or duplicate ids: the general constructor reports them.
         edges = [(index[u], index[w]) for u in verts for w in tree.out(u) if index[w] >= 0]
         return TreePiece(OrientedTree(k, edges, t=local_t), np.asarray(verts, dtype=np.int64))
-    get, inside = index.__getitem__, (0).__le__
-
-    def relabel(rows: tuple) -> tuple:
-        mapped = [tuple(map(get, row)) for row in map(rows.__getitem__, verts)]
-        return tuple([row if -1 not in row else tuple(filter(inside, row)) for row in mapped])
-
-    out = relabel(tree._out)
-    edge_list = tuple([(i, w) for i, heads in enumerate(out) for w in heads])
-    if len(edge_list) != k - 1:
-        raise ValueError(f"a tree on {k} vertices needs {k - 1} edges, got {len(edge_list)}")
-    sub = OrientedTree._derived(k, edge_list, local_t, out, relabel(tree._und))
+    rows = [tuple(map(index.__getitem__, row)) for row in map(tree._und.__getitem__, verts)]
+    bits = list(map(tree._bits.__getitem__, verts))
+    for i in [i for i, row in enumerate(rows) if -1 in row]:   # rows reaching outside the set
+        kept = [(w, f) for w, f in zip(rows[i], _flags(bits[i], len(rows[i]))) if w >= 0]
+        rows[i], bits[i] = tuple(w for w, _f in kept), _mask("".join(f for _w, f in kept))
+    ends = np.full(tree.n, -1, dtype=np.int32)
+    ends[verts] = range(k)
+    ends = ends[tree.edges]   # every edge in piece ids, -1 outside
+    ends = ends[(ends[:, 0] | ends[:, 1]) >= 0]   # the OR is negative when an end is outside
+    if len(ends) != k - 1:
+        raise ValueError(f"a tree on {k} vertices needs {k - 1} edges, got {len(ends)}")
+    edges = _read_only(ends[np.lexsort(ends.T[::-1])])   # by tail, then head
+    sub = OrientedTree._derived(k, edges, local_t, tuple(rows), tuple(bits))
     return TreePiece(sub, np.asarray(verts, dtype=np.int64))
 
 
@@ -342,19 +366,10 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
 
     # Deepest vertex with subtree size >= m; all its children subtrees are < m.
     pivot = root
-    progressed = True
-    while progressed:
-        progressed = False
-        for u in tree.nbrs(pivot):
-            if u != parent[pivot] and size[u] >= m:
-                pivot = u
-                progressed = True
-                break
+    while (u := next((u for u in tree.nbrs(pivot) if u != parent[pivot] and size[u] >= m), -1)) >= 0:
+        pivot = u
 
-    children = sorted(
-        (u for u in tree.nbrs(pivot) if u != parent[pivot]),
-        key=lambda u: size[u],
-    )
+    children = sorted((u for u in tree.nbrs(pivot) if u != parent[pivot]), key=size.__getitem__)
     below: list[int] = []   # the taken children, then every vertex under them
     total = 0
     for u in children:
@@ -531,13 +546,8 @@ def gen_random_tree(
         if used:
             rng.integers(2, size=used)
 
-    out: list[list[int]] = [[] for _ in range(n)]
-    und: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        out[u].append(v)
-        und[u].append(v)
-        und[v].append(u)
-    return OrientedTree._derived(n, tuple(edges), 0, tuple(map(tuple, out)), tuple(map(tuple, und)))
+    array = _read_only(np.fromiter(chain.from_iterable(edges), np.int32, 2 * n - 2).reshape(-1, 2))
+    return OrientedTree._derived(n, array, 0, *_table(n, edges))
 
 
 def canonical_forms(tree: OrientedTree, roots: list[int]) -> list[str]:
@@ -563,19 +573,20 @@ def canonical_forms(tree: OrientedTree, roots: list[int]) -> list[str]:
                 parent[u] = v
                 bfs.append(u)
     form: list[str | None] = [None] * tree.n
-    half_items: dict[int, list[str]] = {}
+    half: dict[int, tuple[list[str], str]] = {}   # a root's children's strings, and its own
+    und, bits, small = tree._und, tree._bits, _FLAGS
     for v in reversed(bfs):
-        out_v = tree._out[v]
-        kids = [u for u in tree._und[v] if u != parent[v]]
-        items = sorted([("+" if u in out_v else "-") + form[u] for u in kids])
-        for u in kids:
+        row, b, p = und[v], bits[v], parent[v]
+        flags = small[len(row)][b] if len(row) < 9 else _flags(b, len(row))
+        items = sorted([("+" if f == "1" else "-") + form[u] for u, f in zip(row, flags) if u != p])
+        for u in row:   # the parent's string is not formed yet
             form[u] = None  # each string is read once; keeps memory O(n)
         form[v] = "(" + "".join(items) + ")"
         if v in roots:
-            half_items[v] = items
+            half[v] = items, form[v]
     if len(roots) == 1:
         return [form[roots[0]]]
     return [
-        "(" + "".join(sorted(half_items[r] + [("+" if s in tree._out[r] else "-") + form[s]])) + ")"
+        "(" + "".join(sorted(half[r][0] + [tree.edge_sign(r, s).value + half[s][1]])) + ")"
         for r, s in (roots, roots[::-1])
     ]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1042,7 +1043,16 @@ class TestDerivedTrees:
 
 
 def assert_views_match_the_edge_list(tree):
-    """out, nbrs, edge_sign and max_semidegree against a reference read off edge_list."""
+    """out, nbrs, edge_sign and max_semidegree against a reference read off edge_list.
+
+    `edges` is the one stored copy of the edges: a read-only int32 array that
+    `edge_list` reads as int pairs and `with_t` shares.
+    """
+    edges = tree.edges
+    assert edges.dtype == np.int32 and edges.shape == (tree.n - 1, 2) and not edges.flags.writeable
+    assert type(tree.edge_list) is tuple and edges.tolist() == list(map(list, tree.edge_list))
+    assert all(type(e) is tuple and list(map(type, e)) == [int, int] for e in tree.edge_list)
+    assert tree.with_t(None).edges is edges
     outs = {v: [] for v in range(tree.n)}
     ins = {v: [] for v in range(tree.n)}
     for u, w in tree.edge_list:
@@ -1097,6 +1107,49 @@ class TestTreeViews:
             assert_views_match_the_edge_list(piece.tree)
             assert_same_tree(piece.tree, rebuilt_induced(tree, verts, t=t))
             assert_views_match_the_edge_list(piece.tree.with_t(0))
+
+
+    @given(st.integers(0, 10_000), st.integers(10, 150), st.sampled_from(["out", "in", "mixed", "broom"]))
+    @settings(max_examples=40, deadline=None)
+    def test_high_degree_rows_and_their_pieces(self, seed, n, kind):
+        # Rows above 8 entries leave the flag table, and rows above 64 the
+        # generator's per-entry bit updates: stars and brooms reach both.
+        rng = np.random.default_rng(seed)
+        if kind == "broom":
+            tree = gen_random_tree(n, 40, "broom", rng)
+        else:
+            flip = {"out": np.zeros(n - 1, bool), "in": np.ones(n - 1, bool), "mixed": rng.random(n - 1) < 0.5}[kind]
+            tree = OrientedTree(n, [(v, 0) if f else (0, v) for v, f in zip(range(1, n), flip.tolist())])
+        assert max(map(tree.degree, range(n))) >= 9
+        assert_views_match_the_edge_list(tree)
+        hub = max(range(n), key=tree.degree)
+        keep = sorted({hub, *np.flatnonzero(rng.random(n) < 0.5).tolist()})
+        verts = next(c for c in components(tree, keep) if hub in c)
+        pieces = [induced_subtree(tree, verts, t=hub).tree]
+        if n >= 3:
+            pieces += [p.tree for p in split_tree(tree, max(1, n // 4), keep=hub)[:2]]
+        for piece in pieces:
+            assert_views_match_the_edge_list(piece)
+        leaf = next(v for v in range(n) if tree.degree(v) == 1)
+        for po in (prefix_order(tree, hub), prefix_order(tree, leaf, "leaves_last_middles_consecutive")):
+            parents = [po.order[i] for i in po.parent_index[1:]]
+            assert list(po.sign[1:]) == list(map(tree.edge_sign, parents, po.order[1:]))
+        assert canonical_forms(tree, [hub]) == [recursive_canon(tree, hub)]
+
+    def test_kept_spider_trees_stay_compact(self):
+        # Twenty kept n = 2000 spider trees, as a benchmark keeps its guest
+        # trees: one neighbour table, one int of out-flags per row and one
+        # int32 edge array come to about 210 KB a tree.  Storing the edges
+        # again as tuples and a second out-neighbour table took about 400 KB.
+        gen_random_tree(2000, 3, "spider", np.random.default_rng(0))   # first-call imports are not counted
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            kept = [gen_random_tree(2000, 3, "spider", np.random.default_rng(seed)) for seed in range(20)]
+            after, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 20 and (after - before) / 20 < 260 * 1024
 
 
 def recursive_canon(tree, root):

@@ -74,12 +74,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        d = tio.read_digraph(args.digraph)
-        tree = tio.read_tree(args.tree)
-    except (OSError, tio.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    d = tio.read_digraph(args.digraph)
+    tree = tio.read_tree(args.tree)
     rng = np.random.default_rng(args.seed)
     measured_alpha = max(0.01, d.alpha_hat)
     params = _schedule_overrides(args, spanning_defaults(d.n, measured_alpha))
@@ -179,14 +175,10 @@ def _strip_timings(doc):
 
 
 def cmd_verify(args) -> int:
-    try:
-        d = tio.read_digraph(args.digraph)
-        tree = tio.read_tree(args.tree)
-        with open(args.embedding) as fh:
-            emb = Embedding.from_json(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    d = tio.read_digraph(args.digraph)
+    tree = tio.read_tree(args.tree)
+    with open(args.embedding) as fh:
+        emb = Embedding.from_json(fh.read())
     ok = verify_embedding(d, tree, emb)
     print(f"verified={ok}")
     return 0 if ok else 2
@@ -310,7 +302,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:   # unreadable or malformed input files, bad values
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

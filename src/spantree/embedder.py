@@ -1014,25 +1014,26 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
 
     for step, (y, (slot, parent_role, sign)) in enumerate(zip(new_hosts, slots)):
         x_host = host_of_role[parent_role]
-        chosen = -1
         for k, j in enumerate(live):
             role = role_of_index[j]
             cand = host_of_role[role]
             if not d.mat[(x_host, cand) if sign is Sign.PLUS else (cand, x_host)]:
                 continue
-            if len(nbr_out[role]) + len(nbr_in[role]) > cap:
+            deg = len(nbr_out[role]) + len(nbr_in[role])
+            if deg > cap:
                 continue
-            if not (all(d.mat[y, host_of_role[w]] for w in nbr_out[role])
-                    and all(d.mat[host_of_role[w], y] for w in nbr_in[role])):
+            ok = all(d.mat[y, host_of_role[w]] for w in nbr_out[role]) and all(
+                d.mat[host_of_role[w], y] for w in nbr_in[role]
+            )
+            if not ok:
                 continue
-            chosen = k
             break
-        if chosen < 0:
+        else:
             raise AbsorptionError(
                 f"absorption stuck at step {step + 1}/{len(slots)}: no admissible index "
                 f"(threshold {state.threshold}, retired {len(role_of_index) - len(live)})"
             )
-        role = role_of_index[live.pop(chosen)]
+        role = role_of_index[live.pop(k)]
         freed = host_of_role[role]
         host_of_role[role] = y
         host_of_role[slot] = freed

@@ -33,10 +33,6 @@ def _flags(bits: int, deg: int) -> str:
     return bin(bits | 1 << deg)[:2:-1]   # bin() is "0b1" and the flags, last entry first
 
 
-# _FLAGS[d][bits] is _flags(bits, d) for every row of degree d <= 8.
-_FLAGS = tuple(tuple(_flags(b, d) for b in range(1 << d)) for d in range(9))
-
-
 def _mask(flags: str) -> int:
     """The out-flags int of a row from its `_flags` string."""
     return int(flags[::-1] or "0", 2)
@@ -80,9 +76,17 @@ class OrientedTree:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u},{v})")
         self.n, self.t = n, t
-        self.edges = _read_only(np.array(edge_list, dtype=np.int32).reshape(-1, 2))
-        self._und, self._bits = _table(n, sorted(edge_list, key=sorted))
-        if len(components(self, range(n))) != 1:
+        pairs = chain.from_iterable(edge_list)
+        self.edges = _read_only(np.fromiter(pairs, np.int32, 2 * n - 2).reshape(-1, 2))
+        ends = np.sort(self.edges, axis=1)   # each edge as (smaller end, larger end)
+        self._und, self._bits = _table(n, self.edges[np.lexsort(ends.T[::-1])].tolist())
+        reached, order = [True] + [False] * (n - 1), [0]
+        for v in order:   # breadth-first from vertex 0; the list grows as it is read
+            for u in self._und[v]:
+                if not reached[u]:
+                    reached[u] = True
+                    order.append(u)
+        if len(order) != n:
             raise ValueError("edges do not form a connected tree")
 
     @classmethod
@@ -120,9 +124,6 @@ class OrientedTree:
         if t is not None and not (0 <= t < self.n):
             raise ValueError(f"distinguished vertex {t} out of range")
         return OrientedTree._derived(self.n, self.edges, t, self._und, self._bits)
-
-    def __len__(self) -> int:
-        return self.n
 
 
 def max_semidegree(tree: OrientedTree) -> tuple[int, int]:
@@ -166,8 +167,9 @@ def prefix_order(tree: OrientedTree, root: int, policy: str = "any") -> PrefixOr
         raise ValueError("root out of range")
 
     # open_[u]: u may still be placed by the search.  Each placed vertex
-    # records its parent's position and the sign of the edge from it.
-    und, bits, small, plus, minus = tree._und, tree._bits, _FLAGS, Sign.PLUS, Sign.MINUS
+    # records its parent's position and the sign of the edge from it, read
+    # at the parent's entry in its own row: every row is read once.
+    und, bits, plus, minus = tree._und, tree._bits, Sign.PLUS, Sign.MINUS
     if policy == "any":
         open_ = [True] * tree.n
     else:
@@ -181,16 +183,13 @@ def prefix_order(tree: OrientedTree, root: int, policy: str = "any") -> PrefixOr
     while stack:
         i = stack.pop()
         v = order[i]
-        row, j = und[v], len(und[v])
-        flags = small[j][bits[v]] if j < 9 else _flags(bits[v], j)
-        for u in reversed(row):
-            j -= 1
+        for u in reversed(und[v]):
             if open_[u]:
                 open_[u] = False
                 stack.append(len(order))
                 order.append(u)
                 parent_index.append(i)
-                signs.append(plus if flags[j] == "1" else minus)
+                signs.append(minus if bits[u] >> bisect_left(und[u], v) & 1 else plus)
     if policy != "any":
         # Every non-root leaf goes last, after its one neighbour.
         pos = {v: i for i, v in enumerate(order)}
@@ -341,13 +340,12 @@ def induced_subtree(tree: OrientedTree, vertices, t: int | None = None) -> TreeP
     for i in [i for i, row in enumerate(rows) if -1 in row]:   # rows reaching outside the set
         kept = [(w, f) for w, f in zip(rows[i], _flags(bits[i], len(rows[i]))) if w >= 0]
         rows[i], bits[i] = tuple(w for w, _f in kept), _mask("".join(f for _w, f in kept))
-    ends = np.full(tree.n, -1, dtype=np.int32)
-    ends[verts] = range(k)
-    ends = ends[tree.edges]   # every edge in piece ids, -1 outside
-    ends = ends[(ends[:, 0] | ends[:, 1]) >= 0]   # the OR is negative when an end is outside
-    if len(ends) != k - 1:
-        raise ValueError(f"a tree on {k} vertices needs {k - 1} edges, got {len(ends)}")
-    edges = _read_only(ends[np.lexsort(ends.T[::-1])])   # by tail, then head
+    # Each row's out-neighbours, rows in order: the edges by tail, then head, in O(k).
+    arcs = [(i, w) for i, (row, b) in enumerate(zip(rows, bits)) if b
+            for w, f in zip(row, _flags(b, len(row))) if f == "1"]
+    if len(arcs) != k - 1:
+        raise ValueError(f"a tree on {k} vertices needs {k - 1} edges, got {len(arcs)}")
+    edges = _read_only(np.fromiter(chain.from_iterable(arcs), np.int32, 2 * k - 2).reshape(-1, 2))
     sub = OrientedTree._derived(k, edges, local_t, tuple(rows), tuple(bits))
     return TreePiece(sub, np.asarray(verts, dtype=np.int64))
 
@@ -366,10 +364,19 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
 
     # Deepest vertex with subtree size >= m; all its children subtrees are < m.
     pivot = root
-    while (u := next((u for u in tree.nbrs(pivot) if u != parent[pivot] and size[u] >= m), -1)) >= 0:
-        pivot = u
+    progressed = True
+    while progressed:
+        progressed = False
+        for u in tree.nbrs(pivot):
+            if u != parent[pivot] and size[u] >= m:
+                pivot = u
+                progressed = True
+                break
 
-    children = sorted((u for u in tree.nbrs(pivot) if u != parent[pivot]), key=size.__getitem__)
+    children = sorted(
+        (u for u in tree.nbrs(pivot) if u != parent[pivot]),
+        key=lambda u: size[u],
+    )
     below: list[int] = []   # the taken children, then every vertex under them
     total = 0
     for u in children:
@@ -572,21 +579,21 @@ def canonical_forms(tree: OrientedTree, roots: list[int]) -> list[str]:
             if u != parent[v]:
                 parent[u] = v
                 bfs.append(u)
+    # form[v] is v's string signed as its parent sees it: "-" when v's own
+    # row flags the edge v -> parent.  A root's string is unsigned, and with
+    # two roots each is signed as the other sees it.
     form: list[str | None] = [None] * tree.n
     half: dict[int, tuple[list[str], str]] = {}   # a root's children's strings, and its own
-    und, bits, small = tree._und, tree._bits, _FLAGS
+    und, bits = tree._und, tree._bits
     for v in reversed(bfs):
-        row, b, p = und[v], bits[v], parent[v]
-        flags = small[len(row)][b] if len(row) < 9 else _flags(b, len(row))
-        items = sorted([("+" if f == "1" else "-") + form[u] for u, f in zip(row, flags) if u != p])
+        row, p = und[v], parent[v]
+        items = sorted([form[u] for u in row if u != p])
         for u in row:   # the parent's string is not formed yet
             form[u] = None  # each string is read once; keeps memory O(n)
-        form[v] = "(" + "".join(items) + ")"
+        sign = "" if p < 0 else "-" if bits[v] >> bisect_left(row, p) & 1 else "+"
+        form[v] = sign + "(" + "".join(items) + ")"
         if v in roots:
             half[v] = items, form[v]
     if len(roots) == 1:
         return [form[roots[0]]]
-    return [
-        "(" + "".join(sorted(half[r][0] + [tree.edge_sign(r, s).value + half[s][1]])) + ")"
-        for r, s in (roots, roots[::-1])
-    ]
+    return ["(" + "".join(sorted(half[r][0] + [half[s][1]])) + ")" for r, s in (roots, roots[::-1])]

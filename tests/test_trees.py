@@ -1112,8 +1112,10 @@ class TestTreeViews:
     @given(st.integers(0, 10_000), st.integers(10, 150), st.sampled_from(["out", "in", "mixed", "broom"]))
     @settings(max_examples=40, deadline=None)
     def test_high_degree_rows_and_their_pieces(self, seed, n, kind):
-        # Rows above 8 entries leave the flag table, and rows above 64 the
-        # generator's per-entry bit updates: stars and brooms reach both.
+        # Rows above 64 entries leave the per-entry bit updates of the table
+        # builder: stars and brooms reach them.  Rooted at the hub's last
+        # neighbour, a walk and a canonical form read the hub's edge to its
+        # parent from the hub's own row, past its 64th entry.
         rng = np.random.default_rng(seed)
         if kind == "broom":
             tree = gen_random_tree(n, 40, "broom", rng)
@@ -1130,11 +1132,15 @@ class TestTreeViews:
             pieces += [p.tree for p in split_tree(tree, max(1, n // 4), keep=hub)[:2]]
         for piece in pieces:
             assert_views_match_the_edge_list(piece)
-        leaf = next(v for v in range(n) if tree.degree(v) == 1)
-        for po in (prefix_order(tree, hub), prefix_order(tree, leaf, "leaves_last_middles_consecutive")):
-            parents = [po.order[i] for i in po.parent_index[1:]]
-            assert list(po.sign[1:]) == list(map(tree.edge_sign, parents, po.order[1:]))
-        assert canonical_forms(tree, [hub]) == [recursive_canon(tree, hub)]
+        last = tree.nbrs(hub)[-1]
+        for root in (hub, last):
+            for policy in ("any", "leaves_last_middles_consecutive"):
+                po = prefix_order(tree, root, policy)
+                parents = [po.order[i] for i in po.parent_index[1:]]
+                assert list(po.sign[1:]) == list(map(tree.edge_sign, parents, po.order[1:]))
+        want = [recursive_canon(tree, hub), recursive_canon(tree, last)]
+        assert [*canonical_forms(tree, [hub]), *canonical_forms(tree, [last])] == want
+        assert canonical_forms(tree, [hub, last]) == want
 
     def test_kept_spider_trees_stay_compact(self):
         # Twenty kept n = 2000 spider trees, as a benchmark keeps its guest

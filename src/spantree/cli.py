@@ -161,7 +161,7 @@ def _run_isolated_phase(args, d, tree, params, rng) -> int:
             telemetry = {"phase": "paths", "pieces": len(maps)}
     except PipelineError as exc:
         return _emit_failure(args, exc)
-    if not all(d.has_edge(emb[u], emb[w]) for u, w in tree.edges.tolist() if u in emb and w in emb):
+    if not all(d.has_edge(emb[u], emb[w]) for u, w in zip(*tree.edges.T.tolist()) if u in emb and w in emb):
         return _emit_unverified(args, f"{args.phase} phase embedding")
     return _emit_embedding(args, emb, telemetry)
 

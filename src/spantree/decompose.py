@@ -317,7 +317,7 @@ def check_decomposition(td: TreeDecomposition) -> list[str]:
 
     # T2 is a tree.  Tree vertices induce a forest, which is connected
     # exactly when it has one edge fewer than vertices.
-    t2_edges = sum(1 for u, v in tree.edges.tolist() if u in t2s and v in t2s)
+    t2_edges = sum(1 for u, v in zip(*tree.edges.T.tolist()) if u in t2s and v in t2s)
     if t2_edges != len(t2s) - 1:
         problems.append("P3: T2 is not a tree")
 

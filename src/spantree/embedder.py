@@ -992,7 +992,7 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
     # Current copy adjacency, by tree-vertex role.
     nbr_out: dict[int, list[int]] = {r: [] for r in role_of_index}
     nbr_in: dict[int, list[int]] = {r: [] for r in role_of_index}
-    for lu, lw in trunk.tree.edges.tolist():
+    for lu, lw in zip(*trunk.tree.edges.T.tolist()):
         u, w = labels[lu], labels[lw]
         nbr_out[u].append(w)
         nbr_in[w].append(u)

@@ -85,7 +85,7 @@ def _trial_small_forest(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, s
         return False, 0, exc.cause
     hosts = [host for m in maps for host in m.values()]
     ok = len(set(hosts)) == len(hosts) and all(
-        d.has_edge(m[u], m[w]) for comp, m in zip(comps, maps) for u, w in comp.edges.tolist()
+        d.has_edge(m[u], m[w]) for comp, m in zip(comps, maps) for u, w in zip(*comp.edges.T.tolist())
     )
     return ok, 0, "" if ok else "verify"
 

@@ -79,7 +79,7 @@ class OrientedTree:
         pairs = chain.from_iterable(edge_list)
         self.edges = _read_only(np.fromiter(pairs, np.int32, 2 * n - 2).reshape(-1, 2))
         ends = np.sort(self.edges, axis=1)   # each edge as (smaller end, larger end)
-        self._und, self._bits = _table(n, self.edges[np.lexsort(ends.T[::-1])].tolist())
+        self._und, self._bits = _table(n, zip(*self.edges[np.lexsort(ends.T[::-1])].T.tolist()))
         reached, order = [True] + [False] * (n - 1), [0]
         for v in order:   # breadth-first from vertex 0; the list grows as it is read
             for u in self._und[v]:
@@ -99,7 +99,7 @@ class OrientedTree:
 
     @property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.edges.tolist()))
+        return tuple(zip(*self.edges.T.tolist()))   # two int lists, not one list per edge
 
     def out(self, v: int) -> tuple[int, ...]:
         row = self._und[v]

@@ -40,13 +40,14 @@ for name, h in (("H+", entry.hplus), ("H-", entry.hminus)):
           f"column degrees <= {int(h.sum(axis=0).max())} (bound {bound})")
 
 # Restriction to random sets: one system per restriction builds inside V0
-# and audits per part.
+# and audits (Q2-Q3) the rows a leaf matching reads, over its part.
 v0, part = sample_disjoint_subsets(host, [150, 250], rng)
 system = GuideSystem(host, v0, [part], mu_count=20, eps=0.1, eta=1.0, alpha=alpha)
 restricted = system.get(7, Sign.PLUS)
 print(f"\nrestricted guide set size: {len(restricted.guide)} (all inside V0)")
-# The system keeps audited entries bit-packed; `row` unpacks one H row.
-sub = np.array([restricted.row(w, Sign.PLUS) for w in restricted.guide])[:, part]
+# The system keeps entries bit-packed; `rows` unpacks the H rows it reads,
+# here every row of the entry, and audits them.
+sub = system.rows([(restricted, w) for w in restricted.guide], Sign.PLUS, part)
 print(f"row degrees into the part: min={int(sub.sum(axis=1).min())}, "
       f"mean={sub.sum(axis=1).mean():.1f}")
 print(f"part back-degrees: max={int(sub.sum(axis=0).max())}")

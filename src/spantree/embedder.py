@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +161,6 @@ def embed_core_with_leaf_sets(
 
     for j, (part_vertices, circ) in enumerate(leaf_parts):
         cols = np.asarray(targets[j + 1], dtype=np.int64)
-        rows = np.zeros((len(part_vertices), len(cols)), dtype=bool)
-        multiplicity: dict[int, int] = {}
         parent_of: list[int] = []
         for u in part_vertices:
             parents = [w for w in tree.nbrs(u) if w in core]
@@ -169,20 +168,18 @@ def embed_core_with_leaf_sets(
                 raise ValueError(
                     f"leaf part {j}: vertex {u} must hang on the core by one {circ} edge"
                 )
-            p = parents[0]
-            parent_of.append(p)
-            multiplicity[p] = multiplicity.get(p, 0) + 1
-        for r, (u, p) in enumerate(zip(part_vertices, parent_of)):
-            row = None
-            if p in provenance:
-                entry, host = provenance[p]
-                row = entry.row(host, circ)[cols]
-                # A guide row thinner than the parent's leaf count in this
-                # part cannot host all its leaves; widen to host adjacency
-                # (still host edges, only the steering is lost).
-                if int(row.sum()) < multiplicity[p]:
-                    row = None
-            if row is None:
+            parent_of.append(parents[0])
+        # Each guided parent's row is read, and audited, once per part.
+        multiplicity = Counter(parent_of)
+        guided = [p for p in multiplicity if p in provenance]
+        read = dict(zip(guided, guides.rows([provenance[p] for p in guided], circ, cols)))
+        rows = np.zeros((len(part_vertices), len(cols)), dtype=bool)
+        for r, p in enumerate(parent_of):
+            # A guide row thinner than the parent's leaf count in this part
+            # cannot host all its leaves; widen to host adjacency (still
+            # host edges, only the steering is lost).
+            row = read.get(p)
+            if row is None or int(row.sum()) < multiplicity[p]:
                 row = d.adj_row(emb[p], circ)[cols]
             rows[r] = row
         hosts = cols[covering_matching(rows, what=f"leaf part {j}")]

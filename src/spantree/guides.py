@@ -7,7 +7,8 @@ restriction to random target sets the rows keep enough degree for covering
 matchings while back-degrees stay low (the skew-bound).
 
 A `GuideSystem` holds one restriction (the random set V0 and the target
-parts) and builds each entry inside V0, audited against those parts.
+parts), builds each entry inside V0 and audits the rows a leaf matching
+reads against the part it matches into.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, Sign, SIGNS, _read_only
+from .digraph import Digraph, Sign, _read_only
 from .embedding import PipelineError
 from .matching import MatchingError, covering_matching
 
@@ -184,7 +185,7 @@ def build_guide(
 
     With `v0_mask` the guide set is drawn from N^sign(v) inside that mask
     (the construction `GuideSystem.get` runs); guide rows still
-    span the whole host and are audited per target part afterwards.
+    span the whole host, and `GuideSystem.rows` audits those it reads.
     """
     n = d.n
     # mu <= alpha^2/2 is the classical feasibility region; dense desk-scale
@@ -293,24 +294,6 @@ def build_guide(
     )
 
 
-def _q2_quota(mean: float) -> int:
-    """Row quota inside a part: the nominal mean minus a 3-sigma allowance.
-
-    The asymptotic statement puts every row at eps*|part| with high
-    probability; at desk scale the binomial fluctuation is a sizable
-    fraction of the mean, so the audit grants mean - 3*sqrt(mean).  For
-    parts so small that this is nonpositive the audit abstains (quota 0):
-    there the covering matching itself is the meaningful gate, and it has
-    its own retry path.
-    """
-    return max(0, math.ceil(mean - 3.0 * math.sqrt(mean)))
-
-
-def _q3_quota(nominal: float, mean: float) -> int:
-    """Back-degree cap inside a part: nominal bound or mean + 3 sigma."""
-    return max(math.ceil(nominal), math.ceil(mean + 3.0 * math.sqrt(max(mean, 1.0))))
-
-
 # The pipeline's guide graphs: each row gets ceil(GUIDE_EPS * n) edges, and
 # GUIDE_ETA is the back-degree slack of the skew-bound.
 GUIDE_EPS = 0.18
@@ -321,9 +304,10 @@ class GuideSystem:
     """Guide entries for one restriction: the random set V0 and the target parts.
 
     `get` draws the guide set for (v, sign) inside N^sign(v) cap V0, with
-    rows still spanning the host, audits it against every part (Q2-Q3) and
-    caches it as a `PackedGuide`; with no parts, which read no row, it asks
-    `build_guide` for A alone (graphs=False).  One system per pipeline draw.
+    rows still spanning the host, and caches it as a `PackedGuide`; with no
+    parts, which read no row, it asks `build_guide` for A alone
+    (graphs=False).  `rows` reads rows over a part and audits them (Q2-Q3).
+    One system per pipeline draw.
     `alpha` defaults to the host's `alpha_hat`, taken as given even at or
     below 0, which star layouts measured on an induced host can reach.
     """
@@ -349,36 +333,52 @@ class GuideSystem:
         self._entries: dict[tuple[int, Sign], PackedGuide] = {}
 
     def get(self, v: int, sign: Sign) -> PackedGuide:
-        """Entry for (v, sign) built inside V0 and audited (Q2-Q3) against the parts."""
+        """Entry for (v, sign) built inside V0, packed and cached; `rows` audits the rows read."""
         key = (v, sign)
         if key not in self._entries:
             entry = build_guide(
                 self.d, v, sign, self.eps, self.eta, self.mu_count / self.d.n,
                 alpha=self.alpha, v0_mask=self.v0_mask, size=self.mu_count, graphs=bool(self.parts),
             )
-            _audit_parts(self, entry)
             self._entries[key] = PackedGuide.of(entry)
         return self._entries[key]
 
+    def rows(self, reads: list[tuple[PackedGuide, int]], circ: Sign, cols: np.ndarray) -> np.ndarray:
+        """H^circ rows of the (entry, host) pairs `reads` over `cols`, audited (Q2-Q3).
 
-def _audit_parts(system: GuideSystem, entry: GuideEntry) -> None:
-    """Per-part skew audits Q2 (row quota) and Q3 (back-degree cap)."""
-    failures: list[tuple] = []
-    n = system.d.n
-    cap = _q3_quota((1 + system.eta) * system.eps * system.mu_count,   # the same for every part
-                    len(entry.guide) * entry.edges_per_row / n)
-    for i, part in enumerate(system.parts):
-        quota = _q2_quota(entry.edges_per_row * len(part) / n)
-        for circ in SIGNS:
-            sub = entry.h(circ)[:, part]
-            row_min = int(sub.sum(axis=1).min()) if sub.size else 0
-            back_max = int(sub.sum(axis=0).max()) if sub.size else 0
-            if row_min < quota:
-                failures.append(("Q2", entry.v, str(entry.sign), str(circ), i, row_min, quota))
-            if back_max > cap:
-                failures.append(("Q3", entry.v, str(entry.sign), str(circ), i, back_max, cap))
-    if failures:
-        raise GuideRestrictError(
-            f"restriction audit failed for (v={entry.v}, {entry.sign}): "
-            + "; ".join(str(f) for f in failures[:4])
-        )
+        Q2 and Q3 serve the Hall condition of a leaf matching over `cols`, which
+        reads only the rows of the part's parents, so only the rows read are
+        audited; `reads` names each once.  A row below the Q2 quota, or rows of
+        one entry giving a column a back-degree above the Q3 cap, raise
+        `GuideRestrictError` for a resample.  Rows read are a subset of their
+        entries' rows, so their least sum is no smaller and each column sum no
+        larger: this fails only where auditing every row of every entry, per
+        part and sign, would, and a draw passing that audit keeps its RNG stream.
+        """
+        # Q2 grants a row its mean in the part, per_row |cols| / n, minus 3 sigma
+        # (the binomial spread is large at desk scale), and abstains (quota 0)
+        # where that is nonpositive: the matching is the gate there, with its
+        # own retries.  Q3 caps back-degrees at the skew-bound's (1 + eta) eps |A|
+        # or an entry's mean back-degree plus 3 sigma, whichever is larger.
+        n = self.d.n
+        per_row = max(1, math.ceil(self.eps * n))   # build_guide's edges per row
+        row_mean, back_mean = per_row * len(cols) / n, self.mu_count * per_row / n
+        quota = max(0, math.ceil(row_mean - 3.0 * math.sqrt(row_mean)))
+        cap = max(math.ceil((1 + self.eta) * self.eps * self.mu_count),
+                  math.ceil(back_mean + 3.0 * math.sqrt(max(back_mean, 1.0))))
+        out = np.zeros((len(reads), len(cols)), dtype=bool)
+        by_entry: dict[tuple[int, Sign], list[int]] = {}
+        failures: list[tuple] = []
+        for r, (entry, host) in enumerate(reads):
+            out[r] = entry.row(host, circ)[cols]
+            by_entry.setdefault((entry.v, entry.sign), []).append(r)
+            if (edges := int(out[r].sum())) < quota:
+                failures.append(("Q2", entry.v, str(entry.sign), str(circ), int(host), edges, quota))
+        for (v, sign), read in by_entry.items():
+            back = out[read].sum(axis=0)
+            if back.max(initial=0) > cap:
+                top = int(back.argmax())
+                failures.append(("Q3", v, str(sign), str(circ), int(cols[top]), int(back[top]), cap))
+        if failures:
+            raise GuideRestrictError("restriction audit failed: " + "; ".join(map(str, failures[:4])))
+        return out

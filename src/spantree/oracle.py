@@ -120,7 +120,9 @@ def _trial_guide_restrict(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int,
         system = GuideSystem(d, v0, [part], mu_count, alpha=cfg.alpha)
         try:
             for v, s in probe:
-                system.get(v, s)
+                entry = system.get(v, s)   # the trial audits whole entries: every row, both signs
+                for circ in (Sign.PLUS, Sign.MINUS):
+                    system.rows([(entry, w) for w in entry.guide], circ, part)
             return True, retries, ""
         except PipelineError as exc:
             retries += 1

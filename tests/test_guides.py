@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spantree import guides
 from spantree.digraph import Digraph, SIGNS, Sign, gen_semidegree_digraph, sample_disjoint_subsets
+from spantree.embedder import embed_core_with_leaf_sets
+from spantree.embedding import is_valid_embedding
 from spantree.guides import (
     GUIDE_ETA,
     GUIDE_EPS,
@@ -17,11 +21,11 @@ from spantree.guides import (
     GuideSystem,
     PackedGuide,
     XYLabeling,
-    _audit_parts,
     _mutual_counts,
     build_guide,
     build_xy_labeling,
 )
+from spantree.trees import OrientedTree
 
 from helpers import complete, labeling_verifies
 from test_lasvegas import tight_host
@@ -168,6 +172,23 @@ class TestBuildGuide:
         assert peak < n * n / 4
 
 
+def audit_every_row(system, entry, part):
+    """Read every row of `entry` over `part`, both signs, through the system's audit."""
+    for circ in SIGNS:
+        system.rows([(entry, int(w)) for w in entry.guide], circ, part)
+
+
+def graphs_replaced(monkeypatch, hplus, hminus):
+    """Make `GuideSystem.get` build entries whose guide graphs are hplus(H), hminus(H)."""
+    real = guides.build_guide
+
+    def build(*args, **kw):
+        entry = real(*args, **kw)
+        return dataclasses.replace(entry, hplus=hplus(entry.hplus), hminus=hminus(entry.hplus))
+
+    monkeypatch.setattr(guides, "build_guide", build)
+
+
 class TestRestriction:
     def test_complete_host_always_succeeds(self):
         d = complete(120)
@@ -175,7 +196,7 @@ class TestRestriction:
         v0, part = sample_disjoint_subsets(d, [40, 60], rng)
         system = GuideSystem(d, v0, [part], mu_count=12, eps=0.1, eta=1.0, alpha=0.45)
         for v, sign in [(0, Sign.PLUS), (0, Sign.MINUS)]:
-            system.get(v, sign)
+            audit_every_row(system, system.get(v, sign), part)
         entry = system.get(0, Sign.PLUS)
         assert len(entry.guide) == 12
 
@@ -204,7 +225,7 @@ class TestRestriction:
         assert base[entry.guide].all()
 
     def test_monte_carlo_restriction(self):
-        # Restriction with linear parts passes on most samples.
+        # Restriction with linear parts passes on most samples, every row audited.
         rng = np.random.default_rng(11)
         d = gen_semidegree_digraph(300, 0.25, rng)
         good = 0
@@ -213,43 +234,101 @@ class TestRestriction:
             try:
                 system = GuideSystem(d, v0, [part], mu_count=18, eps=0.1, eta=1.0, alpha=0.25)
                 for v, sign in [(5, Sign.PLUS), (5, Sign.MINUS)]:
-                    system.get(v, sign)
+                    audit_every_row(system, system.get(v, sign), part)
                 good += 1
             except GuideRestrictError:
                 pass
         assert good >= 17
 
-
     @staticmethod
-    def _balanced_entry(n=100, rows=30, per_row=40):
-        """Guide rows of `per_row` consecutive hosts (mod n): every back-degree is rows*per_row/n."""
+    def _balanced_entry(n=100, rows=30, per_row=40, v=3):
+        """Guide rows of `per_row` consecutive hosts (mod n): every back-degree is rows*per_row/n.
+
+        The system's eps gives the same `per_row`, and its eta keeps the
+        nominal cap (1 + eta) eps |A| = 18 below the 3-sigma one.
+        """
         h = np.zeros((rows, n), dtype=bool)
         for i in range(rows):
             h[i, (i * per_row + np.arange(per_row)) % n] = True
-        entry = GuideEntry(3, Sign.PLUS, np.arange(rows, dtype=np.int64), h, h.copy(), per_row)
-        system = GuideSystem(complete(n), np.arange(n), [np.arange(n)], mu_count=rows, eps=0.01, eta=1.0)
+        entry = GuideEntry(v, Sign.PLUS, np.arange(rows, dtype=np.int64), h, h.copy(), per_row)
+        system = GuideSystem(complete(n), np.arange(n), [np.arange(n)], mu_count=rows,
+                             eps=per_row / n, eta=0.5)
         return entry, system
+
+    @staticmethod
+    def _read(system, entry, circ, hosts=None):
+        packed = PackedGuide.of(entry)
+        hosts = entry.guide if hosts is None else hosts
+        return system.rows([(packed, int(w)) for w in hosts], circ, system.parts[0])
 
     def test_balanced_entry_passes_the_audits(self):
         # Row quota ceil(40 - 3 sqrt(40)) = 22 <= 40; back cap ceil(12 + 3 sqrt(12)) = 23 >= 12.
         entry, system = self._balanced_entry()
-        _audit_parts(system, entry)
+        for circ in SIGNS:
+            rows = self._read(system, entry, circ)
+            assert rows.shape == (30, 100) and (rows == entry.h(circ)).all()
 
     def test_a_thin_row_fails_q2(self):
         entry, system = self._balanced_entry()
         entry.hplus[7, 20:] = False   # keeps hosts 0..19: 20 edges, below the quota of 22
         with pytest.raises(GuideRestrictError) as info:
-            _audit_parts(system, entry)
-        assert "('Q2', 3, '+', '+', 0, 20, 22)" in str(info.value)
+            self._read(system, entry, Sign.PLUS)
+        assert "('Q2', 3, '+', '+', 7, 20, 22)" in str(info.value)
         assert "Q3" not in str(info.value)
 
     def test_a_crowded_column_fails_q3(self):
         entry, system = self._balanced_entry()
         entry.hminus[:, 55] = True    # back-degree 30 at host 55, above the cap of 23
         with pytest.raises(GuideRestrictError) as info:
-            _audit_parts(system, entry)
-        assert "('Q3', 3, '+', '-', 0, 30, 23)" in str(info.value)
+            self._read(system, entry, Sign.MINUS)
+        assert "('Q3', 3, '+', '-', 55, 30, 23)" in str(info.value)
         assert "Q2" not in str(info.value)
+
+    def test_a_thin_row_that_no_leaf_reads_passes(self):
+        entry, system = self._balanced_entry()
+        entry.hplus[7, 20:] = False
+        unread = [w for w in entry.guide if w != 7]
+        assert self._read(system, entry, Sign.PLUS, unread).sum(axis=1).min() == 40
+        self._read(system, entry, Sign.MINUS)   # row 7 of H^- is whole
+
+    def test_q3_is_capped_per_entry(self):
+        # Two entries with back-degree 12 at every host: 24 together, above the cap of 23.
+        (first, system), (second, _) = self._balanced_entry(), self._balanced_entry(v=4)
+        reads = [(PackedGuide.of(e), int(w)) for e in (first, second) for w in e.guide]
+        assert system.rows(reads, Sign.PLUS, system.parts[0]).sum(axis=0).min() == 24
+
+    def test_a_parent_with_two_leaves_counts_its_row_once(self, monkeypatch):
+        # Core 0 -> 1..4, all four drawn from the anchor's entry, whose rows are full:
+        # back-degree 4, at the cap max(ceil(0.4 * 4), ceil(0.8 + 3)) = 4.  Vertex 1
+        # has two leaves; counting its row twice would give 5.
+        graphs_replaced(monkeypatch, np.ones_like, np.ones_like)
+        d = complete(30)
+        edges = [(0, c) for c in range(1, 5)] + [(1, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
+        tree = OrientedTree(10, edges, t=0)
+        v0, part = np.arange(0, 10), np.arange(10, 20)
+        system = GuideSystem(d, v0, [part], mu_count=4, eps=0.2, eta=1.0, alpha=0.45)
+        emb = embed_core_with_leaf_sets(d, tree, set(range(5)), [(list(range(5, 10)), Sign.PLUS)],
+                                        [v0, part], 3, system, np.random.default_rng(0))
+        assert is_valid_embedding(d, tree, emb)
+        entry = system.get(3, Sign.PLUS)
+        with pytest.raises(GuideRestrictError, match=r"'Q3', 3, '\+', '\+', 10, 5, 4"):
+            system.rows([(entry, emb[c]) for c in (1, 1, 2, 3, 4)], Sign.PLUS, part)
+
+    def test_thin_unread_rows_no_longer_refuse_the_draw(self, monkeypatch):
+        # Every H^- row is empty, and the one part is read along H^+, so the
+        # draw embeds; auditing every row of every entry, per part and sign,
+        # would refuse it on Q2 (quota ceil(18 - 3 sqrt(18)) = 6).
+        graphs_replaced(monkeypatch, lambda h: h, np.zeros_like)
+        d = complete(100)
+        tree = OrientedTree(3, [(0, 1), (1, 2)], t=0)
+        v0, part = np.arange(0, 40), np.arange(40, 100)
+        system = GuideSystem(d, v0, [part], mu_count=6, eps=0.3, eta=1.0, alpha=0.45)
+        emb = embed_core_with_leaf_sets(d, tree, {0, 1}, [([2], Sign.PLUS)], [v0, part], 3, system,
+                                        np.random.default_rng(0))
+        assert is_valid_embedding(d, tree, emb) and emb[2] >= 40
+        with pytest.raises(GuideRestrictError, match=r"'Q2', 3, '\+', '-', \d+, 0, 6"):
+            audit_every_row(system, system.get(3, Sign.PLUS), part)
+
 
 class TestPackedEntries:
     @pytest.mark.parametrize("sign", SIGNS)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ALPHA = 0.25
-SIZES = (500, 1000, 2000, 4000, 8000, 16000)
+SIZES = (500, 1000, 2000, 4000, 8000, 16000, 32000)
 RUNS = 3
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

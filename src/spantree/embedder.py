@@ -47,7 +47,7 @@ from .trees import (
     TreePiece,
     canonical_forms,
     components,
-    induced_subtree,
+    induced_subtrees,
     max_semidegree,
     prefix_order,
     split_tree,
@@ -275,20 +275,19 @@ def _star_layout(
     part_slack = 0.10
     part_pad = 6
     parts: list[tuple[list[int], Sign]] = []
-    lean: list[tuple[StarComponent, TreePiece, int]] = []
+    lone: list[StarComponent] = []
     for sign in SIGNS:
         batch = [st for st in singles if st.sign is sign]
         if len(batch) >= part_min:
             parts.append(([st.root for st in batch], sign))
         else:
-            for st in batch:
-                piece = induced_subtree(tree, st.vertices)
-                lean.append((st, piece, 0))
+            lone += batch
+    pieces = induced_subtrees(tree, [st.vertices for st in lone + multis])
+    lean: list[tuple[StarComponent, TreePiece, int]] = [(st, piece, 0) for st, piece in zip(lone, pieces)]
     # Multi-vertex stars follow in a stable sort by (rooted canonical
     # string, attach sign); the walk order fixes the RNG stream.
     keyed = []
-    for st in multis:
-        piece = induced_subtree(tree, st.vertices)
+    for st, piece in zip(multis, pieces[len(lone):]):
         local_root = int(np.searchsorted(piece.labels, st.root))
         (form,) = canonical_forms(piece.tree, [local_root])
         keyed.append(((form, str(st.sign)), (st, piece, local_root)))
@@ -405,12 +404,11 @@ def attach_path_trees(
     if len(anchor_hosts) != 2 * len(pieces):
         raise ValueError("anchors must be pairwise distinct")
 
-    bodies: list[TreePiece] = []
+    bodies = induced_subtrees(tree, [p.body for p in pieces])
     # Per piece, (mid, sign seen from its anchor, body neighbour, sign seen
     # from it) for mid_x, then mid_y.
     links: list[list[tuple[int, Sign, int, Sign]]] = []
     for p in pieces:
-        body = induced_subtree(tree, p.body)
         in_body = set(p.body)
         piece_links = []
         for mid, outer in ((p.mid_x, p.x), (p.mid_y, p.y)):
@@ -418,7 +416,6 @@ def attach_path_trees(
             if len(inner) != 1:
                 raise ValueError(f"mid {mid} must have exactly one body neighbour, has {len(inner)}")
             piece_links.append((mid, tree.edge_sign(outer, mid), inner[0], tree.edge_sign(inner[0], mid)))
-        bodies.append(body)
         links.append(piece_links)
 
     rest_rank = np.flatnonzero(~np.isin(pool, list(anchor_hosts)))

@@ -9,10 +9,10 @@ row an int whose bit j is set when entry j is an out-neighbour (ints below
 array `edges`; `edge_list` gives them as a tuple of int pairs.
 
 Only `OrientedTree(n, edges, t)` validates an edge list.  `with_t` shares
-its tree's parts, and `induced_subtree` maps rows through one monotone
-index list, which keeps every row sorted and every row with no neighbour
-outside the piece at its flags.  `gen_random_tree` attaches each vertex to
-an earlier one, so its tree is valid by construction.
+its tree's parts; `induced_subtrees` builds the pieces of disjoint vertex
+sets from one gather of `edges` and checks each by its edge count;
+`gen_random_tree` attaches each vertex to an earlier one, so its tree is
+valid by construction.  All three fill their tables through `_table`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from operator import length_hint
 
 import numpy as np
@@ -31,11 +31,6 @@ from .digraph import Sign, _read_only
 def _flags(bits: int, deg: int) -> str:
     """A row's out-flags: character j is "1" when entry j is an out-neighbour (one linear pass)."""
     return bin(bits | 1 << deg)[:2:-1]   # bin() is "0b1" and the flags, last entry first
-
-
-def _mask(flags: str) -> int:
-    """The out-flags int of a row from its `_flags` string."""
-    return int(flags[::-1] or "0", 2)
 
 
 def _table(n: int, arcs) -> tuple[tuple, tuple]:
@@ -55,7 +50,7 @@ def _table(n: int, arcs) -> tuple[tuple, tuple]:
         und[u].append(v)
         und[v].append(u)
     for u, js in late.items():
-        bits[u] |= _mask("".join(["01"[j in js] for j in range(len(und[u]))]))
+        bits[u] |= int("".join(["01"[j in js] for j in reversed(range(len(und[u])))]), 2)
     return tuple(map(tuple, und)), tuple(bits)
 
 
@@ -127,9 +122,8 @@ class OrientedTree:
 
 
 def max_semidegree(tree: OrientedTree) -> tuple[int, int]:
-    """(max out-degree, max in-degree); a vertex's in-degree is its degree minus its out-degree."""
-    out_deg = list(map(int.bit_count, tree._bits))
-    return max(out_deg), max(map(int.__sub__, map(len, tree._und), out_deg))
+    """(max out-degree, max in-degree), counted over the tails and the heads of `edges`."""
+    return (0, 0) if tree.n == 1 else tuple(int(np.bincount(ends).max()) for ends in tree.edges.T)
 
 
 @dataclass(frozen=True)
@@ -310,44 +304,56 @@ class TreePiece:
     labels: np.ndarray  # piece vertex -> host-tree vertex
 
 
-def induced_subtree(tree: OrientedTree, vertices, t: int | None = None) -> TreePiece:
-    """Subtree induced on `vertices` (must be connected), dense-relabelled.
+def induced_subtrees(tree: OrientedTree, parts) -> list[TreePiece]:
+    """Subtrees induced on pairwise disjoint connected vertex sets (sequences or arrays of ids).
 
-    Vertex i of the piece is the i-th smallest of `vertices`.  One index list
-    maps tree ids to piece ids (-1 outside the set); the relabelling is
-    monotone, so each mapped adjacency row stays sorted, and only rows that
-    reach outside the set are filtered.  A subforest of a tree on k vertices
-    is connected iff it has k - 1 edges, so the constructor's edge count is
-    the whole connectivity check.  An id outside 0..|T|-1 is named in a
-    ValueError before any adjacency is read.
+    Vertex i of a piece is its part's i-th smallest.  One gather of `edges` keeps the edges with
+    both ends in one part; a subforest on k vertices is connected iff it has k - 1 edges, so that
+    count is the whole connectivity check.  Each piece lists its edges by tail, then head, and
+    `_table` fills its rows, sorted, from its arcs by smaller end, then larger.  An id outside
+    0..|T|-1, or one listed twice, is named in a ValueError before any edge is read.
     """
-    verts = sorted(map(int, vertices))
-    for v in verts[:1] + verts[-1:]:
+    sizes = list(map(len, parts))
+    if 0 in sizes:
+        raise ValueError("tree needs at least one vertex")
+    if not parts:
+        return []
+    flat = np.concatenate([np.asarray(p, np.int64) for p in parts])
+    for v in (flat.min(), flat.max()):
         if not 0 <= v < tree.n:
             raise ValueError(f"vertex id {v} outside 0..{tree.n - 1}")
-    k = len(verts)
-    index = [-1] * tree.n
-    any(map(index.__setitem__, verts, range(k)))   # index[verts[i]] = i (setitem returns None)
-    if t is not None and not (0 <= t < tree.n and index[t] >= 0):
+    part = np.repeat(np.arange(len(parts)), sizes)
+    labels = np.sort(part * tree.n + flat) - part * tree.n   # each part ascending, parts in order
+    pos = np.full(tree.n, -1, np.int64)
+    pos[labels] = np.arange(len(labels))
+    twice = labels[pos[labels] != np.arange(len(labels))]
+    if twice.size:
+        raise ValueError(f"vertex id {twice[0]} is listed twice: parts must be disjoint connected sets")
+    arcs = pos[tree.edges]
+    arcs = arcs[np.minimum(arcs[:, 0], arcs[:, 1]) >= 0]
+    arcs = arcs[part[arcs[:, 0]] == part[arcs[:, 1]]]   # positions of the edges inside one part
+    for k, got in zip(sizes, np.bincount(part[arcs[:, 0]], minlength=len(parts)).tolist()):
+        if got != k - 1:
+            raise ValueError(f"a tree on {k} vertices needs {k - 1} edges, got {got}")
+    arcs = arcs[np.lexsort(arcs.T[::-1])]   # by tail, then head: parts in order, as positions are
+    starts = list(accumulate(sizes, initial=0))
+    edges = _read_only((arcs - np.repeat(starts[:-1], np.subtract(sizes, 1))[:, None]).astype(np.int32))
+    tails, heads = edges[np.lexsort(np.sort(arcs, axis=1).T[::-1])].T.tolist()
+    pieces = []
+    for i, k in enumerate(sizes):
+        a, b = starts[i] - i, starts[i + 1] - i - 1   # the part's rows of `edges`
+        sub = OrientedTree._derived(k, edges[a:b], None, *_table(k, zip(tails[a:b], heads[a:b])))
+        pieces.append(TreePiece(sub, labels[starts[i]:starts[i + 1]]))
+    return pieces
+
+
+def induced_subtree(tree: OrientedTree, vertices, t: int | None = None) -> TreePiece:
+    """The one-part `induced_subtrees`; `t`, one of `vertices`, becomes the piece's distinguished vertex."""
+    (piece,) = induced_subtrees(tree, [vertices if isinstance(vertices, np.ndarray) else list(vertices)])
+    if t is not None and t not in piece.labels:
         raise ValueError(f"distinguished vertex {t} is not among the induced vertices")
-    local_t = index[t] if t is not None else None
-    if k == 0 or len(set(verts)) != k:
-        # Empty or duplicate ids: the general constructor reports them.
-        edges = [(index[u], index[w]) for u in verts for w in tree.out(u) if index[w] >= 0]
-        return TreePiece(OrientedTree(k, edges, t=local_t), np.asarray(verts, dtype=np.int64))
-    rows = [tuple(map(index.__getitem__, row)) for row in map(tree._und.__getitem__, verts)]
-    bits = list(map(tree._bits.__getitem__, verts))
-    for i in [i for i, row in enumerate(rows) if -1 in row]:   # rows reaching outside the set
-        kept = [(w, f) for w, f in zip(rows[i], _flags(bits[i], len(rows[i]))) if w >= 0]
-        rows[i], bits[i] = tuple(w for w, _f in kept), _mask("".join(f for _w, f in kept))
-    # Each row's out-neighbours, rows in order: the edges by tail, then head, in O(k).
-    arcs = [(i, w) for i, (row, b) in enumerate(zip(rows, bits)) if b
-            for w, f in zip(row, _flags(b, len(row))) if f == "1"]
-    if len(arcs) != k - 1:
-        raise ValueError(f"a tree on {k} vertices needs {k - 1} edges, got {len(arcs)}")
-    edges = _read_only(np.fromiter(chain.from_iterable(arcs), np.int32, 2 * k - 2).reshape(-1, 2))
-    sub = OrientedTree._derived(k, edges, local_t, tuple(rows), tuple(bits))
-    return TreePiece(sub, np.asarray(verts, dtype=np.int64))
+    i = None if t is None else int(np.searchsorted(piece.labels, t))
+    return TreePiece(piece.tree.with_t(i), piece.labels)
 
 
 def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
@@ -358,20 +364,17 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
     """
     if not (1 <= m <= tree.n / 3):
         raise ValueError(f"need 1 <= m <= |T|/3, got m={m}, |T|={tree.n}")
+    if keep is not None and not 0 <= keep < tree.n:
+        raise ValueError(f"keep vertex {keep} outside 0..{tree.n - 1}")
     root = keep if keep is not None else (tree.t if tree.t is not None else 0)
 
     parent, size = subtree_sizes(tree, root)
 
     # Deepest vertex with subtree size >= m; all its children subtrees are < m.
-    pivot = root
-    progressed = True
-    while progressed:
-        progressed = False
-        for u in tree.nbrs(pivot):
-            if u != parent[pivot] and size[u] >= m:
-                pivot = u
-                progressed = True
-                break
+    pivot = down = root
+    while down is not None:
+        pivot = down
+        down = next((u for u in tree.nbrs(pivot) if u != parent[pivot] and size[u] >= m), None)
 
     children = sorted(
         (u for u in tree.nbrs(pivot) if u != parent[pivot]),
@@ -389,9 +392,8 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
     # rest, which holds the root and the pivot.
     for v in below:
         below.extend(u for u in tree._und[v] if u != parent[v])
-    in_below = set(below)
     piece2 = induced_subtree(tree, [pivot, *below])
-    piece1 = induced_subtree(tree, [v for v in range(tree.n) if v not in in_below], t=root)
+    piece1 = induced_subtree(tree, np.delete(np.arange(tree.n), below), t=root)
     return piece1, piece2, pivot
 
 

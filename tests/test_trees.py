@@ -19,6 +19,7 @@ from spantree.trees import (
     find_independent_leaves,
     gen_random_tree,
     induced_subtree,
+    induced_subtrees,
     max_semidegree,
     maximal_bare_paths,
     prefix_order,
@@ -214,6 +215,12 @@ class TestSplitTree:
     def test_m_range(self, m):
         with pytest.raises(ValueError, match=rf"^need 1 <= m <= \|T\|/3, got m={m}, \|T\|=12$"):
             split_tree(path_tree(12), m)
+
+    @pytest.mark.parametrize("keep", [-1, 12, 40])
+    def test_keep_outside_the_tree_is_named(self, keep):
+        # -1 once hung the tree at its last vertex, and 12 raised a bare IndexError.
+        with pytest.raises(ValueError, match=rf"^keep vertex {keep} outside 0\.\.11$"):
+            split_tree(path_tree(12), 3, keep=keep)
 
     @given(st.integers(0, 10_000), st.integers(6, 90))
     @settings(max_examples=50, deadline=None)
@@ -971,7 +978,7 @@ def assert_same_tree(a, b):
 
 
 class TestDerivedTrees:
-    """`induced_subtree` and `with_t` build from the parent's adjacency; the constructor is the reference."""
+    """`induced_subtree` and `with_t` derive from the parent tree; the constructor is the reference."""
 
     @given(st.integers(0, 10_000), st.integers(3, 70), st.sampled_from(FAMILIES))
     @settings(max_examples=80, deadline=None)
@@ -1040,6 +1047,79 @@ class TestDerivedTrees:
                 OrientedTree(n, tree.edge_list, t=bad)
             with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
                 tree.with_t(bad)
+
+
+class TestBatchedPieces:
+    """`induced_subtrees` builds every part from one gather; the constructor on each part is the reference."""
+
+    @staticmethod
+    def assert_pieces_rebuilt(tree, parts):
+        pieces = induced_subtrees(tree, parts)
+        assert len(pieces) == len(parts)
+        for verts, piece in zip(parts, pieces):
+            ref = rebuilt_induced(tree, list(verts))
+            assert piece.labels.tolist() == sorted(verts)
+            assert_same_tree(piece.tree, ref)
+            assert (piece.tree._und, piece.tree._bits) == (ref._und, ref._bits)
+            assert_views_match_the_edge_list(piece.tree)
+
+    @given(st.integers(0, 10_000), st.integers(1, 80), st.sampled_from(FAMILIES + ["star", "broom"]))
+    @settings(max_examples=80, deadline=None)
+    def test_components_equal_rebuilt_trees(self, seed, n, family):
+        # Parts come shuffled, in any order inside, as lists or as arrays.
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, max(3, n - 1) if family == "star" else 3, family, rng)
+        parts = components(tree, np.flatnonzero(rng.random(n) < rng.random()).tolist())
+        parts = [rng.permutation(parts[i]) for i in rng.permutation(len(parts))]
+        self.assert_pieces_rebuilt(tree, [p if rng.random() < 0.5 else p.tolist() for p in parts])
+
+    @pytest.mark.parametrize("kind", ["out", "in", "mixed"])
+    def test_hub_rows_past_64_entries_and_lone_vertices(self, kind):
+        # The hub keeps 90 of its 149 leaves, so its row leaves the per-entry
+        # bit updates of `_table`; every other leaf is a one-vertex part.
+        rng = np.random.default_rng(len(kind))
+        flip = {"out": np.zeros(149, bool), "in": np.ones(149, bool), "mixed": rng.random(149) < 0.5}[kind]
+        tree = OrientedTree(150, [(v, 0) if f else (0, v) for v, f in zip(range(1, 150), flip.tolist())])
+        kept = rng.permutation(np.arange(1, 150))
+        parts = [[*kept[:45].tolist(), 0, *kept[45:90].tolist()]] + [[v] for v in kept[90:].tolist()]
+        self.assert_pieces_rebuilt(tree, parts)
+        assert induced_subtrees(tree, parts)[0].tree.degree(0) == 90
+        self.assert_pieces_rebuilt(tree, [[v] for v in range(150)])
+
+    def test_no_parts(self):
+        assert induced_subtrees(path_tree(4), []) == []
+
+    def test_overlapping_parts_are_named(self):
+        tree = path_tree(8)
+        with pytest.raises(ValueError, match=r"^vertex id 3 is listed twice"):
+            induced_subtrees(tree, [[0, 1, 2, 3], [3, 4, 5]])
+        with pytest.raises(ValueError, match=r"^vertex id 6 is listed twice"):
+            induced_subtrees(tree, [[6], [6]])
+
+    @given(st.integers(0, 10_000), st.integers(4, 60), st.sampled_from(FAMILIES))
+    @settings(max_examples=40, deadline=None)
+    def test_a_disconnected_part_raises_the_constructors_error(self, seed, n, family):
+        # The pieces left by removing a vertex of degree >= 2: two of them, joined, are disconnected.
+        rng = np.random.default_rng(seed)
+        tree = gen_random_tree(n, 3, family, rng)
+        cut = max(range(n), key=tree.degree)
+        parts = components(tree, [v for v in range(n) if v != cut]) + [[cut]]
+        bad = int(rng.integers(1, len(parts) - 1))
+        joined = parts[:bad - 1] + [parts[bad - 1] + parts[bad]] + parts[bad + 1:]
+        with pytest.raises(ValueError) as ref:
+            rebuilt_induced(tree, parts[bad - 1] + parts[bad])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            induced_subtrees(tree, joined)
+
+    @pytest.mark.parametrize("bad", [-1, 5, 9])
+    def test_ids_outside_the_tree_are_named_in_any_part(self, bad):
+        tree = OrientedTree(5, [(4, 0), (0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=rf"^vertex id {bad} outside 0\.\.4$"):
+            induced_subtrees(tree, [[0, 1], [3], [bad, 2]])
+
+    def test_an_empty_part_is_refused(self):
+        with pytest.raises(ValueError, match="^tree needs at least one vertex$"):
+            induced_subtrees(path_tree(4), [[0, 1], []])
 
 
 def assert_views_match_the_edge_list(tree):

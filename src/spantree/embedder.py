@@ -8,7 +8,6 @@ Returned embeddings are always verified.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from collections import Counter
@@ -63,22 +62,29 @@ class PhaseFailure(PipelineError):
         self.attempts = attempts
 
 
-def _retry(phase: str, attempts: int, once):
-    """Return the first result of `once()` within `attempts` tries.
+def _retry(phase: str, attempts: int, once, log: list | None = None):
+    """The one Las Vegas loop: the first result of `once()` within `attempts` tries.
 
-    A try that raises a PipelineError is resampled; the last one's cause is
-    reported as a PhaseFailure of `phase` once the budget is spent.  Only the
-    cause and message of a failed try are kept, not the exception, whose
-    traceback would keep that try's frames and hosts alive.
+    A try raising a PipelineError is resampled, its (phase, cause, message)
+    appended to `log` (a PhaseFailure's own phase, else `phase`): not the
+    exception, whose traceback would keep the try's frames and hosts alive.
+    A PhaseFailure of `phase` itself passes through; a decompose failure,
+    fixed by the inputs, or a spent budget ends the loop in a PhaseFailure
+    of `phase` with the last try's cause and the number of tries made.
     """
     if attempts < 1:
         raise ValueError(f"{phase}: retry budget must be at least 1, got {attempts}")
-    for _attempt in range(attempts):
+    log = [] if log is None else log
+    for tries in range(1, attempts + 1):
         try:
             return once()
         except PipelineError as exc:
-            last = exc.cause, str(exc)
-    raise PhaseFailure(phase, *last, attempts=attempts)
+            if exc.phase == phase:
+                raise
+            log.append((exc.phase or phase, exc.cause, str(exc)))
+            if exc.cause == "decompose":
+                break
+    raise PhaseFailure(phase, *log[-1][1:], attempts=tries)
 
 
 def _forest_order(tree: OrientedTree, core: set[int], anchor: int):
@@ -503,6 +509,9 @@ def embed_almost_spanning(
     if not 0 <= v < d.n:
         raise ValueError(f"anchor host {v} outside 0..{d.n - 1}")
     pool = np.arange(d.n, dtype=np.int64) if pool is None else pool
+    if len(bad := np.flatnonzero(np.diff(pool, prepend=-1, append=d.n) <= 0)):
+        i = min(int(bad[0]), len(pool) - 1)
+        raise ValueError(f"pool must be ascending distinct ids in 0..{d.n - 1}: entry {i} is {pool[i]}")
     in_pool = np.zeros(d.n, dtype=bool)
     in_pool[pool] = True
     if not in_pool[v]:
@@ -512,7 +521,6 @@ def embed_almost_spanning(
     if slack < 4:
         raise ValueError(f"need at least 4 spare host vertices, got {slack}")
     _check_degree_cap(tree, params, d.n)
-    telemetry: dict = {"phase_retries": {}, "failures": []}
     # Far below the decomposition scale, or small and undecomposable: a plain
     # greedy walk suffices.
     greedy = tree.n <= max(8, params.k)
@@ -524,7 +532,8 @@ def embed_almost_spanning(
                 raise PhaseFailure("almost", "decompose", str(exc), 1) from exc
             greedy = True
     if greedy:
-        return _greedy(d, tree, t, v, params, rng, "almost", in_pool)[0], telemetry
+        emb, _tries = _greedy(d, tree, t, v, params, rng, "almost", in_pool)
+        return emb, {"phase_retries": {}, "failures": []}
     stars = stars_from_decomposition(td)
 
     t1_size = len(td.t1)
@@ -534,22 +543,27 @@ def embed_almost_spanning(
     # The guide machinery needs V0 (inside V1) about a quarter bigger than
     # the core, plus the leaf-part slack; start from that floor and adapt
     # between attempts based on which phase ran out of room.
-    n_roots = len(stars)
-    s1_floor = len(td.t0) // 3 + 10 + math.ceil(0.1 * n_roots) + 12
-    v1_bias = 0
+    s1_floor = len(td.t0) // 3 + 10 + math.ceil(0.1 * len(stars)) + 12
+    # Proportional slack split with floors: piece-heavy trees need their
+    # headroom in V2, star-heavy trees in V1.
+    weight1 = t1_size + 4.0
+    weight2 = t2_new + (4.0 if t2_new else 0.0)
+    weight3 = t3_new + (2.0 if t3_new else 0.0)
+    total_w = weight1 + weight2 + weight3
+    split2 = max(3, round(slack * weight2 / total_w)) if t2_new else 0
+    split3 = max(2, round(slack * weight3 / total_w)) if t3_new else 0
+    ceiling = slack - (3 if t2_new else 0) - (2 if t3_new else 0)
+    log: list[tuple[str, str, str]] = []
 
-    last = ("", "")   # (cause, message) of the last failed attempt
-    for attempt in range(params.retries):
-        # Proportional slack split with floors: piece-heavy trees need their
-        # headroom in V2, star-heavy trees in V1.
-        weight1 = t1_size + 4.0
-        weight2 = t2_new + (4.0 if t2_new else 0.0)
-        weight3 = t3_new + (2.0 if t3_new else 0.0)
-        total_w = weight1 + weight2 + weight3
-        s2 = max(3, round(slack * weight2 / total_w)) if t2_new else 0
-        s3 = max(2, round(slack * weight3 / total_w)) if t3_new else 0
+    def once() -> Embedding:
+        # Each failure of the star layer's room widens V1; each of the paths narrows it.
+        v1_bias = sum(
+            max(4, slack // 6) if phase == "stars" and cause in ("guide-build", "guide-restrict")
+            else -max(4, slack // 8) if phase == "paths" else 0
+            for phase, cause, _message in log
+        )
+        s2, s3 = split2, split3
         s1 = slack - s2 - s3
-        ceiling = slack - (3 if t2_new else 0) - (2 if t3_new else 0)
         want1 = min(ceiling, s1_floor + v1_bias)
         if want1 > s1:
             shift = want1 - s1
@@ -560,31 +574,21 @@ def embed_almost_spanning(
             s3 -= take3
             s1 = slack - s2 - s3
         if s1 < 2:
-            raise PhaseFailure("almost", "guide-build", "slack too thin to size V1", attempt + 1)
-        sizes = [t1_size + s1, t2_new + s2]
-        try:
-            parts = _parts_holding(d, sizes, rng, pool, v, 300)
-            if parts is None:
-                raise GuideBuildError("anchor never landed in V1")
-            v1, v2 = parts
-            in_v3 = in_pool.copy()
-            in_v3[v1] = False
-            in_v3[v2] = False
-            emb = _assemble_almost(d, tree, t, v, params, rng, td, stars, v1, v2, pool, in_v3)
-            if not is_valid_embedding(d, tree, emb):
-                raise VerificationError("almost-spanning embedding failed verification")
-            telemetry["phase_retries"]["almost"] = attempt
-            return emb, telemetry
-        except PipelineError as exc:
-            telemetry["failures"].append(
-                {"attempt": attempt, "phase": exc.phase or "almost", "cause": exc.cause}
-            )
-            last = exc.cause, str(exc)
-            if exc.phase == "stars" and exc.cause in ("guide-build", "guide-restrict"):
-                v1_bias += max(4, slack // 6)
-            elif exc.phase == "paths":
-                v1_bias -= max(4, slack // 8)
-    raise PhaseFailure("almost", *last, attempts=params.retries)
+            raise PhaseFailure("almost", "guide-build", "slack too thin to size V1", len(log) + 1)
+        parts = _parts_holding(d, [t1_size + s1, t2_new + s2], rng, pool, v, 300)
+        if parts is None:
+            raise GuideBuildError("anchor never landed in V1")
+        v1, v2 = parts
+        in_v3 = in_pool.copy()
+        in_v3[v1] = in_v3[v2] = False
+        emb = _assemble_almost(d, tree, t, v, params, rng, td, stars, v1, v2, pool, in_v3)
+        if not is_valid_embedding(d, tree, emb):
+            raise VerificationError("almost-spanning embedding failed verification")
+        return emb
+
+    emb = _retry("almost", params.retries, once, log)
+    failures = [{"attempt": i, "phase": phase, "cause": cause} for i, (phase, cause, _m) in enumerate(log)]
+    return emb, {"phase_retries": {"almost": len(log)}, "failures": failures}
 
 
 def _parts_holding(
@@ -638,11 +642,9 @@ def _greedy(
     embedding and the number of tries it took.
     """
     order = prefix_order(tree, t)
-    tries = 0
+    log: list[tuple[str, str, str]] = []
 
     def once() -> np.ndarray:
-        nonlocal tries
-        tries += 1
         root_host = int(rng.integers(d.n)) if v is None else v
         free = np.ones(d.n, dtype=bool) if within is None else within.copy()
         hosts = greedy_walk(d, order, free, rng, [root_host])
@@ -650,13 +652,13 @@ def _greedy(
             raise PipelineError("greedy walk stuck", cause="leaf-greedy-fail")
         return hosts
 
-    hosts = _retry(phase, params.retries, once)
+    hosts = _retry(phase, params.retries, once, log)
     emb = Embedding()
     for tv, host in zip(order.order, hosts):
         emb.assign(tv, host, "greedy")
     if not is_valid_embedding(d, tree, emb):
         raise VerificationError(f"{phase} greedy embedding failed verification")
-    return emb, tries
+    return emb, len(log) + 1
 
 
 def _assemble_almost(
@@ -708,20 +710,13 @@ def _assemble_almost(
     if leftovers:
         v3_ranks = np.flatnonzero(v3_free[pool])
         v3_order = pool[np.fromiter(set(v3_ranks.tolist()), dtype=np.int64)]
+        # Each leftover component hangs by its root from one placed vertex: no leftover is reached twice.
         left_set = set(leftovers)
         ordered: list[tuple[int, int]] = []   # (leftover, parent)
-        seen: set[int] = set()
-        frontier = [u for u in leftovers if any(w in emb for w in tree.nbrs(u))]
-        while frontier:
-            nxt: list[int] = []
-            for u in sorted(frontier):
-                if u in seen:
-                    continue
-                parents = [w for w in tree.nbrs(u) if w in emb or w in seen]
-                ordered.append((u, parents[0]))
-                seen.add(u)
-                nxt.extend(w for w in tree.nbrs(u) if w in left_set and w not in seen)
-            frontier = nxt
+        level = sorted((u, w) for u in leftovers for w in tree.nbrs(u) if w in emb)
+        while level:
+            ordered += level
+            level = sorted((w, u) for u, p in level for w in tree.nbrs(u) if w in left_set and w != p)
         placed = list(dict.fromkeys(p for _u, p in ordered if p in emb))
         entries = placed + [u for u, _p in ordered]
         index = {x: i for i, x in enumerate(entries)}
@@ -1096,65 +1091,64 @@ def embed_spanning(
     local_shared_trunk = int(np.searchsorted(trunk_piece.labels, shared))
     absorber_tree = absorber_piece.tree.with_t(local_shared_abs)
     trunk_labels, absorber_labels = trunk_piece.labels.tolist(), absorber_piece.labels.tolist()
-    outer_budget = max(2, params.retries // 3)
-    last = ("", "")   # (cause, message) of the last failed attempt
-    for outer in range(outer_budget):
+    log: list[tuple[str, str, str]] = []
+
+    def once() -> Embedding:
+        start = time.perf_counter()
+        state = build_absorber(d, absorber_tree, local_shared_abs, params, rng)
+        phases["absorber_build_millis"] = _millis_since(start)
+        phases["absorber"] = {
+            "size": absorber_tree.n, "threshold": state.threshold,
+            "swaps": state.swap_count,
+        }
+
+        keep = np.ones(n, dtype=bool)
+        keep[state.a_set] = False
+        keep[state.anchor_host] = True
+        start = time.perf_counter()
+        emb_almost, tele_almost = embed_almost_spanning(
+            d,
+            trunk_piece.tree.with_t(local_shared_trunk),
+            local_shared_trunk,
+            state.anchor_host,
+            params,
+            rng,
+            np.flatnonzero(keep),
+        )
+        phases["almost_millis"] = _millis_since(start)
+        phases["almost"] = tele_almost
+
+        leftover = set(range(n)) - emb_almost.used - set(state.a_set.tolist())
+        b_set = np.array(sorted(set(state.a_set.tolist()) | leftover), dtype=np.int64)
+        start = time.perf_counter()
+        emb_abs = complete_absorption(state, b_set)
+        phases["absorption_millis"] = _millis_since(start)
+
+        total = Embedding()
+        for lv, host in emb_almost.map.items():
+            total.assign(trunk_labels[lv], host, "almost")
+        for lv, host in emb_abs.map.items():
+            tv = absorber_labels[lv]
+            if tv not in total:   # the shared vertex is placed by both sides
+                total.assign(tv, host, "absorber")
+        if not is_valid_embedding(d, tree, total):
+            raise VerificationError("spanning embedding failed verification")
+        return total
+
+    try:
+        total = _retry("spanning", max(2, params.retries // 3), once, log)
+        phases["outer_attempts"] = len(log) + 1
+    except PhaseFailure as failure:
+        # Trees whose degrees dwarf the nominal cap sit outside the guarantee the
+        # pipeline realizes (a star's absorber has no switch reservoir: every
+        # leaf's copy-neighborhood is the center's image).  For those, and only
+        # those, fall back to a retried greedy walk; cap-compliant trees report
+        # their pipeline failure honestly.
+        if max(max_semidegree(tree)) <= params.with_updates(max_tree_semidegree=3).degree_cap(n):
+            raise
         try:
-            start = time.perf_counter()
-            state = build_absorber(d, absorber_tree, local_shared_abs, params, rng)
-            phases["absorber_build_millis"] = _millis_since(start)
-            phases["absorber"] = {
-                "size": absorber_tree.n, "threshold": state.threshold,
-                "swaps": state.swap_count,
-            }
-
-            keep = np.ones(n, dtype=bool)
-            keep[state.a_set] = False
-            keep[state.anchor_host] = True
-            start = time.perf_counter()
-            emb_almost, tele_almost = embed_almost_spanning(
-                d,
-                trunk_piece.tree.with_t(local_shared_trunk),
-                local_shared_trunk,
-                state.anchor_host,
-                params,
-                rng,
-                np.flatnonzero(keep),
-            )
-            phases["almost_millis"] = _millis_since(start)
-            phases["almost"] = tele_almost
-
-            leftover = set(range(n)) - emb_almost.used - set(state.a_set.tolist())
-            b_set = np.array(sorted(set(state.a_set.tolist()) | leftover), dtype=np.int64)
-            start = time.perf_counter()
-            emb_abs = complete_absorption(state, b_set)
-            phases["absorption_millis"] = _millis_since(start)
-
-            total = Embedding()
-            for lv, host in emb_almost.map.items():
-                total.assign(trunk_labels[lv], host, "almost")
-            for lv, host in emb_abs.map.items():
-                tv = absorber_labels[lv]
-                if tv not in total:   # the shared vertex is placed by both sides
-                    total.assign(tv, host, "absorber")
-            if not is_valid_embedding(d, tree, total):
-                raise VerificationError("spanning embedding failed verification")
-            phases["outer_attempts"] = outer + 1
-            return total, telemetry
-        except PipelineError as exc:
-            telemetry["failures"].append({"outer": outer, "cause": exc.cause, "detail": str(exc)})
-            last = exc.cause, str(exc)
-            if exc.cause == "decompose":   # fixed by the trunk piece: a retry fails alike
-                break
-
-    # Trees whose degrees dwarf the nominal cap sit outside the guarantee the
-    # pipeline realizes (a star's absorber has no switch reservoir: every
-    # leaf's copy-neighborhood is the center's image).  For those, and only
-    # those, fall back to a retried greedy walk; cap-compliant trees report
-    # their pipeline failure honestly.
-    nominal_cap = params.with_updates(max_tree_semidegree=3).degree_cap(n)
-    if max(max_semidegree(tree)) > nominal_cap:
-        with contextlib.suppress(PhaseFailure):
-            emb, phases["over-cap-greedy"] = _greedy(d, tree, anchor, None, params, rng, "spanning")
-            return emb, telemetry
-    raise PhaseFailure("spanning", *last, attempts=outer + 1)
+            total, phases["over-cap-greedy"] = _greedy(d, tree, anchor, None, params, rng, "spanning")
+        except PhaseFailure:
+            raise failure from None
+    telemetry["failures"] = [{"outer": i, "cause": c, "detail": m} for i, (_p, c, m) in enumerate(log)]
+    return total, telemetry

@@ -20,10 +20,10 @@ from .trees import OrientedTree, PrefixOrdering
 
 
 class PipelineError(RuntimeError):
-    """A Las Vegas step failed its audit; retry loops catch this base.
+    """A Las Vegas step failed its audit; the one retry loop, `embedder._retry`, catches this base.
 
     `cause` is the failure-taxonomy tag, set per class or per instance.
-    `phase` and `attempts` are filled in when a retry loop gives up.
+    `phase` and `attempts` are filled in when the retry loop gives up.
     """
 
     cause = "hall-fail"

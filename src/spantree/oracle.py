@@ -11,7 +11,7 @@ import numpy as np
 from .decompose import DecompositionError, decompose
 from .digraph import Digraph, Sign, check_inherited_degree, gen_semidegree_digraph, sample_disjoint_subsets
 from .embedding import PipelineError, is_valid_embedding
-from .embedder import absorb_at_random, embed_almost_spanning, embed_spanning
+from .embedder import _retry, absorb_at_random, embed_almost_spanning, embed_spanning
 from .guides import GuideSystem
 from .matching import MatchingError, covering_matching, embed_small_forest, embed_tree_copies
 from .params import ParamSchedule, spanning_defaults
@@ -112,22 +112,21 @@ def _trial_guide_restrict(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int,
     mu_count = max(2, int(round(cfg.alpha**2 * p0 * d.n / 4)))
     probe_vertices = [int(x) for x in rng.choice(d.n, size=4, replace=False)]
     probe = [(v, s) for v in probe_vertices for s in (Sign.PLUS, Sign.MINUS)]
-    retries = 0
-    for attempt in range(params.retries):
-        v0, part = sample_disjoint_subsets(
-            d, [int(p0 * d.n), int(p1 * d.n)], rng
-        )
+    log: list[tuple[str, str, str]] = []
+
+    def once() -> None:
+        v0, part = sample_disjoint_subsets(d, [int(p0 * d.n), int(p1 * d.n)], rng)
         system = GuideSystem(d, v0, [part], mu_count, alpha=cfg.alpha)
-        try:
-            for v, s in probe:
-                entry = system.get(v, s)   # the trial audits whole entries: every row, both signs
-                for circ in (Sign.PLUS, Sign.MINUS):
-                    system.rows([(entry, w) for w in entry.guide], circ, part)
-            return True, retries, ""
-        except PipelineError as exc:
-            retries += 1
-            cause = exc.cause
-    return False, retries, cause
+        for v, s in probe:
+            entry = system.get(v, s)   # the trial audits whole entries: every row, both signs
+            for circ in (Sign.PLUS, Sign.MINUS):
+                system.rows([(entry, w) for w in entry.guide], circ, part)
+
+    try:
+        _retry("guide-restrict", params.retries, once, log)
+    except PipelineError as exc:
+        return False, len(log), exc.cause
+    return True, len(log), ""
 
 
 def _trial_decompose(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, str]:

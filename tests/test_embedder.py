@@ -564,6 +564,24 @@ class TestAbsorber:
         with pytest.raises(ValueError, match=rf"^\|B\| = {tree.n - 1} must equal \|T\| = {tree.n}$"):
             complete_absorption(state, repeated)
 
+    def test_completion_leaves_a_hub_above_the_copy_degree_cap(self):
+        # Threshold 68 (18 swaps plus a margin of 50) gives a copy-degree cap
+        # of ceil(4 * 200 / 68) = 12.  On a complete host every index is
+        # admissible but for the cap, so the completion retires the smallest
+        # indices in turn and must step over the hub of degree 16 at index 5.
+        n = 200
+        params = spanning_defaults(n, 0.25).with_updates(switch_margin=50)
+        edges = [(i, i + 1) for i in range(5)] + [(5, 6 + j) for j in range(15)]
+        tree = OrientedTree(120, edges + [(i - 1, i) for i in range(21, 120)], t=0)
+        state = build_absorber(complete(n), tree, 0, params, np.random.default_rng(1))
+        hub = int(np.searchsorted(state.trunk.labels, 5))
+        assert (state.threshold, state.order.order[5], state.trunk.tree.degree(hub)) == (68, hub, 16)
+        a = state.a_set.tolist()
+        b = np.array(sorted(a + sorted(set(range(n)) - set(a))[: tree.n - len(a)]))
+        emb = complete_absorption(state, b)
+        assert verify_embedding(complete(n), tree, emb)
+        assert emb[5] == state.hosts[5]
+
 
 def full_property_s_counts(d, trunk_tree, order, hosts):
     """The dense certificate: count[sign][x, y] over all host pairs, plus the takeover matrix.

@@ -124,6 +124,71 @@ class TestRetry:
             gc.enable()
         assert alive == [0, 0, 0]
 
+    def test_own_phase_failure_passes_through(self):
+        failure = PhaseFailure("almost", "guide-build", "slack too thin to size V1", 1)
+        calls, log = [], []
+
+        def once():
+            calls.append(1)
+            raise failure
+
+        with pytest.raises(PhaseFailure) as info:
+            _retry("almost", 5, once, log)
+        assert info.value is failure
+        assert (calls, log) == ([1], [])
+
+    def test_decompose_failure_ends_the_loop(self):
+        errors = iter([GuideBuildError("a"), DecompositionError("no split", ["P1"]), GuideBuildError("c")])
+        calls = []
+
+        def once():
+            calls.append(1)
+            raise next(errors)
+
+        with pytest.raises(PhaseFailure) as info:
+            _retry("spanning", 5, once)
+        assert (info.value.phase, info.value.cause, info.value.attempts) == ("spanning", "decompose", 2)
+        assert str(info.value) == "spanning failed after 2 attempt(s) [decompose]: no split"
+        assert len(calls) == 2
+
+    def test_log_holds_one_entry_per_failed_try(self):
+        errors = [GuideBuildError("a"), PhaseFailure("paths", "connector-exhausted", "b", 2)]
+        log = []
+
+        def once():
+            if len(log) < len(errors):
+                raise errors[len(log)]
+            return "ok"
+
+        assert _retry("almost", 5, once, log) == "ok"
+        assert log == [
+            ("almost", "guide-build", "a"),
+            ("paths", "connector-exhausted", "paths failed after 2 attempt(s) [connector-exhausted]: b"),
+        ]
+
+    def test_stuck_leftover_walk_is_one_failed_almost_attempt(self, monkeypatch):
+        # The first walk over the leftover leaves is made to get stuck: the
+        # almost loop logs it under phase leaves and its next attempt embeds.
+        walks = []
+
+        def first_walk_stuck(*args, **kwargs):
+            walks.append(1)
+            return None if len(walks) == 1 else greedy_walk(*args, **kwargs)
+
+        monkeypatch.setattr(embedder, "greedy_walk", first_walk_stuck)
+        rng = np.random.default_rng(0)
+        d = gen_semidegree_digraph(300, 0.24, rng)
+        tree = pendant_path_tree(240, rng)
+        v = int(rng.integers(300))
+        assert decompose(tree, 0, spanning_defaults(300, 0.24)).leftovers
+        emb, telemetry = embed_almost_spanning(d, tree, 0, v, spanning_defaults(300, 0.24), rng)
+        assert is_valid_embedding(d, tree, emb) and emb[0] == v
+        assert telemetry == {
+            "phase_retries": {"almost": 1},
+            "failures": [{"attempt": 0, "phase": "leaves", "cause": "leaf-greedy-fail"}],
+        }
+        assert len(walks) == 2
+
     def test_failed_attempts_free_their_induced_hosts(self, monkeypatch):
         # Every path attachment fails, so each almost attempt induces one V1
         # and fails, and the spanning loop spends its two outer attempts.
@@ -642,6 +707,33 @@ class TestAlmostRngContract:
             text = json.dumps(sorted(emb.map.items()))
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, seed
 
+    def test_two_level_leftover_digests(self):
+        # Pendant two-vertex paths hung on piece mids are leftover components
+        # of two levels, so the leftover walk's second level is pinned too.
+        params = spanning_defaults(300, 0.24)
+        for seed, digest in enumerate(("d7a2dc9c6e5cf1ce", "7a05d09fc34e9a13", "2f93982980800acb")):
+            rng = np.random.default_rng(seed)
+            d = gen_semidegree_digraph(300, 0.24, rng)
+            tree = pendant_path_tree(240, rng)
+            v = int(rng.integers(300))
+            td = decompose(tree, 0, params)
+            assert any(mid not in tree.nbrs(u) for mid, comp in td.leftovers.items() for u in comp)
+            emb, _telemetry = embed_almost_spanning(d, tree, 0, v, params, rng)
+            text = json.dumps(sorted(emb.map.items()))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, seed
+
+
+def pendant_path_tree(size, rng):
+    """A path on the first size // 2 ids with two-vertex paths hung on about
+    half its vertices, the rest extending the last vertex; arcs flipped at random."""
+    edges = [(i, i + 1) for i in range(size // 2 - 1)]
+    for a in range(size // 2):
+        if len(edges) + 3 <= size and rng.random() < 0.5:
+            edges += [(a, len(edges) + 1), (len(edges) + 1, len(edges) + 2)]
+    edges += [(i - 1, i) for i in range(len(edges) + 1, size)]
+    flip = rng.random(len(edges)) < 0.5
+    return OrientedTree(size, [(w, u) if f else (u, w) for (u, w), f in zip(edges, flip)], t=0)
+
 
 # First 16 hex digits of the sha256 of each embed_spanning map, or of
 # "fail:<cause>" for a PhaseFailure, at host seeds 0-2 (tree seeds 100-102,
@@ -733,6 +825,20 @@ class TestAlmostFailureReports:
                 embed_almost_spanning(d, tree, 0, v, params, rng)
             with pytest.raises(ValueError, match="outside 0..59"):
                 embed_stars(d, tree, {0}, [], 0, v, params, rng)
+
+    def test_pool_outside_its_contract_is_rejected(self):
+        rng = np.random.default_rng(3)
+        d = gen_semidegree_digraph(200, 0.25, rng)
+        tree = gen_random_tree(150, 3, "uniform", rng)
+        ids = np.arange(200)
+        for pool, entry in (
+            (np.r_[0, ids[:-1]], "entry 1 is 0"),        # an id given twice
+            (np.r_[ids[1:], 200], "entry 199 is 200"),   # an id past the host
+            (np.r_[-1, ids[1:]], "entry 0 is -1"),       # a negative id
+            (ids[::-1].copy(), "entry 1 is 198"),        # descending
+        ):
+            with pytest.raises(ValueError, match=f"^pool must be ascending distinct ids in 0..199: {entry}$"):
+                embed_almost_spanning(d, tree, 0, 5, spanning_defaults(200, 0.25), rng, pool)
 
     def test_greedy_walk_reports_its_whole_budget(self):
         # A forward path cannot leave host 2 along arcs i -> i-1 for 5 steps.

@@ -52,9 +52,9 @@ class Digraph:
 
     `adj_row` is the one neighbourhood reader: out-neighbours are a row of
     `mat`, in-neighbours a row of `in_packed`.  The derived fields
-    `in_packed`, `mutual`, `mutual_colsum`, `mutual_packed` and `degrees`
-    are each built once, on first use, and read-only; `full_rows`,
-    `min_semidegree` and `alpha_hat` read `degrees`.
+    `in_packed`, `mutual`, `mutual_colsum`, `mutual_packed`, `degrees` and
+    the `full_rows` flags are each built once, on first use, and read-only;
+    `full_rows`, `min_semidegree` and `alpha_hat` read `degrees`.
     """
 
     def __init__(self, n: int, mat: np.ndarray):
@@ -133,9 +133,13 @@ class Digraph:
         """The measured semidegree excess delta^0(D)/n - 1/2."""
         return min_semidegree(self) / self.n - 0.5
 
+    @functools.cached_property
+    def _full_flags(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(_read_only(degree == self.n - 1) for degree in self.degrees)
+
     def full_rows(self, sign: Sign) -> np.ndarray:
         """Read-only bool flags: [v] is set iff N^sign(v) is every other host (degree n - 1)."""
-        return _read_only(self.degrees[0 if sign is Sign.PLUS else 1] == self.n - 1)
+        return self._full_flags[0 if sign is Sign.PLUS else 1]
 
     def adj_row(self, v: int, sign: Sign) -> np.ndarray:
         """Boolean neighborhood row over all n hosts; callers only read it.

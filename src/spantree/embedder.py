@@ -531,64 +531,66 @@ def embed_almost_spanning(
             if tree.n > 64:
                 raise PhaseFailure("almost", "decompose", str(exc), 1) from exc
             greedy = True
-    if greedy:
-        emb, _tries = _greedy(d, tree, t, v, params, rng, "almost", in_pool)
-        return emb, {"phase_retries": {}, "failures": []}
-    stars = stars_from_decomposition(td)
-
-    t1_size = len(td.t1)
-    t2_new = int(len(td.t2) - len(td.t1))
-    t3_new = tree.n - len(td.t2)
-
-    # The guide machinery needs V0 (inside V1) about a quarter bigger than
-    # the core, plus the leaf-part slack; start from that floor and adapt
-    # between attempts based on which phase ran out of room.
-    s1_floor = len(td.t0) // 3 + 10 + math.ceil(0.1 * len(stars)) + 12
-    # Proportional slack split with floors: piece-heavy trees need their
-    # headroom in V2, star-heavy trees in V1.
-    weight1 = t1_size + 4.0
-    weight2 = t2_new + (4.0 if t2_new else 0.0)
-    weight3 = t3_new + (2.0 if t3_new else 0.0)
-    total_w = weight1 + weight2 + weight3
-    split2 = max(3, round(slack * weight2 / total_w)) if t2_new else 0
-    split3 = max(2, round(slack * weight3 / total_w)) if t3_new else 0
-    ceiling = slack - (3 if t2_new else 0) - (2 if t3_new else 0)
     log: list[tuple[str, str, str]] = []
+    if greedy:
+        emb = _greedy(d, tree, t, v, params, rng, "almost", in_pool, log)[0]
+    else:
+        stars = stars_from_decomposition(td)
 
-    def once() -> Embedding:
-        # Each failure of the star layer's room widens V1; each of the paths narrows it.
-        v1_bias = sum(
-            max(4, slack // 6) if phase == "stars" and cause in ("guide-build", "guide-restrict")
-            else -max(4, slack // 8) if phase == "paths" else 0
-            for phase, cause, _message in log
-        )
-        s2, s3 = split2, split3
-        s1 = slack - s2 - s3
-        want1 = min(ceiling, s1_floor + v1_bias)
-        if want1 > s1:
-            shift = want1 - s1
-            take2 = min(shift, max(0, s2 - 3)) if t2_new else 0
-            s2 -= take2
-            shift -= take2
-            take3 = min(shift, max(0, s3 - 2)) if t3_new else 0
-            s3 -= take3
+        t1_size = len(td.t1)
+        t2_new = int(len(td.t2) - len(td.t1))
+        t3_new = tree.n - len(td.t2)
+
+        # The guide machinery needs V0 (inside V1) about a quarter bigger than
+        # the core, plus the leaf-part slack; start from that floor and adapt
+        # between attempts based on which phase ran out of room.
+        s1_floor = len(td.t0) // 3 + 10 + math.ceil(0.1 * len(stars)) + 12
+        # Proportional slack split with floors: piece-heavy trees need their
+        # headroom in V2, star-heavy trees in V1.
+        weight1 = t1_size + 4.0
+        weight2 = t2_new + (4.0 if t2_new else 0.0)
+        weight3 = t3_new + (2.0 if t3_new else 0.0)
+        total_w = weight1 + weight2 + weight3
+        split2 = max(3, round(slack * weight2 / total_w)) if t2_new else 0
+        split3 = max(2, round(slack * weight3 / total_w)) if t3_new else 0
+        ceiling = slack - (3 if t2_new else 0) - (2 if t3_new else 0)
+
+        def once() -> Embedding:
+            # Each failure of the star layer's room widens V1; each of the paths narrows it.
+            v1_bias = sum(
+                max(4, slack // 6) if phase == "stars" and cause in ("guide-build", "guide-restrict")
+                else -max(4, slack // 8) if phase == "paths" else 0
+                for phase, cause, _message in log
+            )
+            s2, s3 = split2, split3
             s1 = slack - s2 - s3
-        if s1 < 2:
-            raise PhaseFailure("almost", "guide-build", "slack too thin to size V1", len(log) + 1)
-        parts = _parts_holding(d, [t1_size + s1, t2_new + s2], rng, pool, v, 300)
-        if parts is None:
-            raise GuideBuildError("anchor never landed in V1")
-        v1, v2 = parts
-        in_v3 = in_pool.copy()
-        in_v3[v1] = in_v3[v2] = False
-        emb = _assemble_almost(d, tree, t, v, params, rng, td, stars, v1, v2, pool, in_v3)
-        if not is_valid_embedding(d, tree, emb):
-            raise VerificationError("almost-spanning embedding failed verification")
-        return emb
+            want1 = min(ceiling, s1_floor + v1_bias)
+            if want1 > s1:
+                shift = want1 - s1
+                take2 = min(shift, max(0, s2 - 3)) if t2_new else 0
+                s2 -= take2
+                shift -= take2
+                take3 = min(shift, max(0, s3 - 2)) if t3_new else 0
+                s3 -= take3
+                s1 = slack - s2 - s3
+            if s1 < 2:
+                raise PhaseFailure("almost", "guide-build", "slack too thin to size V1", len(log) + 1)
+            parts = _parts_holding(d, [t1_size + s1, t2_new + s2], rng, pool, v, 300)
+            if parts is None:
+                raise GuideBuildError("anchor never landed in V1")
+            v1, v2 = parts
+            in_v3 = in_pool.copy()
+            in_v3[v1] = in_v3[v2] = False
+            emb = _assemble_almost(d, tree, t, v, params, rng, td, stars, v1, v2, pool, in_v3)
+            if not is_valid_embedding(d, tree, emb):
+                raise VerificationError("almost-spanning embedding failed verification")
+            return emb
 
-    emb = _retry("almost", params.retries, once, log)
+        emb = _retry("almost", params.retries, once, log)
+    # A greedy call embedded by its first walk keeps the empty record of the bit-stable CLI output.
+    retries = {"almost": len(log)} if log or not greedy else {}
     failures = [{"attempt": i, "phase": phase, "cause": cause} for i, (phase, cause, _m) in enumerate(log)]
-    return emb, {"phase_retries": {"almost": len(log)}, "failures": failures}
+    return emb, {"phase_retries": retries, "failures": failures}
 
 
 def _parts_holding(
@@ -633,16 +635,18 @@ def _greedy(
     rng: np.random.Generator,
     phase: str,
     within: np.ndarray | None = None,
+    log: list | None = None,
 ) -> tuple[Embedding, int]:
     """Verified greedy prefix embedding with t at v, for trees far below host scale.
 
     The walk uses the hosts marked in the mask `within` (all when None).
     With v None, each try first draws a uniform host for t.  A stuck walk is
-    resampled, and a spent budget is a PhaseFailure of `phase`.  Returns the
-    embedding and the number of tries it took.
+    resampled, each failed try is appended to `log` as `_retry` does, and a
+    spent budget is a PhaseFailure of `phase`.  Returns the embedding and the
+    number of tries it took.
     """
     order = prefix_order(tree, t)
-    log: list[tuple[str, str, str]] = []
+    log = [] if log is None else log
 
     def once() -> np.ndarray:
         root_host = int(rng.integers(d.n)) if v is None else v
@@ -789,6 +793,20 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | Non
     partial sum is an integer below 3 ell < 2**24 in size, so float32 holds
     it exactly in any summation order.
 
+    Full rows: when every trunk host h has N^+(h) = N^-(h) = V - h
+    (`Digraph.full_rows`, an O(ell) test), no host row is read.  Then
+    Xb[x, i] = [x = hosts[i]] (every other host has an arc to and from
+    hosts[i]) and Mb[i, y] = [y is the image of a trunk neighbour of i] (the
+    only host without an arc to or from an image is that image).  So a[x] =
+    [x in H] for the image set H, b[y] = deg(y) (the trunk degree of y's
+    preimage, 0 off H), Xb Mb is the trunk's adjacency, and count[x, y] =
+    ell - [x in H] - deg(y) + [x ~ y].  With Delta the largest trunk degree,
+    the union bound is ell - 1 - Delta, and a pair reaches it (y of degree
+    Delta, x in H neither y nor its neighbour) unless Delta = ell - 1, bound
+    0: the trunk is a star.  There a y of degree ell - 1 is adjacent to every
+    x in H, so it counts 1 with every x, and any other y has degree at most
+    ell - 2 and counts at least 1.  So the floor is the bound plus [bound = 0].
+
     Memory: a, b and the Mb columns are read in blocks of ROW_BLOCK trunk
     indices straight from `d.mat` and `d.in_packed`, so the bound route's
     temporaries are O(ROW_BLOCK x n).  The exact route keeps Mb's columns
@@ -796,12 +814,17 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | Non
     """
     n = d.n
     ell = len(hosts)
+    parent = np.asarray(order.parent_index[1:], dtype=np.int64)
+    if d.full_rows(Sign.PLUS)[hosts].all() and d.full_rows(Sign.MINUS)[hosts].all():
+        degree = np.bincount(parent, minlength=ell)
+        degree[1:] += 1
+        bound = ell - 1 - int(degree.max())
+        return bound if threshold is not None and bound >= threshold else bound + (bound == 0)
     # Each trunk arc u -> w blocks y at u by "no arc y -> host(w)" and at w
     # by "no arc host(u) -> y".  Every index past the root has one parent,
     # which gives it one row; parents AND in one row per child, read off the
     # children sorted by parent, one batch per sibling rank (the parents
     # within a batch are distinct).
-    parent = np.asarray(order.parent_index[1:], dtype=np.int64)
     minus = np.fromiter((s is Sign.MINUS for s in order.sign[1:]), dtype=bool, count=ell - 1)
     by_parent = np.argsort(parent, kind="stable")
     grouped = parent[by_parent]
@@ -894,11 +917,15 @@ def build_absorber(
     Splits the tree (the completed part holds t), orders the trunk with
     leaves last and bare-path middles consecutive, embeds it by the random
     greedy rule, then verifies that every (x, y, sign) has at least
-    `threshold` switchable indices.  The union bound of `_property_s_floor`
+    `threshold` switchable indices.  When every trunk image has full rows
+    (every host at alpha >= 0.25 from the default generator), the counts
+    follow from the trunk alone: count[x, y] = ell - [x in H] - deg(y) +
+    [x ~ y], so the floor is ell - 1 - Delta, plus one on a star, and no host
+    row is read (proof in `_property_s_floor`).  Otherwise the union bound
     (ell minus the largest non-arc count of any x minus the largest blocked
     count of any y) settles most attempts; the exact float32 count runs only
     when the bound falls short of the threshold, and its floor decides the
-    attempt and fills the S-fail message.  Both routes accept exactly the
+    attempt and fills the S-fail message.  Every route accepts exactly the
     attempts the exact count accepts, so the random stream is the same.
     Retries on a stuck walk (leaf-greedy-fail) and on a failed certificate
     (S-fail); a spent budget reports the last attempt's cause.
@@ -934,11 +961,8 @@ def build_absorber(
                 cause="S-fail",
             )
         pad = (tree.n - gap) - ell
-        extra = (
-            rng.choice(np.flatnonzero(free), size=pad, replace=False)
-            if pad else np.array([], dtype=np.int64)
-        )
-        a_set = np.array(sorted(set(hosts.tolist()) | set(int(x) for x in extra)), dtype=np.int64)
+        extra = rng.choice(np.flatnonzero(free), size=pad, replace=False) if pad else hosts[:0]
+        a_set = np.sort(np.concatenate((hosts, extra)))   # the walk cleared hosts from free
         return AbsorberState(
             d=d, tree=tree, t=t, trunk=trunk, rest=rest, shared=shared,
             order=order, hosts=hosts, a_set=a_set, anchor_host=anchor_host,

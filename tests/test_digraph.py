@@ -250,6 +250,8 @@ class TestDerivedAdjacency:
         assert min_semidegree(d) == 0 and d.alpha_hat == -0.5
         assert d.full_rows(Sign.PLUS).all()
         assert np.flatnonzero(d.full_rows(Sign.MINUS)).tolist() == [n - 1]
+        # Both signs' flags are built once: every call returns the same array.
+        assert all(d.full_rows(sign) is d.full_rows(sign) for sign in (Sign.PLUS, Sign.MINUS))
 
     def test_host_facts_against_brute_force_on_induced_hosts(self):
         rng = np.random.default_rng(31)

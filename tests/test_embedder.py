@@ -664,6 +664,75 @@ class TestPropertySFloor:
             want, _m = full_property_s_floor(d, tree, order, hosts)
             assert _property_s_floor(d, order, hosts) == want
 
+    @staticmethod
+    def full_row_case(family, n, ell, rng):
+        """A trunk of `family` on ell of n hosts, every trunk host with full rows.
+
+        Up to three arcs are removed between hosts off the trunk.  The "hub"
+        trunk is a path with a hub of ell // 2 leaves at vertex 0.
+        """
+        if family == "hub":
+            edges = [(0, i) if rng.integers(2) else (i, 0) for i in range(1, ell // 2 + 1)]
+            edges += [(i, i + 1) if rng.integers(2) else (i + 1, i) for i in range(ell // 2, ell - 1)]
+            tree = OrientedTree(ell, edges)
+        else:
+            tree = gen_random_tree(ell, ell if family in ("star", "broom") else 3, family, rng)
+        order = prefix_order(tree, int(rng.integers(ell)), "leaves_last_middles_consecutive")
+        hosts = rng.permutation(n)[:ell].astype(np.int64)
+        mat = np.ones((n, n), dtype=bool)
+        np.fill_diagonal(mat, False)
+        off = np.setdiff1d(np.arange(n), hosts)
+        for _ in range(int(rng.integers(4)) if len(off) > 1 else 0):
+            u, w = rng.choice(off, size=2, replace=False)
+            mat[u, w] = False
+        return Digraph(n, mat), tree, order, hosts
+
+    @pytest.mark.parametrize("family", ["star", "broom", "hub", "spider", "uniform"])
+    def test_full_row_closed_form(self, family):
+        # On full trunk rows the floor is ell - 1 - Delta, plus one on a star,
+        # over all n hosts or fewer, with arcs missing between non-trunk hosts.
+        rng = np.random.default_rng(["star", "broom", "hub", "spider", "uniform"].index(family))
+        for trial in range(16):
+            n = int(rng.integers(6, 32))
+            ell = n if trial % 4 == 0 else int(rng.integers(3, n))
+            d, tree, order, hosts = self.full_row_case(family, n, ell, rng)
+            floor, m = full_property_s_floor(d, tree, order, hosts)
+            max_a = ell - min(d.mat[:, hosts].sum(axis=1).min(), d.mat[hosts].sum(axis=0).min())
+            bound = ell - int(max_a) - int(ell - m.sum(axis=1).min())
+            delta = max(tree.degree(v) for v in range(ell))
+            assert bound == ell - 1 - delta
+            assert floor == bound + (bound == 0)
+            assert (bound == 0) == (delta == ell - 1) >= (family == "star")
+            assert _property_s_floor(d, order, hosts) == floor
+            assert _property_s_floor(d, order, hosts, bound) == bound
+            assert _property_s_floor(d, order, hosts, bound + 1) == floor
+
+    def test_full_row_route_reads_no_row(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a host row was read")
+
+        rng = np.random.default_rng(7)
+        cases = [self.full_row_case(family, 40, 30, rng) for family in ("hub", "uniform", "star")]
+        want = [full_property_s_floor(d, tree, order, hosts)[0] for d, tree, order, hosts in cases]
+        monkeypatch.setattr(embedder, "_arc_rows", no_rows)
+        assert [_property_s_floor(d, order, hosts) for d, _t, order, hosts in cases] == want
+
+    def test_one_arc_off_a_trunk_host_reads_rows(self, monkeypatch):
+        # Without the arc hosts[0] -> hosts[1] the full-row test fails, and the
+        # row blocks give the dense floor.
+        rng = np.random.default_rng(8)
+        reads = []
+        arc_rows = embedder._arc_rows
+        monkeypatch.setattr(embedder, "_arc_rows", lambda *args: reads.append(1) or arc_rows(*args))
+        for family in ("hub", "uniform", "star"):
+            d, tree, order, hosts = self.full_row_case(family, 40, 30, rng)
+            mat = d.mat.copy()
+            mat[hosts[0], hosts[1]] = False
+            d = Digraph(40, mat)
+            reads.clear()
+            assert _property_s_floor(d, order, hosts) == full_property_s_floor(d, tree, order, hosts)[0]
+            assert reads
+
     def test_complete_host_build_allocates_less_than_one_count_matrix(self):
         # The dense certificate peaked near 14 n^2 bytes here: several n x n
         # float32 and int32 count matrices.  One of them alone is 4 n^2.

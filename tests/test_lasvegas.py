@@ -189,6 +189,27 @@ class TestRetry:
         }
         assert len(walks) == 2
 
+    def test_greedy_route_reports_its_failed_tries(self, monkeypatch):
+        # A 10-vertex tree takes the greedy route; its first three walks get
+        # stuck, and the telemetry has the main route's shape.
+        walks = []
+
+        def stuck_three_times(*args, **kwargs):
+            walks.append(1)
+            return None if len(walks) <= 3 else greedy_walk(*args, **kwargs)
+
+        monkeypatch.setattr(embedder, "greedy_walk", stuck_three_times)
+        rng = np.random.default_rng(3)
+        d = gen_semidegree_digraph(60, 0.25, rng)
+        tree = gen_random_tree(10, 3, "uniform", rng)
+        emb, telemetry = embed_almost_spanning(d, tree, 0, 7, spanning_defaults(60, 0.25), rng)
+        assert is_valid_embedding(d, tree, emb) and emb[0] == 7
+        assert telemetry == {
+            "phase_retries": {"almost": 3},
+            "failures": [{"attempt": i, "phase": "almost", "cause": "leaf-greedy-fail"} for i in range(3)],
+        }
+        assert len(walks) == 4
+
     def test_failed_attempts_free_their_induced_hosts(self, monkeypatch):
         # Every path attachment fails, so each almost attempt induces one V1
         # and fails, and the spanning loop spends its two outer attempts.

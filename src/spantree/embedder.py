@@ -119,27 +119,26 @@ def embed_core_with_leaf_sets(
     tree: OrientedTree,
     core: set[int],
     leaf_parts: list[tuple[list[int], Sign]],
-    targets: list[np.ndarray],
     s: int,
     guides: GuideSystem,
     rng: np.random.Generator,
 ) -> Embedding:
     """Randomly embed the core into V0 via guide draws, then match each leaf part.
 
-    `targets[0]` is V0; `targets[j]` hosts leaf part j-1.  The tree anchor
-    (tree.t) goes to `s`.  Each non-anchor core vertex is drawn uniformly
+    V0 is `guides.v0_mask`; `guides.parts[j]` hosts leaf part j.  The tree
+    anchor (tree.t) goes to `s`.  Each non-anchor core vertex is drawn uniformly
     from the unused part of the guide set keyed by its parent's image; each
     leaf of part j is matched inside V_j along the guide-graph rows of the
     embedded vertices (anchor and stray component roots fall back to plain
     host adjacency rows, since no guide produced them).  Every vertex of
     part j must hang on the core by one edge of sign leaf_parts[j][1].
     """
-    v0 = targets[0]
     anchor = tree.t
-    v0_free = np.zeros(d.n, dtype=bool)
-    v0_free[v0] = True
+    v0_free = guides.v0_mask.copy()
     if anchor not in core:
         raise ValueError(f"tree anchor {anchor} is not a core vertex")
+    if not 0 <= s < d.n:
+        raise ValueError(f"anchor host {s} outside 0..{d.n - 1}")
     if not v0_free[int(s)]:
         raise ValueError(f"anchor host {s} is not in V0")
 
@@ -166,7 +165,7 @@ def embed_core_with_leaf_sets(
         v0_free[host] = False
 
     for j, (part_vertices, circ) in enumerate(leaf_parts):
-        cols = np.asarray(targets[j + 1], dtype=np.int64)
+        cols = guides.parts[j]
         parent_of: list[int] = []
         for u in part_vertices:
             parents = [w for w in tree.nbrs(u) if w in core]
@@ -346,15 +345,10 @@ def _embed_stars_once(
     sets = _parts_holding(d, layout.sizes, rng, None, v, 60)
     if sets is None:
         raise GuideBuildError(f"anchor {v} never landed in V0 across 60 partitions")
-    v0 = sets[0]
-    part_targets = sets[1 : 1 + len(parts)]
-
-    guides = GuideSystem(d, v0, part_targets, layout.mu_count)
+    guides = GuideSystem(d, sets[0], sets[1 : 1 + len(parts)], layout.mu_count)
 
     core_tree = tree if tree.t == t else tree.with_t(t)
-    emb = embed_core_with_leaf_sets(
-        d, core_tree, tprime, parts, [v0] + part_targets, v, guides, rng
-    )
+    emb = embed_core_with_leaf_sets(d, core_tree, tprime, parts, v, guides, rng)
 
     # Lean stars: greedy walk from the attach image, leaves batch-matched.
     # Candidates are read in the iteration order of a set of the pool's
@@ -404,6 +398,9 @@ def attach_path_trees(
     """
     if not pieces:
         return []
+    for i, pair in enumerate(anchors):
+        if not all(0 <= h < d.n for h in pair):
+            raise ValueError(f"anchors[{i}] = {tuple(pair)} holds a host outside 0..{d.n - 1}")
     pool = np.arange(d.n, dtype=np.int64) if pool is None else pool
     n = len(pool)
     anchor_hosts = {h for pair in anchors for h in pair}
@@ -938,8 +935,7 @@ def build_absorber(
     swap_count = rest.tree.n - 1
     threshold = params.switch_threshold(n, swap_count)
 
-    local_t = int(np.searchsorted(trunk.labels, t))
-    order = prefix_order(trunk.tree, local_t, "leaves_last_middles_consecutive")
+    order = prefix_order(trunk.tree, trunk.tree.t, "leaves_last_middles_consecutive")
     ell = trunk.tree.n
     if ell <= threshold:
         raise PhaseFailure(
@@ -990,6 +986,8 @@ def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
     d = state.d
     # B as a set: a repeated host counts once (np.unique would load numpy.ma on first use).
     b = np.array(sorted(set(map(int, b_set))), dtype=np.int64)
+    if len(bad := b[(b < 0) | (b >= d.n)]):
+        raise ValueError(f"B holds host {bad[0]} outside 0..{d.n - 1}")
     a_set = set(int(x) for x in state.a_set)
     if not a_set <= set(b.tolist()):
         raise ValueError("B must contain A")

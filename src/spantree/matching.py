@@ -167,19 +167,13 @@ def embed_tree_copies(
 
 def _centroids(tree: OrientedTree) -> list[int]:
     """The one or two vertices minimizing the largest component of T - v."""
-    best = tree.n + 1
-    out: list[int] = []
-    parent, sub = subtree_sizes(tree, 0)
-    for v in range(tree.n):
-        worst = tree.n - sub[v]
-        for u in tree.nbrs(v):
-            if parent[u] == v:
-                worst = max(worst, sub[u])
-        if worst < best:
-            best, out = worst, [v]
-        elif worst == best:
-            out.append(v)
-    return out
+    _order, parent, size = subtree_sizes(tree, 0)
+    worst = [tree.n - s for s in size]   # the vertices above v, then v's largest child subtree
+    for p, s in zip(parent, size):
+        if p >= 0 and s > worst[p]:
+            worst[p] = s
+    best = min(worst)
+    return [v for v, w in enumerate(worst) if w == best]
 
 
 class ForestEmbedError(PipelineError):

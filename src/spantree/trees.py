@@ -277,23 +277,27 @@ def components(tree: OrientedTree, vertices) -> list[list[int]]:
     return pieces
 
 
-def subtree_sizes(tree: OrientedTree, root: int) -> tuple[list[int], list[int]]:
-    """(parent, size) of `tree` hung at `root`, with parent[root] = -1.
+def subtree_sizes(tree: OrientedTree, root: int) -> tuple[list[int], list[int], list[int]]:
+    """(order, parent, size) of `tree` hung at `root`, with parent[root] = -1.
 
+    `order` is a depth-first preorder: each vertex pushes its children in row order and the last
+    pushed is visited first, so the subtree below order[i] is the slice order[i : i + size[order[i]]].
     size[v] counts the vertices of the subtree below v, v included.
     """
-    parent = [-1] * tree.n
-    order = [root]
-    for v in order:
-        for u in tree.nbrs(v):
-            if u != parent[v]:
+    und, parent = tree._und, [-1] * tree.n
+    order, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        p = parent[v]
+        for u in und[v]:
+            if u != p:
                 parent[u] = v
-                order.append(u)
+                stack.append(u)
     size = [1] * tree.n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    return parent, size
+    for v in order[:0:-1]:   # children before parents; the root has no parent to add to
+        size[parent[v]] += size[v]
+    return order, parent, size
 
 
 @dataclass(frozen=True)
@@ -357,10 +361,13 @@ def induced_subtree(tree: OrientedTree, vertices, t: int | None = None) -> TreeP
 
 
 def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
-    """Split into edge-disjoint subtrees T1, T2 sharing one vertex, m <= |T2| <= 3m.
+    """Split into edge-disjoint subtrees T1, T2 sharing one vertex, m <= |T2| <= 2m - 1.
 
-    `keep` (default: tree.t or 0) is guaranteed to be a vertex of T1.
-    Returns (piece1, piece2, shared) with pieces carrying host labels.
+    `keep` (default: tree.t or 0) is a vertex of T1 and piece 1's `t`.  Returns (piece1, piece2,
+    shared) with pieces carrying host labels.  The pivot, shared, is the last vertex of the preorder from
+    `keep` whose subtree holds m or more, so each of its children's holds fewer.  T2 is the pivot
+    plus children's subtrees (preorder slices), smallest first, until they hold m - 1: the last
+    one taken starts below m - 1 and adds below m, so |T2| <= 2m - 1.
     """
     if not (1 <= m <= tree.n / 3):
         raise ValueError(f"need 1 <= m <= |T|/3, got m={m}, |T|={tree.n}")
@@ -368,30 +375,17 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
         raise ValueError(f"keep vertex {keep} outside 0..{tree.n - 1}")
     root = keep if keep is not None else (tree.t if tree.t is not None else 0)
 
-    parent, size = subtree_sizes(tree, root)
-
-    # Deepest vertex with subtree size >= m; all its children subtrees are < m.
-    pivot = down = root
-    while down is not None:
-        pivot = down
-        down = next((u for u in tree.nbrs(pivot) if u != parent[pivot] and size[u] >= m), None)
-
-    children = sorted(
-        (u for u in tree.nbrs(pivot) if u != parent[pivot]),
-        key=lambda u: size[u],
-    )
-    below: list[int] = []   # the taken children, then every vertex under them
-    total = 0
-    for u in children:
-        if total >= m - 1:
+    order, parent, size = subtree_sizes(tree, root)
+    at = next(i for i in range(tree.n - 1, -1, -1) if size[order[i]] >= m)
+    pivot = order[at]
+    # The pivot's children as visited (highest id first), each with its slice's start.
+    children = [u for u in reversed(tree.nbrs(pivot)) if u != parent[pivot]]
+    starts = accumulate([size[u] for u in children], initial=at + 1)
+    below: list[int] = []   # the vertices of the taken children's subtrees
+    for u, i in sorted(zip(children, starts), key=lambda c: (size[c[0]], c[0])):
+        if len(below) >= m - 1:
             break
-        below.append(u)
-        total += size[u]
-
-    # T2 is the pivot plus the subtrees of the taken children; T1 is the
-    # rest, which holds the root and the pivot.
-    for v in below:
-        below.extend(u for u in tree._und[v] if u != parent[v])
+        below += order[i : i + size[u]]
     piece2 = induced_subtree(tree, [pivot, *below])
     piece1 = induced_subtree(tree, np.delete(np.arange(tree.n), below), t=root)
     return piece1, piece2, pivot

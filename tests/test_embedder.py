@@ -40,7 +40,7 @@ class TestCoreWithLeafSets:
         part = np.arange(10, 20)
         system = GuideSystem(d, v0, [part], mu_count=4, eps=0.2, eta=1.0, alpha=0.45)
         emb = embed_core_with_leaf_sets(
-            d, tree, {0}, [([1], Sign.PLUS)], [v0, part], 3, system, rng
+            d, tree, {0}, [([1], Sign.PLUS)], 3, system, rng
         )
         assert emb[0] == 3
         assert emb[1] in set(part.tolist())
@@ -54,7 +54,7 @@ class TestCoreWithLeafSets:
         system = GuideSystem(d, v0, [part], mu_count=4, eps=0.2, eta=1.0, alpha=0.45)
         with pytest.raises(MatchingError) as info:
             embed_core_with_leaf_sets(
-                d, tree, {0}, [([1], Sign.PLUS)], [v0, part], 3, system, np.random.default_rng(0)
+                d, tree, {0}, [([1], Sign.PLUS)], 3, system, np.random.default_rng(0)
             )
         assert str(info.value).startswith("leaf part 0: no matching")
 
@@ -74,7 +74,18 @@ class TestCoreWithLeafSets:
         v0, part = np.arange(0, 10), np.arange(10, 20)
         system = GuideSystem(d, v0, [part], mu_count=4, eps=0.2, eta=1.0, alpha=0.45)
         with pytest.raises(ValueError, match=message):
-            embed_core_with_leaf_sets(d, tree, core, parts, [v0, part], s, system,
+            embed_core_with_leaf_sets(d, tree, core, parts, s, system,
+                                      np.random.default_rng(0))
+
+    @pytest.mark.parametrize("s", [30, -1, -30])
+    def test_anchor_host_outside_the_host_is_named(self, s):
+        # V0 holds hosts 29 and 0, which -1 and -30 would alias; 30 would index past the end.
+        d = complete(30)
+        tree = OrientedTree(2, [(0, 1)], t=0)
+        v0, part = np.r_[0:5, 25:30], np.arange(5, 15)
+        system = GuideSystem(d, v0, [part], mu_count=4, eps=0.2, eta=1.0, alpha=0.45)
+        with pytest.raises(ValueError, match=rf"^anchor host {s} outside 0\.\.29$"):
+            embed_core_with_leaf_sets(d, tree, {0}, [([1], Sign.PLUS)], s, system,
                                       np.random.default_rng(0))
 
     def test_core_lands_in_v0_and_leaves_in_parts(self):
@@ -96,7 +107,7 @@ class TestCoreWithLeafSets:
         emb = embed_core_with_leaf_sets(
             d, tree, set(range(6)),
             [(out_leaves, Sign.PLUS), (in_leaves, Sign.MINUS)],
-            [v0, p1, p2], 5, system, rng,
+            5, system, rng,
         )
         assert is_valid_embedding(d, tree, emb)
         for v in range(6):
@@ -130,7 +141,7 @@ class TestCoreMonteCarlo:
                 system = GuideSystem(d, v0, [part], mu_count=45, eps=0.2, eta=1.0, alpha=0.3)
                 emb = embed_core_with_leaf_sets(
                     d, tree, set(range(core_n)), [(leaves, Sign.PLUS)],
-                    [v0, part], 3, system, rng,
+                    3, system, rng,
                 )
                 wins += is_valid_embedding(d, tree, emb)
             except Exception:
@@ -342,6 +353,14 @@ class TestAttachPathTrees:
             attach_path_trees(complete(30), tree, [path_piece(0, 5), path_piece(5, 5)],
                               [(1, 2), (2, 3)], params, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [30, -1, -30])
+    def test_anchor_outside_the_host_is_named(self, bad):
+        # -1 and -30 once aliased hosts 29 and 0; 30 raised a bare IndexError.
+        tree = OrientedTree(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match=rf"^anchors\[0\] = \(3, {bad}\) holds a host outside 0\.\.29$"):
+            attach_path_trees(complete(30), tree, [path_piece(0, 5)], [(3, bad)],
+                              ParamSchedule(alpha=0.45, retries=3), np.random.default_rng(0))
+
     @pytest.mark.parametrize(
         "edges, piece, message",
         [
@@ -544,6 +563,19 @@ class TestAbsorber:
         bad = np.arange(tree.n)  # ignores A entirely
         with pytest.raises(ValueError, match="^B must contain A$"):
             complete_absorption(state, bad)
+
+    @pytest.mark.parametrize("bad", [200, -1, -200])
+    def test_completion_names_a_host_outside_the_host(self, bad):
+        # 200 once raised a bare IndexError and -1 a retryable VerificationError.
+        d = complete(200)
+        params = spanning_defaults(200, 0.45)
+        tree = gen_random_tree(params.absorber_size(200), 3, "uniform",
+                               np.random.default_rng(4)).with_t(0)
+        state = build_absorber(d, tree, 0, params, np.random.default_rng(5))
+        a = state.a_set.tolist()
+        extra = sorted(set(range(200)) - set(a))[: tree.n - len(a) - 1]
+        with pytest.raises(ValueError, match=rf"^B holds host {bad} outside 0\.\.199$"):
+            complete_absorption(state, np.array(a + extra + [bad]))
 
     def test_completion_requires_b_of_size_t(self):
         d = complete(200)

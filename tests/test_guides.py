@@ -308,7 +308,7 @@ class TestRestriction:
         v0, part = np.arange(0, 10), np.arange(10, 20)
         system = GuideSystem(d, v0, [part], mu_count=4, eps=0.2, eta=1.0, alpha=0.45)
         emb = embed_core_with_leaf_sets(d, tree, set(range(5)), [(list(range(5, 10)), Sign.PLUS)],
-                                        [v0, part], 3, system, np.random.default_rng(0))
+                                        3, system, np.random.default_rng(0))
         assert is_valid_embedding(d, tree, emb)
         entry = system.get(3, Sign.PLUS)
         with pytest.raises(GuideRestrictError, match=r"'Q3', 3, '\+', '\+', 10, 5, 4"):
@@ -323,7 +323,7 @@ class TestRestriction:
         tree = OrientedTree(3, [(0, 1), (1, 2)], t=0)
         v0, part = np.arange(0, 40), np.arange(40, 100)
         system = GuideSystem(d, v0, [part], mu_count=6, eps=0.3, eta=1.0, alpha=0.45)
-        emb = embed_core_with_leaf_sets(d, tree, {0, 1}, [([2], Sign.PLUS)], [v0, part], 3, system,
+        emb = embed_core_with_leaf_sets(d, tree, {0, 1}, [([2], Sign.PLUS)], 3, system,
                                         np.random.default_rng(0))
         assert is_valid_embedding(d, tree, emb) and emb[2] >= 40
         with pytest.raises(GuideRestrictError, match=r"'Q2', 3, '\+', '-', \d+, 0, 6"):

@@ -229,7 +229,7 @@ class TestSplitTree:
         tree = gen_random_tree(n, 3, "uniform", rng)
         m = int(rng.integers(1, n // 3 + 1))
         p1, p2, shared = split_tree(tree, m)
-        assert m <= p2.tree.n <= 3 * m
+        assert m <= p2.tree.n <= 2 * m - 1
         assert p1.tree.n + p2.tree.n == n + 1
         both = np.intersect1d(p1.labels, p2.labels)
         assert len(both) == 1 and both[0] == shared
@@ -911,7 +911,7 @@ def tree_distances(tree):
 
 
 class TestGuestTreeWalks:
-    """`components`, `subtree_sizes` and `induced_subtree` against walk-free references."""
+    """`components`, `subtree_sizes`, `_centroids` and `induced_subtree` against walk-free references."""
 
     @given(st.integers(0, 10_000), st.integers(1, 60), st.sampled_from(["uniform", "spider", "caterpillar"]))
     @settings(max_examples=80, deadline=None)
@@ -935,14 +935,22 @@ class TestGuestTreeWalks:
         rng = np.random.default_rng(seed)
         tree = gen_random_tree(n, 3, "uniform", rng)
         root = int(rng.integers(n))
-        parent, size = subtree_sizes(tree, root)
+        order, parent, size = subtree_sizes(tree, root)
         dist = tree_distances(tree)
-        assert parent[root] == -1
-        for v in range(n):
+        assert parent[root] == -1 and order[0] == root and sorted(order) == list(range(n))
+        for i, v in enumerate(order):
             if v != root:
                 assert v in tree.nbrs(parent[v]) and dist[root, parent[v]] == dist[root, v] - 1
-            # v's subtree: every u whose path from the root runs through v.
-            assert size[v] == int((dist[root] == dist[root, v] + dist[v]).sum())
+            # v's subtree: every u whose path from the root runs through v, and the slice at v.
+            below = np.flatnonzero(dist[root] == dist[root, v] + dist[v]).tolist()
+            assert size[v] == len(below) and sorted(order[i : i + size[v]]) == below
+
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from(["uniform", "spider", "caterpillar"]))
+    @settings(max_examples=60, deadline=None)
+    def test_centroids_match_component_sizes(self, seed, n, family):
+        tree = gen_random_tree(n, 3, family, np.random.default_rng(seed))
+        worst = [max(map(len, components(tree, set(range(n)) - {v})), default=0) for v in range(n)]
+        assert _centroids(tree) == [v for v in range(n) if worst[v] == min(worst)]
 
     @given(st.integers(0, 10_000), st.integers(2, 60))
     @settings(max_examples=60, deadline=None)

@@ -153,12 +153,11 @@ def _run_isolated_phase(args, d, tree, params, rng) -> int:
                 return 1
             perm = rng.permutation(d.n)
             anchor_pairs = [(int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(len(td.pieces))]
-            maps = attach_path_trees(d, tree, td.pieces, anchor_pairs, params, rng)
-            emb = Embedding()
-            for p, (a, b), pmap in zip(td.pieces, anchor_pairs, maps):
-                for tv, host in ((p.x, a), (p.y, b), *pmap.items()):
-                    emb.assign(tv, host, "paths")
-            telemetry = {"phase": "paths", "pieces": len(maps)}
+            vertices, hosts = attach_path_trees(d, tree, td.pieces, anchor_pairs, params, rng)
+            ends = np.array([(p.x, p.y) for p in td.pieces], dtype=np.int64).ravel()
+            emb = Embedding.of(np.concatenate((ends, vertices)),
+                               np.concatenate((np.ravel(anchor_pairs), hosts)), "paths")
+            telemetry = {"phase": "paths", "pieces": len(td.pieces)}
     except PipelineError as exc:
         return _emit_failure(args, exc)
     if not all(d.has_edge(emb[u], emb[w]) for u, w in zip(*tree.edges.T.tolist()) if u in emb and w in emb):

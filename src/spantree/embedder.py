@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,7 @@ from .embedding import (
     VerificationError,
     draw_host,
     greedy_walk,
-    is_valid_embedding,
+    image_is_embedding,
 )
 from .guides import GuideBuildError, GuideSystem
 from .matching import (
@@ -115,13 +115,8 @@ def _forest_order(tree: OrientedTree, core: set[int], anchor: int):
 
 
 def embed_core_with_leaf_sets(
-    d: Digraph,
-    tree: OrientedTree,
-    core: set[int],
-    leaf_parts: list[tuple[list[int], Sign]],
-    s: int,
-    guides: GuideSystem,
-    rng: np.random.Generator,
+    d: Digraph, tree: OrientedTree, core: set[int], leaf_parts: list[tuple[list[int], Sign]],
+    s: int, guides: GuideSystem, rng: np.random.Generator,
 ) -> Embedding:
     """Randomly embed the core into V0 via guide draws, then match each leaf part.
 
@@ -142,7 +137,7 @@ def embed_core_with_leaf_sets(
     if not v0_free[int(s)]:
         raise ValueError(f"anchor host {s} is not in V0")
 
-    emb = Embedding()
+    host_of: dict[int, int] = {}   # core vertex -> host
     provenance: dict[int, tuple] = {}
 
     for vertex, parent, sign in _forest_order(tree, core, anchor):
@@ -153,17 +148,18 @@ def embed_core_with_leaf_sets(
             if host is None:
                 raise GuideBuildError("V0 exhausted while placing component roots")
         else:
-            entry = guides.get(emb[parent], sign)
+            entry = guides.get(host_of[parent], sign)
             host = draw_host(v0_free, rng, order=entry.guide)
             if host is None:
                 raise GuideBuildError(
-                    f"guide set exhausted at (v={emb[parent]}, {sign}) "
-                    f"after {len(emb)} core draws"
+                    f"guide set exhausted at (v={host_of[parent]}, {sign}) "
+                    f"after {len(host_of)} core draws"
                 )
             provenance[vertex] = (entry, host)
-        emb.assign(vertex, host, "core")
+        host_of[vertex] = host
         v0_free[host] = False
 
+    vertices, hosts = [np.fromiter(host_of, np.int64)], [np.fromiter(host_of.values(), np.int64)]
     for j, (part_vertices, circ) in enumerate(leaf_parts):
         cols = guides.parts[j]
         parent_of: list[int] = []
@@ -185,12 +181,12 @@ def embed_core_with_leaf_sets(
             # host edges, only the steering is lost).
             row = read.get(p)
             if row is None or int(row.sum()) < multiplicity[p]:
-                row = d.adj_row(emb[p], circ)[cols]
+                row = d.adj_row(host_of[p], circ)[cols]
             rows[r] = row
-        hosts = cols[covering_matching(rows, what=f"leaf part {j}")]
-        for u, host in zip(part_vertices, hosts.tolist()):
-            emb.assign(u, host, "leafset")
-    return emb
+        vertices.append(np.array(part_vertices, dtype=np.int64))
+        hosts.append(cols[covering_matching(rows, what=f"leaf part {j}")])
+    return Embedding.of(np.concatenate(vertices), np.concatenate(hosts),
+                        ["core"] * len(host_of) + ["leafset"] * sum(map(len, vertices[1:])))
 
 
 @dataclass(frozen=True)
@@ -209,26 +205,14 @@ def stars_from_decomposition(td: TreeDecomposition) -> list[StarComponent]:
     for v, hang in sorted(td.stars.items()):
         for comp in components(tree, hang):
             roots = [x for x in comp if v in tree.nbrs(x)]
-            out.append(
-                StarComponent(
-                    attach=v,
-                    root=roots[0],
-                    sign=tree.edge_sign(v, roots[0]),
-                    vertices=tuple(comp),
-                )
-            )
+            out.append(StarComponent(
+                attach=v, root=roots[0], sign=tree.edge_sign(v, roots[0]), vertices=tuple(comp)))
     return out
 
 
 def embed_stars(
-    d: Digraph,
-    tree: OrientedTree,
-    tprime: set[int],
-    stars: list[StarComponent],
-    t: int,
-    v: int,
-    params: ParamSchedule,
-    rng: np.random.Generator,
+    d: Digraph, tree: OrientedTree, tprime: set[int], stars: list[StarComponent], t: int, v: int,
+    params: ParamSchedule, rng: np.random.Generator,
 ) -> Embedding:
     """Embed T' plus all its edge-attached star trees, anchoring t to v.
 
@@ -257,10 +241,7 @@ class _StarLayout:
 
 
 def _star_layout(
-    d: Digraph,
-    tree: OrientedTree,
-    tprime: set[int],
-    stars: list[StarComponent],
+    d: Digraph, tree: OrientedTree, tprime: set[int], stars: list[StarComponent],
 ) -> _StarLayout:
     """Split the stars into leaf parts and lean pieces, size the host sets and the guides.
 
@@ -332,12 +313,7 @@ def _star_layout(
 
 
 def _embed_stars_once(
-    d: Digraph,
-    tree: OrientedTree,
-    tprime: set[int],
-    layout: _StarLayout,
-    t: int,
-    v: int,
+    d: Digraph, tree: OrientedTree, tprime: set[int], layout: _StarLayout, t: int, v: int,
     rng: np.random.Generator,
 ) -> Embedding:
     n = d.n
@@ -357,33 +333,28 @@ def _embed_stars_once(
         pool = sets[-1]
         free = np.zeros(n, dtype=bool)
         free[pool] = True
-        maps = walk_lean_pieces(
+        images = walk_lean_pieces(
             d,
             [(piece.tree, local_root, (emb[st.attach], st.sign)) for st, piece, local_root in lean],
             free, rng, "lean star leaves",
             host_order=np.fromiter(set(int(x) for x in pool), dtype=np.int64),
         )
-        for (_st, piece, _root), mapping in zip(lean, maps):
-            labels = piece.labels.tolist()
-            for lv, host in mapping.items():
-                emb.assign(labels[lv], host, "stars")
-
+        vertices, hosts = emb.arrays()
+        vertices = np.concatenate((vertices, *(piece.labels for _st, piece, _root in lean)))
+        emb = Embedding.of(vertices, np.concatenate((hosts, *images)),
+                           [*emb.phase.values()] + ["stars"] * (len(vertices) - len(emb)))
     return emb
 
 
 def attach_path_trees(
-    d: Digraph,
-    tree: OrientedTree,
-    pieces: list[PathPiece],
-    anchors: list[tuple[int, int]],
-    params: ParamSchedule,
-    rng: np.random.Generator,
-    pool: np.ndarray | None = None,
-) -> list[dict[int, int]]:
+    d: Digraph, tree: OrientedTree, pieces: list[PathPiece], anchors: list[tuple[int, int]],
+    params: ParamSchedule, rng: np.random.Generator, pool: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Embed each piece's mids and body, its anchors x and y at prescribed hosts.
 
-    anchors[i] = (a_i, b_i) hosts pieces[i].x and pieces[i].y.  Returns, per
-    piece, a map from tree ids to hosts for its added vertices.  The bodies
+    anchors[i] = (a_i, b_i) hosts pieces[i].x and pieces[i].y.  Returns two
+    int64 arrays: the tree ids of every piece's added vertices (the bodies,
+    then each piece's mid_x and mid_y) and their hosts.  The bodies
     are embedded as a small forest away from a sampled buffer B; each mid is
     then drawn inside B from the intersection of its anchor's and its body
     neighbour's neighborhoods.  Inducing the bodies, reading the mids' edges
@@ -397,7 +368,7 @@ def attach_path_trees(
     a set of those ranks.
     """
     if not pieces:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     for i, pair in enumerate(anchors):
         if not all(0 <= h < d.n for h in pair):
             raise ValueError(f"anchors[{i}] = {tuple(pair)} holds a host outside 0..{d.n - 1}")
@@ -408,18 +379,21 @@ def attach_path_trees(
         raise ValueError("anchors must be pairwise distinct")
 
     bodies = induced_subtrees(tree, [p.body for p in pieces])
-    # Per piece, (mid, sign seen from its anchor, body neighbour, sign seen
-    # from it) for mid_x, then mid_y.
-    links: list[list[tuple[int, Sign, int, Sign]]] = []
-    for p in pieces:
+    body_vertices = np.concatenate([body.labels for body in bodies])
+    # Per mid, in piece order, mid_x then mid_y: (mid, anchor host, sign seen
+    # from the anchor, body neighbour's entry in body_vertices, sign seen from it).
+    links: list[tuple[int, int, Sign, int, Sign]] = []
+    offset = 0
+    for p, body, pair in zip(pieces, bodies, anchors):
         in_body = set(p.body)
-        piece_links = []
-        for mid, outer in ((p.mid_x, p.x), (p.mid_y, p.y)):
+        for mid, outer, outer_host in ((p.mid_x, p.x, pair[0]), (p.mid_y, p.y, pair[1])):
             inner = [u for u in tree.nbrs(mid) if u in in_body]
             if len(inner) != 1:
                 raise ValueError(f"mid {mid} must have exactly one body neighbour, has {len(inner)}")
-            piece_links.append((mid, tree.edge_sign(outer, mid), inner[0], tree.edge_sign(inner[0], mid)))
-        links.append(piece_links)
+            at = offset + int(np.searchsorted(body.labels, inner[0]))
+            links.append((mid, outer_host, tree.edge_sign(outer, mid), at, tree.edge_sign(inner[0], mid)))
+        offset += len(body.labels)
+    vertices = np.concatenate((body_vertices, [link[0] for link in links]))
 
     rest_rank = np.flatnonzero(~np.isin(pool, list(anchor_hosts)))
     rest = pool[rest_rank]
@@ -447,7 +421,7 @@ def attach_path_trees(
             attempts=1,
         )
 
-    def once() -> list[dict[int, int]]:
+    def once() -> tuple[np.ndarray, np.ndarray]:
         perm = rng.permutation(len(rest))
         buffer = set(int(x) for x in rest_rank[perm[:b_size]])
         # Connector candidates are read in the iteration order of a copy of
@@ -456,37 +430,28 @@ def attach_path_trees(
         buffer_order = pool[np.fromiter(set(buffer), dtype=np.int64)]
         free_buffer = np.zeros(d.n, dtype=bool)
         free_buffer[buffer_order] = True
-        body_maps = embed_small_forest(
+        body_hosts = np.concatenate(embed_small_forest(
             d, [body.tree for body in bodies], eps_eff, rng,
             pool=rest[perm[b_size:]],
-        )
-        out: list[dict[int, int]] = []
-        for body, piece_links, pair, bmap in zip(bodies, links, anchors, body_maps):
-            labels = body.labels.tolist()
-            full = {labels[bv]: host for bv, host in bmap.items()}
-            for (mid, sign_out, inner, sign_in), outer_host in zip(piece_links, pair):
-                row = d.adj_row(outer_host, sign_out) & d.adj_row(full[inner], sign_in)
-                host = draw_host(row & free_buffer, rng, buffer_order)
-                if host is None:
-                    raise ForestEmbedError(
-                        f"connector intersection empty at anchor {outer_host}",
-                        cause="connector-exhausted",
-                    )
-                full[mid] = host
-                free_buffer[host] = False
-            out.append(full)
-        return out
+        ))
+        mid_hosts = []
+        for _mid, outer_host, sign_out, at, sign_in in links:
+            row = d.adj_row(outer_host, sign_out) & d.adj_row(int(body_hosts[at]), sign_in)
+            host = draw_host(row & free_buffer, rng, buffer_order)
+            if host is None:
+                raise ForestEmbedError(
+                    f"connector intersection empty at anchor {outer_host}",
+                    cause="connector-exhausted",
+                )
+            mid_hosts.append(host)
+            free_buffer[host] = False
+        return vertices, np.concatenate((body_hosts, mid_hosts))
 
     return _retry("paths", params.retries, once)
 
 
 def embed_almost_spanning(
-    d: Digraph,
-    tree: OrientedTree,
-    t: int,
-    v: int,
-    params: ParamSchedule,
-    rng: np.random.Generator,
+    d: Digraph, tree: OrientedTree, t: int, v: int, params: ParamSchedule, rng: np.random.Generator,
     pool: np.ndarray | None = None,
 ) -> tuple[Embedding, dict]:
     """Verified copy of an almost-spanning tree with t embedded to v.
@@ -579,7 +544,7 @@ def embed_almost_spanning(
             in_v3 = in_pool.copy()
             in_v3[v1] = in_v3[v2] = False
             emb = _assemble_almost(d, tree, t, v, params, rng, td, stars, v1, v2, pool, in_v3)
-            if not is_valid_embedding(d, tree, emb):
+            if not image_is_embedding(d, tree, emb.image()):
                 raise VerificationError("almost-spanning embedding failed verification")
             return emb
 
@@ -624,15 +589,8 @@ def _check_degree_cap(tree: OrientedTree, params: ParamSchedule, n: int) -> None
 
 
 def _greedy(
-    d: Digraph,
-    tree: OrientedTree,
-    t: int,
-    v: int | None,
-    params: ParamSchedule,
-    rng: np.random.Generator,
-    phase: str,
-    within: np.ndarray | None = None,
-    log: list | None = None,
+    d: Digraph, tree: OrientedTree, t: int, v: int | None, params: ParamSchedule,
+    rng: np.random.Generator, phase: str, within: np.ndarray | None = None, log: list | None = None,
 ) -> tuple[Embedding, int]:
     """Verified greedy prefix embedding with t at v, for trees far below host scale.
 
@@ -654,55 +612,38 @@ def _greedy(
         return hosts
 
     hosts = _retry(phase, params.retries, once, log)
-    emb = Embedding()
-    for tv, host in zip(order.order, hosts):
-        emb.assign(tv, host, "greedy")
-    if not is_valid_embedding(d, tree, emb):
+    emb = Embedding.of(np.array(order.order, dtype=np.int64), hosts, "greedy")
+    if not image_is_embedding(d, tree, emb.image()):
         raise VerificationError(f"{phase} greedy embedding failed verification")
     return emb, len(log) + 1
 
 
 def _assemble_almost(
-    d: Digraph,
-    tree: OrientedTree,
-    t: int,
-    v: int,
-    params: ParamSchedule,
-    rng: np.random.Generator,
-    td: TreeDecomposition,
-    stars: list[StarComponent],
-    v1: np.ndarray,
-    v2: np.ndarray,
-    pool: np.ndarray,
-    v3_free: np.ndarray,
+    d: Digraph, tree: OrientedTree, t: int, v: int, params: ParamSchedule, rng: np.random.Generator,
+    td: TreeDecomposition, stars: list[StarComponent], v1: np.ndarray, v2: np.ndarray,
+    pool: np.ndarray, v3_free: np.ndarray,
 ) -> Embedding:
     # Star layer inside V1, the one induced host: guides and stars keep their
-    # local ids.  The guest tree keeps its own ids throughout.
+    # local ids.  The guest tree keeps its own ids throughout.  Each phase's
+    # map joins `image` (hosts by tree vertex, -1 where unplaced) in one scatter.
     d1, labels1 = d.induce(v1)
-    labels1 = labels1.tolist()
-    back1 = {h: i for i, h in enumerate(labels1)}
     emb1 = embed_stars(
-        d1,
-        tree,
-        {int(x) for x in td.t0},
-        stars,
-        t,
-        back1[v],
-        params,
-        rng,
+        d1, tree, {int(x) for x in td.t0}, stars, t, int(np.searchsorted(labels1, v)), params, rng,
     )
-    emb = Embedding()
-    for tv, lh in emb1.map.items():
-        emb.assign(tv, labels1[lh], emb1.phase.get(tv, "stars"))
+    vertices, hosts = emb1.arrays()
+    parts, phase = [(vertices, labels1[hosts])], [*emb1.phase.values()]
+    image = np.full(tree.n, -1, dtype=np.int64)
+    image[vertices] = parts[0][1]
 
     # Path pieces through V2 (anchors cross over from V1).
     if td.pieces:
-        anchor_pairs = [(emb[p.x], emb[p.y]) for p in td.pieces]
+        anchor_pairs = [(int(image[p.x]), int(image[p.y])) for p in td.pieces]
         anchor_hosts = {h for pair in anchor_pairs for h in pair}
         d2_verts = np.array(sorted(set(v2.tolist()) | anchor_hosts), dtype=np.int64)
-        for pmap in attach_path_trees(d, tree, td.pieces, anchor_pairs, params, rng, d2_verts):
-            for tv, host in pmap.items():
-                emb.assign(tv, host, "paths")
+        vertices, hosts = attach_path_trees(d, tree, td.pieces, anchor_pairs, params, rng, d2_verts)
+        image[vertices] = hosts
+        parts.append((vertices, hosts))
+        phase += ["paths"] * len(vertices)
 
     # Leftover leaves into V3, the hosts marked in v3_free: one greedy walk over
     # their level order, hung from their placed parents.  Candidates are read
@@ -713,12 +654,13 @@ def _assemble_almost(
         v3_order = pool[np.fromiter(set(v3_ranks.tolist()), dtype=np.int64)]
         # Each leftover component hangs by its root from one placed vertex: no leftover is reached twice.
         left_set = set(leftovers)
+        placed_flag = (image >= 0).tolist()
         ordered: list[tuple[int, int]] = []   # (leftover, parent)
-        level = sorted((u, w) for u in leftovers for w in tree.nbrs(u) if w in emb)
+        level = sorted((u, w) for u in leftovers for w in tree.nbrs(u) if placed_flag[w])
         while level:
             ordered += level
             level = sorted((w, u) for u, p in level for w in tree.nbrs(u) if w in left_set and w != p)
-        placed = list(dict.fromkeys(p for _u, p in ordered if p in emb))
+        placed = list(dict.fromkeys(p for _u, p in ordered if placed_flag[p]))
         entries = placed + [u for u, _p in ordered]
         index = {x: i for i, x in enumerate(entries)}
         walk = PrefixOrdering(
@@ -726,12 +668,12 @@ def _assemble_almost(
             (-1,) * len(placed) + tuple(index[p] for _u, p in ordered),
             (None,) * len(placed) + tuple(tree.edge_sign(p, u) for u, p in ordered),
         )
-        hosts = greedy_walk(d, walk, v3_free, rng, [emb[p] for p in placed], host_order=v3_order)
+        hosts = greedy_walk(d, walk, v3_free, rng, image[placed].tolist(), host_order=v3_order)
         if hosts is None:
             raise PhaseFailure("leaves", "leaf-greedy-fail", "greedy walk stuck on the leftover leaves", 1)
-        for (u, _p), host in zip(ordered, hosts[len(placed):].tolist()):
-            emb.assign(u, host, "greedy-leaf")
-    return emb
+        parts.append((np.array(entries[len(placed):], dtype=np.int64), hosts[len(placed):]))
+        phase += ["greedy-leaf"] * len(ordered)
+    return Embedding.of(*(np.concatenate(column) for column in zip(*parts)), phase)
 
 
 @dataclass
@@ -903,11 +845,7 @@ def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | Non
 
 
 def build_absorber(
-    d: Digraph,
-    tree: OrientedTree,
-    t: int,
-    params: ParamSchedule,
-    rng: np.random.Generator,
+    d: Digraph, tree: OrientedTree, t: int, params: ParamSchedule, rng: np.random.Generator,
 ) -> AbsorberState:
     """Randomly embed most of the absorber tree and certify property S.
 
@@ -977,102 +915,100 @@ class AbsorptionError(PipelineError):
 def complete_absorption(state: AbsorberState, b_set: np.ndarray) -> Embedding:
     """Complete the absorber tree inside B by switching, anchor fixed.
 
-    For each new vertex y of B beyond the trunk image, an embedded index is
-    picked whose host can serve as the next leaf (adjacency to the current
-    attachment image), whose current copy-neighborhood y can take over, and
-    whose copy degree is below the cap; y replaces it and the freed host
-    becomes the new leaf.  Deterministic: smallest admissible index wins.
+    The rest's vertices (slots, in prefix order from the shared vertex) take
+    the new hosts y of B beyond the trunk image, ascending.  For each, a trunk
+    index is admissible when its host can serve as the slot's host (the arc,
+    in the slot's sign, between it and the image of the slot's parent role),
+    y can take over its copy neighbourhood (arcs y -> image of every copy
+    out-neighbour, image of every copy in-neighbour -> y), and its copy
+    degree is at most the cap.  The smallest admissible index is switched:
+    y replaces its host, which the slot takes.  Roles (absorber tree ids)
+    index plain arrays: each role's image and copy degree, and each trunk
+    index's role.  B is a host mask.
+
+    Full rows: when every host of B has an arc to every other host
+    (`Digraph.full_rows(Sign.PLUS)` on B, read once), no adjacency entry is
+    read.  Every image in play lies in B (trunk hosts lie in A, inside B; a
+    slot takes a host an index gave up; y is in B), so an arc joins two
+    images exactly when they differ.  The candidate's image differs from the
+    parent role's image exactly when the candidate is not the parent role,
+    as the map is injective.  y is no image yet (each new host is placed
+    once), so it differs from every copy neighbour's image.  So an index is
+    admissible exactly when its role is not the slot's parent role and its
+    copy degree is at most the cap: the index the general route picks.
     """
-    d = state.d
-    # B as a set: a repeated host counts once (np.unique would load numpy.ma on first use).
-    b = np.array(sorted(set(map(int, b_set))), dtype=np.int64)
-    if len(bad := b[(b < 0) | (b >= d.n)]):
-        raise ValueError(f"B holds host {bad[0]} outside 0..{d.n - 1}")
-    a_set = set(int(x) for x in state.a_set)
-    if not a_set <= set(b.tolist()):
+    d, n = state.d, state.tree.n
+    b_set = np.asarray(b_set, dtype=np.int64)
+    if len(bad := b_set[(b_set < 0) | (b_set >= d.n)]):
+        raise ValueError(f"B holds host {bad.min()} outside 0..{d.n - 1}")
+    in_b = np.zeros(d.n, dtype=bool)
+    in_b[b_set] = True   # a repeated host counts once
+    if not in_b[state.a_set].all():
         raise ValueError("B must contain A")
-    if len(b) != state.tree.n:
-        raise ValueError(f"|B| = {len(b)} must equal |T| = {state.tree.n}")
+    if (size := int(in_b.sum())) != n:
+        raise ValueError(f"|B| = {size} must equal |T| = {n}")
 
-    order = state.order
-    trunk = state.trunk
-    labels = trunk.labels.tolist()
-    role_of_index = [labels[lv] for lv in order.order]
-    host_of_role = dict(zip(role_of_index, state.hosts.tolist()))
-
-    # Current copy adjacency, by tree-vertex role.
-    nbr_out: dict[int, list[int]] = {r: [] for r in role_of_index}
-    nbr_in: dict[int, list[int]] = {r: [] for r in role_of_index}
-    for lu, lw in zip(*trunk.tree.edges.T.tolist()):
-        u, w = labels[lu], labels[lw]
-        nbr_out[u].append(w)
-        nbr_in[w].append(u)
-
-    new_hosts = sorted(set(b.tolist()) - set(host_of_role.values()))
-    rest = state.rest
-    local_shared = int(np.searchsorted(rest.labels, state.shared))
-    rest_order = prefix_order(rest.tree, local_shared)
-    rest_labels = rest.labels.tolist()
-    slots = [
-        (rest_labels[rest_order.order[i]],
-         rest_labels[rest_order.order[rest_order.parent_index[i]]],
-         rest_order.sign[i])
-        for i in range(1, rest.tree.n)
-    ]
+    trunk, rest = state.trunk, state.rest
+    roles = trunk.labels[np.array(state.order.order)].tolist()   # roles[i]: role of trunk index i
+    image = np.full(n, -1, dtype=np.int64)
+    image[roles] = state.hosts
+    host_of = image.tolist()
+    in_b[state.hosts] = False
+    new_hosts = np.flatnonzero(in_b).tolist()
+    tails, heads = trunk.labels[trunk.tree.edges.T].tolist()   # the copy's arcs, by role
+    degree = np.bincount(tails + heads, minlength=n).tolist()
+    full = bool(d.full_rows(Sign.PLUS)[b_set].all())
+    nbr_out, nbr_in = defaultdict(list), defaultdict(list)   # copy neighbours by role
+    if not full:   # only the general route reads the copy's neighbours
+        for u, w in zip(tails, heads):
+            nbr_out[u].append(w)
+            nbr_in[w].append(u)
+    rest_order = prefix_order(rest.tree, int(np.searchsorted(rest.labels, state.shared)))
+    rest_roles = rest.labels[np.array(rest_order.order)].tolist()
+    slots = [(rest_roles[i], rest_roles[rest_order.parent_index[i]], rest_order.sign[i])
+             for i in range(1, rest.tree.n)]
 
     cap = max(6, math.ceil(4 * d.n / max(state.threshold, 1)))
-    live = list(range(1, len(role_of_index)))  # indices not yet switched out; the anchor never is
-
+    live = list(range(1, len(roles)))  # indices not yet switched out; the anchor never is
+    mat = d.mat
     for step, (y, (slot, parent_role, sign)) in enumerate(zip(new_hosts, slots)):
-        x_host = host_of_role[parent_role]
+        x_host = host_of[parent_role]
         for k, j in enumerate(live):
-            role = role_of_index[j]
-            cand = host_of_role[role]
-            if not d.mat[(x_host, cand) if sign is Sign.PLUS else (cand, x_host)]:
-                continue
-            deg = len(nbr_out[role]) + len(nbr_in[role])
-            if deg > cap:
-                continue
-            ok = all(d.mat[y, host_of_role[w]] for w in nbr_out[role]) and all(
-                d.mat[host_of_role[w], y] for w in nbr_in[role]
-            )
-            if not ok:
-                continue
-            break
+            role = roles[j]
+            cand = host_of[role]
+            if degree[role] <= cap and (role != parent_role if full else (
+                mat[(x_host, cand) if sign is Sign.PLUS else (cand, x_host)]
+                and all(mat[y, host_of[w]] for w in nbr_out[role])
+                and all(mat[host_of[w], y] for w in nbr_in[role])
+            )):
+                break
         else:
             raise AbsorptionError(
                 f"absorption stuck at step {step + 1}/{len(slots)}: no admissible index "
-                f"(threshold {state.threshold}, retired {len(role_of_index) - len(live)})"
+                f"(threshold {state.threshold}, retired {len(roles) - len(live)})"
             )
-        role = role_of_index[live.pop(k)]
-        freed = host_of_role[role]
-        host_of_role[role] = y
-        host_of_role[slot] = freed
+        role = roles[live.pop(k)]
+        host_of[role], host_of[slot] = y, host_of[role]
         tail, head = (parent_role, slot) if sign is Sign.PLUS else (slot, parent_role)
-        nbr_out.setdefault(tail, []).append(head)
-        nbr_in.setdefault(head, []).append(tail)
+        nbr_out[tail].append(head)
+        nbr_in[head].append(tail)
+        degree[parent_role] += 1   # a slot is never a candidate: only its parent's degree is read
 
-    emb = Embedding()
-    for role, host in host_of_role.items():
-        emb.assign(role, host, "absorber")
-    if not is_valid_embedding(d, state.tree, emb) or emb[state.t] != state.anchor_host:
+    image = np.array(host_of, dtype=np.int64)
+    if not image_is_embedding(d, state.tree, image) or image[state.t] != state.anchor_host:
         raise VerificationError("absorption produced a broken copy")
-    return emb
+    return Embedding.of(np.arange(n, dtype=np.int64), image, "absorber")
 
 
 def absorb_at_random(
-    d: Digraph,
-    tree: OrientedTree,
-    t: int,
-    params: ParamSchedule,
-    rng: np.random.Generator,
+    d: Digraph, tree: OrientedTree, t: int, params: ParamSchedule, rng: np.random.Generator,
 ) -> tuple[AbsorberState, Embedding]:
     """Build the absorber for `tree`, then complete it on A plus uniform extra hosts."""
     state = build_absorber(d, tree, t, params, rng)
-    free = np.array(sorted(set(range(d.n)) - set(state.a_set.tolist())), dtype=np.int64)
-    extra = rng.choice(free, size=tree.n - len(state.a_set), replace=False)
-    b_set = np.array(sorted(set(state.a_set.tolist()) | {int(x) for x in extra}), dtype=np.int64)
-    return state, complete_absorption(state, b_set)
+    free = np.ones(d.n, dtype=bool)
+    free[state.a_set] = False
+    extra = rng.choice(np.flatnonzero(free), size=tree.n - len(state.a_set), replace=False)
+    return state, complete_absorption(state, np.concatenate((state.a_set, extra)))
 
 
 def _millis_since(start: float) -> float:
@@ -1081,10 +1017,7 @@ def _millis_since(start: float) -> float:
 
 
 def embed_spanning(
-    d: Digraph,
-    tree: OrientedTree,
-    params: ParamSchedule,
-    rng: np.random.Generator,
+    d: Digraph, tree: OrientedTree, params: ParamSchedule, rng: np.random.Generator,
 ) -> tuple[Embedding, dict]:
     """Verified spanning embedding of `tree` into `d`.
 
@@ -1112,7 +1045,7 @@ def embed_spanning(
     local_shared_abs = int(np.searchsorted(absorber_piece.labels, shared))
     local_shared_trunk = int(np.searchsorted(trunk_piece.labels, shared))
     absorber_tree = absorber_piece.tree.with_t(local_shared_abs)
-    trunk_labels, absorber_labels = trunk_piece.labels.tolist(), absorber_piece.labels.tolist()
+    trunk_labels, absorber_labels = trunk_piece.labels, absorber_piece.labels
     log: list[tuple[str, str, str]] = []
 
     def once() -> Embedding:
@@ -1129,31 +1062,28 @@ def embed_spanning(
         keep[state.anchor_host] = True
         start = time.perf_counter()
         emb_almost, tele_almost = embed_almost_spanning(
-            d,
-            trunk_piece.tree.with_t(local_shared_trunk),
-            local_shared_trunk,
-            state.anchor_host,
-            params,
-            rng,
-            np.flatnonzero(keep),
+            d, trunk_piece.tree.with_t(local_shared_trunk), local_shared_trunk, state.anchor_host,
+            params, rng, np.flatnonzero(keep),
         )
         phases["almost_millis"] = _millis_since(start)
         phases["almost"] = tele_almost
 
-        leftover = set(range(n)) - emb_almost.used - set(state.a_set.tolist())
-        b_set = np.array(sorted(set(state.a_set.tolist()) | leftover), dtype=np.int64)
+        # B: A plus the hosts the almost-spanning copy left free.
+        in_b = np.ones(n, dtype=bool)
+        trunk_vertices, trunk_hosts = emb_almost.arrays()
+        in_b[trunk_hosts] = False
+        in_b[state.a_set] = True
         start = time.perf_counter()
-        emb_abs = complete_absorption(state, b_set)
+        emb_abs = complete_absorption(state, np.flatnonzero(in_b))
         phases["absorption_millis"] = _millis_since(start)
 
-        total = Embedding()
-        for lv, host in emb_almost.map.items():
-            total.assign(trunk_labels[lv], host, "almost")
-        for lv, host in emb_abs.map.items():
-            tv = absorber_labels[lv]
-            if tv not in total:   # the shared vertex is placed by both sides
-                total.assign(tv, host, "absorber")
-        if not is_valid_embedding(d, tree, total):
+        vertices, hosts = emb_abs.arrays()
+        vertices = absorber_labels[vertices]
+        own = vertices != shared   # the shared vertex is placed by both sides
+        vertices = np.concatenate((trunk_labels[trunk_vertices], vertices[own]))
+        total = Embedding.of(vertices, np.concatenate((trunk_hosts, hosts[own])),
+                             ["almost"] * len(trunk_vertices) + ["absorber"] * int(own.sum()))
+        if not image_is_embedding(d, tree, total.image()):
             raise VerificationError("spanning embedding failed verification")
         return total
 

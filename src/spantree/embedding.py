@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .digraph import Digraph, Sign
+from .digraph import Digraph, Sign, _read_only
 from .trees import OrientedTree, PrefixOrdering
 
 
@@ -123,16 +123,27 @@ def greedy_walk(
 
 
 class Embedding:
-    """Partial injective map from tree vertices to host vertices."""
+    """Partial injective map from tree vertices to host vertices.
 
-    __slots__ = ("map", "used", "phase")
+    `map` sends each placed tree vertex to its host, `used` holds the hosts
+    and `phase` names the phase that placed each vertex; all three list the
+    vertices in one order.  `assign` adds one vertex.  `of` builds the whole
+    map from int arrays and keeps them, so a phase hands its map to the next
+    as `arrays()` and `image()`, which read no dict.  Every id is a Python or
+    numpy integer: a float or a bool is refused, never truncated.
+    """
+
+    __slots__ = ("map", "used", "phase", "_arrays")
 
     def __init__(self):
         self.map: dict[int, int] = {}
         self.used: set[int] = set()
         self.phase: dict[int, str] = {}
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     def assign(self, tree_vertex: int, host_vertex: int, phase: str = "") -> None:
+        if not (_is_int(type(tree_vertex)) and _is_int(type(host_vertex))):
+            raise ValueError(f"ids must be integers, got {tree_vertex!r} -> {host_vertex!r}")
         host_vertex = int(host_vertex)
         tree_vertex = int(tree_vertex)
         if tree_vertex in self.map:
@@ -142,6 +153,48 @@ class Embedding:
         self.map[tree_vertex] = host_vertex
         self.used.add(host_vertex)
         self.phase[tree_vertex] = phase
+        self._arrays = None
+
+    @classmethod
+    def of(cls, vertices: np.ndarray, hosts: np.ndarray, phase: str | list[str]) -> "Embedding":
+        """The map vertices[i] -> hosts[i], built at once; `phase` is one label or one per vertex.
+
+        Both arrays must have an integer dtype.  A repeated tree vertex or
+        host raises `assign`'s ValueError at the first repeat.
+        """
+        for ids in (vertices, hosts):
+            if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and _is_int(ids.dtype.type)):
+                raise ValueError("vertices and hosts must be one-dimensional integer arrays")
+        tv, hv = vertices.tolist(), hosts.tolist()
+        labels = [phase] * len(tv) if isinstance(phase, str) else phase
+        if not len(tv) == len(hv) == len(labels):
+            raise ValueError(f"{len(tv)} vertices, {len(hv)} hosts and {len(labels)} labels")
+        emb = cls()
+        emb.map, emb.used, emb.phase = dict(zip(tv, hv)), set(hv), dict(zip(tv, labels))
+        if len(emb.map) < len(tv) or len(emb.used) < len(hv):
+            probe = cls()
+            for v, h in zip(tv, hv):
+                probe.assign(v, h)   # raises assign's error at the first repeat
+        emb._arrays = tuple(_read_only(np.array(a, dtype=np.int64)) for a in (vertices, hosts))
+        return emb
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int64 (vertices, hosts): vertices[i] goes to hosts[i], in the order of `map`."""
+        if self._arrays is None:
+            self._arrays = tuple(
+                _read_only(np.fromiter(ids, dtype=np.int64, count=len(self.map)))
+                for ids in (self.map.keys(), self.map.values())
+            )
+        return self._arrays
+
+    def image(self) -> np.ndarray:
+        """[v] = host of v for v < len(self), -1 where v is unplaced: every host
+        when the map is on exactly 0..len(self) - 1."""
+        vertices, hosts = self.arrays()
+        image = np.full(len(vertices), -1, dtype=np.int64)
+        inside = (vertices >= 0) & (vertices < len(vertices))
+        image[vertices[inside]] = hosts[inside]
+        return image
 
     def __getitem__(self, tree_vertex: int) -> int:
         return self.map[tree_vertex]
@@ -172,18 +225,42 @@ class Embedding:
         return emb
 
 
+def _is_int(kind: type) -> bool:
+    """True for int and the numpy integer types: not bool, float or any other number."""
+    return kind is int or issubclass(kind, np.integer)
+
+
+def image_is_embedding(d: Digraph, tree: OrientedTree, image: np.ndarray) -> bool:
+    """The check of every audit, on the int64 array image[v] = host of tree vertex v.
+
+    True iff the image holds tree.n hosts in 0..n-1 (-1 marks an unplaced
+    vertex), no host twice (one bincount), and one gather finds every tree
+    arc u -> w at the host arc image[u] -> image[w].
+    """
+    if len(image) != tree.n or not ((image >= 0) & (image < d.n)).all():
+        return False
+    if np.bincount(image).max() > 1:
+        return False
+    ends = image[tree.edges]
+    return bool(d.mat[ends[:, 0], ends[:, 1]].all())
+
+
 def is_valid_embedding(d: Digraph, tree: OrientedTree, emb: Embedding) -> bool:
     """Total + injective + every tree edge maps to a host edge of the same direction.
 
-    Every tree vertex 0..|T|-1 and every host 0..n-1 is range-checked on one
-    array of the ids (an id past int64 reads as a float or object entry, which
-    compares exactly), so no id can alias another through negative indexing.
-    Then one gather reads the host pair at every tree edge.
+    Every id must be a Python or numpy integer: a float or bool id makes the
+    map invalid.  Every tree vertex 0..|T|-1 and every host 0..n-1 is then
+    range-checked on one array of the ids (an id past int64 reads as an
+    object entry, which compares exactly), so no id can alias another
+    through negative indexing.  The image read from `map` goes through
+    `image_is_embedding`, the check the pipeline's audits run.
     """
-    for ids, bound in ((emb.map, tree.n), (emb.used, d.n)):
+    types = set(map(type, emb.map)) | set(map(type, emb.map.values()))
+    if not all(map(_is_int, types)):
+        return False
+    for ids, bound in ((emb.map, tree.n), (emb.map.values(), d.n)):
         ids = np.array(list(ids))
         if len(ids) != tree.n or not ((ids >= 0) & (ids < bound)).all():
             return False
-    host = np.fromiter(map(emb.map.__getitem__, range(tree.n)), dtype=np.int64, count=tree.n)
-    ends = host[tree.edges]
-    return bool(d.mat[ends[:, 0], ends[:, 1]].all())
+    image = np.fromiter(map(emb.map.__getitem__, range(tree.n)), dtype=np.int64, count=tree.n)
+    return image_is_embedding(d, tree, image)

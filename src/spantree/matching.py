@@ -156,13 +156,9 @@ def embed_tree_copies(
             ) from exc
         host_of[i] = children[col_of_row[np.searchsorted(parents, host_of[j])]]
 
-    copies = []
-    for b in range(per):
-        emb = Embedding()
-        for i in range(tree.n):
-            emb.assign(order.order[i], int(host_of[i][b]), "copies")
-        copies.append(emb)
-    return copies
+    vertices = np.array(order.order, dtype=np.int64)
+    by_copy = np.stack([host_of[i] for i in range(tree.n)], axis=1)
+    return [Embedding.of(vertices, hosts, "copies") for hosts in by_copy]
 
 
 def _centroids(tree: OrientedTree) -> list[int]:
@@ -183,13 +179,9 @@ class ForestEmbedError(PipelineError):
 
 
 def walk_lean_pieces(
-    d: Digraph,
-    pieces: list[tuple[OrientedTree, int, tuple[int, Sign] | None]],
-    free: np.ndarray,
-    rng: np.random.Generator,
-    what: str,
-    host_order: np.ndarray | None = None,
-) -> list[dict[int, int]]:
+    d: Digraph, pieces: list[tuple[OrientedTree, int, tuple[int, Sign] | None]], free: np.ndarray,
+    rng: np.random.Generator, what: str, host_order: np.ndarray | None = None,
+) -> list[np.ndarray]:
     """Embed small trees into `free` by greedy interior walks and one leaf matching.
 
     pieces[k] = (tree, root, attach).  The root goes to a uniform free host
@@ -197,13 +189,16 @@ def walk_lean_pieces(
     is None; `greedy_walk` then places the interior up to the first
     non-root leaf, every pick reading candidates along `host_order`.  All
     the leaves are batch-matched into the hosts still free.  Used hosts are
-    cleared in `free`.  Returns one map (tree vertex -> host) per piece.
+    cleared in `free`.  Returns one int64 image per piece: [v] = host of
+    piece vertex v, all views of one array that each walk and the leaf
+    matching fill with one scatter.
 
     Raises ForestEmbedError (cause "leaf-greedy-fail") when a walk is stuck,
     and MatchingError (labelled `what`) when the leaves cannot be matched.
     """
-    maps: list[dict[int, int]] = []
-    leaf_slots: list[tuple[int, int]] = []      # (piece, leaf)
+    offsets = np.cumsum([0] + [tree.n for tree, _root, _attach in pieces])
+    flat = np.empty(offsets[-1], dtype=np.int64)
+    leaf_slots: list[int] = []                  # the leaves' entries in `flat`
     leaf_rows: list[tuple[int, Sign]] = []      # (parent host, sign)
     for k, (tree, root, attach) in enumerate(pieces):
         order = prefix_order(tree, root, "leaves_last_middles_consecutive")
@@ -218,30 +213,26 @@ def walk_lean_pieces(
             raise ForestEmbedError(
                 f"{what}: greedy walk stuck on piece {k}", cause="leaf-greedy-fail"
             )
-        mapping = {order.order[i]: int(hosts[i]) for i in range(stop)}
-        for i in range(stop, tree.n):
-            leaf_slots.append((k, order.order[i]))
-            leaf_rows.append((mapping[order.order[order.parent_index[i]]], order.sign[i]))
-        maps.append(mapping)
+        slots = offsets[k] + np.array(order.order, dtype=np.int64)
+        flat[slots[:stop]] = hosts
+        walked = hosts.tolist()
+        leaf_slots += slots[stop:].tolist()
+        leaf_rows += [(walked[order.parent_index[i]], order.sign[i]) for i in range(stop, tree.n)]
     if leaf_rows:
         cols = np.flatnonzero(free)
         adj = np.zeros((len(leaf_rows), len(cols)), dtype=bool)
         for r, (parent_host, sign) in enumerate(leaf_rows):
             adj[r] = d.adj_row(parent_host, sign)[cols]
         hosts = cols[covering_matching(adj, what)]
-        for (k, leaf), host in zip(leaf_slots, hosts.tolist()):
-            maps[k][leaf] = host
+        flat[leaf_slots] = hosts
         free[hosts] = False
-    return maps
+    return [flat[start:stop] for start, stop in zip(offsets, offsets[1:])]
 
 
 def embed_small_forest(
-    d: Digraph,
-    components: list[OrientedTree],
-    eps: float,
-    rng: np.random.Generator,
+    d: Digraph, components: list[OrientedTree], eps: float, rng: np.random.Generator,
     pool: np.ndarray | None = None,
-) -> list[dict[int, int]]:
+) -> list[np.ndarray]:
     """Vertex-disjoint embedding of a forest of small components into `pool`.
 
     The forest must leave an eps fraction of the pool free.  Each component
@@ -250,9 +241,9 @@ def embed_small_forest(
     in a stable sort by that string (the order fixes the RNG stream), with
     all their leaves finished by one covering matching.
 
-    Returns one vertex map per component.  Raises ForestEmbedError (cause
-    "hall-fail" or "leaf-greedy-fail"; retryable) when the walk or the
-    matching fails.
+    Returns one int64 image per component ([v] = host of its vertex v).
+    Raises ForestEmbedError (cause "hall-fail" or "leaf-greedy-fail";
+    retryable) when the walk or the matching fails.
     """
     pool = np.arange(d.n, dtype=np.int64) if pool is None else np.asarray(pool, dtype=np.int64)
     total = sum(c.n for c in components)

@@ -83,7 +83,7 @@ def _trial_small_forest(d: Digraph, cfg: TrialConfig, rng) -> tuple[bool, int, s
         maps = embed_small_forest(d, comps, cfg.eps / 2, rng)
     except PipelineError as exc:
         return False, 0, exc.cause
-    hosts = [host for m in maps for host in m.values()]
+    hosts = np.concatenate(maps).tolist()
     ok = len(set(hosts)) == len(hosts) and all(
         d.has_edge(m[u], m[w]) for comp, m in zip(comps, maps) for u, w in zip(*comp.edges.T.tolist())
     )

@@ -434,7 +434,7 @@ class TestVerifyWithoutAssert:
         piece = type("Piece", (), {"x": 0, "y": 3})()
         monkeypatch.setattr(cli, "decompose", lambda tree, t, params: type("TD", (), {"pieces": [piece]})())
         monkeypatch.setattr(cli, "attach_path_trees",
-                            lambda d, tree, pieces, anchors, *rest: [{1: a + 1, 2: b - 1} for a, b in anchors])
+                            lambda d, tree, pieces, anchors, *rest: (np.array([1, 2]), np.array([anchors[0][0] + 1, anchors[0][1] - 1])))
         code, doc = self.run(["embed", str(dpath), str(tpath), "--seed", "1", "--phase", "paths"], capsys)
         assert code == 2
         assert doc == {"success": False, "cause": "verify", "detail": "paths phase embedding failed verification"}

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -272,20 +274,19 @@ def path_piece(start, size):
                      body=tuple(range(start + 2, last - 1)))
 
 
-def pieces_placed(d, tree, pieces, anchors, maps):
-    """Each map covers its piece's added vertices on fresh hosts off every
-    anchor, and with the piece's anchors keeps each of its edges."""
+def pieces_placed(d, tree, pieces, anchors, placed):
+    """The arrays (vertices, hosts) cover every piece's added vertices once, on
+    distinct hosts off every anchor, and with the anchors keep every edge at
+    an added vertex."""
+    vertices, hosts = (a.tolist() for a in placed)
+    added = {v for p in pieces for v in p.added_vertices()}
     anchor_hosts = {h for pair in anchors for h in pair}
-    used = set()
-    for p, (a, b), m in zip(pieces, anchors, maps):
-        full = {**m, p.x: a, p.y: b}
-        hosts = set(m.values())
-        if set(m) != set(p.added_vertices()) or len(hosts) != len(m) or hosts & (used | anchor_hosts):
-            return False
-        if not all(d.has_edge(full[u], full[w]) for u, w in tree.edge_list if u in full and w in full):
-            return False
-        used |= hosts
-    return True
+    if sorted(vertices) != sorted(added) or len(set(hosts)) != len(hosts) or set(hosts) & anchor_hosts:
+        return False
+    full = dict(zip(vertices, hosts))
+    for p, (a, b) in zip(pieces, anchors):
+        full[p.x], full[p.y] = a, b
+    return all(d.has_edge(full[u], full[w]) for u, w in tree.edge_list if u in added or w in added)
 
 
 class TestAttachPathTrees:
@@ -490,7 +491,7 @@ class TestPooledHost:
         want = attach_path_trees(sub, tree, pieces, ranks, params, np.random.default_rng(8))
         anchors = [(int(pool[a]), int(pool[b])) for a, b in ranks]
         got = attach_path_trees(d, tree, pieces, anchors, params, np.random.default_rng(8), pool)
-        assert got == [{tv: int(labels[h]) for tv, h in m.items()} for m in want]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], labels[want[1]])
         assert pieces_placed(d, tree, pieces, anchors, got)
 
     def test_anchor_outside_the_pool_is_rejected(self):
@@ -613,6 +614,91 @@ class TestAbsorber:
         emb = complete_absorption(state, b)
         assert verify_embedding(complete(n), tree, emb)
         assert emb[5] == state.hosts[5]
+
+    def test_completion_takes_an_index_whose_copy_degree_equals_the_cap(self):
+        # Threshold 50 (18 swaps plus a margin of 32) gives a cap of
+        # ceil(4 * 200 / 50) = 16, the hub's own degree.  "At most the cap"
+        # admits the hub, so the completion switches it out at its turn.
+        state, b = hub_absorber(32)
+        hub = state.order.order[5]
+        cap = max(6, math.ceil(4 * 200 / state.threshold))
+        assert (state.threshold, cap, state.trunk.tree.degree(hub)) == (50, 16, 16)
+        emb = complete_absorption(state, b)
+        assert verify_embedding(complete(200), state.tree, emb)
+        assert emb[5] != state.hosts[5]
+
+
+def hub_absorber(margin):
+    """The hub tree of the copy-degree cap tests, its absorber on complete(200) and a B."""
+    n = 200
+    params = spanning_defaults(n, 0.25).with_updates(switch_margin=margin)
+    edges = [(i, i + 1) for i in range(5)] + [(5, 6 + j) for j in range(15)]
+    tree = OrientedTree(120, edges + [(i - 1, i) for i in range(21, 120)], t=0)
+    state = build_absorber(complete(n), tree, 0, params, np.random.default_rng(1))
+    a = state.a_set.tolist()
+    return state, np.array(sorted(a + sorted(set(range(n)) - set(a))[: tree.n - len(a)]))
+
+
+class TestFullRowCompletion:
+    """When every host of B has full rows the completion reads no arc; the general route is its oracle."""
+
+    @staticmethod
+    def absorber(family, n=300, seed=3):
+        params = spanning_defaults(n, 0.25)
+        tree = gen_random_tree(params.absorber_size(n), 3, family, np.random.default_rng(seed)).with_t(0)
+        state = build_absorber(complete(n), tree, 0, params, np.random.default_rng(seed + 1))
+        free = np.setdiff1d(np.arange(n), state.a_set)
+        extra = np.random.default_rng(seed + 2).choice(free, size=tree.n - len(state.a_set), replace=False)
+        return state, np.concatenate((state.a_set, extra))
+
+    @staticmethod
+    def shared_first():
+        """An absorber whose shared vertex, 39, is trunk index 1, the first slot's parent.
+
+        Root 0 has paths of 18, 18 and 2 vertices and the child 39, which has
+        two 18-vertex paths; the split takes the first into the rest, and 39
+        is the root's child of highest id, so the trunk order visits it first.
+        """
+        heads = [(0, 1), (0, 19), (0, 37), (37, 38), (0, 39), (39, 40), (39, 58)]
+        runs = [*range(1, 18), *range(19, 36), *range(40, 57), *range(58, 75)]
+        tree = OrientedTree(76, heads + [(v, v + 1) for v in runs], t=0)
+        state = build_absorber(complete(200), tree, 0, spanning_defaults(200, 0.25), np.random.default_rng(1))
+        assert (state.shared, state.trunk.labels[state.order.order[1]]) == (39, 39)
+        a = state.a_set.tolist()
+        return state, np.array(a + sorted(set(range(200)) - set(a))[: tree.n - len(a)])
+
+    # The hub tree at margin 50 (cap 12, the hub is stepped over) and 32 (cap
+    # 16, it is taken); and a first slot whose parent is the first candidate.
+    @pytest.mark.parametrize("case", ["uniform", "spider", "broom", 50, 32, "shared-first"],
+                             ids=["uniform", "spider", "broom", "hub-cap-12", "hub-cap-16", "shared-first"])
+    def test_same_map_as_the_general_route(self, case, monkeypatch):
+        state, b = (hub_absorber(case) if isinstance(case, int) else
+                    self.shared_first() if case == "shared-first" else self.absorber(case))
+        assert state.d.full_rows(Sign.PLUS)[b].all()
+        full = complete_absorption(state, b)
+        monkeypatch.setattr(Digraph, "full_rows", lambda self, sign: np.zeros(self.n, dtype=bool))
+        general = complete_absorption(state, b)
+        assert verify_embedding(state.d, state.tree, full)
+        assert full.map == general.map and full.phase == general.phase
+
+    def test_a_missing_arc_in_b_takes_the_general_route(self):
+        # Remove an arc that the full-row map uses but the trunk copy does not.
+        # The full-row route would return that map again, which fails its
+        # audit; the general route steers around the missing arc.
+        state, b = self.absorber("uniform")
+        full = complete_absorption(state, b)
+        roles = state.trunk.labels[np.array(state.order.order)]
+        start = dict(zip(roles.tolist(), state.hosts.tolist()))
+        trunk_arcs = {(start[u], start[w]) for u, w in state.trunk.labels[state.trunk.tree.edges].tolist()}
+        tail, head = next((full[u], full[w]) for u, w in state.tree.edge_list
+                          if (full[u], full[w]) not in trunk_arcs)
+        mat = state.d.mat.copy()
+        mat[tail, head] = False
+        holey = Digraph(state.d.n, mat)
+        assert not holey.full_rows(Sign.PLUS)[b].all()
+        emb = complete_absorption(dataclasses.replace(state, d=holey), b)
+        assert verify_embedding(holey, state.tree, emb)
+        assert emb.map != full.map
 
 
 def full_property_s_counts(d, trunk_tree, order, hosts):

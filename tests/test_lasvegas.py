@@ -474,8 +474,8 @@ class TestMatchLeaves:
         free = np.zeros(d.n, dtype=bool)
         free[10:] = True
         (m,) = walk_lean_pieces(d, [(star, 0, None)], free, np.random.default_rng(0), "test leaves")
-        assert len(set(m.values())) == 4 and all(10 <= h < 40 for h in m.values())
-        assert not free[list(m.values())].any()
+        assert len(set(m.tolist())) == 4 and all(10 <= h < 40 for h in m.tolist())
+        assert not free[m].any()
         for u, w in star.edge_list:
             assert d.has_edge(m[u], m[w])
 
@@ -563,11 +563,11 @@ class TestWalkLeanPieces:
         free[[0, 1]] = False
         pieces = [(tree, 0, a) for tree, a in zip(trees, attach)]
         maps = walk_lean_pieces(d, pieces, free, np.random.default_rng(6), "test leaves")
-        used = [h for m in maps for h in m.values()]
+        used = [h for m in maps for h in m.tolist()]
         assert len(set(used)) == 7 and not free[used].any() and free.sum() == d.n - 9
         assert d.adj_row(0, Sign.PLUS)[maps[0][0]] and d.adj_row(1, Sign.MINUS)[maps[1][0]]
         for tree, m in zip(trees, maps):
-            assert sorted(m) == list(range(tree.n))
+            assert len(m) == tree.n
             for u, w in tree.edge_list:
                 assert d.has_edge(m[u], m[w])
 
@@ -1006,6 +1006,49 @@ class TestIsValidEmbedding:
         # would pass as the arc 0 -> 1.
         assert not is_valid_embedding(self.host, self.tree, self.emb([(0, 0), (1, -2)]))
         assert not is_valid_embedding(self.host, self.tree, self.emb([(0, 0), (-1, 1)]))
+
+    def test_non_integer_ids(self):
+        # A float id once passed the range check and was truncated by the
+        # int64 gather, so each of these maps read as the path 0 -> 1 -> 2.
+        host = Digraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 0), (2, 1), (3, 2), (0, 3)])
+        tree = OrientedTree(3, [(0, 1), (1, 2)])
+        for pairs in ({0: 0, 1: 1, 2: 2.5}, {0.0: 0, 1: 1, 2: 2}, {0: 0, 1: True, 2: 2}):
+            emb = Embedding()
+            emb.map.update(pairs)
+            emb.used.update(pairs.values())
+            assert not is_valid_embedding(host, tree, emb)
+        assert is_valid_embedding(host, tree, self.emb([(0, 0), (np.int32(1), np.uint8(1)), (2, 2)]))
+
+
+class TestBulkEmbedding:
+    """`Embedding.of` builds what `assign` builds, and refuses what it refuses."""
+
+    def test_same_contents_as_assign(self):
+        emb = Embedding.of(np.array([2, 0, 1]), np.array([7, 3, 5]), ["a", "b", "c"])
+        ref = Embedding()
+        for tv, hv, label in ((2, 7, "a"), (0, 3, "b"), (1, 5, "c")):
+            ref.assign(tv, hv, label)
+        assert (emb.map, emb.used, emb.phase) == (ref.map, ref.used, ref.phase)
+        assert [a.tolist() for a in emb.arrays()] == [a.tolist() for a in ref.arrays()] == [[2, 0, 1], [7, 3, 5]]
+        assert emb.image().tolist() == ref.image().tolist() == [3, 5, 7]
+
+    def test_repeats_raise_the_messages_of_assign(self):
+        with pytest.raises(ValueError, match="^tree vertex 1 already embedded$"):
+            Embedding.of(np.array([0, 1, 1]), np.array([4, 5, 6]), "paths")
+        with pytest.raises(ValueError, match="^host vertex 5 already used$"):
+            Embedding.of(np.array([0, 1, 2]), np.array([5, 6, 5]), "paths")
+
+    def test_non_integer_ids_are_refused(self):
+        for vertices, hosts in (
+            (np.array([0, 1]), np.array([0.0, 2.5])),
+            (np.array([0, 1]), np.array([True, False])),
+            ([0, 1], [2, 3]),
+        ):
+            with pytest.raises(ValueError, match="one-dimensional integer arrays"):
+                Embedding.of(vertices, hosts, "paths")
+        for tv, hv in ((0, 2.9), (1, True), (0.0, 1)):
+            with pytest.raises(ValueError, match="ids must be integers"):
+                Embedding().assign(tv, hv)
 
 
 class TestFailuresFromInputs:

@@ -401,8 +401,8 @@ class TestSmallForest:
         for comp, m in zip(comps, maps):
             for u, w in comp.edge_list:
                 assert d.has_edge(m[u], m[w])
-            assert not (set(m.values()) & used)
-            used |= set(m.values())
+            assert not (set(m.tolist()) & used)
+            used |= set(m.tolist())
 
     def test_thin_classes_keep_their_maps(self):
         # Classes of 2 to 15 relabelled copies, one class per size, so no two
@@ -426,9 +426,9 @@ class TestSmallForest:
         for comp, m in zip(comps, maps):
             assert len(m) == comp.n
             assert all(d.has_edge(m[u], m[w]) for u, w in comp.edge_list)
-            assert not (set(m.values()) & used)
-            used |= set(m.values())
-        text = json.dumps([sorted(m.items()) for m in maps])
+            assert not (set(m.tolist()) & used)
+            used |= set(m.tolist())
+        text = json.dumps([list(enumerate(m.tolist())) for m in maps])
         digest = "68c36ec44cc3a3a41bdac6ba2a53aef490da38bba608bd93ba3eb930d07c1e45"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -450,5 +450,5 @@ class TestSmallForest:
             assert len(m) == comp.n
             for u, w in comp.edge_list:
                 assert d.has_edge(m[u], m[w])
-            assert not (set(m.values()) & used)
-            used |= set(m.values())
+            assert not (set(m.tolist()) & used)
+            used |= set(m.tolist())

@@ -34,6 +34,7 @@ from .embedding import (
 from .guides import GuideBuildError, GuideSystem
 from .matching import (
     ForestEmbedError,
+    _arc_rows,
     covering_matching,
     embed_small_forest,
     embed_tree_copies,  # noqa: F401 -- perfbench/spans.py probes this name here
@@ -44,8 +45,7 @@ from .trees import (
     OrientedTree,
     PrefixOrdering,
     TreePiece,
-    canonical_forms,
-    components,
+    canonical_children,
     induced_subtrees,
     max_semidegree,
     prefix_order,
@@ -200,13 +200,23 @@ class StarComponent:
 
 
 def stars_from_decomposition(td: TreeDecomposition) -> list[StarComponent]:
+    """The star trees by attach vertex, then by smallest vertex: at v, each
+    neighbour in v's hang roots one, hanging away from v."""
     out = []
-    tree = td.tree
+    und = td.tree._und
     for v, hang in sorted(td.stars.items()):
-        for comp in components(tree, hang):
-            roots = [x for x in comp if v in tree.nbrs(x)]
-            out.append(StarComponent(
-                attach=v, root=roots[0], sign=tree.edge_sign(v, roots[0]), vertices=tuple(comp)))
+        left, found = set(hang), []
+        for u in und[v]:
+            if u in left:
+                left.discard(u)
+                piece = [u]
+                for w in piece:   # the list grows as it is read; `left` loses each vertex it gains
+                    for x in und[w]:
+                        if x in left:
+                            left.discard(x)
+                            piece.append(x)
+                found.append((sorted(piece), u))
+        out += [StarComponent(v, u, td.tree.edge_sign(v, u), tuple(piece)) for piece, u in sorted(found)]
     return out
 
 
@@ -234,7 +244,7 @@ class _StarLayout:
     """The leaf parts, lean pieces, host-set sizes and guide budget of one embed_stars call."""
 
     parts: list[tuple[list[int], Sign]]
-    lean: list[tuple[StarComponent, TreePiece, int]]
+    lean: list[tuple[StarComponent, PrefixOrdering]]   # each with its leaves-last order, in tree ids
     sizes: list[int]   # |V0|, the leaf parts, the pool
     alpha_hat: float   # measured semidegree excess delta^0(D)/n - 1/2
     mu_count: int      # guide-set size inside V0
@@ -268,20 +278,17 @@ def _star_layout(
             parts.append(([st.root for st in batch], sign))
         else:
             lone += batch
-    pieces = induced_subtrees(tree, [st.vertices for st in lone + multis])
-    lean: list[tuple[StarComponent, TreePiece, int]] = [(st, piece, 0) for st, piece in zip(lone, pieces)]
-    # Multi-vertex stars follow in a stable sort by (rooted canonical
-    # string, attach sign); the walk order fixes the RNG stream.
-    keyed = []
-    for st, piece in zip(multis, pieces[len(lone):]):
-        local_root = int(np.searchsorted(piece.labels, st.root))
-        (form,) = canonical_forms(piece.tree, [local_root])
-        keyed.append(((form, str(st.sign)), (st, piece, local_root)))
-    lean += [member for _key, member in sorted(keyed, key=lambda item: item[0])]
+    # Each piece is read off the tree, hanging at its root away from its
+    # attach vertex.  Multi-vertex stars follow in a stable sort by (rooted
+    # canonical string, attach sign); the walk order fixes the RNG stream.
+    lean = [(st, prefix_order(tree, st.root, "leaves_last_middles_consecutive", above=st.attach))
+            for st in lone + multis]
+    lean[len(lone):] = sorted(lean[len(lone):], key=lambda member: (
+        "(" + "".join(canonical_children(member[1])) + ")", str(member[0].sign)))
 
     part_sizes = [int(math.floor((1 + part_slack) * len(batch))) + part_pad for batch, _ in parts]
 
-    lean_total = sum(len(st.vertices) for st, _p, _r in lean)
+    lean_total = sum(len(st.vertices) for st, _order in lean)
     pool_size = (
         lean_total + max(part_pad, math.ceil(0.06 * lean_total))
         if lean
@@ -334,15 +341,13 @@ def _embed_stars_once(
         free = np.zeros(n, dtype=bool)
         free[pool] = True
         images = walk_lean_pieces(
-            d,
-            [(piece.tree, local_root, (emb[st.attach], st.sign)) for st, piece, local_root in lean],
-            free, rng, "lean star leaves",
+            d, [(order, (emb[st.attach], st.sign)) for st, order in lean], free, rng, "lean star leaves",
             host_order=np.fromiter(set(int(x) for x in pool), dtype=np.int64),
         )
         vertices, hosts = emb.arrays()
-        vertices = np.concatenate((vertices, *(piece.labels for _st, piece, _root in lean)))
-        emb = Embedding.of(vertices, np.concatenate((hosts, *images)),
-                           [*emb.phase.values()] + ["stars"] * (len(vertices) - len(emb)))
+        lean_vertices = [v for _st, order in lean for v in order.order]
+        emb = Embedding.of(np.concatenate((vertices, lean_vertices)), np.concatenate((hosts, *images)),
+                           [*emb.phase.values()] + ["stars"] * len(lean_vertices))
     return emb
 
 
@@ -699,13 +704,6 @@ class AbsorberState:
 # ell = 1500 and n = 4000 (one thread, 2-core x86 box), 2048-wide ones 1.03.
 # A multiple of 8, so each tile starts on a whole byte of the packed Mb.
 PRODUCT_TILE = 8 * ROW_BLOCK
-
-
-def _arc_rows(d: Digraph, heads: np.ndarray, into: np.ndarray) -> np.ndarray:
-    """Bool rows over all n hosts: row r is N^-(heads[r]) where into[r], else N^+(heads[r])."""
-    rows = d.mat[heads]
-    rows[into] = np.unpackbits(d.in_packed[heads[into]], axis=1, count=d.n).view(np.bool_)
-    return rows
 
 
 def _property_s_floor(d: Digraph, order, hosts: np.ndarray, threshold: int | None = None) -> int:

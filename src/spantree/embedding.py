@@ -74,22 +74,22 @@ def greedy_walk(
     The first entries go to the hosts `placed`, in order.  Each later entry
     goes to a uniform free host: in the right neighborhood of its parent's
     image, or anywhere in `free` when its parent_index is -1.  Every pick is
-    a `draw_host` with `host_order`.  Used hosts are cleared in `free`.
+    a `draw_host` with `host_order`, dropped when it ascends over every free
+    host: no pick then gathers along it.  Used hosts are cleared in `free`.
     Returns hosts[i] = image of order.order[i], or None when some vertex
     has no candidate.
 
-    When a pick has no parent, or its parent's image p has a full row in
-    the pick's sign (`Digraph.full_rows`; p is never free), the candidates
-    are `free` itself.  Such a pick pops the same index from a list of
-    the free hosts kept in the reading order, with no scan.  The list is
-    built at the first such pick and dropped at any pick that scans a row.
-    Its picks are drawn in one block when it is built: `integers(0, bounds)`
+    A pick whose parent's image p has a full row in its sign (`full_rows`;
+    p is never free) pops the same index from a list of the free hosts in
+    the reading order, with no scan, and so does a pick with no parent
+    while the list is kept; one with no list scans `free`.  The list is
+    built at a full-row pick and dropped at any pick that scans a row.  Its
+    picks are drawn in one block when it is built: `integers(0, bounds)`
     with bounds len(list), len(list) - 1, ..., 1, cut at the picks left
-    before `stop`, as each pick pops one host.  numpy draws such a block
-    element by element, as it draws one `integers(len(list))` per pick.
-    Only a scanning pick can leave picks of the block unused; it rewinds
-    the RNG to the block's start and redraws the picks used, so every pick
-    and the RNG state after the walk are those of one draw per pick.
+    before `stop`.  numpy draws such a block element by element, as one
+    `integers(len(list))` per pick.  A scanning pick rewinds the RNG to the
+    block's start and redraws the picks used, so every pick and the RNG
+    state after the walk are those of one draw per pick.
     """
     stop = len(order.order) if stop is None else stop
     adj_row, parent_index, sign = d.adj_row, order.parent_index, order.sign
@@ -98,9 +98,14 @@ def greedy_walk(
     free_list: list[int] | None = None       # the hosts marked in `free`, in reading order
     hosts = [int(h) for h in placed]
     free[hosts] = False
+    if host_order is not None and (host_order[1:] > host_order[:-1]).all() and (
+            np.count_nonzero(free[host_order]) == np.count_nonzero(free)):
+        host_order = None   # ascending over every free host: the reading order of no order
     for i in range(len(hosts), stop):
         j, s = parent_index[i], sign[i]
-        if j >= 0 and not (full_out if s is plus else full_in)[hosts[j]]:
+        if j < 0 and free_list is None:
+            host = draw_host(free, rng, host_order)
+        elif j >= 0 and not (full_out if s is plus else full_in)[hosts[j]]:
             if free_list is not None and len(free_list) > size - len(picks):
                 rng.bit_generator.state = saved   # redraw only the picks used
                 rng.integers(0, bounds[:size - len(free_list)])

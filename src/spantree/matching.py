@@ -10,11 +10,13 @@ rows whose neighbourhood is smaller than itself.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
-from .digraph import Digraph, Sign
-from .embedding import Embedding, PipelineError, draw_host, greedy_walk
-from .trees import OrientedTree, canonical_forms, prefix_order, subtree_sizes
+from .digraph import ROW_BLOCK, Digraph, Sign
+from .embedding import Embedding, PipelineError, greedy_walk
+from .trees import OrientedTree, PrefixOrdering, canonical_forms, prefix_order, subtree_sizes
 
 
 class MatchingError(PipelineError):
@@ -178,55 +180,57 @@ class ForestEmbedError(PipelineError):
     cause = "hall-fail"
 
 
+def _arc_rows(d: Digraph, heads: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """Bool rows over all n hosts: row r is N^-(heads[r]) where into[r], else N^+(heads[r])."""
+    rows = d.mat[heads]
+    rows[into] = np.unpackbits(d.in_packed[heads[into]], axis=1, count=d.n).view(np.bool_)
+    return rows
+
+
 def walk_lean_pieces(
-    d: Digraph, pieces: list[tuple[OrientedTree, int, tuple[int, Sign] | None]], free: np.ndarray,
+    d: Digraph, pieces: list[tuple[PrefixOrdering, tuple[int, Sign] | None]], free: np.ndarray,
     rng: np.random.Generator, what: str, host_order: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Embed small trees into `free` by greedy interior walks and one leaf matching.
+    """Embed small trees into `free` by one greedy walk and one leaf matching.
 
-    pieces[k] = (tree, root, attach).  The root goes to a uniform free host
-    in N^sign(host) for attach = (host, sign), or anywhere free when attach
-    is None; `greedy_walk` then places the interior up to the first
-    non-root leaf, every pick reading candidates along `host_order`.  All
-    the leaves are batch-matched into the hosts still free.  Used hosts are
-    cleared in `free`.  Returns one int64 image per piece: [v] = host of
-    piece vertex v, all views of one array that each walk and the leaf
-    matching fill with one scatter.
+    pieces[k] = (order, attach): piece k's prefix order, its root drawn from
+    N^sign(host) for attach = (host, sign), or from all of `free` for None.
+    One `greedy_walk` from the attach hosts places each piece in turn up to
+    its last parent (the interior of a leaves-last order), reading candidates
+    along `host_order`; the leaves after it are batch-matched into the hosts
+    still free, their rows gathered in blocks.  Used and attach hosts are
+    cleared in `free`.  Returns per piece [i] = host of order.order[i].
 
-    Raises ForestEmbedError (cause "leaf-greedy-fail") when a walk is stuck,
-    and MatchingError (labelled `what`) when the leaves cannot be matched.
+    Raises ForestEmbedError (cause "leaf-greedy-fail") naming the piece a
+    stuck walk was placing, and MatchingError (labelled `what`) when the
+    leaves cannot be matched.
     """
-    offsets = np.cumsum([0] + [tree.n for tree, _root, _attach in pieces])
-    flat = np.empty(offsets[-1], dtype=np.int64)
-    leaf_slots: list[int] = []                  # the leaves' entries in `flat`
-    leaf_rows: list[tuple[int, Sign]] = []      # (parent host, sign)
-    for k, (tree, root, attach) in enumerate(pieces):
-        order = prefix_order(tree, root, "leaves_last_middles_consecutive")
-        # Non-root leaves form a suffix of this order: the walk stops there.
-        stop = next((i for i in range(1, tree.n) if tree.degree(order.order[i]) == 1), tree.n)
-        root_mask = free if attach is None else d.adj_row(*attach) & free
-        root_host = draw_host(root_mask, rng, host_order)
-        hosts = None if root_host is None else greedy_walk(
-            d, order, free, rng, [root_host], stop=stop, host_order=host_order
-        )
-        if hosts is None:
-            raise ForestEmbedError(
-                f"{what}: greedy walk stuck on piece {k}", cause="leaf-greedy-fail"
-            )
-        slots = offsets[k] + np.array(order.order, dtype=np.int64)
-        flat[slots[:stop]] = hosts
-        walked = hosts.tolist()
-        leaf_slots += slots[stop:].tolist()
-        leaf_rows += [(walked[order.parent_index[i]], order.sign[i]) for i in range(stop, tree.n)]
-    if leaf_rows:
-        cols = np.flatnonzero(free)
-        adj = np.zeros((len(leaf_rows), len(cols)), dtype=bool)
-        for r, (parent_host, sign) in enumerate(leaf_rows):
-            adj[r] = d.adj_row(parent_host, sign)[cols]
-        hosts = cols[covering_matching(adj, what)]
-        flat[leaf_slots] = hosts
-        free[hosts] = False
-    return [flat[start:stop] for start, stop in zip(offsets, offsets[1:])]
+    placed = list(dict.fromkeys(attach[0] for _order, attach in pieces if attach is not None))
+    slot = {host: j for j, host in enumerate(placed)}
+    parents, signs, leaves, cuts = [-1] * len(placed), [None] * len(placed), [], []
+    for order, attach in pieces:
+        stop, base = max(max(order.parent_index) + 1, 1), len(parents)
+        cuts.append((base, stop, len(leaves), len(leaves) + len(order) - stop))   # walk entries, leaves
+        up = [base + j for j in order.parent_index]
+        parents += [-1 if attach is None else slot[attach[0]], *up[1:stop]]
+        signs += [None if attach is None else attach[1], *order.sign[1:stop]]
+        leaves += [(j, s is Sign.MINUS) for j, s in zip(up[stop:], order.sign[stop:])]
+    free[placed] = False
+    left = np.count_nonzero(free)
+    walk = PrefixOrdering(tuple(range(len(parents))), tuple(parents), tuple(signs))
+    hosts = greedy_walk(d, walk, free, rng, placed, host_order=host_order)
+    if hosts is None:
+        k = bisect_right([cut[0] for cut in cuts], len(placed) + left - np.count_nonzero(free))
+        raise ForestEmbedError(f"{what}: greedy walk stuck on piece {k - 1}", cause="leaf-greedy-fail")
+    heads, into = hosts[[j for j, _into in leaves]], np.array([into for _j, into in leaves], dtype=bool)
+    cols = np.flatnonzero(free)
+    adj = np.empty((len(leaves), len(cols)), dtype=bool)
+    for a in range(0, len(leaves), ROW_BLOCK):
+        rows = _arc_rows(d, heads[a : a + ROW_BLOCK], into[a : a + ROW_BLOCK])
+        adj[a : a + ROW_BLOCK] = rows.take(cols, axis=1)
+    matched = cols[covering_matching(adj, what)]
+    free[matched] = False
+    return [np.concatenate((hosts[base : base + stop], matched[a:b])) for base, stop, a, b in cuts]
 
 
 def embed_small_forest(
@@ -254,13 +258,12 @@ def embed_small_forest(
         roots = _centroids(comp)
         keyed.append(min(zip(canonical_forms(comp, roots), roots)))
     walk = sorted(range(len(components)), key=lambda i: keyed[i][0])
+    orders = [prefix_order(components[i], keyed[i][1], "leaves_last_middles_consecutive") for i in walk]
     free = np.zeros(d.n, dtype=bool)
     free[pool] = True
     try:
-        maps = walk_lean_pieces(
-            d, [(components[i], keyed[i][1], None) for i in walk], free, rng, "forest leaf batch",
-        )
+        hosts = walk_lean_pieces(d, [(order, None) for order in orders], free, rng, "forest leaf batch")
     except MatchingError as exc:
         raise ForestEmbedError(f"leaf batch unmatched: {exc}", cause="hall-fail") from exc
-    by_component = dict(zip(walk, maps))
+    by_component = {i: got[np.argsort(order.order)] for i, order, got in zip(walk, orders, hosts)}
     return [by_component[i] for i in range(len(components))]

@@ -145,55 +145,50 @@ class PrefixOrdering:
         return len(self.order)
 
 
-def prefix_order(tree: OrientedTree, root: int, policy: str = "any") -> PrefixOrdering:
+def prefix_order(
+    tree: OrientedTree, root: int, policy: str = "any", above: int | None = None,
+) -> PrefixOrdering:
     """Order the tree so every prefix is connected.
+
+    With `above`, a neighbour of `root`, only the piece hanging at `root`
+    away from `above` is ordered, in the tree's own ids.
 
     Policies:
       * "any": depth-first preorder from the root.
       * "leaves_last_middles_consecutive": all non-root leaves occupy a
-        suffix; interior degree-2 runs (bare-path interiors) are traversed
-        consecutively, so the middle 3 vertices of any length-6 bare path
-        are consecutive in the order.
+        suffix, by id; interior degree-2 runs (bare-path interiors) are
+        traversed consecutively, so the middle 3 vertices of any length-6
+        bare path are consecutive in the order.
     """
     if policy not in ("any", "leaves_last_middles_consecutive"):
         raise ValueError(f"unknown policy {policy!r}")
     if not (0 <= root < tree.n):
         raise ValueError("root out of range")
-
-    # open_[u]: u may still be placed by the search.  Each placed vertex
-    # records its parent's position and the sign of the edge from it, read
-    # at the parent's entry in its own row: every row is read once.
     und, bits, plus, minus = tree._und, tree._bits, Sign.PLUS, Sign.MINUS
-    if policy == "any":
-        open_ = [True] * tree.n
-    else:
-        is_leaf = [len(nb) == 1 for nb in und]
-        open_ = [not leaf for leaf in is_leaf]
-    open_[root] = False
-    order = [root]
-    parent_index: list[int] = [-1]
-    signs: list[Sign | None] = [None]
-    stack = [0]
+    if above is not None and above not in und[root]:
+        raise ValueError(f"{above} is not a neighbour of root {root}")
+
+    # Each placed vertex records its parent's position and the sign of the
+    # edge from it, read at the parent's entry in its own row; in a tree
+    # every neighbour of a vertex but its parent lies below it.
+    lean = policy != "any"
+    order, parent_index, signs, stack = [root], [-1], [None], [0]
+    leaf_at: dict[int, int] = {}   # under "leaves_last...": each non-root leaf's parent position
     while stack:
         i = stack.pop()
-        v = order[i]
+        v, p = order[i], order[parent_index[i]] if i else above
         for u in reversed(und[v]):
-            if open_[u]:
-                open_[u] = False
+            if u != p:
+                if lean and len(und[u]) == 1:
+                    leaf_at[u] = i
+                    continue
                 stack.append(len(order))
                 order.append(u)
                 parent_index.append(i)
                 signs.append(minus if bits[u] >> bisect_left(und[u], v) & 1 else plus)
-    if policy != "any":
-        # Every non-root leaf goes last, after its one neighbour.
-        pos = {v: i for i, v in enumerate(order)}
-        for v in range(tree.n):
-            if is_leaf[v] and v != root:
-                parent = und[v][0]
-                order.append(v)
-                parent_index.append(pos[parent])
-                signs.append(minus if bits[v] else plus)   # bits[v] == 1: v's one edge leaves v
-    return PrefixOrdering(tuple(order), tuple(parent_index), tuple(signs))
+    leaves = sorted(leaf_at)   # last, by id; bits[u] == 1: a leaf's one edge leaves it
+    return PrefixOrdering((*order, *leaves), (*parent_index, *map(leaf_at.__getitem__, leaves)),
+                          (*signs, *[minus if bits[u] else plus for u in leaves]))
 
 
 def find_independent_leaves(tree: OrientedTree, deg=None) -> list[int]:
@@ -553,43 +548,41 @@ def gen_random_tree(
     return OrientedTree._derived(n, array, 0, *_table(n, edges))
 
 
-def canonical_forms(tree: OrientedTree, roots: list[int]) -> list[str]:
-    """The canonical string of `tree` rooted at each r in `roots`, from one pass.
+def canonical_children(order: PrefixOrdering) -> list[str]:
+    """The signed canonical strings of the children of order.order[0], sorted.
 
-    A vertex's string is "(" + its children's signed strings, sorted, + ")".
-    `roots` is one vertex or two adjacent ones (a tree's two centroids).  For
-    two, the edge between them splits the tree into two halves, each of
-    whose strings is formed once; each root's string is its own half's
-    children plus the other half's top string as one more child.  Children
-    are finished before their parents in one loop over a breadth-first
-    order, so the depth of the tree is not limited by the interpreter's stack.
+    A vertex's string is "(" + its children's signed strings, sorted, + ")",
+    a child signed "-" when it lies in N^-(parent).  One pass over the
+    reversed order finishes children first, with no recursion, and drops
+    each string once read, so memory stays O(n).
     """
-    # Each root is the other's parent, so the search covers the two halves
-    # and no string crosses the edge between them.
-    parent = [-1] * tree.n
-    if len(roots) == 2:
-        parent[roots[0]], parent[roots[1]] = roots[1], roots[0]
-    bfs = list(roots)
-    for v in bfs:
-        for u in tree._und[v]:
-            if u != parent[v]:
-                parent[u] = v
-                bfs.append(u)
-    # form[v] is v's string signed as its parent sees it: "-" when v's own
-    # row flags the edge v -> parent.  A root's string is unsigned, and with
-    # two roots each is signed as the other sees it.
-    form: list[str | None] = [None] * tree.n
-    half: dict[int, tuple[list[str], str]] = {}   # a root's children's strings, and its own
-    und, bits = tree._und, tree._bits
-    for v in reversed(bfs):
-        row, p = und[v], parent[v]
-        items = sorted([form[u] for u in row if u != p])
-        for u in row:   # the parent's string is not formed yet
-            form[u] = None  # each string is read once; keeps memory O(n)
-        sign = "" if p < 0 else "-" if bits[v] >> bisect_left(row, p) & 1 else "+"
-        form[v] = sign + "(" + "".join(items) + ")"
-        if v in roots:
-            half[v] = items, form[v]
+    kids: list[list[str]] = [[] for _ in order.order]
+    mark, sign = {Sign.PLUS: "+(", Sign.MINUS: "-("}, order.sign
+    for i in range(len(order) - 1, 0, -1):
+        kids[order.parent_index[i]].append(mark[sign[i]] + "".join(sorted(kids[i])) + ")")
+        kids[i] = []
+    return sorted(kids[0])
+
+
+def canonical_forms(tree: OrientedTree, roots: list[int]) -> list[str]:
+    """The canonical string of `tree` rooted at each r in `roots`.
+
+    `roots` is one vertex or two adjacent ones (a tree's two centroids); any
+    other `roots` raises a ValueError.  For two, the edge between them splits
+    the tree into two halves, each of whose strings is formed once; each
+    root's string is its own half's children plus the other half's top
+    string, signed as the root sees it, as one more child.
+    """
+    if len(roots) not in (1, 2):
+        raise ValueError(f"need one root or two adjacent roots, got {list(roots)}")
+    for r in roots:
+        if not 0 <= r < tree.n:
+            raise ValueError(f"root {r} outside 0..{tree.n - 1}")
     if len(roots) == 1:
-        return [form[roots[0]]]
-    return ["(" + "".join(sorted(half[r][0] + [half[s][1]])) + ")" for r, s in (roots, roots[::-1])]
+        return [f"({''.join(canonical_children(prefix_order(tree, roots[0])))})"]
+    r, s = roots
+    if s not in tree.nbrs(r):
+        raise ValueError(f"root {s} is not adjacent to root {r}")
+    kids = [canonical_children(prefix_order(tree, a, above=b)) for a, b in ((r, s), (s, r))]
+    tops = [f"{tree.edge_sign(s, r)}({''.join(kids[0])})", f"{tree.edge_sign(r, s)}({''.join(kids[1])})"]
+    return [f"({''.join(sorted(kids[0] + [tops[1]]))})", f"({''.join(sorted(kids[1] + [tops[0]]))})"]

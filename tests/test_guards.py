@@ -165,3 +165,21 @@ def test_bench_seed_stream_after_each_call(monkeypatch):
         spantree.embed_spanning(inst.host, inst.tree, params, rng)
         after.append(int(rng.integers(2**62)))
     assert after == [2249608225656012585, 4489773007377969298, 2605850032146696239]
+
+
+@pytest.mark.parametrize("demo, digest", [
+    ("01_generate_instances.py", "46a3a13b6724"),
+    ("02_matchings.py", "76a10931662a"),
+    ("03_tree_decomposition.py", "dbb0ef2365d3"),
+    ("04_guide_graphs.py", "34ab7909383f"),
+    ("05_almost_spanning.py", "3404a6b492d9"),
+    ("06_absorption.py", "c5cc5e7eae9b"),
+    ("07_spanning_pipeline.py", "290ba8d7f780"),
+])
+def test_demo_output_is_pinned(demo, digest):
+    # Each demo's stdout and stderr, as one stream: a pure-speed change prints the same bytes.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
+                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=300)
+    assert child.returncode == 0, child.stdout[-2000:]
+    assert hashlib.sha256(child.stdout).hexdigest()[:12] == digest

@@ -33,7 +33,7 @@ from spantree.embedding import (
     is_valid_embedding,
 )
 from spantree.guides import GuideBuildError, GuideRestrictError
-from spantree.matching import ForestEmbedError, MatchingError, walk_lean_pieces
+from spantree.matching import ForestEmbedError, MatchingError, covering_matching, walk_lean_pieces
 from spantree.oracle import TrialConfig, run_single_trial
 from spantree.params import ParamSchedule, spanning_defaults
 from spantree.trees import (
@@ -290,6 +290,11 @@ def scan_walk(d, order, free, rng, placed=(), stop=None, host_order=None):
     return np.array(hosts, dtype=np.int64)
 
 
+def lean_order(tree, root=0):
+    """The leaves-last prefix order `walk_lean_pieces` walks a piece in."""
+    return prefix_order(tree, root, "leaves_last_middles_consecutive")
+
+
 def forest_order(*orders):
     """The orderings one after another as one forest ordering: each root keeps parent_index -1."""
     order, parent_index, sign = [], [], []
@@ -414,6 +419,20 @@ class TestWalkAgainstScan:
         assert rewound >= 60 and stopped_in_run >= 30, (rewound, stopped_in_run)
 
     @pytest.mark.parametrize("host", HOSTS)
+    def test_ascending_orders(self, host):
+        # An ascending order over every free host reads as no order; one that
+        # leaves free hosts out still confines the picks to its own hosts.
+        d = self.host(host)
+        free = np.zeros(d.n, dtype=bool)
+        free[np.random.default_rng(8).choice(d.n, 90, replace=False)] = True
+        pool = np.flatnonzero(free)
+        for seed, order in self.cases(d, range(2)):
+            for host_order in (pool, np.arange(d.n), pool[::2], pool[5:]):
+                hosts = self.walk_both(d, order, free, seed, placed=[int(pool[seed])], host_order=host_order)
+                if hosts is not None and len(host_order) < len(pool):
+                    assert set(hosts[1:]) <= set(host_order.tolist())
+
+    @pytest.mark.parametrize("host", HOSTS)
     def test_forests_after_a_placed_prefix(self, host):
         # A 40-vertex tree, then a second root and its 20-vertex tree.  The
         # first k entries are placed; the walk draws the rest, the second root
@@ -473,7 +492,7 @@ class TestMatchLeaves:
         star = OrientedTree(4, [(0, 1), (2, 0), (0, 3)])
         free = np.zeros(d.n, dtype=bool)
         free[10:] = True
-        (m,) = walk_lean_pieces(d, [(star, 0, None)], free, np.random.default_rng(0), "test leaves")
+        (m,) = walk_lean_pieces(d, [(lean_order(star), None)], free, np.random.default_rng(0), "test leaves")
         assert len(set(m.tolist())) == 4 and all(10 <= h < 40 for h in m.tolist())
         assert not free[m].any()
         for u, w in star.edge_list:
@@ -485,7 +504,7 @@ class TestMatchLeaves:
         free[[1, 2, 3]] = True
         star = OrientedTree(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(MatchingError, match="test leaves") as info:
-            walk_lean_pieces(complete(10), [(star, 0, None)], free, np.random.default_rng(0), "test leaves")
+            walk_lean_pieces(complete(10), [(lean_order(star), None)], free, np.random.default_rng(0), "test leaves")
         assert info.value.violator.tolist() == [0, 1, 2]
 
 
@@ -561,7 +580,7 @@ class TestWalkLeanPieces:
         attach = [(0, Sign.PLUS), (1, Sign.MINUS), None]
         free = np.ones(d.n, dtype=bool)
         free[[0, 1]] = False
-        pieces = [(tree, 0, a) for tree, a in zip(trees, attach)]
+        pieces = [(lean_order(tree), a) for tree, a in zip(trees, attach)]
         maps = walk_lean_pieces(d, pieces, free, np.random.default_rng(6), "test leaves")
         used = [h for m in maps for h in m.tolist()]
         assert len(set(used)) == 7 and not free[used].any() and free.sum() == d.n - 9
@@ -579,16 +598,35 @@ class TestWalkLeanPieces:
         free = np.zeros(d.n, dtype=bool)
         free[order] = True
         (m,) = walk_lean_pieces(
-            d, [(OrientedTree(1, []), 0, (0, Sign.PLUS))], free, np.random.default_rng(2),
+            d, [(lean_order(OrientedTree(1, [])), (0, Sign.PLUS))], free, np.random.default_rng(2),
             "test leaves", host_order=order,
         )
         assert m[0] == list(pool)[np.random.default_rng(2).integers(len(pool))]
+
+    def test_host_order_replays_unordered_set_scans(self):
+        # {1, 8, 16} iterates out of ascending order; host 0's full out-row
+        # takes the root pick through the walk's list of free hosts.
+        d = complete(30)
+        pool = {1, 8, 16}
+        assert list(pool) != sorted(pool)
+        order = np.fromiter(pool, dtype=np.int64)
+        picks = set()
+        for seed in range(12):
+            free = np.zeros(d.n, dtype=bool)
+            free[order] = True
+            (m,) = walk_lean_pieces(
+                d, [(lean_order(OrientedTree(1, [])), (0, Sign.PLUS))], free, np.random.default_rng(seed),
+                "test leaves", host_order=order,
+            )
+            assert m[0] == list(pool)[np.random.default_rng(seed).integers(len(pool))]
+            picks.add(int(m[0]))
+        assert picks == pool
 
     def test_stuck_walk_is_a_leaf_greedy_fail(self):
         d = Digraph.from_edges(4, [(0, 1)])
         with pytest.raises(ForestEmbedError) as info:
             walk_lean_pieces(
-                d, [(OrientedTree(2, [(0, 1)]), 0, (2, Sign.PLUS))], np.ones(4, dtype=bool),
+                d, [(lean_order(OrientedTree(2, [(0, 1)])), (2, Sign.PLUS))], np.ones(4, dtype=bool),
                 np.random.default_rng(0), "test leaves",
             )
         assert info.value.cause == "leaf-greedy-fail"
@@ -600,7 +638,117 @@ class TestWalkLeanPieces:
         free = np.ones(5, dtype=bool)
         free[3] = False
         with pytest.raises(MatchingError, match="test leaves"):
-            walk_lean_pieces(d, [(star, 0, (3, Sign.PLUS))], free, np.random.default_rng(0), "test leaves")
+            walk_lean_pieces(d, [(lean_order(star), (3, Sign.PLUS))], free, np.random.default_rng(0), "test leaves")
+
+
+def per_piece_walks(d, pieces, free, rng, what, host_order=None):
+    """`walk_lean_pieces` as a loop over the pieces: a root draw from the attach
+    row, then a scanning walk of the piece up to its first leaf; every leaf's
+    row is then read by `adj_row` for one covering matching."""
+    images, leaf_rows, leaf_slots = [], [], []
+    for k, (order, attach) in enumerate(pieces):
+        stop = next((i for i in range(1, len(order)) if i not in order.parent_index), len(order))
+        root = draw_host(free if attach is None else d.adj_row(*attach) & free, rng, host_order)
+        hosts = None if root is None else scan_walk(d, order, free, rng, [root], stop, host_order)
+        if hosts is None:
+            raise ForestEmbedError(f"{what}: greedy walk stuck on piece {k}", cause="leaf-greedy-fail")
+        images.append(np.concatenate((hosts, np.full(len(order) - stop, -1))))
+        for i in range(stop, len(order)):
+            leaf_rows.append(d.adj_row(int(hosts[order.parent_index[i]]), order.sign[i]))
+            leaf_slots.append((k, i))
+    if leaf_rows:
+        cols = np.flatnonzero(free)
+        matched = cols[covering_matching(np.array([row[cols] for row in leaf_rows]), what)]
+        for (k, i), host in zip(leaf_slots, matched.tolist()):
+            images[k][i] = host
+        free[matched] = False
+    return images
+
+
+class TestOneLeanWalk:
+    """`walk_lean_pieces` places every piece in one greedy walk; its hosts, free
+    mask, failure and RNG state are those of the loop over the pieces."""
+
+    HOSTS = TestWalkAgainstScan.HOSTS
+
+    def run_both(self, d, pieces, free, seed, host_order):
+        runs = []
+        for walk in (walk_lean_pieces, per_piece_walks):
+            rng, mask = np.random.default_rng(seed), free.copy()
+            try:
+                got = [m.tolist() for m in walk(d, pieces, mask, rng, "test leaves", host_order)]
+            except PipelineError as exc:
+                got = (type(exc).__name__, exc.cause, str(exc))
+            runs.append((got, mask.tolist(), rng.bit_generator.state))
+        assert runs[0] == runs[1]
+        return runs[0][0]
+
+    def pieces(self, d, seed, attached):
+        rng = np.random.default_rng(seed)
+        attach = rng.choice(d.n, 8, replace=False)
+        pieces = []
+        for _ in range(12):
+            size = int(rng.integers(1, 9))
+            tree = gen_random_tree(size, 3, ("uniform", "spider", "path")[size % 3], rng)
+            a = (int(attach[rng.integers(8)]), Sign.PLUS if rng.random() < 0.5 else Sign.MINUS)
+            pieces.append((lean_order(tree, int(rng.integers(size))), a if attached else None))
+        return attach, pieces
+
+    @pytest.mark.parametrize("host", HOSTS)
+    @pytest.mark.parametrize("attached", [True, False])
+    def test_same_hosts_free_mask_and_rng_state(self, host, attached):
+        d = TestWalkAgainstScan.host(host)
+        outcomes = []
+        for seed in range(6):
+            attach, pieces = self.pieces(d, seed, attached)
+            for size in (120, 60, 45, 20):   # the pieces hold about 54 vertices
+                free = np.zeros(d.n, dtype=bool)
+                free[np.random.default_rng(seed + 50).choice(d.n, size, replace=False)] = True
+                free[attach] = False
+                pool = np.flatnonzero(free)
+                set_order = np.fromiter(set(pool.tolist()), dtype=np.int64)
+                for host_order in (None, pool, set_order):
+                    got = self.run_both(d, pieces, free, seed, host_order)
+                    outcomes.append(got[0] if type(got) is tuple else "embedded")
+        assert {"embedded", "MatchingError", "ForestEmbedError"} <= set(outcomes)
+
+    def test_a_block_spans_pieces(self):
+        # On the complete host every pick has a full row: the one walk draws
+        # all the pieces' picks in one block, the loop one block per piece.
+        d = TestWalkAgainstScan.host("complete")
+        for seed in range(4):
+            attach, pieces = self.pieces(d, seed, True)
+            free = np.ones(d.n, dtype=bool)
+            free[attach] = False
+            assert len(pieces) > 1
+            self.run_both(d, pieces, free, seed, None)
+
+    def test_scans_interleave_with_full_row_picks(self):
+        # Out-rows 0..7 and in-rows 8..15 miss one arc each: the attach hosts
+        # 0 and 8 scan, and picks below them mix scans and full-row picks.
+        d = minus_arcs(60, [(v, v + 8) for v in range(8)] + [(16, 8)])
+        kinds = set()
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            pieces = [(lean_order(gen_random_tree(6, 3, "uniform", rng)), (a, s))
+                      for a, s in ((0, Sign.PLUS), (8, Sign.MINUS), (20, Sign.PLUS), (0, Sign.MINUS))]
+            free = np.ones(d.n, dtype=bool)
+            free[[0, 8, 20]] = False
+            maps = self.run_both(d, pieces, free, seed, None)
+            for (order, _attach), hosts in zip(pieces, maps):
+                kinds |= {bool(d.full_rows(order.sign[i])[hosts[order.parent_index[i]]])
+                          for i in range(1, len(order))}
+        assert kinds == {True, False}
+
+    def test_stuck_walk_names_its_piece(self):
+        # Host 1 has out-arcs to 2 and 3 only: the third piece's root finds no host.
+        d = Digraph.from_edges(8, [(0, v) for v in range(2, 8)] + [(1, 2), (1, 3)])
+        leaf = lean_order(OrientedTree(1, []))
+        pieces = [(leaf, (1, Sign.PLUS)), (leaf, (0, Sign.PLUS)), (leaf, (1, Sign.PLUS)), (leaf, (1, Sign.PLUS))]
+        free = np.ones(8, dtype=bool)
+        free[[0, 1]] = False
+        got = self.run_both(d, pieces, free, 0, None)
+        assert got == ("ForestEmbedError", "leaf-greedy-fail", "test leaves: greedy walk stuck on piece 3")
 
 
 class TestZeroRetryBudget:

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from spantree.decompose import DecompositionError, decompose
 from spantree.digraph import Sign
+from spantree.embedder import stars_from_decomposition
 from spantree.matching import _centroids
 from spantree.params import spanning_defaults
 from spantree.trees import FAMILIES as GENERATOR_FAMILIES
 from spantree.trees import (
     OrientedTree,
+    canonical_children,
     canonical_forms,
     components,
     find_independent_leaves,
@@ -1308,3 +1310,85 @@ class TestIterativeCanon:
         # The smaller centroid string, the forest walk's sort key, is the same on every copy.
         for comp, copy in copies:
             assert min(canonical_forms(comp, _centroids(comp))) == min(canonical_forms(copy, _centroids(copy)))
+
+
+class TestCanonicalRoots:
+    """`canonical_forms` takes one root, or two adjacent distinct roots, all inside the tree."""
+
+    @pytest.mark.parametrize("roots, message", [
+        ([-1], "root -1 outside 0..4"),
+        ([7], "root 7 outside 0..4"),
+        ([0, 7], "root 7 outside 0..4"),
+        ([0, 2], "root 2 is not adjacent to root 0"),
+        ([1, 1], "root 1 is not adjacent to root 1"),
+        ([], r"need one root or two adjacent roots, got \[\]"),
+        ([0, 1, 2], r"need one root or two adjacent roots, got \[0, 1, 2\]"),
+    ])
+    def test_bad_roots_raise_one_value_error(self, roots, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            canonical_forms(path_tree(5), roots)
+
+    def test_good_roots_on_a_path(self):
+        tree = path_tree(5)
+        assert canonical_forms(tree, [2, 3]) == [recursive_canon(tree, 2), recursive_canon(tree, 3)]
+        assert canonical_forms(tree, [4]) == ["(-(-(-(-()))))"]
+
+    def test_above_must_neighbour_the_root(self):
+        tree = path_tree(5)
+        for above in (0, 1, 3, -1, 9):
+            with pytest.raises(ValueError, match=f"^{above} is not a neighbour of root 3$"):
+                prefix_order(tree, 3, "leaves_last_middles_consecutive", above=above)
+        assert prefix_order(tree, 3, above=2).order == (3, 4)
+        assert prefix_order(tree, 3, above=4).order == (3, 2, 1, 0)
+
+
+def reoriented(tree, rng):
+    """The same underlying tree with each edge reversed by a fair coin."""
+    flip = rng.random(tree.n - 1) < 0.5
+    return OrientedTree(tree.n, [(v, u) if f else (u, v) for (u, v), f in zip(tree.edge_list, flip)], tree.t)
+
+
+class TestStarPiecesOffTheTree:
+    """Each star piece is read off the guest tree: its walk order and canonical key
+    equal those of the piece induced on its vertices, relabelled."""
+
+    FAMILIES = ("uniform", "path", "caterpillar", "spider", "broom")
+
+    def stars(self):
+        for family in self.FAMILIES:
+            for n, seed in itertools.product((40, 150, 800), range(3)):
+                tree = family_tree(family, n, seed)
+                for guest in (tree, reoriented(tree, np.random.default_rng(seed))):
+                    try:
+                        td = decompose(guest, 0, spanning_defaults(n, 0.25))
+                    except DecompositionError:
+                        continue
+                    yield td, stars_from_decomposition(td)
+
+    def test_order_and_key_match_the_induced_piece(self):
+        multi = 0
+        for td, stars in self.stars():
+            tree = td.tree
+            for st in stars:
+                order = prefix_order(tree, st.root, "leaves_last_middles_consecutive", above=st.attach)
+                piece = induced_subtree(tree, st.vertices)
+                labels = piece.labels.tolist()
+                local_root = labels.index(st.root)
+                local = prefix_order(piece.tree, local_root, "leaves_last_middles_consecutive")
+                assert order.order == tuple(labels[v] for v in local.order)
+                assert (order.parent_index, order.sign) == (local.parent_index, local.sign)
+                key = "(" + "".join(canonical_children(order)) + ")"
+                assert [key] == canonical_forms(piece.tree, [local_root])
+                assert key == recursive_canon(piece.tree, local_root)
+                multi += len(st.vertices) > 1
+        assert multi >= 500
+
+    def test_stars_keep_the_component_order(self):
+        # The StarComponents of the components() search they replaced, in its order.
+        for td, stars in self.stars():
+            tree, want = td.tree, []
+            for v, hang in sorted(td.stars.items()):
+                for comp in components(tree, hang):
+                    (root,) = [x for x in comp if v in tree.nbrs(x)]
+                    want.append((v, root, tree.edge_sign(v, root), tuple(comp)))
+            assert [(st.attach, st.root, st.sign, st.vertices) for st in stars] == want

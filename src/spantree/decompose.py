@@ -66,6 +66,7 @@ class TreeDecomposition:
     stars: dict[int, tuple[int, ...]]        # v in T0 -> vertices of S_v - v
     pieces: list[PathPiece]
     leftovers: dict[int, tuple[int, ...]]    # anchor -> stripped vertices at it
+    hang_root: list[int]   # v -> the vertex of v's stripped tree next to the core S'; -1 if never stripped
     eta: float
     k: int
     K: int
@@ -84,15 +85,19 @@ class TreeDecomposition:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _strip(tree: OrientedTree, t: int, batch_min: int) -> tuple[list[bool], list[int]]:
+def _strip(tree: OrientedTree, t: int, batch_min: int) -> tuple[list[bool], list[int], list[int], list[int]]:
     """Iterated independent-leaf stripping plus the final leaf layer.
 
-    Returns the alive mask of the low-leaf core S' and each vertex's degree
-    inside it (0 outside it).
+    Returns the alive mask of the low-leaf core S', each vertex's degree
+    inside it (0 outside it), and the stripping forest: up[v] is v's one
+    alive neighbour when v is removed, and hang_root[v] the vertex of v's
+    stripped tree whose up vertex is in S'; both are -1 on S'.
     """
     alive = [True] * tree.n
     # deg[v]: v's degree among the alive vertices, 0 once v is removed.
     deg = list(map(len, tree._und))
+    up = [-1] * tree.n
+    removed: list[int] = []
 
     def remove(batch: list[int]) -> None:
         for v in batch:
@@ -101,6 +106,8 @@ def _strip(tree: OrientedTree, t: int, batch_min: int) -> tuple[list[bool], list
             for u in tree.nbrs(v):
                 if alive[u]:
                     deg[u] -= 1
+                    up[v] = u
+        removed.extend(batch)
 
     while alive.count(True) > 1:
         batch = find_independent_leaves(tree, deg)
@@ -115,19 +122,10 @@ def _strip(tree: OrientedTree, t: int, batch_min: int) -> tuple[list[bool], list
     final = [v for v in range(tree.n) if alive[v] and deg[v] == 1 and v != t]
     if alive.count(True) - len(final) >= 1:
         remove(final)
-    return alive, deg
-
-
-def _stripped_components(tree: OrientedTree, alive: list[bool]):
-    """Connected components of the removed vertices with their attachment.
-
-    Every component hangs below exactly one alive vertex.
-    """
-    comps: list[tuple[int, list[int]]] = []
-    for comp in components(tree, [v for v, kept in enumerate(alive) if not kept]):
-        touches = {u for w in comp for u in tree.nbrs(w) if alive[u]}
-        comps.append((touches.pop(), comp))
-    return comps
+    hang_root = [-1] * tree.n
+    for v in reversed(removed):   # each up vertex was removed later, or survives
+        hang_root[v] = v if alive[up[v]] else hang_root[up[v]]
+    return alive, deg, up, hang_root
 
 
 def decompose(tree: OrientedTree, t: int, params: ParamSchedule) -> TreeDecomposition:
@@ -160,13 +158,13 @@ def _build_layers(
     tree: OrientedTree, t: int, params: ParamSchedule, vol_cap: float
 ) -> TreeDecomposition:
     n = tree.n
-    alive, deg = _strip(tree, t, params.strip_count(n))
-    comps = _stripped_components(tree, alive)
-    vol = [0] * n
-    at: dict[int, list[list[int]]] = {}
-    for attach, comp in comps:
-        vol[attach] += len(comp)
-        at.setdefault(attach, []).append(comp)
+    alive, deg, up, hang_root = _strip(tree, t, params.strip_count(n))
+    # at[v]: the stripped vertices hanging at core vertex v, ascending.
+    at: dict[int, list[int]] = {}
+    for v, root in enumerate(hang_root):
+        if root >= 0:
+            at.setdefault(up[root], []).append(v)
+    vol = [len(at.get(v, ())) for v in range(n)]
 
     core = list(itertools.compress(range(n), alive))
 
@@ -213,7 +211,7 @@ def _build_layers(
                     continue
                 b = best_b
                 inner = path[a + 2 : b - 1]
-                body = inner + [u for v in inner for comp in at.get(v, []) for u in comp]
+                body = inner + [u for v in inner for u in at.get(v, ())]
                 pieces.append(
                     PathPiece(
                         x=path[a],
@@ -234,10 +232,8 @@ def _build_layers(
     # Stripped trees at core vertices (piece anchors included) hang as stars;
     # trees at 2-path midpoints join the leftover layer, since the attachment
     # paths must stay bare inside T2.
-    def hung_at(vertices) -> dict[int, tuple[int, ...]]:
-        return {v: tuple(sorted(u for comp in at[v] for u in comp)) for v in vertices if v in at}
-
-    stars, leftovers = hung_at(t0_list), hung_at(sorted(mids))
+    stars = {v: tuple(at[v]) for v in t0_list if v in at}
+    leftovers = {v: tuple(at[v]) for v in sorted(mids) if v in at}
 
     t1 = np.array(
         sorted(set(t0_list) | {u for s in stars.values() for u in s}),
@@ -257,6 +253,7 @@ def _build_layers(
         stars=stars,
         pieces=pieces,
         leftovers=leftovers,
+        hang_root=hang_root,
         eta=params.eta,
         k=params.k,
         K=params.K,

@@ -201,22 +201,13 @@ class StarComponent:
 
 def stars_from_decomposition(td: TreeDecomposition) -> list[StarComponent]:
     """The star trees by attach vertex, then by smallest vertex: at v, each
-    neighbour in v's hang roots one, hanging away from v."""
+    stripped tree of v's hang, rooted at its hang root."""
     out = []
-    und = td.tree._und
     for v, hang in sorted(td.stars.items()):
-        left, found = set(hang), []
-        for u in und[v]:
-            if u in left:
-                left.discard(u)
-                piece = [u]
-                for w in piece:   # the list grows as it is read; `left` loses each vertex it gains
-                    for x in und[w]:
-                        if x in left:
-                            left.discard(x)
-                            piece.append(x)
-                found.append((sorted(piece), u))
-        out += [StarComponent(v, u, td.tree.edge_sign(v, u), tuple(piece)) for piece, u in sorted(found)]
+        found: dict[int, list[int]] = {}
+        for u in hang:   # ascending, so each tree comes in at its smallest vertex
+            found.setdefault(td.hang_root[u], []).append(u)
+        out += [StarComponent(v, u, td.tree.edge_sign(v, u), tuple(piece)) for u, piece in found.items()]
     return out
 
 
@@ -512,15 +503,6 @@ def embed_almost_spanning(
         # the core, plus the leaf-part slack; start from that floor and adapt
         # between attempts based on which phase ran out of room.
         s1_floor = len(td.t0) // 3 + 10 + math.ceil(0.1 * len(stars)) + 12
-        # Proportional slack split with floors: piece-heavy trees need their
-        # headroom in V2, star-heavy trees in V1.
-        weight1 = t1_size + 4.0
-        weight2 = t2_new + (4.0 if t2_new else 0.0)
-        weight3 = t3_new + (2.0 if t3_new else 0.0)
-        total_w = weight1 + weight2 + weight3
-        split2 = max(3, round(slack * weight2 / total_w)) if t2_new else 0
-        split3 = max(2, round(slack * weight3 / total_w)) if t3_new else 0
-        ceiling = slack - (3 if t2_new else 0) - (2 if t3_new else 0)
 
         def once() -> Embedding:
             # Each failure of the star layer's room widens V1; each of the paths narrows it.
@@ -529,17 +511,7 @@ def embed_almost_spanning(
                 else -max(4, slack // 8) if phase == "paths" else 0
                 for phase, cause, _message in log
             )
-            s2, s3 = split2, split3
-            s1 = slack - s2 - s3
-            want1 = min(ceiling, s1_floor + v1_bias)
-            if want1 > s1:
-                shift = want1 - s1
-                take2 = min(shift, max(0, s2 - 3)) if t2_new else 0
-                s2 -= take2
-                shift -= take2
-                take3 = min(shift, max(0, s3 - 2)) if t3_new else 0
-                s3 -= take3
-                s1 = slack - s2 - s3
+            s1, s2 = _slack_split(slack, t1_size, t2_new, t3_new, s1_floor + v1_bias)
             if s1 < 2:
                 raise PhaseFailure("almost", "guide-build", "slack too thin to size V1", len(log) + 1)
             parts = _parts_holding(d, [t1_size + s1, t2_new + s2], rng, pool, v, 300)
@@ -558,6 +530,23 @@ def embed_almost_spanning(
     retries = {"almost": len(log)} if log or not greedy else {}
     failures = [{"attempt": i, "phase": phase, "cause": cause} for i, (phase, cause, _m) in enumerate(log)]
     return emb, {"phase_retries": retries, "failures": failures}
+
+
+def _slack_split(slack: int, t1_size: int, t2_new: int, t3_new: int, want1: int) -> tuple[int, int]:
+    """(s1, s2): the spare hosts of V1 and V2 out of `slack`; V3 gets the rest.
+
+    The slack splits in proportion to T1 and to what T2 and T3 add, so piece-heavy
+    trees get their headroom in V2 and star-heavy trees in V1, with floors of 3 and 2
+    when T2 and T3 add vertices.  V1 then grows to want1, from V2 first, down to the floors.
+    """
+    floor2, floor3 = (3 if t2_new else 0), (2 if t3_new else 0)
+    weight2, weight3 = t2_new + (4.0 if t2_new else 0.0), t3_new + (2.0 if t3_new else 0.0)
+    total_w = t1_size + 4.0 + weight2 + weight3
+    split2 = max(floor2, round(slack * weight2 / total_w))
+    split3 = max(floor3, round(slack * weight3 / total_w))
+    base1 = slack - split2 - split3
+    s1 = max(base1, min(slack - floor2 - floor3, want1))
+    return s1, split2 - min(s1 - base1, split2 - floor2)
 
 
 def _parts_holding(
@@ -876,7 +865,7 @@ def build_absorber(
     if ell <= threshold:
         raise PhaseFailure(
             "absorber", "S-fail",
-            f"trunk of {ell} vertices cannot reach a switch threshold of {threshold}", 0,
+            f"trunk of {ell} vertices cannot reach a switch threshold of {threshold}", 1,
         )
 
     def once() -> AbsorberState:

@@ -66,10 +66,9 @@ def greedy_walk(
     free: np.ndarray,
     rng: np.random.Generator,
     placed: list[int] | tuple[int, ...] = (),
-    stop: int | None = None,
     host_order: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Random greedy embedding of the forest order.order[:stop] into the hosts marked in `free`.
+    """Random greedy embedding of the forest order.order into the hosts marked in `free`.
 
     The first entries go to the hosts `placed`, in order.  Each later entry
     goes to a uniform free host: in the right neighborhood of its parent's
@@ -86,12 +85,11 @@ def greedy_walk(
     built at a full-row pick and dropped at any pick that scans a row.  Its
     picks are drawn in one block when it is built: `integers(0, bounds)`
     with bounds len(list), len(list) - 1, ..., 1, cut at the picks left
-    before `stop`.  numpy draws such a block element by element, as one
+    in the order.  numpy draws such a block element by element, as one
     `integers(len(list))` per pick.  A scanning pick rewinds the RNG to the
     block's start and redraws the picks used, so every pick and the RNG
     state after the walk are those of one draw per pick.
     """
-    stop = len(order.order) if stop is None else stop
     adj_row, parent_index, sign = d.adj_row, order.parent_index, order.sign
     plus, full_out, full_in = Sign.PLUS, d.full_rows(Sign.PLUS), d.full_rows(Sign.MINUS)
     candidates = np.empty(d.n, dtype=bool)   # row & free, refilled in place per pick
@@ -101,7 +99,7 @@ def greedy_walk(
     if host_order is not None and (host_order[1:] > host_order[:-1]).all() and (
             np.count_nonzero(free[host_order]) == np.count_nonzero(free)):
         host_order = None   # ascending over every free host: the reading order of no order
-    for i in range(len(hosts), stop):
+    for i in range(len(hosts), len(order)):
         j, s = parent_index[i], sign[i]
         if j < 0 and free_list is None:
             host = draw_host(free, rng, host_order)
@@ -117,7 +115,7 @@ def greedy_walk(
                 free_list = (free.nonzero()[0] if host_order is None
                              else host_order[free[host_order]]).tolist()
                 saved, size = rng.bit_generator.state, len(free_list)
-                bounds = np.arange(size, max(size - stop + i, 0), -1)
+                bounds = np.arange(size, max(size - len(order) + i, 0), -1)
                 picks = rng.integers(0, bounds).tolist()
             host = free_list.pop(picks[size - len(free_list)]) if free_list else None
         if host is None:

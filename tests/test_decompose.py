@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -12,7 +13,9 @@ from spantree.decompose import (
 )
 from spantree.embedder import stars_from_decomposition
 from spantree.params import ParamSchedule, spanning_defaults
-from spantree.trees import FAMILIES, OrientedTree, gen_random_tree
+from spantree.trees import FAMILIES, OrientedTree, components, gen_random_tree
+
+from test_trees import family_tree, reoriented
 
 
 def schedule(n, eta=0.08, k=12, K=None):
@@ -117,6 +120,55 @@ class TestStarsExtraction:
         for st in stars:
             assert st.root in tree.nbrs(st.attach) or st.attach in tree.nbrs(st.root)
             assert tree.edge_sign(st.attach, st.root) is st.sign
+
+
+class TestHangRoots:
+    """Stripping records each removed leaf's core-ward neighbour; the hang
+    roots read off it must split every hang into its trees."""
+
+    def decompositions(self):
+        for family in ("uniform", "path", "caterpillar", "spider", "broom"):
+            for n, seed in itertools.product((40, 150, 800), range(3)):
+                tree = family_tree(family, n, seed)
+                for guest in (tree, reoriented(tree, np.random.default_rng(seed))):
+                    for t in (0, n - 1):
+                        try:
+                            yield decompose(guest, t, spanning_defaults(n, 0.25))
+                        except DecompositionError:
+                            continue
+
+    def test_hangs_group_into_their_components(self):
+        hangs = 0
+        for td in self.decompositions():
+            tree = td.tree
+            for v, hang in [*td.stars.items(), *td.leftovers.items()]:
+                trees: dict[int, list[int]] = {}
+                for u in hang:
+                    trees.setdefault(td.hang_root[u], []).append(u)
+                assert list(trees.values()) == components(tree, hang)
+                assert all(v in tree.nbrs(root) for root in trees)
+                hangs += 1
+        assert hangs >= 1000
+
+    def test_minus_one_exactly_on_the_core(self):
+        # The core that stripping leaves is T0 plus each piece's tree path
+        # between its anchors, anchors excluded.
+        checked = 0
+        for td in self.decompositions():
+            tree, core = td.tree, set(td.t0.tolist())
+            for piece in td.pieces:
+                parent, queue = {piece.x: -1}, [piece.x]
+                for w in queue:   # grows as it is read: a search from x
+                    fresh = [u for u in tree.nbrs(w) if u not in parent]
+                    parent.update((u, w) for u in fresh)
+                    queue += fresh
+                w = parent[piece.y]
+                while w != piece.x:
+                    core.add(w)
+                    w = parent[w]
+            assert [v for v in range(tree.n) if td.hang_root[v] < 0] == sorted(core)
+            checked += 1
+        assert checked >= 150
 
 
 class TestDump:

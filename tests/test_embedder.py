@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from spantree.digraph import ROW_BLOCK, Digraph, Sign, gen_semidegree_digraph
 from spantree.embedder import (
     PhaseFailure,
     _property_s_floor,
+    _slack_split,
     attach_path_trees,
     build_absorber,
     complete_absorption,
@@ -457,6 +459,47 @@ class TestAlmostSpanning:
         with pytest.raises(ValueError):
             embed_almost_spanning(d, tree, 0, 0, spanning_defaults(20, 0.4),
                                   np.random.default_rng(0))
+
+
+def loop_slack_split(slack, t1_size, t2_new, t3_new, want):
+    """The step-by-step V1 sizing `_slack_split` replaced: V1 takes from V2,
+    then V3, one floor at a time."""
+    weight1 = t1_size + 4.0
+    weight2 = t2_new + (4.0 if t2_new else 0.0)
+    weight3 = t3_new + (2.0 if t3_new else 0.0)
+    total_w = weight1 + weight2 + weight3
+    split2 = max(3, round(slack * weight2 / total_w)) if t2_new else 0
+    split3 = max(2, round(slack * weight3 / total_w)) if t3_new else 0
+    ceiling = slack - (3 if t2_new else 0) - (2 if t3_new else 0)
+    s2, s3 = split2, split3
+    s1 = slack - s2 - s3
+    want1 = min(ceiling, want)
+    if want1 > s1:
+        shift = want1 - s1
+        take2 = min(shift, max(0, s2 - 3)) if t2_new else 0
+        s2 -= take2
+        shift -= take2
+        take3 = min(shift, max(0, s3 - 2)) if t3_new else 0
+        s3 -= take3
+        s1 = slack - s2 - s3
+    return s1, s2
+
+
+class TestSlackSplit:
+    def test_closed_form_matches_the_loop(self):
+        # want = s1_floor + v1_bias: floors from a 1-vertex core up, biases of either sign.
+        points = 0
+        for slack in (4, 5, 6, 7, 9, 12, 16, 23, 31, 47, 64, 100, 150, 240, 400, 800):
+            for t1_size, t2_new, t3_new in itertools.product((1, 9, 60, 300, 1500), (0, 1, 7, 40, 250),
+                                                             (0, 1, 5, 30, 150)):
+                for s1_floor, v1_bias in itertools.product((22, 35, 60, 110, 250),
+                                                           range(-84, 85, 8)):
+                    want = s1_floor + v1_bias
+                    got = _slack_split(slack, t1_size, t2_new, t3_new, want)
+                    assert got == loop_slack_split(slack, t1_size, t2_new, t3_new, want), (
+                        slack, t1_size, t2_new, t3_new, want)
+                    points += 1
+        assert points == 220_000
 
 
 class TestPooledHost:
@@ -1007,6 +1050,22 @@ class TestPropertySFloor:
             "absorber failed after 10 attempt(s) [S-fail]: "
             "property S floor 9 below threshold 22 (ell=43, swaps=18)"
         )
+
+    def test_unreachable_threshold_is_one_attempt_with_no_draw(self):
+        # A trunk shorter than its switch threshold fails before any draw,
+        # reported as one attempt like every other failure decided up front.
+        d = gen_semidegree_digraph(300, 0.25, np.random.default_rng(1))
+        tree = gen_random_tree(84, 3, "uniform", np.random.default_rng(0)).with_t(0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(PhaseFailure) as info:
+            build_absorber(d, tree, 0, spanning_defaults(300, 0.25), rng)
+        assert str(info.value) == (
+            "absorber failed after 1 attempt(s) [S-fail]: "
+            "trunk of 38 vertices cannot reach a switch threshold of 50"
+        )
+        assert (info.value.phase, info.value.attempts) == ("absorber", 1)
+        assert rng.bit_generator.state == state
 
     def test_stuck_trunk_walk_is_a_leaf_greedy_fail(self):
         # No host has an arc, so every attempt's walk is stuck and no floor is counted.

@@ -260,10 +260,10 @@ class TestGreedyWalk:
 
     def test_root_drawn_from_free_and_stop(self):
         d = complete(12)
-        order = prefix_order(OrientedTree(4, [(0, 1), (1, 2), (1, 3)]), 0)
+        order = head(prefix_order(OrientedTree(4, [(0, 1), (1, 2), (1, 3)]), 0), 2)
         free = np.zeros(d.n, dtype=bool)
         free[[3, 5, 7, 9]] = True
-        hosts = greedy_walk(d, order, free, np.random.default_rng(0), stop=2)
+        hosts = greedy_walk(d, order, free, np.random.default_rng(0))
         assert len(hosts) == 2 and set(hosts.tolist()) <= {3, 5, 7, 9}
         assert free.sum() == 2
 
@@ -288,6 +288,11 @@ def scan_walk(d, order, free, rng, placed=(), stop=None, host_order=None):
         hosts.append(host)
         free[host] = False
     return np.array(hosts, dtype=np.int64)
+
+
+def head(order, k):
+    """The ordering of order's first k entries: walking it is walking order up to entry k."""
+    return PrefixOrdering(order.order[:k], order.parent_index[:k], order.sign[:k])
 
 
 def lean_order(tree, root=0):
@@ -374,7 +379,7 @@ class TestWalkAgainstScan:
             for host_order in (None, set_order):
                 self.walk_both(d, order, free, seed, placed=[root], host_order=host_order)
                 self.walk_both(d, order, free, seed, host_order=host_order)
-                self.walk_both(d, order, free, seed, stop=13, host_order=host_order)
+                self.walk_both(d, head(order, 13), free, seed, host_order=host_order)
 
     def test_scanned_picks_between_full_row_picks(self):
         # Out-rows 0..7 and in-rows 8..15 miss one arc each, so these walks mix
@@ -406,8 +411,8 @@ class TestWalkAgainstScan:
             for family in ("uniform", "spider", "caterpillar"):
                 order = prefix_order(gen_random_tree(180, 3, family, np.random.default_rng(seed)), 0)
                 for host_order in (None, shuffled):
-                    for stop in (None, 121):
-                        hosts = self.walk_both(d, order, free, seed, stop=stop, host_order=host_order)
+                    for walked in (order, head(order, 121)):
+                        hosts = self.walk_both(d, walked, free, seed, host_order=host_order)
                         if hosts is None:
                             continue
                         kinds = "".join(
@@ -415,7 +420,7 @@ class TestWalkAgainstScan:
                             for i in range(1, len(hosts))
                         )
                         rewound += "FS" in kinds
-                        stopped_in_run += stop is not None and kinds.endswith("FF")
+                        stopped_in_run += walked is not order and kinds.endswith("FF")
         assert rewound >= 60 and stopped_in_run >= 30, (rewound, stopped_in_run)
 
     @pytest.mark.parametrize("host", HOSTS)
@@ -452,9 +457,9 @@ class TestWalkAgainstScan:
                     if prefix is None:
                         continue
                     for host_order in (None, set_order):
-                        for stop in (None, len(first) + 1):
-                            hosts = self.walk_both(d, forest, free, seed, placed=prefix.tolist(),
-                                                   stop=stop, host_order=host_order)
+                        for walked in (forest, head(forest, len(first) + 1)):
+                            hosts = self.walk_both(d, walked, free, seed, placed=prefix.tolist(),
+                                                   host_order=host_order)
                             counts["stuck"] += hosts is None
                             counts["second root"] += hosts is not None and len(hosts) > len(first)
         assert counts["second root"] >= 200 and counts["stuck"] >= 50, counts
@@ -481,7 +486,7 @@ class TestWalkAgainstScan:
         assert sub.full_rows(Sign.PLUS)[labels.tolist().index(5)]
         assert sub.full_rows(Sign.PLUS).sum() == len(keep) - 2   # 0 and 3 lose arcs inside
         for seed, order in self.cases(sub, range(2)):
-            self.walk_both(sub, order, np.ones(sub.n, dtype=bool), seed, stop=len(keep))
+            self.walk_both(sub, head(order, len(keep)), np.ones(sub.n, dtype=bool), seed)
 
 
 class TestMatchLeaves:

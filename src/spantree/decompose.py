@@ -96,6 +96,7 @@ def _strip(tree: OrientedTree, t: int, batch_min: int) -> tuple[list[bool], list
     alive = [True] * tree.n
     # deg[v]: v's degree among the alive vertices, 0 once v is removed.
     deg = list(map(len, tree._und))
+    leaves = {v for v in range(tree.n) if deg[v] == 1}   # the alive vertices of degree 1
     up = [-1] * tree.n
     removed: list[int] = []
 
@@ -103,14 +104,19 @@ def _strip(tree: OrientedTree, t: int, batch_min: int) -> tuple[list[bool], list
         for v in batch:
             alive[v] = False
             deg[v] = 0
+            leaves.discard(v)
             for u in tree.nbrs(v):
                 if alive[u]:
                     deg[u] -= 1
                     up[v] = u
+                    if deg[u] == 1:
+                        leaves.add(u)
+                    elif deg[u] == 0:
+                        leaves.discard(u)
         removed.extend(batch)
 
-    while alive.count(True) > 1:
-        batch = find_independent_leaves(tree, deg)
+    while tree.n - len(removed) > 1:
+        batch = find_independent_leaves(tree, deg, leaves)
         if len(batch) < batch_min:
             break
         non_t = [v for v in batch if v != t]
@@ -119,8 +125,8 @@ def _strip(tree: OrientedTree, t: int, batch_min: int) -> tuple[list[bool], list
         remove(non_t)
 
     # Final layer: all remaining leaves except t.
-    final = [v for v in range(tree.n) if alive[v] and deg[v] == 1 and v != t]
-    if alive.count(True) - len(final) >= 1:
+    final = sorted(leaves - {t})
+    if tree.n - len(removed) - len(final) >= 1:
         remove(final)
     hang_root = [-1] * tree.n
     for v in reversed(removed):   # each up vertex was removed later, or survives
@@ -281,14 +287,13 @@ def check_decomposition(td: TreeDecomposition) -> list[str]:
     for v, hang in td.stars.items():
         if v not in t0s:
             problems.append(f"P2: star anchored outside T0 at {v}")
-        for comp in components(tree, hang):
-            if len(comp) > td.K:
-                problems.append(f"P2: star component of size {len(comp)} > K = {td.K}")
-            touches = {
-                u for w in comp for u in tree.nbrs(w) if u in t0s
-            }
-            if touches != {v}:
-                problems.append(f"P2: star component at {v} touches T0 at {sorted(touches)}")
+        if not _one_small_tree_at(tree, v, hang, t0s, td.K):
+            for comp in components(tree, hang):
+                if len(comp) > td.K:
+                    problems.append(f"P2: star component of size {len(comp)} > K = {td.K}")
+                touches = {u for w in comp for u in tree.nbrs(w) if u in t0s}
+                if touches != {v}:
+                    problems.append(f"P2: star component at {v} touches T0 at {sorted(touches)}")
         if seen_star & set(hang):
             problems.append("P2: star trees overlap")
         seen_star |= set(hang)
@@ -337,3 +342,21 @@ def check_decomposition(td: TreeDecomposition) -> list[str]:
     if (star_verts & piece_verts) or (leftovers & t2s):
         problems.append("layers overlap")
     return problems
+
+
+def _one_small_tree_at(tree: OrientedTree, v: int, hang, t0s: set[int], K: int) -> bool:
+    """True when hang + v, at most K + 1 distinct vertices with v in T0, is one tree touching T0 at v
+    alone, so that each component of hang passes P2: exactly when it spans |hang| tree edges."""
+    inside = set(hang)
+    if v not in t0s or v in inside or not len(inside) == len(hang) <= K:
+        return False
+    ends = 0   # an edge inside hang counts once from each end, one to v twice from its end in hang
+    for w in hang:
+        for u in tree._und[w]:
+            if u in t0s:
+                if u != v:
+                    return False
+                ends += 2
+            elif u in inside:
+                ends += 1
+    return ends == 2 * len(hang)

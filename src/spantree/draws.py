@@ -1,0 +1,167 @@
+"""Scalar draws of a numpy Generator served from blocks of its raw 64-bit words.
+
+A bit generator with a 32-bit half buffer (PCG64, PCG64DXSM, Philox, SFC64)
+makes a Generator's scalar draws by these rules, on numpy 2:
+
+* a 32-bit draw takes the buffered high half when `has_uint32` is set, and
+  otherwise takes the low half of the next 64-bit output w and buffers w's
+  high half; `uinteger` keeps its stale value once the half is used;
+* `random()` is (w >> 11) 2^-53 for the next output w, and leaves the half alone;
+* `integers(b)`, 2 <= b <= 2^32, is Lemire's method on one 32-bit draw x:
+  with m = x b, x is redrawn while m mod 2^32 < (2^32 - b) mod b, and the
+  result is m >> 32.  `integers(1)` draws nothing.
+
+`random_raw(k)` returns the next k outputs and leaves the half buffer alone.
+So a `WordReader` serves these draws from raw words read in blocks, and when
+its `with` block exits, by any route, it sets the state the scalar calls
+would have left: its starting state, with the half buffer it ends with,
+advanced by the words it used.  Any other rng (MT19937, a test double) gets
+a `ScalarReader`, with the same methods, which makes the rng's own calls.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_LOW = 0xFFFFFFFF
+_HALF_BUFFERED = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+
+
+def reader(rng, words: int) -> "ScalarReader":
+    """A reader of `rng`'s draws for a `with` block that expects to use about `words` raw words."""
+    if isinstance(rng, np.random.Generator) and type(rng.bit_generator) in _HALF_BUFFERED:
+        return WordReader(rng.bit_generator, words)
+    return ScalarReader(rng)
+
+
+class ScalarReader:
+    """`random()`; `below(b)`, which is `integers(b)`; `run(bounds)`, which is
+    [below(b) for b in bounds] for non-increasing bounds >= 1; and `keep(j)`,
+    which keeps the first j picks of the last `run` and gives back the rest.
+    """
+
+    __slots__ = ("_rng", "random", "_last")
+
+    def __init__(self, rng):
+        self._rng, self.random = rng, rng.random
+
+    def __enter__(self) -> "ScalarReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def below(self, b: int) -> int:
+        return int(self._rng.integers(b))
+
+    def run(self, bounds: np.ndarray) -> list[int]:
+        self._last = self._rng.bit_generator.state, bounds
+        return [self.below(b) for b in bounds.tolist()]
+
+    def keep(self, j: int) -> None:
+        self._rng.bit_generator.state, bounds = self._last
+        for b in bounds[:j].tolist():
+            self.below(b)
+
+
+class WordReader(ScalarReader):
+    """The reader on raw words; its position is the next word `_i` and the half buffer."""
+
+    __slots__ = ("_bg", "_start", "_block", "_words", "_list", "_i", "_pending", "_half")
+
+    def __init__(self, bit_generator, words: int):
+        self._bg, self._block, self._start = bit_generator, max(words, 1), bit_generator.state
+        self._pending, self._half = bool(self._start["has_uint32"]), self._start["uinteger"]
+        self._words, self._list, self._i = np.empty(0, np.uint64), [], 0
+
+    def __exit__(self, *exc) -> None:
+        state = self._start
+        state["has_uint32"], state["uinteger"] = int(self._pending), self._half
+        self._bg.state = state
+        self._bg.random_raw(self._i)
+
+    def _read(self, k: int) -> None:
+        """Read at least k more words, and no fewer than are already read."""
+        block = self._bg.random_raw(max(k, self._block, len(self._words)))
+        self._words = np.concatenate((self._words, block)) if len(self._words) else block
+
+    def _extend(self) -> None:
+        """List the read words as Python ints for the scalar draws, up to the next one at least."""
+        if self._i == len(self._words):
+            self._read(1)
+        self._list += self._words[len(self._list):].tolist()
+
+    def random(self) -> float:
+        i = self._i
+        if i >= len(self._list):
+            self._extend()
+        self._i = i + 1
+        return (self._list[i] >> 11) * 2.0**-53
+
+    def below(self, b: int) -> int:
+        if b == 1:
+            return 0
+        while True:
+            if self._pending:
+                self._pending, x = False, self._half
+            else:
+                i = self._i
+                if i >= len(self._list):
+                    self._extend()
+                w, self._i, self._pending = self._list[i], i + 1, True
+                self._half, x = w >> 32, w & _LOW
+            m = x * b
+            if m & _LOW >= b or m & _LOW >= (0x100000000 - b) % b:
+                return m >> 32
+
+    def run(self, bounds: np.ndarray) -> list[int]:
+        start = self._i, self._pending, self._half
+        picks, redrawn = self._run(np.asarray(bounds, np.uint64))
+        self._last = (*start, bounds, redrawn)
+        return picks
+
+    def keep(self, j: int) -> None:
+        self._i, self._pending, self._half, bounds, redrawn = self._last
+        if redrawn:
+            self._run(np.asarray(bounds[:j], np.uint64))
+        else:   # each pick with a bound above 1 took one 32-bit draw
+            self._skip(int(np.count_nonzero(bounds[:j] > 1)))
+
+    def _run(self, bounds: np.ndarray) -> tuple[list[int], bool]:
+        """The picks of `run`, computed on arrays, and whether any 32-bit draw was redrawn."""
+        picks: list[int] = []
+        redrawn, b = False, bounds[:np.count_nonzero(bounds > 1)]   # the 1s, at the tail, draw nothing
+        while len(b):
+            m = self._peek(len(b)) * b
+            near = np.flatnonzero(m & _LOW < b)   # the only picks that may need a redraw
+            r = len(b)   # the picks before r take one 32-bit draw each
+            if len(near):
+                biased = near[m[near] & _LOW < (0x100000000 - b[near]) % b[near]]
+                r = int(biased[0]) if len(biased) else r
+            picks += (m[:r] >> 32).tolist()
+            self._skip(r)
+            if r == len(b):
+                break
+            picks.append(self.below(int(b[r])))
+            redrawn, b = True, b[r + 1:]
+        return picks + [0] * (len(bounds) - len(picks)), redrawn
+
+    def _peek(self, k: int) -> np.ndarray:
+        """The next k 32-bit draws, without taking them."""
+        i, lead = self._i, int(self._pending)
+        end = i + (k - lead + 1) // 2
+        if end > len(self._words):
+            self._read(end - len(self._words))
+        words = self._words[i:end]
+        halves = np.empty(lead + 2 * len(words), np.uint64)
+        halves[:lead] = self._half
+        halves[lead::2], halves[lead + 1::2] = words & _LOW, words >> 32
+        return halves[:k]
+
+    def _skip(self, k: int) -> None:
+        """Take k 32-bit draws, already read by `_peek`."""
+        if k and self._pending:
+            self._pending, k = False, k - 1
+        if k:
+            last = self._i + (k - 1) // 2   # the word whose high half is drawn or buffered last
+            self._i, self._pending, self._half = last + 1, k % 2 == 1, int(self._words[last]) >> 32

@@ -56,10 +56,11 @@ from .trees import (
 class PhaseFailure(PipelineError):
     """A pipeline phase exhausted its retry budget."""
 
-    def __init__(self, phase: str, cause: str, message: str, attempts: int = 0):
+    def __init__(self, phase: str, cause: str, message: str, attempts: int = 0, fixed: bool = False):
         super().__init__(f"{phase} failed after {attempts} attempt(s) [{cause}]: {message}", cause)
         self.phase = phase
         self.attempts = attempts
+        self.fixed = fixed
 
 
 def _retry(phase: str, attempts: int, once, log: list | None = None):
@@ -68,9 +69,10 @@ def _retry(phase: str, attempts: int, once, log: list | None = None):
     A try raising a PipelineError is resampled, its (phase, cause, message)
     appended to `log` (a PhaseFailure's own phase, else `phase`): not the
     exception, whose traceback would keep the try's frames and hosts alive.
-    A PhaseFailure of `phase` itself passes through; a decompose failure,
-    fixed by the inputs, or a spent budget ends the loop in a PhaseFailure
-    of `phase` with the last try's cause and the number of tries made.
+    A PhaseFailure of `phase` itself passes through; a decompose failure or
+    one marked `fixed`, decided by the inputs before any draw, or a spent
+    budget ends the loop in a PhaseFailure of `phase` with the last try's
+    cause and the number of tries made.
     """
     if attempts < 1:
         raise ValueError(f"{phase}: retry budget must be at least 1, got {attempts}")
@@ -82,7 +84,7 @@ def _retry(phase: str, attempts: int, once, log: list | None = None):
             if exc.phase == phase:
                 raise
             log.append((exc.phase or phase, exc.cause, str(exc)))
-            if exc.cause == "decompose":
+            if exc.cause == "decompose" or exc.fixed:
                 break
     raise PhaseFailure(phase, *log[-1][1:], attempts=tries)
 
@@ -865,7 +867,7 @@ def build_absorber(
     if ell <= threshold:
         raise PhaseFailure(
             "absorber", "S-fail",
-            f"trunk of {ell} vertices cannot reach a switch threshold of {threshold}", 1,
+            f"trunk of {ell} vertices cannot reach a switch threshold of {threshold}", 1, fixed=True,
         )
 
     def once() -> AbsorberState:

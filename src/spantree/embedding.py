@@ -3,9 +3,11 @@
 Every pipeline phase draws a random partial map, audits it exactly and
 resamples on failure.  `PipelineError` is the one failure type those audits
 raise (`VerificationError` when a finished map fails its check), `draw_host`
-is the one rule every random host pick goes through, and `greedy_walk` is
-the one random greedy walk built on it; it draws each run of picks that
-need no scan in one block, with the same stream as one draw per pick.
+is the rule of a random host pick: a uniform host among the marked ones, in
+a reading order.  `greedy_walk`, the one random greedy walk, reads its
+candidates by that rule but takes its picks from one `draws.reader`: one
+`below` per scanning pick, and one `run` per run of picks that need no
+scan, with the same stream as one `integers` call per pick.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import re
 import numpy as np
 
 from .digraph import Digraph, Sign, _read_only
+from .draws import reader
 from .trees import OrientedTree, PrefixOrdering
 
 
@@ -24,11 +27,13 @@ class PipelineError(RuntimeError):
 
     `cause` is the failure-taxonomy tag, set per class or per instance.
     `phase` and `attempts` are filled in when the retry loop gives up.
+    `fixed` marks a failure decided before any draw, which no retry changes.
     """
 
     cause = "hall-fail"
     phase: str | None = None
     attempts = 0
+    fixed = False
 
     def __init__(self, message: str, cause: str | None = None):
         super().__init__(message)
@@ -72,9 +77,10 @@ def greedy_walk(
 
     The first entries go to the hosts `placed`, in order.  Each later entry
     goes to a uniform free host: in the right neighborhood of its parent's
-    image, or anywhere in `free` when its parent_index is -1.  Every pick is
-    a `draw_host` with `host_order`, dropped when it ascends over every free
-    host: no pick then gathers along it.  Used hosts are cleared in `free`.
+    image, or anywhere in `free` when its parent_index is -1.  Every pick
+    reads its candidates as `draw_host` does with `host_order`, dropped when
+    it ascends over every free host: no pick then gathers along it.  Used
+    hosts are cleared in `free`.
     Returns hosts[i] = image of order.order[i], or None when some vertex
     has no candidate.
 
@@ -82,13 +88,13 @@ def greedy_walk(
     p is never free) pops the same index from a list of the free hosts in
     the reading order, with no scan, and so does a pick with no parent
     while the list is kept; one with no list scans `free`.  The list is
-    built at a full-row pick and dropped at any pick that scans a row.  Its
-    picks are drawn in one block when it is built: `integers(0, bounds)`
-    with bounds len(list), len(list) - 1, ..., 1, cut at the picks left
-    in the order.  numpy draws such a block element by element, as one
-    `integers(len(list))` per pick.  A scanning pick rewinds the RNG to the
-    block's start and redraws the picks used, so every pick and the RNG
-    state after the walk are those of one draw per pick.
+    built at a full-row pick and dropped at any pick that scans a row.
+    Every pick is drawn from one `draws.reader`: a scanning pick takes
+    `below(len(candidates))`, and a list takes its picks in one `run` with
+    bounds len(list), len(list) - 1, ..., cut at the picks left in the
+    order, and gives back the ones a scanning pick leaves unused.  So every
+    pick and the RNG state after the walk are those of one `integers` call
+    per pick.
     """
     adj_row, parent_index, sign = d.adj_row, order.parent_index, order.sign
     plus, full_out, full_in = Sign.PLUS, d.full_rows(Sign.PLUS), d.full_rows(Sign.MINUS)
@@ -99,29 +105,30 @@ def greedy_walk(
     if host_order is not None and (host_order[1:] > host_order[:-1]).all() and (
             np.count_nonzero(free[host_order]) == np.count_nonzero(free)):
         host_order = None   # ascending over every free host: the reading order of no order
-    for i in range(len(hosts), len(order)):
-        j, s = parent_index[i], sign[i]
-        if j < 0 and free_list is None:
-            host = draw_host(free, rng, host_order)
-        elif j >= 0 and not (full_out if s is plus else full_in)[hosts[j]]:
-            if free_list is not None and len(free_list) > size - len(picks):
-                rng.bit_generator.state = saved   # redraw only the picks used
-                rng.integers(0, bounds[:size - len(free_list)])
-            free_list = None
-            np.logical_and(adj_row(hosts[j], s), free, out=candidates)
-            host = draw_host(candidates, rng, host_order)
-        else:
-            if free_list is None:
-                free_list = (free.nonzero()[0] if host_order is None
-                             else host_order[free[host_order]]).tolist()
-                saved, size = rng.bit_generator.state, len(free_list)
-                bounds = np.arange(size, max(size - len(order) + i, 0), -1)
-                picks = rng.integers(0, bounds).tolist()
-            host = free_list.pop(picks[size - len(free_list)]) if free_list else None
-        if host is None:
-            return None
-        hosts.append(host)
-        free[host] = False
+    with reader(rng, (len(order) - len(hosts)) // 2 + 1) as draw:
+        for i in range(len(hosts), len(order)):
+            j, s = parent_index[i], sign[i]
+            scan = free_list is None if j < 0 else not (full_out if s is plus else full_in)[hosts[j]]
+            if scan:   # the candidates in `free`, or in the parent's row and `free`
+                mask = free
+                if j >= 0:
+                    if free_list is not None and len(free_list) > size - len(picks):
+                        draw.keep(size - len(free_list))
+                    free_list = None
+                    mask = np.logical_and(adj_row(hosts[j], s), free, out=candidates)
+                found = mask.nonzero()[0] if host_order is None else host_order[mask[host_order]]
+                host = int(found[draw.below(len(found))]) if len(found) else None
+            else:
+                if free_list is None:
+                    free_list = (free.nonzero()[0] if host_order is None
+                                 else host_order[free[host_order]]).tolist()
+                    size = len(free_list)
+                    picks = draw.run(np.arange(size, max(size - len(order) + i, 0), -1))
+                host = free_list.pop(picks[size - len(free_list)]) if free_list else None
+            if host is None:
+                return None
+            hosts.append(host)
+            free[host] = False
     return np.array(hosts, dtype=np.int64)
 
 

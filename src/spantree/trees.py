@@ -26,6 +26,7 @@ from operator import length_hint
 import numpy as np
 
 from .digraph import Sign, _read_only
+from .draws import reader
 
 
 def _flags(bits: int, deg: int) -> str:
@@ -191,11 +192,12 @@ def prefix_order(
                           (*signs, *[minus if bits[u] else plus for u in leaves]))
 
 
-def find_independent_leaves(tree: OrientedTree, deg=None) -> list[int]:
+def find_independent_leaves(tree: OrientedTree, deg=None, leaves=None) -> list[int]:
     """Greedy maximal set of leaves, no two sharing a neighbor (by vertex id).
 
     With `deg`, the leaves are those of a subtree of at least two vertices:
-    deg[v] is v's degree inside it, and 0 for a vertex outside it.
+    deg[v] is v's degree inside it, and 0 for a vertex outside it.  With
+    `leaves`, the set of the v with deg[v] == 1, only those are read.
     """
     if tree.n < 2:
         raise ValueError("need at least two vertices")
@@ -203,7 +205,7 @@ def find_independent_leaves(tree: OrientedTree, deg=None) -> list[int]:
         deg = list(map(len, tree._und))
     used_nbrs: set[int] = set()
     chosen = []
-    for v in range(tree.n):
+    for v in range(tree.n) if leaves is None else sorted(leaves):
         if deg[v] == 1:
             nb = next(u for u in tree.nbrs(v) if deg[u])
             if nb not in used_nbrs:
@@ -412,19 +414,22 @@ def gen_random_tree(
     x = fl(r T), within T 2^-53 of r T.  If M < x - floor(x) < 1 - M with
     M = (v + 2) T 2^-50, every integer is more than M - T 2^-53 >
     (2v + 3) T 2^-53 from r T, so h_k <= r exactly when S_k <= floor(x), and
-    searchsorted(h, r, side="right") is the count of those k: a Fenwick
-    descent.  Later vertices already sit in the tree at their first capacity
-    but are never counted, since S_{v-1} = T > floor(x).  A step outside the
-    margin searches the float cdf over all v vertices, as choice does over
-    the feasible ones: a saturated vertex adds 0.0 and is never landed on.
+    searchsorted(h, r, side="right") is the count of those k: one descent
+    of a heap of left-half capacity sums, which takes the parent's unit of
+    capacity off on its way down.  Later vertices already sit in the heap
+    at their first capacity but are never counted, since S_{v-1} = T >
+    floor(x).  A step outside the margin searches the float cdf over all v
+    vertices, as choice does over the feasible ones (a saturated vertex adds
+    0.0 and is never landed on), and descends to S_{parent-1}.
 
     Random stream: uniform draws one rng.random() per attached vertex and
     caterpillar one rng.integers per leaf; every edge of uniform, caterpillar,
     spider and broom then draws rng.integers(2) for its direction when both
-    directions are open at its parent.  path and star draw nothing.  Spider
-    and broom draw nothing else, so their bits come in one block of n - 1,
-    rewound to the count used: the stream and the state after the call are
-    those of one scalar draw per such edge.
+    directions are open at its parent.  path and star draw nothing.  Every
+    draw is served by a `draws.reader`, so the trees, the errors and the
+    state after the call are those of these scalar calls.  Spider and broom
+    draw nothing else, so their bits come in one `run` of n - 1, and the
+    reader keeps the ones used.
 
     Every vertex v >= 1 attaches to an earlier one, and edge v - 1 holds v,
     so each adjacency row (parent first, then children by id) comes out
@@ -438,18 +443,26 @@ def gen_random_tree(
         raise ValueError(f"unknown family {family!r}")
     if n == 1:
         return OrientedTree(1, [], t=0)
+    with reader(rng, 3 * n // 2 if family == "uniform" else n // 2 + 1) as draw:
+        if family == "uniform":
+            edges = _uniform_edges(n, max_semideg, draw)
+        else:
+            edges = _draw_edges(n, max_semideg, family, draw)
+    array = _read_only(np.fromiter(chain.from_iterable(edges), np.int32, 2 * n - 2).reshape(-1, 2))
+    return OrientedTree._derived(n, array, 0, *_table(n, edges))
 
+
+def _draw_edges(n: int, max_semideg: int, family: str, draw) -> list[tuple[int, int]]:
+    """The arcs of `gen_random_tree`'s tree (edge v - 1 holds vertex v), drawn from the reader `draw`."""
     full = 2 * max_semideg
     out_deg = [0] * n
     in_deg = [0] * n
     edges: list[tuple[int, int]] = []
-
     if family in ("spider", "broom"):
-        state = rng.bit_generator.state
-        block = iter(rng.integers(2, size=n - 1).tolist())
+        block = iter(draw.run(np.full(n - 1, 2)))
         coin = block.__next__
     else:
-        coin = partial(rng.integers, 2)
+        coin = partial(draw.below, 2)
 
     def orient(parent: int, child: int) -> bool:
         """Attach child to parent in a random feasible direction; True if parent is now full."""
@@ -457,7 +470,7 @@ def gen_random_tree(
         can_in = in_deg[parent] < max_semideg
         if not (can_out or can_in):
             raise ValueError("family/degree combination infeasible")
-        forward = bool(coin()) if can_out and can_in else can_out
+        forward = coin() if can_out and can_in else can_out
         if forward:
             edges.append((parent, child))
             out_deg[parent] += 1
@@ -484,43 +497,12 @@ def gen_random_tree(
         if max_semideg < n - 1:
             raise ValueError(f"star with n={n} needs max_semideg >= {n - 1}")
         edges.extend((0, v) for v in range(1, n))
-    elif family == "uniform":
-        # fen[i] sums the capacities of the vertices u with u + 1 in the Fenwick
-        # range (i - lowbit(i), i]; a vertex still to attach counts full - 1.
-        size = 1 << (n - 1).bit_length()
-        fen = [0, full] + [full - 1] * (n - 1) + [0] * (size - n)
-        for i in range(1, size):
-            fen[i + (i & -i)] += fen[i]
-        total = full
-        for v in range(1, n):
-            r = rng.random()
-            x = r * total
-            low = int(x)
-            margin = (v + 2) * total * 2.0**-50
-            if margin < x - low < 1 - margin:
-                parent, step = 0, size >> 1
-                while step:
-                    if fen[parent + step] <= low:
-                        parent += step
-                        low -= fen[parent]
-                    step >>= 1
-            else:
-                head = (full - np.add(out_deg[:v], in_deg[:v])) / total
-                np.add.accumulate(head, out=head)   # cumsum without its wrappers
-                head /= head[-1]
-                parent = int(head.searchsorted(r, side="right"))
-            orient(parent, v)
-            i = parent + 1
-            while i < size:
-                fen[i] -= 1
-                i += i & -i
-            total += full - 2
     elif family == "caterpillar":
         spine_len = max(2, n // 3)
         for v in range(spine_len - 1):
             orient(v, v + 1)
         # rng.choice(open_) is open_[rng.integers(len(open_))].
-        hang(spine_len, lambda open_: int(rng.integers(len(open_))))
+        hang(spine_len, lambda open_: draw.below(len(open_)))
     elif family == "spider":
         legs = min(full, max(2, int(np.ceil(np.sqrt(n)))), n - 1)
         tips = list(range(1, legs + 1))
@@ -535,17 +517,58 @@ def gen_random_tree(
         for v in range(handle - 1):
             orient(v, v + 1)
         hang(handle, lambda open_: len(open_) - 1)
-
     if family in ("spider", "broom"):
-        # Neither family raises after its first draw, so the rewind is the
-        # only exit: leave the stream as if each used bit had been drawn alone.
-        rng.bit_generator.state = state
-        used = n - 1 - length_hint(block)   # exact for a list iterator: the bits left
-        if used:
-            rng.integers(2, size=used)
+        draw.keep(n - 1 - length_hint(block))   # exact for a list iterator: the bits left
+    return edges
 
-    array = _read_only(np.fromiter(chain.from_iterable(edges), np.int32, 2 * n - 2).reshape(-1, 2))
-    return OrientedTree._derived(n, array, 0, *_table(n, edges))
+
+def _uniform_edges(n: int, max_semideg: int, draw) -> list[tuple[int, int]]:
+    """`_draw_edges` of the uniform family, with its orientation step inlined."""
+    full, out_deg, in_deg, edges = 2 * max_semideg, [0] * n, [0] * n, []
+    # left[i]: the capacity of the left half of heap node i's vertices; node i
+    # has children 2i and 2i + 1, and leaf size + u is vertex u.  A vertex
+    # still to attach counts full - 1.
+    size = 1 << (n - 1).bit_length()
+    cap = np.zeros(size, np.int64)
+    cap[:n], cap[0] = full - 1, full
+    halves = []
+    while len(cap) > 1:
+        halves.append(cap[::2])
+        cap = cap[::2] + cap[1::2]
+    left = np.concatenate([[0], *halves[::-1]]).tolist()
+    total, random, below, append = full, draw.random, draw.below, edges.append
+    for v in range(1, n):
+        r = random()
+        x = r * total
+        low = int(x)
+        margin = (v + 2) * total * 2.0**-50
+        if not margin < x - low < 1 - margin:
+            head = (full - np.add(out_deg[:v], in_deg[:v])) / total
+            np.add.accumulate(head, out=head)   # cumsum without its wrappers
+            head /= head[-1]
+            parent = int(head.searchsorted(r, side="right"))
+            low = full * parent - sum(out_deg[:parent]) - sum(in_deg[:parent])
+        node = 1
+        while node < size:
+            c = left[node]
+            if low < c:
+                left[node] = c - 1
+                node += node
+            else:
+                low -= c
+                node += node + 1
+        parent = node - size
+        # A parent with capacity left has a direction open.
+        if in_deg[parent] == max_semideg or out_deg[parent] < max_semideg and below(2):
+            append((parent, v))
+            out_deg[parent] += 1
+            in_deg[v] = 1
+        else:
+            append((v, parent))
+            out_deg[v] = 1
+            in_deg[parent] += 1
+        total += full - 2
+    return edges
 
 
 def canonical_children(order: PrefixOrdering) -> list[str]:

@@ -32,3 +32,10 @@ def matching_dump(col_of_row) -> str:
 
 def tree_leaves(tree: OrientedTree) -> list[int]:
     return [v for v in range(tree.n) if tree.degree(v) == 1]
+
+
+def plain_state(state):
+    """A bit generator's state with its arrays as lists, so two states compare with ==."""
+    if isinstance(state, dict):
+        return {key: plain_state(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state

@@ -8,12 +8,13 @@ import pytest
 
 from spantree.decompose import (
     DecompositionError,
+    _strip,
     check_decomposition,
     decompose,
 )
 from spantree.embedder import stars_from_decomposition
 from spantree.params import ParamSchedule, spanning_defaults
-from spantree.trees import FAMILIES, OrientedTree, components, gen_random_tree
+from spantree.trees import FAMILIES, OrientedTree, components, find_independent_leaves, gen_random_tree
 
 from test_trees import family_tree, reoriented
 
@@ -150,6 +151,28 @@ class TestHangRoots:
                 hangs += 1
         assert hangs >= 1000
 
+    def test_strip_reads_only_the_leaves(self):
+        # Against the stripping loop that scanned all n vertices each round.
+        stripped = 0
+        for family in ("uniform", "path", "caterpillar", "spider", "broom"):
+            for n, seed in itertools.product((40, 150, 800), range(3)):
+                tree = family_tree(family, n, seed)
+                for guest, t in itertools.product((tree, reoriented(tree, np.random.default_rng(seed))), (0, n - 1)):
+                    for batch_min in (1, spanning_defaults(n, 0.25).strip_count(n)):
+                        got = _strip(guest, t, batch_min)
+                        assert got == strip_by_scans(guest, t, batch_min)
+                        stripped += got[0].count(False)
+        assert stripped > 50_000
+
+    def test_p2_count_against_the_component_walk(self):
+        mutants = 0
+        for td in self.decompositions():
+            for mutant in star_mutants(td):
+                got = [p for p in check_decomposition(mutant) if p.startswith("P2")]
+                assert got == p2_by_components(mutant)
+                mutants += bool(got)
+        assert mutants >= 500
+
     def test_minus_one_exactly_on_the_core(self):
         # The core that stripping leaves is T0 plus each piece's tree path
         # between its anchors, anchors excluded.
@@ -169,6 +192,83 @@ class TestHangRoots:
             assert [v for v in range(tree.n) if td.hang_root[v] < 0] == sorted(core)
             checked += 1
         assert checked >= 150
+
+
+def strip_by_scans(tree, t, batch_min):
+    """`_strip` as it was before it kept its leaves: every round scans all n vertices."""
+    alive, deg, up, removed = [True] * tree.n, list(map(len, tree._und)), [-1] * tree.n, []
+
+    def remove(batch):
+        for v in batch:
+            alive[v] = False
+            deg[v] = 0
+            for u in tree.nbrs(v):
+                if alive[u]:
+                    deg[u] -= 1
+                    up[v] = u
+        removed.extend(batch)
+
+    while alive.count(True) > 1:
+        batch = find_independent_leaves(tree, deg)
+        if len(batch) < batch_min:
+            break
+        non_t = [v for v in batch if v != t]
+        if not non_t:
+            break
+        remove(non_t)
+    final = [v for v in range(tree.n) if alive[v] and deg[v] == 1 and v != t]
+    if alive.count(True) - len(final) >= 1:
+        remove(final)
+    hang_root = [-1] * tree.n
+    for v in reversed(removed):
+        hang_root[v] = v if alive[up[v]] else hang_root[up[v]]
+    return alive, deg, up, hang_root
+
+
+def p2_by_components(td):
+    """The P2 problems of `check_decomposition`, every hang's components walked."""
+    tree, t0s, problems, seen_star = td.tree, set(td.t0.tolist()), [], set()
+    for v, hang in td.stars.items():
+        if v not in t0s:
+            problems.append(f"P2: star anchored outside T0 at {v}")
+        for comp in components(tree, hang):
+            if len(comp) > td.K:
+                problems.append(f"P2: star component of size {len(comp)} > K = {td.K}")
+            touches = {u for w in comp for u in tree.nbrs(w) if u in t0s}
+            if touches != {v}:
+                problems.append(f"P2: star component at {v} touches T0 at {sorted(touches)}")
+        if seen_star & set(hang):
+            problems.append("P2: star trees overlap")
+        seen_star |= set(hang)
+    return problems
+
+
+def star_mutants(td):
+    """td, then copies with one fault put into its star layer."""
+    yield td
+    if not td.stars:
+        return
+    stars = {v: tuple(hang) for v, hang in td.stars.items()}
+    anchors, t0 = list(stars), td.t0.tolist()
+    v = max(anchors, key=lambda a: len(stars[a]))
+    hang, other = stars[v], next((a for a in anchors if a != v), None)
+    outside = next((u for u in range(td.tree.n) if u not in set(t0) and u not in hang), None)
+    root = next(u for u in hang if v in td.tree.nbrs(u))
+
+    def mutant(**changes):
+        return dataclasses.replace(td, stars={**stars, **changes.get("stars", {})}, K=changes.get("K", td.K))
+
+    yield mutant(K=len(hang) - 1)
+    yield mutant(stars={v: hang + (v,)})
+    yield mutant(stars={v: hang + (hang[0],)})
+    yield mutant(stars={v: hang + tuple(u for u in t0[:2] if u != v)[:1]})
+    yield mutant(stars={v: tuple(u for u in hang if u != root)})
+    if outside is not None:
+        yield dataclasses.replace(td, stars={outside if a == v else a: h for a, h in stars.items()})
+    if other is not None:
+        yield mutant(stars={v: hang + stars[other]})
+        yield mutant(stars={v: hang[:-1], other: stars[other] + hang[-1:]})
+        yield mutant(stars={other: stars[other] + hang[:1]})
 
 
 class TestDump:

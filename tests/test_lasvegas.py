@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import itertools
 import hashlib
 import json
 import re
@@ -45,7 +46,7 @@ from spantree.trees import (
     prefix_order,
 )
 
-from helpers import complete
+from helpers import complete, plain_state
 
 
 class TestFailureBase:
@@ -422,6 +423,36 @@ class TestWalkAgainstScan:
                         rewound += "FS" in kinds
                         stopped_in_run += walked is not order and kinds.endswith("FF")
         assert rewound >= 60 and stopped_in_run >= 30, (rewound, stopped_in_run)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                                               np.random.SFC64, np.random.MT19937], ids=lambda bg: bg.__name__)
+    def test_every_bit_generator(self, bit_generator):
+        # Scanning picks, full-row runs and runs cut by a scan, with and
+        # without a pending 32-bit half, on each generator the reader serves.
+        n = 300
+        d = minus_arcs(n, [(v, v + 10) for v in range(10)])
+        free = np.zeros(n, dtype=bool)
+        free[np.random.default_rng(3).choice(n, 200, replace=False)] = True
+        shuffled = np.random.default_rng(4).permutation(np.flatnonzero(free))
+        kinds = set()
+        for seed, family in itertools.product(range(3), ("uniform", "spider", "caterpillar")):
+            order = prefix_order(gen_random_tree(180, 3, family, np.random.default_rng(seed)), 0)
+            for host_order, walked, pending in itertools.product((None, shuffled), (order, head(order, 121)),
+                                                                 (False, True)):
+                runs = []
+                for walk in (greedy_walk, scan_walk):
+                    rng, mask = np.random.Generator(bit_generator(seed)), free.copy()
+                    if pending:
+                        rng.integers(7)
+                    hosts = walk(d, walked, mask, rng, host_order=host_order)
+                    runs.append((None if hosts is None else hosts.tolist(), mask.tolist(),
+                                 plain_state(rng.bit_generator.state), rng.random()))
+                assert runs[0] == runs[1]
+                hosts = runs[0][0] or []
+                kinds.add("".join(
+                    "F" if d.full_rows(order.sign[i])[hosts[order.parent_index[i]]] else "S"
+                    for i in range(1, len(hosts))))
+        assert any("FS" in k for k in kinds) and any("SF" in k for k in kinds)
 
     @pytest.mark.parametrize("host", HOSTS)
     def test_ascending_orders(self, host):
@@ -1270,6 +1301,28 @@ class TestFailuresFromInputs:
             "spanning failed after 1 attempt(s) [decompose]: almost failed after 1 attempt(s) [decompose]"
         )
         assert builds == [1]
+
+    def test_spanning_stops_at_a_trunk_too_short_for_its_threshold(self, monkeypatch):
+        # build_absorber decides this S-fail before any draw, so no outer retry can change it.
+        builds = []
+        build = embedder.build_absorber
+
+        def counted(*args):
+            builds.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(embedder, "build_absorber", counted)
+        d = gen_semidegree_digraph(60, 0.25, np.random.default_rng(2))
+        tree = gen_random_tree(60, 3, "caterpillar", np.random.default_rng(102))
+        rng = np.random.default_rng(202)
+        state = rng.bit_generator.state
+        with pytest.raises(PhaseFailure) as info:
+            embed_spanning(d, tree, spanning_defaults(60, 0.25), rng)
+        assert (info.value.phase, info.value.cause, info.value.attempts) == ("spanning", "S-fail", 1)
+        assert str(info.value) == (
+            "spanning failed after 1 attempt(s) [S-fail]: absorber failed after 1 attempt(s) [S-fail]: "
+            "trunk of 12 vertices cannot reach a switch threshold of 12")
+        assert builds == [1] and rng.bit_generator.state == state
 
     def test_guide_budget_shortfall_is_not_resampled(self, monkeypatch):
         calls = []

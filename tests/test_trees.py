@@ -29,7 +29,7 @@ from spantree.trees import (
     subtree_sizes,
 )
 
-from helpers import tree_leaves
+from helpers import plain_state, tree_leaves
 
 
 def path_tree(n, forward=True):
@@ -438,7 +438,7 @@ def generated(make, n, delta, family, rng):
         result = (tree.edge_list, tree.t, [tree.out(v) for v in range(n)], [tree.nbrs(v) for v in range(n)])
     except ValueError as exc:
         result = f"ValueError: {exc}"
-    return result, rng.bit_generator.state
+    return result, getattr(rng, "bit_generator", None) and rng.bit_generator.state
 
 
 class TestGeneratorAgainstReference:
@@ -523,13 +523,6 @@ class TestGeneratorAgainstReference:
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
 
 
-def plain_state(state):
-    """A bit generator's state with its arrays as lists, so two states compare with ==."""
-    if isinstance(state, dict):
-        return {key: plain_state(value) for key, value in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
-
-
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 1999])
 @pytest.mark.parametrize("pending_half", [False, True])
@@ -544,7 +537,7 @@ def test_a_block_of_bits_is_the_scalar_stream(bit_generator, k, pending_half):
     states = [plain_state(rng.bit_generator.state) for rng in rngs]
     assert (block, states[0]) == (scalars, states[1]), (
         "integers(2, size=k) no longer replays k scalar integers(2) calls on this numpy: "
-        "revisit the block draw of spider and broom trees in trees.gen_random_tree")
+        "revisit the stream rules that draws.WordReader serves spider and broom coins by")
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
@@ -563,7 +556,55 @@ def test_decreasing_bounds_are_the_scalar_stream(bit_generator, k, m, pending_ha
     nexts = [int(rng.integers(2**62)) for rng in rngs]
     assert (block, states[0], nexts[0]) == (scalars, states[1], nexts[1]), (
         "integers(0, arange(k, k - m, -1)) no longer replays m scalar integers(k - j) calls "
-        "on this numpy: revisit the block draw of full-row picks in embedding.greedy_walk")
+        "on this numpy: revisit the stream rules that draws.WordReader serves full-row picks by")
+
+
+class TestGeneratorUnderEachRng:
+    """gen_random_tree against reference_tree on every bit generator and on test doubles.
+
+    Half-buffering bit generators are read as raw words and MT19937 through
+    its own calls; either way the trees, the errors raised mid-draw and the
+    state after the call must be those of the scalar calls.
+    """
+
+    CASES = [(family, n, delta) for family in GENERATOR_FAMILIES for n in (1, 2, 10, 57, 301) for delta in (1, 2, 3)]
+
+    @pytest.mark.parametrize("bit_generator", (*BIT_GENERATORS, np.random.PCG64DXSM), ids=lambda bg: bg.__name__)
+    @pytest.mark.parametrize("pending_half", [False, True])
+    def test_trees_errors_and_state(self, bit_generator, pending_half):
+        errors = 0
+        for i, (family, n, delta) in enumerate(self.CASES):
+            rngs = np.random.Generator(bit_generator(i)), np.random.Generator(bit_generator(i))
+            if pending_half:
+                for rng in rngs:
+                    rng.integers(7)
+            (want, want_state), (got, got_state) = (
+                generated(make, n, delta, family, rng) for make, rng in zip((reference_tree, gen_random_tree), rngs))
+            assert (got, plain_state(got_state)) == (want, plain_state(want_state)), (family, n, delta)
+            assert rngs[0].random() == rngs[1].random()
+            errors += str(want).startswith("ValueError")
+        assert errors >= 10
+
+    @pytest.mark.parametrize("family", ["uniform", "caterpillar", "path", "star"])
+    def test_doubles(self, family):
+        class Cycle:
+            def __init__(self):
+                self.unit, self.ints = itertools.cycle([0.0, 0.75, 0.5, 0.999]), itertools.count()
+
+            def random(self):
+                return next(self.unit)
+
+            def integers(self, k):
+                return next(self.ints) % k
+
+        errors = 0
+        for n, delta in itertools.product((1, 2, 10, 57, 200), (1, 2, 3)):
+            doubles = Cycle(), Cycle()
+            want = generated(reference_tree, n, delta, family, doubles[0])[0]
+            assert generated(gen_random_tree, n, delta, family, doubles[1])[0] == want
+            assert (doubles[0].random(), doubles[0].integers(99)) == (doubles[1].random(), doubles[1].integers(99))
+            errors += str(want).startswith("ValueError")
+        assert errors >= (3 if family in ("caterpillar", "star") else 0)
 
 
 def family_tree(family, n, seed):

@@ -24,6 +24,8 @@ import functools
 
 import numpy as np
 
+from .draws import skip_doubles
+
 
 class Sign(enum.Enum):
     """Edge direction selector: PLUS = out-edges, MINUS = in-edges."""
@@ -45,6 +47,16 @@ ROW_BLOCK = 256
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _is_int(kind: type) -> bool:
+    """True for int and the numpy integer types: not bool, float or any other number."""
+    return kind is int or issubclass(kind, np.integer)
+
+
+def _non_int_id(u, v) -> ValueError:
+    """The error for an edge (u, v) with an id that is not an integer (a bool or a float, say)."""
+    return ValueError(f"vertex id {v if _is_int(type(u)) else u!r} of edge ({u!r},{v!r}) is not an integer")
 
 
 class Digraph:
@@ -71,6 +83,8 @@ class Digraph:
     def from_edges(cls, n: int, edges) -> "Digraph":
         mat = np.zeros((n, n), dtype=bool)
         for u, v in edges:
+            if not (_is_int(type(u)) and _is_int(type(v))):
+                raise _non_int_id(u, v)
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -185,6 +199,12 @@ def gen_semidegree_digraph(n: int, alpha: float, rng: np.random.Generator) -> Di
     (clamped to 1), then deficient vertices are repaired by adding uniformly
     chosen missing edges.  The construction fails only when the target degree
     exceeds n - 1.
+
+    Random stream: one rng.random() per ordered pair, row by row, then the
+    repair's choices.  At alpha >= 1/4 every pair comes up and no line needs a
+    repair, so on PCG64 and PCG64DXSM the complete digraph is built directly
+    and `draws.skip_doubles` moves the generator past the n^2 doubles; the
+    host and the state after the call are those of the draws.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -196,6 +216,10 @@ def gen_semidegree_digraph(n: int, alpha: float, rng: np.random.Generator) -> Di
             f"irreparable: target semidegree {target} exceeds n-1 = {n - 1} for every vertex"
         )
     prob = min(1.0, 0.5 + 2 * alpha)
+    if prob == 1.0 and skip_doubles(rng, n * n):
+        mat = np.ones((n, n), dtype=bool)
+        np.fill_diagonal(mat, False)
+        return Digraph(n, mat)
     # Row blocks draw the same stream as one rng.random((n, n)) call, without
     # its n x n float64 temporary.
     mat = np.empty((n, n), dtype=bool)

@@ -17,6 +17,9 @@ its `with` block exits, by any route, it sets the state the scalar calls
 would have left: its starting state, with the half buffer it ends with,
 advanced by the words it used.  Any other rng (MT19937, a test double) gets
 a `ScalarReader`, with the same methods, which makes the rng's own calls.
+
+On PCG64 and PCG64DXSM, `advance(k)` moves past k outputs, as k `random()`
+calls do, but clears the half buffer; `skip_doubles` puts it back.
 """
 
 from __future__ import annotations
@@ -25,6 +28,17 @@ import numpy as np
 
 _LOW = 0xFFFFFFFF
 _HALF_BUFFERED = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+_JUMPING = (np.random.PCG64, np.random.PCG64DXSM)   # advance(k) is k outputs on these alone
+
+
+def skip_doubles(rng, k: int) -> bool:
+    """Move `rng` past k `random()` draws, unread, where its bit generator can jump; False where it cannot."""
+    if not (isinstance(rng, np.random.Generator) and type(rng.bit_generator) in _JUMPING):
+        return False
+    bit_generator, half = rng.bit_generator, rng.bit_generator.state
+    bit_generator.advance(k)
+    bit_generator.state = {**bit_generator.state, "has_uint32": half["has_uint32"], "uinteger": half["uinteger"]}
+    return True
 
 
 def reader(rng, words: int) -> "ScalarReader":
@@ -35,9 +49,10 @@ def reader(rng, words: int) -> "ScalarReader":
 
 
 class ScalarReader:
-    """`random()`; `below(b)`, which is `integers(b)`; `run(bounds)`, which is
-    [below(b) for b in bounds] for non-increasing bounds >= 1; and `keep(j)`,
-    which keeps the first j picks of the last `run` and gives back the rest.
+    """`random()`; `below(b)`, which is `integers(b)`; `bits(k)`, k calls of
+    `below(2)` as a bool array; `run(bounds)`, which is [below(b) for b in
+    bounds] for non-increasing bounds >= 1; and `keep(j)`, which keeps the
+    first j picks of the last `run` and gives back the rest.
     """
 
     __slots__ = ("_rng", "random", "_last")
@@ -53,6 +68,9 @@ class ScalarReader:
 
     def below(self, b: int) -> int:
         return int(self._rng.integers(b))
+
+    def bits(self, k: int) -> np.ndarray:
+        return np.array([self.below(2) for _ in range(k)], bool)
 
     def run(self, bounds: np.ndarray) -> list[int]:
         self._last = self._rng.bit_generator.state, bounds
@@ -113,6 +131,11 @@ class WordReader(ScalarReader):
             m = x * b
             if m & _LOW >= b or m & _LOW >= (0x100000000 - b) % b:
                 return m >> 32
+
+    def bits(self, k: int) -> np.ndarray:
+        coins = self._peek(k) >> 31   # below(2) is a 32-bit draw's top bit, and never redraws
+        self._skip(k)
+        return coins.astype(bool)
 
     def run(self, bounds: np.ndarray) -> list[int]:
         start = self._i, self._pending, self._half

@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .digraph import Digraph, Sign, _read_only
+from .digraph import Digraph, Sign, _is_int, _read_only
 from .draws import reader
 from .trees import OrientedTree, PrefixOrdering
 
@@ -233,11 +233,6 @@ class Embedding:
         for tv, hv in sorted((int(a), b) for a, b in doc["map"].items()):
             emb.assign(tv, hv)
         return emb
-
-
-def _is_int(kind: type) -> bool:
-    """True for int and the numpy integer types: not bool, float or any other number."""
-    return kind is int or issubclass(kind, np.integer)
 
 
 def image_is_embedding(d: Digraph, tree: OrientedTree, image: np.ndarray) -> bool:

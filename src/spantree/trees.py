@@ -19,13 +19,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain
-from operator import length_hint
 
 import numpy as np
 
-from .digraph import Sign, _read_only
+from .digraph import Sign, _is_int, _non_int_id, _read_only
 from .draws import reader
 
 
@@ -55,6 +53,13 @@ def _table(n: int, arcs) -> tuple[tuple, tuple]:
     return tuple(map(tuple, und)), tuple(bits)
 
 
+def _check_t(t, n: int) -> None:
+    """Refuse a distinguished vertex that is not None or an integer in 0..n-1."""
+    if t is not None and not (_is_int(type(t)) and 0 <= t < n):
+        raise ValueError(f"distinguished vertex {t} out of range" if _is_int(type(t)) else
+                         f"distinguished vertex {t!r} is not an integer")
+
+
 class OrientedTree:
     """Immutable tree whose edges carry an orientation."""
 
@@ -63,12 +68,13 @@ class OrientedTree:
     def __init__(self, n: int, edges, t: int | None = None):
         if n < 1:
             raise ValueError("tree needs at least one vertex")
-        edge_list = [(int(u), int(v)) for u, v in edges]
+        edge_list = [(u, v) for u, v in edges]
         if len(edge_list) != n - 1:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edge_list)}")
-        if t is not None and not (0 <= t < n):
-            raise ValueError(f"distinguished vertex {t} out of range")
+        _check_t(t, n)
         for u, v in edge_list:
+            if not (_is_int(type(u)) and _is_int(type(v))):
+                raise _non_int_id(u, v)
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u},{v})")
         self.n, self.t = n, t
@@ -117,8 +123,7 @@ class OrientedTree:
 
     def with_t(self, t: int | None) -> "OrientedTree":
         """The same tree with distinguished vertex t; shares this tree's edges, table and flags."""
-        if t is not None and not (0 <= t < self.n):
-            raise ValueError(f"distinguished vertex {t} out of range")
+        _check_t(t, self.n)
         return OrientedTree._derived(self.n, self.edges, t, self._und, self._bits)
 
 
@@ -390,6 +395,20 @@ def split_tree(tree: OrientedTree, m: int, keep: int | None = None):
 
 FAMILIES = ("uniform", "path", "star", "caterpillar", "spider", "broom")
 
+_IDS = np.arange(1024).astype(object)   # _IDS[v] is the one int object every generated row holds for v
+
+
+def _ids(n: int) -> np.ndarray:
+    """`_IDS`, grown to hold at least n ids; the ids it held keep their objects.
+
+    Two threads that grow it at once may leave one tree with objects outside the table: that
+    costs memory, never a value.
+    """
+    global _IDS
+    if len(_IDS) < n:
+        _IDS = np.concatenate((_IDS, np.arange(len(_IDS), max(n, 2 * len(_IDS))).astype(object)))
+    return _IDS
+
 
 def gen_random_tree(
     n: int,
@@ -427,13 +446,19 @@ def gen_random_tree(
     spider and broom then draws rng.integers(2) for its direction when both
     directions are open at its parent.  path and star draw nothing.  Every
     draw is served by a `draws.reader`, so the trees, the errors and the
-    state after the call are those of these scalar calls.  Spider and broom
-    draw nothing else, so their bits come in one `run` of n - 1, and the
-    reader keeps the ones used.
+    state after the call are those of these scalar calls.  Apart from
+    uniform, the parents are fixed by n up to the caterpillar's hung leaves,
+    so they are arrays, and so are most directions: a parent whose only
+    earlier edge is its own has both directions open iff max_semideg >= 2,
+    and at max_semideg = 1 the edge takes the direction of the parent's own
+    edge, so a spider leg or a spine follows its first edge.  Only spider's
+    root edges, a spine's first edge and the hung vertices take the rule one
+    by one.
 
     Every vertex v >= 1 attaches to an earlier one, and edge v - 1 holds v,
     so each adjacency row (parent first, then children by id) comes out
-    sorted and the tree is built without the constructor's checks.
+    sorted and the tree is built without the constructor's checks.  The rows
+    of every generated tree hold the objects of `_IDS`, one per vertex id.
     """
     if n < 1:
         raise ValueError("n >= 1")
@@ -443,87 +468,71 @@ def gen_random_tree(
         raise ValueError(f"unknown family {family!r}")
     if n == 1:
         return OrientedTree(1, [], t=0)
-    with reader(rng, 3 * n // 2 if family == "uniform" else n // 2 + 1) as draw:
-        if family == "uniform":
+    if family == "star" and max_semideg < n - 1:
+        raise ValueError(f"star with n={n} needs max_semideg >= {n - 1}")
+    if family == "uniform":
+        with reader(rng, 3 * n // 2) as draw:
             edges = _uniform_edges(n, max_semideg, draw)
-        else:
-            edges = _draw_edges(n, max_semideg, family, draw)
-    array = _read_only(np.fromiter(chain.from_iterable(edges), np.int32, 2 * n - 2).reshape(-1, 2))
-    return OrientedTree._derived(n, array, 0, *_table(n, edges))
-
-
-def _draw_edges(n: int, max_semideg: int, family: str, draw) -> list[tuple[int, int]]:
-    """The arcs of `gen_random_tree`'s tree (edge v - 1 holds vertex v), drawn from the reader `draw`."""
-    full = 2 * max_semideg
-    out_deg = [0] * n
-    in_deg = [0] * n
-    edges: list[tuple[int, int]] = []
-    if family in ("spider", "broom"):
-        block = iter(draw.run(np.full(n - 1, 2)))
-        coin = block.__next__
+        array = np.fromiter(chain.from_iterable(edges), np.int32, 2 * n - 2).reshape(-1, 2)
     else:
-        coin = partial(draw.below, 2)
+        with reader(rng, n // 2 + 1) as draw:
+            parent, forward = _shaped_parents(n, max_semideg, family, draw)
+        child, array = np.arange(1, n), np.empty((n - 1, 2), np.int32)
+        array[:, 0], array[:, 1] = np.where(forward, parent, child), np.where(forward, child, parent)
+    return OrientedTree._derived(n, _read_only(array), 0, *_table(n, zip(*_ids(n)[array.T].tolist())))
 
-    def orient(parent: int, child: int) -> bool:
-        """Attach child to parent in a random feasible direction; True if parent is now full."""
-        can_out = out_deg[parent] < max_semideg
-        can_in = in_deg[parent] < max_semideg
-        if not (can_out or can_in):
+
+def _shaped_parents(n: int, max_semideg: int, family: str, draw) -> tuple[np.ndarray, np.ndarray]:
+    """Parent of each v >= 1 and whether its edge leaves the parent, for every family but uniform."""
+    v = np.arange(1, n)
+    if family in ("path", "star"):
+        return (v - 1 if family == "path" else np.zeros_like(v)), np.ones(n - 1, bool)
+    if family == "spider":
+        legs = min(2 * max_semideg, max(2, int(np.ceil(np.sqrt(n)))), n - 1)
+        head = _attach([0], legs, [0], [0], max_semideg, None, draw)[1]
+        parent = np.where(v <= legs, 0, v - legs)
+    else:  # broom and caterpillar: a path 0..spine-1, then the rest hung on its open vertices
+        spine = max(1, n - 2 * max_semideg) if family == "broom" else max(2, n // 3)
+        head = [draw.below(2) == 1] if spine > 1 else []   # vertex 0 has no edge yet
+        parent = np.arange(spine - 1)
+    # Each edge past `head` hangs from a parent whose only earlier edge is its own, len(head) edges back.
+    head, k = np.array(head, bool), len(parent)
+    forward = np.resize(head, k) if max_semideg == 1 else np.concatenate((head, draw.bits(k - len(head))))
+    if family != "spider":
+        out = np.bincount(np.where(forward, parent, parent + 1), minlength=spine)
+        in_ = np.bincount(np.where(forward, parent + 1, parent), minlength=spine)
+        open_ = np.flatnonzero(out + in_ < 2 * max_semideg).tolist()
+        # rng.choice(open_), the caterpillar's pick, is open_[rng.integers(len(open_))].
+        pick = None if family == "broom" else lambda open_: draw.below(len(open_))
+        hung, hung_forward = _attach(open_, n - spine, out.tolist(), in_.tolist(), max_semideg, pick, draw)
+        parent, forward = np.concatenate((parent, hung)), np.concatenate((forward, hung_forward))
+    return parent, forward
+
+
+def _attach(open_: list[int], k: int, out: list, in_: list, max_semideg: int, pick, draw) -> tuple[list, list]:
+    """Parents and directions of k vertices hung one by one on open_[pick(open_)], or on open_[-1].
+
+    A hung vertex leaves its parent (True) or enters it by a coin when both directions are open
+    there, else by the open one; a full parent leaves `open_`, and `out` and `in_`, the degrees,
+    are kept up to date.
+    """
+    parents, forward = [], []
+    for _ in range(k):
+        if not open_:
             raise ValueError("family/degree combination infeasible")
-        forward = coin() if can_out and can_in else can_out
-        if forward:
-            edges.append((parent, child))
-            out_deg[parent] += 1
-            in_deg[child] += 1
-        else:
-            edges.append((child, parent))
-            out_deg[child] += 1
-            in_deg[parent] += 1
-        return out_deg[parent] + in_deg[parent] == full
-
-    def hang(spine: int, pick) -> None:
-        """Hang vertices spine..n-1 on open vertices of 0..spine-1, chosen by pick(open)."""
-        open_ = [u for u in range(spine) if out_deg[u] + in_deg[u] < full]
-        for v in range(spine, n):
-            if not open_:
-                raise ValueError("family/degree combination infeasible")
-            i = pick(open_)
-            if orient(open_[i], v):
-                del open_[i]
-
-    if family == "path":
-        edges.extend((v, v + 1) for v in range(n - 1))
-    elif family == "star":
-        if max_semideg < n - 1:
-            raise ValueError(f"star with n={n} needs max_semideg >= {n - 1}")
-        edges.extend((0, v) for v in range(1, n))
-    elif family == "caterpillar":
-        spine_len = max(2, n // 3)
-        for v in range(spine_len - 1):
-            orient(v, v + 1)
-        # rng.choice(open_) is open_[rng.integers(len(open_))].
-        hang(spine_len, lambda open_: draw.below(len(open_)))
-    elif family == "spider":
-        legs = min(full, max(2, int(np.ceil(np.sqrt(n)))), n - 1)
-        tips = list(range(1, legs + 1))
-        for v in tips:
-            orient(0, v)
-        for v in range(legs + 1, n):
-            leg = (v - legs - 1) % legs
-            orient(tips[leg], v)
-            tips[leg] = v
-    else:  # broom
-        handle = max(1, n - full)
-        for v in range(handle - 1):
-            orient(v, v + 1)
-        hang(handle, lambda open_: len(open_) - 1)
-    if family in ("spider", "broom"):
-        draw.keep(n - 1 - length_hint(block))   # exact for a list iterator: the bits left
-    return edges
+        i = pick(open_) if pick else -1
+        u = open_[i]
+        f = out[u] < max_semideg and (in_[u] == max_semideg or bool(draw.below(2)))
+        out[u], in_[u] = out[u] + f, in_[u] + (not f)
+        parents.append(u)
+        forward.append(f)
+        if out[u] + in_[u] == 2 * max_semideg:
+            del open_[i]
+    return parents, forward
 
 
 def _uniform_edges(n: int, max_semideg: int, draw) -> list[tuple[int, int]]:
-    """`_draw_edges` of the uniform family, with its orientation step inlined."""
+    """The arcs of a uniform tree (edge v - 1 holds vertex v), drawn from the reader `draw`."""
     full, out_deg, in_deg, edges = 2 * max_semideg, [0] * n, [0] * n, []
     # left[i]: the capacity of the left half of heap node i's vertices; node i
     # has children 2i and 2i + 1, and leaf size + u is vertex u.  A vertex
@@ -580,9 +589,9 @@ def canonical_children(order: PrefixOrdering) -> list[str]:
     each string once read, so memory stays O(n).
     """
     kids: list[list[str]] = [[] for _ in order.order]
-    mark, sign = {Sign.PLUS: "+(", Sign.MINUS: "-("}, order.sign
-    for i in range(len(order) - 1, 0, -1):
-        kids[order.parent_index[i]].append(mark[sign[i]] + "".join(sorted(kids[i])) + ")")
+    plus, sign = Sign.PLUS, order.sign
+    for i in range(len(order) - 1, 0, -1):   # an identity test: Enum hashing is a Python-level call
+        kids[order.parent_index[i]].append(("+(" if sign[i] is plus else "-(") + "".join(sorted(kids[i])) + ")")
         kids[i] = []
     return sorted(kids[0])
 

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from spantree.digraph import (
+    ROW_BLOCK,
     Digraph,
     Sign,
     check_inherited_degree,
@@ -10,7 +13,9 @@ from spantree.digraph import (
     sample_disjoint_subsets,
 )
 
-from helpers import complete
+from spantree.draws import skip_doubles
+
+from helpers import complete, plain_state
 
 
 def three_cycle():
@@ -46,6 +51,19 @@ class TestRejections:
         for edge in ((0, 3), (-1, 0)):
             with pytest.raises(ValueError, match=r"^edge \(.*\) outside 0\.\.2$"):
                 Digraph.from_edges(3, [edge])
+
+    @pytest.mark.parametrize("edge, bad", [
+        ((0, 2.0), 2.0), ((0, True), True), ((1.5, 2), 1.5), ((np.float64(1), 2), np.float64(1)),
+        ((False, 1), False), ((np.bool_(True), 0), np.bool_(True)), (("1", 2), "1"),
+    ])
+    def test_from_edges_refuses_an_id_that_is_not_an_integer(self, edge, bad):
+        # A float id used to reach numpy's IndexError, and (0, True) a misleading self-loop report.
+        with pytest.raises(ValueError, match=rf"^vertex id {re.escape(repr(bad))} of edge .* is not an integer$"):
+            Digraph.from_edges(3, [(0, 1), edge])
+
+    def test_from_edges_takes_python_and_numpy_integers(self):
+        d = Digraph.from_edges(3, [(np.int64(0), 2), (np.int32(2), np.uint8(1)), (1, np.int16(0))])
+        assert d.edges() == [(0, 2), (1, 0), (2, 1)]
 
     @pytest.mark.parametrize("n,alpha,message", [
         (3, 0.25, "need n >= 4"),
@@ -115,10 +133,83 @@ class TestGenerator:
         assert (d.mat == mat).all()
         assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM], ids=lambda bg: bg.__name__)
+    @pytest.mark.parametrize("pending_half", [False, True])
+    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.49])
+    @pytest.mark.parametrize("n", [8, 300, 1001])
+    def test_complete_hosts_skip_the_draws(self, n, alpha, bit_generator, pending_half):
+        # Edge probability 1: the host is built directly and the generator
+        # jumps past the n^2 doubles, the pending 32-bit half kept.
+        (want, want_state), (got, got_state) = (
+            host_and_state(make, n, alpha, np.random.Generator(bit_generator(n)), pending_half)
+            for make in (drawn_host, gen_semidegree_digraph))
+        assert got == want and got_state == want_state
+        assert (n, alpha) == (8, 0.49) or (want == complete(n).mat).all()
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64],
+                             ids=lambda bg: bg.__name__)
+    @pytest.mark.parametrize("pending_half", [False, True])
+    def test_other_bit_generators_draw_complete_hosts(self, bit_generator, pending_half):
+        # Philox's advance counts blocks, not outputs, and MT19937 and SFC64
+        # have none: these draw every double, and agree with the loop.
+        for n, alpha in ((8, 0.25), (300, 0.3)):
+            rng = np.random.Generator(bit_generator(n))
+            assert not skip_doubles(rng, 5)
+            (want, want_state), (got, got_state) = (
+                host_and_state(make, n, alpha, np.random.Generator(bit_generator(n)), pending_half)
+                for make in (drawn_host, gen_semidegree_digraph))
+            assert got == want and got_state == want_state
+
+    def test_skip_doubles_is_the_drawn_stream(self):
+        for bit_generator in (np.random.PCG64, np.random.PCG64DXSM):
+            for k in (0, 1, 7, 2**20 + 3):
+                rngs = np.random.Generator(bit_generator(k)), np.random.Generator(bit_generator(k))
+                for rng in rngs:
+                    rng.integers(7)
+                rngs[0].random(k)
+                assert skip_doubles(rngs[1], k)
+                assert plain_state(rngs[0].bit_generator.state) == plain_state(rngs[1].bit_generator.state)
+                assert rngs[0].integers(5, size=3).tolist() == rngs[1].integers(5, size=3).tolist()
+        assert not skip_doubles(np.random.RandomState(0), 1)
+
     def test_deterministic(self):
         d1 = gen_semidegree_digraph(200, 0.1, np.random.default_rng(7))
         d2 = gen_semidegree_digraph(200, 0.1, np.random.default_rng(7))
         assert d1.edges() == d2.edges()
+
+
+def drawn_host(n, alpha, rng):
+    """gen_semidegree_digraph as it draws every pair: the oracle of its complete-host route."""
+    if n < 4:
+        raise ValueError("need n >= 4")
+    if not (0 < alpha < 0.5):
+        raise ValueError("need 0 < alpha < 1/2")
+    target = int(np.ceil((0.5 + alpha) * n))
+    if target > n - 1:
+        raise ValueError(f"irreparable: target semidegree {target} exceeds n-1 = {n - 1} for every vertex")
+    mat = np.empty((n, n), dtype=bool)
+    for start in range(0, n, ROW_BLOCK):
+        block = mat[start : start + ROW_BLOCK]
+        np.less(rng.random(block.shape), min(1.0, 0.5 + 2 * alpha), out=block)
+    np.fill_diagonal(mat, False)
+    for lines in (mat, mat.T):
+        degree = np.count_nonzero(lines, axis=1)
+        for v in np.flatnonzero(degree < target).tolist():
+            missing = np.flatnonzero(~lines[v])
+            lines[v, rng.choice(missing[missing != v], size=target - int(degree[v]), replace=False)] = True
+    return Digraph(n, mat)
+
+
+def host_and_state(make, n, alpha, rng, pending_half):
+    """A generator call's host matrix (or error text), the state it leaves, and the next draws."""
+    if pending_half:
+        rng.integers(7)
+    try:
+        host = make(n, alpha, rng).mat
+    except ValueError as exc:
+        host = f"ValueError: {exc}"
+    state = plain_state(rng.bit_generator.state)
+    return host if isinstance(host, str) else host.tolist(), (state, rng.integers(2**40, size=3).tolist())
 
 
 class TestSampleDisjointSubsets:

@@ -266,6 +266,27 @@ class TestGenerators:
         with pytest.raises(ValueError, match="unknown family 'bogus'"):
             gen_random_tree(n, 3, "bogus", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("edges, t, message", [
+        ([(0, 1.7), (1, 2)], None, "vertex id 1.7 of edge (0,1.7) is not an integer"),
+        ([(0, True), (1, 2)], None, "vertex id True of edge (0,True) is not an integer"),
+        ([(0, 1), (2.0, 1)], None, "vertex id 2.0 of edge (2.0,1) is not an integer"),
+        ([(0, 1), (np.float64(1), 2)], None, f"vertex id {np.float64(1)!r} of edge"),
+        ([(0, 1), (1, 2)], 1.5, "distinguished vertex 1.5 is not an integer"),
+        ([(0, 1), (1, 2)], True, "distinguished vertex True is not an integer"),
+        ([(0, 1), (1, 2)], np.bool_(False), f"distinguished vertex {np.bool_(False)!r} is not an integer"),
+    ])
+    def test_ids_that_are_not_integers_are_named(self, edges, t, message):
+        # int() used to truncate 1.7 to 1 and turn True into 1, and t = 1.5 was stored.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            OrientedTree(3, edges, t=t)
+        with pytest.raises(ValueError, match="^distinguished vertex 1.5 is not an integer$"):
+            OrientedTree(3, [(0, 1), (1, 2)]).with_t(1.5)
+
+    def test_numpy_integer_ids_keep_working(self):
+        tree = OrientedTree(3, np.array([[0, 1], [2, 1]], np.int16), t=np.int64(2))
+        assert (tree.edge_list, tree.t) == (((0, 1), (2, 1)), 2)
+        assert tree.with_t(np.uint8(1)).t == 1 and tree.out(2) == (1,)
+
     @pytest.mark.parametrize("family", ["uniform", "path", "caterpillar", "spider", "broom"])
     def test_families_respect_cap(self, family):
         for seed in range(5):
@@ -441,6 +462,9 @@ def generated(make, n, delta, family, rng):
     return result, getattr(rng, "bit_generator", None) and rng.bit_generator.state
 
 
+SHAPED_FAMILIES = ("path", "star", "caterpillar", "spider", "broom")   # drawn as parent arrays
+
+
 class TestGeneratorAgainstReference:
     """gen_random_tree against reference_tree, the earlier generator, call for call.
 
@@ -491,8 +515,8 @@ class TestGeneratorAgainstReference:
         want = reference_tree(n, delta, "uniform", rngs[0]).edge_list, rngs[0].random()
         assert (gen_random_tree(n, delta, "uniform", rngs[1]).edge_list, rngs[1].random()) == want
 
-    @pytest.mark.parametrize("family", ["spider", "broom"])
-    @pytest.mark.parametrize("n", [2, 3, 10, 57, 200, 2000])
+    @pytest.mark.parametrize("family", SHAPED_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10, 40, 57, 200, 2000])
     @pytest.mark.parametrize("delta", [1, 2, 3, 5])
     def test_block_families(self, family, n, delta):
         for seed in range(3):
@@ -518,6 +542,28 @@ class TestGeneratorAgainstReference:
         assert rngs[0].bit_generator.state["has_uint32"] == 1
         want = generated(reference_tree, n, 2, family, rngs[0])
         assert generated(gen_random_tree, n, 2, family, rngs[1]) == want
+
+    @pytest.mark.parametrize("family", ["spider", "broom"])
+    def test_shaped_families_at_every_small_shape(self, family):
+        # A broom hangs its last vertices on at most two open vertices of its
+        # handle, and a spider's root edges are drawn one by one: every n and
+        # cap where those counts change.
+        for n, delta, seed in itertools.product(range(1, 31), range(1, 9), range(2)):
+            want = generated(reference_tree, n, delta, family, np.random.default_rng(seed))
+            assert generated(gen_random_tree, n, delta, family, np.random.default_rng(seed)) == want, (n, delta)
+
+    def test_rows_share_one_object_per_vertex_id(self):
+        # Every generated row holds the table's object for its id, also once
+        # a larger tree has grown the table between two calls.
+        trees = [gen_random_tree(n, 3, family, np.random.default_rng(n))
+                 for n, family in ((2000, "spider"), (70_000, "caterpillar"), (2000, "uniform"),
+                                   (3000, "broom"), (2000, "path"))]
+        objects = {}
+        for tree in trees:
+            for v in range(tree.n):
+                for u in tree.nbrs(v):
+                    assert objects.setdefault(u, u) is u, (tree.n, v, u)
+        assert sorted(objects) == list(range(70_000))
 
 
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
@@ -567,7 +613,8 @@ class TestGeneratorUnderEachRng:
     state after the call must be those of the scalar calls.
     """
 
-    CASES = [(family, n, delta) for family in GENERATOR_FAMILIES for n in (1, 2, 10, 57, 301) for delta in (1, 2, 3)]
+    CASES = [(family, n, delta) for family in GENERATOR_FAMILIES
+             for n in (1, 2, 3, 4, 5, 6, 10, 40, 57, 301, 2000) for delta in (1, 2, 3)]
 
     @pytest.mark.parametrize("bit_generator", (*BIT_GENERATORS, np.random.PCG64DXSM), ids=lambda bg: bg.__name__)
     @pytest.mark.parametrize("pending_half", [False, True])
@@ -585,7 +632,26 @@ class TestGeneratorUnderEachRng:
             errors += str(want).startswith("ValueError")
         assert errors >= 10
 
-    @pytest.mark.parametrize("family", ["uniform", "caterpillar", "path", "star"])
+    @pytest.mark.parametrize("family", SHAPED_FAMILIES)
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    def test_shaped_families_on_end_draws(self, family, u):
+        # A test double with no bit generator: every coin comes up 0, or 1.
+        class EndDraws:
+            def random(self):
+                return u
+
+            def integers(self, k):
+                return 0 if u == 0.0 else k - 1
+
+        errors = 0
+        for n, delta in itertools.product((*range(1, 7), 40, 2000), (1, 2, 3)):
+            doubles = EndDraws(), EndDraws()
+            want = generated(reference_tree, n, delta, family, doubles[0])[0]
+            assert generated(gen_random_tree, n, delta, family, doubles[1])[0] == want, (n, delta)
+            errors += str(want).startswith("ValueError")
+        assert errors == {"star": 15, "caterpillar": 4}.get(family, 0)   # a star over its cap, a full spine
+
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
     def test_doubles(self, family):
         class Cycle:
             def __init__(self):

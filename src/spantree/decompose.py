@@ -31,6 +31,7 @@ class DecompositionError(PipelineError):
     """The schedule is too tight for this tree; lists the failed properties."""
 
     cause = "decompose"
+    fixed = True
 
     def __init__(self, message: str, failed: list[str]):
         super().__init__(message)

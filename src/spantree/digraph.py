@@ -11,8 +11,8 @@ rows, so only hosts that build guides pay for them, and only hosts whose
 xy-labelings the column-sum bound cannot settle pay for the packed rows;
 and the out- and in-degrees, summed once for the semidegree, the measured
 excess alpha_hat and, per sign, the flags of the hosts whose neighbourhood
-is every other host, which let a greedy-walk pick from such a host skip
-its scan.
+is every other host, which tell a greedy walk whether its host is complete
+and spare the absorber's checks their row reads.
 Instances are immutable after construction and safe to share across
 concurrent trials.
 """
@@ -255,9 +255,12 @@ def sample_disjoint_subsets(
     available = d.n if pool is None else len(pool)
     if total > available:
         raise ValueError(f"requested {total} vertices from {available}")
-    perm = rng.permutation(available)
-    out = []
-    start = 0
+    return _cut(rng.permutation(available), sizes, pool)
+
+
+def _cut(perm: np.ndarray, sizes: list[int], pool: np.ndarray | None) -> list[np.ndarray]:
+    """The subsets `sample_disjoint_subsets` cuts from the permutation `perm` of ranks."""
+    out, start = [], 0
     for size in sizes:
         ranks = np.sort(perm[start : start + size]).astype(np.int64)
         out.append(ranks if pool is None else pool[ranks])

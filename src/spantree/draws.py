@@ -12,11 +12,12 @@ makes a Generator's scalar draws by these rules, on numpy 2:
   result is m >> 32.  `integers(1)` draws nothing.
 
 `random_raw(k)` returns the next k outputs and leaves the half buffer alone.
-So a `WordReader` serves these draws from raw words read in blocks, and when
-its `with` block exits, by any route, it sets the state the scalar calls
-would have left: its starting state, with the half buffer it ends with,
-advanced by the words it used.  Any other rng (MT19937, a test double) gets
-a `ScalarReader`, with the same methods, which makes the rng's own calls.
+So a `WordReader` serves these draws from raw words read in blocks, reading
+one way (no draw is given back), and when its `with` block exits, by any
+route, it sets the state the scalar calls would have left: its starting
+state, with the half buffer it ends with, advanced by the words it used.
+Any other rng (MT19937, a test double) gets a `ScalarReader`, with the same
+methods, which makes the rng's own calls.
 
 On PCG64 and PCG64DXSM, `advance(k)` moves past k outputs, as k `random()`
 calls do, but clears the half buffer; `skip_doubles` puts it back.
@@ -50,12 +51,10 @@ def reader(rng, words: int) -> "ScalarReader":
 
 class ScalarReader:
     """`random()`; `below(b)`, which is `integers(b)`; `bits(k)`, k calls of
-    `below(2)` as a bool array; `run(bounds)`, which is [below(b) for b in
-    bounds] for non-increasing bounds >= 1; and `keep(j)`, which keeps the
-    first j picks of the last `run` and gives back the rest.
-    """
+    `below(2)` as a bool array; `run(bounds)`, [below(b) for b in bounds]
+    for non-increasing bounds >= 1."""
 
-    __slots__ = ("_rng", "random", "_last")
+    __slots__ = ("_rng", "random")
 
     def __init__(self, rng):
         self._rng, self.random = rng, rng.random
@@ -73,13 +72,7 @@ class ScalarReader:
         return np.array([self.below(2) for _ in range(k)], bool)
 
     def run(self, bounds: np.ndarray) -> list[int]:
-        self._last = self._rng.bit_generator.state, bounds
         return [self.below(b) for b in bounds.tolist()]
-
-    def keep(self, j: int) -> None:
-        self._rng.bit_generator.state, bounds = self._last
-        for b in bounds[:j].tolist():
-            self.below(b)
 
 
 class WordReader(ScalarReader):
@@ -138,22 +131,9 @@ class WordReader(ScalarReader):
         return coins.astype(bool)
 
     def run(self, bounds: np.ndarray) -> list[int]:
-        start = self._i, self._pending, self._half
-        picks, redrawn = self._run(np.asarray(bounds, np.uint64))
-        self._last = (*start, bounds, redrawn)
-        return picks
-
-    def keep(self, j: int) -> None:
-        self._i, self._pending, self._half, bounds, redrawn = self._last
-        if redrawn:
-            self._run(np.asarray(bounds[:j], np.uint64))
-        else:   # each pick with a bound above 1 took one 32-bit draw
-            self._skip(int(np.count_nonzero(bounds[:j] > 1)))
-
-    def _run(self, bounds: np.ndarray) -> tuple[list[int], bool]:
-        """The picks of `run`, computed on arrays, and whether any 32-bit draw was redrawn."""
+        """The picks, computed on arrays: a block of 32-bit draws at a time, up to the first redraw."""
         picks: list[int] = []
-        redrawn, b = False, bounds[:np.count_nonzero(bounds > 1)]   # the 1s, at the tail, draw nothing
+        b = np.asarray(bounds[:np.count_nonzero(bounds > 1)], np.uint64)   # the tail of 1s draws nothing
         while len(b):
             m = self._peek(len(b)) * b
             near = np.flatnonzero(m & _LOW < b)   # the only picks that may need a redraw
@@ -166,8 +146,8 @@ class WordReader(ScalarReader):
             if r == len(b):
                 break
             picks.append(self.below(int(b[r])))
-            redrawn, b = True, b[r + 1:]
-        return picks + [0] * (len(bounds) - len(picks)), redrawn
+            b = b[r + 1:]
+        return picks + [0] * (len(bounds) - len(picks))
 
     def _peek(self, k: int) -> np.ndarray:
         """The next k 32-bit draws, without taking them."""

@@ -21,7 +21,7 @@ from .digraph import (
     SIGNS,
     Digraph,
     Sign,
-    sample_disjoint_subsets,
+    _cut,
 )
 from .embedding import (
     Embedding,
@@ -69,10 +69,10 @@ def _retry(phase: str, attempts: int, once, log: list | None = None):
     A try raising a PipelineError is resampled, its (phase, cause, message)
     appended to `log` (a PhaseFailure's own phase, else `phase`): not the
     exception, whose traceback would keep the try's frames and hosts alive.
-    A PhaseFailure of `phase` itself passes through; a decompose failure or
-    one marked `fixed`, decided by the inputs before any draw, or a spent
-    budget ends the loop in a PhaseFailure of `phase` with the last try's
-    cause and the number of tries made.
+    A PhaseFailure of `phase` itself passes through; a failure marked
+    `fixed` (decided by the inputs before any draw, as a decomposition is)
+    or a spent budget ends the loop in a PhaseFailure of `phase` with the
+    last try's cause and the number of tries made.
     """
     if attempts < 1:
         raise ValueError(f"{phase}: retry budget must be at least 1, got {attempts}")
@@ -84,7 +84,7 @@ def _retry(phase: str, attempts: int, once, log: list | None = None):
             if exc.phase == phase:
                 raise
             log.append((exc.phase or phase, exc.cause, str(exc)))
-            if exc.cause == "decompose" or exc.fixed:
+            if exc.fixed:
                 break
     raise PhaseFailure(phase, *log[-1][1:], attempts=tries)
 
@@ -489,7 +489,7 @@ def embed_almost_spanning(
             td = decompose(tree, t, params)
         except DecompositionError as exc:
             if tree.n > 64:
-                raise PhaseFailure("almost", "decompose", str(exc), 1) from exc
+                raise PhaseFailure("almost", "decompose", str(exc), 1, fixed=True) from exc
             greedy = True
     log: list[tuple[str, str, str]] = []
     if greedy:
@@ -557,20 +557,15 @@ def _parts_holding(
 ) -> list[np.ndarray] | None:
     """The first of `draws` `sample_disjoint_subsets` draws whose first part holds v, or None.
 
-    A draw slices one permutation of the ranks in `pool` (of the hosts when
-    None), so a draw that leaves v's rank out of its first sizes[0] entries
-    is rejected on that permutation alone, and only a draw that keeps it is
-    replayed through `sample_disjoint_subsets` from the saved RNG state.
-    The random stream and the parts are those of redrawing whole partitions.
+    Each draw is one permutation of the ranks in `pool` (of the hosts when
+    None), cut into the parts when its first sizes[0] entries hold v's rank:
+    the stream and the parts of redrawing whole partitions.
     """
     rank, available = (v, d.n) if pool is None else (int(np.searchsorted(pool, v)), len(pool))
     for _draw in range(draws):
-        state = rng.bit_generator.state
-        if rank in rng.permutation(available)[: sizes[0]]:
-            rng.bit_generator.state = state
-            parts = sample_disjoint_subsets(d, sizes, rng, pool)
-            if v in parts[0]:
-                return parts
+        perm = rng.permutation(available)
+        if rank in perm[: sizes[0]]:
+            return _cut(perm, sizes, pool)
     return None
 
 

@@ -6,8 +6,8 @@ raise (`VerificationError` when a finished map fails its check), `draw_host`
 is the rule of a random host pick: a uniform host among the marked ones, in
 a reading order.  `greedy_walk`, the one random greedy walk, reads its
 candidates by that rule but takes its picks from one `draws.reader`: one
-`below` per scanning pick, and one `run` per run of picks that need no
-scan, with the same stream as one `integers` call per pick.
+`run` for every pick on a complete host, one `below` per scanning pick on
+any other, with the same stream as one `integers` call per pick.
 """
 
 from __future__ import annotations
@@ -80,55 +80,43 @@ def greedy_walk(
     image, or anywhere in `free` when its parent_index is -1.  Every pick
     reads its candidates as `draw_host` does with `host_order`, dropped when
     it ascends over every free host: no pick then gathers along it.  Used
-    hosts are cleared in `free`.
-    Returns hosts[i] = image of order.order[i], or None when some vertex
-    has no candidate.
+    hosts are cleared in `free`.  Returns hosts[i] = image of order.order[i],
+    or None when some vertex has no candidate.
 
-    A pick whose parent's image p has a full row in its sign (`full_rows`;
-    p is never free) pops the same index from a list of the free hosts in
-    the reading order, with no scan, and so does a pick with no parent
-    while the list is kept; one with no list scans `free`.  The list is
-    built at a full-row pick and dropped at any pick that scans a row.
-    Every pick is drawn from one `draws.reader`: a scanning pick takes
-    `below(len(candidates))`, and a list takes its picks in one `run` with
-    bounds len(list), len(list) - 1, ..., cut at the picks left in the
-    order, and gives back the ones a scanning pick leaves unused.  So every
-    pick and the RNG state after the walk are those of one `integers` call
-    per pick.
+    The host fixes how the walk picks.  On a complete host no parent is
+    free, so each pick's candidates are the free hosts themselves: the walk
+    lists them once in the reading order and pops every pick from the list,
+    its index drawn in one `draws.reader` `run` with bounds len(list),
+    len(list) - 1, ..., cut at the picks left.  On any other host each pick
+    scans its candidates and takes `below(len(candidates))`.  So every pick
+    and the RNG state after the walk are those of one `integers` call per pick.
     """
     adj_row, parent_index, sign = d.adj_row, order.parent_index, order.sign
-    plus, full_out, full_in = Sign.PLUS, d.full_rows(Sign.PLUS), d.full_rows(Sign.MINUS)
-    candidates = np.empty(d.n, dtype=bool)   # row & free, refilled in place per pick
-    free_list: list[int] | None = None       # the hosts marked in `free`, in reading order
     hosts = [int(h) for h in placed]
     free[hosts] = False
     if host_order is not None and (host_order[1:] > host_order[:-1]).all() and (
             np.count_nonzero(free[host_order]) == np.count_nonzero(free)):
         host_order = None   # ascending over every free host: the reading order of no order
     with reader(rng, (len(order) - len(hosts)) // 2 + 1) as draw:
-        for i in range(len(hosts), len(order)):
-            j, s = parent_index[i], sign[i]
-            scan = free_list is None if j < 0 else not (full_out if s is plus else full_in)[hosts[j]]
-            if scan:   # the candidates in `free`, or in the parent's row and `free`
-                mask = free
-                if j >= 0:
-                    if free_list is not None and len(free_list) > size - len(picks):
-                        draw.keep(size - len(free_list))
-                    free_list = None
-                    mask = np.logical_and(adj_row(hosts[j], s), free, out=candidates)
-                found = mask.nonzero()[0] if host_order is None else host_order[mask[host_order]]
-                host = int(found[draw.below(len(found))]) if len(found) else None
-            else:
-                if free_list is None:
-                    free_list = (free.nonzero()[0] if host_order is None
-                                 else host_order[free[host_order]]).tolist()
-                    size = len(free_list)
-                    picks = draw.run(np.arange(size, max(size - len(order) + i, 0), -1))
-                host = free_list.pop(picks[size - len(free_list)]) if free_list else None
-            if host is None:
+        if d.full_rows(Sign.PLUS).all():
+            free_list = (free.nonzero()[0] if host_order is None else host_order[free[host_order]]).tolist()
+            start = len(hosts)
+            picks = draw.run(np.arange(len(free_list), 0, -1)[:len(order) - start])
+            hosts += [free_list.pop(pick) for pick in picks]
+            free[hosts[start:]] = False
+            if len(hosts) < len(order):
                 return None
-            hosts.append(host)
-            free[host] = False
+        else:
+            candidates = np.empty(d.n, dtype=bool)   # row & free, refilled in place per pick
+            for i in range(len(hosts), len(order)):
+                j = parent_index[i]
+                mask = free if j < 0 else np.logical_and(adj_row(hosts[j], sign[i]), free, out=candidates)
+                found = mask.nonzero()[0] if host_order is None else host_order[mask[host_order]]
+                if len(found) == 0:
+                    return None
+                host = int(found[draw.below(len(found))])
+                hosts.append(host)
+                free[host] = False
     return np.array(hosts, dtype=np.int64)
 
 

@@ -107,24 +107,12 @@ class TestWordReader:
         np.array([2**32, 2**32 - 1] + [3 * 2**30 + 1] * 50 + [5, 2, 2, 1, 1]),
     ], ids=["coins", "to-one", "short", "one", "empty", "biased"])
     def test_run_and_keep(self, bit_generator, pending_half, bounds):
-        for keep in sorted({0, 1, len(bounds) // 2, len(bounds)}):
-            rngs = twins(bit_generator, pending_half)
-            lead = script(3, 7)
-            want = scalar_calls(rngs[0], lead), [int(rngs[0].integers(b)) for b in bounds.tolist()]
-            with reader(rngs[1], 3) as draw:
-                got = reader_calls(draw, lead), draw.run(bounds)
-            assert got == want and same_state(*rngs)
-            rngs = twins(bit_generator, pending_half)
-            scalar_calls(rngs[0], lead)
-            for b in bounds[:keep].tolist():
-                rngs[0].integers(b)
-            tail = scalar_calls(rngs[0], script(4, 9))
-            with reader(rngs[1], 3) as draw:
-                reader_calls(draw, lead)
-                draw.run(bounds)
-                draw.keep(keep)
-                assert reader_calls(draw, script(4, 9)) == tail
-            assert same_state(*rngs)
+        rngs = twins(bit_generator, pending_half)
+        lead = script(3, 7)
+        want = scalar_calls(rngs[0], lead), [int(rngs[0].integers(b)) for b in bounds.tolist()]
+        with reader(rngs[1], 3) as draw:
+            got = reader_calls(draw, lead), draw.run(bounds)
+        assert got == want and same_state(*rngs)
 
     def test_an_exception_settles_the_state(self, bit_generator, pending_half):
         for length in (0, 1, 2, 77):
@@ -145,7 +133,6 @@ def test_other_rngs_make_their_own_calls():
     with reader(rngs[1], 10) as draw:
         assert isinstance(draw, ScalarReader)
         got = reader_calls(draw, calls), draw.run(np.arange(40, 20, -1))
-        draw.keep(20)
     assert got == want and same_state(*rngs)
 
     class Double:

@@ -10,7 +10,7 @@ import pytest
 
 from spantree import embedder
 from spantree.decompose import PathPiece, decompose
-from spantree.digraph import ROW_BLOCK, Digraph, Sign, gen_semidegree_digraph
+from spantree.digraph import ROW_BLOCK, Digraph, Sign, gen_semidegree_digraph, sample_disjoint_subsets
 from spantree.embedder import (
     PhaseFailure,
     _property_s_floor,
@@ -543,6 +543,35 @@ class TestPooledHost:
         with pytest.raises(ValueError, match="anchor host 3 is not in the pool"):
             embed_almost_spanning(d, tree, 0, 3, spanning_defaults(50, 0.25), np.random.default_rng(1),
                                   np.arange(10, 60))
+
+
+def redrawn_partitions(d, sizes, rng, pool, v, draws):
+    """The first of `draws` whole `sample_disjoint_subsets` partitions whose first part holds v, or None."""
+    for _draw in range(draws):
+        parts = sample_disjoint_subsets(d, sizes, rng, pool)
+        if v in parts[0]:
+            return parts
+    return None
+
+
+class TestPartsHolding:
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_same_parts_none_and_state_as_redrawn_partitions(self, pooled):
+        d = complete(60)
+        pool = np.sort(np.random.default_rng(1).choice(60, size=40, replace=False)) if pooled else None
+        hosts = list(range(60)) if pool is None else pool.tolist()
+        found = []
+        cases = itertools.product(hosts[::7], ([3, 20, 10], [1, 30], [35]), (1, 3, 40))
+        for seed, (v, sizes, draws) in enumerate(cases):
+            runs = []
+            for draw_parts in (embedder._parts_holding, redrawn_partitions):
+                rng = np.random.default_rng(seed)
+                parts = draw_parts(d, sizes, rng, pool, v, draws)
+                got = None if parts is None else [p.tolist() for p in parts]
+                runs.append((got, rng.bit_generator.state, rng.integers(2**40)))
+            assert runs[0] == runs[1]
+            found.append(runs[0][0] is not None)
+        assert 0 < sum(found) < len(found)
 
 
 class TestAbsorber:

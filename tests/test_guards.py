@@ -28,6 +28,17 @@ def test_library_has_no_assert_statement():
     assert found == []
 
 
+def test_only_the_reader_touches_a_bit_generator():
+    # Every draw goes one way through numpy's calls or `draws`: no other module
+    # saves, rewinds or replays a generator's state.
+    found = []
+    for path in sorted((ROOT / "src" / "spantree").glob("*.py")):
+        if path.name != "draws.py":
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                      if getattr(node, "id", getattr(node, "attr", None)) == "bit_generator"]
+    assert found == []
+
+
 def _names_in(node, skip=()):
     """Every Name, Attribute and import alias under `node`, not descending into `skip`."""
     skip_ids = {id(s) for s in skip}

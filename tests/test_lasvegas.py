@@ -331,8 +331,8 @@ def full_row_brute_force(d, sign):
 
 
 class TestWalkAgainstScan:
-    """`greedy_walk` reads full rows from a list of free hosts; every pick,
-    the free mask and the RNG state must equal those of the scan on every pick."""
+    """`greedy_walk` takes a complete host's picks from a list of free hosts; every
+    pick, the free mask and the RNG state must equal those of the scan on every pick."""
 
     N = 200
     HOSTS = ("complete", "minus-arcs", "p=0.98", "tight")
@@ -384,7 +384,8 @@ class TestWalkAgainstScan:
 
     def test_scanned_picks_between_full_row_picks(self):
         # Out-rows 0..7 and in-rows 8..15 miss one arc each, so these walks mix
-        # both kinds of pick, and a list of free hosts kept past a scan shows.
+        # picks below full rows and below rows that miss an arc.  The host is
+        # not complete, so the walk scans all of them.
         d = minus_arcs(16, [(v, v + 8) for v in range(8)])
         tree = OrientedTree(10, [(i, i + 1) if i % 3 else (i + 1, i) for i in range(9)])
         order = prefix_order(tree, 0)
@@ -400,8 +401,9 @@ class TestWalkAgainstScan:
 
     def test_blocks_cut_by_a_scan_pick(self):
         # Out-rows 0..9 and in-rows 10..19 of 300 hosts miss one arc each, so
-        # long runs of full-row picks end at a scan pick before their block of
-        # picks is used up, and the walk must rewind the block to the picks used.
+        # long stretches of picks below full rows end at a pick below a row
+        # that misses an arc, or with the walk.  The host is not complete, so
+        # each of these picks takes its own draw.
         n = 300
         d = minus_arcs(n, [(v, v + 10) for v in range(10)])
         free = np.zeros(n, dtype=bool)
@@ -427,15 +429,16 @@ class TestWalkAgainstScan:
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
                                                np.random.SFC64, np.random.MT19937], ids=lambda bg: bg.__name__)
     def test_every_bit_generator(self, bit_generator):
-        # Scanning picks, full-row runs and runs cut by a scan, with and
-        # without a pending 32-bit half, on each generator the reader serves.
+        # The scanning picks of a host that is not complete and the one run of
+        # picks of a complete host, with and without a pending 32-bit half, on
+        # each generator the reader serves.
         n = 300
-        d = minus_arcs(n, [(v, v + 10) for v in range(10)])
         free = np.zeros(n, dtype=bool)
         free[np.random.default_rng(3).choice(n, 200, replace=False)] = True
         shuffled = np.random.default_rng(4).permutation(np.flatnonzero(free))
         kinds = set()
-        for seed, family in itertools.product(range(3), ("uniform", "spider", "caterpillar")):
+        for d, seed, family in itertools.product((minus_arcs(n, [(v, v + 10) for v in range(10)]), complete(n)),
+                                                 range(3), ("uniform", "spider", "caterpillar")):
             order = prefix_order(gen_random_tree(180, 3, family, np.random.default_rng(seed)), 0)
             for host_order, walked, pending in itertools.product((None, shuffled), (order, head(order, 121)),
                                                                  (False, True)):
@@ -761,7 +764,7 @@ class TestOneLeanWalk:
 
     def test_scans_interleave_with_full_row_picks(self):
         # Out-rows 0..7 and in-rows 8..15 miss one arc each: the attach hosts
-        # 0 and 8 scan, and picks below them mix scans and full-row picks.
+        # 0 and 8 miss an arc, and picks below them mix full rows and rows that miss one.
         d = minus_arcs(60, [(v, v + 8) for v in range(8)] + [(16, 8)])
         kinds = set()
         for seed in range(10):
@@ -1059,12 +1062,11 @@ class TestAlmostFailureReports:
         d = gen_semidegree_digraph(120, 0.25, rng)
         tree = gen_random_tree(96, 3, "uniform", rng)
         v = 5
-        others = np.array([h for h in range(120) if h != v], dtype=np.int64)
 
-        def without_anchor(d, sizes, rng, pool=None):
-            return [others[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(len(sizes))]
+        def without_anchor(d, sizes, rng, pool, v, draws):
+            return None   # no partition of the budget put v in the first part
 
-        monkeypatch.setattr(embedder, "sample_disjoint_subsets", without_anchor)
+        monkeypatch.setattr(embedder, "_parts_holding", without_anchor)
         params = spanning_defaults(120, 0.25).with_updates(retries=3)
         with pytest.raises(PhaseFailure) as info:
             embed_almost_spanning(d, tree, 0, v, params, rng)

@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from spantree.digraph import Digraph, Sign, gen_semidegree_digraph, sample_disjoint_subsets
 from spantree.embedding import is_valid_embedding
 from spantree.matching import (
+    ForestEmbedError,
     MatchingError,
     _raw_matching,
     covering_matching,
@@ -431,6 +432,15 @@ class TestSmallForest:
         text = json.dumps([list(enumerate(m.tolist())) for m in maps])
         digest = "68c36ec44cc3a3a41bdac6ba2a53aef490da38bba608bd93ba3eb930d07c1e45"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_unmatched_leaf_batch_is_a_hall_fail(self):
+        # Every host has one out-neighbour (0, or 1 for host 0): the centre of
+        # an out-star walks anywhere, but its two leaves have one host between them.
+        d = Digraph.from_edges(20, [(v, 0) for v in range(1, 20)] + [(0, 1)])
+        star = OrientedTree(3, [(0, 1), (0, 2)])
+        with pytest.raises(ForestEmbedError, match="^leaf batch unmatched: ") as info:
+            embed_small_forest(d, [star, star], 0.2, np.random.default_rng(0))
+        assert info.value.cause == "hall-fail"
 
     def test_oversized_forest_rejected(self):
         d = complete(20)
